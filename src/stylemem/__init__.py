@@ -33,10 +33,11 @@ from .harness import (
     run_training,
 )
 from .memory import (
-    ClassCluster,
     MemoryBank,
     MemoryLayout,
+    QuerySet,
     ReadResult,
+    address,
     init_bank,
     load_bank,
     read,
@@ -58,6 +59,6 @@ from .numerics import (
     split_rng,
 )
 from .objectives import ContrastiveConfig, FdReport, LossTerm, contrastive_loss, fd_check, triplet_loss
-from .synthdata import DomainSpec, FeatureScene, cluster_by_class, generate_scene_pair
+from .synthdata import DomainSpec, FeatureScene, generate_scene_pair
 
 __version__ = "0.1.0"

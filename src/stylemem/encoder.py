@@ -5,9 +5,11 @@ extractors upstream of the memory. Forward, backward, and the Adam step are
 hand-written so the whole gradient path (loss -> read -> encoder) is explicit
 and checkable by finite differences.
 
-A training iteration runs: encode both domains, cluster by class, read the
-memory per cluster, form the weighted loss, backpropagate into the encoders,
-apply Adam, then fold the iteration's features into the memory.
+A training iteration runs: encode both domains, compute one cosine matrix
+per memory plane (content against the keys, style against the same domain's
+values) and one label-to-partition mask per domain, derive the item losses,
+the class-restricted read and its backward pass from them, backpropagate into
+the encoders, apply Adam, then fold the iteration's features into the memory.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
-from .memory import ClassCluster, MemoryBank, read, read_backward, update
+from .memory import MemoryBank, QuerySet, address, read, read_backward, update
 from .numerics import AdamState, adam_step
 from .objectives import ContrastiveConfig, LossTerm, contrastive_loss, triplet_loss
 from .serialize import matrix_text, vector_text
@@ -161,46 +163,32 @@ class LossReport:
 
 @dataclass
 class ForwardPass:
-    """Encoded features, their loss gradients, and the per-class clusters."""
+    """Per-domain query sets (encoded features against the bank) and the
+    loss gradients with respect to the encoded content and style."""
 
-    content: dict[str, np.ndarray]
-    style: dict[str, np.ndarray]
+    queries: dict[str, QuerySet]
     grad_content: dict[str, np.ndarray]
     grad_style: dict[str, np.ndarray]
-    clusters: dict[str, list[ClassCluster]]
 
 
-def _encoded_clusters(
-    scene: FeatureScene,
-    content: np.ndarray,
-    style: np.ndarray,
-    bank: MemoryBank,
-    class_aware: bool,
-) -> list[ClassCluster]:
+def _address_labels(bank: MemoryBank, scene: FeatureScene, class_aware: bool) -> np.ndarray:
     if class_aware:
-        class_ids = np.unique(scene.labels)
-        return [
-            ClassCluster(
-                class_id=int(cid),
-                content=content[positions],
-                style=style[positions],
-                positions=positions,
-            )
-            for cid in class_ids
-            for positions in (np.flatnonzero(scene.labels == cid),)
-        ]
+        return scene.labels
     if len(bank.layout.entries) != 1:
         raise ConfigError("pooled training needs a single-partition bank layout")
-    positions = np.arange(scene.positions)
-    return [ClassCluster(bank.layout.entries[0].class_id, content, style, positions)]
+    return np.full(scene.positions, bank.layout.entries[0].class_id)
 
 
 def _item_loss(
-    queries: np.ndarray, items: np.ndarray, pool: np.ndarray, settings: TrainSettings
+    queries: np.ndarray,
+    items: np.ndarray,
+    pool: np.ndarray,
+    settings: TrainSettings,
+    sims: np.ndarray | None = None,
 ) -> LossTerm:
     if settings.loss_variant == "contrastive":
-        return contrastive_loss(queries, items, pool, settings.objective)
-    return triplet_loss(queries, items, pool, settings.triplet_margin)
+        return contrastive_loss(queries, items, pool, settings.objective, sims)
+    return triplet_loss(queries, items, pool, settings.triplet_margin, sims)
 
 
 def compute_losses(
@@ -212,60 +200,54 @@ def compute_losses(
 ) -> tuple[LossReport, ForwardPass]:
     """Forward pass over a scene pair against a frozen bank.
 
-    Returns the loss report plus encoded features with the analytic gradient
-    of the weighted total loss with respect to each encoded feature matrix.
-    Neither the encoders nor the bank are modified.
+    Returns the loss report plus the encoded query sets with the analytic
+    gradient of the weighted total loss with respect to each encoded
+    feature matrix. Neither the encoders nor the bank are modified.
     """
     if scene_x.positions != scene_y.positions:
         raise ShapeError("paired scenes must have the same number of positions")
     scenes = {"x": scene_x, "y": scene_y}
-    content = {d: forward(encoders.content(d), scenes[d].content) for d in _DOMAINS}
-    style = {d: forward(encoders.style(d), scenes[d].style) for d in _DOMAINS}
-    clusters = {
-        d: _encoded_clusters(scenes[d], content[d], style[d], bank, settings.class_aware)
+    queries = {
+        d: address(
+            bank,
+            forward(encoders.content(d), scenes[d].content),
+            forward(encoders.style(d), scenes[d].style),
+            _address_labels(bank, scenes[d], settings.class_aware),
+        )
         for d in _DOMAINS
     }
 
     p_total = scene_x.positions
     cfg = settings.objective
-    grad_content = {d: np.zeros_like(content[d]) for d in _DOMAINS}
-    grad_style = {d: np.zeros_like(style[d]) for d in _DOMAINS}
-    key_positives = {d: np.full(p_total, -1, dtype=np.intp) for d in _DOMAINS}
-    value_positives = {d: np.full(p_total, -1, dtype=np.intp) for d in _DOMAINS}
-    key_loss = value_loss = rec_loss = 0.0
-
+    key_terms, value_terms, upstream, grad_content = {}, {}, {}, {}
+    rec_loss = 0.0
     for d in _DOMAINS:
+        q = queries[d]
         opposite = "y" if d == "x" else "x"
         same_values = bank.values_x if d == "x" else bank.values_y
-        for cluster in clusters[d]:
-            offset, count = bank.layout.span(cluster.class_id)
-            pool = np.arange(offset, offset + count)
+        key_terms[d] = _item_loss(q.content, bank.keys, q.mask, settings, q.sims)
+        value_terms[d] = _item_loss(q.style, same_values, q.mask, settings)
 
-            term_k = _item_loss(cluster.content, bank.keys, pool, settings)
-            key_loss += term_k.value
-            grad_content[d][cluster.positions] += cfg.key_weight * term_k.grad
-            key_positives[d][cluster.positions] = term_k.positives
+        # style reconstruction through the read: the cross-domain mixture
+        # should reproduce the paired scene's encoded style
+        diff = read(bank, q, d).aggregated_style - queries[opposite].style
+        rec_loss += float(np.sum(diff * diff)) / p_total
+        upstream[d] = (2.0 / p_total) * diff
+        rec_grad = read_backward(bank, q, d, upstream[d])
+        grad_content[d] = cfg.key_weight * key_terms[d].grad + settings.rec_weight * rec_grad
+    grad_style = {
+        d: cfg.value_weight * value_terms[d].grad - settings.rec_weight * upstream[opposite]
+        for d, opposite in (("x", "y"), ("y", "x"))
+    }
 
-            term_v = _item_loss(cluster.style, same_values, pool, settings)
-            value_loss += term_v.value
-            grad_style[d][cluster.positions] += cfg.value_weight * term_v.grad
-            value_positives[d][cluster.positions] = term_v.positives
-
-            # style reconstruction through the read: the cross-domain mixture
-            # should reproduce the paired scene's encoded style
-            result = read(bank, cluster, d)
-            target = style[opposite][cluster.positions]
-            diff = result.aggregated_style - target
-            rec_loss += float(np.sum(diff * diff)) / p_total
-            upstream = (2.0 / p_total) * diff
-            grad_content[d][cluster.positions] += settings.rec_weight * read_backward(
-                bank, cluster, d, upstream
-            )
-            grad_style[opposite][cluster.positions] -= settings.rec_weight * upstream
-
+    key_loss = key_terms["x"].value + key_terms["y"].value
+    value_loss = value_terms["x"].value + value_terms["y"].value
     total = cfg.key_weight * key_loss + cfg.value_weight * value_loss + settings.rec_weight * rec_loss
-    report = LossReport(key_loss, value_loss, rec_loss, total, key_positives, value_positives)
-    return report, ForwardPass(content, style, grad_content, grad_style, clusters)
+    positives = lambda terms: {d: t.positives for d, t in terms.items()}
+    report = LossReport(
+        key_loss, value_loss, rec_loss, total, positives(key_terms), positives(value_terms)
+    )
+    return report, ForwardPass(queries, grad_content, grad_style)
 
 
 def train_step(
@@ -296,13 +278,7 @@ def train_step(
 
     if not settings.update_memory:
         return report, bank
-
-    by_class_x = {c.class_id: c for c in fwd.clusters["x"]}
-    by_class_y = {c.class_id: c for c in fwd.clusters["y"]}
-    new_bank = bank
-    for class_id in sorted(set(by_class_x) | set(by_class_y)):
-        new_bank = update(new_bank, by_class_x.get(class_id), by_class_y.get(class_id))
-    return report, new_bank
+    return report, update(bank, fwd.queries["x"], fwd.queries["y"])
 
 
 # --- persistence ---
@@ -345,17 +321,33 @@ def load_encoders(
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"encoder file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("encoder file must hold a JSON object")
     if doc.get("version") != ENCODER_FORMAT_VERSION:
         raise ValidationError(f"unsupported encoder version {doc.get('version')!r}")
+    widths = (doc.get("out_channels"), doc.get("in_channels"))
+    if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in widths):
+        raise ValidationError(f"invalid encoder widths (out, in) = {widths!r}")
+    blocks = doc.get("encoders")
+    if not isinstance(blocks, dict):
+        raise ValidationError("encoder file needs an 'encoders' object")
     loaded = {}
     for name in ("content_x", "content_y", "style_x", "style_y"):
-        block = doc.get("encoders", {}).get(name)
-        if block is None:
+        block = blocks.get(name)
+        if not isinstance(block, dict):
             raise ValidationError(f"encoder file missing {name!r}")
-        weight = np.asarray(block["weight"], dtype=np.float64)
-        bias = np.asarray(block["bias"], dtype=np.float64)
-        if weight.ndim != 2 or bias.ndim != 1 or bias.shape[0] != weight.shape[0]:
-            raise ValidationError(f"encoder {name!r} has inconsistent shapes")
+        try:
+            weight = np.asarray(block["weight"], dtype=np.float64)
+            bias = np.asarray(block["bias"], dtype=np.float64)
+        except KeyError as exc:
+            raise ValidationError(f"encoder {name!r} missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"encoder {name!r}: {exc}") from exc
+        if weight.shape != widths or bias.shape != widths[:1]:
+            raise ValidationError(
+                f"encoder {name!r} has weight {weight.shape} and bias {bias.shape}, "
+                f"file declares (out, in) = {widths}"
+            )
         if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
             raise ValidationError(f"encoder {name!r} contains non-finite values")
         loaded[name] = LinearEncoder(

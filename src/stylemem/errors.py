@@ -10,7 +10,7 @@ class LayoutError(ValueError):
 
 
 class EmptyClusterError(ValueError):
-    """A class cluster carries no positions; callers are expected to skip it."""
+    """A query set carries no rows; callers are expected to skip it."""
 
 
 class PoolError(ValueError):

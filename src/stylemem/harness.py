@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ from .encoder import (
     save_encoders,
     train_step,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .memory import MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
 from .objectives import ContrastiveConfig
@@ -68,38 +68,6 @@ STREAM_EVAL = 4
 
 # class id of the single pooled partition in "single" memory mode
 POOLED_CLASS_ID = -1
-
-_SCENE_KEYS = (
-    "classes",
-    "input_channels",
-    "height",
-    "width",
-    "noise_sigma",
-    "content_overlap",
-    "style_overlap",
-)
-
-_TOP_KEYS = (
-    "preset",
-    "memory_mode",
-    "loss_variant",
-    "layout",
-    "channels",
-    "temperature",
-    "key_loss_weight",
-    "value_loss_weight",
-    "rec_loss_weight",
-    "triplet_margin",
-    "learning_rate",
-    "adam_beta1",
-    "adam_beta2",
-    "iterations",
-    "update_every",
-    "seed",
-    "eval_scenes",
-    "assignment_scenes",
-    "scene",
-)
 
 PRESETS: dict[str, dict] = {
     "toy": {
@@ -250,6 +218,10 @@ class ExperimentConfig:
         return doc
 
 
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_SCENE_KEYS = tuple(f.name for f in fields(SceneConfig))
+
+
 def resolve_config(raw: dict) -> dict:
     """Expand a (possibly preset-based) config dict to a fully explicit one."""
     if not isinstance(raw, dict):
@@ -289,43 +261,51 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
+def _integer(name: str, value) -> int:
+    # bool is an int subclass; a JSON true must not pass for 1
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+_MAX_FLOAT = float(np.finfo(np.float64).max)
+
+
+def _number(name: str, value) -> float:
+    # the comparison also rejects NaN, and ints too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX_FLOAT:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+_FIELD_CHECKS = {"int": _integer, "float": _number, "str": lambda name, value: value}
+
+
+def _checked_fields(cls, raw: dict, prefix: str = "") -> dict:
+    """The int, float and str fields of dataclass ``cls``, type-checked."""
+    return {
+        f.name: _FIELD_CHECKS[f.type](prefix + f.name, raw[f.name])
+        for f in fields(cls)
+        if f.type in _FIELD_CHECKS
+    }
+
+
 def config_from_dict(resolved: dict) -> ExperimentConfig:
     """Validate a resolved config dict and build the typed config."""
     try:
         layout_entries = tuple(
-            (int(e["class"]), int(e["count"])) for e in resolved["layout"]
+            (_integer("layout class", e["class"]), _integer("layout count", e["count"]))
+            for e in resolved["layout"]
         )
     except (TypeError, KeyError) as exc:
         raise ConfigError(f"layout entries need 'class' and 'count': {exc}") from exc
-    scene_raw = resolved["scene"]
     cfg = ExperimentConfig(
         preset=resolved.get("preset"),
-        memory_mode=str(resolved["memory_mode"]),
-        loss_variant=str(resolved["loss_variant"]),
         layout=layout_entries,
-        channels=int(resolved["channels"]),
-        temperature=float(resolved["temperature"]),
-        key_loss_weight=float(resolved["key_loss_weight"]),
-        value_loss_weight=float(resolved["value_loss_weight"]),
-        rec_loss_weight=float(resolved["rec_loss_weight"]),
-        triplet_margin=float(resolved["triplet_margin"]),
-        learning_rate=float(resolved["learning_rate"]),
-        adam_beta1=float(resolved["adam_beta1"]),
-        adam_beta2=float(resolved["adam_beta2"]),
-        iterations=int(resolved["iterations"]),
-        update_every=int(resolved["update_every"]),
-        seed=int(resolved["seed"]),
-        eval_scenes=int(resolved["eval_scenes"]),
-        assignment_scenes=int(resolved["assignment_scenes"]),
-        scene=SceneConfig(
-            classes=int(scene_raw["classes"]),
-            input_channels=int(scene_raw["input_channels"]),
-            height=int(scene_raw["height"]),
-            width=int(scene_raw["width"]),
-            noise_sigma=float(scene_raw["noise_sigma"]),
-            content_overlap=float(scene_raw["content_overlap"]),
-            style_overlap=float(scene_raw["style_overlap"]),
-        ),
+        scene=SceneConfig(**_checked_fields(SceneConfig, resolved["scene"], "scene.")),
+        **_checked_fields(ExperimentConfig, resolved),
     )
     if cfg.memory_mode not in ("class-aware", "single"):
         raise ConfigError(f"memory_mode must be 'class-aware' or 'single', got {cfg.memory_mode!r}")
@@ -346,6 +326,8 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
         raise ConfigError("update_every must be >= 1")
     if cfg.channels < 1:
         raise ConfigError("channels must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.eval_scenes < 1:
         raise ConfigError("eval_scenes must be >= 1")
     if not 0 <= cfg.assignment_scenes <= cfg.eval_scenes:
@@ -463,7 +445,7 @@ def _accumulate_pair(
     collect=None,
 ) -> None:
     """Test-time metrics of one scene pair (global reads, no class labels)."""
-    spans = {e.class_id: (e.offset, e.count) for e in ref_layout.entries}
+    item_classes = ref_layout.item_classes
     scenes = {"x": scene_x, "y": scene_y}
     for d in ("x", "y"):
         opposite = "y" if d == "x" else "x"
@@ -476,9 +458,7 @@ def _accumulate_pair(
         acc.fidelity_sum += float(cosine_rows(result.aggregated_style, target).sum())
         top = np.argmax(result.weights, axis=1)
         labels = scenes[d].labels
-        for class_id, (offset, count) in spans.items():
-            mask = labels == class_id
-            acc.purity_hits += int(np.sum((top[mask] >= offset) & (top[mask] < offset + count)))
+        acc.purity_hits += int(np.sum(item_classes[top] == labels))
         if collect is not None:
             collect(d, labels, top, result.weights, content)
 
@@ -547,6 +527,17 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     return RunResult(bank, encoders, metrics, final_eval)
 
 
+def _check_artifacts(bank: MemoryBank, encoders: EncoderSet, cfg: ExperimentConfig) -> None:
+    """Reject a bank or encoders that were not built for ``cfg``."""
+    counts = lambda layout: [(e.class_id, e.count) for e in layout.entries]
+    got = (counts(bank.layout), bank.channels, {enc.weight.shape for enc in encoders.all()})
+    want = (counts(cfg.bank_layout()), cfg.channels, {(cfg.channels, cfg.scene.input_channels)})
+    if got != want:
+        raise ValidationError(
+            f"bank layout, channels and encoder (out, in) shapes {got} do not fit the config: {want}"
+        )
+
+
 def evaluate(
     bank: MemoryBank,
     encoders: EncoderSet,
@@ -564,6 +555,7 @@ def evaluate(
     """
     if scene_count < 1:
         raise ConfigError("evaluation needs at least one scene")
+    _check_artifacts(bank, encoders, cfg)
     spec = cfg.domain_spec()
     ref_layout = cfg.reference_layout()
     settings = cfg.settings(update_memory=False)

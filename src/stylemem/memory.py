@@ -2,8 +2,9 @@
 
 A bank holds N items; each item is a key row plus one value row per domain,
 all unit-normalized. The layout reserves a contiguous block of items per
-object class. Training reads and updates address only the block of the
-querying cluster's class; test-time reads address all N items.
+object class. Training reads and updates address only the block of each
+query's class, as one masked (P, N) operation over a scene; test-time reads
+address all N items.
 """
 
 from __future__ import annotations
@@ -68,15 +69,17 @@ class MemoryLayout:
     def class_ids(self) -> tuple[int, ...]:
         return tuple(e.class_id for e in self.entries)
 
+    @property
+    def item_classes(self) -> np.ndarray:
+        """Class id owning each item, (N,)."""
+        return np.repeat(self.class_ids, [e.count for e in self.entries])
+
     def span(self, class_id: int) -> tuple[int, int]:
         """(offset, count) of a class's partition; unknown ids raise."""
         for e in self.entries:
             if e.class_id == class_id:
                 return e.offset, e.count
         raise LayoutError(f"class {class_id} not in layout (have {list(self.class_ids)})")
-
-    def contains(self, class_id: int) -> bool:
-        return any(e.class_id == class_id for e in self.entries)
 
 
 @dataclass
@@ -101,13 +104,19 @@ class MemoryBank:
 
 
 @dataclass
-class ClassCluster:
-    """The content/style feature rows of one class, with scene positions."""
+class QuerySet:
+    """One domain's content/style rows and the memory items each may address.
 
-    class_id: int
+    ``mask[p]`` is True on the partition of row p's class; ``sims`` holds the
+    rows' cosine similarities to the keys of the bank the set was built for
+    (see :func:`address`), shared by reads, their backward pass, the update
+    weights and the key-side item loss.
+    """
+
     content: np.ndarray
     style: np.ndarray
-    positions: np.ndarray
+    mask: np.ndarray
+    sims: np.ndarray
 
     @property
     def size(self) -> int:
@@ -147,41 +156,55 @@ def init_bank(layout: MemoryLayout, channels: int, rng: np.random.Generator) -> 
     return MemoryBank(keys, values_x, values_y, layout)
 
 
-def _check_cluster(bank: MemoryBank, cluster: ClassCluster) -> tuple[int, int]:
-    if not bank.layout.contains(cluster.class_id):
-        raise LayoutError(f"class {cluster.class_id} not in bank layout")
-    if cluster.size == 0:
-        raise EmptyClusterError(f"class {cluster.class_id} cluster is empty")
-    if cluster.content.ndim != 2 or cluster.content.shape[1] != bank.channels:
-        raise ShapeError(
-            f"cluster content shape {cluster.content.shape} incompatible with C={bank.channels}"
-        )
-    if cluster.style.shape != cluster.content.shape:
-        raise ShapeError(
-            f"cluster style shape {cluster.style.shape} != content shape {cluster.content.shape}"
-        )
-    if cluster.positions.shape != (cluster.size,):
-        raise ShapeError(
-            f"cluster positions shape {cluster.positions.shape}, expected {(cluster.size,)}"
-        )
-    return bank.layout.span(cluster.class_id)
+def address(
+    bank: MemoryBank, content: np.ndarray, style: np.ndarray, labels: np.ndarray
+) -> QuerySet:
+    """Query set whose rows address the partition of their class ``labels[p]``.
+
+    Labels missing from the layout raise :class:`LayoutError`. The cosine
+    similarities to the keys are computed here, once.
+    """
+    content = np.asarray(content, dtype=np.float64)
+    style = np.asarray(style, dtype=np.float64)
+    labels = np.asarray(labels)
+    if content.ndim != 2 or content.shape[1] != bank.channels:
+        raise ShapeError(f"content shape {content.shape} incompatible with C={bank.channels}")
+    if style.shape != content.shape:
+        raise ShapeError(f"style shape {style.shape} != content shape {content.shape}")
+    if labels.shape != (content.shape[0],):
+        raise ShapeError(f"labels shape {labels.shape}, expected {(content.shape[0],)}")
+    mask = labels[:, None] == bank.layout.item_classes[None, :]
+    unknown = labels[~mask.any(axis=1)]
+    if unknown.size:
+        raise LayoutError(f"class {unknown[0]} not in layout (have {list(bank.layout.class_ids)})")
+    sims = cosine_matrix(content, bank.keys) if content.shape[0] else np.zeros(mask.shape)
+    return QuerySet(content, style, mask, sims)
 
 
-def read(bank: MemoryBank, cluster: ClassCluster, domain: str) -> ReadResult:
+def _check_queries(bank: MemoryBank, queries: QuerySet) -> None:
+    if queries.size == 0:
+        raise EmptyClusterError("query set is empty")
+    expected = (queries.size, bank.n_items)
+    if queries.sims.shape != expected or queries.mask.shape != expected:
+        raise ShapeError(f"query set sims/mask shapes differ from {expected}")
+
+
+def _read(bank: MemoryBank, sims: np.ndarray, mask: np.ndarray | None, domain: str) -> ReadResult:
+    alpha = softmax_rows(sims, mask)
+    return ReadResult(alpha, alpha @ _cross_values(bank, domain))
+
+
+def read(bank: MemoryBank, queries: QuerySet, domain: str) -> ReadResult:
     """Class-restricted read.
 
-    Each query row gets a softmax over the cosine similarities to its class's
-    keys only; weights outside the partition are exactly zero. The aggregated
-    style row is the weight-mixed cross-domain value.
+    Each row gets the global softmax over its cosine similarities with every
+    logit outside its partition masked to -inf, so weights outside the
+    partition are exactly zero. The aggregated style row is the weight-mixed
+    cross-domain value.
     """
     _check_domain(domain)
-    offset, count = _check_cluster(bank, cluster)
-    sims = cosine_matrix(cluster.content, bank.keys[offset : offset + count])
-    alpha = softmax_rows(sims)
-    weights = np.zeros((cluster.size, bank.n_items))
-    weights[:, offset : offset + count] = alpha
-    aggregated = alpha @ _cross_values(bank, domain)[offset : offset + count]
-    return ReadResult(weights, aggregated)
+    _check_queries(bank, queries)
+    return _read(bank, queries.sims, queries.mask, domain)
 
 
 def read_global(bank: MemoryBank, queries: np.ndarray, domain: str) -> ReadResult:
@@ -190,96 +213,83 @@ def read_global(bank: MemoryBank, queries: np.ndarray, domain: str) -> ReadResul
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[0] == 0 or queries.shape[1] != bank.channels:
         raise ShapeError(f"queries shape {queries.shape} incompatible with C={bank.channels}")
-    alpha = softmax_rows(cosine_matrix(queries, bank.keys))
-    return ReadResult(alpha, alpha @ _cross_values(bank, domain))
+    return _read(bank, cosine_matrix(queries, bank.keys), None, domain)
 
 
 def read_backward(
-    bank: MemoryBank, cluster: ClassCluster, domain: str, upstream: np.ndarray
+    bank: MemoryBank, queries: QuerySet, domain: str, upstream: np.ndarray
 ) -> np.ndarray:
-    """Gradient of a class-restricted read with respect to its queries.
+    """Gradient of a class-restricted read with respect to its content rows.
 
-    ``upstream`` is d(loss)/d(aggregated_style), shape (P_k, C). Keys and
+    ``upstream`` is d(loss)/d(aggregated_style), shape (P, C). Keys and
     values are constants (they evolve through :func:`update`, not gradient
     descent), so only the query gradient is produced. The path is value
-    aggregation -> softmax -> cosine similarity; the [-1, 1] clamp on the
-    similarity is treated as inactive.
+    aggregation -> masked softmax -> cosine similarity; the [-1, 1] clamp on
+    the similarity is treated as inactive.
     """
     _check_domain(domain)
-    offset, count = _check_cluster(bank, cluster)
+    _check_queries(bank, queries)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (cluster.size, bank.channels):
+    if upstream.shape != (queries.size, bank.channels):
         raise ShapeError(
-            f"upstream shape {upstream.shape}, expected {(cluster.size, bank.channels)}"
+            f"upstream shape {upstream.shape}, expected {(queries.size, bank.channels)}"
         )
 
-    queries = cluster.content
-    keys = bank.keys[offset : offset + count]
-    values = _cross_values(bank, domain)[offset : offset + count]
-
-    q_norms = np.linalg.norm(queries, axis=1)
-    k_norms = np.linalg.norm(keys, axis=1)
+    content = queries.content
+    alpha = softmax_rows(queries.sims, queries.mask)
+    q_norms = np.linalg.norm(content, axis=1)
+    k_norms = np.linalg.norm(bank.keys, axis=1)
     denom = np.outer(q_norms, k_norms) + EPS_DIV
-    sims = queries @ keys.T / denom
-    alpha = softmax_rows(np.clip(sims, -1.0, 1.0))
 
-    # d loss / d alpha, then through the softmax jacobian
-    g_alpha = upstream @ values.T
+    # d loss / d alpha, then through the softmax jacobian; masked entries
+    # have alpha = 0 and so get no gradient
+    g_alpha = upstream @ _cross_values(bank, domain).T
     g_sims = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=1, keepdims=True))
 
     # d sims / d query: k / w  -  sims * ||k|| * q / (w * ||q||)
-    term_keys = (g_sims / denom) @ keys
-    coeff = np.sum(g_sims * sims * k_norms[None, :] / denom, axis=1)
+    g_scaled = g_sims / denom
+    coeff = np.sum(g_scaled * queries.sims * k_norms[None, :], axis=1)
     safe_q = np.maximum(q_norms, EPS_DIV)
-    return term_keys - (coeff / safe_q)[:, None] * queries
+    return g_scaled @ bank.keys - (coeff / safe_q)[:, None] * content
 
 
-def update_weights(bank: MemoryBank, cluster: ClassCluster) -> np.ndarray:
-    """Assignment weights of queries to their class's items, (P_k, N_k).
+def update_weights(bank: MemoryBank, queries: QuerySet) -> np.ndarray:
+    """Assignment weights of queries to items, (P, N).
 
-    Columns are softmax-normalized over the query dimension, so each item
-    distributes one unit of mass across the cluster's queries.
+    Each column is softmax-normalized over the queries that address the
+    item, so each addressed item distributes one unit of mass across them;
+    columns of items no query addresses are zero.
     """
-    offset, count = _check_cluster(bank, cluster)
-    sims = cosine_matrix(cluster.content, bank.keys[offset : offset + count])
-    return softmax_cols(sims)
+    _check_queries(bank, queries)
+    return softmax_cols(queries.sims, queries.mask)
 
 
 def update(
     bank: MemoryBank,
-    cluster_x: ClassCluster | None,
-    cluster_y: ClassCluster | None,
+    queries_x: QuerySet | None,
+    queries_y: QuerySet | None,
 ) -> MemoryBank:
-    """Fold a class's features from both domains into its memory partition.
+    """Fold both domains' features into the items they address.
 
     Keys absorb assignment-weighted content from both domains (content is
     shared), while each value plane absorbs only its own domain's style.
-    Every touched row is re-normalized to unit length. An empty or missing
-    domain contributes nothing; with both domains empty the bank is returned
-    unchanged. Items outside the class partition are never touched.
+    Every touched row is re-normalized to unit length; items no query
+    addresses stay bit-identical. An empty or missing domain contributes
+    nothing.
     """
-    cx = cluster_x if cluster_x is not None and cluster_x.size > 0 else None
-    cy = cluster_y if cluster_y is not None and cluster_y.size > 0 else None
-    if cx is None and cy is None:
-        return bank.copy()
-    if cx is not None and cy is not None and cx.class_id != cy.class_id:
-        raise LayoutError(f"cluster class ids differ: {cx.class_id} vs {cy.class_id}")
-
-    offset, count = _check_cluster(bank, cx if cx is not None else cy)
     new = bank.copy()
-    keys_part = bank.keys[offset : offset + count]
-    key_accum = keys_part.copy()
-
-    for cluster, plane in ((cx, new.values_x), (cy, new.values_y)):
-        if cluster is None:
+    key_accum = bank.keys.copy()
+    touched = np.zeros(bank.n_items, dtype=bool)
+    for queries, plane in ((queries_x, new.values_x), (queries_y, new.values_y)):
+        if queries is None or queries.size == 0:
             continue
-        beta = softmax_cols(cosine_matrix(cluster.content, keys_part))
-        key_accum += beta.T @ cluster.content
-        plane[offset : offset + count] = l2_normalize_rows(
-            plane[offset : offset + count] + beta.T @ cluster.style
-        )
-
-    new.keys[offset : offset + count] = l2_normalize_rows(key_accum)
+        beta = update_weights(bank, queries)
+        hit = queries.mask.any(axis=0)
+        key_accum += beta.T @ queries.content
+        plane[hit] = l2_normalize_rows(plane[hit] + (beta.T @ queries.style)[hit])
+        touched |= hit
+    if touched.any():
+        new.keys[touched] = l2_normalize_rows(key_accum[touched])
     return new
 
 

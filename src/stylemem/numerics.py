@@ -58,20 +58,28 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(np.einsum("ij,ij->i", a, b) / denom, -1.0, 1.0)
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; each output row sums to 1."""
+def _softmax(m: np.ndarray, mask: np.ndarray | None, axis: int) -> np.ndarray:
     m = _as_matrix(m, "softmax input")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    if mask is not None:
+        m = np.where(mask, m, -np.inf)
+    peak = m.max(axis=axis, keepdims=True)
+    e = np.exp(m - np.where(peak == -np.inf, 0.0, peak))
+    total = e.sum(axis=axis, keepdims=True)
+    return e / np.where(total == 0.0, 1.0, total)
 
 
-def softmax_cols(m: np.ndarray) -> np.ndarray:
-    """Column-wise softmax with max subtraction; each output column sums to 1."""
-    m = _as_matrix(m, "softmax input")
-    shifted = m - m.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+def softmax_rows(m: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max subtraction; each output row sums to 1.
+
+    Entries where ``mask`` is False get weight 0 (logit -inf); a row with no
+    True entry is all zero.
+    """
+    return _softmax(m, mask, axis=1)
+
+
+def softmax_cols(m: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Column-wise softmax, masked as in :func:`softmax_rows`."""
+    return _softmax(m, mask, axis=0)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Both losses pick each query's positive as the cosine-nearest item inside a
 caller-supplied pool (its class partition during class-aware training, the
-whole bank otherwise) and treat the items as constants: gradients flow into
-the queries only.
+whole bank otherwise): a masked argmax over the query-item cosine matrix.
+They treat the items as constants: gradients flow into the queries only.
 """
 
 from __future__ import annotations
@@ -38,29 +38,34 @@ class ContrastiveConfig:
 
 @dataclass
 class LossTerm:
-    """One loss evaluation: scalar value, per-query positives, query gradient."""
+    """One loss evaluation: scalar value, per-query positives, query gradient
+    and, for the triplet loss, per-query negatives."""
 
     value: float
     positives: np.ndarray
     grad: np.ndarray
+    negatives: np.ndarray | None = None
 
 
-def _check_inputs(queries: np.ndarray, items: np.ndarray, positive_pool) -> np.ndarray:
+def _inputs(queries, items, positive_pool, sims) -> tuple[np.ndarray, np.ndarray]:
+    """The positive pool as a validated (P, N) mask, and the (P, N) cosines."""
     if queries.ndim != 2 or items.ndim != 2 or queries.shape[1] != items.shape[1]:
-        raise ShapeError(
-            f"queries {queries.shape} and items {items.shape} must share channels"
-        )
-    pool = np.asarray(positive_pool, dtype=np.intp).ravel()
-    if pool.size == 0:
-        raise PoolError("positive pool is empty")
-    if pool.min() < 0 or pool.max() >= items.shape[0]:
-        raise PoolError(f"positive pool indices out of range for {items.shape[0]} items")
-    return pool
-
-
-def _select_positives(queries: np.ndarray, items: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    sims = cosine_matrix(queries, items[pool])
-    return pool[np.argmax(sims, axis=1)]
+        raise ShapeError(f"queries {queries.shape} and items {items.shape} must share channels")
+    shape = (queries.shape[0], items.shape[0])
+    pool = np.asarray(positive_pool)
+    if pool.dtype != bool:
+        indices = pool.astype(np.intp).ravel()
+        if indices.size and (indices.min() < 0 or indices.max() >= shape[1]):
+            raise PoolError(f"positive pool indices out of range for {shape[1]} items")
+        pool = np.zeros(shape[1], dtype=bool)
+        pool[indices] = True
+    if pool.shape not in (shape, shape[1:]) or not np.broadcast_to(pool, shape).any(axis=1).all():
+        raise PoolError(f"positive pool {pool.shape} is empty or does not fit {shape}")
+    if sims is None:
+        sims = cosine_matrix(queries, items)
+    elif sims.shape != shape:
+        raise ShapeError(f"sims shape {sims.shape}, expected {shape}")
+    return np.broadcast_to(pool, shape), sims
 
 
 def contrastive_loss(
@@ -68,27 +73,32 @@ def contrastive_loss(
     items: np.ndarray,
     positive_pool,
     cfg: ContrastiveConfig,
+    sims: np.ndarray | None = None,
 ) -> LossTerm:
     """Softmax loss over temperature-scaled dot products against all items.
 
     Each query's positive is its cosine-nearest pool item; the denominator
     runs over every item, so all non-positives act as negatives. With a
-    single item the loss is exactly zero.
+    single item the loss is exactly zero. ``positive_pool`` holds item
+    indices shared by every query, or is a (P, N) boolean mask giving each
+    query its own pool. ``sims`` is ``cosine_matrix(queries, items)`` when
+    the caller already has it.
     """
     queries = np.asarray(queries, dtype=np.float64)
     items = np.asarray(items, dtype=np.float64)
-    pool = _check_inputs(queries, items, positive_pool)
-    positives = _select_positives(queries, items, pool)
+    pool, sims = _inputs(queries, items, positive_pool, sims)
+    rows = np.arange(queries.shape[0])
+    positives = np.argmax(np.where(pool, sims, -np.inf), axis=1)
 
     logits = queries @ items.T / cfg.temperature
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    pos_logits = logits[np.arange(queries.shape[0]), positives]
-    value = float(np.sum(log_z - pos_logits))
+    peak = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - peak)
+    total = e.sum(axis=1, keepdims=True)
+    log_z = np.log(total[:, 0]) + peak[:, 0]
+    value = float(np.sum(log_z - logits[rows, positives]))
 
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    probs[np.arange(queries.shape[0]), positives] -= 1.0
+    probs = e / total
+    probs[rows, positives] -= 1.0
     grad = probs @ items / cfg.temperature
     return LossTerm(value, positives, grad)
 
@@ -98,23 +108,25 @@ def triplet_loss(
     items: np.ndarray,
     positive_pool,
     margin: float = 1.0,
+    sims: np.ndarray | None = None,
 ) -> LossTerm:
     """Hinge between the euclidean distances to the positive and the runner-up.
 
     The negative is the cosine-nearest item once the positive is excluded,
     which is the second-nearest item whenever the positive is the global
     nearest. Gradients use the subgradient that is zero at an inactive hinge.
+    ``positive_pool`` and ``sims`` are as in :func:`contrastive_loss`.
     """
     queries = np.asarray(queries, dtype=np.float64)
     items = np.asarray(items, dtype=np.float64)
-    pool = _check_inputs(queries, items, positive_pool)
+    pool, sims = _inputs(queries, items, positive_pool, sims)
     if items.shape[0] < 2:
         raise PoolError("triplet loss needs at least two items")
-    positives = _select_positives(queries, items, pool)
-
-    sims = cosine_matrix(queries, items)
-    sims[np.arange(queries.shape[0]), positives] = -np.inf
-    negatives = np.argmax(sims, axis=1)
+    rows = np.arange(queries.shape[0])
+    positives = np.argmax(np.where(pool, sims, -np.inf), axis=1)
+    others = sims.copy()
+    others[rows, positives] = -np.inf
+    negatives = np.argmax(others, axis=1)
 
     diff_pos = queries - items[positives]
     diff_neg = queries - items[negatives]
@@ -129,7 +141,7 @@ def triplet_loss(
     neg_ok = active & (d_neg > _DIST_FLOOR)
     grad[pos_ok] += diff_pos[pos_ok] / d_pos[pos_ok, None]
     grad[neg_ok] -= diff_neg[neg_ok] / d_neg[neg_ok, None]
-    return LossTerm(value, positives, grad)
+    return LossTerm(value, positives, grad, negatives)
 
 
 @dataclass

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationError, ShapeError, ValidationError
-from .memory import ClassCluster
 from .numerics import l2_normalize_rows
 from .serialize import matrix_text
 
@@ -182,22 +181,6 @@ def generate_scene_pair(
     scene_x = FeatureScene(content, style_x, labels.copy(), list(boxes), h, w)
     scene_y = FeatureScene(content.copy(), style_y, labels.copy(), list(boxes), h, w)
     return scene_x, scene_y
-
-
-def cluster_by_class(scene: FeatureScene) -> list[ClassCluster]:
-    """One cluster per class present, ascending class id, positions preserved."""
-    clusters = []
-    for class_id in np.unique(scene.labels):
-        positions = np.flatnonzero(scene.labels == class_id)
-        clusters.append(
-            ClassCluster(
-                class_id=int(class_id),
-                content=scene.content[positions],
-                style=scene.style[positions],
-                positions=positions,
-            )
-        )
-    return clusters
 
 
 def save_scene(scene: FeatureScene, path: str | Path) -> None:

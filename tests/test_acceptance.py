@@ -15,8 +15,8 @@ from stylemem.encoder import EncoderSet, LinearEncoder, backward, compute_losses
 from stylemem.errors import ValidationError
 from stylemem.harness import config_from_dict, resolve_config, run_training
 from stylemem.memory import (
-    ClassCluster,
     MemoryLayout,
+    address,
     init_bank,
     load_bank,
     read,
@@ -58,13 +58,11 @@ def _random_bank(rng, layout, channels):
     )
 
 
-def _cluster(rng, class_id, size, channels):
-    return ClassCluster(
-        class_id,
-        rng.standard_normal((size, channels)),
-        rng.standard_normal((size, channels)),
-        np.arange(size),
-    )
+def _cluster(rng, bank, class_id, size):
+    """Random query rows of one class, addressing that class's partition."""
+    content = rng.standard_normal((size, bank.channels))
+    style = rng.standard_normal((size, bank.channels))
+    return address(bank, content, style, np.full(size, class_id))
 
 
 # ---------------------------------------------------------------------------
@@ -82,15 +80,17 @@ def test_criterion_1_stochasticity_invariants():
         class_id = int(rng.integers(0, len(layout.entries)))
         offset, count = layout.span(class_id)
 
-        cluster = _cluster(rng, class_id, int(rng.integers(1, 17)), channels)
+        cluster = _cluster(rng, bank, class_id, int(rng.integers(1, 17)))
         result = read(bank, cluster, "x")
         worst_alpha = max(worst_alpha, float(np.abs(result.weights.sum(axis=1) - 1.0).max()))
         outside = np.delete(result.weights, np.s_[offset : offset + count], axis=1)
         assert np.all(outside == 0.0)
 
         for _ in range(2):
-            beta = update_weights(bank, _cluster(rng, class_id, int(rng.integers(1, 17)), channels))
-            worst_beta = max(worst_beta, float(np.abs(beta.sum(axis=0) - 1.0).max()))
+            beta = update_weights(bank, _cluster(rng, bank, class_id, int(rng.integers(1, 17))))
+            inside = beta[:, offset : offset + count]
+            worst_beta = max(worst_beta, float(np.abs(inside.sum(axis=0) - 1.0).max()))
+            assert np.all(np.delete(beta, np.s_[offset : offset + count], axis=1) == 0.0)
     elapsed = time.monotonic() - start
     _report(
         1,
@@ -110,7 +110,7 @@ def test_criterion_2_oracle_equivalence():
         class_id = int(rng.integers(0, len(layout.entries)))
         offset, count = layout.span(class_id)
 
-        cluster = _cluster(rng, class_id, int(rng.integers(1, 9)), channels)
+        cluster = _cluster(rng, bank, class_id, int(rng.integers(1, 9)))
         domain = "x" if rng.random() < 0.5 else "y"
         got = read(bank, cluster, domain)
         w_ref, s_ref = oracle_read(
@@ -129,8 +129,8 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, float(np.abs(got_g.weights - w_ref).max()))
         worst = max(worst, float(np.abs(got_g.aggregated_style - s_ref).max()))
 
-        cx = _cluster(rng, class_id, int(rng.integers(0, 9)), channels)
-        cy = _cluster(rng, class_id, int(rng.integers(0, 9)), channels)
+        cx = _cluster(rng, bank, class_id, int(rng.integers(0, 9)))
+        cy = _cluster(rng, bank, class_id, int(rng.integers(0, 9)))
         updated = update(bank, cx, cy)
         k_ref, vx_ref, vy_ref = oracle_update(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
@@ -152,8 +152,8 @@ def test_criterion_3_update_normalization():
         bank = _random_bank(rng, layout, channels)
         class_id = int(rng.integers(0, len(layout.entries)))
         offset, count = layout.span(class_id)
-        cx = _cluster(rng, class_id, int(rng.integers(1, 9)), channels)
-        cy = _cluster(rng, class_id, int(rng.integers(0, 9)), channels)
+        cx = _cluster(rng, bank, class_id, int(rng.integers(1, 9)))
+        cy = _cluster(rng, bank, class_id, int(rng.integers(0, 9)))
         updated = update(bank, cx, cy)
         block = slice(offset, offset + count)
         for plane in (updated.keys, updated.values_x, updated.values_y):

@@ -333,3 +333,98 @@ def test_cli_corrupt_bank_exit_code(tmp_path, capsys):
     bad.write_text('{"version": 1')
     assert cli_main(["inspect", "--bank", str(bad)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"temperature": float("nan")}, "temperature must be a finite number"),
+        ({"iterations": 2.7}, "iterations must be an integer"),
+        ({"channels": True}, "channels must be an integer"),
+        ({"scene": {"height": 6.5}}, "scene.height must be an integer"),
+        ({"layout": [{"class": 1, "count": True}, {"class": 0, "count": 3}]}, "layout count"),
+    ],
+)
+def test_cli_rejects_mistyped_config_values(tmp_path, capsys, override, message):
+    cfg_path = tmp_path / "cfg.json"
+    write_tiny_config(cfg_path, **override)
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    write_tiny_config(root / "cfg.json")
+    assert cli_main(["train", "--config", str(root / "cfg.json"), "--out", str(root / "run")]) == 0
+    return root
+
+
+def run_eval(run_root, bank=None, encoders=None, config=None):
+    return cli_main(
+        [
+            "eval",
+            "--bank", str(bank or run_root / "run" / "bank.json"),
+            "--encoders", str(encoders or run_root / "run" / "encoders.json"),
+            "--config", str(config or run_root / "cfg.json"),
+            "--scenes", "1",
+        ]
+    )
+
+
+def _drop_weight(doc):
+    del doc["encoders"]["style_y"]["weight"]
+
+
+def _text_bias(doc):
+    doc["encoders"]["content_x"]["bias"] = "zeros"
+
+
+def _wider_file(doc):
+    doc["in_channels"] += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda doc: [doc], "must hold a JSON object"),
+        (_drop_weight, "'style_y' missing field 'weight'"),
+        (_text_bias, "'content_x'"),
+        (_wider_file, "file declares"),
+    ],
+)
+def test_cli_eval_rejects_malformed_encoder_file(trained_run, tmp_path, capsys, corrupt, message):
+    doc = json.loads((trained_run / "run" / "encoders.json").read_text())
+    doc = corrupt(doc) or doc
+    path = tmp_path / "encoders.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_eval(trained_run, encoders=path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (
+            {"layout": [{"class": 1, "count": 2}, {"class": 2, "count": 3},
+                        {"class": 3, "count": 2}, {"class": 0, "count": 3}]},
+            "[(1, 2), (2, 3), (3, 2), (0, 3)], 16, {(16, 16)})",
+        ),
+        ({"channels": 8}, "[(1, 3), (2, 2), (3, 2), (0, 3)], 8, {(8, 16)})"),
+        ({"scene": {"height": 6, "width": 6, "input_channels": 8}}, "0, 3)], 16, {(16, 8)})"),
+    ],
+)
+def test_cli_eval_rejects_artifacts_built_for_another_config(
+    trained_run, tmp_path, capsys, override, message
+):
+    cfg_path = tmp_path / "cfg.json"
+    write_tiny_config(cfg_path, **override)
+    capsys.readouterr()
+    assert run_eval(trained_run, config=cfg_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "do not fit the config" in err and message in err
+    assert run_eval(trained_run) == 0

@@ -3,9 +3,9 @@ import pytest
 
 from stylemem.errors import EmptyClusterError, LayoutError, ShapeError, ValidationError
 from stylemem.memory import (
-    ClassCluster,
     MemoryBank,
     MemoryLayout,
+    address,
     init_bank,
     load_bank,
     read,
@@ -22,13 +22,15 @@ from oracles import oracle_read, oracle_read_global, oracle_update
 TOY_COUNTS = [(1, 3), (2, 2), (3, 2), (0, 3)]
 
 
-def make_cluster(rng, class_id, size, channels):
-    return ClassCluster(
-        class_id=class_id,
-        content=rng.standard_normal((size, channels)),
-        style=rng.standard_normal((size, channels)),
-        positions=np.arange(size),
-    )
+def make_cluster(bank, rng, class_id, size):
+    """Random query rows of one class, addressing that class's partition."""
+    content = rng.standard_normal((size, bank.channels))
+    style = rng.standard_normal((size, bank.channels))
+    return class_queries(bank, class_id, content, style)
+
+
+def class_queries(bank, class_id, content, style):
+    return address(bank, content, style, np.full(len(content), class_id))
 
 
 def random_bank(rng, counts, channels):
@@ -100,7 +102,7 @@ def test_init_bank_bad_channels():
 def test_read_single_item_partition():
     rng = make_rng(5)
     bank = random_bank(rng, [(0, 1), (1, 4)], 6)
-    cluster = make_cluster(rng, 0, 3, 6)
+    cluster = make_cluster(bank, rng, 0, 3)
     result = read(bank, cluster, "x")
     np.testing.assert_allclose(result.weights[:, 0], 1.0, atol=1e-15)
     np.testing.assert_array_equal(result.weights[:, 1:], 0.0)
@@ -112,7 +114,7 @@ def test_read_identical_keys_uniform():
     rng = make_rng(6)
     bank = random_bank(rng, [(7, 4)], 5)
     bank.keys[:] = bank.keys[0]
-    cluster = make_cluster(rng, 7, 2, 5)
+    cluster = make_cluster(bank, rng, 7, 2)
     result = read(bank, cluster, "y")
     np.testing.assert_allclose(result.weights, 0.25, atol=1e-12)
     expected = bank.values_x.mean(axis=0)
@@ -126,7 +128,7 @@ def test_read_two_key_hand_case():
     keys = np.array([[1.0, 0.0], [0.0, 1.0]])
     values = l2_normalize_rows(np.array([[0.3, 0.7], [0.9, -0.1]]))
     bank = MemoryBank(keys, values.copy(), values[::-1].copy(), layout)
-    cluster = ClassCluster(0, np.array([[1.0, 0.0]]), np.zeros((1, 2)), np.array([0]))
+    cluster = class_queries(bank, 0, np.array([[1.0, 0.0]]), np.zeros((1, 2)))
     result = read(bank, cluster, "x")
     np.testing.assert_allclose(result.weights[0], [0.731059, 0.268941], atol=1e-6)
     expected = 0.7310585786300049 * bank.values_y[0] + 0.2689414213699951 * bank.values_y[1]
@@ -137,8 +139,8 @@ def test_read_rejects_unknown_class_and_empty_cluster():
     rng = make_rng(7)
     bank = random_bank(rng, TOY_COUNTS, 4)
     with pytest.raises(LayoutError):
-        read(bank, make_cluster(rng, 9, 2, 4), "x")
-    empty = ClassCluster(1, np.zeros((0, 4)), np.zeros((0, 4)), np.arange(0))
+        read(bank, make_cluster(bank, rng, 9, 2), "x")
+    empty = class_queries(bank, 1, np.zeros((0, 4)), np.zeros((0, 4)))
     with pytest.raises(EmptyClusterError):
         read(bank, empty, "x")
 
@@ -146,7 +148,7 @@ def test_read_rejects_unknown_class_and_empty_cluster():
 def test_read_direction_picks_cross_domain_values():
     rng = make_rng(8)
     bank = random_bank(rng, [(0, 3)], 4)
-    cluster = make_cluster(rng, 0, 2, 4)
+    cluster = make_cluster(bank, rng, 0, 2)
     rx = read(bank, cluster, "x")
     ry = read(bank, cluster, "y")
     np.testing.assert_array_equal(rx.weights, ry.weights)
@@ -174,7 +176,7 @@ def test_read_global_argmax_on_matching_basis_vector():
 def test_read_matches_read_global_for_single_partition():
     rng = make_rng(10)
     bank = random_bank(rng, [(0, 6)], 5)
-    cluster = make_cluster(rng, 0, 4, 5)
+    cluster = make_cluster(bank, rng, 0, 4)
     a = read(bank, cluster, "x")
     b = read_global(bank, cluster.content, "x")
     np.testing.assert_array_equal(a.weights, b.weights)
@@ -188,7 +190,7 @@ def test_read_row_stochastic_and_partition_support():
         channels = int(rng.integers(1, 8))
         bank = random_bank(rng, counts, channels)
         cid = int(rng.integers(0, 2))
-        cluster = make_cluster(rng, cid, int(rng.integers(1, 6)), channels)
+        cluster = make_cluster(bank, rng, cid, int(rng.integers(1, 6)))
         result = read(bank, cluster, "x")
         np.testing.assert_allclose(result.weights.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(result.weights >= 0.0)
@@ -214,7 +216,7 @@ def test_read_and_update_match_scalar_oracle():
         bank = random_bank(rng, [(0, n_a), (1, n_b)], channels)
         cid, offset, count = (0, 0, n_a) if rng.random() < 0.5 else (1, n_a, n_b)
         p = int(rng.integers(1, 9))
-        cluster = make_cluster(rng, cid, p, channels)
+        cluster = make_cluster(bank, rng, cid, p)
         domain = "x" if rng.random() < 0.5 else "y"
 
         got = read(bank, cluster, domain)
@@ -234,8 +236,8 @@ def test_read_and_update_match_scalar_oracle():
         np.testing.assert_allclose(got_g.weights, w_ref, atol=1e-9)
         np.testing.assert_allclose(got_g.aggregated_style, s_ref, atol=1e-9)
 
-        cx = make_cluster(rng, cid, int(rng.integers(0, 4)), channels)
-        cy = make_cluster(rng, cid, int(rng.integers(0, 4)), channels)
+        cx = make_cluster(bank, rng, cid, int(rng.integers(0, 4)))
+        cy = make_cluster(bank, rng, cid, int(rng.integers(0, 4)))
         updated = update(bank, cx, cy)
         k_ref, vx_ref, vy_ref = oracle_update(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
@@ -252,17 +254,14 @@ def test_read_and_update_match_scalar_oracle():
 
 
 def _fd_query_gradient(bank, cluster, domain, upstream, step=1e-6):
+    labels = bank.layout.item_classes[np.argmax(cluster.mask, axis=1)]
     grad = np.zeros_like(cluster.content)
     for p in range(cluster.content.shape[0]):
         for c in range(cluster.content.shape[1]):
             for sign in (1.0, -1.0):
-                bumped = ClassCluster(
-                    cluster.class_id,
-                    cluster.content.copy(),
-                    cluster.style,
-                    cluster.positions,
-                )
-                bumped.content[p, c] += sign * step
+                content = cluster.content.copy()
+                content[p, c] += sign * step
+                bumped = address(bank, content, cluster.style, labels)
                 value = float(np.sum(read(bank, bumped, domain).aggregated_style * upstream))
                 grad[p, c] += sign * value / (2.0 * step)
     return grad
@@ -271,7 +270,7 @@ def _fd_query_gradient(bank, cluster, domain, upstream, step=1e-6):
 def test_read_backward_zero_upstream():
     rng = make_rng(13)
     bank = random_bank(rng, [(0, 4)], 5)
-    cluster = make_cluster(rng, 0, 3, 5)
+    cluster = make_cluster(bank, rng, 0, 3)
     grad = read_backward(bank, cluster, "x", np.zeros((3, 5)))
     np.testing.assert_array_equal(grad, np.zeros((3, 5)))
 
@@ -279,7 +278,7 @@ def test_read_backward_zero_upstream():
 def test_read_backward_single_item_constant_path():
     rng = make_rng(14)
     bank = random_bank(rng, [(0, 1)], 5)
-    cluster = make_cluster(rng, 0, 3, 5)
+    cluster = make_cluster(bank, rng, 0, 3)
     grad = read_backward(bank, cluster, "x", rng.standard_normal((3, 5)))
     np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
@@ -287,7 +286,7 @@ def test_read_backward_single_item_constant_path():
 def test_read_backward_matches_finite_differences():
     rng = make_rng(15)
     bank = random_bank(rng, [(0, 4), (1, 3)], 5)
-    cluster = make_cluster(rng, 0, 3, 5)
+    cluster = make_cluster(bank, rng, 0, 3)
     upstream = rng.standard_normal((3, 5))
     analytic = read_backward(bank, cluster, "x", upstream)
     fd = _fd_query_gradient(bank, cluster, "x", upstream)
@@ -298,7 +297,7 @@ def test_read_backward_matches_finite_differences():
 def test_read_backward_shape_check():
     rng = make_rng(16)
     bank = random_bank(rng, [(0, 4)], 5)
-    cluster = make_cluster(rng, 0, 3, 5)
+    cluster = make_cluster(bank, rng, 0, 3)
     with pytest.raises(ShapeError):
         read_backward(bank, cluster, "x", np.zeros((2, 5)))
 
@@ -314,8 +313,8 @@ def test_update_single_query_single_item():
         np.array([[1.0, 0.0]]),
         layout,
     )
-    cx = ClassCluster(0, np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]), np.array([0]))
-    cy = ClassCluster(0, np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), np.array([0]))
+    cx = class_queries(bank, 0, np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]))
+    cy = class_queries(bank, 0, np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]))
     updated = update(bank, cx, cy)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(updated.keys[0], [inv_sqrt2, inv_sqrt2], atol=1e-12)
@@ -324,7 +323,7 @@ def test_update_single_query_single_item():
 def test_update_both_empty_is_noop():
     rng = make_rng(17)
     bank = random_bank(rng, TOY_COUNTS, 4)
-    empty = ClassCluster(1, np.zeros((0, 4)), np.zeros((0, 4)), np.arange(0))
+    empty = class_queries(bank, 1, np.zeros((0, 4)), np.zeros((0, 4)))
     updated = update(bank, empty, None)
     np.testing.assert_array_equal(updated.keys, bank.keys)
     np.testing.assert_array_equal(updated.values_x, bank.values_x)
@@ -334,36 +333,47 @@ def test_update_both_empty_is_noop():
 def test_update_one_empty_domain_leaves_its_plane():
     rng = make_rng(18)
     bank = random_bank(rng, [(0, 3)], 4)
-    cx = make_cluster(rng, 0, 2, 4)
+    cx = make_cluster(bank, rng, 0, 2)
     updated = update(bank, cx, None)
     np.testing.assert_array_equal(updated.values_y, bank.values_y)
     assert not np.array_equal(updated.keys, bank.keys)
     assert not np.array_equal(updated.values_x, bank.values_x)
 
 
-def test_update_class_mismatch():
+def test_update_domains_may_address_different_partitions():
     rng = make_rng(19)
     bank = random_bank(rng, TOY_COUNTS, 4)
-    with pytest.raises(LayoutError):
-        update(bank, make_cluster(rng, 1, 2, 4), make_cluster(rng, 2, 2, 4))
+    updated = update(bank, make_cluster(bank, rng, 1, 2), make_cluster(bank, rng, 2, 2))
+    (off_1, n_1), (off_2, n_2) = bank.layout.span(1), bank.layout.span(2)
+    touched = np.zeros(bank.n_items, dtype=bool)
+    touched[off_1 : off_1 + n_1] = touched[off_2 : off_2 + n_2] = True
+    assert not np.any(np.all(updated.keys[touched] == bank.keys[touched], axis=1))
+    np.testing.assert_array_equal(updated.keys[~touched], bank.keys[~touched])
+    # each value plane moves only where its own domain's queries point
+    np.testing.assert_array_equal(updated.values_x[off_2 : off_2 + n_2], bank.values_x[off_2 : off_2 + n_2])
+    np.testing.assert_array_equal(updated.values_y[off_1 : off_1 + n_1], bank.values_y[off_1 : off_1 + n_1])
+    assert not np.array_equal(updated.values_x[off_1 : off_1 + n_1], bank.values_x[off_1 : off_1 + n_1])
+    assert not np.array_equal(updated.values_y[off_2 : off_2 + n_2], bank.values_y[off_2 : off_2 + n_2])
 
 
 def test_malformed_cluster_rejected():
     rng = make_rng(24)
     bank = random_bank(rng, TOY_COUNTS, 4)
-    lopsided = ClassCluster(1, rng.standard_normal((3, 4)), rng.standard_normal((2, 4)), np.arange(3))
     with pytest.raises(ShapeError, match="style"):
-        read(bank, lopsided, "x")
-    short_positions = ClassCluster(1, rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), np.arange(2))
-    with pytest.raises(ShapeError, match="positions"):
-        update_weights(bank, short_positions)
+        address(bank, rng.standard_normal((3, 4)), rng.standard_normal((2, 4)), np.ones(3))
+    with pytest.raises(ShapeError, match="labels"):
+        address(bank, rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), np.ones(2))
+    queries = make_cluster(bank, rng, 1, 3)
+    queries.sims = queries.sims[:, :4]
+    with pytest.raises(ShapeError, match="sims"):
+        update_weights(bank, queries)
 
 
 def test_update_untouched_partitions_and_unit_norms():
     rng = make_rng(20)
     bank = random_bank(rng, TOY_COUNTS, 6)
-    cx = make_cluster(rng, 2, 4, 6)
-    cy = make_cluster(rng, 2, 3, 6)
+    cx = make_cluster(bank, rng, 2, 4)
+    cy = make_cluster(bank, rng, 2, 3)
     updated = update(bank, cx, cy)
     offset, count = bank.layout.span(2)
     mask = np.ones(bank.n_items, dtype=bool)
@@ -383,10 +393,17 @@ def test_update_weights_column_stochastic():
         channels = int(rng.integers(1, 8))
         count = int(rng.integers(1, 6))
         bank = random_bank(rng, [(0, count)], channels)
-        cluster = make_cluster(rng, 0, int(rng.integers(1, 7)), channels)
+        cluster = make_cluster(bank, rng, 0, int(rng.integers(1, 7)))
         beta = update_weights(bank, cluster)
         assert beta.shape == (cluster.size, count)
         np.testing.assert_allclose(beta.sum(axis=0), 1.0, atol=1e-9)
+    # with several partitions, items no query addresses get all-zero columns
+    rng = split_rng(300, 99)
+    bank = random_bank(rng, TOY_COUNTS, 5)
+    beta = update_weights(bank, make_cluster(bank, rng, 2, 4))
+    offset, count = bank.layout.span(2)
+    np.testing.assert_allclose(beta[:, offset : offset + count].sum(axis=0), 1.0, atol=1e-9)
+    np.testing.assert_array_equal(np.delete(beta, np.s_[offset : offset + count], axis=1), 0.0)
 
 
 # --- persistence ---

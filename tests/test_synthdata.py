@@ -3,13 +3,9 @@ import pytest
 
 from stylemem.errors import GenerationError, ValidationError
 from stylemem.numerics import cosine_similarity, make_rng, split_rng
-from stylemem.synthdata import (
-    DomainSpec,
-    cluster_by_class,
-    generate_scene_pair,
-    load_scene,
-    save_scene,
-)
+from stylemem.synthdata import DomainSpec, generate_scene_pair, load_scene, save_scene
+
+from reference import cluster_by_class
 
 
 def toy_spec(seed=42, **overrides):
