@@ -21,8 +21,9 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .harness import _render_json, evaluate, inspect_bank, load_config, run_training
+from .harness import evaluate, inspect_bank, load_config, run_training
 from .memory import load_bank
+from .serialize import render_json
 
 _VALIDATION_ERRORS = (
     ConfigError,
@@ -38,7 +39,7 @@ _VALIDATION_ERRORS = (
 def _cmd_train(args) -> None:
     cfg = load_config(args.config)
     result = run_training(cfg, args.out)
-    print(_render_json(dataclasses.asdict(result.final_eval)))
+    print(render_json(dataclasses.asdict(result.final_eval)))
 
 
 def _cmd_eval(args) -> None:
@@ -46,7 +47,7 @@ def _cmd_eval(args) -> None:
     bank = load_bank(args.bank)
     encoders = load_encoders(args.encoders)
     row = evaluate(bank, encoders, cfg, args.scenes)
-    print(_render_json(dataclasses.asdict(row)))
+    print(render_json(dataclasses.asdict(row)))
 
 
 def _cmd_inspect(args) -> None:

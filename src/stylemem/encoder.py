@@ -10,12 +10,12 @@ per memory plane (content against the keys, style against the same domain's
 values) and one label-to-partition mask per domain, derive the item losses,
 the class-restricted read and its backward pass from them, backpropagate into
 the encoders, apply Adam, then fold the iteration's features into the memory.
+Checkpoints (see :mod:`stylemem.serialize`) hold no optimizer state.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import ConfigError, ShapeError, ValidationError
 from .memory import MemoryBank, QuerySet, address, read, read_backward, update
 from .numerics import AdamState, adam_step
 from .objectives import ContrastiveConfig, LossTerm, contrastive_loss, triplet_loss
-from .serialize import matrix_text, vector_text
+from .serialize import array, integer, read_json, write_json
 from .synthdata import FeatureScene
 
 ENCODER_FORMAT_VERSION = 1
@@ -272,9 +272,9 @@ def train_step(
         gw, gb, _ = backward(encoders.style(d), scenes[d].style, fwd.grad_style[d])
         apply_gradients(encoders.style(d), gw, gb)
 
-    for enc in encoders.all():
+    for name, enc in vars(encoders).items():
         if not (np.all(np.isfinite(enc.weight)) and np.all(np.isfinite(enc.bias))):
-            raise ValidationError("encoder parameters became non-finite")
+            raise ValidationError(f"encoder {name} parameters became non-finite")
 
     if not settings.update_memory:
         return report, bank
@@ -286,74 +286,30 @@ def train_step(
 
 def save_encoders(encoders: EncoderSet, path: str | Path) -> None:
     """Checkpoint weights and biases (optimizer state is not persisted)."""
-    blocks = []
-    for name in ("content_x", "content_y", "style_x", "style_y"):
-        enc: LinearEncoder = getattr(encoders, name)
-        blocks.append(
-            f'    "{name}": {{\n'
-            f'      "weight": {matrix_text(enc.weight, "      ")},\n'
-            f'      "bias": {vector_text(enc.bias)}\n'
-            "    }"
-        )
-    first = encoders.content_x
-    parts = [
-        "{",
-        f'  "version": {ENCODER_FORMAT_VERSION},',
-        f'  "in_channels": {first.in_channels},',
-        f'  "out_channels": {first.out_channels},',
-        '  "encoders": {',
-        ",\n".join(blocks),
-        "  }",
-        "}",
-        "",
-    ]
-    Path(path).write_text("\n".join(parts))
+    blocks = {name: dict(weight=e.weight, bias=e.bias) for name, e in vars(encoders).items()}
+    write_json(path, dict(
+        version=ENCODER_FORMAT_VERSION, in_channels=encoders.content_x.in_channels,
+        out_channels=encoders.content_x.out_channels, encoders=blocks,
+    ))
 
 
-def load_encoders(
-    path: str | Path,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-) -> EncoderSet:
-    """Load a checkpoint; Adam states start fresh."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"encoder file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("encoder file must hold a JSON object")
-    if doc.get("version") != ENCODER_FORMAT_VERSION:
-        raise ValidationError(f"unsupported encoder version {doc.get('version')!r}")
-    widths = (doc.get("out_channels"), doc.get("in_channels"))
-    if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in widths):
-        raise ValidationError(f"invalid encoder widths (out, in) = {widths!r}")
+def load_encoders(path: str | Path) -> EncoderSet:
+    """Load a checkpoint; Adam states start fresh with the default settings."""
+    doc = read_json(path, "encoder", ENCODER_FORMAT_VERSION)
+    widths = tuple(
+        integer(f"encoder field {k!r}", doc.get(k), minimum=1) for k in ("out_channels", "in_channels")
+    )
     blocks = doc.get("encoders")
     if not isinstance(blocks, dict):
         raise ValidationError("encoder file needs an 'encoders' object")
     loaded = {}
-    for name in ("content_x", "content_y", "style_x", "style_y"):
+    for name in (f.name for f in fields(EncoderSet)):
         block = blocks.get(name)
         if not isinstance(block, dict):
             raise ValidationError(f"encoder file missing {name!r}")
-        try:
-            weight = np.asarray(block["weight"], dtype=np.float64)
-            bias = np.asarray(block["bias"], dtype=np.float64)
-        except KeyError as exc:
-            raise ValidationError(f"encoder {name!r} missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"encoder {name!r}: {exc}") from exc
-        if weight.shape != widths or bias.shape != widths[:1]:
-            raise ValidationError(
-                f"encoder {name!r} has weight {weight.shape} and bias {bias.shape}, "
-                f"file declares (out, in) = {widths}"
-            )
-        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
-            raise ValidationError(f"encoder {name!r} contains non-finite values")
+        weight = array(block, "weight", widths, f"encoder {name!r}")
+        bias = array(block, "bias", widths[:1], f"encoder {name!r}")
         loaded[name] = LinearEncoder(
-            weight=weight,
-            bias=bias,
-            weight_state=AdamState.for_param(weight.shape, learning_rate, beta1, beta2),
-            bias_state=AdamState.for_param(bias.shape, learning_rate, beta1, beta2),
+            weight, bias, AdamState.for_param(weight.shape), AdamState.for_param(bias.shape)
         )
     return EncoderSet(**loaded)

@@ -1,4 +1,4 @@
-"""Experiment orchestration: configuration, training loop, evaluation, CSV.
+"""Experiment orchestration: configuration, training loop, evaluation.
 
 A run is fully determined by its resolved configuration (which includes the
 seed): scene streams, bank and encoder initialization, and evaluation scenes
@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +53,13 @@ from .errors import ConfigError, ValidationError
 from .memory import MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
 from .objectives import ContrastiveConfig
-from .serialize import fmt_float
+from .serialize import FLOAT, CsvRows, integer, layout_counts, write_json
 from .synthdata import DomainSpec, FeatureScene, generate_scene_pair
 
 log = logging.getLogger(__name__)
 
 METRICS_HEADER = "iter,key_loss,value_loss,rec_loss,util_entropy,purity,fidelity"
+METRICS_SPECS = ("%d",) + (FLOAT,) * 6
 
 # stream keys under the root seed (see numerics.split_rng)
 STREAM_SPEC = 0
@@ -261,15 +263,6 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
-def _integer(name: str, value) -> int:
-    # bool is an int subclass; a JSON true must not pass for 1
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 _MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
@@ -280,7 +273,7 @@ def _number(name: str, value) -> float:
     return float(value)
 
 
-_FIELD_CHECKS = {"int": _integer, "float": _number, "str": lambda name, value: value}
+_FIELD_CHECKS = {"int": partial(integer, error=ConfigError), "float": _number, "str": lambda n, v: v}
 
 
 def _checked_fields(cls, raw: dict, prefix: str = "") -> dict:
@@ -294,16 +287,9 @@ def _checked_fields(cls, raw: dict, prefix: str = "") -> dict:
 
 def config_from_dict(resolved: dict) -> ExperimentConfig:
     """Validate a resolved config dict and build the typed config."""
-    try:
-        layout_entries = tuple(
-            (_integer("layout class", e["class"]), _integer("layout count", e["count"]))
-            for e in resolved["layout"]
-        )
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(f"layout entries need 'class' and 'count': {exc}") from exc
     cfg = ExperimentConfig(
         preset=resolved.get("preset"),
-        layout=layout_entries,
+        layout=layout_counts(resolved["layout"], "layout", ConfigError),
         scene=SceneConfig(**_checked_fields(SceneConfig, resolved["scene"], "scene.")),
         **_checked_fields(ExperimentConfig, resolved),
     )
@@ -352,28 +338,9 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 decode errors
         raise ConfigError(f"config file {path}: {exc}") from exc
     return config_from_dict(resolve_config(raw))
-
-
-def _render_json(value, indent: str = "") -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{indent}  {json.dumps(k)}: {_render_json(value[k], indent + "  ")}'
-            for k in sorted(value)
-        )
-        return "{\n" + inner + "\n" + indent + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(_render_json(v, indent) for v in value) + "]"
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, float):
-        return fmt_float(value)
-    return json.dumps(value)
 
 
 @dataclass
@@ -387,22 +354,6 @@ class MetricsRow:
     util_entropy: float
     purity: float
     fidelity: float
-
-    def csv_line(self) -> str:
-        return ",".join(
-            [str(self.iteration)]
-            + [
-                fmt_float(v)
-                for v in (
-                    self.key_loss,
-                    self.value_loss,
-                    self.rec_loss,
-                    self.util_entropy,
-                    self.purity,
-                    self.fidelity,
-                )
-            ]
-        )
 
 
 @dataclass
@@ -442,9 +393,10 @@ def _accumulate_pair(
     scene_x: FeatureScene,
     scene_y: FeatureScene,
     ref_layout: MemoryLayout,
-    collect=None,
+    assignments: CsvRows | None = None,
+    scene: int = 0,
 ) -> None:
-    """Test-time metrics of one scene pair (global reads, no class labels)."""
+    """Test-time metrics of one scene pair (global reads, no labels), plus ``assignments`` rows."""
     item_classes = ref_layout.item_classes
     scenes = {"x": scene_x, "y": scene_y}
     for d in ("x", "y"):
@@ -459,8 +411,12 @@ def _accumulate_pair(
         top = np.argmax(result.weights, axis=1)
         labels = scenes[d].labels
         acc.purity_hits += int(np.sum(item_classes[top] == labels))
-        if collect is not None:
-            collect(d, labels, top, result.weights, content)
+        if assignments is not None:
+            # one row's floats at a time: a whole-matrix tolist() raises peak RSS
+            picked = result.weights[np.arange(top.shape[0]), top]
+            columns = zip(labels.tolist(), top.tolist(), picked.tolist(), content)
+            for p, (label, item, weight, features) in enumerate(columns):
+                assignments.add((scene, d, p, label, item, weight, *features.tolist()))
 
 
 def _pair_metrics(
@@ -483,7 +439,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.json").write_text(_render_json(cfg.to_dict()) + "\n")
+    write_json(out / "resolved_config.json", cfg.to_dict())
 
     spec = cfg.domain_spec()
     bank = init_bank(cfg.bank_layout(), cfg.channels, split_rng(cfg.seed, STREAM_BANK))
@@ -502,24 +458,28 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
         cfg.memory_mode, cfg.loss_variant, cfg.n_items, cfg.channels, cfg.iterations, cfg.seed,
     )
     metrics: list[MetricsRow] = []
+    metrics_csv = CsvRows(METRICS_HEADER, METRICS_SPECS)
     for t in range(cfg.iterations):
         scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
         settings = cfg.settings(update_memory=(t % cfg.update_every == 0))
-        report, bank = train_step(encoders, bank, scene_x, scene_y, settings)
+        try:
+            report, bank = train_step(encoders, bank, scene_x, scene_y, settings)
+        except ValidationError as exc:
+            raise ValidationError(f"training iteration {t}: {exc}") from exc
         entropy, purity, fidelity = _pair_metrics(bank, encoders, scene_x, scene_y, ref_layout)
         metrics.append(
             MetricsRow(t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity)
         )
+        metrics_csv.add(astuple(metrics[-1]))
 
-    lines = [METRICS_HEADER] + [row.csv_line() for row in metrics]
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    metrics_csv.write(out / "metrics.csv")
     save_bank(bank, out / "bank.json")
     save_encoders(encoders, out / "encoders.json")
 
     final_eval = evaluate(
         bank, encoders, cfg, cfg.eval_scenes, assignments_path=out / "assignments.csv"
     )
-    (out / "final_eval.json").write_text(_render_json(asdict(final_eval)) + "\n")
+    write_json(out / "final_eval.json", asdict(final_eval))
     log.info(
         "done: purity=%.4f fidelity=%.4f entropy=%.4f", final_eval.purity,
         final_eval.fidelity, final_eval.util_entropy,
@@ -562,28 +522,19 @@ def evaluate(
 
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
     loss_sums = np.zeros(3)
-    assignment_lines: list[str] = []
+    columns = ["scene,domain,position,label,item,weight"] + [f"c{i}" for i in range(bank.channels)]
+    assignments = CsvRows(",".join(columns), ["%d", "%s", "%d", "%d", "%d"] + [FLOAT] * (1 + bank.channels))
 
     for i in range(scene_count):
         scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
         report, _ = compute_losses(encoders, bank, scene_x, scene_y, settings)
         loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
-        collect = None
-        if assignments_path is not None and i < cfg.assignment_scenes:
-            def collect(d, labels, top, weights, content, _scene=i):
-                for p in range(labels.shape[0]):
-                    features = ",".join(fmt_float(v) for v in content[p])
-                    assignment_lines.append(
-                        f"{_scene},{d},{p},{labels[p]},{top[p]},"
-                        f"{fmt_float(weights[p, top[p]])},{features}"
-                    )
-        _accumulate_pair(acc, bank, encoders, scene_x, scene_y, ref_layout, collect)
+        export = assignments if assignments_path is not None and i < cfg.assignment_scenes else None
+        _accumulate_pair(acc, bank, encoders, scene_x, scene_y, ref_layout, export, i)
 
     if assignments_path is not None:
-        feature_names = ",".join(f"c{i}" for i in range(bank.channels))
-        header = f"scene,domain,position,label,item,weight,{feature_names}"
-        Path(assignments_path).write_text("\n".join([header] + assignment_lines) + "\n")
+        assignments.write(assignments_path)
 
     return MetricsRow(
         iteration=cfg.iterations,

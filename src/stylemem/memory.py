@@ -4,12 +4,11 @@ A bank holds N items; each item is a key row plus one value row per domain,
 all unit-normalized. The layout reserves a contiguous block of items per
 object class. Training reads and updates address only the block of each
 query's class, as one masked (P, N) operation over a scene; test-time reads
-address all N items.
+address all N items. Bank files go through :mod:`stylemem.serialize`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyClusterError, LayoutError, ShapeError, ValidationError
 from .numerics import EPS_DIV, cosine_matrix, l2_normalize_rows, softmax_cols, softmax_rows
-from .serialize import matrix_text
+from .serialize import array, integer, layout_counts, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
 
@@ -297,78 +296,27 @@ def update(
 
 
 def save_bank(bank: MemoryBank, path: str | Path) -> None:
-    """Write the bank as a single JSON document, byte-stable across runs."""
-    layout_text = ", ".join(
-        f'{{"class": {e.class_id}, "count": {e.count}}}' for e in bank.layout.entries
-    )
-    parts = [
-        "{",
-        f'  "version": {BANK_FORMAT_VERSION},',
-        f'  "channels": {bank.channels},',
-        f'  "layout": [{layout_text}],',
-        f'  "keys": {matrix_text(bank.keys, "  ")},',
-        f'  "values_x": {matrix_text(bank.values_x, "  ")},',
-        f'  "values_y": {matrix_text(bank.values_y, "  ")}',
-        "}",
-        "",
-    ]
-    Path(path).write_text("\n".join(parts))
-
-
-def _load_plane(doc: dict, field: str, n: int, channels: int) -> np.ndarray:
-    if field not in doc:
-        raise ValidationError(f"bank file missing field {field!r}")
-    try:
-        plane = np.asarray(doc[field], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field {field!r}: {exc}") from exc
-    if plane.ndim != 2 or plane.shape != (n, channels):
-        raise ValidationError(
-            f"field {field!r} has shape {plane.shape}, expected {(n, channels)}"
-        )
-    if not np.all(np.isfinite(plane)):
-        raise ValidationError(f"field {field!r} contains non-finite values")
-    norms = np.linalg.norm(plane, axis=1)
-    worst = float(np.abs(norms - 1.0).max())
-    if worst > 1e-9:
-        raise ValidationError(f"field {field!r} rows deviate from unit norm by {worst:.3e}")
-    return plane
+    """Write the bank as one JSON document (see :mod:`stylemem.serialize`)."""
+    layout = [{"class": e.class_id, "count": e.count} for e in bank.layout.entries]
+    write_json(path, dict(
+        version=BANK_FORMAT_VERSION, channels=bank.channels, layout=layout,
+        keys=bank.keys, values_x=bank.values_x, values_y=bank.values_y,
+    ))
 
 
 def load_bank(path: str | Path) -> MemoryBank:
     """Parse and validate a bank file; the round trip with save is bit-exact."""
-    text = Path(path).read_text()
+    doc = read_json(path, "bank", BANK_FORMAT_VERSION)
+    channels = integer("bank field 'channels'", doc.get("channels"), minimum=1)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bank file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("bank file must hold a JSON object")
-    if doc.get("version") != BANK_FORMAT_VERSION:
-        raise ValidationError(f"unsupported bank version {doc.get('version')!r}")
-    channels = doc.get("channels")
-    if not isinstance(channels, int) or channels < 1:
-        raise ValidationError(f"invalid channels {channels!r}")
-    raw_layout = doc.get("layout")
-    if not isinstance(raw_layout, list) or not raw_layout:
-        raise ValidationError("layout must be a non-empty array")
-    try:
-        counts = [(int(e["class"]), int(e["count"])) for e in raw_layout]
-    except (TypeError, KeyError) as exc:
-        raise ValidationError(f"layout entries need 'class' and 'count': {exc}") from exc
-    try:
-        layout = MemoryLayout.from_counts(counts)
+        layout = MemoryLayout.from_counts(layout_counts(doc.get("layout"), "bank layout"))
     except LayoutError as exc:
-        raise ValidationError(f"layout: {exc}") from exc
-
-    if not isinstance(doc.get("keys"), list) or not doc["keys"]:
-        raise ValidationError("keys must be a non-empty array")
-    n = len(doc["keys"])
-    if layout.n_items != n:
-        raise ValidationError(
-            f"layout covers {layout.n_items} items but bank stores {n}"
-        )
-    keys = _load_plane(doc, "keys", n, channels)
-    values_x = _load_plane(doc, "values_x", n, channels)
-    values_y = _load_plane(doc, "values_y", n, channels)
-    return MemoryBank(keys, values_x, values_y, layout)
+        raise ValidationError(f"bank layout: {exc}") from exc
+    planes = []
+    for field in ("keys", "values_x", "values_y"):
+        plane = array(doc, field, (layout.n_items, channels), "bank")
+        worst = float(np.abs(np.linalg.norm(plane, axis=1) - 1.0).max())
+        if worst > 1e-9:
+            raise ValidationError(f"bank field {field!r} rows deviate from unit norm by {worst:.3e}")
+        planes.append(plane)
+    return MemoryBank(*planes, layout)

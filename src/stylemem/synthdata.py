@@ -4,19 +4,19 @@ A scene pair shares one content sample per position (content is
 domain-agnostic) while each domain draws its own style sample around
 domain-specific per-class prototypes. Class 0 is the background; foreground
 classes paint 1-3 rectangles each, later rectangles overriding earlier ones.
+Scene fixtures go through :mod:`stylemem.serialize`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, ShapeError, ValidationError
+from .errors import GenerationError
 from .numerics import l2_normalize_rows
-from .serialize import matrix_text
+from .serialize import array, integer, read_json, write_json
 
 SCENE_FORMAT_VERSION = 1
 
@@ -184,38 +184,17 @@ def generate_scene_pair(
 
 
 def save_scene(scene: FeatureScene, path: str | Path) -> None:
-    boxes_text = ", ".join(
-        f"[{b.class_id}, {b.top}, {b.bottom}, {b.left}, {b.right}]" for b in scene.boxes
-    )
-    parts = [
-        "{",
-        f'  "version": {SCENE_FORMAT_VERSION},',
-        f'  "height": {scene.height},',
-        f'  "width": {scene.width},',
-        f'  "labels": [{", ".join(str(int(v)) for v in scene.labels)}],',
-        f'  "boxes": [{boxes_text}],',
-        f'  "content": {matrix_text(scene.content, "  ")},',
-        f'  "style": {matrix_text(scene.style, "  ")}',
-        "}",
-        "",
-    ]
-    Path(path).write_text("\n".join(parts))
+    write_json(path, dict(
+        version=SCENE_FORMAT_VERSION, height=scene.height, width=scene.width, labels=scene.labels,
+        boxes=[astuple(b) for b in scene.boxes], content=scene.content, style=scene.style,
+    ))
 
 
 def load_scene(path: str | Path) -> FeatureScene:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"scene file {path}: {exc}") from exc
-    if doc.get("version") != SCENE_FORMAT_VERSION:
-        raise ValidationError(f"unsupported scene version {doc.get('version')!r}")
-    height, width = int(doc["height"]), int(doc["width"])
-    labels = np.asarray(doc["labels"], dtype=np.int64)
-    content = np.asarray(doc["content"], dtype=np.float64)
-    style = np.asarray(doc["style"], dtype=np.float64)
-    if labels.shape[0] != height * width:
-        raise ValidationError("labels length must equal height * width")
-    if content.ndim != 2 or content.shape != style.shape or content.shape[0] != labels.shape[0]:
-        raise ShapeError(f"content {content.shape} / style {style.shape} inconsistent")
-    boxes = [Box(*(int(v) for v in row)) for row in doc["boxes"]]
-    return FeatureScene(content, style, labels, boxes, height, width)
+    doc = read_json(path, "scene", SCENE_FORMAT_VERSION)
+    height, width = (integer(f"scene field {k!r}", doc.get(k), minimum=1) for k in ("height", "width"))
+    labels = array(doc, "labels", (height * width,), "scene", integral=True)
+    content = array(doc, "content", (labels.shape[0], None), "scene")
+    style = array(doc, "style", content.shape, "scene")
+    boxes = array(doc, "boxes", (None, 5), "scene", integral=True)
+    return FeatureScene(content, style, labels, [Box(*row) for row in boxes.tolist()], height, width)

@@ -1,0 +1,323 @@
+"""The artifact format: loader regressions, files in the earlier key order,
+atomic writes, the row templates, and fuzzing of the loaders and the CLI."""
+
+import contextlib
+import io
+import json
+import os
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from stylemem import serialize
+from stylemem.cli import main as cli_main
+from stylemem.encoder import EncoderSet, load_encoders, save_encoders
+from stylemem.errors import ValidationError
+from stylemem.memory import MemoryLayout, init_bank, load_bank, save_bank
+from stylemem.numerics import make_rng
+from stylemem.serialize import fmt_float, render_json
+from stylemem.synthdata import DomainSpec, generate_scene_pair, load_scene, save_scene
+
+
+def small_bank(seed=1):
+    return init_bank(MemoryLayout.from_counts([(1, 1), (0, 2)]), 3, make_rng(seed))
+
+
+def small_scene():
+    spec = DomainSpec.create(make_rng(3), classes=3, input_channels=2, height=2, width=3)
+    return generate_scene_pair(spec, make_rng(4))[0]
+
+
+def saved(tmp_path, save, value, name):
+    path = tmp_path / name
+    save(value, path)
+    return path
+
+
+def rewrite(path, edit):
+    doc = json.loads(path.read_text())
+    doc = edit(doc) or doc
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# --- loader holes ---
+
+
+def _set_layout(field, value):
+    def edit(doc):
+        doc["layout"][0][field] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [(_set_layout("class", 1.9), "layout class"), (_set_layout("count", True), "layout count")],
+)
+def test_load_bank_rejects_mistyped_layout_entries(tmp_path, edit, field):
+    path = rewrite(saved(tmp_path, save_bank, small_bank(), "bank.json"), edit)
+    with pytest.raises(ValidationError, match=field):
+        load_bank(path)
+
+
+def _two_field_box(doc):
+    doc["boxes"][0] = doc["boxes"][0][:2]
+
+
+def _nan_content(doc):
+    doc["content"][1][0] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: [doc], "must hold a JSON object"),
+        (lambda doc: {"version": 1}, "'height'"),
+        (_two_field_box, "'boxes'"),
+        (lambda doc: doc.update(content="abc"), "'content'"),
+        (lambda doc: doc.update(height=2.5), "'height'"),
+        (_nan_content, "'content' contains non-finite"),
+    ],
+)
+def test_load_scene_rejects_malformed_files(tmp_path, edit, message):
+    path = rewrite(saved(tmp_path, save_scene, small_scene(), "scene.json"), edit)
+    with pytest.raises(ValidationError, match=message):
+        load_scene(path)
+
+
+# --- files in the earlier layout ---
+
+
+def _earlier_matrix(m, indent):
+    rows = (indent + "  [" + ", ".join(format(x, ".17g") for x in row) + "]" for row in m)
+    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+
+
+def earlier_bank_text(bank):
+    """A bank file as earlier versions wrote it: version first, fields in
+    declaration order."""
+    entries = bank.layout.entries
+    layout = ", ".join(f'{{"class": {e.class_id}, "count": {e.count}}}' for e in entries)
+    return (
+        f'{{\n  "version": 1,\n  "channels": {bank.channels},\n  "layout": [{layout}],\n'
+        f'  "keys": {_earlier_matrix(bank.keys, "  ")},\n'
+        f'  "values_x": {_earlier_matrix(bank.values_x, "  ")},\n'
+        f'  "values_y": {_earlier_matrix(bank.values_y, "  ")}\n}}\n'
+    )
+
+
+def earlier_encoder_text(encoders):
+    """An encoder file as earlier versions wrote it: weight before bias."""
+    blocks = ",\n".join(
+        f'    "{name}": {{\n'
+        f'      "weight": {_earlier_matrix(enc.weight, "      ")},\n'
+        f'      "bias": [{", ".join(format(x, ".17g") for x in enc.bias)}]\n    }}'
+        for name, enc in zip(("content_x", "content_y", "style_x", "style_y"), encoders.all())
+    )
+    first = encoders.content_x
+    return (
+        f'{{\n  "version": 1,\n  "in_channels": {first.in_channels},\n'
+        f'  "out_channels": {first.out_channels},\n  "encoders": {{\n{blocks}\n  }}\n}}\n'
+    )
+
+
+def test_earlier_bank_files_load_bit_exactly(tmp_path):
+    bank = small_bank(5)
+    path = tmp_path / "bank.json"
+    path.write_text(earlier_bank_text(bank))
+    loaded = load_bank(path)
+    assert loaded.layout == bank.layout
+    for got, want in zip((loaded.keys, loaded.values_x, loaded.values_y),
+                         (bank.keys, bank.values_x, bank.values_y)):
+        np.testing.assert_array_equal(got, want)
+    save_bank(loaded, tmp_path / "again.json")
+    assert json.loads((tmp_path / "again.json").read_text()) == json.loads(path.read_text())
+
+
+def test_earlier_encoder_files_load_bit_exactly(tmp_path):
+    encoders = EncoderSet.create(make_rng(6), 3, 2)
+    path = tmp_path / "encoders.json"
+    path.write_text(earlier_encoder_text(encoders))
+    loaded = load_encoders(path)
+    for got, want in zip(loaded.all(), encoders.all()):
+        np.testing.assert_array_equal(got.weight, want.weight)
+        np.testing.assert_array_equal(got.bias, want.bias)
+    save_encoders(loaded, tmp_path / "again.json")
+    assert json.loads((tmp_path / "again.json").read_text()) == json.loads(path.read_text())
+
+
+# --- writing ---
+
+
+def test_failed_write_keeps_the_existing_file(tmp_path, monkeypatch):
+    path = saved(tmp_path, save_bank, small_bank(7), "bank.json")
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(serialize.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        save_bank(small_bank(8), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["bank.json"]
+
+
+@given(st.lists(st.floats(width=64), max_size=8))
+def test_row_template_matches_fmt_float(values):
+    row = "[" + ", ".join(fmt_float(v) for v in values) + "]"
+    assert render_json(np.array(values, dtype=np.float64)) == row
+    assert render_json(np.array([values, values], dtype=np.float64)) == f"[\n  {row},\n  {row}\n]"
+
+
+# --- fuzzing ---
+
+FIELDS = (
+    "version", "channels", "layout", "keys", "values_x", "values_y", "class", "count",
+    "in_channels", "out_channels", "encoders", "weight", "bias",
+    "height", "width", "labels", "boxes", "content", "style",
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+documents = json_values | st.dictionaries(st.sampled_from(FIELDS), json_values).map(
+    lambda doc: {**doc, "version": 1}
+)
+
+LOADERS = {
+    "bank": (load_bank, save_bank, small_bank),
+    "encoders": (load_encoders, save_encoders, lambda: EncoderSet.create(make_rng(9), 2, 2)),
+    "scene": (load_scene, save_scene, small_scene),
+}
+FUZZ = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+def valid_doc(kind, tmp_path):
+    _, save, make = LOADERS[kind]
+    return json.loads(saved(tmp_path, save, make(), f"valid_{kind}.json").read_text())
+
+
+def paths(value, prefix=()):
+    """Every field and array element of a parsed document, as key paths."""
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+DELETE = object()
+
+
+def mutate(doc, path, replacement):
+    """A copy of ``doc`` with the node at ``path`` replaced, or deleted when
+    ``replacement`` is ``DELETE``."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is DELETE:
+        del parent[path[-1]]
+    else:
+        assume(parent[path[-1]] != replacement)
+        parent[path[-1]] = replacement
+    return doc
+
+
+def loads_or_rejects(load, path):
+    """True when ``load`` accepts the file; only ValidationError may escape."""
+    try:
+        load(path)
+    except ValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@FUZZ
+@given(doc=documents)
+def test_loaders_reject_arbitrary_documents(tmp_path, kind, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    loads_or_rejects(LOADERS[kind][0], path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@FUZZ
+@given(data=st.data())
+def test_loaders_reject_single_field_mutations(tmp_path, kind, data):
+    doc = valid_doc(kind, tmp_path)
+    path = data.draw(st.sampled_from(list(paths(doc))))
+    replacement = data.draw(json_values | st.just(DELETE))
+    fuzzed = tmp_path / "fuzz.json"
+    fuzzed.write_text(json.dumps(mutate(doc, path, replacement)))
+    loads_or_rejects(LOADERS[kind][0], fuzzed)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    (root / "cfg.json").write_text(json.dumps({
+        "preset": "toy", "iterations": 2, "eval_scenes": 1, "assignment_scenes": 0,
+        "scene": {"height": 4, "width": 4},
+    }))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["train", "--config", str(root / "cfg.json"), "--out", str(root / "run")])
+    assert code == 0
+    return root
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, err.getvalue()
+
+
+def assert_cli_agrees(code, err, accepted):
+    """Exit 1 with an ``error:`` line exactly when the loader rejects the file."""
+    if not accepted:
+        assert code == 1 and any(line.startswith("error:") for line in err.splitlines()), err
+    else:
+        assert code in (0, 1)
+
+
+@FUZZ
+@given(doc=documents)
+def test_cli_inspect_rejects_arbitrary_documents(trained, doc):
+    path = trained / "fuzz_bank.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["inspect", "--bank", str(path)])
+    assert_cli_agrees(code, err, loads_or_rejects(load_bank, path))
+
+
+@pytest.mark.parametrize("kind", ["bank", "encoders"])
+@FUZZ
+@given(data=st.data())
+def test_cli_eval_rejects_mutated_artifacts(trained, kind, data):
+    original = trained / "run" / f"{kind}.json"
+    doc = json.loads(original.read_text())
+    path = data.draw(st.sampled_from([p for p in paths(doc) if len(p) <= 3]))
+    fuzzed = trained / f"fuzz_{kind}.json"
+    fuzzed.write_text(json.dumps(mutate(doc, path, data.draw(json_values | st.just(DELETE)))))
+    files = {"bank": original.parent / "bank.json", "encoders": original.parent / "encoders.json"}
+    files[kind] = fuzzed
+    code, err = run_cli([
+        "eval", "--bank", str(files["bank"]), "--encoders", str(files["encoders"]),
+        "--config", str(trained / "cfg.json"), "--scenes", "1",
+    ])
+    load = load_bank if kind == "bank" else load_encoders
+    assert_cli_agrees(code, err, loads_or_rejects(load, fuzzed))

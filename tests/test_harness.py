@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from stylemem.cli import main as cli_main
 from stylemem.encoder import EncoderSet, LinearEncoder
 from stylemem.errors import ConfigError, ValidationError
 from stylemem.harness import (
+    METRICS_HEADER,
+    METRICS_SPECS,
     PRESETS,
     MetricsRow,
     config_from_dict,
@@ -19,6 +22,7 @@ from stylemem.harness import (
 )
 from stylemem.memory import MemoryBank, init_bank, load_bank, save_bank
 from stylemem.numerics import AdamState, l2_normalize_rows, make_rng
+from stylemem.serialize import CsvRows
 
 
 def toy_config(**overrides):
@@ -115,6 +119,9 @@ def test_load_config_file(tmp_path):
     cfg = load_config(path)
     assert cfg.iterations == 3
     path.write_text("{broken")
+    with pytest.raises(ConfigError):
+        load_config(path)
+    path.write_bytes(b'{"preset": "\xff"}')  # not UTF-8
     with pytest.raises(ConfigError):
         load_config(path)
 
@@ -244,10 +251,13 @@ def test_assignments_csv_contents(tmp_path):
     assert 0 <= int(first[4]) < cfg.n_items
 
 
-def test_metrics_row_csv_format():
-    row = MetricsRow(3, 1.0, 0.5, 0.25, 2.0, 0.9, 0.8)
-    text = row.csv_line()
-    assert text.startswith("3,1,0.5,0.25,2,0.90000000000000002,")
+def test_metrics_row_csv_format(tmp_path):
+    rows = CsvRows(METRICS_HEADER, METRICS_SPECS)
+    rows.add(astuple(MetricsRow(3, 1.0, 0.5, 0.25, 2.0, 0.9, 0.8)))
+    rows.write(tmp_path / "metrics.csv")
+    header, line, end = (tmp_path / "metrics.csv").read_text().split("\n")
+    assert header == METRICS_HEADER and end == ""
+    assert line.startswith("3,1,0.5,0.25,2,0.90000000000000002,")
 
 
 # --- inspect ---
@@ -352,6 +362,19 @@ def test_cli_rejects_mistyped_config_values(tmp_path, capsys, override, message)
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_names_the_iteration_and_encoder_that_diverged(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "preset": "toy", "iterations": 20, "eval_scenes": 1, "assignment_scenes": 1,
+        "learning_rate": 1e300,
+    }))
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: training iteration 1: encoder style_x parameters became non-finite" in err
+    assert not (tmp_path / "o" / "bank.json").exists()
 
 
 @pytest.fixture(scope="module")
