@@ -49,6 +49,7 @@ from .memory import (
 )
 from .numerics import (
     AdamState,
+    Cosines,
     adam_step,
     cosine_matrix,
     cosine_similarity,

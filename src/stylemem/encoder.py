@@ -5,24 +5,30 @@ extractors upstream of the memory. Forward, backward, and the Adam step are
 hand-written so the whole gradient path (loss -> read -> encoder) is explicit
 and checkable by finite differences.
 
-A training iteration runs: encode both domains, compute one cosine matrix
-per memory plane (content against the keys, style against the same domain's
-values) and one label-to-partition mask per domain, derive the item losses,
-the class-restricted read and its backward pass from them, backpropagate into
-the encoders, apply Adam, then fold the iteration's features into the memory.
-Checkpoints (see :mod:`stylemem.serialize`) hold no optimizer state.
+A loss pass (:func:`compute_losses`) encodes both domains, addresses the
+bank once per domain (one label-to-partition mask, one content-key cosine
+matrix and its read weights), computes one product per memory plane for the
+item losses (cosines and logits alike), and reads the cross-domain style.
+It computes no gradient: the item-loss gradients and the read backward pass
+run on first access of ``ForwardPass.grad_content``/``grad_style``, which
+only :func:`train_step` makes. So evaluation pays for the forward pass
+alone and reuses its query sets for the test-time read. A training
+iteration then backpropagates into the encoders, applies Adam, and folds
+the iteration's features into the memory. Checkpoints (see
+:mod:`stylemem.serialize`) hold no optimizer state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
 from .memory import MemoryBank, QuerySet, address, read, read_backward, update
-from .numerics import AdamState, adam_step
+from .numerics import AdamState, Cosines, adam_step
 from .objectives import ContrastiveConfig, LossTerm, contrastive_loss, triplet_loss
 from .serialize import array, integer, read_json, write_json
 from .synthdata import FeatureScene
@@ -163,12 +169,44 @@ class LossReport:
 
 @dataclass
 class ForwardPass:
-    """Per-domain query sets (encoded features against the bank) and the
-    loss gradients with respect to the encoded content and style."""
+    """One loss pass over a scene pair: per-domain query sets (encoded
+    features against the bank), item-loss terms and read residuals (read
+    style minus the paired scene's encoded style).
 
+    The gradients of the weighted total loss with respect to the encoded
+    content and style are computed on first access of ``grad_content`` and
+    ``grad_style``.
+    """
+
+    bank: MemoryBank
+    settings: TrainSettings
     queries: dict[str, QuerySet]
-    grad_content: dict[str, np.ndarray]
-    grad_style: dict[str, np.ndarray]
+    key_terms: dict[str, LossTerm]
+    value_terms: dict[str, LossTerm]
+    residuals: dict[str, np.ndarray]
+
+    @cached_property
+    def upstream(self) -> dict[str, np.ndarray]:
+        """d(rec_loss)/d(read style) per domain."""
+        return {d: (2.0 / r.shape[0]) * r for d, r in self.residuals.items()}
+
+    @cached_property
+    def grad_content(self) -> dict[str, np.ndarray]:
+        s = self.settings
+        return {
+            d: s.objective.key_weight * self.key_terms[d].grad
+            + s.rec_weight * read_backward(self.bank, q, d, self.upstream[d])
+            for d, q in self.queries.items()
+        }
+
+    @cached_property
+    def grad_style(self) -> dict[str, np.ndarray]:
+        s = self.settings
+        return {
+            d: s.objective.value_weight * self.value_terms[d].grad
+            - s.rec_weight * self.upstream[opposite]
+            for d, opposite in (("x", "y"), ("y", "x"))
+        }
 
 
 def _address_labels(bank: MemoryBank, scene: FeatureScene, class_aware: bool) -> np.ndarray:
@@ -184,11 +222,11 @@ def _item_loss(
     items: np.ndarray,
     pool: np.ndarray,
     settings: TrainSettings,
-    sims: np.ndarray | None = None,
+    cosines: Cosines | None = None,
 ) -> LossTerm:
     if settings.loss_variant == "contrastive":
-        return contrastive_loss(queries, items, pool, settings.objective, sims)
-    return triplet_loss(queries, items, pool, settings.triplet_margin, sims)
+        return contrastive_loss(queries, items, pool, settings.objective, cosines)
+    return triplet_loss(queries, items, pool, settings.triplet_margin, cosines)
 
 
 def compute_losses(
@@ -198,11 +236,12 @@ def compute_losses(
     scene_y: FeatureScene,
     settings: TrainSettings,
 ) -> tuple[LossReport, ForwardPass]:
-    """Forward pass over a scene pair against a frozen bank.
+    """Loss pass over a scene pair against a frozen bank.
 
-    Returns the loss report plus the encoded query sets with the analytic
-    gradient of the weighted total loss with respect to each encoded
-    feature matrix. Neither the encoders nor the bank are modified.
+    Returns the loss report plus the forward pass: the encoded query sets,
+    from which the analytic gradients of the weighted total loss with
+    respect to each encoded feature matrix follow on demand. Neither the
+    encoders nor the bank are modified.
     """
     if scene_x.positions != scene_y.positions:
         raise ShapeError("paired scenes must have the same number of positions")
@@ -219,26 +258,19 @@ def compute_losses(
 
     p_total = scene_x.positions
     cfg = settings.objective
-    key_terms, value_terms, upstream, grad_content = {}, {}, {}, {}
+    key_terms, value_terms, residuals = {}, {}, {}
     rec_loss = 0.0
     for d in _DOMAINS:
         q = queries[d]
         opposite = "y" if d == "x" else "x"
         same_values = bank.values_x if d == "x" else bank.values_y
-        key_terms[d] = _item_loss(q.content, bank.keys, q.mask, settings, q.sims)
+        key_terms[d] = _item_loss(q.content, bank.keys, q.mask, settings, q.cosines)
         value_terms[d] = _item_loss(q.style, same_values, q.mask, settings)
 
         # style reconstruction through the read: the cross-domain mixture
         # should reproduce the paired scene's encoded style
-        diff = read(bank, q, d).aggregated_style - queries[opposite].style
+        residuals[d] = diff = read(bank, q, d).aggregated_style - queries[opposite].style
         rec_loss += float(np.sum(diff * diff)) / p_total
-        upstream[d] = (2.0 / p_total) * diff
-        rec_grad = read_backward(bank, q, d, upstream[d])
-        grad_content[d] = cfg.key_weight * key_terms[d].grad + settings.rec_weight * rec_grad
-    grad_style = {
-        d: cfg.value_weight * value_terms[d].grad - settings.rec_weight * upstream[opposite]
-        for d, opposite in (("x", "y"), ("y", "x"))
-    }
 
     key_loss = key_terms["x"].value + key_terms["y"].value
     value_loss = value_terms["x"].value + value_terms["y"].value
@@ -247,7 +279,7 @@ def compute_losses(
     report = LossReport(
         key_loss, value_loss, rec_loss, total, positives(key_terms), positives(value_terms)
     )
-    return report, ForwardPass(queries, grad_content, grad_style)
+    return report, ForwardPass(bank, settings, queries, key_terms, value_terms, residuals)
 
 
 def train_step(

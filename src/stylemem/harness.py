@@ -5,9 +5,17 @@ seed): scene streams, bank and encoder initialization, and evaluation scenes
 are all derived from the seed through fixed stream keys, and no artifact
 contains timestamps, so reruns are byte-identical.
 
+Evaluation takes one loss pass per held-out scene and no gradient: the
+test-time read (the unmasked softmax over the pass's content-key cosines),
+the fidelity target and the assignments export all reuse that pass's
+features. The per-iteration metrics encode afresh, since the step has just
+changed the encoders and the bank.
+
 Config files are JSON. A file may name a ``preset`` ("toy" or "full") and
 override any subset of keys; the expansion to a fully explicit config is
-logged and written to the output directory as resolved_config.json. Keys:
+logged and written to the output directory as resolved_config.json. A config
+whose run would allocate an array of more than ``MAX_ARRAY_ELEMENTS``
+elements is rejected. Keys:
 
   memory_mode        "class-aware" (partitioned addressing) or "single"
                      (one pooled partition, class info ignored in training)
@@ -49,7 +57,7 @@ from .encoder import (
     save_encoders,
     train_step,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, LayoutError, ValidationError
 from .memory import MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
 from .objectives import ContrastiveConfig
@@ -70,6 +78,10 @@ STREAM_EVAL = 4
 
 # class id of the single pooled partition in "single" memory mode
 POOLED_CLASS_ID = -1
+
+# Element limit of every array a config makes a run allocate; the full
+# preset's largest holds 65,536 (2**16). Not a config key.
+MAX_ARRAY_ELEMENTS = 2**24
 
 PRESETS: dict[str, dict] = {
     "toy": {
@@ -233,7 +245,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     preset = raw.get("preset")
-    if preset is not None and preset not in PRESETS:
+    if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
         raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
     resolved: dict = json.loads(json.dumps(PRESETS[preset])) if preset else {}
     resolved["preset"] = preset
@@ -331,8 +343,31 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
     for name in ("content_overlap", "style_overlap"):
         if not 0.0 <= getattr(cfg.scene, name) < 1.0:
             raise ConfigError(f"scene.{name} must lie in [0, 1)")
-    cfg.reference_layout()  # surfaces layout errors early
+    _check_array_sizes(cfg)
+    try:
+        cfg.reference_layout()  # surfaces layout errors early
+    except LayoutError as exc:
+        raise ConfigError(f"layout: {exc}") from exc
     return cfg
+
+
+def _check_array_sizes(cfg: ExperimentConfig) -> None:
+    s = cfg.scene
+    positions = s.height * s.width
+    shapes = {
+        "bank (items x channels)": (cfg.n_items, cfg.channels),
+        "scene inputs (positions x scene.input_channels)": (positions, s.input_channels),
+        "encoded features (positions x channels)": (positions, cfg.channels),
+        "encoders (channels x scene.input_channels)": (cfg.channels, s.input_channels),
+        "cosines (positions x items)": (positions, cfg.n_items),
+        "class prototypes (scene.classes x scene.input_channels)": (s.classes, s.input_channels),
+        "prototype similarities (scene.classes x scene.classes)": (s.classes, s.classes),
+    }
+    for name, (rows, cols) in shapes.items():
+        if rows * cols > MAX_ARRAY_ELEMENTS:
+            raise ConfigError(
+                f"{name} would hold {rows} x {cols} elements, more than {MAX_ARRAY_ELEMENTS}"
+            )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -389,21 +424,22 @@ class _EvalAccumulator:
 def _accumulate_pair(
     acc: _EvalAccumulator,
     bank: MemoryBank,
-    encoders: EncoderSet,
-    scene_x: FeatureScene,
-    scene_y: FeatureScene,
+    features: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+    scenes: dict[str, FeatureScene],
     ref_layout: MemoryLayout,
     assignments: CsvRows | None = None,
     scene: int = 0,
 ) -> None:
-    """Test-time metrics of one scene pair (global reads, no labels), plus ``assignments`` rows."""
+    """Test-time metrics of one scene pair (global reads, no labels), plus ``assignments`` rows.
+
+    ``features[d]`` is domain d's encoded (content, style, content-key
+    cosines); the cosines are None when the caller has none to share.
+    """
     item_classes = ref_layout.item_classes
-    scenes = {"x": scene_x, "y": scene_y}
-    for d in ("x", "y"):
-        opposite = "y" if d == "x" else "x"
-        content = forward(encoders.content(d), scenes[d].content)
-        result = read_global(bank, content, d)
-        target = forward(encoders.style(opposite), scenes[opposite].style)
+    for d, opposite in (("x", "y"), ("y", "x")):
+        content, _, sims = features[d]
+        result = read_global(bank, content, d, sims)
+        target = features[opposite][1]
 
         acc.alpha_sum += result.weights.sum(axis=0)
         acc.queries += content.shape[0]
@@ -415,8 +451,8 @@ def _accumulate_pair(
             # one row's floats at a time: a whole-matrix tolist() raises peak RSS
             picked = result.weights[np.arange(top.shape[0]), top]
             columns = zip(labels.tolist(), top.tolist(), picked.tolist(), content)
-            for p, (label, item, weight, features) in enumerate(columns):
-                assignments.add((scene, d, p, label, item, weight, *features.tolist()))
+            for p, (label, item, weight, row) in enumerate(columns):
+                assignments.add((scene, d, p, label, item, weight, *row.tolist()))
 
 
 def _pair_metrics(
@@ -426,8 +462,14 @@ def _pair_metrics(
     scene_y: FeatureScene,
     ref_layout: MemoryLayout,
 ) -> tuple[float, float, float]:
+    # the step has just changed the encoders and the bank: encode afresh
+    scenes = {"x": scene_x, "y": scene_y}
+    features = {
+        d: (forward(encoders.content(d), s.content), forward(encoders.style(d), s.style), None)
+        for d, s in scenes.items()
+    }
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
-    _accumulate_pair(acc, bank, encoders, scene_x, scene_y, ref_layout)
+    _accumulate_pair(acc, bank, features, scenes, ref_layout)
     return acc.entropy(), acc.purity(), acc.fidelity()
 
 
@@ -508,10 +550,13 @@ def evaluate(
     """Metrics over fresh held-out scenes using test-time global reads.
 
     Loss fields are per-scene means of the training objective (computed with
-    the training-time class pools, without touching bank or encoders). When
-    ``assignments_path`` is set, the first cfg.assignment_scenes scenes also
-    dump one row per query: scene, domain, position, label, assigned item,
-    its weight, and the encoded content features (for external projection).
+    the training-time class pools, without touching bank or encoders). Each
+    scene takes one loss pass and no gradient; the test-time read, the
+    fidelity target and the export reuse its encoded features and cosines.
+    When ``assignments_path`` is set, the first cfg.assignment_scenes scenes
+    also dump one row per query: scene, domain, position, label, assigned
+    item, its weight, and the encoded content features (for external
+    projection).
     """
     if scene_count < 1:
         raise ConfigError("evaluation needs at least one scene")
@@ -527,11 +572,12 @@ def evaluate(
 
     for i in range(scene_count):
         scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
-        report, _ = compute_losses(encoders, bank, scene_x, scene_y, settings)
+        report, fwd = compute_losses(encoders, bank, scene_x, scene_y, settings)
         loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
+        features = {d: (q.content, q.style, q.sims) for d, q in fwd.queries.items()}
         export = assignments if assignments_path is not None and i < cfg.assignment_scenes else None
-        _accumulate_pair(acc, bank, encoders, scene_x, scene_y, ref_layout, export, i)
+        _accumulate_pair(acc, bank, features, {"x": scene_x, "y": scene_y}, ref_layout, export, i)
 
     if assignments_path is not None:
         assignments.write(assignments_path)

@@ -4,7 +4,11 @@ A bank holds N items; each item is a key row plus one value row per domain,
 all unit-normalized. The layout reserves a contiguous block of items per
 object class. Training reads and updates address only the block of each
 query's class, as one masked (P, N) operation over a scene; test-time reads
-address all N items. Bank files go through :mod:`stylemem.serialize`.
+address all N items. :func:`address` computes a scene's content-key
+cosines, their parts and the class-restricted read weights once; the read,
+its backward pass, the update weights, the key-side item loss and the
+test-time read all take them from the query set. Bank files go through
+:mod:`stylemem.serialize`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyClusterError, LayoutError, ShapeError, ValidationError
-from .numerics import EPS_DIV, cosine_matrix, l2_normalize_rows, softmax_cols, softmax_rows
+from .numerics import EPS_DIV, Cosines, cosine_matrix, l2_normalize_rows, softmax_cols, softmax_rows
 from .serialize import array, integer, layout_counts, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
@@ -106,20 +110,26 @@ class MemoryBank:
 class QuerySet:
     """One domain's content/style rows and the memory items each may address.
 
-    ``mask[p]`` is True on the partition of row p's class; ``sims`` holds the
-    rows' cosine similarities to the keys of the bank the set was built for
-    (see :func:`address`), shared by reads, their backward pass, the update
-    weights and the key-side item loss.
+    ``mask[p]`` is True on the partition of row p's class. ``cosines`` holds
+    the content rows' cosine similarities to the keys of the bank the set
+    was built for, with their dot products and norms, and ``weights`` the
+    class-restricted read weights ``softmax_rows(sims, mask)`` (see
+    :func:`address`).
     """
 
     content: np.ndarray
     style: np.ndarray
     mask: np.ndarray
-    sims: np.ndarray
+    cosines: Cosines
+    weights: np.ndarray
 
     @property
     def size(self) -> int:
         return self.content.shape[0]
+
+    @property
+    def sims(self) -> np.ndarray:
+        return self.cosines.sims
 
 
 @dataclass
@@ -161,7 +171,7 @@ def address(
     """Query set whose rows address the partition of their class ``labels[p]``.
 
     Labels missing from the layout raise :class:`LayoutError`. The cosine
-    similarities to the keys are computed here, once.
+    similarities to the keys and the read weights are computed here, once.
     """
     content = np.asarray(content, dtype=np.float64)
     style = np.asarray(style, dtype=np.float64)
@@ -176,8 +186,9 @@ def address(
     unknown = labels[~mask.any(axis=1)]
     if unknown.size:
         raise LayoutError(f"class {unknown[0]} not in layout (have {list(bank.layout.class_ids)})")
-    sims = cosine_matrix(content, bank.keys) if content.shape[0] else np.zeros(mask.shape)
-    return QuerySet(content, style, mask, sims)
+    cosines = Cosines(content, bank.keys)
+    weights = softmax_rows(cosines.sims, mask) if content.shape[0] else np.zeros(mask.shape)
+    return QuerySet(content, style, mask, cosines, weights)
 
 
 def _check_queries(bank: MemoryBank, queries: QuerySet) -> None:
@@ -188,31 +199,38 @@ def _check_queries(bank: MemoryBank, queries: QuerySet) -> None:
         raise ShapeError(f"query set sims/mask shapes differ from {expected}")
 
 
-def _read(bank: MemoryBank, sims: np.ndarray, mask: np.ndarray | None, domain: str) -> ReadResult:
-    alpha = softmax_rows(sims, mask)
-    return ReadResult(alpha, alpha @ _cross_values(bank, domain))
-
-
 def read(bank: MemoryBank, queries: QuerySet, domain: str) -> ReadResult:
     """Class-restricted read.
 
     Each row gets the global softmax over its cosine similarities with every
     logit outside its partition masked to -inf, so weights outside the
     partition are exactly zero. The aggregated style row is the weight-mixed
-    cross-domain value.
+    cross-domain value. The weights are the ones :func:`address` stored.
     """
     _check_domain(domain)
     _check_queries(bank, queries)
-    return _read(bank, queries.sims, queries.mask, domain)
+    return ReadResult(queries.weights, queries.weights @ _cross_values(bank, domain))
 
 
-def read_global(bank: MemoryBank, queries: np.ndarray, domain: str) -> ReadResult:
-    """Test-time read: softmax over all N items, no class information."""
+def read_global(
+    bank: MemoryBank, queries: np.ndarray, domain: str, sims: np.ndarray | None = None
+) -> ReadResult:
+    """Test-time read: softmax over all N items, no class information.
+
+    ``sims`` is ``cosine_matrix(queries, bank.keys)`` when the caller
+    already has it, such as the ``sims`` of a query set built from the same
+    rows.
+    """
     _check_domain(domain)
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[0] == 0 or queries.shape[1] != bank.channels:
         raise ShapeError(f"queries shape {queries.shape} incompatible with C={bank.channels}")
-    return _read(bank, cosine_matrix(queries, bank.keys), None, domain)
+    if sims is None:
+        sims = cosine_matrix(queries, bank.keys)
+    elif sims.shape != (queries.shape[0], bank.n_items):
+        raise ShapeError(f"sims shape {sims.shape}, expected {(queries.shape[0], bank.n_items)}")
+    alpha = softmax_rows(sims)
+    return ReadResult(alpha, alpha @ _cross_values(bank, domain))
 
 
 def read_backward(
@@ -224,7 +242,9 @@ def read_backward(
     values are constants (they evolve through :func:`update`, not gradient
     descent), so only the query gradient is produced. The path is value
     aggregation -> masked softmax -> cosine similarity; the [-1, 1] clamp on
-    the similarity is treated as inactive.
+    the similarity is treated as inactive. The read weights, cosines and
+    norms come from the query set, which must have been addressed against
+    ``bank``.
     """
     _check_domain(domain)
     _check_queries(bank, queries)
@@ -234,11 +254,8 @@ def read_backward(
             f"upstream shape {upstream.shape}, expected {(queries.size, bank.channels)}"
         )
 
-    content = queries.content
-    alpha = softmax_rows(queries.sims, queries.mask)
-    q_norms = np.linalg.norm(content, axis=1)
-    k_norms = np.linalg.norm(bank.keys, axis=1)
-    denom = np.outer(q_norms, k_norms) + EPS_DIV
+    alpha = queries.weights
+    cos = queries.cosines
 
     # d loss / d alpha, then through the softmax jacobian; masked entries
     # have alpha = 0 and so get no gradient
@@ -246,10 +263,10 @@ def read_backward(
     g_sims = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=1, keepdims=True))
 
     # d sims / d query: k / w  -  sims * ||k|| * q / (w * ||q||)
-    g_scaled = g_sims / denom
-    coeff = np.sum(g_scaled * queries.sims * k_norms[None, :], axis=1)
-    safe_q = np.maximum(q_norms, EPS_DIV)
-    return g_scaled @ bank.keys - (coeff / safe_q)[:, None] * content
+    g_scaled = g_sims / cos.denom
+    coeff = np.sum(g_scaled * cos.sims * cos.item_norms[None, :], axis=1)
+    safe_q = np.maximum(cos.row_norms, EPS_DIV)
+    return g_scaled @ bank.keys - (coeff / safe_q)[:, None] * queries.content
 
 
 def update_weights(bank: MemoryBank, queries: QuerySet) -> np.ndarray:
@@ -315,7 +332,8 @@ def load_bank(path: str | Path) -> MemoryBank:
     planes = []
     for field in ("keys", "values_x", "values_y"):
         plane = array(doc, field, (layout.n_items, channels), "bank")
-        worst = float(np.abs(np.linalg.norm(plane, axis=1) - 1.0).max())
+        with np.errstate(over="ignore"):  # a norm that overflows to inf fails the check below
+            worst = float(np.abs(np.linalg.norm(plane, axis=1) - 1.0).max())
         if worst > 1e-9:
             raise ValidationError(f"bank field {field!r} rows deviate from unit norm by {worst:.3e}")
         planes.append(plane)

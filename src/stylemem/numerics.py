@@ -38,14 +38,31 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(float(a @ b) / denom, -1.0, 1.0))
 
 
+class Cosines:
+    """All-pairs cosine similarities of rows (P, C) against items (N, C),
+    with the parts they are built from, so consumers of the raw dot
+    products or the norms need no second pass.
+
+    Unchecked: the caller passes 2-D float64 arrays of equal width.
+    """
+
+    __slots__ = ("row_norms", "item_norms", "dots", "denom", "sims")
+
+    def __init__(self, rows: np.ndarray, items: np.ndarray):
+        self.row_norms = np.linalg.norm(rows, axis=1)  # (P,)
+        self.item_norms = np.linalg.norm(items, axis=1)  # (N,)
+        self.dots = rows @ items.T  # (P, N)
+        self.denom = np.outer(self.row_norms, self.item_norms) + EPS_DIV  # (P, N)
+        self.sims = np.clip(self.dots / self.denom, -1.0, 1.0)  # (P, N), in [-1, 1]
+
+
 def cosine_matrix(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """All-pairs cosine similarities, (P, C) x (N, C) -> (P, N)."""
     queries = _as_matrix(queries, "queries")
     keys = _as_matrix(keys, "keys")
     if queries.shape[1] != keys.shape[1]:
         raise ShapeError(f"channel mismatch: {queries.shape[1]} vs {keys.shape[1]}")
-    denom = np.outer(np.linalg.norm(queries, axis=1), np.linalg.norm(keys, axis=1)) + EPS_DIV
-    return np.clip(queries @ keys.T / denom, -1.0, 1.0)
+    return Cosines(queries, keys).sims
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

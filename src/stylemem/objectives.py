@@ -8,13 +8,14 @@ They treat the items as constants: gradients flow into the queries only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, PoolError, ShapeError
-from .numerics import cosine_matrix
+from .numerics import Cosines
 
 # Selection switches are non-differentiable; distances below this are treated
 # as an exact hit and contribute no gradient.
@@ -38,17 +39,25 @@ class ContrastiveConfig:
 
 @dataclass
 class LossTerm:
-    """One loss evaluation: scalar value, per-query positives, query gradient
-    and, for the triplet loss, per-query negatives."""
+    """One loss evaluation: scalar value, per-query positives and, for the
+    triplet loss, per-query negatives.
+
+    The query gradient ``grad`` is computed from ``gradient`` on first
+    access, so a caller that needs only the value never pays for it.
+    """
 
     value: float
     positives: np.ndarray
-    grad: np.ndarray
+    gradient: Callable[[], np.ndarray] = field(repr=False, compare=False)
     negatives: np.ndarray | None = None
 
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return self.gradient()
 
-def _inputs(queries, items, positive_pool, sims) -> tuple[np.ndarray, np.ndarray]:
-    """The positive pool as a validated (P, N) mask, and the (P, N) cosines."""
+
+def _inputs(queries, items, positive_pool, cosines) -> tuple[np.ndarray, Cosines]:
+    """The positive pool as a validated (P, N) mask, and the query-item cosines."""
     if queries.ndim != 2 or items.ndim != 2 or queries.shape[1] != items.shape[1]:
         raise ShapeError(f"queries {queries.shape} and items {items.shape} must share channels")
     shape = (queries.shape[0], items.shape[0])
@@ -61,11 +70,13 @@ def _inputs(queries, items, positive_pool, sims) -> tuple[np.ndarray, np.ndarray
         pool[indices] = True
     if pool.shape not in (shape, shape[1:]) or not np.broadcast_to(pool, shape).any(axis=1).all():
         raise PoolError(f"positive pool {pool.shape} is empty or does not fit {shape}")
-    if sims is None:
-        sims = cosine_matrix(queries, items)
-    elif sims.shape != shape:
-        raise ShapeError(f"sims shape {sims.shape}, expected {shape}")
-    return np.broadcast_to(pool, shape), sims
+    if 0 in queries.shape:
+        raise ShapeError(f"queries must be a non-empty 2-D array, got shape {queries.shape}")
+    if cosines is None:
+        cosines = Cosines(queries, items)
+    elif cosines.sims.shape != shape or cosines.dots.shape != shape:
+        raise ShapeError(f"cosines shape {cosines.sims.shape}, expected {shape}")
+    return np.broadcast_to(pool, shape), cosines
 
 
 def contrastive_loss(
@@ -73,7 +84,7 @@ def contrastive_loss(
     items: np.ndarray,
     positive_pool,
     cfg: ContrastiveConfig,
-    sims: np.ndarray | None = None,
+    cosines: Cosines | None = None,
 ) -> LossTerm:
     """Softmax loss over temperature-scaled dot products against all items.
 
@@ -81,26 +92,29 @@ def contrastive_loss(
     runs over every item, so all non-positives act as negatives. With a
     single item the loss is exactly zero. ``positive_pool`` holds item
     indices shared by every query, or is a (P, N) boolean mask giving each
-    query its own pool. ``sims`` is ``cosine_matrix(queries, items)`` when
-    the caller already has it.
+    query its own pool. ``cosines`` is ``Cosines(queries, items)`` when
+    the caller already has it; the cosines pick the positives and their dot
+    products are the logits.
     """
     queries = np.asarray(queries, dtype=np.float64)
     items = np.asarray(items, dtype=np.float64)
-    pool, sims = _inputs(queries, items, positive_pool, sims)
+    pool, cosines = _inputs(queries, items, positive_pool, cosines)
     rows = np.arange(queries.shape[0])
-    positives = np.argmax(np.where(pool, sims, -np.inf), axis=1)
+    positives = np.argmax(np.where(pool, cosines.sims, -np.inf), axis=1)
 
-    logits = queries @ items.T / cfg.temperature
+    logits = cosines.dots / cfg.temperature
     peak = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - peak)
     total = e.sum(axis=1, keepdims=True)
     log_z = np.log(total[:, 0]) + peak[:, 0]
     value = float(np.sum(log_z - logits[rows, positives]))
 
-    probs = e / total
-    probs[rows, positives] -= 1.0
-    grad = probs @ items / cfg.temperature
-    return LossTerm(value, positives, grad)
+    def gradient() -> np.ndarray:
+        probs = e / total
+        probs[rows, positives] -= 1.0
+        return probs @ items / cfg.temperature
+
+    return LossTerm(value, positives, gradient)
 
 
 def triplet_loss(
@@ -108,23 +122,23 @@ def triplet_loss(
     items: np.ndarray,
     positive_pool,
     margin: float = 1.0,
-    sims: np.ndarray | None = None,
+    cosines: Cosines | None = None,
 ) -> LossTerm:
     """Hinge between the euclidean distances to the positive and the runner-up.
 
     The negative is the cosine-nearest item once the positive is excluded,
     which is the second-nearest item whenever the positive is the global
     nearest. Gradients use the subgradient that is zero at an inactive hinge.
-    ``positive_pool`` and ``sims`` are as in :func:`contrastive_loss`.
+    ``positive_pool`` and ``cosines`` are as in :func:`contrastive_loss`.
     """
     queries = np.asarray(queries, dtype=np.float64)
     items = np.asarray(items, dtype=np.float64)
-    pool, sims = _inputs(queries, items, positive_pool, sims)
+    pool, cosines = _inputs(queries, items, positive_pool, cosines)
     if items.shape[0] < 2:
         raise PoolError("triplet loss needs at least two items")
     rows = np.arange(queries.shape[0])
-    positives = np.argmax(np.where(pool, sims, -np.inf), axis=1)
-    others = sims.copy()
+    positives = np.argmax(np.where(pool, cosines.sims, -np.inf), axis=1)
+    others = cosines.sims.copy()
     others[rows, positives] = -np.inf
     negatives = np.argmax(others, axis=1)
 
@@ -136,12 +150,16 @@ def triplet_loss(
     active = terms > 0.0
 
     value = float(np.sum(np.maximum(terms, 0.0)))
-    grad = np.zeros_like(queries)
-    pos_ok = active & (d_pos > _DIST_FLOOR)
-    neg_ok = active & (d_neg > _DIST_FLOOR)
-    grad[pos_ok] += diff_pos[pos_ok] / d_pos[pos_ok, None]
-    grad[neg_ok] -= diff_neg[neg_ok] / d_neg[neg_ok, None]
-    return LossTerm(value, positives, grad, negatives)
+
+    def gradient() -> np.ndarray:
+        grad = np.zeros_like(queries)
+        pos_ok = active & (d_pos > _DIST_FLOOR)
+        neg_ok = active & (d_neg > _DIST_FLOOR)
+        grad[pos_ok] += diff_pos[pos_ok] / d_pos[pos_ok, None]
+        grad[neg_ok] -= diff_neg[neg_ok] / d_neg[neg_ok, None]
+        return grad
+
+    return LossTerm(value, positives, gradient, negatives)
 
 
 @dataclass

@@ -1,11 +1,18 @@
-"""Per-class reference for the dense training pass.
+"""Test-side references for the dense training pass and for evaluation.
 
-This is the training iteration written as a loop over 2 domains x the
-classes present in a scene: item losses over index pools, then one
-class-restricted ``read``, ``read_backward`` and ``update`` per class
-cluster, with the results scattered back to scene positions. The package
-computes the same quantities in one masked (P, N) pass per memory plane;
-``test_dense_training.py`` compares the two.
+``reference_compute_losses``/``reference_train_step`` are the training
+iteration written as a loop over 2 domains x the classes present in a
+scene: item losses over index pools, then one class-restricted ``read``,
+``read_backward`` and ``update`` per class cluster, with the results
+scattered back to scene positions. The package computes the same quantities
+in one masked (P, N) pass per memory plane; ``test_dense_training.py``
+compares the two.
+
+``reference_evaluate`` is evaluation in two passes per scene: the full loss
+pass with its gradients, then a fresh encoding of the scene and
+``read_global`` on the raw content features. The package takes one
+gradient-free loss pass and reuses its features and cosines;
+``test_evaluate.py`` compares the two.
 """
 
 from __future__ import annotations
@@ -15,9 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stylemem.encoder import apply_gradients, backward, forward
-from stylemem.memory import address, read, read_backward, update
+from stylemem.encoder import apply_gradients, backward, compute_losses, forward
+from stylemem.harness import STREAM_EVAL, MetricsRow
+from stylemem.memory import address, read, read_backward, read_global, update
+from stylemem.numerics import cosine_rows, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
+from stylemem.serialize import FLOAT, CsvRows
+from stylemem.synthdata import generate_scene_pair
 
 DOMAINS = ("x", "y")
 
@@ -163,3 +174,52 @@ def reference_train_step(encoders, bank, scene_x, scene_y, settings):
             addressed(new_bank, by_class_y.get(class_id)),
         )
     return ref, encoders, new_bank
+
+
+def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> MetricsRow:
+    """``harness.evaluate`` in two passes per scene; writes ``assignments_path``."""
+    spec = cfg.domain_spec()
+    item_classes = cfg.reference_layout().item_classes
+    settings = cfg.settings(update_memory=False)
+    alpha_sum = np.zeros(bank.n_items)
+    loss_sums = np.zeros(3)
+    queries = purity_hits = 0
+    fidelity_sum = 0.0
+    columns = ["scene,domain,position,label,item,weight"] + [f"c{i}" for i in range(bank.channels)]
+    assignments = CsvRows(",".join(columns), ["%d", "%s", "%d", "%d", "%d"] + [FLOAT] * (1 + bank.channels))
+
+    for i in range(scene_count):
+        scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
+        report, fwd = compute_losses(encoders, bank, scene_x, scene_y, settings)
+        fwd.grad_content, fwd.grad_style  # the whole training pass, backward included
+        loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
+
+        scenes = {"x": scene_x, "y": scene_y}
+        for d, opposite in (("x", "y"), ("y", "x")):
+            content = forward(encoders.content(d), scenes[d].content)
+            result = read_global(bank, content, d)
+            target = forward(encoders.style(opposite), scenes[opposite].style)
+            alpha_sum += result.weights.sum(axis=0)
+            queries += content.shape[0]
+            fidelity_sum += float(cosine_rows(result.aggregated_style, target).sum())
+            top = np.argmax(result.weights, axis=1)
+            labels = scenes[d].labels
+            purity_hits += int(np.sum(item_classes[top] == labels))
+            if i < cfg.assignment_scenes:
+                picked = result.weights[np.arange(top.shape[0]), top]
+                rows = zip(labels.tolist(), top.tolist(), picked.tolist(), content)
+                for p, (label, item, weight, row) in enumerate(rows):
+                    assignments.add((i, d, p, label, item, weight, *row.tolist()))
+    assignments.write(assignments_path)
+
+    usage = alpha_sum / alpha_sum.sum()
+    used = usage[usage > 0.0]
+    return MetricsRow(
+        iteration=cfg.iterations,
+        key_loss=float(loss_sums[0]) / scene_count,
+        value_loss=float(loss_sums[1]) / scene_count,
+        rec_loss=float(loss_sums[2]) / scene_count,
+        util_entropy=float(-np.sum(used * np.log(used))),
+        purity=purity_hits / queries,
+        fidelity=fidelity_sum / queries,
+    )

@@ -1,10 +1,12 @@
 """The artifact format: loader regressions, files in the earlier key order,
-atomic writes, the row templates, and fuzzing of the loaders and the CLI."""
+atomic writes, the row templates, and fuzzing of the artifact and config
+loaders and the CLI."""
 
 import contextlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from stylemem import serialize
 from stylemem.cli import main as cli_main
 from stylemem.encoder import EncoderSet, load_encoders, save_encoders
-from stylemem.errors import ValidationError
+from stylemem.errors import ConfigError, ValidationError
+from stylemem.harness import config_from_dict, resolve_config
 from stylemem.memory import MemoryLayout, init_bank, load_bank, save_bank
 from stylemem.numerics import make_rng
 from stylemem.serialize import fmt_float, render_json
@@ -86,6 +89,17 @@ def test_load_scene_rejects_malformed_files(tmp_path, edit, message):
     path = rewrite(saved(tmp_path, save_scene, small_scene(), "scene.json"), edit)
     with pytest.raises(ValidationError, match=message):
         load_scene(path)
+
+
+def test_load_bank_rejects_huge_rows_without_numeric_warnings(tmp_path):
+    def huge_row(doc):
+        doc["keys"][0] = [1e308] * len(doc["keys"][0])
+
+    path = rewrite(saved(tmp_path, save_bank, small_bank(), "bank.json"), huge_row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="'keys' rows deviate from unit norm"):
+            load_bank(path)
 
 
 # --- files in the earlier layout ---
@@ -321,3 +335,71 @@ def test_cli_eval_rejects_mutated_artifacts(trained, kind, data):
     ])
     load = load_bank if kind == "bank" else load_encoders
     assert_cli_agrees(code, err, loads_or_rejects(load, fuzzed))
+
+
+# --- config loader and train fuzzing ---
+
+TOY_CONFIG = resolve_config({"preset": "toy"})
+CONFIG_FIELDS = (*TOY_CONFIG, *TOY_CONFIG["scene"], "class", "count")
+
+config_documents = json_values | st.dictionaries(
+    st.sampled_from(CONFIG_FIELDS), json_values, max_size=8
+)
+
+
+def builds_or_rejects(raw):
+    """True when the config resolves and validates; only ConfigError may escape."""
+    try:
+        config_from_dict(resolve_config(raw))
+    except ConfigError:
+        return False
+    return True
+
+
+@FUZZ
+@given(doc=config_documents)
+def test_config_loader_rejects_arbitrary_documents(doc):
+    builds_or_rejects(doc)
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_loader_rejects_single_field_mutations(data):
+    path = data.draw(st.sampled_from(list(paths(TOY_CONFIG))))
+    builds_or_rejects(mutate(TOY_CONFIG, path, data.draw(json_values | st.just(DELETE))))
+
+
+# Values a train run stays small with: integers are bounded, so a mutated
+# grid, layout or width allocates little, and the run lengths (iterations,
+# eval_scenes) are only ever invalid or small; deleting them would fall
+# back to the preset's long run.
+small_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 24) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+run_lengths = (
+    st.integers(-3, 3) | st.floats(-2.0, 3.0).filter(lambda x: not x.is_integer())
+    | st.booleans() | st.none() | st.text(max_size=2)
+)
+TRAIN_BASE = {
+    "preset": "toy", "iterations": 2, "eval_scenes": 1, "assignment_scenes": 1,
+    "scene": {"height": 4, "width": 4},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverging runs warn, then exit 1
+@FUZZ
+@given(data=st.data())
+def test_cli_train_exit_codes_on_mutated_configs(tmp_path, data):
+    doc = resolve_config(TRAIN_BASE)
+    path = data.draw(st.sampled_from(list(paths(doc))))
+    if path in (("iterations",), ("eval_scenes",)):
+        replacement = data.draw(run_lengths)
+    else:
+        replacement = data.draw(small_values | st.just(DELETE))
+    cfg_path = tmp_path / "fuzz_cfg.json"
+    cfg_path.write_text(json.dumps(mutate(doc, path, replacement)))
+    code, err = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    if code != 0:
+        assert code == 1 and any(line.startswith("error:") for line in err.splitlines()), err

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -93,6 +94,10 @@ def test_config_range_validation():
         toy_config(scene={"content_overlap": 1.0})
     with pytest.raises(ConfigError):
         toy_config(layout=[{"class": -1, "count": 10}])
+    with pytest.raises(ConfigError, match="count 0"):
+        toy_config(layout=[{"class": 1, "count": 0}, {"class": 0, "count": 3}])
+    with pytest.raises(ConfigError, match="duplicate class id 0"):
+        toy_config(layout=[{"class": 0, "count": 2}, {"class": 0, "count": 3}])
 
 
 def test_ablation_configs_differ_only_in_two_keys():
@@ -362,6 +367,35 @@ def test_cli_rejects_mistyped_config_values(tmp_path, capsys, override, message)
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_rejects_a_config_whose_bank_exceeds_the_array_limit(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_tiny_config(cfg_path, layout=[{"class": 1, "count": 10**18}, {"class": 0, "count": 1}])
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "bank (items x channels) would hold 1000000000000000001 x 16 elements" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"channels": 2**20}, "encoded features (positions x channels)"),
+        ({"scene": {"height": 2**12, "width": 2**12}}, "scene inputs (positions x scene.input_channels)"),
+        ({"channels": 2**12, "scene": {"height": 2, "width": 2, "input_channels": 2**13}},
+         "encoders (channels x scene.input_channels)"),
+        ({"layout": [{"class": 1, "count": 2**17}, {"class": 0, "count": 1}], "channels": 1},
+         "cosines (positions x items)"),
+        ({"scene": {"classes": 4096, "input_channels": 2**13}},
+         "class prototypes (scene.classes x scene.input_channels)"),
+        ({"scene": {"classes": 5000}}, "prototype similarities (scene.classes x scene.classes)"),
+    ],
+)
+def test_config_rejects_arrays_over_the_limit(override, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        toy_config(**override)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -364,7 +364,7 @@ def test_malformed_cluster_rejected():
     with pytest.raises(ShapeError, match="labels"):
         address(bank, rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), np.ones(2))
     queries = make_cluster(bank, rng, 1, 3)
-    queries.sims = queries.sims[:, :4]
+    queries.cosines.sims = queries.sims[:, :4]
     with pytest.raises(ShapeError, match="sims"):
         update_weights(bank, queries)
 
