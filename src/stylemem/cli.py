@@ -12,28 +12,10 @@ import logging
 import sys
 
 from .encoder import load_encoders
-from .errors import (
-    ConfigError,
-    EmptyClusterError,
-    GenerationError,
-    LayoutError,
-    PoolError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import ERRORS
 from .harness import evaluate, inspect_bank, load_config, run_training
 from .memory import load_bank
 from .serialize import render_json
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    ValidationError,
-    LayoutError,
-    ShapeError,
-    PoolError,
-    EmptyClusterError,
-    GenerationError,
-)
 
 
 def _cmd_train(args) -> None:
@@ -84,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -27,3 +27,15 @@ class GenerationError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration is incomplete or out of range."""
+
+
+# every type above: the CLI reports them as "error: ..." with exit code 1
+ERRORS = (
+    ConfigError,
+    ValidationError,
+    LayoutError,
+    ShapeError,
+    PoolError,
+    EmptyClusterError,
+    GenerationError,
+)

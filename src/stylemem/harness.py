@@ -57,7 +57,7 @@ from .encoder import (
     save_encoders,
     train_step,
 )
-from .errors import ConfigError, LayoutError, ValidationError
+from .errors import ERRORS, ConfigError, LayoutError, ValidationError
 from .memory import MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
 from .objectives import ContrastiveConfig
@@ -348,6 +348,14 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
         cfg.reference_layout()  # surfaces layout errors early
     except LayoutError as exc:
         raise ConfigError(f"layout: {exc}") from exc
+    if cfg.loss_variant == "triplet" and cfg.n_items < 2:
+        raise ConfigError(f"triplet loss needs at least two items, layout has {cfg.n_items}")
+    # scenes label every position with a class in [0, scene.classes)
+    missing = sorted(set(range(cfg.scene.classes)) - {cid for cid, _ in cfg.layout})
+    if cfg.memory_mode == "class-aware" and missing:
+        raise ConfigError(
+            f"class-aware layout lacks scene classes {missing} (scene.classes is {cfg.scene.classes})"
+        )
     return cfg
 
 
@@ -448,11 +456,10 @@ def _accumulate_pair(
         labels = scenes[d].labels
         acc.purity_hits += int(np.sum(item_classes[top] == labels))
         if assignments is not None:
-            # one row's floats at a time: a whole-matrix tolist() raises peak RSS
             picked = result.weights[np.arange(top.shape[0]), top]
-            columns = zip(labels.tolist(), top.tolist(), picked.tolist(), content)
-            for p, (label, item, weight, row) in enumerate(columns):
-                assignments.add((scene, d, p, label, item, weight, *row.tolist()))
+            positions = enumerate(zip(labels.tolist(), top.tolist()))
+            leading = ((scene, d, p, label, item) for p, (label, item) in positions)
+            assignments.add_block(leading, np.column_stack((picked, content)))
 
 
 def _pair_metrics(
@@ -506,8 +513,8 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
         settings = cfg.settings(update_memory=(t % cfg.update_every == 0))
         try:
             report, bank = train_step(encoders, bank, scene_x, scene_y, settings)
-        except ValidationError as exc:
-            raise ValidationError(f"training iteration {t}: {exc}") from exc
+        except ERRORS as exc:
+            raise type(exc)(f"training iteration {t}: {exc}") from exc
         entropy, purity, fidelity = _pair_metrics(bank, encoders, scene_x, scene_y, ref_layout)
         metrics.append(
             MetricsRow(t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from stylemem import serialize
 from stylemem.cli import main as cli_main
@@ -20,7 +21,7 @@ from stylemem.errors import ConfigError, ValidationError
 from stylemem.harness import config_from_dict, resolve_config
 from stylemem.memory import MemoryLayout, init_bank, load_bank, save_bank
 from stylemem.numerics import make_rng
-from stylemem.serialize import fmt_float, render_json
+from stylemem.serialize import FLOAT, float_rows, fmt_float, render_json
 from stylemem.synthdata import DomainSpec, generate_scene_pair, load_scene, save_scene
 
 
@@ -185,6 +186,41 @@ def test_row_template_matches_fmt_float(values):
     row = "[" + ", ".join(fmt_float(v) for v in values) + "]"
     assert render_json(np.array(values, dtype=np.float64)) == row
     assert render_json(np.array([values, values], dtype=np.float64)) == f"[\n  {row},\n  {row}\n]"
+
+
+def template_rows(matrix, sep):
+    template = sep.join([FLOAT] * matrix.shape[1])
+    return [template % tuple(row.tolist()) for row in matrix]
+
+
+# any float64 (NaN, infinities and subnormals included), or one in the kernel's fast range
+block_floats = (
+    st.floats(width=64)
+    | st.floats(min_value=1e-7, max_value=1e17)
+    | st.floats(min_value=-1e17, max_value=-1e-7)
+)
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=5), elements=block_floats))
+def test_float_rows_match_the_template(matrix):
+    for sep in (",", ", "):
+        assert list(float_rows(matrix, sep)) == template_rows(matrix, sep)
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.9999999999999995e-07, 1e16,
+    9.999999999999998e15, 1e17, 99999999999999999.0, 9.99999999999999999e-05,
+]
+
+
+def test_float_rows_match_the_template_on_edge_values():
+    fast = [0.5, -1234.5, 1.2345678901234567e-3, -4.5e-6, 1e15, 7.0]
+    mixed = [fast] + [[v, *fast[1:]] for v in EDGE_VALUES] + [[*fast[:-1], -v] for v in EDGE_VALUES]
+    edges = [EDGE_VALUES, [-v for v in EDGE_VALUES]]
+    for matrix in (np.array(mixed), np.array(edges), np.array(edges).T):
+        for sep in (",", ", "):
+            assert list(float_rows(matrix, sep)) == template_rows(matrix, sep)
 
 
 # --- fuzzing ---

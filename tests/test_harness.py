@@ -1,14 +1,14 @@
 import json
 import math
 import re
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from stylemem.cli import main as cli_main
 from stylemem.encoder import EncoderSet, LinearEncoder
-from stylemem.errors import ConfigError, ValidationError
+from stylemem.errors import ConfigError, PoolError, ValidationError
 from stylemem.harness import (
     METRICS_HEADER,
     METRICS_SPECS,
@@ -409,6 +409,44 @@ def test_cli_names_the_iteration_and_encoder_that_diverged(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: training iteration 1: encoder style_x parameters became non-finite" in err
     assert not (tmp_path / "o" / "bank.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            {"preset": "toy", "iterations": 2, "eval_scenes": 1, "assignment_scenes": 0,
+             "scene": {"classes": 5, "height": 6, "width": 6}},
+            "class-aware layout lacks scene classes [4] (scene.classes is 5)",
+        ),
+        (
+            {"preset": "toy", "iterations": 2, "eval_scenes": 1, "assignment_scenes": 0,
+             "loss_variant": "triplet", "memory_mode": "single", "layout": [{"class": 0, "count": 1}]},
+            "triplet loss needs at least two items, layout has 1",
+        ),
+    ],
+)
+def test_cli_rejects_configs_that_fail_in_training_before_writing(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pooled_mode_ignores_scene_classes_missing_from_the_layout():
+    # pooled addressing ignores labels, so such a run trains
+    assert tiny_config(memory_mode="single", scene={"classes": 5}).scene.classes == 5
+    with pytest.raises(ConfigError, match=re.escape("lacks scene classes [4, 5]")):
+        tiny_config(scene={"classes": 6})
+
+
+def test_run_training_names_the_iteration_of_any_step_error(tmp_path):
+    cfg = tiny_config(loss_variant="triplet", memory_mode="single")
+    # one pooled item: past the config checks, the triplet loss then fails
+    with pytest.raises(PoolError, match=r"^training iteration 0: triplet loss needs at least two items$"):
+        run_training(replace(cfg, layout=((0, 1),)), tmp_path / "o")
 
 
 @pytest.fixture(scope="module")
