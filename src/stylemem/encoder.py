@@ -20,7 +20,7 @@ the iteration's features into the memory. Checkpoints (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, ValidationError
 from .memory import MemoryBank, QuerySet, address, read, read_backward, update
 from .numerics import AdamState, Cosines, adam_step
-from .objectives import ContrastiveConfig, LossTerm, contrastive_loss, triplet_loss
+from .objectives import LossTerm, contrastive_loss, triplet_loss
 from .serialize import array, integer, read_json, write_json
 from .synthdata import FeatureScene
 
@@ -137,10 +137,13 @@ class EncoderSet:
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Per-iteration knobs consumed by train_step."""
+    """Per-iteration knobs consumed by train_step; the loss fields are the
+    config keys of the same names, and the one place their ranges are checked."""
 
-    objective: ContrastiveConfig = field(default_factory=ContrastiveConfig)
-    rec_weight: float = 1.0
+    temperature: float = 0.1
+    key_loss_weight: float = 1.0
+    value_loss_weight: float = 0.5
+    rec_loss_weight: float = 1.0
     loss_variant: str = "contrastive"
     triplet_margin: float = 1.0
     class_aware: bool = True
@@ -148,11 +151,12 @@ class TrainSettings:
 
     def __post_init__(self):
         if self.loss_variant not in ("contrastive", "triplet"):
-            raise ConfigError(f"unknown loss variant {self.loss_variant!r}")
-        if self.rec_weight < 0.0:
-            raise ConfigError("rec_weight must be non-negative")
-        if self.triplet_margin < 0.0:
-            raise ConfigError("triplet_margin must be non-negative")
+            raise ConfigError(f"loss_variant must be 'contrastive' or 'triplet', got {self.loss_variant!r}")
+        if not self.temperature > 0.0:
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        for name in ("key_loss_weight", "value_loss_weight", "rec_loss_weight", "triplet_margin"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -194,8 +198,8 @@ class ForwardPass:
     def grad_content(self) -> dict[str, np.ndarray]:
         s = self.settings
         return {
-            d: s.objective.key_weight * self.key_terms[d].grad
-            + s.rec_weight * read_backward(self.bank, q, d, self.upstream[d])
+            d: s.key_loss_weight * self.key_terms[d].grad
+            + s.rec_loss_weight * read_backward(self.bank, q, d, self.upstream[d])
             for d, q in self.queries.items()
         }
 
@@ -203,8 +207,8 @@ class ForwardPass:
     def grad_style(self) -> dict[str, np.ndarray]:
         s = self.settings
         return {
-            d: s.objective.value_weight * self.value_terms[d].grad
-            - s.rec_weight * self.upstream[opposite]
+            d: s.value_loss_weight * self.value_terms[d].grad
+            - s.rec_loss_weight * self.upstream[opposite]
             for d, opposite in (("x", "y"), ("y", "x"))
         }
 
@@ -225,7 +229,7 @@ def _item_loss(
     cosines: Cosines | None = None,
 ) -> LossTerm:
     if settings.loss_variant == "contrastive":
-        return contrastive_loss(queries, items, pool, settings.objective, cosines)
+        return contrastive_loss(queries, items, pool, settings.temperature, cosines)
     return triplet_loss(queries, items, pool, settings.triplet_margin, cosines)
 
 
@@ -257,7 +261,6 @@ def compute_losses(
     }
 
     p_total = scene_x.positions
-    cfg = settings.objective
     key_terms, value_terms, residuals = {}, {}, {}
     rec_loss = 0.0
     for d in _DOMAINS:
@@ -274,7 +277,8 @@ def compute_losses(
 
     key_loss = key_terms["x"].value + key_terms["y"].value
     value_loss = value_terms["x"].value + value_terms["y"].value
-    total = cfg.key_weight * key_loss + cfg.value_weight * value_loss + settings.rec_weight * rec_loss
+    s = settings
+    total = s.key_loss_weight * key_loss + s.value_loss_weight * value_loss + s.rec_loss_weight * rec_loss
     positives = lambda terms: {d: t.positives for d, t in terms.items()}
     report = LossReport(
         key_loss, value_loss, rec_loss, total, positives(key_terms), positives(value_terms)
@@ -307,6 +311,9 @@ def train_step(
     for name, enc in vars(encoders).items():
         if not (np.all(np.isfinite(enc.weight)) and np.all(np.isfinite(enc.bias))):
             raise ValidationError(f"encoder {name} parameters became non-finite")
+        # where a second moment is inf, Adam's step is 0 and the weight stops learning
+        if not all(np.all(np.isfinite(s.second_moment)) for s in (enc.weight_state, enc.bias_state)):
+            raise ValidationError(f"encoder {name} Adam second moments became non-finite")
 
     if not settings.update_memory:
         return report, bank

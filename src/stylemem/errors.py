@@ -22,7 +22,7 @@ class ValidationError(ValueError):
 
 
 class GenerationError(ValueError):
-    """Scene generation cannot satisfy the requested grid geometry."""
+    """Scene settings are out of range, or their prototypes coincide."""
 
 
 class ConfigError(ValueError):

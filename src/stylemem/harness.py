@@ -13,29 +13,10 @@ changed the encoders and the bank.
 
 Config files are JSON. A file may name a ``preset`` ("toy" or "full") and
 override any subset of keys; the expansion to a fully explicit config is
-logged and written to the output directory as resolved_config.json. A config
-whose run would allocate an array of more than ``MAX_ARRAY_ELEMENTS``
-elements is rejected. Keys:
-
-  memory_mode        "class-aware" (partitioned addressing) or "single"
-                     (one pooled partition, class info ignored in training)
-  loss_variant       "contrastive" or "triplet"
-  layout             ordered [{"class": id, "count": n}, ...]; also the
-                     reference partition map used by the purity metric
-  channels           memory/encoder output width C
-  temperature        contrastive softmax temperature
-  key_loss_weight    weight of the key-side item loss
-  value_loss_weight  weight of the value-side item loss
-  rec_loss_weight    weight of the read-reconstruction term
-  triplet_margin     hinge margin for the triplet variant
-  learning_rate, adam_beta1, adam_beta2
-  iterations         training iterations T
-  update_every       fold features into memory every k-th iteration
-  seed               root seed
-  eval_scenes        held-out scene pairs for the final evaluation
-  assignment_scenes  eval scenes exported to assignments.csv
-  scene              {classes, input_channels, height, width, noise_sigma,
-                      content_overlap, style_overlap}
+logged and written to the output directory as resolved_config.json. The keys
+are described in the README's Configuration section. A config whose run
+would allocate an array of more than ``MAX_ARRAY_ELEMENTS`` elements is
+rejected.
 """
 
 from __future__ import annotations
@@ -57,10 +38,9 @@ from .encoder import (
     save_encoders,
     train_step,
 )
-from .errors import ERRORS, ConfigError, LayoutError, ValidationError
+from .errors import ERRORS, ConfigError, GenerationError, LayoutError, ValidationError
 from .memory import MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
-from .objectives import ContrastiveConfig
 from .serialize import FLOAT, CsvRows, integer, layout_counts, write_json
 from .synthdata import DomainSpec, FeatureScene, generate_scene_pair
 
@@ -117,39 +97,17 @@ PRESETS: dict[str, dict] = {
             "style_overlap": 0.98,
         },
     },
-    "full": {
-        "memory_mode": "class-aware",
-        "loss_variant": "contrastive",
-        "layout": [
-            {"class": 1, "count": 5},
-            {"class": 2, "count": 3},
-            {"class": 3, "count": 2},
-            {"class": 0, "count": 10},
-        ],
-        "channels": 256,
-        "temperature": 0.1,
-        "key_loss_weight": 1.0,
-        "value_loss_weight": 0.5,
-        "rec_loss_weight": 1.0,
-        "triplet_margin": 1.0,
-        "learning_rate": 1e-3,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "iterations": 2000,
-        "update_every": 2,
-        "seed": 19,
-        "eval_scenes": 100,
-        "assignment_scenes": 4,
-        "scene": {
-            "classes": 4,
-            "input_channels": 64,
-            "height": 16,
-            "width": 16,
-            "noise_sigma": 0.05,
-            "content_overlap": 0.75,
-            "style_overlap": 0.98,
-        },
-    },
+}
+PRESETS["full"] = {
+    **PRESETS["toy"],
+    "layout": [
+        {"class": 1, "count": 5},
+        {"class": 2, "count": 3},
+        {"class": 3, "count": 2},
+        {"class": 0, "count": 10},
+    ],
+    "channels": 256,
+    "scene": {**PRESETS["toy"]["scene"], "input_channels": 64},
 }
 
 
@@ -202,29 +160,14 @@ class ExperimentConfig:
 
     def settings(self, update_memory: bool = True) -> TrainSettings:
         return TrainSettings(
-            objective=ContrastiveConfig(
-                temperature=self.temperature,
-                key_weight=self.key_loss_weight,
-                value_weight=self.value_loss_weight,
-            ),
-            rec_weight=self.rec_loss_weight,
-            loss_variant=self.loss_variant,
-            triplet_margin=self.triplet_margin,
-            class_aware=self.memory_mode == "class-aware",
-            update_memory=update_memory,
+            temperature=self.temperature, key_loss_weight=self.key_loss_weight,
+            value_loss_weight=self.value_loss_weight, rec_loss_weight=self.rec_loss_weight,
+            loss_variant=self.loss_variant, triplet_margin=self.triplet_margin,
+            class_aware=self.memory_mode == "class-aware", update_memory=update_memory,
         )
 
     def domain_spec(self) -> DomainSpec:
-        return DomainSpec.create(
-            split_rng(self.seed, STREAM_SPEC),
-            classes=self.scene.classes,
-            input_channels=self.scene.input_channels,
-            height=self.scene.height,
-            width=self.scene.width,
-            noise_sigma=self.scene.noise_sigma,
-            content_overlap=self.scene.content_overlap,
-            style_overlap=self.scene.style_overlap,
-        )
+        return DomainSpec.create(split_rng(self.seed, STREAM_SPEC), **asdict(self.scene))
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -298,7 +241,12 @@ def _checked_fields(cls, raw: dict, prefix: str = "") -> dict:
 
 
 def config_from_dict(resolved: dict) -> ExperimentConfig:
-    """Validate a resolved config dict and build the typed config."""
+    """Validate a resolved config dict and build the typed config.
+
+    A range rule belongs to the object that consumes the value: this builds
+    ``TrainSettings``, ``MemoryLayout`` and ``DomainSpec`` once and reports
+    their errors as a ``ConfigError`` that names the key.
+    """
     cfg = ExperimentConfig(
         preset=resolved.get("preset"),
         layout=layout_counts(resolved["layout"], "layout", ConfigError),
@@ -307,13 +255,6 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
     )
     if cfg.memory_mode not in ("class-aware", "single"):
         raise ConfigError(f"memory_mode must be 'class-aware' or 'single', got {cfg.memory_mode!r}")
-    if cfg.loss_variant not in ("contrastive", "triplet"):
-        raise ConfigError(f"loss_variant must be 'contrastive' or 'triplet', got {cfg.loss_variant!r}")
-    if cfg.temperature <= 0.0:
-        raise ConfigError("temperature must be > 0")
-    for name in ("key_loss_weight", "value_loss_weight", "rec_loss_weight", "triplet_margin"):
-        if getattr(cfg, name) < 0.0:
-            raise ConfigError(f"{name} must be non-negative")
     if cfg.learning_rate <= 0.0:
         raise ConfigError("learning_rate must be > 0")
     if not (0.0 <= cfg.adam_beta1 < 1.0 and 0.0 <= cfg.adam_beta2 < 1.0):
@@ -332,20 +273,10 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
         raise ConfigError("assignment_scenes must lie in [0, eval_scenes]")
     if any(cid == POOLED_CLASS_ID for cid, _ in cfg.layout):
         raise ConfigError(f"class id {POOLED_CLASS_ID} is reserved for pooled mode")
-    if cfg.scene.classes < 2:
-        raise ConfigError("scene.classes must be >= 2")
-    if cfg.scene.input_channels < 1:
-        raise ConfigError("scene.input_channels must be >= 1")
-    if cfg.scene.height < 2 or cfg.scene.width < 2:
-        raise ConfigError("scene grid must be at least 2x2")
-    if cfg.scene.noise_sigma < 0.0:
-        raise ConfigError("scene.noise_sigma must be non-negative")
-    for name in ("content_overlap", "style_overlap"):
-        if not 0.0 <= getattr(cfg.scene, name) < 1.0:
-            raise ConfigError(f"scene.{name} must lie in [0, 1)")
     _check_array_sizes(cfg)
+    cfg.settings()
     try:
-        cfg.reference_layout()  # surfaces layout errors early
+        cfg.reference_layout()
     except LayoutError as exc:
         raise ConfigError(f"layout: {exc}") from exc
     if cfg.loss_variant == "triplet" and cfg.n_items < 2:
@@ -356,6 +287,10 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
         raise ConfigError(
             f"class-aware layout lacks scene classes {missing} (scene.classes is {cfg.scene.classes})"
         )
+    try:
+        cfg.domain_spec()
+    except GenerationError as exc:
+        raise ConfigError(f"scene: {exc}") from exc
     return cfg
 
 

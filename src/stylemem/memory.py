@@ -77,13 +77,6 @@ class MemoryLayout:
         """Class id owning each item, (N,)."""
         return np.repeat(self.class_ids, [e.count for e in self.entries])
 
-    def span(self, class_id: int) -> tuple[int, int]:
-        """(offset, count) of a class's partition; unknown ids raise."""
-        for e in self.entries:
-            if e.class_id == class_id:
-                return e.offset, e.count
-        raise LayoutError(f"class {class_id} not in layout (have {list(self.class_ids)})")
-
 
 @dataclass
 class MemoryBank:

@@ -28,16 +28,6 @@ def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two equal-length vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape or a.size == 0:
-        raise ShapeError(f"cosine_similarity needs equal-length vectors, got {a.shape} and {b.shape}")
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b)) + EPS_DIV
-    return float(np.clip(float(a @ b) / denom, -1.0, 1.0))
-
-
 class Cosines:
     """All-pairs cosine similarities of rows (P, C) against items (N, C),
     with the parts they are built from, so consumers of the raw dot
@@ -97,17 +87,6 @@ def softmax_rows(m: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
 def softmax_cols(m: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Column-wise softmax, masked as in :func:`softmax_rows`."""
     return _softmax(m, mask, axis=0)
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit L2 norm; vectors with norm <= EPS_DIV pass through."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"l2_normalize needs a non-empty vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if n <= EPS_DIV:
-        return v.copy()
-    return v / n
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:

@@ -14,27 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, PoolError, ShapeError
+from .errors import PoolError, ShapeError
 from .numerics import Cosines
 
 # Selection switches are non-differentiable; distances below this are treated
 # as an exact hit and contribute no gradient.
 _DIST_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    """Temperature plus the key/value loss weights of the full objective."""
-
-    temperature: float = 0.1
-    key_weight: float = 1.0
-    value_weight: float = 0.5
-
-    def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.key_weight < 0.0 or self.value_weight < 0.0:
-            raise ConfigError("loss weights must be non-negative")
 
 
 @dataclass
@@ -83,7 +68,7 @@ def contrastive_loss(
     queries: np.ndarray,
     items: np.ndarray,
     positive_pool,
-    cfg: ContrastiveConfig,
+    temperature: float = 0.1,
     cosines: Cosines | None = None,
 ) -> LossTerm:
     """Softmax loss over temperature-scaled dot products against all items.
@@ -102,7 +87,7 @@ def contrastive_loss(
     rows = np.arange(queries.shape[0])
     positives = np.argmax(np.where(pool, cosines.sims, -np.inf), axis=1)
 
-    logits = cosines.dots / cfg.temperature
+    logits = cosines.dots / temperature
     peak = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - peak)
     total = e.sum(axis=1, keepdims=True)
@@ -112,7 +97,7 @@ def contrastive_loss(
     def gradient() -> np.ndarray:
         probs = e / total
         probs[rows, positives] -= 1.0
-        return probs @ items / cfg.temperature
+        return probs @ items / temperature
 
     return LossTerm(value, positives, gradient)
 
@@ -160,50 +145,3 @@ def triplet_loss(
         return grad
 
     return LossTerm(value, positives, gradient, negatives)
-
-
-@dataclass
-class FdReport:
-    """Outcome of a central-difference gradient check."""
-
-    passed: bool
-    max_rel_error: float
-    worst_index: tuple[int, ...]
-
-
-def fd_check(
-    loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    point: np.ndarray,
-    step: float = 1e-6,
-    tolerance: float = 1e-5,
-) -> FdReport:
-    """Compare an analytic gradient against central finite differences.
-
-    ``loss_fn`` maps an array to (value, gradient-at-that-array). Relative
-    errors use per-coordinate denominators floored at 1e-8, so exactly-zero
-    gradients compare exactly.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    _, analytic = loss_fn(point)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    if analytic.shape != point.shape:
-        raise ShapeError(f"gradient shape {analytic.shape} != point shape {point.shape}")
-
-    max_rel = 0.0
-    worst: tuple[int, ...] = ()
-    it = np.nditer(point, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        bumped = point.copy()
-        bumped[idx] = point[idx] + step
-        f_plus, _ = loss_fn(bumped)
-        bumped[idx] = point[idx] - step
-        f_minus, _ = loss_fn(bumped)
-        fd = (f_plus - f_minus) / (2.0 * step)
-        denom = max(abs(fd), abs(analytic[idx]), 1e-8)
-        rel = abs(fd - analytic[idx]) / denom
-        if rel > max_rel:
-            max_rel = rel
-            worst = idx
-        it.iternext()
-    return FdReport(max_rel <= tolerance, float(max_rel), worst)

@@ -247,11 +247,15 @@ def render_json(value, indent: str = "") -> str:
     return _inline(value)
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Replace ``path`` atomically: write a temporary file beside it, then rename."""
+def write_lines(path: str | Path, lines) -> None:
+    """Replace ``path`` atomically with ``lines``, each ended by a newline:
+    write a temporary file beside it a line at a time, then rename."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("w") as handle:
+            for line in lines:
+                handle.write(line)
+                handle.write("\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -259,7 +263,7 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    write_text(path, render_json(doc) + "\n")
+    write_lines(path, [render_json(doc)])
 
 
 class CsvRows:
@@ -279,7 +283,7 @@ class CsvRows:
         self.lines += [head % values + row for values, row in zip(leading, float_rows(floats))]
 
     def write(self, path: str | Path) -> None:
-        write_text(path, "\n".join(self.lines) + "\n")
+        write_lines(path, self.lines)
 
 
 def read_json(path: str | Path, kind: str, version: int) -> dict:

@@ -23,9 +23,22 @@ SCENE_FORMAT_VERSION = 1
 _MIN_BOX_SIDE = 2
 
 
-def _check_overlap(overlap: float, name: str) -> None:
-    if not 0.0 <= overlap < 1.0:
-        raise GenerationError(f"{name} must be in [0, 1), got {overlap}")
+def _check_settings(
+    classes: int, input_channels: int, height: int, width: int, noise_sigma: float,
+    content_overlap: float = 0.0, style_overlap: float = 0.0,
+) -> None:
+    """The range rules of a spec's settings, checked before any draw."""
+    if classes < 2:
+        raise GenerationError(f"classes must be >= 2 (background plus a foreground class), got {classes}")
+    if input_channels < 1:
+        raise GenerationError(f"input_channels must be >= 1, got {input_channels}")
+    if height < _MIN_BOX_SIDE or width < _MIN_BOX_SIDE:
+        raise GenerationError(f"grid {height}x{width} too small for {_MIN_BOX_SIDE}-wide boxes")
+    if not noise_sigma >= 0.0:
+        raise GenerationError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    for name, overlap in (("content_overlap", content_overlap), ("style_overlap", style_overlap)):
+        if not 0.0 <= overlap < 1.0:
+            raise GenerationError(f"{name} must lie in [0, 1), got {overlap}")
 
 
 def _content_prototypes(rng: np.random.Generator, k: int, channels: int, crowding: float) -> np.ndarray:
@@ -35,7 +48,6 @@ def _content_prototypes(rng: np.random.Generator, k: int, channels: int, crowdin
     values near 1 park every foreground class on top of the background, which
     is the regime where class-restricted addressing has to earn its keep.
     """
-    _check_overlap(crowding, "content_overlap")
     rows = l2_normalize_rows(rng.standard_normal((k, channels)))
     for i in range(1, k):
         rows[i] = (1.0 - crowding) * rows[i] + crowding * rows[0]
@@ -48,7 +60,6 @@ def _style_prototypes(rng: np.random.Generator, k: int, channels: int, overlap: 
     Styles within a domain are globally similar (one rendering condition)
     with per-class variation on top.
     """
-    _check_overlap(overlap, "style_overlap")
     base = rng.standard_normal(channels)
     base /= np.linalg.norm(base)
     ratio = np.sqrt(overlap / (1.0 - overlap)) if overlap > 0.0 else 0.0
@@ -71,10 +82,7 @@ class DomainSpec:
     style_prototypes_y: np.ndarray
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise GenerationError("need at least background plus one foreground class")
-        if self.noise_sigma < 0.0:
-            raise GenerationError("noise sigma must be non-negative")
+        _check_settings(self.classes, self.input_channels, self.height, self.width, self.noise_sigma)
         for name in ("content_prototypes", "style_prototypes_x", "style_prototypes_y"):
             protos = getattr(self, name)
             if protos.shape != (self.classes, self.input_channels):
@@ -102,6 +110,7 @@ class DomainSpec:
         background, ``style_overlap`` is the pairwise similarity of the
         per-class style directions within each domain.
         """
+        _check_settings(classes, input_channels, height, width, noise_sigma, content_overlap, style_overlap)
         return cls(
             classes=classes,
             input_channels=input_channels,
@@ -154,8 +163,6 @@ def generate_scene_pair(
     noise for x, then style noise for y.
     """
     h, w = spec.height, spec.width
-    if h < _MIN_BOX_SIDE or w < _MIN_BOX_SIDE:
-        raise GenerationError(f"grid {h}x{w} too small for {_MIN_BOX_SIDE}-wide boxes")
     max_side_h = max(_MIN_BOX_SIDE, h // 3)
     max_side_w = max(_MIN_BOX_SIDE, w // 3)
 

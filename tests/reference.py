@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stylemem.encoder import apply_gradients, backward, compute_losses, forward
+from stylemem.errors import LayoutError
 from stylemem.harness import STREAM_EVAL, MetricsRow
 from stylemem.memory import address, read, read_backward, read_global, update
 from stylemem.numerics import cosine_rows, split_rng
@@ -60,6 +61,14 @@ def cluster_by_class(scene) -> list[ClassCluster]:
     return clusters(scene.labels, scene.content, scene.style)
 
 
+def span(layout, class_id: int) -> tuple[int, int]:
+    """(offset, count) of a class's partition in ``layout``; unknown ids raise."""
+    for e in layout.entries:
+        if e.class_id == class_id:
+            return e.offset, e.count
+    raise LayoutError(f"class {class_id} not in layout (have {list(layout.class_ids)})")
+
+
 def addressed(bank, cluster: ClassCluster | None):
     """A cluster as a query set addressing its class's partition."""
     if cluster is None:
@@ -95,11 +104,10 @@ def reference_compute_losses(encoders, bank, scene_x, scene_y, settings) -> Refe
 
     def item_loss(queries, items, pool):
         if settings.loss_variant == "contrastive":
-            return contrastive_loss(queries, items, pool, settings.objective)
+            return contrastive_loss(queries, items, pool, settings.temperature)
         return triplet_loss(queries, items, pool, settings.triplet_margin)
 
     p_total = scene_x.positions
-    cfg = settings.objective
     grad_content = {d: np.zeros_like(content[d]) for d in DOMAINS}
     grad_style = {d: np.zeros_like(style[d]) for d in DOMAINS}
     positives = {(k, d): np.full(p_total, -1) for k in ("key", "value") for d in DOMAINS}
@@ -110,11 +118,11 @@ def reference_compute_losses(encoders, bank, scene_x, scene_y, settings) -> Refe
         opposite = "y" if d == "x" else "x"
         same_values = bank.values_x if d == "x" else bank.values_y
         for cluster in per_domain[d]:
-            offset, count = bank.layout.span(cluster.class_id)
+            offset, count = span(bank.layout, cluster.class_id)
             pool = np.arange(offset, offset + count)
             for kind, queries, items, weight, grads in (
-                ("key", cluster.content, bank.keys, cfg.key_weight, grad_content),
-                ("value", cluster.style, same_values, cfg.value_weight, grad_style),
+                ("key", cluster.content, bank.keys, settings.key_loss_weight, grad_content),
+                ("value", cluster.style, same_values, settings.value_loss_weight, grad_style),
             ):
                 term = item_loss(queries, items, pool)
                 if kind == "key":
@@ -130,12 +138,15 @@ def reference_compute_losses(encoders, bank, scene_x, scene_y, settings) -> Refe
             diff = read(bank, queries, d).aggregated_style - style[opposite][cluster.positions]
             rec_loss += float(np.sum(diff * diff)) / p_total
             upstream = (2.0 / p_total) * diff
-            grad_content[d][cluster.positions] += settings.rec_weight * read_backward(
+            grad_content[d][cluster.positions] += settings.rec_loss_weight * read_backward(
                 bank, queries, d, upstream
             )
-            grad_style[opposite][cluster.positions] -= settings.rec_weight * upstream
+            grad_style[opposite][cluster.positions] -= settings.rec_loss_weight * upstream
 
-    total = cfg.key_weight * key_loss + cfg.value_weight * value_loss + settings.rec_weight * rec_loss
+    total = (
+        settings.key_loss_weight * key_loss + settings.value_loss_weight * value_loss
+        + settings.rec_loss_weight * rec_loss
+    )
     return ReferencePass(
         key_loss,
         value_loss,

@@ -26,10 +26,12 @@ from stylemem.memory import (
     update_weights,
 )
 from stylemem.numerics import l2_normalize_rows, make_rng, split_rng
-from stylemem.objectives import ContrastiveConfig, contrastive_loss, fd_check, triplet_loss
+from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.synthdata import DomainSpec, generate_scene_pair
 
+from fdcheck import fd_check
 from oracles import oracle_read, oracle_read_global, oracle_update
+from reference import span
 
 
 def _report(criterion, passed, detail):
@@ -78,7 +80,7 @@ def test_criterion_1_stochasticity_invariants():
         channels = int(rng.integers(1, 17))
         bank = _random_bank(rng, layout, channels)
         class_id = int(rng.integers(0, len(layout.entries)))
-        offset, count = layout.span(class_id)
+        offset, count = span(layout, class_id)
 
         cluster = _cluster(rng, bank, class_id, int(rng.integers(1, 17)))
         result = read(bank, cluster, "x")
@@ -108,7 +110,7 @@ def test_criterion_2_oracle_equivalence():
         channels = int(rng.integers(1, 9))
         bank = _random_bank(rng, layout, channels)
         class_id = int(rng.integers(0, len(layout.entries)))
-        offset, count = layout.span(class_id)
+        offset, count = span(layout, class_id)
 
         cluster = _cluster(rng, bank, class_id, int(rng.integers(1, 9)))
         domain = "x" if rng.random() < 0.5 else "y"
@@ -151,7 +153,7 @@ def test_criterion_3_update_normalization():
         channels = int(rng.integers(1, 13))
         bank = _random_bank(rng, layout, channels)
         class_id = int(rng.integers(0, len(layout.entries)))
-        offset, count = layout.span(class_id)
+        offset, count = span(layout, class_id)
         cx = _cluster(rng, bank, class_id, int(rng.integers(1, 9)))
         cy = _cluster(rng, bank, class_id, int(rng.integers(0, 9)))
         updated = update(bank, cx, cy)
@@ -176,10 +178,10 @@ def test_criterion_4_gradient_correctness():
         items = rng.standard_normal((n, c))
         queries = rng.standard_normal((p, c))
         pool = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
-        cfg = ContrastiveConfig(temperature=float(rng.uniform(0.2, 2.0)))
+        temperature = float(rng.uniform(0.2, 2.0))
 
         rep = _fd_term(
-            lambda q: (lambda t: (t.value, t.grad))(contrastive_loss(q, items, pool, cfg)), queries
+            lambda q: (lambda t: (t.value, t.grad))(contrastive_loss(q, items, pool, temperature)), queries
         )
         worst = max(worst, rep.max_rel_error)
         if not rep.passed:
@@ -276,12 +278,12 @@ def test_criterion_4_gradient_correctness():
 
 def test_criterion_5_contrastive_limits():
     single = contrastive_loss(
-        np.array([[0.3, -0.8]]), np.array([[1.0, 0.0]]), [0], ContrastiveConfig(temperature=0.7)
+        np.array([[0.3, -0.8]]), np.array([[1.0, 0.0]]), [0], 0.7
     )
     rng = make_rng(9007)
     queries = rng.standard_normal((4, 5))
     items = rng.standard_normal((6, 5))
-    flat = contrastive_loss(queries, items, range(6), ContrastiveConfig(temperature=1e9))
+    flat = contrastive_loss(queries, items, range(6), 1e9)
     deviation = abs(flat.value / 4.0 - math.log(6))
     _report(
         5,

@@ -18,7 +18,7 @@ from stylemem.memory import MemoryLayout, init_bank
 from stylemem.numerics import make_rng, split_rng
 from stylemem.synthdata import DomainSpec, generate_scene_pair
 
-from reference import reference_compute_losses, reference_train_step
+from reference import reference_compute_losses, reference_train_step, span
 
 RTOL = 1e-12
 
@@ -116,7 +116,7 @@ def test_absent_class_partition_stays_bit_identical(monkeypatch):
     for scene in (scene_x, scene_y):
         scene.labels[scene.labels == 3] = 1
     new_bank = check_step(encoders, bank, scene_x, scene_y, TrainSettings(), monkeypatch)
-    offset, count = bank.layout.span(3)
+    offset, count = span(bank.layout, 3)
     block = slice(offset, offset + count)
     for plane in ("keys", "values_x", "values_y"):
         np.testing.assert_array_equal(getattr(new_bank, plane)[block], getattr(bank, plane)[block])

@@ -19,10 +19,11 @@ from stylemem.encoder import (
 from stylemem.errors import ConfigError, ShapeError
 from stylemem.memory import MemoryLayout, init_bank
 from stylemem.numerics import AdamState, make_rng, split_rng
-from stylemem.objectives import ContrastiveConfig, fd_check
 from stylemem.synthdata import DomainSpec, generate_scene_pair
 
+from fdcheck import fd_check
 from oracles import oracle_linear_forward
+from reference import span
 
 
 def identity_encoder(n):
@@ -137,14 +138,13 @@ def test_train_settings_validation():
     with pytest.raises(ConfigError):
         TrainSettings(loss_variant="hinge")
     with pytest.raises(ConfigError):
-        TrainSettings(rec_weight=-0.1)
+        TrainSettings(rec_loss_weight=-0.1)
 
 
 def test_zero_weights_leave_parameters_bitwise_unchanged():
     _, scene_x, scene_y, bank, encoders = small_problem(50)
     settings = TrainSettings(
-        objective=ContrastiveConfig(temperature=0.1, key_weight=0.0, value_weight=0.0),
-        rec_weight=0.0,
+        temperature=0.1, key_loss_weight=0.0, value_loss_weight=0.0, rec_loss_weight=0.0
     )
     snapshot = [(e.weight.copy(), e.bias.copy()) for e in encoders.all()]
     report, new_bank = train_step(encoders, bank, scene_x, scene_y, settings)
@@ -203,9 +203,9 @@ def test_train_step_pooled_mode_runs():
 
 
 def test_default_loss_weights():
-    cfg = ContrastiveConfig()
-    assert cfg.key_weight == 1.0
-    assert cfg.value_weight == 0.5
+    cfg = TrainSettings()
+    assert cfg.key_loss_weight == 1.0
+    assert cfg.value_loss_weight == 0.5
 
 
 def test_positives_filled_for_every_position():
@@ -216,7 +216,7 @@ def test_positives_filled_for_every_position():
         assert np.all(report.value_positives[d] >= 0)
         # class-aware positives stay inside the class partition
         for cid in np.unique(scene_x.labels):
-            offset, count = bank.layout.span(int(cid))
+            offset, count = span(bank.layout, int(cid))
             chosen = report.key_positives[d][scene_x.labels == cid]
             assert np.all((chosen >= offset) & (chosen < offset + count))
 

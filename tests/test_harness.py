@@ -358,6 +358,12 @@ def test_cli_corrupt_bank_exit_code(tmp_path, capsys):
         ({"channels": True}, "channels must be an integer"),
         ({"scene": {"height": 6.5}}, "scene.height must be an integer"),
         ({"layout": [{"class": 1, "count": True}, {"class": 0, "count": 3}]}, "layout count"),
+        ({"scene": {"classes": -3}}, "scene: classes must be >= 2"),
+        ({"scene": {"classes": 0}}, "scene: classes must be >= 2"),
+        ({"scene": {"classes": 1}}, "scene: classes must be >= 2"),
+        ({"scene": {"noise_sigma": -1}}, "scene: noise_sigma must be non-negative"),
+        ({"scene": {"height": 1}}, "scene: grid 1x16 too small"),
+        ({"scene": {"content_overlap": 1.0}}, "scene: content_overlap must lie in [0, 1)"),
     ],
 )
 def test_cli_rejects_mistyped_config_values(tmp_path, capsys, override, message):
@@ -408,6 +414,22 @@ def test_cli_names_the_iteration_and_encoder_that_diverged(tmp_path, capsys):
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "error: training iteration 1: encoder style_x parameters became non-finite" in err
+    assert not (tmp_path / "o" / "bank.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_names_the_encoder_whose_adam_moments_overflowed(tmp_path, capsys):
+    # logits of about 1e300 give squared gradients past the float range;
+    # where Adam's second moment is inf its step is 0, so the weight would freeze
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "preset": "toy", "iterations": 3, "eval_scenes": 1, "assignment_scenes": 0,
+        "temperature": 1e-300,
+    }))
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: training iteration 0: encoder content_x Adam second moments became non-finite" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o" / "bank.json").exists()
 
 

@@ -18,6 +18,7 @@ from stylemem.memory import (
 from stylemem.numerics import l2_normalize_rows, make_rng, split_rng
 
 from oracles import oracle_read, oracle_read_global, oracle_update
+from reference import span
 
 TOY_COUNTS = [(1, 3), (2, 2), (3, 2), (0, 3)]
 
@@ -43,7 +44,7 @@ def random_bank(rng, counts, channels):
 def test_layout_from_counts():
     layout = MemoryLayout.from_counts(TOY_COUNTS)
     assert layout.n_items == 10
-    assert layout.span(2) == (3, 2)
+    assert span(layout, 2) == (3, 2)
     assert layout.class_ids == (1, 2, 3, 0)
 
 
@@ -60,7 +61,7 @@ def test_layout_rejects_duplicate_class():
 def test_layout_unknown_class():
     layout = MemoryLayout.from_counts(TOY_COUNTS)
     with pytest.raises(LayoutError):
-        layout.span(9)
+        span(layout, 9)
 
 
 # --- init ---
@@ -194,7 +195,7 @@ def test_read_row_stochastic_and_partition_support():
         result = read(bank, cluster, "x")
         np.testing.assert_allclose(result.weights.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(result.weights >= 0.0)
-        offset, count = bank.layout.span(cid)
+        offset, count = span(bank.layout, cid)
         outside = np.delete(result.weights, np.s_[offset : offset + count], axis=1)
         np.testing.assert_array_equal(outside, 0.0)
         # convex mixing keeps every aggregated coordinate inside the
@@ -344,7 +345,7 @@ def test_update_domains_may_address_different_partitions():
     rng = make_rng(19)
     bank = random_bank(rng, TOY_COUNTS, 4)
     updated = update(bank, make_cluster(bank, rng, 1, 2), make_cluster(bank, rng, 2, 2))
-    (off_1, n_1), (off_2, n_2) = bank.layout.span(1), bank.layout.span(2)
+    (off_1, n_1), (off_2, n_2) = span(bank.layout, 1), span(bank.layout, 2)
     touched = np.zeros(bank.n_items, dtype=bool)
     touched[off_1 : off_1 + n_1] = touched[off_2 : off_2 + n_2] = True
     assert not np.any(np.all(updated.keys[touched] == bank.keys[touched], axis=1))
@@ -375,7 +376,7 @@ def test_update_untouched_partitions_and_unit_norms():
     cx = make_cluster(bank, rng, 2, 4)
     cy = make_cluster(bank, rng, 2, 3)
     updated = update(bank, cx, cy)
-    offset, count = bank.layout.span(2)
+    offset, count = span(bank.layout, 2)
     mask = np.ones(bank.n_items, dtype=bool)
     mask[offset : offset + count] = False
     np.testing.assert_array_equal(updated.keys[mask], bank.keys[mask])
@@ -401,7 +402,7 @@ def test_update_weights_column_stochastic():
     rng = split_rng(300, 99)
     bank = random_bank(rng, TOY_COUNTS, 5)
     beta = update_weights(bank, make_cluster(bank, rng, 2, 4))
-    offset, count = bank.layout.span(2)
+    offset, count = span(bank.layout, 2)
     np.testing.assert_allclose(beta[:, offset : offset + count].sum(axis=0), 1.0, atol=1e-9)
     np.testing.assert_array_equal(np.delete(beta, np.s_[offset : offset + count], axis=1), 0.0)
 

@@ -12,8 +12,6 @@ from stylemem.numerics import (
     adam_step,
     cosine_matrix,
     cosine_rows,
-    cosine_similarity,
-    l2_normalize,
     l2_normalize_rows,
     make_rng,
     softmax_cols,
@@ -24,6 +22,16 @@ from stylemem.numerics import (
 from oracles import oracle_adam_scalar, oracle_cosine, oracle_softmax
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+def cosine_similarity(a, b):
+    """Cosine of two vectors through the row-paired kernel."""
+    return float(cosine_rows(np.atleast_2d(a), np.atleast_2d(b))[0])
+
+
+def l2_normalize(v):
+    """A vector through the row-wise normalization."""
+    return l2_normalize_rows(np.atleast_2d(v))[0]
 
 
 def small_matrices(max_side=6):

@@ -3,32 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from stylemem.encoder import TrainSettings
 from stylemem.errors import ConfigError, PoolError
 from stylemem.numerics import make_rng, split_rng
-from stylemem.objectives import (
-    ContrastiveConfig,
-    contrastive_loss,
-    fd_check,
-    triplet_loss,
-)
+from stylemem.objectives import contrastive_loss, triplet_loss
 
+from fdcheck import fd_check
 from oracles import oracle_contrastive, oracle_triplet
 
 
 def test_config_validates_temperature():
     with pytest.raises(ConfigError):
-        ContrastiveConfig(temperature=0.0)
+        TrainSettings(temperature=0.0)
     with pytest.raises(ConfigError):
-        ContrastiveConfig(key_weight=-1.0)
+        TrainSettings(key_loss_weight=-1.0)
 
 
 # --- contrastive ---
 
 
 def test_contrastive_single_item_zero_loss():
-    term = contrastive_loss(
-        np.array([[0.4, -1.2]]), np.array([[1.0, 0.0]]), [0], ContrastiveConfig(temperature=0.5)
-    )
+    term = contrastive_loss(np.array([[0.4, -1.2]]), np.array([[1.0, 0.0]]), [0], 0.5)
     assert term.value == 0.0
     np.testing.assert_array_equal(term.grad, 0.0)
 
@@ -37,7 +32,7 @@ def test_contrastive_uniform_limit_large_temperature():
     rng = make_rng(31)
     queries = rng.standard_normal((3, 4))
     items = rng.standard_normal((5, 4))
-    term = contrastive_loss(queries, items, range(5), ContrastiveConfig(temperature=1e9))
+    term = contrastive_loss(queries, items, range(5), 1e9)
     assert term.value / 3.0 == pytest.approx(math.log(5), abs=1e-6)
 
 
@@ -46,7 +41,7 @@ def test_contrastive_hand_case():
         np.array([[1.0, 0.0]]),
         np.array([[1.0, 0.0], [0.0, 1.0]]),
         [0],
-        ContrastiveConfig(temperature=1.0),
+        1.0,
     )
     assert term.value == pytest.approx(0.3132616875182228, abs=1e-12)
     assert term.positives.tolist() == [0]
@@ -60,7 +55,7 @@ def test_contrastive_matches_oracle():
         items = rng.standard_normal((n, c))
         pool = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
         tau = float(rng.uniform(0.2, 2.0))
-        term = contrastive_loss(queries, items, pool, ContrastiveConfig(temperature=tau))
+        term = contrastive_loss(queries, items, pool, tau)
         ref_value, ref_pos = oracle_contrastive(queries.tolist(), items.tolist(), pool, tau)
         assert term.value == pytest.approx(ref_value, abs=1e-9)
         assert term.positives.tolist() == ref_pos
@@ -68,9 +63,9 @@ def test_contrastive_matches_oracle():
 
 def test_contrastive_empty_pool_rejected():
     with pytest.raises(PoolError):
-        contrastive_loss(np.ones((1, 2)), np.ones((2, 2)), [], ContrastiveConfig())
+        contrastive_loss(np.ones((1, 2)), np.ones((2, 2)), [])
     with pytest.raises(PoolError):
-        contrastive_loss(np.ones((1, 2)), np.ones((2, 2)), [5], ContrastiveConfig())
+        contrastive_loss(np.ones((1, 2)), np.ones((2, 2)), [5])
 
 
 def test_contrastive_nonnegative_and_temperature_monotone():
@@ -80,13 +75,13 @@ def test_contrastive_nonnegative_and_temperature_monotone():
     items = np.array([[1.0, 0.0], [-0.4, 0.9], [-0.8, -0.6]])
     last = None
     for tau in (1e3, 10.0, 1.0, 0.5, 0.1, 0.02, 0.005):
-        value = contrastive_loss(queries, items, [0], ContrastiveConfig(temperature=tau)).value
+        value = contrastive_loss(queries, items, [0], tau).value
         assert value >= 0.0
         if last is not None:
             assert value <= last + 1e-12
         last = value
     assert last == pytest.approx(0.0, abs=1e-9)
-    big = contrastive_loss(queries, items, [0], ContrastiveConfig(temperature=1e9)).value
+    big = contrastive_loss(queries, items, [0], 1e9).value
     assert big == pytest.approx(2.0 * math.log(3), abs=1e-6)
 
 
@@ -96,9 +91,9 @@ def test_contrastive_positive_selection_scale_invariant():
     rng = make_rng(32)
     queries = rng.standard_normal((4, 5))
     items = rng.standard_normal((6, 5))
-    cfg = ContrastiveConfig(temperature=0.7)
-    base = contrastive_loss(queries, items, range(6), cfg)
-    scaled = contrastive_loss(3.7 * queries, items, range(6), cfg)
+    temperature = 0.7
+    base = contrastive_loss(queries, items, range(6), temperature)
+    scaled = contrastive_loss(3.7 * queries, items, range(6), temperature)
     np.testing.assert_array_equal(base.positives, scaled.positives)
     assert scaled.value != pytest.approx(base.value)
 
@@ -107,9 +102,9 @@ def test_contrastive_gradient_fd():
     rng = make_rng(33)
     queries = rng.standard_normal((4, 6))
     items = rng.standard_normal((5, 6))
-    cfg = ContrastiveConfig(temperature=0.5)
+    temperature = 0.5
     report = fd_check(
-        lambda q: (lambda t: (t.value, t.grad))(contrastive_loss(q, items, [0, 2], cfg)),
+        lambda q: (lambda t: (t.value, t.grad))(contrastive_loss(q, items, [0, 2], temperature)),
         queries,
     )
     assert report.passed, report
@@ -182,10 +177,10 @@ def test_fd_check_zero_function():
 def test_fd_check_flags_corrupted_gradient():
     rng = make_rng(34)
     items = rng.standard_normal((5, 6))
-    cfg = ContrastiveConfig(temperature=0.5)
+    temperature = 0.5
 
     def corrupted(q):
-        term = contrastive_loss(q, items, [1], cfg)
+        term = contrastive_loss(q, items, [1], temperature)
         grad = term.grad.copy()
         grad[0, 0] *= 1.10
         return term.value, grad
