@@ -364,6 +364,9 @@ def test_cli_corrupt_bank_exit_code(tmp_path, capsys):
         ({"scene": {"noise_sigma": -1}}, "scene: noise_sigma must be non-negative"),
         ({"scene": {"height": 1}}, "scene: grid 1x16 too small"),
         ({"scene": {"content_overlap": 1.0}}, "scene: content_overlap must lie in [0, 1)"),
+        ({"learning_rate": 0}, "learning_rate must be > 0"),
+        ({"adam_beta1": 1.0}, "adam betas must lie in [0, 1)"),
+        ({"adam_beta2": -0.1}, "adam betas must lie in [0, 1)"),
     ],
 )
 def test_cli_rejects_mistyped_config_values(tmp_path, capsys, override, message):
