@@ -20,7 +20,7 @@ the iteration's features into the memory. Checkpoints (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -40,33 +40,23 @@ _DOMAINS = ("x", "y")
 
 @dataclass
 class LinearEncoder:
-    """Row-wise affine map with per-parameter Adam state."""
+    """Row-wise affine map; each parameter's Adam moments start at zero."""
 
     weight: np.ndarray
     bias: np.ndarray
-    weight_state: AdamState
-    bias_state: AdamState
+    weight_state: AdamState = field(init=False)
+    bias_state: AdamState = field(init=False)
+
+    def __post_init__(self):
+        self.weight_state = AdamState.for_param(self.weight.shape)
+        self.bias_state = AdamState.for_param(self.bias.shape)
 
     @classmethod
-    def create(
-        cls,
-        rng: np.random.Generator,
-        in_channels: int,
-        out_channels: int,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-    ) -> "LinearEncoder":
+    def create(cls, rng: np.random.Generator, in_channels: int, out_channels: int) -> "LinearEncoder":
         if in_channels < 1 or out_channels < 1:
             raise ShapeError("encoder needs at least one input and output channel")
         weight = rng.standard_normal((out_channels, in_channels)) / np.sqrt(in_channels)
-        bias = np.zeros(out_channels)
-        return cls(
-            weight=weight,
-            bias=bias,
-            weight_state=AdamState.for_param(weight.shape, learning_rate, beta1, beta2),
-            bias_state=AdamState.for_param(bias.shape, learning_rate, beta1, beta2),
-        )
+        return cls(weight, np.zeros(out_channels))
 
     @property
     def in_channels(self) -> int:
@@ -98,9 +88,12 @@ def backward(
     return upstream.T @ inputs, upstream.sum(axis=0), upstream @ enc.weight
 
 
-def apply_gradients(enc: LinearEncoder, grad_weight: np.ndarray, grad_bias: np.ndarray) -> None:
-    enc.weight = adam_step(enc.weight, grad_weight, enc.weight_state)
-    enc.bias = adam_step(enc.bias, grad_bias, enc.bias_state)
+def apply_gradients(
+    enc: LinearEncoder, grad_weight: np.ndarray, grad_bias: np.ndarray, settings: TrainSettings
+) -> None:
+    adam = (settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
+    enc.weight = adam_step(enc.weight, grad_weight, enc.weight_state, *adam)
+    enc.bias = adam_step(enc.bias, grad_bias, enc.bias_state, *adam)
 
 
 @dataclass
@@ -113,16 +106,8 @@ class EncoderSet:
     style_y: LinearEncoder
 
     @classmethod
-    def create(
-        cls,
-        rng: np.random.Generator,
-        in_channels: int,
-        out_channels: int,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-    ) -> "EncoderSet":
-        make = lambda: LinearEncoder.create(rng, in_channels, out_channels, learning_rate, beta1, beta2)
+    def create(cls, rng: np.random.Generator, in_channels: int, out_channels: int) -> "EncoderSet":
+        make = lambda: LinearEncoder.create(rng, in_channels, out_channels)
         return cls(content_x=make(), content_y=make(), style_x=make(), style_y=make())
 
     def content(self, domain: str) -> LinearEncoder:
@@ -137,8 +122,9 @@ class EncoderSet:
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Per-iteration knobs consumed by train_step; the loss fields are the
-    config keys of the same names, and the one place their ranges are checked."""
+    """Per-iteration knobs consumed by train_step; the loss and optimizer
+    fields are the config keys of the same names, and the one place their
+    ranges are checked."""
 
     temperature: float = 0.1
     key_loss_weight: float = 1.0
@@ -146,6 +132,9 @@ class TrainSettings:
     rec_loss_weight: float = 1.0
     loss_variant: str = "contrastive"
     triplet_margin: float = 1.0
+    learning_rate: float = 1e-3
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
     class_aware: bool = True
     update_memory: bool = True
 
@@ -157,6 +146,10 @@ class TrainSettings:
         for name in ("key_loss_weight", "value_loss_weight", "rec_loss_weight", "triplet_margin"):
             if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not self.learning_rate > 0.0:
+            raise ConfigError("learning_rate must be > 0")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise ConfigError("adam betas must lie in [0, 1)")
 
 
 @dataclass
@@ -304,9 +297,9 @@ def train_step(
     scenes = {"x": scene_x, "y": scene_y}
     for d in _DOMAINS:
         gw, gb, _ = backward(encoders.content(d), scenes[d].content, fwd.grad_content[d])
-        apply_gradients(encoders.content(d), gw, gb)
+        apply_gradients(encoders.content(d), gw, gb, settings)
         gw, gb, _ = backward(encoders.style(d), scenes[d].style, fwd.grad_style[d])
-        apply_gradients(encoders.style(d), gw, gb)
+        apply_gradients(encoders.style(d), gw, gb, settings)
 
     for name, enc in vars(encoders).items():
         if not (np.all(np.isfinite(enc.weight)) and np.all(np.isfinite(enc.bias))):
@@ -333,7 +326,8 @@ def save_encoders(encoders: EncoderSet, path: str | Path) -> None:
 
 
 def load_encoders(path: str | Path) -> EncoderSet:
-    """Load a checkpoint; Adam states start fresh with the default settings."""
+    """Load a checkpoint; the Adam moments start at zero, and the
+    optimizer settings come from the ``TrainSettings`` of each step."""
     doc = read_json(path, "encoder", ENCODER_FORMAT_VERSION)
     widths = tuple(
         integer(f"encoder field {k!r}", doc.get(k), minimum=1) for k in ("out_channels", "in_channels")
@@ -348,7 +342,5 @@ def load_encoders(path: str | Path) -> EncoderSet:
             raise ValidationError(f"encoder file missing {name!r}")
         weight = array(block, "weight", widths, f"encoder {name!r}")
         bias = array(block, "bias", widths[:1], f"encoder {name!r}")
-        loaded[name] = LinearEncoder(
-            weight, bias, AdamState.for_param(weight.shape), AdamState.for_param(bias.shape)
-        )
+        loaded[name] = LinearEncoder(weight, bias)
     return EncoderSet(**loaded)

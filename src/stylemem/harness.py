@@ -159,11 +159,11 @@ class ExperimentConfig:
         return MemoryLayout.from_counts([(POOLED_CLASS_ID, self.n_items)])
 
     def settings(self, update_memory: bool = True) -> TrainSettings:
+        """The ``TrainSettings`` whose fields share a name with a config key
+        take that key's value."""
+        shared = {key: getattr(self, key) for key in _SETTINGS_KEYS}
         return TrainSettings(
-            temperature=self.temperature, key_loss_weight=self.key_loss_weight,
-            value_loss_weight=self.value_loss_weight, rec_loss_weight=self.rec_loss_weight,
-            loss_variant=self.loss_variant, triplet_margin=self.triplet_margin,
-            class_aware=self.memory_mode == "class-aware", update_memory=update_memory,
+            **shared, class_aware=self.memory_mode == "class-aware", update_memory=update_memory
         )
 
     def domain_spec(self) -> DomainSpec:
@@ -177,6 +177,7 @@ class ExperimentConfig:
 
 _TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 _SCENE_KEYS = tuple(f.name for f in fields(SceneConfig))
+_SETTINGS_KEYS = tuple(f.name for f in fields(TrainSettings) if f.name in _TOP_KEYS)
 
 
 def resolve_config(raw: dict) -> dict:
@@ -255,10 +256,6 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
     )
     if cfg.memory_mode not in ("class-aware", "single"):
         raise ConfigError(f"memory_mode must be 'class-aware' or 'single', got {cfg.memory_mode!r}")
-    if cfg.learning_rate <= 0.0:
-        raise ConfigError("learning_rate must be > 0")
-    if not (0.0 <= cfg.adam_beta1 < 1.0 and 0.0 <= cfg.adam_beta2 < 1.0):
-        raise ConfigError("adam betas must lie in [0, 1)")
     if cfg.iterations < 0:
         raise ConfigError("iterations must be >= 0")
     if cfg.update_every < 1:
@@ -427,14 +424,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
 
     spec = cfg.domain_spec()
     bank = init_bank(cfg.bank_layout(), cfg.channels, split_rng(cfg.seed, STREAM_BANK))
-    encoders = EncoderSet.create(
-        split_rng(cfg.seed, STREAM_ENCODERS),
-        cfg.scene.input_channels,
-        cfg.channels,
-        cfg.learning_rate,
-        cfg.adam_beta1,
-        cfg.adam_beta2,
-    )
+    encoders = EncoderSet.create(split_rng(cfg.seed, STREAM_ENCODERS), cfg.scene.input_channels, cfg.channels)
     ref_layout = cfg.reference_layout()
 
     log.info(

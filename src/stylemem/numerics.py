@@ -106,34 +106,23 @@ class AdamState:
 
     first_moment: np.ndarray
     second_moment: np.ndarray
-    step_count: int
-    beta1: float
-    beta2: float
-    eps: float
-    learning_rate: float
+    step_count: int = 0
 
     @classmethod
-    def for_param(
-        cls,
-        shape: tuple[int, ...],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = ADAM_EPS,
-    ) -> "AdamState":
-        return cls(
-            first_moment=np.zeros(shape, dtype=np.float64),
-            second_moment=np.zeros(shape, dtype=np.float64),
-            step_count=0,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            learning_rate=learning_rate,
-        )
+    def for_param(cls, shape: tuple[int, ...]) -> "AdamState":
+        return cls(np.zeros(shape, dtype=np.float64), np.zeros(shape, dtype=np.float64))
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update; returns the new parameter array.
+def adam_step(
+    param: np.ndarray,
+    grad: np.ndarray,
+    state: AdamState,
+    learning_rate: float,
+    beta1: float,
+    beta2: float,
+) -> np.ndarray:
+    """One bias-corrected Adam update with ``ADAM_EPS``; returns the new
+    parameter array.
 
     The moment buffers and step count in ``state`` are updated in place;
     ``param`` itself is left untouched.
@@ -147,13 +136,13 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
         )
     state.step_count += 1
     t = state.step_count
-    state.first_moment *= state.beta1
-    state.first_moment += (1.0 - state.beta1) * grad
-    state.second_moment *= state.beta2
-    state.second_moment += (1.0 - state.beta2) * grad * grad
-    m_hat = state.first_moment / (1.0 - state.beta1**t)
-    v_hat = state.second_moment / (1.0 - state.beta2**t)
-    return param - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.first_moment *= beta1
+    state.first_moment += (1.0 - beta1) * grad
+    state.second_moment *= beta2
+    state.second_moment += (1.0 - beta2) * grad * grad
+    m_hat = state.first_moment / (1.0 - beta1**t)
+    v_hat = state.second_moment / (1.0 - beta2**t)
+    return param - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -169,9 +169,9 @@ def reference_train_step(encoders, bank, scene_x, scene_y, settings):
     scenes = {"x": scene_x, "y": scene_y}
     for d in DOMAINS:
         gw, gb, _ = backward(encoders.content(d), scenes[d].content, ref.grad_content[d])
-        apply_gradients(encoders.content(d), gw, gb)
+        apply_gradients(encoders.content(d), gw, gb, settings)
         gw, gb, _ = backward(encoders.style(d), scenes[d].style, ref.grad_style[d])
-        apply_gradients(encoders.style(d), gw, gb)
+        apply_gradients(encoders.style(d), gw, gb, settings)
     if not settings.update_memory:
         return ref, encoders, bank
 

@@ -46,7 +46,7 @@ def problem(seed, class_aware):
     scene_x, scene_y = generate_scene_pair(spec, split_rng(seed, 1))
     counts = [(1, 3), (2, 2), (3, 2), (0, 3)] if class_aware else [(-1, 10)]
     bank = init_bank(MemoryLayout.from_counts(counts), 5, split_rng(seed, 2))
-    encoders = EncoderSet.create(split_rng(seed, 3), 6, 5, learning_rate=1e-2)
+    encoders = EncoderSet.create(split_rng(seed, 3), 6, 5)
     return scene_x, scene_y, bank, encoders
 
 
@@ -104,6 +104,7 @@ def test_dense_pass_matches_per_class_reference(class_aware, loss_variant, monke
         scene_x, scene_y, bank, encoders = problem(70 + seed, class_aware)
         for step in range(3):
             settings = TrainSettings(
+                learning_rate=1e-2,
                 loss_variant=loss_variant,
                 class_aware=class_aware,
                 update_memory=step != 1,
@@ -115,7 +116,7 @@ def test_absent_class_partition_stays_bit_identical(monkeypatch):
     scene_x, scene_y, bank, encoders = problem(80, True)
     for scene in (scene_x, scene_y):
         scene.labels[scene.labels == 3] = 1
-    new_bank = check_step(encoders, bank, scene_x, scene_y, TrainSettings(), monkeypatch)
+    new_bank = check_step(encoders, bank, scene_x, scene_y, TrainSettings(learning_rate=1e-2), monkeypatch)
     offset, count = span(bank.layout, 3)
     block = slice(offset, offset + count)
     for plane in ("keys", "values_x", "values_y"):
@@ -128,6 +129,6 @@ def test_label_missing_from_layout_raises():
     for scene in (scene_x, scene_y):
         scene.labels[:5] = 7
     with pytest.raises(LayoutError, match="class 7"):
-        train_step(encoders, bank, scene_x, scene_y, TrainSettings())
+        train_step(encoders, bank, scene_x, scene_y, TrainSettings(learning_rate=1e-2))
     with pytest.raises(LayoutError, match="class 7"):
-        reference_train_step(encoders, bank, scene_x, scene_y, TrainSettings())
+        reference_train_step(encoders, bank, scene_x, scene_y, TrainSettings(learning_rate=1e-2))

@@ -18,7 +18,7 @@ from stylemem.encoder import (
 )
 from stylemem.errors import ConfigError, ShapeError
 from stylemem.memory import MemoryLayout, init_bank
-from stylemem.numerics import AdamState, make_rng, split_rng
+from stylemem.numerics import make_rng, split_rng
 from stylemem.synthdata import DomainSpec, generate_scene_pair
 
 from fdcheck import fd_check
@@ -27,12 +27,7 @@ from reference import span
 
 
 def identity_encoder(n):
-    return LinearEncoder(
-        weight=np.eye(n),
-        bias=np.zeros(n),
-        weight_state=AdamState.for_param((n, n)),
-        bias_state=AdamState.for_param((n,)),
-    )
+    return LinearEncoder(weight=np.eye(n), bias=np.zeros(n))
 
 
 def small_problem(seed, class_aware=True):
@@ -41,7 +36,7 @@ def small_problem(seed, class_aware=True):
     scene_x, scene_y = generate_scene_pair(spec, split_rng(seed, 1))
     counts = [(1, 2), (2, 2), (0, 2)] if class_aware else [(-1, 6)]
     bank = init_bank(MemoryLayout.from_counts(counts), 4, split_rng(seed, 2))
-    encoders = EncoderSet.create(split_rng(seed, 3), 5, 4, learning_rate=1e-3)
+    encoders = EncoderSet.create(split_rng(seed, 3), 5, 4)
     return spec, scene_x, scene_y, bank, encoders
 
 
@@ -126,7 +121,7 @@ def test_apply_gradients_advances_state():
     rng = make_rng(44)
     enc = LinearEncoder.create(rng, 2, 2)
     before = enc.weight.copy()
-    apply_gradients(enc, np.ones_like(enc.weight), np.ones_like(enc.bias))
+    apply_gradients(enc, np.ones_like(enc.weight), np.ones_like(enc.bias), TrainSettings())
     assert enc.weight_state.step_count == 1
     assert not np.array_equal(enc.weight, before)
 
@@ -139,6 +134,8 @@ def test_train_settings_validation():
         TrainSettings(loss_variant="hinge")
     with pytest.raises(ConfigError):
         TrainSettings(rec_loss_weight=-0.1)
+    with pytest.raises(ConfigError, match="learning_rate must be > 0"):
+        TrainSettings(learning_rate=float("nan"))
 
 
 def test_zero_weights_leave_parameters_bitwise_unchanged():

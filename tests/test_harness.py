@@ -22,7 +22,7 @@ from stylemem.harness import (
     run_training,
 )
 from stylemem.memory import MemoryBank, init_bank, load_bank, save_bank
-from stylemem.numerics import AdamState, l2_normalize_rows, make_rng
+from stylemem.numerics import l2_normalize_rows, make_rng
 from stylemem.serialize import CsvRows
 
 
@@ -211,12 +211,7 @@ def test_evaluate_jittered_identical_keys_purity_near_chance():
 
 def identity_encoders(n):
     def enc():
-        return LinearEncoder(
-            weight=np.eye(n),
-            bias=np.zeros(n),
-            weight_state=AdamState.for_param((n, n)),
-            bias_state=AdamState.for_param((n,)),
-        )
+        return LinearEncoder(weight=np.eye(n), bias=np.zeros(n))
 
     return EncoderSet(content_x=enc(), content_y=enc(), style_x=enc(), style_y=enc())
 

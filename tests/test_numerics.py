@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stylemem.encoder import TrainSettings
 from stylemem.errors import ShapeError
 from stylemem.numerics import (
+    ADAM_EPS,
     AdamState,
     adam_step,
     cosine_matrix,
@@ -194,18 +196,18 @@ def test_l2_normalize_rows_mixed():
 def test_adam_zero_gradient_bitwise_noop():
     rng = make_rng(3)
     param = rng.standard_normal((3, 2))
-    state = AdamState.for_param(param.shape, learning_rate=0.05)
-    out = adam_step(param, np.zeros_like(param), state)
+    state = AdamState.for_param(param.shape)
+    out = adam_step(param, np.zeros_like(param), state, 0.05, 0.9, 0.999)
     np.testing.assert_array_equal(out, param)
     assert state.step_count == 1
     # stays a no-op on later zero-gradient steps as well
-    out2 = adam_step(out, np.zeros_like(param), state)
+    out2 = adam_step(out, np.zeros_like(param), state, 0.05, 0.9, 0.999)
     np.testing.assert_array_equal(out2, param)
 
 
 def test_adam_first_step_scalar_oracle():
-    state = AdamState.for_param((1, 1), learning_rate=0.1)
-    out = adam_step(np.array([[1.0]]), np.array([[1.0]]), state)
+    state = AdamState.for_param((1, 1))
+    out = adam_step(np.array([[1.0]]), np.array([[1.0]]), state, 0.1, 0.9, 0.999)
     expected, *_ = oracle_adam_scalar(1.0, 1.0, 0.0, 0.0, 0, 0.9, 0.999, 1e-8, 0.1)
     assert out[0, 0] == pytest.approx(expected, abs=1e-15)
     assert out[0, 0] == pytest.approx(0.9, abs=1e-7)
@@ -214,11 +216,11 @@ def test_adam_first_step_scalar_oracle():
 def test_adam_matches_scalar_oracle_over_steps():
     rng = make_rng(4)
     param = np.array([[0.5]])
-    state = AdamState.for_param((1, 1), learning_rate=0.01)
+    state = AdamState.for_param((1, 1))
     p_ref, m_ref, v_ref, t_ref = 0.5, 0.0, 0.0, 0
     for _ in range(20):
         g = rng.standard_normal()
-        param = adam_step(param, np.array([[g]]), state)
+        param = adam_step(param, np.array([[g]]), state, 0.01, 0.9, 0.999)
         p_ref, m_ref, v_ref, t_ref = oracle_adam_scalar(p_ref, g, m_ref, v_ref, t_ref, 0.9, 0.999, 1e-8, 0.01)
         assert param[0, 0] == pytest.approx(p_ref, abs=1e-14)
     assert state.step_count == 20
@@ -227,14 +229,14 @@ def test_adam_matches_scalar_oracle_over_steps():
 def test_adam_shape_mismatch():
     state = AdamState.for_param((2, 2))
     with pytest.raises(ShapeError):
-        adam_step(np.zeros((2, 2)), np.zeros((3, 2)), state)
+        adam_step(np.zeros((2, 2)), np.zeros((3, 2)), state, 1e-3, 0.9, 0.999)
 
 
 def test_adam_defaults():
-    state = AdamState.for_param((1,))
-    assert state.beta1 == 0.9
-    assert state.beta2 == 0.999
-    assert state.eps == 1e-8
+    settings = TrainSettings()
+    assert settings.adam_beta1 == 0.9
+    assert settings.adam_beta2 == 0.999
+    assert ADAM_EPS == 1e-8
 
 
 # --- rng contract ---
