@@ -416,11 +416,12 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     """Train for cfg.iterations scene pairs and write all artifacts.
 
     Artifacts: resolved_config.json, metrics.csv (one row per iteration),
-    bank.json, encoders.json, final_eval.json, assignments.csv.
+    bank.json, encoders.json, final_eval.json, assignments.csv. All are
+    written after the last iteration, so a run that fails in training
+    leaves ``out_dir`` as it found it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "resolved_config.json", cfg.to_dict())
 
     spec = cfg.domain_spec()
     bank = init_bank(cfg.bank_layout(), cfg.channels, split_rng(cfg.seed, STREAM_BANK))
@@ -446,6 +447,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
         )
         metrics_csv.add(astuple(metrics[-1]))
 
+    write_json(out / "resolved_config.json", cfg.to_dict())
     metrics_csv.write(out / "metrics.csv")
     save_bank(bank, out / "bank.json")
     save_encoders(encoders, out / "encoders.json")

@@ -431,6 +431,24 @@ def test_cli_names_the_encoder_whose_adam_moments_overflowed(tmp_path, capsys):
     assert not (tmp_path / "o" / "bank.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("override", [{"temperature": 1e-300}, {"scene": {"noise_sigma": 1e200}}])
+def test_cli_failed_run_writes_nothing_to_its_output_directory(tmp_path, capsys, override):
+    finished = tmp_path / "finished"
+    write_tiny_config(tmp_path / "ok.json")
+    assert cli_main(["train", "--config", str(tmp_path / "ok.json"), "--out", str(finished)]) == 0
+    artifacts = lambda: {p.name: p.read_bytes() for p in finished.iterdir()}
+    before = artifacts()
+    assert len(before) == 6
+
+    write_tiny_config(tmp_path / "bad.json", **override)
+    for out in (tmp_path / "fresh", finished):
+        assert cli_main(["train", "--config", str(tmp_path / "bad.json"), "--out", str(out)]) == 1
+        assert "error: training iteration 0:" in capsys.readouterr().err
+    assert list((tmp_path / "fresh").iterdir()) == []
+    assert artifacts() == before
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
