@@ -12,7 +12,7 @@ import logging
 import sys
 
 from .encoder import load_encoders
-from .errors import ERRORS
+from .errors import StylememError
 from .harness import evaluate, inspect_bank, load_config, run_training
 from .memory import load_bank
 from .serialize import render_json
@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except ERRORS as exc:
+    except StylememError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

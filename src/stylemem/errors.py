@@ -1,41 +1,33 @@
 """Exception types shared across the package."""
 
 
-class ShapeError(ValueError):
+class StylememError(ValueError):
+    """Base of every package error: the CLI reports it as "error: ..." with exit code 1."""
+
+
+class ShapeError(StylememError):
     """Operands have incompatible, empty, or wrongly-ranked shapes."""
 
 
-class LayoutError(ValueError):
+class LayoutError(StylememError):
     """A memory layout is invalid, or a class id is not present in it."""
 
 
-class EmptyClusterError(ValueError):
+class EmptyClusterError(StylememError):
     """A query set carries no rows; callers are expected to skip it."""
 
 
-class PoolError(ValueError):
+class PoolError(StylememError):
     """The positive pool is empty, out of range, or too small for the loss."""
 
 
-class ValidationError(ValueError):
+class ValidationError(StylememError):
     """A persisted artifact is malformed or violates its schema invariants."""
 
 
-class GenerationError(ValueError):
+class GenerationError(StylememError):
     """Scene settings are out of range, or their prototypes coincide."""
 
 
-class ConfigError(ValueError):
+class ConfigError(StylememError):
     """An experiment configuration is incomplete or out of range."""
-
-
-# every type above: the CLI reports them as "error: ..." with exit code 1
-ERRORS = (
-    ConfigError,
-    ValidationError,
-    LayoutError,
-    ShapeError,
-    PoolError,
-    EmptyClusterError,
-    GenerationError,
-)

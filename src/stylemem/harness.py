@@ -38,7 +38,7 @@ from .encoder import (
     save_encoders,
     train_step,
 )
-from .errors import ERRORS, ConfigError, GenerationError, LayoutError, ValidationError
+from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
 from .memory import MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
 from .serialize import FLOAT, CsvRows, integer, layout_counts, write_json
@@ -439,7 +439,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
         settings = cfg.settings(update_memory=(t % cfg.update_every == 0))
         try:
             report, bank = train_step(encoders, bank, scene_x, scene_y, settings)
-        except ERRORS as exc:
+        except StylememError as exc:
             raise type(exc)(f"training iteration {t}: {exc}") from exc
         entropy, purity, fidelity = _pair_metrics(bank, encoders, scene_x, scene_y, ref_layout)
         metrics.append(
