@@ -1,13 +1,13 @@
 import json
 import math
 import re
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from stylemem.cli import main as cli_main
-from stylemem.encoder import EncoderSet, LinearEncoder
+from stylemem.encoder import EncoderSet, LinearEncoder, TrainSettings
 from stylemem.errors import ConfigError, PoolError, ValidationError
 from stylemem.harness import (
     METRICS_HEADER,
@@ -98,6 +98,28 @@ def test_config_range_validation():
         toy_config(layout=[{"class": 1, "count": 0}, {"class": 0, "count": 3}])
     with pytest.raises(ConfigError, match="duplicate class id 0"):
         toy_config(layout=[{"class": 0, "count": 2}, {"class": 0, "count": 3}])
+
+
+# config keys that TrainSettings owns, each with a value other than its default
+SETTINGS_KEYS = {
+    "temperature": 0.25,
+    "key_loss_weight": 0.75,
+    "value_loss_weight": 0.25,
+    "rec_loss_weight": 2.0,
+    "loss_variant": "triplet",
+    "triplet_margin": 0.5,
+    "learning_rate": 0.01,
+    "adam_beta1": 0.8,
+    "adam_beta2": 0.99,
+}
+
+
+def test_settings_config_keys_reach_train_settings():
+    config_keys = set(resolve_config({"preset": "toy"}))
+    assert {f.name for f in fields(TrainSettings)} & config_keys == set(SETTINGS_KEYS)
+    for key, value in SETTINGS_KEYS.items():
+        assert getattr(TrainSettings(), key) != value
+        assert getattr(tiny_config(**{key: value}).settings(), key) == value, key
 
 
 def test_ablation_configs_differ_only_in_two_keys():
