@@ -418,7 +418,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     Artifacts: resolved_config.json, metrics.csv (one row per iteration),
     bank.json, encoders.json, final_eval.json, assignments.csv. All are
     written after the last iteration, so a run that fails in training
-    leaves ``out_dir`` as it found it.
+    writes nothing into ``out_dir``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

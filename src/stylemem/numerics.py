@@ -114,12 +114,7 @@ class AdamState:
 
 
 def adam_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    learning_rate: float,
-    beta1: float,
-    beta2: float,
+    param: np.ndarray, grad: np.ndarray, state: AdamState, learning_rate: float, beta1: float, beta2: float
 ) -> np.ndarray:
     """One bias-corrected Adam update with ``ADAM_EPS``; returns the new
     parameter array.
