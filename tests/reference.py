@@ -6,7 +6,8 @@ scene: item losses over index pools, then one class-restricted ``read``,
 ``read_backward`` and ``update`` per class cluster, with the results
 scattered back to scene positions. The package computes the same quantities
 in one masked (P, N) pass per memory plane; ``test_dense_training.py``
-compares the two.
+compares the two. The reference Adam step runs ``oracles.oracle_adam_scalar``
+element by element, so that comparison also covers the package optimizer.
 
 ``reference_evaluate`` is evaluation in two passes per scene: the full loss
 pass with its gradients, then a fresh encoding of the scene and
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stylemem.encoder import apply_gradients, backward, compute_losses, forward
+from stylemem.encoder import backward, compute_losses, forward
 from stylemem.errors import LayoutError
 from stylemem.harness import STREAM_EVAL, MetricsRow
 from stylemem.memory import address, read, read_backward, read_global, update
@@ -31,7 +32,11 @@ from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT, CsvRows
 from stylemem.synthdata import generate_scene_pair
 
+from oracles import oracle_adam_scalar
+
 DOMAINS = ("x", "y")
+
+ADAM_EPS = 1e-8  # the package's documented Adam epsilon
 
 
 @dataclass
@@ -162,16 +167,33 @@ def reference_compute_losses(encoders, bank, scene_x, scene_y, settings) -> Refe
     )
 
 
+def reference_adam(enc, grad_weight, grad_bias, settings) -> None:
+    """One Adam step on ``enc``: ``oracle_adam_scalar`` on every element of
+    each parameter, reading and advancing that parameter's moments and step count."""
+    for name, grad in (("weight", grad_weight), ("bias", grad_bias)):
+        param, state = getattr(enc, name), getattr(enc, f"{name}_state")
+        new = np.empty_like(param)
+        m, v = state.first_moment, state.second_moment
+        for i in np.ndindex(param.shape):
+            new[i], m[i], v[i], _ = oracle_adam_scalar(
+                float(param[i]), float(grad[i]), float(m[i]), float(v[i]), state.step_count,
+                settings.adam_beta1, settings.adam_beta2, ADAM_EPS, settings.learning_rate,
+            )
+        state.step_count += 1
+        setattr(enc, name, new)
+
+
 def reference_train_step(encoders, bank, scene_x, scene_y, settings):
-    """(reference pass, encoders after Adam, new bank); ``encoders`` is not modified."""
+    """(reference pass, encoders after the scalar-oracle Adam, new bank);
+    ``encoders`` is not modified."""
     encoders = copy.deepcopy(encoders)
     ref = reference_compute_losses(encoders, bank, scene_x, scene_y, settings)
     scenes = {"x": scene_x, "y": scene_y}
     for d in DOMAINS:
         gw, gb, _ = backward(encoders.content(d), scenes[d].content, ref.grad_content[d])
-        apply_gradients(encoders.content(d), gw, gb, settings)
+        reference_adam(encoders.content(d), gw, gb, settings)
         gw, gb, _ = backward(encoders.style(d), scenes[d].style, ref.grad_style[d])
-        apply_gradients(encoders.style(d), gw, gb, settings)
+        reference_adam(encoders.style(d), gw, gb, settings)
     if not settings.update_memory:
         return ref, encoders, bank
 

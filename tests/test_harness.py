@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import astuple, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +139,34 @@ def test_ablation_configs_differ_only_in_two_keys():
             if json.dumps(resolved[k], sort_keys=True) != json.dumps(base[k], sort_keys=True)
         }
         assert diff <= {"memory_mode", "loss_variant"}, (key_pair, diff)
+
+
+ROUND_TRIP_CONFIGS = {
+    "toy": {"preset": "toy"},
+    "full": {"preset": "full"},
+    "toy-single-triplet": {"preset": "toy", "memory_mode": "single", "loss_variant": "triplet"},
+}
+
+
+@pytest.mark.parametrize("raw", ROUND_TRIP_CONFIGS.values(), ids=ROUND_TRIP_CONFIGS.keys())
+def test_resolved_config_round_trips(raw):
+    cfg = config_from_dict(resolve_config(raw))
+    assert config_from_dict(resolve_config({**cfg.to_dict(), "preset": None})) == replace(cfg, preset=None)
+    assert set(cfg.to_dict()) == set(resolve_config({"preset": "toy"}))
+
+
+def test_readme_configuration_table_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        name
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1])
+    }
+    resolved = resolve_config({"preset": "toy"})
+    keys = set(resolved) - {"preset", "scene"} | {f"scene.{key}" for key in resolved["scene"]}
+    assert documented == keys
 
 
 def test_load_config_file(tmp_path):
