@@ -14,7 +14,9 @@ changed the encoders and the bank.
 Config files are JSON. A file may name a ``preset`` ("toy" or "full") and
 override any subset of keys; the expansion to a fully explicit config is
 logged and written to the output directory as resolved_config.json. The keys
-are described in the README's Configuration section. A config whose run
+are described in the README's Configuration section. The toy preset is the
+``ExperimentConfig`` defaults, whose ``train`` (a ``TrainSettings``) and
+``scene`` (a ``SceneSettings``) check their own keys. A config whose run
 would allocate an array of more than ``MAX_ARRAY_ELEMENTS`` elements is
 rejected.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -42,7 +44,7 @@ from .errors import ConfigError, GenerationError, LayoutError, StylememError, Va
 from .memory import MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
 from .serialize import FLOAT, CsvRows, integer, layout_counts, write_json
-from .synthdata import DomainSpec, FeatureScene, generate_scene_pair
+from .synthdata import DomainSpec, FeatureScene, SceneSettings, generate_scene_pair
 
 log = logging.getLogger(__name__)
 
@@ -63,86 +65,26 @@ POOLED_CLASS_ID = -1
 # preset's largest holds 65,536 (2**16). Not a config key.
 MAX_ARRAY_ELEMENTS = 2**24
 
-PRESETS: dict[str, dict] = {
-    "toy": {
-        "memory_mode": "class-aware",
-        "loss_variant": "contrastive",
-        "layout": [
-            {"class": 1, "count": 3},
-            {"class": 2, "count": 2},
-            {"class": 3, "count": 2},
-            {"class": 0, "count": 3},
-        ],
-        "channels": 16,
-        "temperature": 0.1,
-        "key_loss_weight": 1.0,
-        "value_loss_weight": 0.5,
-        "rec_loss_weight": 1.0,
-        "triplet_margin": 1.0,
-        "learning_rate": 1e-3,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "iterations": 2000,
-        "update_every": 2,
-        "seed": 19,
-        "eval_scenes": 100,
-        "assignment_scenes": 4,
-        "scene": {
-            "classes": 4,
-            "input_channels": 16,
-            "height": 16,
-            "width": 16,
-            "noise_sigma": 0.05,
-            "content_overlap": 0.75,
-            "style_overlap": 0.98,
-        },
-    },
-}
-PRESETS["full"] = {
-    **PRESETS["toy"],
-    "layout": [
-        {"class": 1, "count": 5},
-        {"class": 2, "count": 3},
-        {"class": 3, "count": 2},
-        {"class": 0, "count": 10},
-    ],
-    "channels": 256,
-    "scene": {**PRESETS["toy"]["scene"], "input_channels": 64},
-}
-
-
-@dataclass(frozen=True)
-class SceneConfig:
-    classes: int
-    input_channels: int
-    height: int
-    width: int
-    noise_sigma: float
-    content_overlap: float
-    style_overlap: float
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    preset: str | None
-    memory_mode: str
-    loss_variant: str
-    layout: tuple[tuple[int, int], ...]
-    channels: int
-    temperature: float
-    key_loss_weight: float
-    value_loss_weight: float
-    rec_loss_weight: float
-    triplet_margin: float
-    learning_rate: float
-    adam_beta1: float
-    adam_beta2: float
-    iterations: int
-    update_every: int
-    seed: int
-    eval_scenes: int
-    assignment_scenes: int
-    scene: SceneConfig
+    """A run's settings; the defaults are the toy preset.
+
+    ``config_from_dict`` validates a config and sets ``train.class_aware``
+    from ``memory_mode``; the fields do not check themselves.
+    """
+
+    preset: str | None = None
+    memory_mode: str = "class-aware"
+    layout: tuple[tuple[int, int], ...] = ((1, 3), (2, 2), (3, 2), (0, 3))
+    channels: int = 16
+    iterations: int = 2000
+    update_every: int = 2
+    seed: int = 19
+    eval_scenes: int = 100
+    assignment_scenes: int = 4
+    train: TrainSettings = TrainSettings()
+    scene: SceneSettings = SceneSettings(content_overlap=0.75, style_overlap=0.98)
 
     @property
     def n_items(self) -> int:
@@ -158,26 +100,29 @@ class ExperimentConfig:
             return self.reference_layout()
         return MemoryLayout.from_counts([(POOLED_CLASS_ID, self.n_items)])
 
-    def settings(self, update_memory: bool = True) -> TrainSettings:
-        """The ``TrainSettings`` whose fields share a name with a config key
-        take that key's value."""
-        shared = {key: getattr(self, key) for key in _SETTINGS_KEYS}
-        return TrainSettings(
-            **shared, class_aware=self.memory_mode == "class-aware", update_memory=update_memory
-        )
-
     def domain_spec(self) -> DomainSpec:
-        return DomainSpec.create(split_rng(self.seed, STREAM_SPEC), **asdict(self.scene))
+        return DomainSpec.create(split_rng(self.seed, STREAM_SPEC), self.scene)
 
     def to_dict(self) -> dict:
+        """The config keys: the ``train`` fields sit at the top level."""
         doc = asdict(self)
+        doc.update({k: v for k, v in doc.pop("train").items() if k in _TRAIN_KEYS})
         doc["layout"] = [{"class": cid, "count": count} for cid, count in self.layout]
         return doc
 
 
-_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig))
-_SCENE_KEYS = tuple(f.name for f in fields(SceneConfig))
-_SETTINGS_KEYS = tuple(f.name for f in fields(TrainSettings) if f.name in _TOP_KEYS)
+# the TrainSettings fields that are config keys; the other two follow memory_mode and the step
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainSettings) if f.name not in ("class_aware", "update_memory"))
+_TOY = ExperimentConfig()
+PRESETS: dict[str, ExperimentConfig] = {
+    "toy": _TOY,
+    "full": replace(
+        _TOY, layout=((1, 5), (2, 3), (3, 2), (0, 10)), channels=256,
+        scene=replace(_TOY.scene, input_channels=64),
+    ),
+}
+_TOP_KEYS = tuple(_TOY.to_dict())
+_SCENE_KEYS = tuple(f.name for f in fields(SceneSettings))
 
 
 def resolve_config(raw: dict) -> dict:
@@ -191,7 +136,7 @@ def resolve_config(raw: dict) -> dict:
     preset = raw.get("preset")
     if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
         raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
-    resolved: dict = json.loads(json.dumps(PRESETS[preset])) if preset else {}
+    resolved: dict = PRESETS[preset].to_dict() if preset else {}
     resolved["preset"] = preset
 
     overrides = []
@@ -245,14 +190,22 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
     """Validate a resolved config dict and build the typed config.
 
     A range rule belongs to the object that consumes the value: this builds
-    ``TrainSettings``, ``MemoryLayout`` and ``DomainSpec`` once and reports
-    their errors as a ``ConfigError`` that names the key.
+    ``SceneSettings``, ``TrainSettings`` and ``MemoryLayout`` once and
+    reports their errors as a ``ConfigError`` that names the key.
     """
+    try:
+        scene = SceneSettings(**_checked_fields(SceneSettings, resolved["scene"], "scene."))
+    except GenerationError as exc:
+        raise ConfigError(f"scene: {exc}") from exc
+    top = _checked_fields(ExperimentConfig, resolved)
     cfg = ExperimentConfig(
         preset=resolved.get("preset"),
         layout=layout_counts(resolved["layout"], "layout", ConfigError),
-        scene=SceneConfig(**_checked_fields(SceneConfig, resolved["scene"], "scene.")),
-        **_checked_fields(ExperimentConfig, resolved),
+        train=TrainSettings(
+            **_checked_fields(TrainSettings, resolved), class_aware=top["memory_mode"] == "class-aware"
+        ),
+        scene=scene,
+        **top,
     )
     if cfg.memory_mode not in ("class-aware", "single"):
         raise ConfigError(f"memory_mode must be 'class-aware' or 'single', got {cfg.memory_mode!r}")
@@ -271,12 +224,11 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
     if any(cid == POOLED_CLASS_ID for cid, _ in cfg.layout):
         raise ConfigError(f"class id {POOLED_CLASS_ID} is reserved for pooled mode")
     _check_array_sizes(cfg)
-    cfg.settings()
     try:
         cfg.reference_layout()
     except LayoutError as exc:
         raise ConfigError(f"layout: {exc}") from exc
-    if cfg.loss_variant == "triplet" and cfg.n_items < 2:
+    if cfg.train.loss_variant == "triplet" and cfg.n_items < 2:
         raise ConfigError(f"triplet loss needs at least two items, layout has {cfg.n_items}")
     # scenes label every position with a class in [0, scene.classes)
     missing = sorted(set(range(cfg.scene.classes)) - {cid for cid, _ in cfg.layout})
@@ -430,13 +382,13 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
 
     log.info(
         "training: mode=%s loss=%s N=%d C=%d T=%d seed=%d",
-        cfg.memory_mode, cfg.loss_variant, cfg.n_items, cfg.channels, cfg.iterations, cfg.seed,
+        cfg.memory_mode, cfg.train.loss_variant, cfg.n_items, cfg.channels, cfg.iterations, cfg.seed,
     )
     metrics: list[MetricsRow] = []
     metrics_csv = CsvRows(METRICS_HEADER, METRICS_SPECS)
     for t in range(cfg.iterations):
         scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
-        settings = cfg.settings(update_memory=(t % cfg.update_every == 0))
+        settings = replace(cfg.train, update_memory=(t % cfg.update_every == 0))
         try:
             report, bank = train_step(encoders, bank, scene_x, scene_y, settings)
         except StylememError as exc:
@@ -497,7 +449,6 @@ def evaluate(
     _check_artifacts(bank, encoders, cfg)
     spec = cfg.domain_spec()
     ref_layout = cfg.reference_layout()
-    settings = cfg.settings(update_memory=False)
 
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
     loss_sums = np.zeros(3)
@@ -506,7 +457,7 @@ def evaluate(
 
     for i in range(scene_count):
         scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
-        report, fwd = compute_losses(encoders, bank, scene_x, scene_y, settings)
+        report, fwd = compute_losses(encoders, bank, scene_x, scene_y, cfg.train)
         loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
         features = {d: (q.content, q.style, q.sims) for d, q in fwd.queries.items()}

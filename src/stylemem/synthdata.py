@@ -4,7 +4,9 @@ A scene pair shares one content sample per position (content is
 domain-agnostic) while each domain draws its own style sample around
 domain-specific per-class prototypes. Class 0 is the background; foreground
 classes paint 1-3 rectangles each, later rectangles overriding earlier ones.
-Scene fixtures go through :mod:`stylemem.serialize`.
+``SceneSettings`` holds the ``scene`` config keys and checks their ranges;
+``DomainSpec.create`` draws the prototypes from them. Scene fixtures go
+through :mod:`stylemem.serialize`.
 """
 
 from __future__ import annotations
@@ -23,22 +25,37 @@ SCENE_FORMAT_VERSION = 1
 _MIN_BOX_SIDE = 2
 
 
-def _check_settings(
-    classes: int, input_channels: int, height: int, width: int, noise_sigma: float,
-    content_overlap: float = 0.0, style_overlap: float = 0.0,
-) -> None:
-    """The range rules of a spec's settings, checked before any draw."""
-    if classes < 2:
-        raise GenerationError(f"classes must be >= 2 (background plus a foreground class), got {classes}")
-    if input_channels < 1:
-        raise GenerationError(f"input_channels must be >= 1, got {input_channels}")
-    if height < _MIN_BOX_SIDE or width < _MIN_BOX_SIDE:
-        raise GenerationError(f"grid {height}x{width} too small for {_MIN_BOX_SIDE}-wide boxes")
-    if not noise_sigma >= 0.0:
-        raise GenerationError(f"noise_sigma must be non-negative, got {noise_sigma}")
-    for name, overlap in (("content_overlap", content_overlap), ("style_overlap", style_overlap)):
-        if not 0.0 <= overlap < 1.0:
-            raise GenerationError(f"{name} must lie in [0, 1), got {overlap}")
+@dataclass(frozen=True)
+class SceneSettings:
+    """The ``scene`` config keys; their range rules run here, before any draw.
+
+    ``content_overlap`` crowds foreground content classes toward the
+    background, ``style_overlap`` is the pairwise similarity of the
+    per-class style directions within each domain.
+    """
+
+    classes: int = 4
+    input_channels: int = 16
+    height: int = 16
+    width: int = 16
+    noise_sigma: float = 0.05
+    content_overlap: float = 0.0
+    style_overlap: float = 0.0
+
+    def __post_init__(self):
+        if self.classes < 2:
+            raise GenerationError(
+                f"classes must be >= 2 (background plus a foreground class), got {self.classes}"
+            )
+        if self.input_channels < 1:
+            raise GenerationError(f"input_channels must be >= 1, got {self.input_channels}")
+        if self.height < _MIN_BOX_SIDE or self.width < _MIN_BOX_SIDE:
+            raise GenerationError(f"grid {self.height}x{self.width} too small for {_MIN_BOX_SIDE}-wide boxes")
+        if not self.noise_sigma >= 0.0:
+            raise GenerationError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        for name in ("content_overlap", "style_overlap"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise GenerationError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
 
 
 def _content_prototypes(rng: np.random.Generator, k: int, channels: int, crowding: float) -> np.ndarray:
@@ -72,59 +89,32 @@ def _style_prototypes(rng: np.random.Generator, k: int, channels: int, overlap: 
 class DomainSpec:
     """Generative model of one scene pair distribution."""
 
-    classes: int
-    input_channels: int
-    height: int
-    width: int
-    noise_sigma: float
+    settings: SceneSettings
     content_prototypes: np.ndarray
     style_prototypes_x: np.ndarray
     style_prototypes_y: np.ndarray
 
     def __post_init__(self):
-        _check_settings(self.classes, self.input_channels, self.height, self.width, self.noise_sigma)
+        s = self.settings
         for name in ("content_prototypes", "style_prototypes_x", "style_prototypes_y"):
             protos = getattr(self, name)
-            if protos.shape != (self.classes, self.input_channels):
+            if protos.shape != (s.classes, s.input_channels):
                 raise GenerationError(f"{name} shape {protos.shape} mismatches spec")
             sims = protos @ protos.T
-            off_diag = sims[~np.eye(self.classes, dtype=bool)]
+            off_diag = sims[~np.eye(s.classes, dtype=bool)]
             if off_diag.size and off_diag.max() > 1.0 - 1e-9:
                 raise GenerationError(f"{name} contains coinciding prototypes")
 
     @classmethod
-    def create(
-        cls,
-        rng: np.random.Generator,
-        classes: int = 4,
-        input_channels: int = 16,
-        height: int = 16,
-        width: int = 16,
-        noise_sigma: float = 0.05,
-        content_overlap: float = 0.0,
-        style_overlap: float = 0.0,
-    ) -> "DomainSpec":
-        """Draw prototypes; order is content, style_x, style_y.
-
-        ``content_overlap`` crowds foreground content classes toward the
-        background, ``style_overlap`` is the pairwise similarity of the
-        per-class style directions within each domain.
-        """
-        _check_settings(classes, input_channels, height, width, noise_sigma, content_overlap, style_overlap)
+    def create(cls, rng: np.random.Generator, settings: SceneSettings) -> "DomainSpec":
+        """Draw prototypes; order is content, style_x, style_y."""
+        k, channels = settings.classes, settings.input_channels
         return cls(
-            classes=classes,
-            input_channels=input_channels,
-            height=height,
-            width=width,
-            noise_sigma=noise_sigma,
-            content_prototypes=_content_prototypes(rng, classes, input_channels, content_overlap),
-            style_prototypes_x=_style_prototypes(rng, classes, input_channels, style_overlap),
-            style_prototypes_y=_style_prototypes(rng, classes, input_channels, style_overlap),
+            settings,
+            _content_prototypes(rng, k, channels, settings.content_overlap),
+            _style_prototypes(rng, k, channels, settings.style_overlap),
+            _style_prototypes(rng, k, channels, settings.style_overlap),
         )
-
-    @property
-    def positions(self) -> int:
-        return self.height * self.width
 
 
 @dataclass(frozen=True)
@@ -162,13 +152,14 @@ def generate_scene_pair(
     Draw order: boxes per foreground class, then content noise, then style
     noise for x, then style noise for y.
     """
-    h, w = spec.height, spec.width
+    s = spec.settings
+    h, w = s.height, s.width
     max_side_h = max(_MIN_BOX_SIDE, h // 3)
     max_side_w = max(_MIN_BOX_SIDE, w // 3)
 
     grid = np.zeros((h, w), dtype=np.int64)
     boxes: list[Box] = []
-    for class_id in range(1, spec.classes):
+    for class_id in range(1, s.classes):
         for _ in range(int(rng.integers(1, 4))):
             box_h = int(rng.integers(_MIN_BOX_SIDE, max_side_h + 1))
             box_w = int(rng.integers(_MIN_BOX_SIDE, max_side_w + 1))
@@ -179,11 +170,10 @@ def generate_scene_pair(
             boxes.append(box)
 
     labels = grid.reshape(-1)
-    p = spec.positions
-    sigma = spec.noise_sigma
-    content = spec.content_prototypes[labels] + sigma * rng.standard_normal((p, spec.input_channels))
-    style_x = spec.style_prototypes_x[labels] + sigma * rng.standard_normal((p, spec.input_channels))
-    style_y = spec.style_prototypes_y[labels] + sigma * rng.standard_normal((p, spec.input_channels))
+    shape = (h * w, s.input_channels)
+    content = spec.content_prototypes[labels] + s.noise_sigma * rng.standard_normal(shape)
+    style_x = spec.style_prototypes_x[labels] + s.noise_sigma * rng.standard_normal(shape)
+    style_y = spec.style_prototypes_y[labels] + s.noise_sigma * rng.standard_normal(shape)
 
     scene_x = FeatureScene(content, style_x, labels.copy(), list(boxes), h, w)
     scene_y = FeatureScene(content.copy(), style_y, labels.copy(), list(boxes), h, w)

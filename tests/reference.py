@@ -213,7 +213,7 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
     """``harness.evaluate`` in two passes per scene; writes ``assignments_path``."""
     spec = cfg.domain_spec()
     item_classes = cfg.reference_layout().item_classes
-    settings = cfg.settings(update_memory=False)
+    settings = cfg.train
     alpha_sum = np.zeros(bank.n_items)
     loss_sums = np.zeros(3)
     queries = purity_hits = 0

@@ -27,7 +27,7 @@ from stylemem.memory import (
 )
 from stylemem.numerics import l2_normalize_rows, make_rng, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
-from stylemem.synthdata import DomainSpec, generate_scene_pair
+from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from fdcheck import fd_check
 from oracles import oracle_read, oracle_read_global, oracle_update
@@ -234,10 +234,10 @@ def test_criterion_4_gradient_correctness():
     # of positive/negative selection, where central differences are undefined
     for i in range(50):
         rng = split_rng(9106, i)
-        spec = DomainSpec.create(
-            rng, classes=3, input_channels=4, height=4, width=4,
+        spec = DomainSpec.create(rng, SceneSettings(
+            classes=3, input_channels=4, height=4, width=4,
             noise_sigma=0.3, content_overlap=0.3, style_overlap=0.3,
-        )
+        ))
         scene_x, scene_y = generate_scene_pair(spec, split_rng(9106, i, 1))
         bank = init_bank(MemoryLayout.from_counts([(1, 2), (2, 2), (0, 2)]), 3, split_rng(9106, i, 2))
         encoders = EncoderSet.create(split_rng(9106, i, 3), 4, 3)

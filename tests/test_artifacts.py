@@ -22,7 +22,7 @@ from stylemem.harness import config_from_dict, resolve_config
 from stylemem.memory import MemoryLayout, init_bank, load_bank, save_bank
 from stylemem.numerics import make_rng
 from stylemem.serialize import FLOAT, float_rows, fmt_float, render_json
-from stylemem.synthdata import DomainSpec, generate_scene_pair, load_scene, save_scene
+from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair, load_scene, save_scene
 
 
 def small_bank(seed=1):
@@ -30,7 +30,7 @@ def small_bank(seed=1):
 
 
 def small_scene():
-    spec = DomainSpec.create(make_rng(3), classes=3, input_channels=2, height=2, width=3)
+    spec = DomainSpec.create(make_rng(3), SceneSettings(classes=3, input_channels=2, height=2, width=3))
     return generate_scene_pair(spec, make_rng(4))[0]
 
 

@@ -16,7 +16,7 @@ from stylemem.encoder import EncoderSet, TrainSettings, compute_losses, train_st
 from stylemem.errors import LayoutError
 from stylemem.memory import MemoryLayout, init_bank
 from stylemem.numerics import make_rng, split_rng
-from stylemem.synthdata import DomainSpec, generate_scene_pair
+from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from reference import reference_compute_losses, reference_train_step, span
 
@@ -39,10 +39,10 @@ def assert_close(got, want):
 
 
 def problem(seed, class_aware):
-    spec = DomainSpec.create(
-        make_rng(seed), classes=4, input_channels=6, height=8, width=8,
+    spec = DomainSpec.create(make_rng(seed), SceneSettings(
+        classes=4, input_channels=6, height=8, width=8,
         noise_sigma=0.2, content_overlap=0.5, style_overlap=0.5,
-    )
+    ))
     scene_x, scene_y = generate_scene_pair(spec, split_rng(seed, 1))
     counts = [(1, 3), (2, 2), (3, 2), (0, 3)] if class_aware else [(-1, 10)]
     bank = init_bank(MemoryLayout.from_counts(counts), 5, split_rng(seed, 2))

@@ -19,7 +19,7 @@ from stylemem.encoder import (
 from stylemem.errors import ConfigError, ShapeError
 from stylemem.memory import MemoryLayout, init_bank
 from stylemem.numerics import make_rng, split_rng
-from stylemem.synthdata import DomainSpec, generate_scene_pair
+from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from fdcheck import fd_check
 from oracles import oracle_linear_forward
@@ -32,7 +32,9 @@ def identity_encoder(n):
 
 def small_problem(seed, class_aware=True):
     rng = make_rng(seed)
-    spec = DomainSpec.create(rng, classes=3, input_channels=5, height=4, width=4, noise_sigma=0.3)
+    spec = DomainSpec.create(
+        rng, SceneSettings(classes=3, input_channels=5, height=4, width=4, noise_sigma=0.3)
+    )
     scene_x, scene_y = generate_scene_pair(spec, split_rng(seed, 1))
     counts = [(1, 2), (2, 2), (0, 2)] if class_aware else [(-1, 6)]
     bank = init_bank(MemoryLayout.from_counts(counts), 4, split_rng(seed, 2))

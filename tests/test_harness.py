@@ -14,6 +14,7 @@ from stylemem.harness import (
     METRICS_HEADER,
     METRICS_SPECS,
     PRESETS,
+    ExperimentConfig,
     MetricsRow,
     config_from_dict,
     evaluate,
@@ -120,7 +121,7 @@ def test_settings_config_keys_reach_train_settings():
     assert {f.name for f in fields(TrainSettings)} & config_keys == set(SETTINGS_KEYS)
     for key, value in SETTINGS_KEYS.items():
         assert getattr(TrainSettings(), key) != value
-        assert getattr(tiny_config(**{key: value}).settings(), key) == value, key
+        assert getattr(tiny_config(**{key: value}).train, key) == value, key
 
 
 def test_ablation_configs_differ_only_in_two_keys():
@@ -153,6 +154,7 @@ def test_resolved_config_round_trips(raw):
     cfg = config_from_dict(resolve_config(raw))
     assert config_from_dict(resolve_config({**cfg.to_dict(), "preset": None})) == replace(cfg, preset=None)
     assert set(cfg.to_dict()) == set(resolve_config({"preset": "toy"}))
+    assert config_from_dict(resolve_config({"preset": "toy"})) == replace(ExperimentConfig(), preset="toy")
 
 
 def test_readme_configuration_table_lists_every_config_key():

@@ -3,7 +3,7 @@ import pytest
 
 from stylemem.errors import GenerationError, ValidationError
 from stylemem.numerics import cosine_rows, make_rng, split_rng
-from stylemem.synthdata import DomainSpec, generate_scene_pair, load_scene, save_scene
+from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair, load_scene, save_scene
 
 from reference import cluster_by_class
 
@@ -11,7 +11,7 @@ from reference import cluster_by_class
 def toy_spec(seed=42, **overrides):
     defaults = dict(classes=4, input_channels=16, height=16, width=16, noise_sigma=0.05)
     defaults.update(overrides)
-    return DomainSpec.create(make_rng(seed), **defaults)
+    return DomainSpec.create(make_rng(seed), SceneSettings(**defaults))
 
 
 def test_spec_prototypes_unit_and_distinct():
@@ -50,11 +50,13 @@ def test_grid_too_small():
     spec = toy_spec()
     with pytest.raises(GenerationError):
         DomainSpec(
-            classes=spec.classes,
-            input_channels=spec.input_channels,
-            height=1,
-            width=16,
-            noise_sigma=0.0,
+            SceneSettings(
+                classes=spec.settings.classes,
+                input_channels=spec.settings.input_channels,
+                height=1,
+                width=16,
+                noise_sigma=0.0,
+            ),
             content_prototypes=spec.content_prototypes,
             style_prototypes_x=spec.style_prototypes_x,
             style_prototypes_y=spec.style_prototypes_y,
@@ -104,10 +106,10 @@ def test_seed42_class_means_near_prototypes():
         (sy, spec.style_prototypes_y),
     ):
         for cluster in cluster_by_class(scene):
-            bound = 3.0 * spec.noise_sigma / np.sqrt(cluster.size)
+            bound = 3.0 * spec.settings.noise_sigma / np.sqrt(cluster.size)
             assert _rms(cluster.style.mean(axis=0) - protos[cluster.class_id]) <= bound
     for cluster in cluster_by_class(sx):
-        bound = 3.0 * spec.noise_sigma / np.sqrt(cluster.size)
+        bound = 3.0 * spec.settings.noise_sigma / np.sqrt(cluster.size)
         assert _rms(cluster.content.mean(axis=0) - spec.content_prototypes[cluster.class_id]) <= bound
 
 
