@@ -6,15 +6,16 @@ hand-written so the whole gradient path (loss -> read -> encoder) is explicit
 and checkable by finite differences.
 
 A loss pass (:func:`compute_losses`) encodes both domains, addresses the
-bank once per domain (one label-to-partition mask, one content-key cosine
-matrix and its read weights), computes one product per memory plane for the
-item losses (cosines and logits alike), and reads the cross-domain style.
-It computes no gradient: the item-loss gradients and the read backward pass
-run on first access of ``ForwardPass.grad_content``/``grad_style``, which
-only :func:`train_step` makes. So evaluation pays for the forward pass
-alone and reuses its query sets for the test-time read. A training
-iteration then backpropagates into the encoders, applies Adam, and folds
-the iteration's features into the memory. Checkpoints (see
+bank once per domain with the scene's labels (one label-to-partition mask,
+one content-key cosine matrix and its read weights), computes one product
+per memory plane for the item losses (cosines and logits alike), and reads
+the cross-domain style. It computes no gradient: the item-loss gradients
+and the read backward pass run on first access of
+``ForwardPass.grad_content``/``grad_style``, which only :func:`train_step`
+makes. So evaluation pays for the forward pass alone and reuses its query
+sets for the test-time read. A training iteration checks that its loss is
+finite, backpropagates into the encoders, applies Adam, and, if asked,
+folds the iteration's features into the memory. Checkpoints (see
 :mod:`stylemem.serialize`) hold no optimizer state.
 """
 
@@ -122,9 +123,9 @@ class EncoderSet:
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Per-iteration knobs consumed by train_step; the loss and optimizer
-    fields are the config keys of the same names, and the one place their
-    ranges are checked."""
+    """The loss and optimizer settings of a training step; each field is
+    the config key of the same name, and this is the one place their ranges
+    are checked."""
 
     temperature: float = 0.1
     key_loss_weight: float = 1.0
@@ -135,8 +136,6 @@ class TrainSettings:
     learning_rate: float = 1e-3
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
-    class_aware: bool = True
-    update_memory: bool = True
 
     def __post_init__(self):
         if self.loss_variant not in ("contrastive", "triplet"):
@@ -206,14 +205,6 @@ class ForwardPass:
         }
 
 
-def _address_labels(bank: MemoryBank, scene: FeatureScene, class_aware: bool) -> np.ndarray:
-    if class_aware:
-        return scene.labels
-    if len(bank.layout.entries) != 1:
-        raise ConfigError("pooled training needs a single-partition bank layout")
-    return np.full(scene.positions, bank.layout.entries[0].class_id)
-
-
 def _item_loss(
     queries: np.ndarray,
     items: np.ndarray,
@@ -248,7 +239,7 @@ def compute_losses(
             bank,
             forward(encoders.content(d), scenes[d].content),
             forward(encoders.style(d), scenes[d].style),
-            _address_labels(bank, scenes[d], settings.class_aware),
+            scenes[d].labels,
         )
         for d in _DOMAINS
     }
@@ -285,14 +276,19 @@ def train_step(
     scene_x: FeatureScene,
     scene_y: FeatureScene,
     settings: TrainSettings,
+    update_memory: bool = True,
 ) -> tuple[LossReport, MemoryBank]:
     """One training iteration.
 
-    The encoders are updated in place through their Adam states; the returned
-    bank is a new object (reads and losses always use the iteration's
-    starting bank). Input scenes are never modified.
+    The encoders are updated in place through their Adam states; with
+    ``update_memory`` the returned bank is a new object (reads and losses
+    always use the iteration's starting bank), else it is ``bank``. Input
+    scenes are never modified. A non-finite loss names its unweighted terms.
     """
     report, fwd = compute_losses(encoders, bank, scene_x, scene_y, settings)
+    if not np.isfinite(report.total):
+        terms = f"key {report.key_loss}, value {report.value_loss}, rec {report.rec_loss}"
+        raise ValidationError(f"loss became non-finite ({terms})")
 
     scenes = {"x": scene_x, "y": scene_y}
     for d in _DOMAINS:
@@ -308,7 +304,7 @@ def train_step(
         if not all(np.all(np.isfinite(s.second_moment)) for s in (enc.weight_state, enc.bias_state)):
             raise ValidationError(f"encoder {name} Adam second moments became non-finite")
 
-    if not settings.update_memory:
+    if not update_memory:
         return report, bank
     return report, update(bank, fwd.queries["x"], fwd.queries["y"])
 

@@ -41,7 +41,7 @@ from .encoder import (
     train_step,
 )
 from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
-from .memory import MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
+from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
 from .serialize import FLOAT, CsvRows, integer, layout_counts, write_json
 from .synthdata import DomainSpec, FeatureScene, SceneSettings, generate_scene_pair
@@ -58,9 +58,6 @@ STREAM_ENCODERS = 2
 STREAM_TRAIN = 3
 STREAM_EVAL = 4
 
-# class id of the single pooled partition in "single" memory mode
-POOLED_CLASS_ID = -1
-
 # Element limit of every array a config makes a run allocate; the full
 # preset's largest holds 65,536 (2**16). Not a config key.
 MAX_ARRAY_ELEMENTS = 2**24
@@ -70,8 +67,9 @@ MAX_ARRAY_ELEMENTS = 2**24
 class ExperimentConfig:
     """A run's settings; the defaults are the toy preset.
 
-    ``config_from_dict`` validates a config and sets ``train.class_aware``
-    from ``memory_mode``; the fields do not check themselves.
+    ``config_from_dict`` validates a config; the fields do not check
+    themselves. ``memory_mode`` picks the bank layout, which alone decides
+    how a step addresses the bank.
     """
 
     preset: str | None = None
@@ -106,13 +104,11 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """The config keys: the ``train`` fields sit at the top level."""
         doc = asdict(self)
-        doc.update({k: v for k, v in doc.pop("train").items() if k in _TRAIN_KEYS})
+        doc.update(doc.pop("train"))
         doc["layout"] = [{"class": cid, "count": count} for cid, count in self.layout]
         return doc
 
 
-# the TrainSettings fields that are config keys; the other two follow memory_mode and the step
-_TRAIN_KEYS = tuple(f.name for f in fields(TrainSettings) if f.name not in ("class_aware", "update_memory"))
 _TOY = ExperimentConfig()
 PRESETS: dict[str, ExperimentConfig] = {
     "toy": _TOY,
@@ -201,9 +197,7 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         preset=resolved.get("preset"),
         layout=layout_counts(resolved["layout"], "layout", ConfigError),
-        train=TrainSettings(
-            **_checked_fields(TrainSettings, resolved), class_aware=top["memory_mode"] == "class-aware"
-        ),
+        train=TrainSettings(**_checked_fields(TrainSettings, resolved)),
         scene=scene,
         **top,
     )
@@ -388,9 +382,10 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     metrics_csv = CsvRows(METRICS_HEADER, METRICS_SPECS)
     for t in range(cfg.iterations):
         scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
-        settings = replace(cfg.train, update_memory=(t % cfg.update_every == 0))
         try:
-            report, bank = train_step(encoders, bank, scene_x, scene_y, settings)
+            report, bank = train_step(
+                encoders, bank, scene_x, scene_y, cfg.train, update_memory=t % cfg.update_every == 0
+            )
         except StylememError as exc:
             raise type(exc)(f"training iteration {t}: {exc}") from exc
         entropy, purity, fidelity = _pair_metrics(bank, encoders, scene_x, scene_y, ref_layout)

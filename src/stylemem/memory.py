@@ -3,12 +3,13 @@
 A bank holds N items; each item is a key row plus one value row per domain,
 all unit-normalized. The layout reserves a contiguous block of items per
 object class. Training reads and updates address only the block of each
-query's class, as one masked (P, N) operation over a scene; test-time reads
-address all N items. :func:`address` computes a scene's content-key
-cosines, their parts and the class-restricted read weights once; the read,
-its backward pass, the update weights, the key-side item loss and the
-test-time read all take them from the query set. Bank files go through
-:mod:`stylemem.serialize`.
+query's class, as one masked (P, N) operation over a scene, except in a
+pooled bank (one ``POOLED_CLASS_ID`` partition), which every query addresses
+whole; test-time reads address all N items. :func:`address` computes a
+scene's content-key cosines, their parts and the class-restricted read
+weights once; the read, its backward pass, the update weights, the key-side
+item loss and the test-time read all take them from the query set. Bank
+files go through :mod:`stylemem.serialize`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .numerics import EPS_DIV, Cosines, cosine_matrix, l2_normalize_rows, softma
 from .serialize import array, integer, layout_counts, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
+
+# class id of the single partition of a pooled ("single" memory mode) bank
+POOLED_CLASS_ID = -1
 
 
 @dataclass(frozen=True)
@@ -103,11 +107,11 @@ class MemoryBank:
 class QuerySet:
     """One domain's content/style rows and the memory items each may address.
 
-    ``mask[p]`` is True on the partition of row p's class. ``cosines`` holds
-    the content rows' cosine similarities to the keys of the bank the set
-    was built for, with their dot products and norms, and ``weights`` the
-    class-restricted read weights ``softmax_rows(sims, mask)`` (see
-    :func:`address`).
+    ``mask[p]`` is True on the partition of row p's class (on every item of
+    a pooled bank). ``cosines`` holds the content rows' cosine similarities
+    to the keys of the bank the set was built for, with their dot products
+    and norms, and ``weights`` the class-restricted read weights
+    ``softmax_rows(sims, mask)`` (see :func:`address`).
     """
 
     content: np.ndarray
@@ -163,8 +167,9 @@ def address(
 ) -> QuerySet:
     """Query set whose rows address the partition of their class ``labels[p]``.
 
-    Labels missing from the layout raise :class:`LayoutError`. The cosine
-    similarities to the keys and the read weights are computed here, once.
+    A pooled bank ignores the labels; otherwise labels missing from the
+    layout raise :class:`LayoutError`. The cosine similarities to the keys
+    and the read weights are computed here, once.
     """
     content = np.asarray(content, dtype=np.float64)
     style = np.asarray(style, dtype=np.float64)
@@ -175,10 +180,13 @@ def address(
         raise ShapeError(f"style shape {style.shape} != content shape {content.shape}")
     if labels.shape != (content.shape[0],):
         raise ShapeError(f"labels shape {labels.shape}, expected {(content.shape[0],)}")
-    mask = labels[:, None] == bank.layout.item_classes[None, :]
-    unknown = labels[~mask.any(axis=1)]
-    if unknown.size:
-        raise LayoutError(f"class {unknown[0]} not in layout (have {list(bank.layout.class_ids)})")
+    if bank.layout.class_ids == (POOLED_CLASS_ID,):
+        mask = np.ones((content.shape[0], bank.n_items), dtype=bool)
+    else:
+        mask = labels[:, None] == bank.layout.item_classes[None, :]
+        unknown = labels[~mask.any(axis=1)]
+        if unknown.size:
+            raise LayoutError(f"class {unknown[0]} not in layout (have {list(bank.layout.class_ids)})")
     cosines = Cosines(content, bank.keys)
     weights = softmax_rows(cosines.sims, mask) if content.shape[0] else np.zeros(mask.shape)
     return QuerySet(content, style, mask, cosines, weights)

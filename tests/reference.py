@@ -26,7 +26,7 @@ import numpy as np
 from stylemem.encoder import backward, compute_losses, forward
 from stylemem.errors import LayoutError
 from stylemem.harness import STREAM_EVAL, MetricsRow
-from stylemem.memory import address, read, read_backward, read_global, update
+from stylemem.memory import POOLED_CLASS_ID, address, read, read_backward, read_global, update
 from stylemem.numerics import cosine_rows, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT, CsvRows
@@ -100,12 +100,11 @@ def reference_compute_losses(encoders, bank, scene_x, scene_y, settings) -> Refe
     scenes = {"x": scene_x, "y": scene_y}
     content = {d: forward(encoders.content(d), scenes[d].content) for d in DOMAINS}
     style = {d: forward(encoders.style(d), scenes[d].style) for d in DOMAINS}
-    if settings.class_aware:
-        per_domain = {d: clusters(scenes[d].labels, content[d], style[d]) for d in DOMAINS}
-    else:
-        pooled_id = bank.layout.entries[0].class_id
+    if bank.layout.class_ids == (POOLED_CLASS_ID,):
         every = np.arange(scene_x.positions)
-        per_domain = {d: [ClassCluster(pooled_id, content[d], style[d], every)] for d in DOMAINS}
+        per_domain = {d: [ClassCluster(POOLED_CLASS_ID, content[d], style[d], every)] for d in DOMAINS}
+    else:
+        per_domain = {d: clusters(scenes[d].labels, content[d], style[d]) for d in DOMAINS}
 
     def item_loss(queries, items, pool):
         if settings.loss_variant == "contrastive":
@@ -183,7 +182,7 @@ def reference_adam(enc, grad_weight, grad_bias, settings) -> None:
         setattr(enc, name, new)
 
 
-def reference_train_step(encoders, bank, scene_x, scene_y, settings):
+def reference_train_step(encoders, bank, scene_x, scene_y, settings, update_memory=True):
     """(reference pass, encoders after the scalar-oracle Adam, new bank);
     ``encoders`` is not modified."""
     encoders = copy.deepcopy(encoders)
@@ -194,7 +193,7 @@ def reference_train_step(encoders, bank, scene_x, scene_y, settings):
         reference_adam(encoders.content(d), gw, gb, settings)
         gw, gb, _ = backward(encoders.style(d), scenes[d].style, ref.grad_style[d])
         reference_adam(encoders.style(d), gw, gb, settings)
-    if not settings.update_memory:
+    if not update_memory:
         return ref, encoders, bank
 
     by_class_x = {c.class_id: c for c in ref.clusters["x"]}

@@ -65,12 +65,14 @@ def spy_item_losses(monkeypatch):
     return terms
 
 
-def check_step(encoders, bank, scene_x, scene_y, settings, monkeypatch):
+def check_step(encoders, bank, scene_x, scene_y, settings, monkeypatch, update_memory=True):
     """Compare one dense train_step with the reference from the same state."""
-    ref, ref_encoders, ref_bank = reference_train_step(encoders, bank, scene_x, scene_y, settings)
+    ref, ref_encoders, ref_bank = reference_train_step(
+        encoders, bank, scene_x, scene_y, settings, update_memory
+    )
     dense_report, fwd = compute_losses(copy.deepcopy(encoders), bank, scene_x, scene_y, settings)
     terms = spy_item_losses(monkeypatch)
-    report, new_bank = train_step(encoders, bank, scene_x, scene_y, settings)
+    report, new_bank = train_step(encoders, bank, scene_x, scene_y, settings, update_memory)
     monkeypatch.undo()
 
     for name in ("key_loss", "value_loss", "rec_loss", "total"):
@@ -102,14 +104,9 @@ def check_step(encoders, bank, scene_x, scene_y, settings, monkeypatch):
 def test_dense_pass_matches_per_class_reference(class_aware, loss_variant, monkeypatch):
     for seed in range(4):
         scene_x, scene_y, bank, encoders = problem(70 + seed, class_aware)
+        settings = TrainSettings(learning_rate=1e-2, loss_variant=loss_variant)
         for step in range(3):
-            settings = TrainSettings(
-                learning_rate=1e-2,
-                loss_variant=loss_variant,
-                class_aware=class_aware,
-                update_memory=step != 1,
-            )
-            bank = check_step(encoders, bank, scene_x, scene_y, settings, monkeypatch)
+            bank = check_step(encoders, bank, scene_x, scene_y, settings, monkeypatch, step != 1)
 
 
 def test_absent_class_partition_stays_bit_identical(monkeypatch):

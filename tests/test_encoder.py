@@ -180,22 +180,13 @@ def test_train_step_deterministic_loss_stream():
 
 def test_train_step_update_every_gate():
     _, scene_x, scene_y, bank, encoders = small_problem(53)
-    settings = TrainSettings(update_memory=False)
-    _, same_bank = train_step(encoders, bank, scene_x, scene_y, settings)
+    _, same_bank = train_step(encoders, bank, scene_x, scene_y, TrainSettings(), update_memory=False)
     assert same_bank is bank
-
-
-def test_train_step_pooled_mode_needs_single_partition():
-    _, scene_x, scene_y, bank, encoders = small_problem(54)
-    with pytest.raises(ConfigError):
-        train_step(encoders, bank, scene_x, scene_y, TrainSettings(class_aware=False))
 
 
 def test_train_step_pooled_mode_runs():
     _, scene_x, scene_y, bank, encoders = small_problem(55, class_aware=False)
-    report, new_bank = train_step(
-        encoders, bank, scene_x, scene_y, TrainSettings(class_aware=False)
-    )
+    report, new_bank = train_step(encoders, bank, scene_x, scene_y, TrainSettings())
     assert report.total > 0.0
     assert not np.array_equal(new_bank.keys, bank.keys)
     assert np.all(report.key_positives["x"] >= 0)

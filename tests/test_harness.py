@@ -118,7 +118,8 @@ SETTINGS_KEYS = {
 
 def test_settings_config_keys_reach_train_settings():
     config_keys = set(resolve_config({"preset": "toy"}))
-    assert {f.name for f in fields(TrainSettings)} & config_keys == set(SETTINGS_KEYS)
+    assert {f.name for f in fields(TrainSettings)} == set(SETTINGS_KEYS)
+    assert set(SETTINGS_KEYS) <= config_keys
     for key, value in SETTINGS_KEYS.items():
         assert getattr(TrainSettings(), key) != value
         assert getattr(tiny_config(**{key: value}).train, key) == value, key
@@ -234,6 +235,16 @@ def test_single_mode_bank_has_pooled_layout(tmp_path):
     result = run_training(cfg, tmp_path)
     assert len(result.bank.layout.entries) == 1
     assert result.bank.layout.entries[0].count == cfg.n_items
+
+
+def test_memory_mode_replaced_after_validation_trains_as_built(tmp_path):
+    # the bank layout alone decides pooled addressing, so no second copy can disagree
+    grid = {"height": 4, "width": 4}
+    replaced = replace(tiny_config(iterations=3, scene=grid), memory_mode="single")
+    built = tiny_config(iterations=3, scene=grid, memory_mode="single")
+    got = run_training(replaced, tmp_path / "replaced").final_eval
+    assert got == run_training(built, tmp_path / "built").final_eval
+    assert replaced == built
 
 
 # --- evaluation ---
@@ -464,7 +475,7 @@ def test_cli_names_the_iteration_and_encoder_that_diverged(tmp_path, capsys):
     }))
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "error: training iteration 1: encoder style_x parameters became non-finite" in err
+    assert "error: training iteration 1: loss became non-finite (" in err and "rec inf)" in err
     assert not (tmp_path / "o" / "bank.json").exists()
 
 
@@ -482,6 +493,21 @@ def test_cli_names_the_encoder_whose_adam_moments_overflowed(tmp_path, capsys):
     assert "error: training iteration 0: encoder content_x Adam second moments became non-finite" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "bank.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_names_the_loss_that_overflowed(tmp_path, capsys):
+    # scene features near 1e200 overflow the reconstruction loss before any gradient
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "preset": "toy", "iterations": 3, "eval_scenes": 1, "assignment_scenes": 0,
+        "scene": {"noise_sigma": 1e200},
+    }))
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: training iteration 0: loss became non-finite (" in err
+    assert "Traceback" not in err
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

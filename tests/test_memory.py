@@ -3,6 +3,7 @@ import pytest
 
 from stylemem.errors import EmptyClusterError, LayoutError, ShapeError, ValidationError
 from stylemem.memory import (
+    POOLED_CLASS_ID,
     MemoryBank,
     MemoryLayout,
     address,
@@ -355,6 +356,17 @@ def test_update_domains_may_address_different_partitions():
     np.testing.assert_array_equal(updated.values_y[off_1 : off_1 + n_1], bank.values_y[off_1 : off_1 + n_1])
     assert not np.array_equal(updated.values_x[off_1 : off_1 + n_1], bank.values_x[off_1 : off_1 + n_1])
     assert not np.array_equal(updated.values_y[off_2 : off_2 + n_2], bank.values_y[off_2 : off_2 + n_2])
+
+
+def test_pooled_bank_is_addressed_whatever_the_labels():
+    rng = make_rng(25)
+    bank = random_bank(rng, [(POOLED_CLASS_ID, 5)], 4)
+    content, style = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    for labels in (np.full(6, POOLED_CLASS_ID), np.array([0, 1, 2, 3, 7, -5])):
+        queries = address(bank, content, style, labels)
+        np.testing.assert_array_equal(queries.mask, np.ones((6, 5), dtype=bool))
+    with pytest.raises(ShapeError, match="labels"):
+        address(bank, content, style, np.zeros(5))
 
 
 def test_malformed_cluster_rejected():
