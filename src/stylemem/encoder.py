@@ -3,19 +3,23 @@
 One content and one style encoder per domain stand in for the feature
 extractors upstream of the memory. Forward, backward, and the Adam step are
 hand-written so the whole gradient path (loss -> read -> encoder) is explicit
-and checkable by finite differences.
+and checkable by finite differences. It ends at the encoder parameters:
+:func:`backward` returns ``(d_weight, d_bias)`` only.
 
 A loss pass (:func:`compute_losses`) encodes both domains, addresses the
 bank once per domain with the scene's labels (one label-to-partition mask,
 one content-key cosine matrix and its read weights), computes one product
 per memory plane for the item losses (cosines and logits alike), and reads
-the cross-domain style. It computes no gradient: the item-loss gradients
-and the read backward pass run on first access of
+the cross-domain style. Its only gradient is the reconstruction loss's
+with respect to each read, made in place from the read residual. The
+item-loss gradients and the read backward pass run on first access of
 ``ForwardPass.grad_content``/``grad_style``, which only :func:`train_step`
 makes. So evaluation pays for the forward pass alone and reuses its query
-sets for the test-time read. A training iteration checks that its loss is
-finite, backpropagates into the encoders, applies Adam, and, if asked,
-folds the iteration's features into the memory. Checkpoints (see
+sets for the test-time read. Each gradient is summed in place in the new
+array of a term's ``gradient()``, never in a cached or shared array, so a
+step holds few (P, C) arrays at once. A training iteration checks that its
+loss is finite, backpropagates into the encoders, applies Adam, and, if
+asked, folds the iteration's features into the memory. Checkpoints (see
 :mod:`stylemem.serialize`) hold no optimizer state.
 """
 
@@ -73,20 +77,23 @@ def forward(enc: LinearEncoder, inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != enc.in_channels:
         raise ShapeError(f"inputs shape {inputs.shape} incompatible with W {enc.weight.shape}")
-    return inputs @ enc.weight.T + enc.bias
+    out = inputs @ enc.weight.T
+    out += enc.bias
+    return out
 
 
 def backward(
     enc: LinearEncoder, inputs: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_weight, d_bias, d_inputs) for a prior forward call."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter gradients (d_weight, d_bias) for a prior forward call; the
+    inputs are scene features, so no input gradient is computed."""
     inputs = np.asarray(inputs, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (inputs.shape[0], enc.out_channels):
         raise ShapeError(
             f"upstream shape {upstream.shape}, expected {(inputs.shape[0], enc.out_channels)}"
         )
-    return upstream.T @ inputs, upstream.sum(axis=0), upstream @ enc.weight
+    return upstream.T @ inputs, upstream.sum(axis=0)
 
 
 def apply_gradients(
@@ -166,12 +173,13 @@ class LossReport:
 @dataclass
 class ForwardPass:
     """One loss pass over a scene pair: per-domain query sets (encoded
-    features against the bank), item-loss terms and read residuals (read
-    style minus the paired scene's encoded style).
+    features against the bank), item-loss terms and ``upstream``, the
+    gradient of the reconstruction loss with respect to each read style.
 
     The gradients of the weighted total loss with respect to the encoded
     content and style are computed on first access of ``grad_content`` and
-    ``grad_style``.
+    ``grad_style``. Each starts from a term's ``gradient()``, a new array,
+    and sums the read path into it in place.
     """
 
     bank: MemoryBank
@@ -179,30 +187,29 @@ class ForwardPass:
     queries: dict[str, QuerySet]
     key_terms: dict[str, LossTerm]
     value_terms: dict[str, LossTerm]
-    residuals: dict[str, np.ndarray]
-
-    @cached_property
-    def upstream(self) -> dict[str, np.ndarray]:
-        """d(rec_loss)/d(read style) per domain."""
-        return {d: (2.0 / r.shape[0]) * r for d, r in self.residuals.items()}
+    upstream: dict[str, np.ndarray]
 
     @cached_property
     def grad_content(self) -> dict[str, np.ndarray]:
         s = self.settings
-        return {
-            d: s.key_loss_weight * self.key_terms[d].grad
-            + s.rec_loss_weight * read_backward(self.bank, q, d, self.upstream[d])
-            for d, q in self.queries.items()
-        }
+        grads = {}
+        for d, q in self.queries.items():
+            grads[d] = grad = self.key_terms[d].gradient()
+            grad *= s.key_loss_weight
+            through_read = read_backward(self.bank, q, d, self.upstream[d])
+            through_read *= s.rec_loss_weight
+            grad += through_read
+        return grads
 
     @cached_property
     def grad_style(self) -> dict[str, np.ndarray]:
         s = self.settings
-        return {
-            d: s.value_loss_weight * self.value_terms[d].grad
-            - s.rec_loss_weight * self.upstream[opposite]
-            for d, opposite in (("x", "y"), ("y", "x"))
-        }
+        grads = {}
+        for d, opposite in (("x", "y"), ("y", "x")):
+            grads[d] = grad = self.value_terms[d].gradient()
+            grad *= s.value_loss_weight
+            grad -= s.rec_loss_weight * self.upstream[opposite]
+        return grads
 
 
 def _item_loss(
@@ -245,7 +252,7 @@ def compute_losses(
     }
 
     p_total = scene_x.positions
-    key_terms, value_terms, residuals = {}, {}, {}
+    key_terms, value_terms, upstream = {}, {}, {}
     rec_loss = 0.0
     for d in _DOMAINS:
         q = queries[d]
@@ -256,8 +263,10 @@ def compute_losses(
 
         # style reconstruction through the read: the cross-domain mixture
         # should reproduce the paired scene's encoded style
-        residuals[d] = diff = read(bank, q, d).aggregated_style - queries[opposite].style
+        upstream[d] = diff = read(bank, q, d).aggregated_style
+        diff -= queries[opposite].style
         rec_loss += float(np.sum(diff * diff)) / p_total
+        diff *= 2.0 / p_total  # now d(rec_loss)/d(read style)
 
     key_loss = key_terms["x"].value + key_terms["y"].value
     value_loss = value_terms["x"].value + value_terms["y"].value
@@ -267,7 +276,7 @@ def compute_losses(
     report = LossReport(
         key_loss, value_loss, rec_loss, total, positives(key_terms), positives(value_terms)
     )
-    return report, ForwardPass(bank, settings, queries, key_terms, value_terms, residuals)
+    return report, ForwardPass(bank, settings, queries, key_terms, value_terms, upstream)
 
 
 def train_step(
@@ -292,9 +301,9 @@ def train_step(
 
     scenes = {"x": scene_x, "y": scene_y}
     for d in _DOMAINS:
-        gw, gb, _ = backward(encoders.content(d), scenes[d].content, fwd.grad_content[d])
+        gw, gb = backward(encoders.content(d), scenes[d].content, fwd.grad_content[d])
         apply_gradients(encoders.content(d), gw, gb, settings)
-        gw, gb, _ = backward(encoders.style(d), scenes[d].style, fwd.grad_style[d])
+        gw, gb = backward(encoders.style(d), scenes[d].style, fwd.grad_style[d])
         apply_gradients(encoders.style(d), gw, gb, settings)
 
     for name, enc in vars(encoders).items():

@@ -364,7 +364,9 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     Artifacts: resolved_config.json, metrics.csv (one row per iteration),
     bank.json, encoders.json, final_eval.json, assignments.csv. All are
     written after the last iteration, so a run that fails in training
-    writes nothing into ``out_dir``.
+    writes nothing into ``out_dir``. An iteration whose step or metrics
+    row is not finite raises an error naming it, and numpy's
+    floating-point warnings are silenced inside the loop.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -383,16 +385,22 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     for t in range(cfg.iterations):
         scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
         try:
-            report, bank = train_step(
-                encoders, bank, scene_x, scene_y, cfg.train, update_memory=t % cfg.update_every == 0
+            # a diverging step fails below with a named error, not numpy warnings
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                report, bank = train_step(
+                    encoders, bank, scene_x, scene_y, cfg.train, update_memory=t % cfg.update_every == 0
+                )
+                entropy, purity, fidelity = _pair_metrics(bank, encoders, scene_x, scene_y, ref_layout)
+            row = MetricsRow(
+                t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity
             )
+            bad = [f"{name} {value}" for name, value in asdict(row).items() if not np.isfinite(value)]
+            if bad:
+                raise ValidationError(f"metrics became non-finite ({', '.join(bad)})")
         except StylememError as exc:
             raise type(exc)(f"training iteration {t}: {exc}") from exc
-        entropy, purity, fidelity = _pair_metrics(bank, encoders, scene_x, scene_y, ref_layout)
-        metrics.append(
-            MetricsRow(t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity)
-        )
-        metrics_csv.add(astuple(metrics[-1]))
+        metrics.append(row)
+        metrics_csv.add(astuple(row))
 
     write_json(out / "resolved_config.json", cfg.to_dict())
     metrics_csv.write(out / "metrics.csv")

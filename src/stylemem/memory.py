@@ -267,7 +267,9 @@ def read_backward(
     g_scaled = g_sims / cos.denom
     coeff = np.sum(g_scaled * cos.sims * cos.item_norms[None, :], axis=1)
     safe_q = np.maximum(cos.row_norms, EPS_DIV)
-    return g_scaled @ bank.keys - (coeff / safe_q)[:, None] * queries.content
+    grad = g_scaled @ bank.keys
+    grad -= (coeff / safe_q)[:, None] * queries.content
+    return grad
 
 
 def update_weights(bank: MemoryBank, queries: QuerySet) -> np.ndarray:

@@ -4,6 +4,10 @@ Matrices throughout the package are plain 2-D ``numpy`` arrays of float64,
 row-major. All functions here are pure except :func:`adam_step`, which
 mutates its explicit state argument; nothing touches global state, and all
 randomness flows through generators owned by the caller.
+
+Row norms go through :func:`row_norms` (the bits of ``np.linalg.norm(m,
+axis=1)`` without its conjugate copy), and :func:`adam_step` builds its step
+in place in the textbook expression's operation order, so with its bits.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a real 2-D array, (P,)."""
+    return np.sqrt(np.add.reduce(m * m, axis=1))
+
+
 class Cosines:
     """All-pairs cosine similarities of rows (P, C) against items (N, C),
     with the parts they are built from, so consumers of the raw dot
@@ -39,8 +48,8 @@ class Cosines:
     __slots__ = ("row_norms", "item_norms", "dots", "denom", "sims")
 
     def __init__(self, rows: np.ndarray, items: np.ndarray):
-        self.row_norms = np.linalg.norm(rows, axis=1)  # (P,)
-        self.item_norms = np.linalg.norm(items, axis=1)  # (N,)
+        self.row_norms = row_norms(rows)  # (P,)
+        self.item_norms = row_norms(items)  # (N,)
         self.dots = rows @ items.T  # (P, N)
         self.denom = np.outer(self.row_norms, self.item_norms) + EPS_DIV  # (P, N)
         self.sims = np.clip(self.dots / self.denom, -1.0, 1.0)  # (P, N), in [-1, 1]
@@ -61,7 +70,7 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _as_matrix(b, "b")
     if a.shape != b.shape:
         raise ShapeError(f"row-paired cosine needs equal shapes, got {a.shape} and {b.shape}")
-    denom = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1) + EPS_DIV
+    denom = row_norms(a) * row_norms(b) + EPS_DIV
     return np.clip(np.einsum("ij,ij->i", a, b) / denom, -1.0, 1.0)
 
 
@@ -92,7 +101,7 @@ def softmax_cols(m: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise unit normalization; zero rows pass through unchanged."""
     m = _as_matrix(m, "l2_normalize_rows input")
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    norms = row_norms(m)[:, None]
     safe = np.where(norms <= EPS_DIV, 1.0, norms)
     return m / safe
 
@@ -134,10 +143,17 @@ def adam_step(
     state.first_moment *= beta1
     state.first_moment += (1.0 - beta1) * grad
     state.second_moment *= beta2
-    state.second_moment += (1.0 - beta2) * grad * grad
-    m_hat = state.first_moment / (1.0 - beta1**t)
-    v_hat = state.second_moment / (1.0 - beta2**t)
-    return param - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    grad_sq = (1.0 - beta2) * grad
+    grad_sq *= grad
+    state.second_moment += grad_sq
+    # param - learning_rate * m_hat / (sqrt(v_hat) + ADAM_EPS), in that order
+    step = state.first_moment / (1.0 - beta1**t)
+    step *= learning_rate
+    denom = np.divide(state.second_moment, 1.0 - beta2**t, out=grad_sq)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    return param - step
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -9,13 +9,12 @@ They treat the items as constants: gradients flow into the queries only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import PoolError, ShapeError
-from .numerics import Cosines
+from .numerics import Cosines, row_norms
 
 # Selection switches are non-differentiable; distances below this are treated
 # as an exact hit and contribute no gradient.
@@ -27,18 +26,15 @@ class LossTerm:
     """One loss evaluation: scalar value, per-query positives and, for the
     triplet loss, per-query negatives.
 
-    The query gradient ``grad`` is computed from ``gradient`` on first
-    access, so a caller that needs only the value never pays for it.
+    The query gradient is computed only when ``gradient()`` is called, so a
+    caller that needs only the value never pays for it. Each call returns a
+    new array, which the caller owns.
     """
 
     value: float
     positives: np.ndarray
     gradient: Callable[[], np.ndarray] = field(repr=False, compare=False)
     negatives: np.ndarray | None = None
-
-    @cached_property
-    def grad(self) -> np.ndarray:
-        return self.gradient()
 
 
 def _inputs(queries, items, positive_pool, cosines) -> tuple[np.ndarray, Cosines]:
@@ -97,7 +93,9 @@ def contrastive_loss(
     def gradient() -> np.ndarray:
         probs = e / total
         probs[rows, positives] -= 1.0
-        return probs @ items / temperature
+        grad = probs @ items
+        grad /= temperature
+        return grad
 
     return LossTerm(value, positives, gradient)
 
@@ -129,8 +127,8 @@ def triplet_loss(
 
     diff_pos = queries - items[positives]
     diff_neg = queries - items[negatives]
-    d_pos = np.linalg.norm(diff_pos, axis=1)
-    d_neg = np.linalg.norm(diff_neg, axis=1)
+    d_pos = row_norms(diff_pos)
+    d_neg = row_norms(diff_neg)
     terms = d_pos - d_neg + margin
     active = terms > 0.0
 

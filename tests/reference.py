@@ -133,7 +133,7 @@ def reference_compute_losses(encoders, bank, scene_x, scene_y, settings) -> Refe
                     key_loss += term.value
                 else:
                     value_loss += term.value
-                grads[d][cluster.positions] += weight * term.grad
+                grads[d][cluster.positions] += weight * term.gradient()
                 positives[kind, d][cluster.positions] = term.positives
                 if term.negatives is not None:
                     negatives[kind, d][cluster.positions] = term.negatives
@@ -189,9 +189,9 @@ def reference_train_step(encoders, bank, scene_x, scene_y, settings, update_memo
     ref = reference_compute_losses(encoders, bank, scene_x, scene_y, settings)
     scenes = {"x": scene_x, "y": scene_y}
     for d in DOMAINS:
-        gw, gb, _ = backward(encoders.content(d), scenes[d].content, ref.grad_content[d])
+        gw, gb = backward(encoders.content(d), scenes[d].content, ref.grad_content[d])
         reference_adam(encoders.content(d), gw, gb, settings)
-        gw, gb, _ = backward(encoders.style(d), scenes[d].style, ref.grad_style[d])
+        gw, gb = backward(encoders.style(d), scenes[d].style, ref.grad_style[d])
         reference_adam(encoders.style(d), gw, gb, settings)
     if not update_memory:
         return ref, encoders, bank

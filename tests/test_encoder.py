@@ -17,7 +17,7 @@ from stylemem.encoder import (
     train_step,
 )
 from stylemem.errors import ConfigError, ShapeError
-from stylemem.memory import MemoryLayout, init_bank
+from stylemem.memory import MemoryLayout, init_bank, read_backward
 from stylemem.numerics import make_rng, split_rng
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
@@ -76,17 +76,22 @@ def test_backward_zero_upstream():
     rng = make_rng(41)
     enc = LinearEncoder.create(rng, 3, 2)
     x = rng.standard_normal((4, 3))
-    gw, gb, gx = backward(enc, x, np.zeros((4, 2)))
+    gw, gb = backward(enc, x, np.zeros((4, 2)))
     np.testing.assert_array_equal(gw, 0.0)
     np.testing.assert_array_equal(gb, 0.0)
-    np.testing.assert_array_equal(gx, 0.0)
 
 
-def test_backward_identity_passes_upstream_through():
-    enc = identity_encoder(3)
-    upstream = make_rng(42).standard_normal((1, 3))
-    _, _, gx = backward(enc, np.zeros((1, 3)), upstream)
-    np.testing.assert_array_equal(gx, upstream)
+@pytest.mark.parametrize("c_in, c_out", [(5, 4), (64, 256)])
+def test_forward_is_the_affine_expression_bit_for_bit(c_in, c_out):
+    # the product takes the bias in place; the caller's arrays stay as they were
+    rng = make_rng(42)
+    enc = LinearEncoder.create(rng, c_in, c_out)
+    enc.bias = rng.standard_normal(c_out)
+    inputs = rng.standard_normal((256, c_in))
+    kept = (enc.weight.copy(), enc.bias.copy(), inputs.copy())
+    np.testing.assert_array_equal(forward(enc, inputs), inputs @ enc.weight.T + enc.bias)
+    for before, after in zip(kept, (enc.weight, enc.bias, inputs)):
+        np.testing.assert_array_equal(before, after)
 
 
 def test_backward_weight_and_bias_fd():
@@ -99,14 +104,14 @@ def test_backward_weight_and_bias_fd():
         probe = copy.deepcopy(enc)
         probe.weight = w
         out = forward(probe, x)
-        gw, _, _ = backward(probe, x, projector)
+        gw, _ = backward(probe, x, projector)
         return float(np.sum(out * projector)), gw
 
     def bias_loss(b):
         probe = copy.deepcopy(enc)
         probe.bias = b
         out = forward(probe, x)
-        _, gb, _ = backward(probe, x, projector)
+        _, gb = backward(probe, x, projector)
         return float(np.sum(out * projector)), gb
 
     assert fd_check(weight_loss, enc.weight).passed
@@ -164,6 +169,35 @@ def test_train_step_does_not_mutate_scenes():
     np.testing.assert_array_equal(scene_x.style, frozen[1])
     np.testing.assert_array_equal(scene_y.content, frozen[2])
     np.testing.assert_array_equal(scene_y.style, frozen[3])
+
+
+@pytest.mark.parametrize("variant", ["contrastive", "triplet"])
+def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(variant):
+    _, scene_x, scene_y, bank, encoders = small_problem(53)
+    settings = TrainSettings(
+        key_loss_weight=0.7, value_loss_weight=0.3, rec_loss_weight=1.3, loss_variant=variant
+    )
+    _, fwd = compute_losses(encoders, bank, scene_x, scene_y, settings)
+    shared = [
+        a for d, q in fwd.queries.items() for a in (fwd.upstream[d], q.content, q.style, q.weights, q.sims)
+    ]
+    before = [a.copy() for a in shared]
+    grads = [*fwd.grad_content.values(), *fwd.grad_style.values()]
+    for kept, now in zip(before, shared):
+        np.testing.assert_array_equal(now, kept)
+    assert not any(np.shares_memory(g, a) for g in grads for a in shared)
+
+    s = settings
+    for d, opposite in (("x", "y"), ("y", "x")):
+        through_read = read_backward(bank, fwd.queries[d], d, fwd.upstream[d])
+        np.testing.assert_array_equal(
+            fwd.grad_content[d],
+            s.key_loss_weight * fwd.key_terms[d].gradient() + s.rec_loss_weight * through_read,
+        )
+        np.testing.assert_array_equal(
+            fwd.grad_style[d],
+            s.value_loss_weight * fwd.value_terms[d].gradient() - s.rec_loss_weight * fwd.upstream[opposite],
+        )
 
 
 def test_train_step_deterministic_loss_stream():
@@ -229,7 +263,7 @@ def _param_loss_fn(encoders, bank, scene_x, scene_y, settings, name, which):
             enc.bias = param
         report, fwd = compute_losses(probe, bank, scene_x, scene_y, settings)
         grad_map = fwd.grad_content if kind == "content" else fwd.grad_style
-        gw, gb, _ = backward(enc, inputs, grad_map[domain])
+        gw, gb = backward(enc, inputs, grad_map[domain])
         return report.total, gw if which == "weight" else gb
 
     return fn

@@ -1,6 +1,8 @@
 """Evaluation in one gradient-free loss pass per scene, against the two-pass
 reference, and the read weights a query set keeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from stylemem import encoder
 from stylemem.harness import config_from_dict, evaluate, resolve_config, run_training
 from stylemem.memory import MemoryLayout, address, init_bank
 from stylemem.numerics import softmax_rows, split_rng
-from stylemem.objectives import LossTerm
 
 from reference import reference_evaluate
 
@@ -46,8 +47,12 @@ def test_evaluate_computes_no_gradients(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("evaluate computed a gradient")
 
+    def item_loss_without_gradient(*args, **kwargs):
+        return replace(item_loss(*args, **kwargs), gradient=refuse)
+
+    item_loss = encoder._item_loss
     monkeypatch.setattr(encoder, "read_backward", refuse)
-    monkeypatch.setattr(LossTerm, "grad", property(refuse))
+    monkeypatch.setattr(encoder, "_item_loss", item_loss_without_gradient)
     assert evaluate(bank, encoders, cfg, cfg.eval_scenes) == want
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stylemem import harness
 from stylemem.cli import main as cli_main
 from stylemem.encoder import EncoderSet, LinearEncoder, TrainSettings
 from stylemem.errors import ConfigError, PoolError, ValidationError
@@ -466,7 +467,6 @@ def test_config_rejects_arrays_over_the_limit(override, message):
         toy_config(**override)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_names_the_iteration_and_encoder_that_diverged(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -476,10 +476,10 @@ def test_cli_names_the_iteration_and_encoder_that_diverged(tmp_path, capsys):
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "error: training iteration 1: loss became non-finite (" in err and "rec inf)" in err
+    assert "Warning" not in err
     assert not (tmp_path / "o" / "bank.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_names_the_encoder_whose_adam_moments_overflowed(tmp_path, capsys):
     # logits of about 1e300 give squared gradients past the float range;
     # where Adam's second moment is inf its step is 0, so the weight would freeze
@@ -491,11 +491,10 @@ def test_cli_names_the_encoder_whose_adam_moments_overflowed(tmp_path, capsys):
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "error: training iteration 0: encoder content_x Adam second moments became non-finite" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
     assert not (tmp_path / "o" / "bank.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_names_the_loss_that_overflowed(tmp_path, capsys):
     # scene features near 1e200 overflow the reconstruction loss before any gradient
     cfg_path = tmp_path / "cfg.json"
@@ -506,11 +505,27 @@ def test_cli_names_the_loss_that_overflowed(tmp_path, capsys):
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "error: training iteration 0: loss became non-finite (" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
     assert list((tmp_path / "o").iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_names_the_iteration_whose_metrics_are_not_finite(tmp_path, capsys, monkeypatch):
+    measured = []
+
+    def pair_metrics(*args):
+        entropy, purity, fidelity = real(*args)
+        measured.append(fidelity)
+        return entropy, purity, np.nan if len(measured) == 2 else fidelity
+
+    real = harness._pair_metrics
+    monkeypatch.setattr(harness, "_pair_metrics", pair_metrics)
+    write_tiny_config(tmp_path / "cfg.json")
+    assert cli_main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: training iteration 1: metrics became non-finite (fidelity nan)" in err
+    assert len(measured) == 2 and list((tmp_path / "o").iterdir()) == []
+
+
 @pytest.mark.parametrize("override", [{"temperature": 1e-300}, {"scene": {"noise_sigma": 1e200}}])
 def test_cli_failed_run_writes_nothing_to_its_output_directory(tmp_path, capsys, override):
     finished = tmp_path / "finished"
@@ -523,7 +538,8 @@ def test_cli_failed_run_writes_nothing_to_its_output_directory(tmp_path, capsys,
     write_tiny_config(tmp_path / "bad.json", **override)
     for out in (tmp_path / "fresh", finished):
         assert cli_main(["train", "--config", str(tmp_path / "bad.json"), "--out", str(out)]) == 1
-        assert "error: training iteration 0:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: training iteration 0:" in err and "Warning" not in err
     assert list((tmp_path / "fresh").iterdir()) == []
     assert artifacts() == before
 

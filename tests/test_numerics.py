@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +16,7 @@ from stylemem.numerics import (
     cosine_rows,
     l2_normalize_rows,
     make_rng,
+    row_norms,
     softmax_cols,
     softmax_rows,
     split_rng,
@@ -162,6 +163,24 @@ def test_softmax_cols_stochastic(m):
     np.testing.assert_allclose(softmax_cols(m).sum(axis=0), 1.0, atol=1e-12)
 
 
+# --- row norms ---
+
+# rows of zeros, -0.0, subnormals, NaN, 1e200 (whose squares overflow) or anything else
+special_floats = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, np.nan, 1e200, -1e200])
+any_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=special_floats | any_floats)
+))
+@example(np.array([[0.0, 0.0], [-0.0, -0.0], [5e-324, 2.5e-310], [np.nan, 1.0], [1e200, 1.0]]))
+@settings(max_examples=300)
+def test_row_norms_are_linalg_norm_bit_for_bit(m):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = row_norms(m), np.linalg.norm(m, axis=1)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # --- l2 normalization ---
 
 
@@ -224,6 +243,26 @@ def test_adam_matches_scalar_oracle_over_steps():
         p_ref, m_ref, v_ref, t_ref = oracle_adam_scalar(p_ref, g, m_ref, v_ref, t_ref, 0.9, 0.999, 1e-8, 0.01)
         assert param[0, 0] == pytest.approx(p_ref, abs=1e-14)
     assert state.step_count == 20
+
+
+def test_adam_is_the_one_expression_form_bit_for_bit():
+    # adam_step builds its step in place; the textbook expression is the reference
+    rng = make_rng(5)
+    param = rng.standard_normal((16, 8))
+    state = AdamState.for_param(param.shape)
+    ref, m, v = param.copy(), np.zeros_like(param), np.zeros_like(param)
+    lr, b1, b2 = 0.01, 0.9, 0.999
+    for t in range(1, 51):
+        grad = rng.standard_normal(param.shape) * 10.0 ** rng.integers(-6, 3)
+        given = grad.copy()
+        param = adam_step(param, grad, state, lr, b1, b2)
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        ref = ref - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + ADAM_EPS)
+        np.testing.assert_array_equal(param, ref)
+        np.testing.assert_array_equal(grad, given)
+    np.testing.assert_array_equal(state.first_moment, m)
+    np.testing.assert_array_equal(state.second_moment, v)
 
 
 def test_adam_shape_mismatch():

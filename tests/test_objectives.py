@@ -25,7 +25,7 @@ def test_config_validates_temperature():
 def test_contrastive_single_item_zero_loss():
     term = contrastive_loss(np.array([[0.4, -1.2]]), np.array([[1.0, 0.0]]), [0], 0.5)
     assert term.value == 0.0
-    np.testing.assert_array_equal(term.grad, 0.0)
+    np.testing.assert_array_equal(term.gradient(), 0.0)
 
 
 def test_contrastive_uniform_limit_large_temperature():
@@ -104,7 +104,7 @@ def test_contrastive_gradient_fd():
     items = rng.standard_normal((5, 6))
     temperature = 0.5
     report = fd_check(
-        lambda q: (lambda t: (t.value, t.grad))(contrastive_loss(q, items, [0, 2], temperature)),
+        lambda q: (lambda t: (t.value, t.gradient()))(contrastive_loss(q, items, [0, 2], temperature)),
         queries,
     )
     assert report.passed, report
@@ -119,7 +119,7 @@ def test_triplet_satisfied_hinge_zero():
     term = triplet_loss(queries, items, [0], margin=1.0)
     # d+ = 0, d- = 2, margin 1 -> hinge inactive
     assert term.value == 0.0
-    np.testing.assert_array_equal(term.grad, 0.0)
+    np.testing.assert_array_equal(term.gradient(), 0.0)
 
 
 def test_triplet_equidistant_gives_margin():
@@ -139,7 +139,7 @@ def test_triplet_hand_case_matches_oracle_and_fd():
     assert term.positives.tolist() == ref_pos == [0]
     assert ref_neg == [1]
     report = fd_check(
-        lambda q: (lambda t: (t.value, t.grad))(triplet_loss(q, items, [0], 1.0)), queries
+        lambda q: (lambda t: (t.value, t.gradient()))(triplet_loss(q, items, [0], 1.0)), queries
     )
     assert report.passed, report
 
@@ -181,7 +181,7 @@ def test_fd_check_flags_corrupted_gradient():
 
     def corrupted(q):
         term = contrastive_loss(q, items, [1], temperature)
-        grad = term.grad.copy()
+        grad = term.gradient()
         grad[0, 0] *= 1.10
         return term.value, grad
 
