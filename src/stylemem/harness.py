@@ -290,6 +290,14 @@ def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
+def _finite(row: MetricsRow, what: str) -> MetricsRow:
+    """``row``, or a ``ValidationError`` naming each of its non-finite fields."""
+    bad = [f"{name} {value}" for name, value in asdict(row).items() if not np.isfinite(value)]
+    if bad:
+        raise ValidationError(f"{what} became non-finite ({', '.join(bad)})")
+    return row
+
+
 @dataclass
 class _EvalAccumulator:
     alpha_sum: np.ndarray
@@ -363,10 +371,11 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
 
     Artifacts: resolved_config.json, metrics.csv (one row per iteration),
     bank.json, encoders.json, final_eval.json, assignments.csv. All are
-    written after the last iteration, so a run that fails in training
-    writes nothing into ``out_dir``. An iteration whose step or metrics
-    row is not finite raises an error naming it, and numpy's
-    floating-point warnings are silenced inside the loop.
+    written once the final evaluation has passed its finiteness check, so a
+    run that fails in training or in that evaluation writes nothing into
+    ``out_dir``. An iteration whose step or metrics row is not finite raises
+    an error naming it, and numpy's floating-point warnings are silenced
+    inside the loop.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -391,25 +400,22 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
                     encoders, bank, scene_x, scene_y, cfg.train, update_memory=t % cfg.update_every == 0
                 )
                 entropy, purity, fidelity = _pair_metrics(bank, encoders, scene_x, scene_y, ref_layout)
-            row = MetricsRow(
-                t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity
+            row = _finite(
+                MetricsRow(t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity),
+                "metrics",
             )
-            bad = [f"{name} {value}" for name, value in asdict(row).items() if not np.isfinite(value)]
-            if bad:
-                raise ValidationError(f"metrics became non-finite ({', '.join(bad)})")
         except StylememError as exc:
             raise type(exc)(f"training iteration {t}: {exc}") from exc
         metrics.append(row)
         metrics_csv.add(astuple(row))
 
+    final_eval = evaluate(
+        bank, encoders, cfg, cfg.eval_scenes, assignments_path=out / "assignments.csv"
+    )
     write_json(out / "resolved_config.json", cfg.to_dict())
     metrics_csv.write(out / "metrics.csv")
     save_bank(bank, out / "bank.json")
     save_encoders(encoders, out / "encoders.json")
-
-    final_eval = evaluate(
-        bank, encoders, cfg, cfg.eval_scenes, assignments_path=out / "assignments.csv"
-    )
     write_json(out / "final_eval.json", asdict(final_eval))
     log.info(
         "done: purity=%.4f fidelity=%.4f entropy=%.4f", final_eval.purity,
@@ -445,7 +451,8 @@ def evaluate(
     When ``assignments_path`` is set, the first cfg.assignment_scenes scenes
     also dump one row per query: scene, domain, position, label, assigned
     item, its weight, and the encoded content features (for external
-    projection).
+    projection). A metric that is not finite raises an error naming it,
+    before the export is written.
     """
     if scene_count < 1:
         raise ConfigError("evaluation needs at least one scene")
@@ -458,27 +465,30 @@ def evaluate(
     columns = ["scene,domain,position,label,item,weight"] + [f"c{i}" for i in range(bank.channels)]
     assignments = CsvRows(",".join(columns), ["%d", "%s", "%d", "%d", "%d"] + [FLOAT] * (1 + bank.channels))
 
-    for i in range(scene_count):
-        scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
-        report, fwd = compute_losses(encoders, bank, scene_x, scene_y, cfg.train)
-        loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
+    # a diverged bank or encoder set fails below with a named error, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(scene_count):
+            scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
+            report, fwd = compute_losses(encoders, bank, scene_x, scene_y, cfg.train)
+            loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
-        features = {d: (q.content, q.style, q.sims) for d, q in fwd.queries.items()}
-        export = assignments if assignments_path is not None and i < cfg.assignment_scenes else None
-        _accumulate_pair(acc, bank, features, {"x": scene_x, "y": scene_y}, ref_layout, export, i)
+            features = {d: (q.content, q.style, q.sims) for d, q in fwd.queries.items()}
+            export = assignments if assignments_path is not None and i < cfg.assignment_scenes else None
+            _accumulate_pair(acc, bank, features, {"x": scene_x, "y": scene_y}, ref_layout, export, i)
 
+        row = MetricsRow(
+            iteration=cfg.iterations,
+            key_loss=float(loss_sums[0]) / scene_count,
+            value_loss=float(loss_sums[1]) / scene_count,
+            rec_loss=float(loss_sums[2]) / scene_count,
+            util_entropy=acc.entropy(),
+            purity=acc.purity(),
+            fidelity=acc.fidelity(),
+        )
+    _finite(row, "evaluation")
     if assignments_path is not None:
         assignments.write(assignments_path)
-
-    return MetricsRow(
-        iteration=cfg.iterations,
-        key_loss=float(loss_sums[0]) / scene_count,
-        value_loss=float(loss_sums[1]) / scene_count,
-        rec_loss=float(loss_sums[2]) / scene_count,
-        util_entropy=acc.entropy(),
-        purity=acc.purity(),
-        fidelity=acc.fidelity(),
-    )
+    return row
 
 
 def inspect_bank(path: str | Path) -> str:

@@ -9,7 +9,7 @@ import pytest
 
 from stylemem import harness
 from stylemem.cli import main as cli_main
-from stylemem.encoder import EncoderSet, LinearEncoder, TrainSettings
+from stylemem.encoder import EncoderSet, LinearEncoder, TrainSettings, save_encoders
 from stylemem.errors import ConfigError, PoolError, ValidationError
 from stylemem.harness import (
     METRICS_HEADER,
@@ -542,6 +542,47 @@ def test_cli_failed_run_writes_nothing_to_its_output_directory(tmp_path, capsys,
         assert "error: training iteration 0:" in err and "Warning" not in err
     assert list((tmp_path / "fresh").iterdir()) == []
     assert artifacts() == before
+
+
+DIVERGED = {
+    "preset": "toy", "iterations": 1, "eval_scenes": 1, "assignment_scenes": 1, "learning_rate": 1e300,
+    "scene": {"height": 4, "width": 4},
+}
+
+
+def test_cli_train_fails_before_writing_when_the_final_evaluation_is_not_finite(tmp_path, capsys):
+    # one Adam step at learning rate 1e300 leaves finite weights near 1e300;
+    # the held-out scene's squared read residual then overflows
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(DIVERGED))
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "error: evaluation became non-finite (rec_loss inf)"
+    ]
+    assert "Warning" not in err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_cli_eval_rejects_artifacts_whose_evaluation_is_not_finite(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(DIVERGED))
+    cfg = load_config(cfg_path)
+    save_bank(init_bank(cfg.bank_layout(), cfg.channels, make_rng(3)), tmp_path / "bank.json")
+    encoders = EncoderSet.create(make_rng(4), cfg.scene.input_channels, cfg.channels)
+    for enc in encoders.all():
+        enc.weight *= 1e300
+    save_encoders(encoders, tmp_path / "encoders.json")
+    before = sorted(tmp_path.iterdir())
+    args = ["eval", "--config", str(cfg_path), "--scenes", "1"]
+    args += ["--bank", str(tmp_path / "bank.json"), "--encoders", str(tmp_path / "encoders.json")]
+    assert cli_main(args) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        "error: evaluation became non-finite (rec_loss inf)"
+    ]
+    assert "Warning" not in captured.err and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize(
