@@ -333,16 +333,17 @@ def _accumulate_pair(
     for d, opposite in (("x", "y"), ("y", "x")):
         content, _, sims = features[d]
         result = read_global(bank, content, d, sims)
+        weights = result.weights.T  # item-major (N, P) storage
         target = features[opposite][1]
 
-        acc.alpha_sum += result.weights.sum(axis=0)
+        acc.alpha_sum += weights.sum(axis=1)
         acc.queries += content.shape[0]
         acc.fidelity_sum += float(cosine_rows(result.aggregated_style, target).sum())
-        top = np.argmax(result.weights, axis=1)
+        top = np.argmax(weights, axis=0)
         labels = scenes[d].labels
         acc.purity_hits += int(np.sum(item_classes[top] == labels))
         if assignments is not None:
-            picked = result.weights[np.arange(top.shape[0]), top]
+            picked = weights[top, np.arange(top.shape[0])]
             positions = enumerate(zip(labels.tolist(), top.tolist()))
             leading = ((scene, d, p, label, item) for p, (label, item) in positions)
             assignments.add_block(leading, np.column_stack((picked, content)))

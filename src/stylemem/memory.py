@@ -3,13 +3,21 @@
 A bank holds N items; each item is a key row plus one value row per domain,
 all unit-normalized. The layout reserves a contiguous block of items per
 object class. Training reads and updates address only the block of each
-query's class, as one masked (P, N) operation over a scene, except in a
-pooled bank (one ``POOLED_CLASS_ID`` partition), which every query addresses
-whole; test-time reads address all N items. :func:`address` computes a
-scene's content-key cosines, their parts and the class-restricted read
-weights once; the read, its backward pass, the update weights, the key-side
-item loss and the test-time read all take them from the query set. Bank
-files go through :mod:`stylemem.serialize`.
+query's class, as one masked operation over a scene's P x N query-item
+pairs, except in a pooled bank (one ``POOLED_CLASS_ID`` partition), which
+every query addresses whole; test-time reads address all N items.
+:func:`address` computes a scene's content-key cosines, their parts and the
+class-restricted read weights once; the read, its backward pass, the update
+weights, the key-side item loss and the test-time read all take them from
+the query set. Bank files go through :mod:`stylemem.serialize`.
+
+Query-item arrays are stored item-major, as C-contiguous (N, P) arrays (see
+:mod:`stylemem.numerics`): every sum, max and softmax over a query's items
+runs along axis 0 of the storage, adding whole contiguous P-vectors, and
+every sum over an item's queries along its contiguous axis 1. The (P, N) names
+(``QuerySet.mask``, ``weights`` and ``sims``, ``ReadResult.weights``, the
+result of :func:`update_weights`) are transposed views, so ``.T`` of each is
+the stored array.
 """
 
 from __future__ import annotations
@@ -111,7 +119,8 @@ class QuerySet:
     a pooled bank). ``cosines`` holds the content rows' cosine similarities
     to the keys of the bank the set was built for, with their dot products
     and norms, and ``weights`` the class-restricted read weights
-    ``softmax_rows(sims, mask)`` (see :func:`address`).
+    ``softmax_rows(sims, mask)`` (see :func:`address`). ``mask``,
+    ``weights`` and ``sims`` are (P, N) views of item-major storage.
     """
 
     content: np.ndarray
@@ -131,7 +140,8 @@ class QuerySet:
 
 @dataclass
 class ReadResult:
-    """Row-stochastic read weights (full item width) and the style mixture."""
+    """Row-stochastic read weights (full item width; a (P, N) view of
+    item-major storage) and the style mixture."""
 
     weights: np.ndarray
     aggregated_style: np.ndarray
@@ -169,7 +179,7 @@ def address(
 
     A pooled bank ignores the labels; otherwise labels missing from the
     layout raise :class:`LayoutError`. The cosine similarities to the keys
-    and the read weights are computed here, once.
+    and the read weights are computed here, once, item-major.
     """
     content = np.asarray(content, dtype=np.float64)
     style = np.asarray(style, dtype=np.float64)
@@ -181,15 +191,16 @@ def address(
     if labels.shape != (content.shape[0],):
         raise ShapeError(f"labels shape {labels.shape}, expected {(content.shape[0],)}")
     if bank.layout.class_ids == (POOLED_CLASS_ID,):
-        mask = np.ones((content.shape[0], bank.n_items), dtype=bool)
+        mask = np.ones((bank.n_items, content.shape[0]), dtype=bool)
     else:
-        mask = labels[:, None] == bank.layout.item_classes[None, :]
-        unknown = labels[~mask.any(axis=1)]
+        mask = bank.layout.item_classes[:, None] == labels  # (N, P)
+        unknown = labels[~mask.any(axis=0)]
         if unknown.size:
             raise LayoutError(f"class {unknown[0]} not in layout (have {list(bank.layout.class_ids)})")
     cosines = Cosines(content, bank.keys)
-    weights = softmax_rows(cosines.sims, mask) if content.shape[0] else np.zeros(mask.shape)
-    return QuerySet(content, style, mask, cosines, weights)
+    # each query's softmax over its items: a column softmax of the storage
+    weights = softmax_cols(cosines.sims.T, mask) if content.shape[0] else np.zeros(mask.shape)
+    return QuerySet(content, style, mask.T, cosines, weights.T)
 
 
 def _check_queries(bank: MemoryBank, queries: QuerySet) -> None:
@@ -230,7 +241,7 @@ def read_global(
         sims = cosine_matrix(queries, bank.keys)
     elif sims.shape != (queries.shape[0], bank.n_items):
         raise ShapeError(f"sims shape {sims.shape}, expected {(queries.shape[0], bank.n_items)}")
-    alpha = softmax_rows(sims)
+    alpha = softmax_cols(sims.T).T
     return ReadResult(alpha, alpha @ _cross_values(bank, domain))
 
 
@@ -255,32 +266,34 @@ def read_backward(
             f"upstream shape {upstream.shape}, expected {(queries.size, bank.channels)}"
         )
 
-    alpha = queries.weights
+    # item-major (N, P) throughout: the sums over items run along axis 0
+    alpha = queries.weights.T
     cos = queries.cosines
 
     # d loss / d alpha, then through the softmax jacobian; masked entries
     # have alpha = 0 and so get no gradient
-    g_alpha = upstream @ _cross_values(bank, domain).T
-    g_sims = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=1, keepdims=True))
+    g_alpha = _cross_values(bank, domain) @ upstream.T
+    g_sims = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=0))
 
     # d sims / d query: k / w  -  sims * ||k|| * q / (w * ||q||)
-    g_scaled = g_sims / cos.denom
-    coeff = np.sum(g_scaled * cos.sims * cos.item_norms[None, :], axis=1)
+    g_scaled = g_sims / cos.denom.T
+    coeff = np.sum(g_scaled * cos.sims.T * cos.item_norms[:, None], axis=0)
     safe_q = np.maximum(cos.row_norms, EPS_DIV)
-    grad = g_scaled @ bank.keys
+    grad = g_scaled.T @ bank.keys
     grad -= (coeff / safe_q)[:, None] * queries.content
     return grad
 
 
 def update_weights(bank: MemoryBank, queries: QuerySet) -> np.ndarray:
-    """Assignment weights of queries to items, (P, N).
+    """Assignment weights of queries to items, (P, N), a view of item-major storage.
 
     Each column is softmax-normalized over the queries that address the
     item, so each addressed item distributes one unit of mass across them;
     columns of items no query addresses are zero.
     """
     _check_queries(bank, queries)
-    return softmax_cols(queries.sims, queries.mask)
+    # each item's softmax over its queries: a row softmax of the storage
+    return softmax_rows(queries.sims.T, queries.mask.T).T
 
 
 def update(
@@ -302,10 +315,10 @@ def update(
     for queries, plane in ((queries_x, new.values_x), (queries_y, new.values_y)):
         if queries is None or queries.size == 0:
             continue
-        beta = update_weights(bank, queries)
-        hit = queries.mask.any(axis=0)
-        key_accum += beta.T @ queries.content
-        plane[hit] = l2_normalize_rows(plane[hit] + (beta.T @ queries.style)[hit])
+        beta = update_weights(bank, queries).T  # (N, P)
+        hit = queries.mask.T.any(axis=1)
+        key_accum += beta @ queries.content
+        plane[hit] = l2_normalize_rows(plane[hit] + (beta @ queries.style)[hit])
         touched |= hit
     if touched.any():
         new.keys[touched] = l2_normalize_rows(key_accum[touched])

@@ -8,6 +8,14 @@ randomness flows through generators owned by the caller.
 Row norms go through :func:`row_norms` (the bits of ``np.linalg.norm(m,
 axis=1)`` without its conjugate copy), and :func:`adam_step` builds its step
 in place in the textbook expression's operation order, so with its bits.
+
+Query-item arrays (P queries x N items) are stored item-major: a C-contiguous
+(N, P) array, so that a sum, max or softmax over the few items of each query
+runs along axis 0, one contiguous P-vector at a time, and not along a short
+inner axis. The (P, N) names, such as ``Cosines.sims`` and the result of
+:func:`cosine_matrix`, are transposed views of that storage. The softmaxes
+reduce along the named axis of whatever layout they get; on such a view
+:func:`softmax_rows` is :func:`softmax_cols` of the stored array, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ class Cosines:
     with the parts they are built from, so consumers of the raw dot
     products or the norms need no second pass.
 
+    ``dots``, ``denom`` and ``sims`` are (P, N) views of item-major (N, P)
+    arrays; their ``.T`` is the C-contiguous storage.
+
     Unchecked: the caller passes 2-D float64 arrays of equal width.
     """
 
@@ -50,13 +61,17 @@ class Cosines:
     def __init__(self, rows: np.ndarray, items: np.ndarray):
         self.row_norms = row_norms(rows)  # (P,)
         self.item_norms = row_norms(items)  # (N,)
-        self.dots = rows @ items.T  # (P, N)
-        self.denom = np.outer(self.row_norms, self.item_norms) + EPS_DIV  # (P, N)
-        self.sims = np.clip(self.dots / self.denom, -1.0, 1.0)  # (P, N), in [-1, 1]
+        dots = items @ rows.T  # (N, P)
+        denom = self.item_norms[:, None] * self.row_norms
+        denom += EPS_DIV
+        self.dots = dots.T
+        self.denom = denom.T
+        self.sims = np.clip(dots / denom, -1.0, 1.0).T  # in [-1, 1]
 
 
 def cosine_matrix(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """All-pairs cosine similarities, (P, C) x (N, C) -> (P, N)."""
+    """All-pairs cosine similarities, (P, C) x (N, C) -> (P, N), a view of
+    item-major storage (see :class:`Cosines`)."""
     queries = _as_matrix(queries, "queries")
     keys = _as_matrix(keys, "keys")
     if queries.shape[1] != keys.shape[1]:
@@ -88,7 +103,9 @@ def softmax_rows(m: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with max subtraction; each output row sums to 1.
 
     Entries where ``mask`` is False get weight 0 (logit -inf); a row with no
-    True entry is all zero.
+    True entry is all zero. The output keeps the input's layout, so on the
+    transposed view of an item-major array a sum over a row's items adds
+    whole contiguous rows of the stored array.
     """
     return _softmax(m, mask, axis=1)
 

@@ -4,6 +4,12 @@ Both losses pick each query's positive as the cosine-nearest item inside a
 caller-supplied pool (its class partition during class-aware training, the
 whole bank otherwise): a masked argmax over the query-item cosine matrix.
 They treat the items as constants: gradients flow into the queries only.
+
+The pools, cosines and logits are used item-major, as (N, P) arrays (see
+:mod:`stylemem.numerics`): the argmax and the log-sum-exp over each query's
+items run along axis 0, and a sum over items adds whole contiguous P-vectors.
+Callers pass (P, N) pools and cosines; the transposed views of item-major
+storage that :func:`stylemem.memory.address` makes are the fast case.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ class LossTerm:
 
 
 def _inputs(queries, items, positive_pool, cosines) -> tuple[np.ndarray, Cosines]:
-    """The positive pool as a validated (P, N) mask, and the query-item cosines."""
+    """The positive pool as a validated item-major (N, P) mask, and the query-item cosines."""
     if queries.ndim != 2 or items.ndim != 2 or queries.shape[1] != items.shape[1]:
         raise ShapeError(f"queries {queries.shape} and items {items.shape} must share channels")
     shape = (queries.shape[0], items.shape[0])
@@ -49,7 +55,8 @@ def _inputs(queries, items, positive_pool, cosines) -> tuple[np.ndarray, Cosines
             raise PoolError(f"positive pool indices out of range for {shape[1]} items")
         pool = np.zeros(shape[1], dtype=bool)
         pool[indices] = True
-    if pool.shape not in (shape, shape[1:]) or not np.broadcast_to(pool, shape).any(axis=1).all():
+    by_item = np.broadcast_to(pool, shape).T if pool.shape in (shape, shape[1:]) else None
+    if by_item is None or not by_item.any(axis=0).all():
         raise PoolError(f"positive pool {pool.shape} is empty or does not fit {shape}")
     if 0 in queries.shape:
         raise ShapeError(f"queries must be a non-empty 2-D array, got shape {queries.shape}")
@@ -57,7 +64,7 @@ def _inputs(queries, items, positive_pool, cosines) -> tuple[np.ndarray, Cosines
         cosines = Cosines(queries, items)
     elif cosines.sims.shape != shape or cosines.dots.shape != shape:
         raise ShapeError(f"cosines shape {cosines.sims.shape}, expected {shape}")
-    return np.broadcast_to(pool, shape), cosines
+    return by_item, cosines
 
 
 def contrastive_loss(
@@ -81,19 +88,19 @@ def contrastive_loss(
     items = np.asarray(items, dtype=np.float64)
     pool, cosines = _inputs(queries, items, positive_pool, cosines)
     rows = np.arange(queries.shape[0])
-    positives = np.argmax(np.where(pool, cosines.sims, -np.inf), axis=1)
+    positives = np.argmax(np.where(pool, cosines.sims.T, -np.inf), axis=0)
 
-    logits = cosines.dots / temperature
-    peak = logits.max(axis=1, keepdims=True)
+    logits = cosines.dots.T / temperature  # (N, P)
+    peak = logits.max(axis=0)
     e = np.exp(logits - peak)
-    total = e.sum(axis=1, keepdims=True)
-    log_z = np.log(total[:, 0]) + peak[:, 0]
-    value = float(np.sum(log_z - logits[rows, positives]))
+    total = e.sum(axis=0)
+    log_z = np.log(total) + peak
+    value = float(np.sum(log_z - logits[positives, rows]))
 
     def gradient() -> np.ndarray:
         probs = e / total
-        probs[rows, positives] -= 1.0
-        grad = probs @ items
+        probs[positives, rows] -= 1.0
+        grad = probs.T @ items
         grad /= temperature
         return grad
 
@@ -120,10 +127,10 @@ def triplet_loss(
     if items.shape[0] < 2:
         raise PoolError("triplet loss needs at least two items")
     rows = np.arange(queries.shape[0])
-    positives = np.argmax(np.where(pool, cosines.sims, -np.inf), axis=1)
-    others = cosines.sims.copy()
-    others[rows, positives] = -np.inf
-    negatives = np.argmax(others, axis=1)
+    positives = np.argmax(np.where(pool, cosines.sims.T, -np.inf), axis=0)
+    others = cosines.sims.T.copy()  # (N, P)
+    others[positives, rows] = -np.inf
+    negatives = np.argmax(others, axis=0)
 
     diff_pos = queries - items[positives]
     diff_neg = queries - items[negatives]

@@ -2,7 +2,8 @@
 
 For each run the test holds the SHA-256 of the six artifacts and of the
 ``stylemem train`` stdout. A change that moves a byte on purpose updates
-``DIGESTS`` and reports the drift. Float results depend on the numpy and
+``DIGESTS`` and reports the drift (``python tests/drift.py PARENT_RUN
+CHANGE_RUN``). Float results depend on the numpy and
 BLAS build, so the digests hold only for ``BUILD``; under any other build
 the test skips and names both builds.
 """
@@ -36,30 +37,30 @@ BUILD = (
 DIGESTS = {
     "toy": {
         "resolved_config.json": "d0f408508fe67839c49c0507c5c8d13b56ec8006ba1f86834ace6c70d08b0d43",
-        "metrics.csv": "1ba8cd83d224dcf0593c461a405ce029ce9e4ff2ab8493d3f2f3cb25cec1ba03",
-        "bank.json": "8eebccbd131ea322c33e2ce6df75297bfcee4fa1b3a4b3bc24aae8cd97281ed1",
-        "encoders.json": "88cc94ac898928a43bd61952202d3381f8923576f1cb74208c5015d2c40ee5ad",
-        "final_eval.json": "fc7197231191a3267285651e87567882cfb00cadcd7344520084639d2cd50a5d",
-        "assignments.csv": "830f24d82158855d990a428ee70d91dd03f55be825601d63c1a5d9f2e71ea0c4",
-        "stdout": "fc7197231191a3267285651e87567882cfb00cadcd7344520084639d2cd50a5d",
+        "metrics.csv": "8711bfc44e73daaab03b4077c105b16235977f993631013607ff8e9d957c3865",
+        "bank.json": "29cbaad6866ed0bc0a8334185432d68ccd153eaf70f5e45f75faa8a784a3ec55",
+        "encoders.json": "99df1c642f24485494502a8fc1cd327bf4649552aea521e77e2d86bf8fc6fe3f",
+        "final_eval.json": "9f1d9cc4a19303a144a87ca4e921be88f27acc05dc952d8a7af91f2838323139",
+        "assignments.csv": "cea7370c9466409d52947251529332a72f3ea134791f954c67887e379578f757",
+        "stdout": "9f1d9cc4a19303a144a87ca4e921be88f27acc05dc952d8a7af91f2838323139",
     },
     "toy-single-triplet": {
         "resolved_config.json": "534f7297c94efb2102316e2edc1060bba1bcebe3e1c8ca7bb25241fccc83d0fd",
-        "metrics.csv": "0f54c9d049adb11072b0c589043fa4ce2de8911888268fdb8e75599a7f22aa12",
-        "bank.json": "b3e6afbe2ba76cd0f202b03809f4c7e58a45b4acd23fb1a13f0bfbe1cc39959b",
-        "encoders.json": "ca84eea6fa580087dfdb4f66b980e09ada0103fc7187e2c4c56b73f200eae4c2",
-        "final_eval.json": "51e1ce77ee374b25649b5046ed90746b24c7c786e743a028425041d481b46171",
-        "assignments.csv": "de1f18201200a36c9ae0dfde40524566ac9cb936c48b63f00e00ef0b56775bb9",
-        "stdout": "51e1ce77ee374b25649b5046ed90746b24c7c786e743a028425041d481b46171",
+        "metrics.csv": "cef15c63308b74d057c5992075aa89c33354e66adecad91b40fb16edd3954ec6",
+        "bank.json": "93789b0951798469cb4798031db0d0128ed87248348594ce3e80b41f0deda014",
+        "encoders.json": "52a11e47d9566929a2598c4707dc6f69fe49df4de6abbbd9d2666db95cfdd014",
+        "final_eval.json": "48097eaf68f8a86872f6594a8ddbfe0aa7c31a36cc97defd2732197fbba6c55d",
+        "assignments.csv": "16cacac938c36ca8b36df8d25ca83e4525d0f6a96b5f9e43f44323d0d3c2f670",
+        "stdout": "48097eaf68f8a86872f6594a8ddbfe0aa7c31a36cc97defd2732197fbba6c55d",
     },
     "full": {
         "resolved_config.json": "7bf32d36c88805df6d484bb0d3d6fd8d5392de4852c7013ca1dd998e2a2ce09c",
-        "metrics.csv": "928191ad6786c2a4feca8c8f7b2a558fa0929398fa87c69c17bff0c4045362b6",
-        "bank.json": "0b2b542f81ccb4292d99655d331d3a5fd1ac179abca8c868a2c545ebadfdd656",
-        "encoders.json": "a1eb812f28b9412842cce21a53d875821f39cdac9d1cbd549bb48f8d2b2ebc55",
-        "final_eval.json": "ce9e5b63b13e436b7c3cefb79a020a7d374e9e1045bab39e1c8c87b019a9f1b2",
-        "assignments.csv": "531efeff8e964a8d29c3aab837f4abfc13295e99d294a52bec0481fb9a279347",
-        "stdout": "ce9e5b63b13e436b7c3cefb79a020a7d374e9e1045bab39e1c8c87b019a9f1b2",
+        "metrics.csv": "69a3ea8f2aad432accfa0256420443dc1737fa99374e4f6ccef8127458325771",
+        "bank.json": "292878a157bb99b11599126515af54391d59c9a9435c705e10cc3e7b1eb6555c",
+        "encoders.json": "8e025e93a500665d5e208fed01d7fafecf4814a88f5535f6c301e5647f140f84",
+        "final_eval.json": "ddcf0aaa77a44a56e3cd6a36c88b641e67ab87326cebf1100b10d8be461e3dba",
+        "assignments.csv": "29bc1d742e3d1c7e604db2dc43bae65a4a68d881fa3c2ad58e0e282feab66094",
+        "stdout": "ddcf0aaa77a44a56e3cd6a36c88b641e67ab87326cebf1100b10d8be461e3dba",
     },
 }
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stylemem.errors import EmptyClusterError, LayoutError, ShapeError, ValidationError
 from stylemem.memory import (
@@ -16,7 +19,7 @@ from stylemem.memory import (
     update,
     update_weights,
 )
-from stylemem.numerics import l2_normalize_rows, make_rng, split_rng
+from stylemem.numerics import l2_normalize_rows, make_rng, softmax_cols, softmax_rows, split_rng
 
 from oracles import oracle_read, oracle_read_global, oracle_update
 from reference import span
@@ -96,6 +99,65 @@ def test_init_bank_deterministic():
 def test_init_bank_bad_channels():
     with pytest.raises(ShapeError):
         init_bank(MemoryLayout.from_counts([(0, 1)]), 0, make_rng(0))
+
+
+# --- item-major storage ---
+
+
+def assert_item_major_view(view, shape):
+    """``view`` is the (P, N) transpose of a C-contiguous (N, P) array."""
+    stored = view.base
+    assert view.shape == shape and stored.shape == shape[::-1]
+    assert stored.flags.c_contiguous
+    assert view.strides == stored.strides[::-1] and np.shares_memory(view, stored)
+    np.testing.assert_array_equal(view, stored.T)
+
+
+@pytest.mark.parametrize("counts", [TOY_COUNTS, [(POOLED_CLASS_ID, 10)]])
+def test_address_stores_query_item_arrays_item_major(counts):
+    rng = make_rng(26)
+    bank = random_bank(rng, counts, 6)
+    labels = rng.choice([1, 2, 3, 0], size=40)
+    queries = address(bank, rng.standard_normal((40, 6)), rng.standard_normal((40, 6)), labels)
+    shape = (40, bank.n_items)
+    cos = queries.cosines
+    for view in (queries.mask, queries.weights, queries.sims, cos.dots, cos.denom, cos.sims):
+        assert_item_major_view(view, shape)
+    if counts == TOY_COUNTS:
+        np.testing.assert_array_equal(queries.mask, labels[:, None] == bank.layout.item_classes)
+    else:
+        assert queries.mask.all()
+    assert read(bank, queries, "x").weights is queries.weights
+    assert_item_major_view(read_global(bank, queries.content, "y", queries.sims).weights, shape)
+    assert_item_major_view(read_global(bank, queries.content, "y").weights, shape)
+    assert_item_major_view(update_weights(bank, queries), shape)
+
+
+# Logits on a quarter-step grid: exact ties are common (the first item wins
+# them) and unequal logits are far enough apart that no rounding reorders them.
+grid_logits = st.integers(1, 24).flatmap(
+    lambda n: arrays(
+        np.float64, st.tuples(st.integers(1, 40), st.just(n)),
+        elements=st.integers(-24, 24).map(lambda k: k / 4),
+    )
+)
+
+
+@given(grid_logits, st.data())
+@settings(max_examples=200, deadline=None)
+def test_softmax_rows_agrees_on_item_major_views(m, data):
+    p, n = m.shape
+    # any mask, fully masked rows included
+    mask = data.draw(arrays(np.bool_, (p, n)))
+    stored, stored_mask = np.ascontiguousarray(m.T), np.ascontiguousarray(mask.T)
+    dense = softmax_rows(m, mask)
+    viewed = softmax_rows(stored.T, stored_mask.T)
+    # the two layouts sum a row's n weights in different orders
+    np.testing.assert_allclose(viewed, dense, rtol=1e-15 * n, atol=0.0)
+    np.testing.assert_array_equal(np.argmax(viewed, axis=1), np.argmax(dense, axis=1))
+    np.testing.assert_array_equal(viewed, softmax_cols(stored, stored_mask).T)
+    assert viewed.T.flags.c_contiguous
+    np.testing.assert_array_equal(dense[~mask.any(axis=1)], 0.0)
 
 
 # --- read ---
