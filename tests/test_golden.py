@@ -1,7 +1,10 @@
-"""Golden digests: the exact bytes of three short training runs.
+"""Golden digests: the exact bytes of four short training runs.
 
 For each run the test holds the SHA-256 of the six artifacts and of the
-``stylemem train`` stdout. A change that moves a byte on purpose updates
+``stylemem train`` stdout. The ``toy-6x6`` run has P = 36 positions per
+scene, where numpy's pairwise sum over 2P values differs from the sum of
+its two halves, so a loss summed over both domains at once would move its
+bytes; the other runs have P = 256. A change that moves a byte on purpose updates
 ``DIGESTS`` and reports the drift (``python tests/drift.py PARENT_RUN
 CHANGE_RUN``). Float results depend on the numpy and
 BLAS build, so the digests hold only for ``BUILD``; under any other build
@@ -27,6 +30,7 @@ RUNS = {
         "preset": "toy", "iterations": 40, "memory_mode": "single", "loss_variant": "triplet",
     },
     "full": {"preset": "full", "iterations": 4, "eval_scenes": 2, "assignment_scenes": 1},
+    "toy-6x6": {"preset": "toy", "iterations": 40, "scene": {"height": 6, "width": 6}},
 }
 
 BUILD = (
@@ -61,6 +65,15 @@ DIGESTS = {
         "final_eval.json": "ddcf0aaa77a44a56e3cd6a36c88b641e67ab87326cebf1100b10d8be461e3dba",
         "assignments.csv": "29bc1d742e3d1c7e604db2dc43bae65a4a68d881fa3c2ad58e0e282feab66094",
         "stdout": "ddcf0aaa77a44a56e3cd6a36c88b641e67ab87326cebf1100b10d8be461e3dba",
+    },
+    "toy-6x6": {
+        "resolved_config.json": "1022032214d961eb100c6bfe42abb009210d0490e4259c148c2f3cbfaee61e42",
+        "metrics.csv": "777574fe2580780d1957130e1ca17fcedf6699f34371ca9c1e0cc59a5f584897",
+        "bank.json": "9512e81db62656ffc780119cf453db46bcb30e78e2a52ea2fdb89854e7e661aa",
+        "encoders.json": "d5684cbf67f2d09a96be63f3e9564ba3ccb54de8d24d37487249b8fbeb85911b",
+        "final_eval.json": "875141e5c9fae10936f6b1e6124ac6de7c08d122822cd1da1fc46e097895fe83",
+        "assignments.csv": "1a7c56428c31ade92ec5038ffa761da7d4f132570c2634b2c09f15cf13b30823",
+        "stdout": "875141e5c9fae10936f6b1e6124ac6de7c08d122822cd1da1fc46e097895fe83",
     },
 }
 
