@@ -6,21 +6,21 @@ hand-written so the whole gradient path (loss -> read -> encoder) is explicit
 and checkable by finite differences. It ends at the encoder parameters:
 :func:`backward` returns ``(d_weight, d_bias)`` only.
 
-A loss pass (:func:`compute_losses`) encodes both domains, addresses the
-bank once per domain with the scene's labels (one label-to-partition mask,
-one content-key cosine matrix and its read weights), computes one product
-per memory plane for the item losses (cosines and logits alike), and reads
-the cross-domain style. Its only gradient is the reconstruction loss's
-with respect to each read, made in place from the read residual. The
-item-loss gradients and the read backward pass run on first access of
-``ForwardPass.grad_content``/``grad_style``, which only :func:`train_step`
-makes. So evaluation pays for the forward pass alone and reuses its query
-sets for the test-time read. Each gradient is summed in place in the new
-array of a term's ``gradient()``, never in a cached or shared array, so a
-step holds few (P, C) arrays at once. A training iteration checks that its
-loss is finite, backpropagates into the encoders, applies Adam, and, if
-asked, folds the iteration's features into the memory. Checkpoints (see
-:mod:`stylemem.serialize`) hold no optimizer state.
+A loss pass (:func:`compute_losses`) encodes both domains and addresses the
+bank once for the scene pair: one partition mask, one content-key cosine
+matrix and its read weights, each an item-major array with domain x in the
+first P columns and y in the last P. Each memory plane's item loss runs once
+for both domains, and each domain's loss is summed over its own P queries.
+Its only gradient is the reconstruction loss's with respect to each read,
+made in place from the read residual. The item-loss gradients and the read
+backward pass run on first access of ``ForwardPass.grad_content``/
+``grad_style``, which only :func:`train_step` makes, so evaluation pays for
+the forward pass alone. Each gradient is summed in place in the new array of
+a term's ``gradient()``, and no (2P, C) array of both domains is formed. A
+training iteration checks that its loss is finite, backpropagates into the
+encoders, applies Adam, and, if asked, folds the iteration's features into
+the memory. Checkpoints (see :mod:`stylemem.serialize`) hold no optimizer
+state.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
-from .memory import MemoryBank, QuerySet, address, read, read_backward, update
-from .numerics import AdamState, Cosines, adam_step
+from .memory import MemoryBank, QuerySet, address_blocks, read, read_backward, update
+from .numerics import AdamState, adam_step
 from .objectives import LossTerm, contrastive_loss, triplet_loss
 from .serialize import array, integer, read_json, write_json
 from .synthdata import FeatureScene
@@ -212,16 +212,13 @@ class ForwardPass:
         return grads
 
 
-def _item_loss(
-    queries: np.ndarray,
-    items: np.ndarray,
-    pool: np.ndarray,
-    settings: TrainSettings,
-    cosines: Cosines | None = None,
-) -> LossTerm:
+def _item_loss(queries: tuple, items, pool: np.ndarray, settings: TrainSettings, cosines=None) -> dict:
+    """Each domain's item-loss term of one memory plane, from one loss call."""
     if settings.loss_variant == "contrastive":
-        return contrastive_loss(queries, items, pool, settings.temperature, cosines)
-    return triplet_loss(queries, items, pool, settings.triplet_margin, cosines)
+        terms = contrastive_loss(queries, items, pool, settings.temperature, cosines)
+    else:
+        terms = triplet_loss(queries, items, pool, settings.triplet_margin, cosines)
+    return dict(zip(_DOMAINS, terms))
 
 
 def compute_losses(
@@ -240,30 +237,21 @@ def compute_losses(
     """
     if scene_x.positions != scene_y.positions:
         raise ShapeError("paired scenes must have the same number of positions")
-    scenes = {"x": scene_x, "y": scene_y}
-    queries = {
-        d: address(
-            bank,
-            forward(encoders.content(d), scenes[d].content),
-            forward(encoders.style(d), scenes[d].style),
-            scenes[d].labels,
-        )
-        for d in _DOMAINS
-    }
+    scenes = dict(zip(_DOMAINS, (scene_x, scene_y)))
+    content = tuple(forward(encoders.content(d), s.content) for d, s in scenes.items())
+    style = tuple(forward(encoders.style(d), s.style) for d, s in scenes.items())
+    mask, cosines, sets = address_blocks(bank, content, style, (scene_x.labels, scene_y.labels))
+    queries = dict(zip(_DOMAINS, sets))
+    key_terms = _item_loss(content, bank.keys, mask, settings, cosines)
+    value_terms = _item_loss(style, (bank.values_x, bank.values_y), mask, settings)
 
     p_total = scene_x.positions
-    key_terms, value_terms, upstream = {}, {}, {}
+    upstream = {}
     rec_loss = 0.0
-    for d in _DOMAINS:
-        q = queries[d]
-        opposite = "y" if d == "x" else "x"
-        same_values = bank.values_x if d == "x" else bank.values_y
-        key_terms[d] = _item_loss(q.content, bank.keys, q.mask, settings, q.cosines)
-        value_terms[d] = _item_loss(q.style, same_values, q.mask, settings)
-
+    for d, opposite in (("x", "y"), ("y", "x")):
         # style reconstruction through the read: the cross-domain mixture
         # should reproduce the paired scene's encoded style
-        upstream[d] = diff = read(bank, q, d).aggregated_style
+        upstream[d] = diff = read(bank, queries[d], d).aggregated_style
         diff -= queries[opposite].style
         rec_loss += float(np.sum(diff * diff)) / p_total
         diff *= 2.0 / p_total  # now d(rec_loss)/d(read style)

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, astuple, dataclass, fields, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -290,12 +291,13 @@ def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def _finite(row: MetricsRow, what: str) -> MetricsRow:
-    """``row``, or a ``ValidationError`` naming each of its non-finite fields."""
-    bad = [f"{name} {value}" for name, value in asdict(row).items() if not np.isfinite(value)]
-    if bad:
+def _finite(values: tuple, what: str) -> MetricsRow:
+    """The ``MetricsRow`` of ``values``, or a ``ValidationError`` naming each non-finite field."""
+    if not all(map(math.isfinite, values)):
+        names = (f.name for f in fields(MetricsRow))
+        bad = [f"{name} {value}" for name, value in zip(names, values) if not math.isfinite(value)]
         raise ValidationError(f"{what} became non-finite ({', '.join(bad)})")
-    return row
+    return MetricsRow(*values)
 
 
 @dataclass
@@ -401,14 +403,11 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
                     encoders, bank, scene_x, scene_y, cfg.train, update_memory=t % cfg.update_every == 0
                 )
                 entropy, purity, fidelity = _pair_metrics(bank, encoders, scene_x, scene_y, ref_layout)
-            row = _finite(
-                MetricsRow(t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity),
-                "metrics",
-            )
+            values = (t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity)
+            metrics.append(_finite(values, "metrics"))
         except StylememError as exc:
             raise type(exc)(f"training iteration {t}: {exc}") from exc
-        metrics.append(row)
-        metrics_csv.add(astuple(row))
+        metrics_csv.add(values)
 
     final_eval = evaluate(
         bank, encoders, cfg, cfg.eval_scenes, assignments_path=out / "assignments.csv"
@@ -477,16 +476,9 @@ def evaluate(
             export = assignments if assignments_path is not None and i < cfg.assignment_scenes else None
             _accumulate_pair(acc, bank, features, {"x": scene_x, "y": scene_y}, ref_layout, export, i)
 
-        row = MetricsRow(
-            iteration=cfg.iterations,
-            key_loss=float(loss_sums[0]) / scene_count,
-            value_loss=float(loss_sums[1]) / scene_count,
-            rec_loss=float(loss_sums[2]) / scene_count,
-            util_entropy=acc.entropy(),
-            purity=acc.purity(),
-            fidelity=acc.fidelity(),
-        )
-    _finite(row, "evaluation")
+        losses = (float(total) / scene_count for total in loss_sums)
+        values = (cfg.iterations, *losses, acc.entropy(), acc.purity(), acc.fidelity())
+    row = _finite(values, "evaluation")
     if assignments_path is not None:
         assignments.write(assignments_path)
     return row
@@ -495,43 +487,23 @@ def evaluate(
 def inspect_bank(path: str | Path) -> str:
     """Human-readable bank summary: layout, norms, key similarity structure."""
     bank = load_bank(path)
-    lines = [
-        f"bank file: {path}",
-        f"items: {bank.n_items}, channels: {bank.channels}",
-        "layout:",
-    ]
-    for e in bank.layout.entries:
-        lines.append(f"  class {e.class_id}: items [{e.offset}, {e.offset + e.count})")
-
+    lines = [f"bank file: {path}", f"items: {bank.n_items}, channels: {bank.channels}", "layout:"]
+    lines += [f"  class {e.class_id}: items [{e.offset}, {e.offset + e.count})" for e in bank.layout.entries]
     lines.append("item norms (key / value_x / value_y):")
-    for i in range(bank.n_items):
-        lines.append(
-            f"  {i:3d}  "
-            f"{np.linalg.norm(bank.keys[i]):.9f}  "
-            f"{np.linalg.norm(bank.values_x[i]):.9f}  "
-            f"{np.linalg.norm(bank.values_y[i]):.9f}"
-        )
-
+    planes = (bank.keys, bank.values_x, bank.values_y)
+    lines += [f"  {i:3d}  " + "  ".join(f"{np.linalg.norm(p[i]):.9f}" for p in planes) for i in range(bank.n_items)]
     lines.append("pairwise key cosine:")
     if bank.n_items < 2:
-        lines.append("  (single item, no pairs)")
-    else:
-        sims = bank.keys @ bank.keys.T
-        for i in range(bank.n_items):
-            lines.append(f"  {i:3d}  " + " ".join(f"{sims[i, j]:+.3f}" for j in range(bank.n_items)))
-
-        lines.append("partition key similarity (mean cosine):")
-        for e in bank.layout.entries:
-            block = slice(e.offset, e.offset + e.count)
-            inside = sims[block, block]
-            off_diag = inside[~np.eye(e.count, dtype=bool)]
-            intra = f"{off_diag.mean():+.3f}" if off_diag.size else "n/a"
-            outside_mask = np.ones(bank.n_items, dtype=bool)
-            outside_mask[block] = False
-            inter = (
-                f"{sims[block][:, outside_mask].mean():+.3f}"
-                if outside_mask.any()
-                else "n/a"
-            )
-            lines.append(f"  class {e.class_id}: intra {intra}, inter {inter}")
+        return "\n".join(lines + ["  (single item, no pairs)"])
+    sims = bank.keys @ bank.keys.T
+    lines += [f"  {i:3d}  " + " ".join(f"{s:+.3f}" for s in row) for i, row in enumerate(sims)]
+    lines.append("partition key similarity (mean cosine):")
+    for e in bank.layout.entries:
+        inside = np.zeros(bank.n_items, dtype=bool)
+        inside[e.offset : e.offset + e.count] = True
+        rows = sims[inside]
+        off_diag = rows[:, inside][~np.eye(e.count, dtype=bool)]
+        intra = f"{off_diag.mean():+.3f}" if off_diag.size else "n/a"
+        inter = f"{rows[:, ~inside].mean():+.3f}" if not inside.all() else "n/a"
+        lines.append(f"  class {e.class_id}: intra {intra}, inter {inter}")
     return "\n".join(lines)

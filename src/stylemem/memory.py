@@ -6,23 +6,24 @@ object class. Training reads and updates address only the block of each
 query's class, as one masked operation over a scene's P x N query-item
 pairs, except in a pooled bank (one ``POOLED_CLASS_ID`` partition), which
 every query addresses whole; test-time reads address all N items.
-:func:`address` computes a scene's content-key cosines, their parts and the
-class-restricted read weights once; the read, its backward pass, the update
-weights, the key-side item loss and the test-time read all take them from
-the query set. Bank files go through :mod:`stylemem.serialize`.
+:func:`address_blocks` computes the content-key cosines, their parts and the
+class-restricted read weights of a scene pair's two domains in one pass; the
+read, its backward pass, the update weights, the key-side item loss and the
+test-time read take them from each domain's query set. Bank files go
+through :mod:`stylemem.serialize`.
 
-Query-item arrays are stored item-major, as C-contiguous (N, P) arrays (see
-:mod:`stylemem.numerics`): every sum, max and softmax over a query's items
-runs along axis 0 of the storage, adding whole contiguous P-vectors, and
-every sum over an item's queries along its contiguous axis 1. The (P, N) names
-(``QuerySet.mask``, ``weights`` and ``sims``, ``ReadResult.weights``, the
-result of :func:`update_weights`) are transposed views, so ``.T`` of each is
-the stored array.
+Query-item arrays are stored item-major (see :mod:`stylemem.numerics`), one
+C-contiguous (N, 2P) array per scene pair, domain x in columns [0, P) and y
+in [P, 2P): every sum, max and softmax over a query's items runs along axis
+0 of the storage. The (P, N) names (``QuerySet.mask``, ``weights`` and
+``sims``, ``ReadResult.weights``, the result of :func:`update_weights`) are
+transposed views of a domain's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -84,10 +85,12 @@ class MemoryLayout:
     def class_ids(self) -> tuple[int, ...]:
         return tuple(e.class_id for e in self.entries)
 
-    @property
+    @cached_property
     def item_classes(self) -> np.ndarray:
-        """Class id owning each item, (N,)."""
-        return np.repeat(self.class_ids, [e.count for e in self.entries])
+        """Class id owning each item, (N,), computed once and read-only."""
+        classes = np.repeat(self.class_ids, [e.count for e in self.entries])
+        classes.flags.writeable = False
+        return classes
 
 
 @dataclass
@@ -119,8 +122,8 @@ class QuerySet:
     a pooled bank). ``cosines`` holds the content rows' cosine similarities
     to the keys of the bank the set was built for, with their dot products
     and norms, and ``weights`` the class-restricted read weights
-    ``softmax_rows(sims, mask)`` (see :func:`address`). ``mask``,
-    ``weights`` and ``sims`` are (P, N) views of item-major storage.
+    ``softmax_rows(sims, mask)``. ``mask``, ``weights`` and ``sims`` are (P, N)
+    views of item-major storage that a scene pair's two domains share.
     """
 
     content: np.ndarray
@@ -172,35 +175,49 @@ def init_bank(layout: MemoryLayout, channels: int, rng: np.random.Generator) -> 
     return MemoryBank(keys, values_x, values_y, layout)
 
 
-def address(
-    bank: MemoryBank, content: np.ndarray, style: np.ndarray, labels: np.ndarray
-) -> QuerySet:
-    """Query set whose rows address the partition of their class ``labels[p]``.
+def address(bank: MemoryBank, content: np.ndarray, style: np.ndarray, labels: np.ndarray) -> QuerySet:
+    """Query set whose rows address the partition of their class ``labels[p]``:
+    the one-block case of :func:`address_blocks`."""
+    return address_blocks(bank, (content,), (style,), (labels,))[2][0]
+
+
+def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tuple) -> tuple:
+    """Query sets of blocks of rows (a scene pair's two domains) addressed in
+    one pass: row p of block b addresses the partition of class ``labels[b][p]``.
 
     A pooled bank ignores the labels; otherwise labels missing from the
-    layout raise :class:`LayoutError`. The cosine similarities to the keys
-    and the read weights are computed here, once, item-major.
+    layout raise :class:`LayoutError`. Returns the (P, N) partition mask of
+    all blocks' P rows, their content-key :class:`Cosines` and each block's
+    :class:`QuerySet`, whose ``mask``, ``weights`` and ``cosines`` are views
+    of the block's columns of that storage, with the bits of its own
+    :func:`address` call.
     """
-    content = np.asarray(content, dtype=np.float64)
-    style = np.asarray(style, dtype=np.float64)
-    labels = np.asarray(labels)
-    if content.ndim != 2 or content.shape[1] != bank.channels:
-        raise ShapeError(f"content shape {content.shape} incompatible with C={bank.channels}")
-    if style.shape != content.shape:
-        raise ShapeError(f"style shape {style.shape} != content shape {content.shape}")
-    if labels.shape != (content.shape[0],):
-        raise ShapeError(f"labels shape {labels.shape}, expected {(content.shape[0],)}")
+    contents = tuple(np.asarray(c, dtype=np.float64) for c in contents)
+    styles = tuple(np.asarray(s, dtype=np.float64) for s in styles)
+    labels = tuple(np.asarray(l) for l in labels)
+    for content, style, block_labels in zip(contents, styles, labels, strict=True):
+        if content.ndim != 2 or content.shape[1] != bank.channels:
+            raise ShapeError(f"content shape {content.shape} incompatible with C={bank.channels}")
+        if style.shape != content.shape:
+            raise ShapeError(f"style shape {style.shape} != content shape {content.shape}")
+        if block_labels.shape != (content.shape[0],):
+            raise ShapeError(f"labels shape {block_labels.shape}, expected {(content.shape[0],)}")
+    every = np.concatenate(labels)
     if bank.layout.class_ids == (POOLED_CLASS_ID,):
-        mask = np.ones((bank.n_items, content.shape[0]), dtype=bool)
+        mask = np.ones((bank.n_items, every.shape[0]), dtype=bool)
     else:
-        mask = bank.layout.item_classes[:, None] == labels  # (N, P)
-        unknown = labels[~mask.any(axis=0)]
+        mask = bank.layout.item_classes[:, None] == every  # (N, P)
+        unknown = every[~mask.any(axis=0)]
         if unknown.size:
             raise LayoutError(f"class {unknown[0]} not in layout (have {list(bank.layout.class_ids)})")
-    cosines = Cosines(content, bank.keys)
+    cosines = Cosines.between(contents, (bank.keys,) * len(contents))
     # each query's softmax over its items: a column softmax of the storage
-    weights = softmax_cols(cosines.sims.T, mask) if content.shape[0] else np.zeros(mask.shape)
-    return QuerySet(content, style, mask.T, cosines, weights.T)
+    weights = softmax_cols(cosines.sims.T, mask) if every.shape[0] else np.zeros(mask.shape)
+    sets = tuple(
+        QuerySet(contents[b], styles[b], mask[:, cols].T, cosines.block(b), weights[:, cols].T)
+        for b, cols in enumerate(cosines.columns)
+    )
+    return mask.T, cosines, sets
 
 
 def _check_queries(bank: MemoryBank, queries: QuerySet) -> None:
@@ -245,9 +262,7 @@ def read_global(
     return ReadResult(alpha, alpha @ _cross_values(bank, domain))
 
 
-def read_backward(
-    bank: MemoryBank, queries: QuerySet, domain: str, upstream: np.ndarray
-) -> np.ndarray:
+def read_backward(bank: MemoryBank, queries: QuerySet, domain: str, upstream: np.ndarray) -> np.ndarray:
     """Gradient of a class-restricted read with respect to its content rows.
 
     ``upstream`` is d(loss)/d(aggregated_style), shape (P, C). Keys and
@@ -255,16 +270,14 @@ def read_backward(
     descent), so only the query gradient is produced. The path is value
     aggregation -> masked softmax -> cosine similarity; the [-1, 1] clamp on
     the similarity is treated as inactive. The read weights, cosines and
-    norms come from the query set, which must have been addressed against
-    ``bank``.
+    norms come from the query set, addressed against ``bank``; they may be
+    views of a scene pair's storage.
     """
     _check_domain(domain)
     _check_queries(bank, queries)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (queries.size, bank.channels):
-        raise ShapeError(
-            f"upstream shape {upstream.shape}, expected {(queries.size, bank.channels)}"
-        )
+        raise ShapeError(f"upstream shape {upstream.shape}, expected {(queries.size, bank.channels)}")
 
     # item-major (N, P) throughout: the sums over items run along axis 0
     alpha = queries.weights.T
@@ -277,7 +290,7 @@ def read_backward(
 
     # d sims / d query: k / w  -  sims * ||k|| * q / (w * ||q||)
     g_scaled = g_sims / cos.denom.T
-    coeff = np.sum(g_scaled * cos.sims.T * cos.item_norms[:, None], axis=0)
+    coeff = np.sum(g_scaled * cos.sims.T * cos.item_norms.T, axis=0)
     safe_q = np.maximum(cos.row_norms, EPS_DIV)
     grad = g_scaled.T @ bank.keys
     grad -= (coeff / safe_q)[:, None] * queries.content
@@ -296,11 +309,7 @@ def update_weights(bank: MemoryBank, queries: QuerySet) -> np.ndarray:
     return softmax_rows(queries.sims.T, queries.mask.T).T
 
 
-def update(
-    bank: MemoryBank,
-    queries_x: QuerySet | None,
-    queries_y: QuerySet | None,
-) -> MemoryBank:
+def update(bank: MemoryBank, queries_x: QuerySet | None, queries_y: QuerySet | None) -> MemoryBank:
     """Fold both domains' features into the items they address.
 
     Keys absorb assignment-weighted content from both domains (content is

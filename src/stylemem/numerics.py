@@ -11,11 +11,10 @@ in place in the textbook expression's operation order, so with its bits.
 
 Query-item arrays (P queries x N items) are stored item-major: a C-contiguous
 (N, P) array, so that a sum, max or softmax over the few items of each query
-runs along axis 0, one contiguous P-vector at a time, and not along a short
-inner axis. The (P, N) names, such as ``Cosines.sims`` and the result of
-:func:`cosine_matrix`, are transposed views of that storage. The softmaxes
-reduce along the named axis of whatever layout they get; on such a view
-:func:`softmax_rows` is :func:`softmax_cols` of the stored array, bit for bit.
+runs along axis 0, one contiguous P-vector at a time. The (P, N) names, such
+as ``Cosines.sims`` and the result of :func:`cosine_matrix`, are transposed
+views of that storage; on such a view :func:`softmax_rows` is
+:func:`softmax_cols` of the stored array, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,33 +39,57 @@ def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def row_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a real 2-D array, (P,)."""
-    return np.sqrt(np.add.reduce(m * m, axis=1))
+def row_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm of each row of a real 2-D array, (P,), into ``out`` if given."""
+    return np.sqrt(np.add.reduce(m * m, axis=1), out=out)
 
 
+@dataclass(slots=True)
 class Cosines:
-    """All-pairs cosine similarities of rows (P, C) against items (N, C),
-    with the parts they are built from, so consumers of the raw dot
-    products or the norms need no second pass.
+    """All-pairs cosine similarities of query rows against items, with the
+    parts they are built from, so consumers of the raw dot products or the
+    norms need no second pass.
 
     ``dots``, ``denom`` and ``sims`` are (P, N) views of item-major (N, P)
-    arrays; their ``.T`` is the C-contiguous storage.
-
-    Unchecked: the caller passes 2-D float64 arrays of equal width.
+    arrays; their ``.T`` is the C-contiguous storage. The rows come in
+    blocks (:meth:`between`): block b owns columns ``columns[b]`` of the
+    storage and row b of ``item_norms`` (B, N), and :meth:`block` is its
+    one-block view. ``row_norms`` is (P,).
     """
 
-    __slots__ = ("row_norms", "item_norms", "dots", "denom", "sims")
+    row_norms: np.ndarray
+    item_norms: np.ndarray
+    dots: np.ndarray
+    denom: np.ndarray
+    sims: np.ndarray
+    columns: tuple[slice, ...]
 
-    def __init__(self, rows: np.ndarray, items: np.ndarray):
-        self.row_norms = row_norms(rows)  # (P,)
-        self.item_norms = row_norms(items)  # (N,)
-        dots = items @ rows.T  # (N, P)
-        denom = self.item_norms[:, None] * self.row_norms
+    @classmethod
+    def between(cls, rows: tuple[np.ndarray, ...], items: tuple[np.ndarray, ...]) -> "Cosines":
+        """Block b pairs ``rows[b]`` (P_b, C) with ``items[b]`` (N, C) and
+        writes its products into its own columns: every value has the bits
+        of the one-block result, and no array of all blocks' rows is formed.
+        Unchecked: 2-D float64 arrays of equal width, items of equal length."""
+        norms_of = {id(i): row_norms(i) for i in items}  # blocks that share items share the norms
+        norms, item_norms = np.empty(sum(len(r) for r in rows)), np.array([norms_of[id(i)] for i in items])
+        dots, denom = np.empty((item_norms.shape[1], len(norms))), np.empty((item_norms.shape[1], len(norms)))
+        columns, start = [], 0
+        for b, block in enumerate(rows):
+            cols = slice(start, start + len(block))
+            columns.append(cols)
+            start = cols.stop
+            row_norms(block, out=norms[cols])
+            np.matmul(items[b], block.T, out=dots[:, cols])
+            np.multiply(item_norms[b, :, None], norms[cols], out=denom[:, cols])
         denom += EPS_DIV
-        self.dots = dots.T
-        self.denom = denom.T
-        self.sims = np.clip(dots / denom, -1.0, 1.0).T  # in [-1, 1]
+        sims = np.divide(dots, denom)
+        np.minimum(np.maximum(sims, -1.0, out=sims), 1.0, out=sims)  # np.clip's bits, in [-1, 1]
+        return cls(norms, item_norms, dots.T, denom.T, sims.T, tuple(columns))
+
+    def block(self, b: int) -> "Cosines":
+        cols = self.columns[b]
+        norms, dots, denom, sims = (part[cols] for part in (self.row_norms, self.dots, self.denom, self.sims))
+        return Cosines(norms, self.item_norms[b : b + 1], dots, denom, sims, (slice(0, len(norms)),))
 
 
 def cosine_matrix(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -76,7 +99,7 @@ def cosine_matrix(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     keys = _as_matrix(keys, "keys")
     if queries.shape[1] != keys.shape[1]:
         raise ShapeError(f"channel mismatch: {queries.shape[1]} vs {keys.shape[1]}")
-    return Cosines(queries, keys).sims
+    return Cosines.between((queries,), (keys,)).sims
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,10 +114,14 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _softmax(m: np.ndarray, mask: np.ndarray | None, axis: int) -> np.ndarray:
     m = _as_matrix(m, "softmax input")
-    if mask is not None:
-        m = np.where(mask, m, -np.inf)
-    peak = m.max(axis=axis, keepdims=True)
-    e = np.exp(m - np.where(peak == -np.inf, 0.0, peak))
+    masked = m if mask is None else np.where(mask, m, -np.inf)
+    peak = masked.max(axis=axis, keepdims=True)
+    shifted = masked - np.where(peak == -np.inf, 0.0, peak)
+    if mask is None:
+        e = np.exp(shifted)
+    else:  # exp(-inf) takes numpy's slow special-value path; exp(0) * False is the same +0.0
+        e = np.exp(np.where(mask, shifted, 0.0))
+        e *= mask
     total = e.sum(axis=axis, keepdims=True)
     return e / np.where(total == 0.0, 1.0, total)
 

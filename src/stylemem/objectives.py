@@ -7,9 +7,11 @@ They treat the items as constants: gradients flow into the queries only.
 
 The pools, cosines and logits are used item-major, as (N, P) arrays (see
 :mod:`stylemem.numerics`): the argmax and the log-sum-exp over each query's
-items run along axis 0, and a sum over items adds whole contiguous P-vectors.
-Callers pass (P, N) pools and cosines; the transposed views of item-major
-storage that :func:`stylemem.memory.address` makes are the fast case.
+items run along axis 0. Callers pass (P, N) pools and cosines, such as the
+transposed views that :func:`stylemem.memory.address_blocks` makes. Queries
+and items may come as tuples of blocks (a scene pair's two domains): every
+step over the (N, P) storage then runs once for all blocks, and each block
+gets its own term, summed over its own queries, with the one-block bits.
 """
 
 from __future__ import annotations
@@ -43,11 +45,16 @@ class LossTerm:
     negatives: np.ndarray | None = None
 
 
-def _inputs(queries, items, positive_pool, cosines) -> tuple[np.ndarray, Cosines]:
-    """The positive pool as a validated item-major (N, P) mask, and the query-item cosines."""
-    if queries.ndim != 2 or items.ndim != 2 or queries.shape[1] != items.shape[1]:
-        raise ShapeError(f"queries {queries.shape} and items {items.shape} must share channels")
-    shape = (queries.shape[0], items.shape[0])
+def _inputs(queries, items, positive_pool, cosines) -> tuple[tuple, tuple, np.ndarray, Cosines]:
+    """The query and item blocks (one items array may serve them all), the
+    pool as a validated item-major (N, P) mask over all P queries, and the cosines."""
+    queries = tuple(np.asarray(q, dtype=np.float64) for q in (queries if isinstance(queries, tuple) else (queries,)))
+    items = tuple(np.asarray(i, dtype=np.float64) for i in (items if isinstance(items, tuple) else (items,) * len(queries)))
+    for q, i in zip(queries, items, strict=True):
+        if q.ndim != 2 or i.ndim != 2 or q.shape[1] != i.shape[1] or i.shape != items[0].shape:
+            raise ShapeError(f"queries {q.shape} and items {i.shape} must share channels")
+    sizes = [q.shape[0] for q in queries]
+    shape = (sum(sizes), items[0].shape[0])
     pool = np.asarray(positive_pool)
     if pool.dtype != bool:
         indices = pool.astype(np.intp).ravel()
@@ -55,39 +62,37 @@ def _inputs(queries, items, positive_pool, cosines) -> tuple[np.ndarray, Cosines
             raise PoolError(f"positive pool indices out of range for {shape[1]} items")
         pool = np.zeros(shape[1], dtype=bool)
         pool[indices] = True
-    by_item = np.broadcast_to(pool, shape).T if pool.shape in (shape, shape[1:]) else None
+    by_item = (pool if pool.shape == shape else np.broadcast_to(pool, shape)).T if pool.shape in (shape, shape[1:]) else None
     if by_item is None or not by_item.any(axis=0).all():
         raise PoolError(f"positive pool {pool.shape} is empty or does not fit {shape}")
-    if 0 in queries.shape:
-        raise ShapeError(f"queries must be a non-empty 2-D array, got shape {queries.shape}")
-    if cosines is None:
-        cosines = Cosines(queries, items)
-    elif cosines.sims.shape != shape or cosines.dots.shape != shape:
-        raise ShapeError(f"cosines shape {cosines.sims.shape}, expected {shape}")
-    return by_item, cosines
+    if any(0 in q.shape for q in queries):
+        raise ShapeError(f"queries must be non-empty 2-D arrays, got shapes {[q.shape for q in queries]}")
+    cosines = Cosines.between(queries, items) if cosines is None else cosines
+    if {cosines.sims.shape, cosines.dots.shape} != {shape} or sizes != [c.stop - c.start for c in cosines.columns]:
+        raise ShapeError(f"cosines shape {cosines.sims.shape}, expected {shape} in blocks {sizes}")
+    return queries, items, by_item, cosines
+
+
+def _per_block(queries, cosines: Cosines, term: Callable[[int, slice], LossTerm]):
+    terms = tuple(term(b, cols) for b, cols in enumerate(cosines.columns))
+    return terms if isinstance(queries, tuple) else terms[0]
 
 
 def contrastive_loss(
-    queries: np.ndarray,
-    items: np.ndarray,
-    positive_pool,
-    temperature: float = 0.1,
-    cosines: Cosines | None = None,
-) -> LossTerm:
+    queries, items, positive_pool, temperature: float = 0.1, cosines: Cosines | None = None
+) -> LossTerm | tuple[LossTerm, ...]:
     """Softmax loss over temperature-scaled dot products against all items.
 
     Each query's positive is its cosine-nearest pool item; the denominator
     runs over every item, so all non-positives act as negatives. With a
     single item the loss is exactly zero. ``positive_pool`` holds item
     indices shared by every query, or is a (P, N) boolean mask giving each
-    query its own pool. ``cosines`` is ``Cosines(queries, items)`` when
-    the caller already has it; the cosines pick the positives and their dot
-    products are the logits.
+    query its own pool. ``cosines`` (``Cosines.between`` the query and item
+    blocks), when the caller has it, picks the positives, and its dot
+    products are the logits. A tuple of query blocks gives a tuple of terms.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    items = np.asarray(items, dtype=np.float64)
-    pool, cosines = _inputs(queries, items, positive_pool, cosines)
-    rows = np.arange(queries.shape[0])
+    blocks, items, pool, cosines = _inputs(queries, items, positive_pool, cosines)
+    rows = np.arange(pool.shape[1])
     positives = np.argmax(np.where(pool, cosines.sims.T, -np.inf), axis=0)
 
     logits = cosines.dots.T / temperature  # (N, P)
@@ -95,58 +100,56 @@ def contrastive_loss(
     e = np.exp(logits - peak)
     total = e.sum(axis=0)
     log_z = np.log(total) + peak
-    value = float(np.sum(log_z - logits[positives, rows]))
+    per_query = log_z - logits[positives, rows]
 
-    def gradient() -> np.ndarray:
-        probs = e / total
-        probs[positives, rows] -= 1.0
-        grad = probs.T @ items
-        grad /= temperature
-        return grad
+    def term(b: int, cols: slice) -> LossTerm:
+        def gradient() -> np.ndarray:
+            probs = e[:, cols] / total[cols]
+            probs[positives[cols], rows[: probs.shape[1]]] -= 1.0
+            grad = probs.T @ items[b]
+            grad /= temperature
+            return grad
 
-    return LossTerm(value, positives, gradient)
+        return LossTerm(float(np.sum(per_query[cols])), positives[cols], gradient)
+
+    return _per_block(queries, cosines, term)
 
 
 def triplet_loss(
-    queries: np.ndarray,
-    items: np.ndarray,
-    positive_pool,
-    margin: float = 1.0,
-    cosines: Cosines | None = None,
-) -> LossTerm:
+    queries, items, positive_pool, margin: float = 1.0, cosines: Cosines | None = None
+) -> LossTerm | tuple[LossTerm, ...]:
     """Hinge between the euclidean distances to the positive and the runner-up.
 
     The negative is the cosine-nearest item once the positive is excluded,
     which is the second-nearest item whenever the positive is the global
     nearest. Gradients use the subgradient that is zero at an inactive hinge.
-    ``positive_pool`` and ``cosines`` are as in :func:`contrastive_loss`.
+    ``positive_pool``, ``cosines`` and blocks are as in :func:`contrastive_loss`.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    items = np.asarray(items, dtype=np.float64)
-    pool, cosines = _inputs(queries, items, positive_pool, cosines)
-    if items.shape[0] < 2:
+    blocks, items, pool, cosines = _inputs(queries, items, positive_pool, cosines)
+    if pool.shape[0] < 2:
         raise PoolError("triplet loss needs at least two items")
-    rows = np.arange(queries.shape[0])
+    rows = np.arange(pool.shape[1])
     positives = np.argmax(np.where(pool, cosines.sims.T, -np.inf), axis=0)
     others = cosines.sims.T.copy()  # (N, P)
     others[positives, rows] = -np.inf
     negatives = np.argmax(others, axis=0)
 
-    diff_pos = queries - items[positives]
-    diff_neg = queries - items[negatives]
-    d_pos = row_norms(diff_pos)
-    d_neg = row_norms(diff_neg)
-    terms = d_pos - d_neg + margin
-    active = terms > 0.0
+    def term(b: int, cols: slice) -> LossTerm:
+        diff_pos = blocks[b] - items[b][positives[cols]]
+        diff_neg = blocks[b] - items[b][negatives[cols]]
+        d_pos = row_norms(diff_pos)
+        d_neg = row_norms(diff_neg)
+        terms = d_pos - d_neg + margin
+        active = terms > 0.0
 
-    value = float(np.sum(np.maximum(terms, 0.0)))
+        def gradient() -> np.ndarray:
+            grad = np.zeros_like(blocks[b])
+            pos_ok = active & (d_pos > _DIST_FLOOR)
+            neg_ok = active & (d_neg > _DIST_FLOOR)
+            grad[pos_ok] += diff_pos[pos_ok] / d_pos[pos_ok, None]
+            grad[neg_ok] -= diff_neg[neg_ok] / d_neg[neg_ok, None]
+            return grad
 
-    def gradient() -> np.ndarray:
-        grad = np.zeros_like(queries)
-        pos_ok = active & (d_pos > _DIST_FLOOR)
-        neg_ok = active & (d_neg > _DIST_FLOOR)
-        grad[pos_ok] += diff_pos[pos_ok] / d_pos[pos_ok, None]
-        grad[neg_ok] -= diff_neg[neg_ok] / d_neg[neg_ok, None]
-        return grad
+        return LossTerm(float(np.sum(np.maximum(terms, 0.0))), positives[cols], gradient, negatives[cols])
 
-    return LossTerm(value, positives, gradient, negatives)
+    return _per_block(queries, cosines, term)

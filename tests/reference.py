@@ -14,6 +14,10 @@ pass with its gradients, then a fresh encoding of the scene and
 ``read_global`` on the raw content features. The package takes one
 gradient-free loss pass and reuses its features and cosines;
 ``test_evaluate.py`` compares the two.
+
+``pair_rows`` draws a bank and the rows of one scene pair, whose two domains
+the package addresses in one pass; ``test_memory.py`` and
+``test_objectives.py`` compare that pass with one call per domain.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import numpy as np
 from stylemem.encoder import backward, compute_losses, forward
 from stylemem.errors import LayoutError
 from stylemem.harness import STREAM_EVAL, MetricsRow
-from stylemem.memory import POOLED_CLASS_ID, address, read, read_backward, read_global, update
+from stylemem.memory import (
+    POOLED_CLASS_ID, MemoryLayout, address, init_bank, read, read_backward, read_global, update,
+)
 from stylemem.numerics import cosine_rows, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT, CsvRows
@@ -35,6 +41,11 @@ from stylemem.synthdata import generate_scene_pair
 from oracles import oracle_adam_scalar
 
 DOMAINS = ("x", "y")
+
+# the pair-pass cases: both bank layouts, on grids whose P = side * side is
+# (16) and is not (6) a point where numpy's pairwise sum of 2P values splits
+# into the sums of the two halves
+PAIR_CASES = [(class_aware, side) for class_aware in (True, False) for side in (16, 6)]
 
 ADAM_EPS = 1e-8  # the package's documented Adam epsilon
 
@@ -255,3 +266,24 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
         purity=purity_hits / queries,
         fidelity=fidelity_sum / queries,
     )
+
+
+def pair_rows(seed, class_aware, side, channels=16):
+    """A toy-layout (or pooled) bank and one scene pair's content, style and
+    labels on a side x side grid, each a tuple (x, y); x and y draw their
+    labels independently."""
+    rng = split_rng(seed, 0)
+    counts = [(1, 3), (2, 2), (3, 2), (0, 3)] if class_aware else [(POOLED_CLASS_ID, 10)]
+    bank = init_bank(MemoryLayout.from_counts(counts), channels, rng)
+    p = side * side
+    draw = lambda: (rng.standard_normal((p, channels)), rng.standard_normal((p, channels)))
+    contents, styles = draw(), draw()
+    labels = (rng.choice([1, 2, 3, 0], size=p), rng.choice([1, 2, 3, 0], size=p))
+    return bank, contents, styles, labels
+
+
+def assert_same_bits(got, want):
+    """Equal shapes, dtypes and bytes: bit for bit, signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()

@@ -11,7 +11,6 @@ import copy
 import numpy as np
 import pytest
 
-from stylemem import encoder
 from stylemem.encoder import EncoderSet, TrainSettings, compute_losses, train_step
 from stylemem.errors import LayoutError
 from stylemem.memory import MemoryLayout, init_bank
@@ -50,30 +49,13 @@ def problem(seed, class_aware):
     return scene_x, scene_y, bank, encoders
 
 
-def spy_item_losses(monkeypatch):
-    """Record every item-loss term compute_losses produces, in call order."""
-    terms = []
-    for name in ("contrastive_loss", "triplet_loss"):
-        real = getattr(encoder, name)
-
-        def spy(*args, _real=real, **kwargs):
-            term = _real(*args, **kwargs)
-            terms.append(term)
-            return term
-
-        monkeypatch.setattr(encoder, name, spy)
-    return terms
-
-
-def check_step(encoders, bank, scene_x, scene_y, settings, monkeypatch, update_memory=True):
+def check_step(encoders, bank, scene_x, scene_y, settings, update_memory=True):
     """Compare one dense train_step with the reference from the same state."""
     ref, ref_encoders, ref_bank = reference_train_step(
         encoders, bank, scene_x, scene_y, settings, update_memory
     )
     dense_report, fwd = compute_losses(copy.deepcopy(encoders), bank, scene_x, scene_y, settings)
-    terms = spy_item_losses(monkeypatch)
     report, new_bank = train_step(encoders, bank, scene_x, scene_y, settings, update_memory)
-    monkeypatch.undo()
 
     for name in ("key_loss", "value_loss", "rec_loss", "total"):
         assert_close(getattr(report, name), getattr(ref, name))
@@ -83,14 +65,15 @@ def check_step(encoders, bank, scene_x, scene_y, settings, monkeypatch, update_m
         np.testing.assert_array_equal(report.value_positives[d], ref.value_positives[d])
         assert_close(fwd.grad_content[d], ref.grad_content[d])
         assert_close(fwd.grad_style[d], ref.grad_style[d])
-    # item-loss calls run key x, value x, key y, value y
+    # the step's per-domain item-loss terms: key x, value x, key y, value y
+    terms = [fwd.key_terms["x"], fwd.value_terms["x"], fwd.key_terms["y"], fwd.value_terms["y"]]
     if settings.loss_variant == "triplet":
         negatives = [ref.key_negatives["x"], ref.value_negatives["x"],
                      ref.key_negatives["y"], ref.value_negatives["y"]]
         for term, want in zip(terms, negatives, strict=True):
             np.testing.assert_array_equal(term.negatives, want)
     else:
-        assert len(terms) == 4 and all(term.negatives is None for term in terms)
+        assert all(term.negatives is None for term in terms)
 
     for got, want in zip(encoders.all(), ref_encoders.all()):
         assert_close(got.weight, want.weight)
@@ -101,19 +84,19 @@ def check_step(encoders, bank, scene_x, scene_y, settings, monkeypatch, update_m
 
 
 @pytest.mark.parametrize("class_aware, loss_variant", CASES)
-def test_dense_pass_matches_per_class_reference(class_aware, loss_variant, monkeypatch):
+def test_dense_pass_matches_per_class_reference(class_aware, loss_variant):
     for seed in range(4):
         scene_x, scene_y, bank, encoders = problem(70 + seed, class_aware)
         settings = TrainSettings(learning_rate=1e-2, loss_variant=loss_variant)
         for step in range(3):
-            bank = check_step(encoders, bank, scene_x, scene_y, settings, monkeypatch, step != 1)
+            bank = check_step(encoders, bank, scene_x, scene_y, settings, step != 1)
 
 
-def test_absent_class_partition_stays_bit_identical(monkeypatch):
+def test_absent_class_partition_stays_bit_identical():
     scene_x, scene_y, bank, encoders = problem(80, True)
     for scene in (scene_x, scene_y):
         scene.labels[scene.labels == 3] = 1
-    new_bank = check_step(encoders, bank, scene_x, scene_y, TrainSettings(learning_rate=1e-2), monkeypatch)
+    new_bank = check_step(encoders, bank, scene_x, scene_y, TrainSettings(learning_rate=1e-2))
     offset, count = span(bank.layout, 3)
     block = slice(offset, offset + count)
     for plane in ("keys", "values_x", "values_y"):

@@ -48,7 +48,7 @@ def test_evaluate_computes_no_gradients(tmp_path, monkeypatch):
         raise AssertionError("evaluate computed a gradient")
 
     def item_loss_without_gradient(*args, **kwargs):
-        return replace(item_loss(*args, **kwargs), gradient=refuse)
+        return {d: replace(term, gradient=refuse) for d, term in item_loss(*args, **kwargs).items()}
 
     item_loss = encoder._item_loss
     monkeypatch.setattr(encoder, "read_backward", refuse)

@@ -10,6 +10,7 @@ from stylemem.memory import (
     MemoryBank,
     MemoryLayout,
     address,
+    address_blocks,
     init_bank,
     load_bank,
     read,
@@ -22,7 +23,7 @@ from stylemem.memory import (
 from stylemem.numerics import l2_normalize_rows, make_rng, softmax_cols, softmax_rows, split_rng
 
 from oracles import oracle_read, oracle_read_global, oracle_update
-from reference import span
+from reference import PAIR_CASES, assert_same_bits, pair_rows, span
 
 TOY_COUNTS = [(1, 3), (2, 2), (3, 2), (0, 3)]
 
@@ -131,6 +132,63 @@ def test_address_stores_query_item_arrays_item_major(counts):
     assert_item_major_view(read_global(bank, queries.content, "y", queries.sims).weights, shape)
     assert_item_major_view(read_global(bank, queries.content, "y").weights, shape)
     assert_item_major_view(update_weights(bank, queries), shape)
+
+
+# --- scene-pair storage ---
+
+
+def assert_pair_views(x_view, y_view, shape):
+    """The (P, N) views are the transposes of columns [0, P) and [P, 2P) of
+    one C-contiguous (N, 2P) array."""
+    stored = x_view.base
+    p, n = shape
+    assert y_view.base is stored and stored.flags.c_contiguous and stored.shape == (n, 2 * p)
+    for view, cols in ((x_view, slice(0, p)), (y_view, slice(p, 2 * p))):
+        assert view.shape == shape and view.T.strides == stored.strides
+        assert view.T.ctypes.data == stored[:, cols].ctypes.data
+
+
+@pytest.mark.parametrize("class_aware, side", PAIR_CASES)
+def test_address_blocks_is_two_address_calls_bit_for_bit(class_aware, side):
+    bank, contents, styles, labels = pair_rows(27, class_aware, side)
+    mask, cosines, pair = address_blocks(bank, contents, styles, labels)
+    shape = (side * side, bank.n_items)
+    assert mask.T.flags.c_contiguous and mask.shape == (2 * shape[0], shape[1])
+    assert cosines.columns == (slice(0, shape[0]), slice(shape[0], 2 * shape[0]))
+    qx, qy = pair
+    for name in ("mask", "weights", "sims"):
+        assert_pair_views(getattr(qx, name), getattr(qy, name), shape)
+    for name in ("dots", "denom", "sims"):
+        assert_pair_views(getattr(qx.cosines, name), getattr(qy.cosines, name), shape)
+    assert qx.mask.base is mask.base and qx.sims.base is cosines.sims.base
+    for d, queries, content, style, block_labels in zip("xy", pair, contents, styles, labels):
+        single = address(bank, content, style, block_labels)
+        for name in ("content", "style", "mask", "weights"):
+            assert_same_bits(getattr(queries, name), getattr(single, name))
+        for name in ("dots", "denom", "sims", "row_norms", "item_norms"):
+            assert_same_bits(getattr(queries.cosines, name), getattr(single.cosines, name))
+        upstream = make_rng(28).standard_normal(content.shape)
+        assert_same_bits(read(bank, queries, d).aggregated_style, read(bank, single, d).aggregated_style)
+        assert_same_bits(read_backward(bank, queries, d, upstream), read_backward(bank, single, d, upstream))
+        assert_same_bits(update_weights(bank, queries), update_weights(bank, single))
+
+
+@pytest.mark.parametrize("class_aware, side", PAIR_CASES)
+def test_update_on_the_pair_storage_is_update_on_separate_query_sets(class_aware, side):
+    bank, contents, styles, labels = pair_rows(29, class_aware, side)
+    _, _, (qx, qy) = address_blocks(bank, contents, styles, labels)
+    separate = [address(bank, *rows) for rows in zip(contents, styles, labels)]
+    got, want = update(bank, qx, qy), update(bank, *separate)
+    for plane in ("keys", "values_x", "values_y"):
+        assert_same_bits(getattr(got, plane), getattr(want, plane))
+
+
+def test_item_classes_are_computed_once_and_read_only():
+    layout = MemoryLayout.from_counts(TOY_COUNTS)
+    assert layout.item_classes is layout.item_classes
+    np.testing.assert_array_equal(layout.item_classes, [1, 1, 1, 2, 2, 3, 3, 0, 0, 0])
+    with pytest.raises(ValueError):
+        layout.item_classes[0] = 7
 
 
 # Logits on a quarter-step grid: exact ties are common (the first item wins

@@ -5,11 +5,13 @@ import pytest
 
 from stylemem.encoder import TrainSettings
 from stylemem.errors import ConfigError, PoolError
+from stylemem.memory import address, address_blocks
 from stylemem.numerics import make_rng, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 
 from fdcheck import fd_check
 from oracles import oracle_contrastive, oracle_triplet
+from reference import PAIR_CASES, assert_same_bits, pair_rows
 
 
 def test_config_validates_temperature():
@@ -188,3 +190,34 @@ def test_fd_check_flags_corrupted_gradient():
     report = fd_check(corrupted, rng.standard_normal((3, 6)))
     assert not report.passed
     assert report.worst_index == (0, 0)
+
+
+# --- scene pairs ---
+
+
+@pytest.mark.parametrize("class_aware, side", PAIR_CASES)
+@pytest.mark.parametrize("loss, setting", [(contrastive_loss, 0.1), (triplet_loss, 1.0)])
+def test_pair_item_losses_are_the_single_domain_terms_bit_for_bit(class_aware, side, loss, setting):
+    bank, contents, styles, labels = pair_rows(31, class_aware, side)
+    mask, cosines, pair = address_blocks(bank, contents, styles, labels)
+    singles = [address(bank, *rows) for rows in zip(contents, styles, labels)]
+    values = (bank.values_x, bank.values_y)
+    planes = [  # (pair call, one-block call per domain)
+        (loss(contents, bank.keys, mask, setting, cosines),
+         [loss(q.content, bank.keys, q.mask, setting, q.cosines) for q in singles]),
+        (loss(styles, values, mask, setting), [loss(q.style, v, q.mask, setting) for q, v in zip(singles, values)]),
+    ]
+    for terms, single_terms in planes:
+        assert isinstance(terms, tuple) and len(terms) == 2
+        for term, single in zip(terms, single_terms, strict=True):
+            # each domain's value is summed over its own queries
+            assert_same_bits(term.value, single.value)
+            assert_same_bits(term.positives, single.positives)
+            if loss is triplet_loss:
+                assert_same_bits(term.negatives, single.negatives)
+            else:
+                assert term.negatives is None and single.negatives is None
+            first, second = term.gradient(), term.gradient()
+            assert_same_bits(first, single.gradient())
+            assert_same_bits(second, first)
+            assert not np.shares_memory(first, second)
