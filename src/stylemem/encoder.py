@@ -215,10 +215,8 @@ class ForwardPass:
 def _item_loss(queries: tuple, items, pool: np.ndarray, settings: TrainSettings, cosines=None) -> dict:
     """Each domain's item-loss term of one memory plane, from one loss call."""
     if settings.loss_variant == "contrastive":
-        terms = contrastive_loss(queries, items, pool, settings.temperature, cosines)
-    else:
-        terms = triplet_loss(queries, items, pool, settings.triplet_margin, cosines)
-    return dict(zip(_DOMAINS, terms))
+        return dict(zip(_DOMAINS, contrastive_loss(queries, items, pool, settings.temperature, cosines)))
+    return dict(zip(_DOMAINS, triplet_loss(queries, items, pool, settings.triplet_margin, cosines)))
 
 
 def compute_losses(

@@ -294,8 +294,7 @@ def _entropy(p: np.ndarray) -> float:
 def _finite(values: tuple, what: str) -> MetricsRow:
     """The ``MetricsRow`` of ``values``, or a ``ValidationError`` naming each non-finite field."""
     if not all(map(math.isfinite, values)):
-        names = (f.name for f in fields(MetricsRow))
-        bad = [f"{name} {value}" for name, value in zip(names, values) if not math.isfinite(value)]
+        bad = [f"{f.name} {v}" for f, v in zip(fields(MetricsRow), values) if not math.isfinite(v)]
         raise ValidationError(f"{what} became non-finite ({', '.join(bad)})")
     return MetricsRow(*values)
 
@@ -491,7 +490,8 @@ def inspect_bank(path: str | Path) -> str:
     lines += [f"  class {e.class_id}: items [{e.offset}, {e.offset + e.count})" for e in bank.layout.entries]
     lines.append("item norms (key / value_x / value_y):")
     planes = (bank.keys, bank.values_x, bank.values_y)
-    lines += [f"  {i:3d}  " + "  ".join(f"{np.linalg.norm(p[i]):.9f}" for p in planes) for i in range(bank.n_items)]
+    norms = lambda i: "  ".join(f"{np.linalg.norm(plane[i]):.9f}" for plane in planes)
+    lines += [f"  {i:3d}  {norms(i)}" for i in range(bank.n_items)]
     lines.append("pairwise key cosine:")
     if bank.n_items < 2:
         return "\n".join(lines + ["  (single item, no pairs)"])

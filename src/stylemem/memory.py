@@ -203,7 +203,8 @@ def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tup
         if block_labels.shape != (content.shape[0],):
             raise ShapeError(f"labels shape {block_labels.shape}, expected {(content.shape[0],)}")
     every = np.concatenate(labels)
-    if bank.layout.class_ids == (POOLED_CLASS_ID,):
+    pooled = bank.layout.class_ids == (POOLED_CLASS_ID,)
+    if pooled:
         mask = np.ones((bank.n_items, every.shape[0]), dtype=bool)
     else:
         mask = bank.layout.item_classes[:, None] == every  # (N, P)
@@ -211,8 +212,8 @@ def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tup
         if unknown.size:
             raise LayoutError(f"class {unknown[0]} not in layout (have {list(bank.layout.class_ids)})")
     cosines = Cosines.between(contents, (bank.keys,) * len(contents))
-    # each query's softmax over its items: a column softmax of the storage
-    weights = softmax_cols(cosines.sims.T, mask) if every.shape[0] else np.zeros(mask.shape)
+    # each query's softmax over its items, a column softmax; an all-True mask masks nothing
+    weights = softmax_cols(cosines.sims.T, None if pooled else mask) if len(every) else np.zeros(mask.shape)
     sets = tuple(
         QuerySet(contents[b], styles[b], mask[:, cols].T, cosines.block(b), weights[:, cols].T)
         for b, cols in enumerate(cosines.columns)

@@ -48,8 +48,9 @@ class LossTerm:
 def _inputs(queries, items, positive_pool, cosines) -> tuple[tuple, tuple, np.ndarray, Cosines]:
     """The query and item blocks (one items array may serve them all), the
     pool as a validated item-major (N, P) mask over all P queries, and the cosines."""
-    queries = tuple(np.asarray(q, dtype=np.float64) for q in (queries if isinstance(queries, tuple) else (queries,)))
-    items = tuple(np.asarray(i, dtype=np.float64) for i in (items if isinstance(items, tuple) else (items,) * len(queries)))
+    queries = tuple(np.asarray(q, np.float64) for q in (queries if isinstance(queries, tuple) else [queries]))
+    items = items if isinstance(items, tuple) else (items,) * len(queries)
+    items = tuple(np.asarray(i, np.float64) for i in items)
     for q, i in zip(queries, items, strict=True):
         if q.ndim != 2 or i.ndim != 2 or q.shape[1] != i.shape[1] or i.shape != items[0].shape:
             raise ShapeError(f"queries {q.shape} and items {i.shape} must share channels")
@@ -62,20 +63,16 @@ def _inputs(queries, items, positive_pool, cosines) -> tuple[tuple, tuple, np.nd
             raise PoolError(f"positive pool indices out of range for {shape[1]} items")
         pool = np.zeros(shape[1], dtype=bool)
         pool[indices] = True
-    by_item = (pool if pool.shape == shape else np.broadcast_to(pool, shape)).T if pool.shape in (shape, shape[1:]) else None
+    by_item = np.broadcast_to(pool, shape).T if pool.shape in (shape, shape[1:]) else None
     if by_item is None or not by_item.any(axis=0).all():
         raise PoolError(f"positive pool {pool.shape} is empty or does not fit {shape}")
     if any(0 in q.shape for q in queries):
         raise ShapeError(f"queries must be non-empty 2-D arrays, got shapes {[q.shape for q in queries]}")
     cosines = Cosines.between(queries, items) if cosines is None else cosines
-    if {cosines.sims.shape, cosines.dots.shape} != {shape} or sizes != [c.stop - c.start for c in cosines.columns]:
+    spans = [c.stop - c.start for c in cosines.columns]
+    if {cosines.sims.shape, cosines.dots.shape} != {shape} or spans != sizes:
         raise ShapeError(f"cosines shape {cosines.sims.shape}, expected {shape} in blocks {sizes}")
     return queries, items, by_item, cosines
-
-
-def _per_block(queries, cosines: Cosines, term: Callable[[int, slice], LossTerm]):
-    terms = tuple(term(b, cols) for b, cols in enumerate(cosines.columns))
-    return terms if isinstance(queries, tuple) else terms[0]
 
 
 def contrastive_loss(
@@ -112,7 +109,8 @@ def contrastive_loss(
 
         return LossTerm(float(np.sum(per_query[cols])), positives[cols], gradient)
 
-    return _per_block(queries, cosines, term)
+    terms = tuple(term(b, cols) for b, cols in enumerate(cosines.columns))
+    return terms if isinstance(queries, tuple) else terms[0]
 
 
 def triplet_loss(
@@ -152,4 +150,5 @@ def triplet_loss(
 
         return LossTerm(float(np.sum(np.maximum(terms, 0.0))), positives[cols], gradient, negatives[cols])
 
-    return _per_block(queries, cosines, term)
+    terms = tuple(term(b, cols) for b, cols in enumerate(cosines.columns))
+    return terms if isinstance(queries, tuple) else terms[0]

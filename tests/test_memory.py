@@ -163,6 +163,8 @@ def test_address_blocks_is_two_address_calls_bit_for_bit(class_aware, side):
     assert qx.mask.base is mask.base and qx.sims.base is cosines.sims.base
     for d, queries, content, style, block_labels in zip("xy", pair, contents, styles, labels):
         single = address(bank, content, style, block_labels)
+        # the test-time read of a domain's column views of the pair storage
+        assert_same_bits(read_global(bank, content, d, queries.sims).weights, read_global(bank, content, d).weights)
         for name in ("content", "style", "mask", "weights"):
             assert_same_bits(getattr(queries, name), getattr(single, name))
         for name in ("dots", "denom", "sims", "row_norms", "item_norms"):
