@@ -174,7 +174,8 @@ class LossReport:
 class ForwardPass:
     """One loss pass over a scene pair: per-domain query sets (encoded
     features against the bank), item-loss terms and ``upstream``, the
-    gradient of the reconstruction loss with respect to each read style.
+    gradient of the reconstruction loss with respect to each read style;
+    ``sims`` is the (2P, N) view of both domains' content-key cosines.
 
     The gradients of the weighted total loss with respect to the encoded
     content and style are computed on first access of ``grad_content`` and
@@ -188,6 +189,7 @@ class ForwardPass:
     key_terms: dict[str, LossTerm]
     value_terms: dict[str, LossTerm]
     upstream: dict[str, np.ndarray]
+    sims: np.ndarray
 
     @cached_property
     def grad_content(self) -> dict[str, np.ndarray]:
@@ -262,7 +264,7 @@ def compute_losses(
     report = LossReport(
         key_loss, value_loss, rec_loss, total, positives(key_terms), positives(value_terms)
     )
-    return report, ForwardPass(bank, settings, queries, key_terms, value_terms, upstream)
+    return report, ForwardPass(bank, settings, queries, key_terms, value_terms, upstream, cosines.sims)
 
 
 def train_step(

@@ -317,24 +317,19 @@ class _EvalAccumulator:
 
 
 def _accumulate_pair(
-    acc: _EvalAccumulator,
-    bank: MemoryBank,
-    features: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]],
-    scenes: dict[str, FeatureScene],
-    ref_layout: MemoryLayout,
-    assignments: CsvRows | None = None,
-    scene: int = 0,
+    acc: _EvalAccumulator, bank: MemoryBank, features: dict[str, tuple], scenes: dict[str, FeatureScene],
+    ref_layout: MemoryLayout, assignments: CsvRows | None = None, scene: int = 0,
 ) -> None:
     """Test-time metrics of one scene pair (global reads, no labels), plus ``assignments`` rows.
 
-    ``features[d]`` is domain d's encoded (content, style, content-key
-    cosines); the cosines are None when the caller has none to share.
+    ``features[d]`` is domain d's encoded (content, style, test-time read);
+    the read is None when the caller has none to share, and is taken here.
     """
     item_classes = ref_layout.item_classes
     for d, opposite in (("x", "y"), ("y", "x")):
-        content, _, sims = features[d]
-        result = read_global(bank, content, d, sims)
-        weights = result.weights.T  # item-major (N, P) storage
+        content, _, result = features[d]
+        result = read_global(bank, content, d) if result is None else result
+        weights = result.weights.T  # item-major (N, P) columns of the stored array
         target = features[opposite][1]
 
         acc.alpha_sum += weights.sum(axis=1)
@@ -351,10 +346,7 @@ def _accumulate_pair(
 
 
 def _pair_metrics(
-    bank: MemoryBank,
-    encoders: EncoderSet,
-    scene_x: FeatureScene,
-    scene_y: FeatureScene,
+    bank: MemoryBank, encoders: EncoderSet, scene_x: FeatureScene, scene_y: FeatureScene,
     ref_layout: MemoryLayout,
 ) -> tuple[float, float, float]:
     # the step has just changed the encoders and the bank: encode afresh
@@ -471,7 +463,8 @@ def evaluate(
             report, fwd = compute_losses(encoders, bank, scene_x, scene_y, cfg.train)
             loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
-            features = {d: (q.content, q.style, q.sims) for d, q in fwd.queries.items()}
+            reads = read_global(bank, tuple(q.content for q in fwd.queries.values()), ("x", "y"), fwd.sims)
+            features = {d: (q.content, q.style, r) for (d, q), r in zip(fwd.queries.items(), reads)}
             export = assignments if assignments_path is not None and i < cfg.assignment_scenes else None
             _accumulate_pair(acc, bank, features, {"x": scene_x, "y": scene_y}, ref_layout, export, i)
 

@@ -242,25 +242,32 @@ def read(bank: MemoryBank, queries: QuerySet, domain: str) -> ReadResult:
     return ReadResult(queries.weights, queries.weights @ _cross_values(bank, domain))
 
 
-def read_global(
-    bank: MemoryBank, queries: np.ndarray, domain: str, sims: np.ndarray | None = None
-) -> ReadResult:
+def read_global(bank: MemoryBank, queries, domain, sims: np.ndarray | None = None):
     """Test-time read: softmax over all N items, no class information.
 
-    ``sims`` is ``cosine_matrix(queries, bank.keys)`` when the caller
-    already has it, such as the ``sims`` of a query set built from the same
-    rows.
+    ``sims`` is ``cosine_matrix(queries, bank.keys)`` when the caller has
+    it, such as a query set's ``sims``. Tuples of query blocks and their
+    domains need the ``sims`` of all blocks' rows (a scene pair's storage):
+    one softmax over all blocks gives a tuple of results, one per block.
     """
-    _check_domain(domain)
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[0] == 0 or queries.shape[1] != bank.channels:
-        raise ShapeError(f"queries shape {queries.shape} incompatible with C={bank.channels}")
-    if sims is None:
-        sims = cosine_matrix(queries, bank.keys)
-    elif sims.shape != (queries.shape[0], bank.n_items):
-        raise ShapeError(f"sims shape {sims.shape}, expected {(queries.shape[0], bank.n_items)}")
-    alpha = softmax_cols(sims.T).T
-    return ReadResult(alpha, alpha @ _cross_values(bank, domain))
+    blocks, domains = (queries, domain) if isinstance(queries, tuple) else ((queries,), (domain,))
+    blocks = tuple(np.asarray(q, dtype=np.float64) for q in blocks)
+    for block, block_domain in zip(blocks, domains, strict=True):
+        _check_domain(block_domain)
+        if block.ndim != 2 or block.shape[0] == 0 or block.shape[1] != bank.channels:
+            raise ShapeError(f"queries shape {block.shape} incompatible with C={bank.channels}")
+    shape = (sum(len(block) for block in blocks), bank.n_items)
+    if sims is None and len(blocks) == 1:
+        sims = cosine_matrix(blocks[0], bank.keys)
+    if getattr(sims, "shape", None) != shape:  # blocks bring their sims
+        raise ShapeError(f"sims shape {getattr(sims, 'shape', None)}, expected {shape}")
+    alpha = softmax_cols(sims.T)  # item-major (N, P)
+    results, start = [], 0
+    for block, block_domain in zip(blocks, domains):
+        weights = alpha[:, start : start + len(block)].T
+        results.append(ReadResult(weights, weights @ _cross_values(bank, block_domain)))
+        start += len(block)
+    return tuple(results) if isinstance(queries, tuple) else results[0]
 
 
 def read_backward(bank: MemoryBank, queries: QuerySet, domain: str, upstream: np.ndarray) -> np.ndarray:

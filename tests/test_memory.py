@@ -161,10 +161,14 @@ def test_address_blocks_is_two_address_calls_bit_for_bit(class_aware, side):
     for name in ("dots", "denom", "sims"):
         assert_pair_views(getattr(qx.cosines, name), getattr(qy.cosines, name), shape)
     assert qx.mask.base is mask.base and qx.sims.base is cosines.sims.base
-    for d, queries, content, style, block_labels in zip("xy", pair, contents, styles, labels):
+    reads = read_global(bank, contents, ("x", "y"), cosines.sims)  # one test-time softmax
+    assert_pair_views(reads[0].weights, reads[1].weights, shape)
+    with pytest.raises(ShapeError, match="sims"):
+        read_global(bank, contents, ("x", "y"))
+    for d, queries, content, style, block_labels, pair_read in zip("xy", pair, contents, styles, labels, reads):
         single = address(bank, content, style, block_labels)
-        # the test-time read of a domain's column views of the pair storage
-        assert_same_bits(read_global(bank, content, d, queries.sims).weights, read_global(bank, content, d).weights)
+        assert_same_bits(pair_read.weights, read_global(bank, content, d, queries.sims).weights)
+        assert_same_bits(pair_read.aggregated_style, read_global(bank, content, d).aggregated_style)
         for name in ("content", "style", "mask", "weights"):
             assert_same_bits(getattr(queries, name), getattr(single, name))
         for name in ("dots", "denom", "sims", "row_norms", "item_norms"):
