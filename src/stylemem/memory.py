@@ -194,7 +194,7 @@ def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tup
     """
     contents = tuple(np.asarray(c, dtype=np.float64) for c in contents)
     styles = tuple(np.asarray(s, dtype=np.float64) for s in styles)
-    labels = tuple(np.asarray(l) for l in labels)
+    labels = tuple(np.asarray(block_labels) for block_labels in labels)
     for content, style, block_labels in zip(contents, styles, labels, strict=True):
         if content.ndim != 2 or content.shape[1] != bank.channels:
             raise ShapeError(f"content shape {content.shape} incompatible with C={bank.channels}")
