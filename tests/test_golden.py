@@ -1,14 +1,17 @@
-"""Golden digests: the exact bytes of four short training runs.
+"""Golden digests: the exact bytes of five short training runs.
 
 For each run the test holds the SHA-256 of the six artifacts and of the
 ``stylemem train`` stdout. The ``toy-6x6`` run has P = 36 positions per
 scene, where numpy's pairwise sum over 2P values differs from the sum of
 its two halves, so a loss summed over both domains at once would move its
-bytes; the other runs have P = 256. A change that moves a byte on purpose updates
+bytes. ``toy-6x6-triplet`` trains the class-aware triplet arm on the same
+grid with a 0.05 margin, so some hinge rows go inactive and get a zero
+gradient, which the margin-1.0 ``toy-single-triplet`` run never reaches.
+The other runs have P = 256. A change that moves a byte on purpose updates
 ``DIGESTS`` and reports the drift (``python tests/drift.py PARENT_RUN
-CHANGE_RUN``). Float results depend on the numpy and
-BLAS build, so the digests hold only for ``BUILD``; under any other build
-the test skips and names both builds.
+CHANGE_RUN``). Float results depend on the numpy and BLAS build, so the
+digests hold only for ``BUILD``; under any other build the test skips and
+names both builds.
 """
 
 import hashlib
@@ -31,6 +34,10 @@ RUNS = {
     },
     "full": {"preset": "full", "iterations": 4, "eval_scenes": 2, "assignment_scenes": 1},
     "toy-6x6": {"preset": "toy", "iterations": 40, "scene": {"height": 6, "width": 6}},
+    "toy-6x6-triplet": {
+        "preset": "toy", "iterations": 40, "loss_variant": "triplet", "triplet_margin": 0.05,
+        "scene": {"height": 6, "width": 6},
+    },
 }
 
 BUILD = (
@@ -74,6 +81,15 @@ DIGESTS = {
         "final_eval.json": "875141e5c9fae10936f6b1e6124ac6de7c08d122822cd1da1fc46e097895fe83",
         "assignments.csv": "1a7c56428c31ade92ec5038ffa761da7d4f132570c2634b2c09f15cf13b30823",
         "stdout": "875141e5c9fae10936f6b1e6124ac6de7c08d122822cd1da1fc46e097895fe83",
+    },
+    "toy-6x6-triplet": {
+        "resolved_config.json": "3eb6a12080656f964b287065fa010da61d42227ead852a4763688287601a15d7",
+        "metrics.csv": "5c72a4cb40cf6e8c92cfa547f83efe5ae8bb60f44b1e69a0d22e8678cb0243e5",
+        "bank.json": "aa59c9e67e6badc3e0d25c0c3e743629534009dfd4550161411dc5a251736b55",
+        "encoders.json": "7c6ad31351e0d4a65e63f38a5c714c84e8c3b6a27d7c4974172a7460aa45a03f",
+        "final_eval.json": "6d19740fcda5bbd4a200ceb1bc341519b192dcef4d4bb8675f7acdeab0e7940d",
+        "assignments.csv": "6b2b167755ba4bd422f842635f32bb4dffb04ea6061c3fc2d1176a906dc6be2f",
+        "stdout": "6d19740fcda5bbd4a200ceb1bc341519b192dcef4d4bb8675f7acdeab0e7940d",
     },
 }
 
