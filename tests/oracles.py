@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 EPS_DIV = 1e-12
+DIST_FLOOR = 1e-12
 
 
 def oracle_cosine(a, b):
@@ -174,3 +175,23 @@ def oracle_triplet(queries, items, positive_pool, margin):
         positives.append(best)
         negatives.append(neg)
     return total, positives, negatives
+
+
+def oracle_triplet_gradient(queries, items, positives, negatives, margin):
+    """Per-query subgradient of the triplet hinge for the given positives and
+    negatives: zero where the hinge is inactive, and each side dropped where
+    its distance is at most ``DIST_FLOOR``. Returns a P x C list."""
+    grad = []
+    for q, best, neg in zip(queries, positives, negatives):
+        diff_pos = [x - y for x, y in zip(q, items[best])]
+        diff_neg = [x - y for x, y in zip(q, items[neg])]
+        d_pos = math.sqrt(sum(x * x for x in diff_pos))
+        d_neg = math.sqrt(sum(x * x for x in diff_neg))
+        row = [0.0] * len(q)
+        if d_pos - d_neg + margin > 0.0:
+            if d_pos > DIST_FLOOR:
+                row = [r + x / d_pos for r, x in zip(row, diff_pos)]
+            if d_neg > DIST_FLOOR:
+                row = [r - x / d_neg for r, x in zip(row, diff_neg)]
+        grad.append(row)
+    return grad

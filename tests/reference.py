@@ -18,6 +18,10 @@ gradient-free loss pass and reuses its features and cosines;
 ``pair_rows`` draws a bank and the rows of one scene pair, whose two domains
 the package addresses in one pass; ``test_memory.py`` and
 ``test_objectives.py`` compare that pass with one call per domain.
+
+``reference_triplet_gradient`` is a triplet term's query gradient built by
+boolean-mask indexing, row gathers and scatters; the package builds it from
+masked dense ufuncs, and ``test_objectives.py`` compares the two bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from stylemem.harness import STREAM_EVAL, MetricsRow
 from stylemem.memory import (
     POOLED_CLASS_ID, MemoryLayout, address, init_bank, read, read_backward, read_global, update,
 )
-from stylemem.numerics import cosine_rows, split_rng
+from stylemem.numerics import cosine_rows, row_norms, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT, CsvRows
 from stylemem.synthdata import generate_scene_pair
@@ -48,6 +52,7 @@ DOMAINS = ("x", "y")
 PAIR_CASES = [(class_aware, side) for class_aware in (True, False) for side in (16, 6)]
 
 ADAM_EPS = 1e-8  # the package's documented Adam epsilon
+DIST_FLOOR = 1e-12  # the triplet loss's documented no-gradient distance
 
 
 @dataclass
@@ -280,6 +285,25 @@ def pair_rows(seed, class_aware, side, channels=16):
     contents, styles = draw(), draw()
     labels = (rng.choice([1, 2, 3, 0], size=p), rng.choice([1, 2, 3, 0], size=p))
     return bank, contents, styles, labels
+
+
+def reference_triplet_gradient(queries, items, term, margin):
+    """The gradient of triplet ``term`` with respect to its (P, C) ``queries``:
+    the selected rows are gathered, divided by their distance and scattered
+    back, the positive side added to zero and then the negative subtracted.
+    A side counts where the hinge is active and its distance exceeds
+    ``DIST_FLOOR``."""
+    diff_pos = queries - items[term.positives]
+    diff_neg = queries - items[term.negatives]
+    d_pos = row_norms(diff_pos)
+    d_neg = row_norms(diff_neg)
+    active = d_pos - d_neg + margin > 0.0
+    grad = np.zeros_like(queries)
+    pos_ok = active & (d_pos > DIST_FLOOR)
+    neg_ok = active & (d_neg > DIST_FLOOR)
+    grad[pos_ok] += diff_pos[pos_ok] / d_pos[pos_ok, None]
+    grad[neg_ok] -= diff_neg[neg_ok] / d_neg[neg_ok, None]
+    return grad
 
 
 def assert_same_bits(got, want):

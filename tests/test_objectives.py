@@ -10,8 +10,8 @@ from stylemem.numerics import make_rng, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 
 from fdcheck import fd_check
-from oracles import oracle_contrastive, oracle_triplet
-from reference import PAIR_CASES, assert_same_bits, pair_rows
+from oracles import oracle_contrastive, oracle_triplet, oracle_triplet_gradient
+from reference import PAIR_CASES, assert_same_bits, pair_rows, reference_triplet_gradient
 
 
 def test_config_validates_temperature():
@@ -157,9 +157,11 @@ def test_triplet_matches_oracle():
         pool = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
         margin = float(rng.uniform(0.2, 1.5))
         term = triplet_loss(queries, items, pool, margin)
-        ref_value, ref_pos, _ = oracle_triplet(queries.tolist(), items.tolist(), pool, margin)
+        ref_value, ref_pos, ref_neg = oracle_triplet(queries.tolist(), items.tolist(), pool, margin)
         assert term.value == pytest.approx(ref_value, abs=1e-9)
         assert term.positives.tolist() == ref_pos
+        ref_grad = oracle_triplet_gradient(queries.tolist(), items.tolist(), ref_pos, ref_neg, margin)
+        np.testing.assert_allclose(term.gradient(), ref_grad, rtol=1e-12, atol=0.0)
 
 
 def test_triplet_needs_two_items():
@@ -221,3 +223,54 @@ def test_pair_item_losses_are_the_single_domain_terms_bit_for_bit(class_aware, s
             assert_same_bits(first, single.gradient())
             assert_same_bits(second, first)
             assert not np.shares_memory(first, second)
+
+
+BRANCH_MARGIN = 0.5
+BRANCH_LABELS = [2, 3, 0, 0]  # the toy layout's classes of items 3-4, 5-6, 7-9, 7-9
+
+
+def triplet_branch_rows(items):
+    """Change ``items`` (a toy-layout copy) in place and return four query rows,
+    of classes ``BRANCH_LABELS``, that reach each branch of the triplet gradient
+    at ``BRANCH_MARGIN``, class-aware or pooled: d+ = 0 under an active hinge;
+    d- = 0 with a -0.0 in the positive difference where the negative one holds
+    +0.0; inactive hinges at d+ = 0 and at d+ > 0."""
+    items[4] = items[3]
+    items[4, 1] += 0.05  # item 3's nearest neighbour, inside the margin
+    items[5, 2] = 0.0
+    items[7] = 1e-3 * items[5]  # item 5's direction, so item 5 is the cosine-nearer
+    items[7, 2] = -0.0  # the query's difference is -0.0 to item 5 and +0.0 to item 7
+    return np.stack([items[3], items[7], items[8], 1.01 * items[8]])
+
+
+@pytest.mark.parametrize("class_aware, side", PAIR_CASES)
+def test_triplet_gradient_is_the_boolean_mask_gradient_bit_for_bit(class_aware, side):
+    bank, contents, _, labels = pair_rows(41, class_aware, side)
+    p = side * side
+    keys = bank.keys.copy()
+    values = (bank.values_x.copy(), bank.values_y.copy())
+    blocks = {"keys": [c.copy() for c in contents], "values": [c.copy() for c in contents]}
+    spots = (slice(0, 4), slice(p - 4, p))  # the crafted rows of block x and of block y
+    labels = tuple(lab.copy() for lab in labels)
+    for b, spot in enumerate(spots):
+        labels[b][spot] = BRANCH_LABELS
+        blocks["keys"][b][spot] = triplet_branch_rows(keys)
+        blocks["values"][b][spot] = triplet_branch_rows(values[b])
+    mask = address_blocks(bank, tuple(blocks["keys"]), tuple(blocks["keys"]), labels)[0]
+    for plane, items in (("keys", keys), ("values", values)):  # one items array shared, or one per block
+        queries = tuple(blocks[plane])
+        pair = triplet_loss(queries, items, mask, BRANCH_MARGIN)
+        items = items if isinstance(items, tuple) else (items, items)
+        for b, spot in enumerate(spots):
+            single = triplet_loss(queries[b], items[b], mask[b * p:(b + 1) * p], BRANCH_MARGIN)
+            for term in (pair[b], single):
+                want = reference_triplet_gradient(queries[b], items[b], term, BRANCH_MARGIN)
+                assert_same_bits(term.gradient(), want)
+            # the crafted rows reach the branches they were built for
+            diff_pos = queries[b][spot] - items[b][single.positives[spot]]
+            diff_neg = queries[b][spot] - items[b][single.negatives[spot]]
+            d_pos, d_neg = np.linalg.norm(diff_pos, axis=1), np.linalg.norm(diff_neg, axis=1)
+            assert (d_pos == 0.0).tolist() == [True, False, True, False]
+            assert (d_neg == 0.0).tolist() == [False, True, False, False]
+            assert (d_pos - d_neg + BRANCH_MARGIN > 0.0).tolist() == [True, True, False, False]
+            assert np.signbit(diff_pos[1, 2]) and not np.signbit(diff_neg[1, 2])
