@@ -120,7 +120,10 @@ def triplet_loss(
 
     The negative is the cosine-nearest item once the positive is excluded,
     which is the second-nearest item whenever the positive is the global
-    nearest. Gradients use the subgradient that is zero at an inactive hinge.
+    nearest. Gradients use the subgradient that is zero at an inactive hinge;
+    at an active one, a side whose distance is at most 1e-12 gives none. The
+    gradient is dense over all rows, the positive side's unit difference
+    minus the negative side's, each dividing by inf where it does not count.
     ``positive_pool``, ``cosines`` and blocks are as in :func:`contrastive_loss`.
     """
     blocks, items, pool, cosines = _inputs(queries, items, positive_pool, cosines)
@@ -141,11 +144,10 @@ def triplet_loss(
         active = terms > 0.0
 
         def gradient() -> np.ndarray:
-            grad = np.zeros_like(blocks[b])
-            pos_ok = active & (d_pos > _DIST_FLOOR)
-            neg_ok = active & (d_neg > _DIST_FLOOR)
-            grad[pos_ok] += diff_pos[pos_ok] / d_pos[pos_ok, None]
-            grad[neg_ok] -= diff_neg[neg_ok] / d_neg[neg_ok, None]
+            # a side that does not count divides by inf, so its finite differences give +-0.0
+            grad = np.divide(diff_pos, np.where(active & (d_pos > _DIST_FLOOR), d_pos, np.inf)[:, None])
+            grad -= np.divide(diff_neg, np.where(active & (d_neg > _DIST_FLOOR), d_neg, np.inf)[:, None])
+            grad += 0.0  # (a - b) + 0.0 has the bits of (0.0 + a) - b: no -0.0
             return grad
 
         return LossTerm(float(np.sum(np.maximum(terms, 0.0))), positives[cols], gradient, negatives[cols])
