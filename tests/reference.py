@@ -21,7 +21,8 @@ the package addresses in one pass; ``test_memory.py`` and
 
 ``reference_triplet_gradient`` is a triplet term's query gradient built by
 boolean-mask indexing, row gathers and scatters; the package builds it from
-masked dense ufuncs, and ``test_objectives.py`` compares the two bit for bit.
+dense ufuncs over all rows, and ``test_objectives.py`` compares the two bit
+for bit.
 """
 
 from __future__ import annotations
