@@ -14,7 +14,7 @@ class LayoutError(StylememError):
 
 
 class EmptyClusterError(StylememError):
-    """A query set carries no rows; callers are expected to skip it."""
+    """An empty ``QuerySet`` was passed to ``read``, ``read_backward`` or ``update_weights``."""
 
 
 class PoolError(StylememError):

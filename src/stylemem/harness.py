@@ -26,7 +26,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from collections.abc import Callable
+from contextlib import nullcontext
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -44,13 +46,13 @@ from .encoder import (
 from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
 from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
-from .serialize import FLOAT, CsvRows, integer, layout_counts, write_json
+from .serialize import FLOAT, atomic_lines, csv_block, integer, layout_counts, write_json
 from .synthdata import DomainSpec, FeatureScene, SceneSettings, generate_scene_pair
 
 log = logging.getLogger(__name__)
 
 METRICS_HEADER = "iter,key_loss,value_loss,rec_loss,util_entropy,purity,fidelity"
-METRICS_SPECS = ("%d",) + (FLOAT,) * 6
+METRICS_TEMPLATE = ",".join(["%d"] + [FLOAT] * 6)
 
 # stream keys under the root seed (see numerics.split_rng)
 STREAM_SPEC = 0
@@ -318,9 +320,10 @@ class _EvalAccumulator:
 
 def _accumulate_pair(
     acc: _EvalAccumulator, bank: MemoryBank, features: dict[str, tuple], scenes: dict[str, FeatureScene],
-    ref_layout: MemoryLayout, assignments: CsvRows | None = None, scene: int = 0,
+    ref_layout: MemoryLayout, export: Callable[[str], None] | None = None, scene: int = 0,
 ) -> None:
-    """Test-time metrics of one scene pair (global reads, no labels), plus ``assignments`` rows.
+    """Test-time metrics of one scene pair (global reads, no labels); each
+    domain's assignments lines go to ``export`` as one text once rendered.
 
     ``features[d]`` is domain d's encoded (content, style, test-time read);
     the read is None when the caller has none to share, and is taken here.
@@ -338,11 +341,11 @@ def _accumulate_pair(
         top = np.argmax(weights, axis=0)
         labels = scenes[d].labels
         acc.purity_hits += int(np.sum(item_classes[top] == labels))
-        if assignments is not None:
+        if export is not None:
             picked = weights[top, np.arange(top.shape[0])]
             positions = enumerate(zip(labels.tolist(), top.tolist()))
             leading = ((scene, d, p, label, item) for p, (label, item) in positions)
-            assignments.add_block(leading, np.column_stack((picked, content)))
+            export("\n".join(csv_block("%d,%s,%d,%d,%d", leading, np.column_stack((picked, content)))))
 
 
 def _pair_metrics(
@@ -384,7 +387,6 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
         cfg.memory_mode, cfg.train.loss_variant, cfg.n_items, cfg.channels, cfg.iterations, cfg.seed,
     )
     metrics: list[MetricsRow] = []
-    metrics_csv = CsvRows(METRICS_HEADER, METRICS_SPECS)
     for t in range(cfg.iterations):
         scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
         try:
@@ -398,13 +400,15 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
             metrics.append(_finite(values, "metrics"))
         except StylememError as exc:
             raise type(exc)(f"training iteration {t}: {exc}") from exc
-        metrics_csv.add(values)
 
     final_eval = evaluate(
         bank, encoders, cfg, cfg.eval_scenes, assignments_path=out / "assignments.csv"
     )
     write_json(out / "resolved_config.json", cfg.to_dict())
-    metrics_csv.write(out / "metrics.csv")
+    with atomic_lines(out / "metrics.csv") as write:
+        write(METRICS_HEADER)
+        for row in metrics:
+            write(METRICS_TEMPLATE % astuple(row))
     save_bank(bank, out / "bank.json")
     save_encoders(encoders, out / "encoders.json")
     write_json(out / "final_eval.json", asdict(final_eval))
@@ -442,8 +446,9 @@ def evaluate(
     When ``assignments_path`` is set, the first cfg.assignment_scenes scenes
     also dump one row per query: scene, domain, position, label, assigned
     item, its weight, and the encoded content features (for external
-    projection). A metric that is not finite raises an error naming it,
-    before the export is written.
+    projection). The export streams to a temporary file that replaces
+    ``assignments_path`` only once every metric is finite; a metric that is
+    not finite raises an error naming it, and the file is left as it was.
     """
     if scene_count < 1:
         raise ConfigError("evaluation needs at least one scene")
@@ -454,10 +459,12 @@ def evaluate(
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
     loss_sums = np.zeros(3)
     columns = ["scene,domain,position,label,item,weight"] + [f"c{i}" for i in range(bank.channels)]
-    assignments = CsvRows(",".join(columns), ["%d", "%s", "%d", "%d", "%d"] + [FLOAT] * (1 + bank.channels))
+    export = nullcontext() if assignments_path is None else atomic_lines(assignments_path)
 
     # a diverged bank or encoder set fails below with a named error, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with export as write, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if write is not None:
+            write(",".join(columns))
         for i in range(scene_count):
             scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
             report, fwd = compute_losses(encoders, bank, scene_x, scene_y, cfg.train)
@@ -465,15 +472,12 @@ def evaluate(
 
             reads = read_global(bank, tuple(q.content for q in fwd.queries.values()), ("x", "y"), fwd.sims)
             features = {d: (q.content, q.style, r) for (d, q), r in zip(fwd.queries.items(), reads)}
-            export = assignments if assignments_path is not None and i < cfg.assignment_scenes else None
-            _accumulate_pair(acc, bank, features, {"x": scene_x, "y": scene_y}, ref_layout, export, i)
+            scene_export = write if i < cfg.assignment_scenes else None
+            _accumulate_pair(acc, bank, features, {"x": scene_x, "y": scene_y}, ref_layout, scene_export, i)
 
         losses = (float(total) / scene_count for total in loss_sums)
         values = (cfg.iterations, *losses, acc.entropy(), acc.purity(), acc.fidelity())
-    row = _finite(values, "evaluation")
-    if assignments_path is not None:
-        assignments.write(assignments_path)
-    return row
+        return _finite(values, "evaluation")
 
 
 def inspect_bank(path: str | Path) -> str:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyClusterError, LayoutError, ShapeError, ValidationError
+from .errors import EmptyClusterError, LayoutError, ShapeError, StylememError, ValidationError
 from .numerics import EPS_DIV, Cosines, cosine_matrix, l2_normalize_rows, softmax_cols, softmax_rows
 from .serialize import array, integer, layout_counts, read_json, write_json
 
@@ -152,7 +152,7 @@ class ReadResult:
 
 def _check_domain(domain: str) -> None:
     if domain not in ("x", "y"):
-        raise ValueError(f"domain must be 'x' or 'y', got {domain!r}")
+        raise StylememError(f"domain must be 'x' or 'y', got {domain!r}")
 
 
 def _cross_values(bank: MemoryBank, domain: str) -> np.ndarray:

@@ -3,9 +3,10 @@
 JSON: sorted keys, 17-significant-digit floats (an exact round trip), objects
 one key per line, 2-D arrays one row per line, arrays' contents inline. A CSV
 row is one ``template % values`` call (``"%.17g" % x`` equals :func:`fmt_float`).
-Float arrays and the float columns of a CSV block go through :func:`float_rows`,
-which renders whole rows in numpy with the same bytes as the ``%`` template.
-Writes are atomic; reads raise :class:`ValidationError` naming the field.
+Float arrays and the float columns of a :func:`csv_block` go through
+:func:`float_rows`, which renders whole rows in numpy with the same bytes as
+the ``%`` template. Every file is written a line at a time through
+:func:`atomic_lines`; reads raise :class:`ValidationError` naming the field.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -247,15 +249,16 @@ def render_json(value, indent: str = "") -> str:
     return _inline(value)
 
 
-def write_lines(path: str | Path, lines) -> None:
-    """Replace ``path`` atomically with ``lines``, each ended by a newline:
-    write a temporary file beside it a line at a time, then rename."""
+@contextmanager
+def atomic_lines(path: str | Path) -> Iterator[Callable[[str], None]]:
+    """Replace ``path`` atomically with the texts passed to the yielded
+    ``write(text)``, each ended by a newline (a text may hold several lines):
+    they go to a temporary file beside it, renamed over ``path`` when the
+    block exits normally and removed on any exception."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w") as handle:
-            for line in lines:
-                handle.write(line)
-                handle.write("\n")
+            yield lambda line: handle.writelines((line, "\n"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -263,27 +266,15 @@ def write_lines(path: str | Path, lines) -> None:
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    write_lines(path, [render_json(doc)])
+    with atomic_lines(path) as write:
+        write(render_json(doc))
 
 
-class CsvRows:
-    """A CSV file's lines: the header, then one ``template % values`` line per
-    :meth:`add`; ``specs`` holds one %-spec per column (``FLOAT`` for floats)."""
-
-    def __init__(self, header: str, specs):
-        self.specs, self.template, self.lines = tuple(specs), ",".join(specs), [header]
-
-    def add(self, values: tuple) -> None:
-        self.lines.append(self.template % values)
-
-    def add_block(self, leading, floats: np.ndarray) -> None:
-        """One line per row of ``floats``, the trailing ``FLOAT`` columns, after
-        that row's tuple of ``leading`` values."""
-        head = ",".join(self.specs[: len(self.specs) - floats.shape[1]]) + ","
-        self.lines += [head % values + row for values, row in zip(leading, float_rows(floats))]
-
-    def write(self, path: str | Path) -> None:
-        write_lines(path, self.lines)
+def csv_block(template: str, leading, floats: np.ndarray) -> Iterator[str]:
+    """One CSV line per row of ``floats``: that row's tuple of ``leading``
+    values through ``template`` (the %-specs of the leading columns), then the
+    row's ``FLOAT`` columns from :func:`float_rows`."""
+    return (f"{template % values},{row}" for values, row in zip(leading, float_rows(floats)))
 
 
 def read_json(path: str | Path, kind: str, version: int) -> dict:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from stylemem.memory import (
 )
 from stylemem.numerics import cosine_rows, row_norms, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
-from stylemem.serialize import FLOAT, CsvRows
+from stylemem.serialize import FLOAT
 from stylemem.synthdata import generate_scene_pair
 
 from oracles import oracle_adam_scalar
@@ -226,7 +227,8 @@ def reference_train_step(encoders, bank, scene_x, scene_y, settings, update_memo
 
 
 def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> MetricsRow:
-    """``harness.evaluate`` in two passes per scene; writes ``assignments_path``."""
+    """``harness.evaluate`` in two passes per scene; writes ``assignments_path``,
+    each line one ``%`` template call over all its columns."""
     spec = cfg.domain_spec()
     item_classes = cfg.reference_layout().item_classes
     settings = cfg.train
@@ -235,7 +237,8 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
     queries = purity_hits = 0
     fidelity_sum = 0.0
     columns = ["scene,domain,position,label,item,weight"] + [f"c{i}" for i in range(bank.channels)]
-    assignments = CsvRows(",".join(columns), ["%d", "%s", "%d", "%d", "%d"] + [FLOAT] * (1 + bank.channels))
+    template = ",".join(["%d", "%s", "%d", "%d", "%d"] + [FLOAT] * (1 + bank.channels))
+    lines = [",".join(columns)]
 
     for i in range(scene_count):
         scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
@@ -258,8 +261,8 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
                 picked = result.weights[np.arange(top.shape[0]), top]
                 rows = zip(labels.tolist(), top.tolist(), picked.tolist(), content)
                 for p, (label, item, weight, row) in enumerate(rows):
-                    assignments.add((i, d, p, label, item, weight, *row.tolist()))
-    assignments.write(assignments_path)
+                    lines.append(template % (i, d, p, label, item, weight, *row.tolist()))
+    Path(assignments_path).write_text("".join(line + "\n" for line in lines))
 
     usage = alpha_sum / alpha_sum.sum()
     used = usage[usage > 0.0]

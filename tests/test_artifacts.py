@@ -21,7 +21,7 @@ from stylemem.errors import ConfigError, ValidationError
 from stylemem.harness import config_from_dict, resolve_config
 from stylemem.memory import MemoryLayout, init_bank, load_bank, save_bank
 from stylemem.numerics import make_rng
-from stylemem.serialize import FLOAT, float_rows, fmt_float, render_json
+from stylemem.serialize import FLOAT, atomic_lines, float_rows, fmt_float, render_json
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair, load_scene, save_scene
 
 
@@ -178,6 +178,23 @@ def test_failed_write_keeps_the_existing_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename failed"):
         save_bank(small_bank(8), path)
     assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["bank.json"]
+
+
+def test_a_raising_block_keeps_the_existing_file(tmp_path):
+    path = saved(tmp_path, save_bank, small_bank(7), "bank.json")
+    before = path.read_bytes()
+    with pytest.raises(ValidationError, match="block failed"):
+        with atomic_lines(path) as write:
+            write("a line")
+            assert len(os.listdir(tmp_path)) == 2
+            raise ValidationError("block failed")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["bank.json"]
+    with atomic_lines(path) as write:
+        write("a")
+        write("b")
+    assert path.read_bytes() == b"a\nb\n"
     assert os.listdir(tmp_path) == ["bank.json"]
 
 

@@ -1,12 +1,14 @@
 """Evaluation in one gradient-free loss pass per scene, against the two-pass
-reference, and the read weights a query set keeps."""
+reference, its streamed assignments export, and the read weights a query set
+keeps."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stylemem import encoder
+from stylemem import encoder, harness
+from stylemem.errors import StylememError, ValidationError
 from stylemem.harness import config_from_dict, evaluate, resolve_config, run_training
 from stylemem.memory import MemoryLayout, address, init_bank
 from stylemem.numerics import softmax_rows, split_rng
@@ -54,6 +56,46 @@ def test_evaluate_computes_no_gradients(tmp_path, monkeypatch):
     monkeypatch.setattr(encoder, "read_backward", refuse)
     monkeypatch.setattr(encoder, "_item_loss", item_loss_without_gradient)
     assert evaluate(bank, encoders, cfg, cfg.eval_scenes) == want
+
+
+def fail_on_the_second_scene(calls, out):
+    # the first scene's lines went to the export's temporary file, beside the target
+    if len(calls) == 2:
+        assert any(p.name.endswith(".tmp") for p in out.iterdir())
+        raise StylememError("scene failed")
+
+
+def rec_loss_inf_on_the_last_scene(calls, out):
+    if len(calls) == 3:
+        calls[-1] = (replace(calls[-1][0], rec_loss=np.inf), calls[-1][1])
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    (fail_on_the_second_scene, StylememError, "scene failed"),
+    (rec_loss_inf_on_the_last_scene, ValidationError, r"evaluation became non-finite \(rec_loss inf\)"),
+])
+def test_a_failed_evaluation_leaves_the_existing_export_as_it_was(tmp_path, monkeypatch, fault, error, message):
+    cfg, bank, encoders = trained(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    # an earlier export of another run: this evaluation would write other bytes
+    path = out / "assignments.csv"
+    path.write_bytes(b"scene,domain,position,label,item,weight,c0\n0,x,0,1,0,1,0.5\n")
+    before = path.read_bytes()
+    calls = []
+
+    def compute_losses(*args):
+        calls.append(real(*args))
+        fault(calls, out)
+        return calls[-1]
+
+    real = harness.compute_losses
+    monkeypatch.setattr(harness, "compute_losses", compute_losses)
+    with pytest.raises(error, match=message):
+        evaluate(bank, encoders, cfg, cfg.eval_scenes, assignments_path=path)
+    assert (cfg.assignment_scenes, cfg.eval_scenes) == (2, 3)
+    assert path.read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["assignments.csv"]
 
 
 @pytest.mark.parametrize("counts", [[(1, 3), (2, 2), (3, 2), (0, 3)], [(-1, 10)]])

@@ -13,7 +13,7 @@ from stylemem.encoder import EncoderSet, LinearEncoder, TrainSettings, save_enco
 from stylemem.errors import ConfigError, PoolError, ValidationError
 from stylemem.harness import (
     METRICS_HEADER,
-    METRICS_SPECS,
+    METRICS_TEMPLATE,
     PRESETS,
     ExperimentConfig,
     MetricsRow,
@@ -26,7 +26,6 @@ from stylemem.harness import (
 )
 from stylemem.memory import MemoryBank, init_bank, load_bank, save_bank
 from stylemem.numerics import l2_normalize_rows, make_rng
-from stylemem.serialize import CsvRows
 
 
 def toy_config(**overrides):
@@ -317,11 +316,12 @@ def test_assignments_csv_contents(tmp_path):
 
 
 def test_metrics_row_csv_format(tmp_path):
-    rows = CsvRows(METRICS_HEADER, METRICS_SPECS)
-    rows.add(astuple(MetricsRow(3, 1.0, 0.5, 0.25, 2.0, 0.9, 0.8)))
-    rows.write(tmp_path / "metrics.csv")
-    header, line, end = (tmp_path / "metrics.csv").read_text().split("\n")
+    result = run_training(tiny_config(), tmp_path)
+    header, *lines, end = (tmp_path / "metrics.csv").read_text().split("\n")
     assert header == METRICS_HEADER and end == ""
+    assert lines == [METRICS_TEMPLATE % astuple(row) for row in result.metrics]
+    assert [tuple(map(float, line.split(","))) for line in lines] == list(map(astuple, result.metrics))
+    line = METRICS_TEMPLATE % astuple(MetricsRow(3, 1.0, 0.5, 0.25, 2.0, 0.9, 0.8))
     assert line.startswith("3,1,0.5,0.25,2,0.90000000000000002,")
 
 

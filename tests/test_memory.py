@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stylemem.errors import EmptyClusterError, LayoutError, ShapeError, ValidationError
+from stylemem.errors import EmptyClusterError, LayoutError, ShapeError, StylememError, ValidationError
 from stylemem.memory import (
     POOLED_CLASS_ID,
     MemoryBank,
@@ -271,6 +271,22 @@ def test_read_rejects_unknown_class_and_empty_cluster():
     empty = class_queries(bank, 1, np.zeros((0, 4)), np.zeros((0, 4)))
     with pytest.raises(EmptyClusterError):
         read(bank, empty, "x")
+
+
+
+def test_reads_reject_an_unknown_domain_with_a_package_error():
+    rng = make_rng(7)
+    bank = random_bank(rng, TOY_COUNTS, 4)
+    cluster = make_cluster(bank, rng, 1, 2)
+    calls = [
+        lambda: read(bank, cluster, "z"),
+        lambda: read_global(bank, cluster.content, "z"),
+        lambda: read_global(bank, (cluster.content, cluster.content), ("x", "z"), np.zeros((4, bank.n_items))),
+        lambda: read_backward(bank, cluster, "z", np.zeros((2, 4))),
+    ]
+    for call in calls:
+        with pytest.raises(StylememError, match="domain must be 'x' or 'y', got 'z'"):
+            call()
 
 
 def test_read_direction_picks_cross_domain_values():
