@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -86,15 +87,15 @@ def test_scene_overrides_merge_into_preset():
 
 
 def test_config_range_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape("temperature must be > 0")):
         toy_config(temperature=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^update_every must be >= 1$"):
         toy_config(update_every=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^memory_mode must be 'class-aware' or 'single', got 'dual'$"):
         toy_config(memory_mode="dual")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape("scene: content_overlap must lie in [0, 1), got 1.0")):
         toy_config(scene={"content_overlap": 1.0})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^class id -1 is reserved for pooled mode$"):
         toy_config(layout=[{"class": -1, "count": 10}])
     with pytest.raises(ConfigError, match="count 0"):
         toy_config(layout=[{"class": 1, "count": 0}, {"class": 0, "count": 3}])
@@ -183,6 +184,51 @@ def test_load_config_file(tmp_path):
     path.write_bytes(b'{"preset": "\xff"}')  # not UTF-8
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+
+# Every config key of a base config, set to each of these or deleted, must
+# build or raise a ConfigError: never another exception.
+SWEEP_VALUES = (
+    -1, 0, 1, 2.5, True, None, "x", [], {}, 1e300, 10**30,
+    [{"class": 0, "count": 1}],
+    [{"class": -1, "count": 2}],
+    [{"class": 1, "count": 0}, {"class": 0, "count": 3}],
+    [{"class": 0, "count": 2}, {"class": 0, "count": 3}],
+    [{"class": c, "count": 2} for c in range(4)],
+)
+SWEEP_BASES = {"toy": {"preset": "toy"}, "full": {"preset": "full"}, "preset-less": ExperimentConfig().to_dict()}
+DELETE = object()
+
+
+def sweep_configs(base: dict):
+    """``(key, value, raw)`` for each config key of ``base`` (``scene.*`` too)
+    set to each sweep value, and deleted (value ``DELETE``)."""
+    doc = ExperimentConfig().to_dict()
+    for path in [(key,) for key in doc] + [("scene", key) for key in doc["scene"]]:
+        for value in (*SWEEP_VALUES, DELETE):
+            raw = copy.deepcopy(base)
+            *parent, key = path
+            target = raw.setdefault(*parent, {}) if parent else raw
+            if value is DELETE:
+                target.pop(key, None)
+            else:
+                target[key] = copy.deepcopy(value)
+            yield ".".join(path), value, raw
+
+
+@pytest.mark.parametrize("base", SWEEP_BASES.values(), ids=SWEEP_BASES.keys())
+def test_every_config_key_value_builds_or_raises_a_config_error(base):
+    outcomes = {"built": 0, "ConfigError": 0}
+    for key, value, raw in sweep_configs(base):
+        try:
+            config_from_dict(resolve_config(raw))
+            outcomes["built"] += 1
+        except ConfigError:
+            outcomes["ConfigError"] += 1
+        except Exception as exc:  # noqa: BLE001 - the outcome under test
+            pytest.fail(f"{key}={value!r}: {type(exc).__name__}: {exc}")
+    assert outcomes["built"] and outcomes["ConfigError"]
 
 
 # --- training runs ---
@@ -427,6 +473,17 @@ def test_cli_corrupt_bank_exit_code(tmp_path, capsys):
         ({"learning_rate": 0}, "learning_rate must be > 0"),
         ({"adam_beta1": 1.0}, "adam betas must lie in [0, 1)"),
         ({"adam_beta2": -0.1}, "adam betas must lie in [0, 1)"),
+        ({"memory_mode": "dual"}, "memory_mode must be 'class-aware' or 'single', got 'dual'"),
+        ({"iterations": -1}, "iterations must be >= 0"),
+        ({"update_every": 0}, "update_every must be >= 1"),
+        ({"channels": 0}, "channels must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"eval_scenes": 0}, "eval_scenes must be >= 1"),
+        ({"eval_scenes": 1, "assignment_scenes": 2}, "assignment_scenes must lie in [0, eval_scenes]"),
+        ({"layout": [{"class": -1, "count": 3}, {"class": 0, "count": 3}]},
+         "class id -1 is reserved for pooled mode"),
+        ({"layout": [{"class": 1, "count": 0}, {"class": 0, "count": 3}]},
+         "layout: class 1 has count 0, need >= 1"),
     ],
 )
 def test_cli_rejects_mistyped_config_values(tmp_path, capsys, override, message):
