@@ -15,10 +15,10 @@ Config files are JSON. A file may name a ``preset`` ("toy" or "full") and
 override any subset of keys; the expansion to a fully explicit config is
 logged and written to the output directory as resolved_config.json. The keys
 are described in the README's Configuration section. The toy preset is the
-``ExperimentConfig`` defaults, whose ``train`` (a ``TrainSettings``) and
-``scene`` (a ``SceneSettings``) check their own keys. A config whose run
-would allocate an array of more than ``MAX_ARRAY_ELEMENTS`` elements is
-rejected.
+``ExperimentConfig`` defaults. ``ExperimentConfig``, its ``train`` (a
+``TrainSettings``) and its ``scene`` (a ``SceneSettings``) each check their
+keys when built, so a ``dataclasses.replace`` is checked too. A config whose
+run would allocate an array over ``MAX_ARRAY_ELEMENTS`` elements is rejected.
 """
 
 from __future__ import annotations
@@ -66,13 +66,32 @@ STREAM_EVAL = 4
 MAX_ARRAY_ELEMENTS = 2**24
 
 
+def _check_array_sizes(cfg: ExperimentConfig) -> None:
+    s = cfg.scene
+    positions = s.height * s.width
+    shapes = {
+        "bank (items x channels)": (cfg.n_items, cfg.channels),
+        "scene inputs (positions x scene.input_channels)": (positions, s.input_channels),
+        "encoded features (positions x channels)": (positions, cfg.channels),
+        "encoders (channels x scene.input_channels)": (cfg.channels, s.input_channels),
+        "cosines (positions x items)": (positions, cfg.n_items),
+        "class prototypes (scene.classes x scene.input_channels)": (s.classes, s.input_channels),
+        "prototype similarities (scene.classes x scene.classes)": (s.classes, s.classes),
+    }
+    for name, (rows, cols) in shapes.items():
+        if rows * cols > MAX_ARRAY_ELEMENTS:
+            raise ConfigError(
+                f"{name} would hold {rows} x {cols} elements, more than {MAX_ARRAY_ELEMENTS}"
+            )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A run's settings; the defaults are the toy preset.
 
-    ``config_from_dict`` validates a config; the fields do not check
-    themselves. ``memory_mode`` picks the bank layout, which alone decides
-    how a step addresses the bank.
+    Construction checks the top-level range rules (types are the loader's);
+    the prototype draw is left out, so ``replace`` stays cheap. ``memory_mode``
+    picks the bank layout, which alone decides how a step addresses the bank.
     """
 
     preset: str | None = None
@@ -86,6 +105,37 @@ class ExperimentConfig:
     assignment_scenes: int = 4
     train: TrainSettings = TrainSettings()
     scene: SceneSettings = SceneSettings(content_overlap=0.75, style_overlap=0.98)
+
+    def __post_init__(self):
+        if self.memory_mode not in ("class-aware", "single"):
+            raise ConfigError(f"memory_mode must be 'class-aware' or 'single', got {self.memory_mode!r}")
+        if self.iterations < 0:
+            raise ConfigError("iterations must be >= 0")
+        if self.update_every < 1:
+            raise ConfigError("update_every must be >= 1")
+        if self.channels < 1:
+            raise ConfigError("channels must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.eval_scenes < 1:
+            raise ConfigError("eval_scenes must be >= 1")
+        if not 0 <= self.assignment_scenes <= self.eval_scenes:
+            raise ConfigError("assignment_scenes must lie in [0, eval_scenes]")
+        if any(cid == POOLED_CLASS_ID for cid, _ in self.layout):
+            raise ConfigError(f"class id {POOLED_CLASS_ID} is reserved for pooled mode")
+        _check_array_sizes(self)
+        try:
+            self.reference_layout()
+        except LayoutError as exc:
+            raise ConfigError(f"layout: {exc}") from exc
+        if self.train.loss_variant == "triplet" and self.n_items < 2:
+            raise ConfigError(f"triplet loss needs at least two items, layout has {self.n_items}")
+        # scenes label every position with a class in [0, scene.classes)
+        missing = sorted(set(range(self.scene.classes)) - {cid for cid, _ in self.layout})
+        if self.memory_mode == "class-aware" and missing:
+            raise ConfigError(
+                f"class-aware layout lacks scene classes {missing} (scene.classes is {self.scene.classes})"
+            )
 
     @property
     def n_items(self) -> int:
@@ -186,77 +236,26 @@ def _checked_fields(cls, raw: dict, prefix: str = "") -> dict:
 
 
 def config_from_dict(resolved: dict) -> ExperimentConfig:
-    """Validate a resolved config dict and build the typed config.
+    """Type-check a resolved config dict and build the typed config.
 
-    A range rule belongs to the object that consumes the value: this builds
-    ``SceneSettings``, ``TrainSettings`` and ``MemoryLayout`` once and
-    reports their errors as a ``ConfigError`` that names the key.
+    Each object built here (``SceneSettings``, ``TrainSettings``,
+    ``ExperimentConfig``) checks its range rules; this adds the prototype draw
+    and reports a scene error as a ``ConfigError`` that names the key.
     """
     try:
         scene = SceneSettings(**_checked_fields(SceneSettings, resolved["scene"], "scene."))
-    except GenerationError as exc:
-        raise ConfigError(f"scene: {exc}") from exc
-    top = _checked_fields(ExperimentConfig, resolved)
-    cfg = ExperimentConfig(
-        preset=resolved.get("preset"),
-        layout=layout_counts(resolved["layout"], "layout", ConfigError),
-        train=TrainSettings(**_checked_fields(TrainSettings, resolved)),
-        scene=scene,
-        **top,
-    )
-    if cfg.memory_mode not in ("class-aware", "single"):
-        raise ConfigError(f"memory_mode must be 'class-aware' or 'single', got {cfg.memory_mode!r}")
-    if cfg.iterations < 0:
-        raise ConfigError("iterations must be >= 0")
-    if cfg.update_every < 1:
-        raise ConfigError("update_every must be >= 1")
-    if cfg.channels < 1:
-        raise ConfigError("channels must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if cfg.eval_scenes < 1:
-        raise ConfigError("eval_scenes must be >= 1")
-    if not 0 <= cfg.assignment_scenes <= cfg.eval_scenes:
-        raise ConfigError("assignment_scenes must lie in [0, eval_scenes]")
-    if any(cid == POOLED_CLASS_ID for cid, _ in cfg.layout):
-        raise ConfigError(f"class id {POOLED_CLASS_ID} is reserved for pooled mode")
-    _check_array_sizes(cfg)
-    try:
-        cfg.reference_layout()
-    except LayoutError as exc:
-        raise ConfigError(f"layout: {exc}") from exc
-    if cfg.train.loss_variant == "triplet" and cfg.n_items < 2:
-        raise ConfigError(f"triplet loss needs at least two items, layout has {cfg.n_items}")
-    # scenes label every position with a class in [0, scene.classes)
-    missing = sorted(set(range(cfg.scene.classes)) - {cid for cid, _ in cfg.layout})
-    if cfg.memory_mode == "class-aware" and missing:
-        raise ConfigError(
-            f"class-aware layout lacks scene classes {missing} (scene.classes is {cfg.scene.classes})"
+        top = _checked_fields(ExperimentConfig, resolved)
+        cfg = ExperimentConfig(
+            preset=resolved.get("preset"),
+            layout=layout_counts(resolved["layout"], "layout", ConfigError),
+            train=TrainSettings(**_checked_fields(TrainSettings, resolved)),
+            scene=scene,
+            **top,
         )
-    try:
         cfg.domain_spec()
     except GenerationError as exc:
         raise ConfigError(f"scene: {exc}") from exc
     return cfg
-
-
-def _check_array_sizes(cfg: ExperimentConfig) -> None:
-    s = cfg.scene
-    positions = s.height * s.width
-    shapes = {
-        "bank (items x channels)": (cfg.n_items, cfg.channels),
-        "scene inputs (positions x scene.input_channels)": (positions, s.input_channels),
-        "encoded features (positions x channels)": (positions, cfg.channels),
-        "encoders (channels x scene.input_channels)": (cfg.channels, s.input_channels),
-        "cosines (positions x items)": (positions, cfg.n_items),
-        "class prototypes (scene.classes x scene.input_channels)": (s.classes, s.input_channels),
-        "prototype similarities (scene.classes x scene.classes)": (s.classes, s.classes),
-    }
-    for name, (rows, cols) in shapes.items():
-        if rows * cols > MAX_ARRAY_ELEMENTS:
-            raise ConfigError(
-                f"{name} would hold {rows} x {cols} elements, more than {MAX_ARRAY_ELEMENTS}"
-            )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

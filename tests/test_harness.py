@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stylemem import harness
+from stylemem import encoder, harness
 from stylemem.cli import main as cli_main
 from stylemem.encoder import EncoderSet, LinearEncoder, TrainSettings, save_encoders
 from stylemem.errors import ConfigError, PoolError, ValidationError
@@ -101,6 +101,35 @@ def test_config_range_validation():
         toy_config(layout=[{"class": 1, "count": 0}, {"class": 0, "count": 3}])
     with pytest.raises(ConfigError, match="duplicate class id 0"):
         toy_config(layout=[{"class": 0, "count": 2}, {"class": 0, "count": 3}])
+
+
+# every rule ExperimentConfig checks itself, each with the loader's message
+REPLACE_CASES = {
+    "memory_mode": ({"memory_mode": "bogus"}, "memory_mode must be 'class-aware' or 'single', got 'bogus'"),
+    "iterations": ({"iterations": -4}, "iterations must be >= 0"),
+    "update_every": ({"update_every": 0}, "update_every must be >= 1"),
+    "channels": ({"channels": 0}, "channels must be >= 1"),
+    "seed": ({"seed": -1}, "seed must be >= 0"),
+    "eval_scenes": ({"eval_scenes": 0}, "eval_scenes must be >= 1"),
+    "assignment_scenes-high": ({"assignment_scenes": 5}, "assignment_scenes must lie in [0, eval_scenes]"),
+    "assignment_scenes-low": ({"assignment_scenes": -1}, "assignment_scenes must lie in [0, eval_scenes]"),
+    "reserved-class": ({"layout": ((-1, 10),)}, "class id -1 is reserved for pooled mode"),
+    "array-size": ({"channels": 2**20},
+                   "encoded features (positions x channels) would hold 36 x 1048576 elements, more than 16777216"),
+    "layout-count": ({"layout": ((1, 0), (0, 3))}, "layout: class 1 has count 0, need >= 1"),
+    "layout-duplicate": ({"layout": ((0, 2), (0, 3))}, "layout: duplicate class id 0"),
+    "triplet": ({"memory_mode": "single", "train": TrainSettings(loss_variant="triplet"), "layout": ((0, 1),)},
+                "triplet loss needs at least two items, layout has 1"),
+    "missing-classes": ({"scene": replace(ExperimentConfig().scene, classes=5, height=6, width=6)},
+                        "class-aware layout lacks scene classes [4] (scene.classes is 5)"),
+}
+
+
+@pytest.mark.parametrize("changes, message", REPLACE_CASES.values(), ids=REPLACE_CASES.keys())
+def test_replace_checks_the_config_rules(changes, message):
+    cfg = tiny_config()
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        replace(cfg, **changes)
 
 
 # config keys that TrainSettings owns, each with a value other than its default
@@ -673,11 +702,14 @@ def test_pooled_mode_ignores_scene_classes_missing_from_the_layout():
         tiny_config(scene={"classes": 6})
 
 
-def test_run_training_names_the_iteration_of_any_step_error(tmp_path):
-    cfg = tiny_config(loss_variant="triplet", memory_mode="single")
-    # one pooled item: past the config checks, the triplet loss then fails
+def test_run_training_names_the_iteration_of_any_step_error(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise PoolError("triplet loss needs at least two items")
+
+    # no valid config reaches a step error, so the step's triplet loss raises one
+    monkeypatch.setattr(encoder, "triplet_loss", refuse)
     with pytest.raises(PoolError, match=r"^training iteration 0: triplet loss needs at least two items$"):
-        run_training(replace(cfg, layout=((0, 1),)), tmp_path / "o")
+        run_training(tiny_config(loss_variant="triplet", memory_mode="single"), tmp_path / "o")
 
 
 @pytest.fixture(scope="module")
