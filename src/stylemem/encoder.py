@@ -8,8 +8,8 @@ and checkable by finite differences. It ends at the encoder parameters:
 
 A loss pass (:func:`compute_losses`) encodes both domains and addresses the
 bank once for the scene pair: one partition mask, one content-key cosine
-matrix and its read weights, each an item-major array with domain x in the
-first P columns and y in the last P. Each memory plane's item loss runs once
+matrix and its read weights, each in the pair storage of
+:mod:`stylemem.memory`. Each memory plane's item loss runs once
 for both domains, and each domain's loss is summed over its own P queries.
 Its only gradient is the reconstruction loss's with respect to each read,
 made in place from the read residual. The item-loss gradients and the read

@@ -12,12 +12,9 @@ read, its backward pass, the update weights, the key-side item loss and the
 test-time read take them from each domain's query set. Bank files go
 through :mod:`stylemem.serialize`.
 
-Query-item arrays are stored item-major (see :mod:`stylemem.numerics`), one
-C-contiguous (N, 2P) array per scene pair, domain x in columns [0, P) and y
-in [P, 2P): every sum, max and softmax over a query's items runs along axis
-0 of the storage. The (P, N) names (``QuerySet.mask``, ``weights`` and
-``sims``, ``ReadResult.weights``, the result of :func:`update_weights`) are
-transposed views of a domain's columns.
+Query-item arrays follow the item-major rule of :mod:`stylemem.numerics`:
+a scene pair's storage is (N, 2P), domain x in columns [0, P) and y in
+[P, 2P).
 """
 
 from __future__ import annotations

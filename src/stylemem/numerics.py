@@ -14,7 +14,9 @@ Query-item arrays (P queries x N items) are stored item-major: a C-contiguous
 runs along axis 0, one contiguous P-vector at a time. The (P, N) names, such
 as ``Cosines.sims`` and the result of :func:`cosine_matrix`, are transposed
 views of that storage; on such a view :func:`softmax_rows` is
-:func:`softmax_cols` of the stored array, bit for bit.
+:func:`softmax_cols` of the stored array, bit for bit. Blocks of queries
+(a scene pair's two domains) share one storage, each block in its own
+columns, and each block's (P, N) names are views of its columns.
 """
 
 from __future__ import annotations

@@ -5,13 +5,11 @@ caller-supplied pool (its class partition during class-aware training, the
 whole bank otherwise): a masked argmax over the query-item cosine matrix.
 They treat the items as constants: gradients flow into the queries only.
 
-The pools, cosines and logits are used item-major, as (N, P) arrays (see
-:mod:`stylemem.numerics`): the argmax and the log-sum-exp over each query's
-items run along axis 0. Callers pass (P, N) pools and cosines, such as the
-transposed views that :func:`stylemem.memory.address_blocks` makes. Queries
-and items may come as tuples of blocks (a scene pair's two domains): every
-step over the (N, P) storage then runs once for all blocks, and each block
-gets its own term, summed over its own queries, with the one-block bits.
+Pools and cosines come as (P, N) views of item-major storage (see
+:mod:`stylemem.numerics`), and the losses work on the storage. Queries and
+items may come as tuples of blocks (a scene pair's two domains): every step
+over the storage then runs once for all blocks, and each block gets its own
+term, summed over its own queries, with the one-block bits.
 """
 
 from __future__ import annotations
