@@ -244,7 +244,7 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
     """
     try:
         scene = SceneSettings(**_checked_fields(SceneSettings, resolved["scene"], "scene."))
-        top = _checked_fields(ExperimentConfig, resolved)
+        top = _checked_fields(ExperimentConfig, resolved)  # before layout and train: keeps the first error
         cfg = ExperimentConfig(
             preset=resolved.get("preset"),
             layout=layout_counts(resolved["layout"], "layout", ConfigError),

@@ -215,7 +215,6 @@ def test_load_config_file(tmp_path):
         load_config(path)
 
 
-
 # Every config key of a base config, set to each of these or deleted, must
 # build or raise a ConfigError: never another exception.
 SWEEP_VALUES = (
@@ -255,7 +254,7 @@ def test_every_config_key_value_builds_or_raises_a_config_error(base):
             outcomes["built"] += 1
         except ConfigError:
             outcomes["ConfigError"] += 1
-        except Exception as exc:  # noqa: BLE001 - the outcome under test
+        except Exception as exc:  # any other exception is the failure under test
             pytest.fail(f"{key}={value!r}: {type(exc).__name__}: {exc}")
     assert outcomes["built"] and outcomes["ConfigError"]
 
@@ -513,6 +512,11 @@ def test_cli_corrupt_bank_exit_code(tmp_path, capsys):
          "class id -1 is reserved for pooled mode"),
         ({"layout": [{"class": 1, "count": 0}, {"class": 0, "count": 3}]},
          "layout: class 1 has count 0, need >= 1"),
+        # several faults: the first in check order is reported
+        ({"channels": True, "scene": {"height": 6.5}}, "scene.height must be an integer"),
+        ({"layout": [{"class": 1, "count": True}], "iterations": 2.7}, "iterations must be an integer"),
+        ({"temperature": float("nan"), "layout": [{"class": 1, "count": True}]}, "layout count"),
+        ({"iterations": -1, "learning_rate": 0}, "learning_rate must be > 0"),
     ],
 )
 def test_cli_rejects_mistyped_config_values(tmp_path, capsys, override, message):
