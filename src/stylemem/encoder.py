@@ -6,9 +6,9 @@ hand-written so the whole gradient path (loss -> read -> encoder) is explicit
 and checkable by finite differences. It ends at the encoder parameters:
 :func:`backward` returns ``(d_weight, d_bias)`` only.
 
-A loss pass (:func:`compute_losses`) encodes both domains and addresses the
-bank once for the scene pair: one partition mask, one content-key cosine
-matrix and its read weights, each in the pair storage of
+A loss pass (:func:`compute_losses`) encodes both domains of a scene pair
+and addresses the bank once with its labels: one partition mask, one
+content-key cosine matrix and its read weights, each in the pair storage of
 :mod:`stylemem.memory`. Each memory plane's item loss runs once
 for both domains, and each domain's loss is summed over its own P queries.
 Its only gradient is the reconstruction loss's with respect to each read,
@@ -36,7 +36,7 @@ from .memory import MemoryBank, QuerySet, address_blocks, read, read_backward, u
 from .numerics import AdamState, adam_step
 from .objectives import LossTerm, contrastive_loss, triplet_loss
 from .serialize import array, integer, read_json, write_json
-from .synthdata import FeatureScene
+from .synthdata import ScenePair
 
 ENCODER_FORMAT_VERSION = 1
 
@@ -224,8 +224,7 @@ def _item_loss(queries: tuple, items, pool: np.ndarray, settings: TrainSettings,
 def compute_losses(
     encoders: EncoderSet,
     bank: MemoryBank,
-    scene_x: FeatureScene,
-    scene_y: FeatureScene,
+    pair: ScenePair,
     settings: TrainSettings,
 ) -> tuple[LossReport, ForwardPass]:
     """Loss pass over a scene pair against a frozen bank.
@@ -233,19 +232,16 @@ def compute_losses(
     Returns the loss report plus the forward pass: the encoded query sets,
     from which the analytic gradients of the weighted total loss with
     respect to each encoded feature matrix follow on demand. Neither the
-    encoders nor the bank are modified.
+    encoders, the bank nor the pair are modified.
     """
-    if scene_x.positions != scene_y.positions:
-        raise ShapeError("paired scenes must have the same number of positions")
-    scenes = dict(zip(_DOMAINS, (scene_x, scene_y)))
-    content = tuple(forward(encoders.content(d), s.content) for d, s in scenes.items())
-    style = tuple(forward(encoders.style(d), s.style) for d, s in scenes.items())
-    mask, cosines, sets = address_blocks(bank, content, style, (scene_x.labels, scene_y.labels))
+    content = tuple(forward(encoders.content(d), pair.content) for d in _DOMAINS)
+    style = tuple(forward(encoders.style(d), s) for d, s in zip(_DOMAINS, pair.styles))
+    mask, cosines, sets = address_blocks(bank, content, style, (pair.labels, pair.labels))
     queries = dict(zip(_DOMAINS, sets))
     key_terms = _item_loss(content, bank.keys, mask, settings, cosines)
     value_terms = _item_loss(style, (bank.values_x, bank.values_y), mask, settings)
 
-    p_total = scene_x.positions
+    p_total = pair.labels.shape[0]
     upstream = {}
     rec_loss = 0.0
     for d, opposite in (("x", "y"), ("y", "x")):
@@ -270,28 +266,26 @@ def compute_losses(
 def train_step(
     encoders: EncoderSet,
     bank: MemoryBank,
-    scene_x: FeatureScene,
-    scene_y: FeatureScene,
+    pair: ScenePair,
     settings: TrainSettings,
     update_memory: bool = True,
 ) -> tuple[LossReport, MemoryBank]:
-    """One training iteration.
+    """One training iteration on a scene pair.
 
     The encoders are updated in place through their Adam states; with
     ``update_memory`` the returned bank is a new object (reads and losses
-    always use the iteration's starting bank), else it is ``bank``. Input
-    scenes are never modified. A non-finite loss names its unweighted terms.
+    always use the iteration's starting bank), else it is ``bank``. The
+    pair is never modified. A non-finite loss names its unweighted terms.
     """
-    report, fwd = compute_losses(encoders, bank, scene_x, scene_y, settings)
+    report, fwd = compute_losses(encoders, bank, pair, settings)
     if not np.isfinite(report.total):
         terms = f"key {report.key_loss}, value {report.value_loss}, rec {report.rec_loss}"
         raise ValidationError(f"loss became non-finite ({terms})")
 
-    scenes = {"x": scene_x, "y": scene_y}
-    for d in _DOMAINS:
-        gw, gb = backward(encoders.content(d), scenes[d].content, fwd.grad_content[d])
+    for d, style in zip(_DOMAINS, pair.styles):
+        gw, gb = backward(encoders.content(d), pair.content, fwd.grad_content[d])
         apply_gradients(encoders.content(d), gw, gb, settings)
-        gw, gb = backward(encoders.style(d), scenes[d].style, fwd.grad_style[d])
+        gw, gb = backward(encoders.style(d), style, fwd.grad_style[d])
         apply_gradients(encoders.style(d), gw, gb, settings)
 
     for name, enc in vars(encoders).items():

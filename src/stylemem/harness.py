@@ -5,7 +5,7 @@ seed): scene streams, bank and encoder initialization, and evaluation scenes
 are all derived from the seed through fixed stream keys, and no artifact
 contains timestamps, so reruns are byte-identical.
 
-Evaluation takes one loss pass per held-out scene and no gradient: the
+Evaluation takes one loss pass per held-out scene pair and no gradient: the
 test-time read (the unmasked softmax over the pass's content-key cosines),
 the fidelity target and the assignments export all reuse that pass's
 features. The per-iteration metrics encode afresh, since the step has just
@@ -47,7 +47,7 @@ from .errors import ConfigError, GenerationError, LayoutError, StylememError, Va
 from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
 from .serialize import FLOAT, atomic_lines, csv_block, integer, layout_counts, write_json
-from .synthdata import DomainSpec, FeatureScene, SceneSettings, generate_scene_pair
+from .synthdata import DomainSpec, ScenePair, SceneSettings, generate_scene_pair
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +89,7 @@ def _check_array_sizes(cfg: ExperimentConfig) -> None:
 class ExperimentConfig:
     """A run's settings; the defaults are the toy preset.
 
-    Construction checks the top-level range rules (types are the loader's);
+    Construction checks the int fields' types, then the top-level range rules;
     the prototype draw is left out, so ``replace`` stays cheap. ``memory_mode``
     picks the bank layout, which alone decides how a step addresses the bank.
     """
@@ -107,18 +107,18 @@ class ExperimentConfig:
     scene: SceneSettings = SceneSettings(content_overlap=0.75, style_overlap=0.98)
 
     def __post_init__(self):
+        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
+        for i, entry in enumerate(self.layout):
+            ints += [(f"layout {key} (entry {i})", v) for key, v in zip(("class", "count"), entry)]
+        for name, value in ints:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.memory_mode not in ("class-aware", "single"):
             raise ConfigError(f"memory_mode must be 'class-aware' or 'single', got {self.memory_mode!r}")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be >= 0")
-        if self.update_every < 1:
-            raise ConfigError("update_every must be >= 1")
-        if self.channels < 1:
-            raise ConfigError("channels must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.eval_scenes < 1:
-            raise ConfigError("eval_scenes must be >= 1")
+        minimums = (("iterations", 0), ("update_every", 1), ("channels", 1), ("seed", 0), ("eval_scenes", 1))
+        for name, low in minimums:
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if not 0 <= self.assignment_scenes <= self.eval_scenes:
             raise ConfigError("assignment_scenes must lie in [0, eval_scenes]")
         if any(cid == POOLED_CLASS_ID for cid, _ in self.layout):
@@ -318,11 +318,12 @@ class _EvalAccumulator:
 
 
 def _accumulate_pair(
-    acc: _EvalAccumulator, bank: MemoryBank, features: dict[str, tuple], scenes: dict[str, FeatureScene],
+    acc: _EvalAccumulator, bank: MemoryBank, features: dict[str, tuple], labels: np.ndarray,
     ref_layout: MemoryLayout, export: Callable[[str], None] | None = None, scene: int = 0,
 ) -> None:
-    """Test-time metrics of one scene pair (global reads, no labels); each
-    domain's assignments lines go to ``export`` as one text once rendered.
+    """Test-time metrics of one scene pair (global reads, scored against the
+    pair's ``labels``); each domain's assignments lines go to ``export`` as one
+    text once rendered.
 
     ``features[d]`` is domain d's encoded (content, style, test-time read);
     the read is None when the caller has none to share, and is taken here.
@@ -338,7 +339,6 @@ def _accumulate_pair(
         acc.queries += content.shape[0]
         acc.fidelity_sum += float(cosine_rows(result.aggregated_style, target).sum())
         top = np.argmax(weights, axis=0)
-        labels = scenes[d].labels
         acc.purity_hits += int(np.sum(item_classes[top] == labels))
         if export is not None:
             picked = weights[top, np.arange(top.shape[0])]
@@ -348,17 +348,15 @@ def _accumulate_pair(
 
 
 def _pair_metrics(
-    bank: MemoryBank, encoders: EncoderSet, scene_x: FeatureScene, scene_y: FeatureScene,
-    ref_layout: MemoryLayout,
+    bank: MemoryBank, encoders: EncoderSet, pair: ScenePair, ref_layout: MemoryLayout
 ) -> tuple[float, float, float]:
     # the step has just changed the encoders and the bank: encode afresh
-    scenes = {"x": scene_x, "y": scene_y}
     features = {
-        d: (forward(encoders.content(d), s.content), forward(encoders.style(d), s.style), None)
-        for d, s in scenes.items()
+        d: (forward(encoders.content(d), pair.content), forward(encoders.style(d), style), None)
+        for d, style in zip(("x", "y"), pair.styles)
     }
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
-    _accumulate_pair(acc, bank, features, scenes, ref_layout)
+    _accumulate_pair(acc, bank, features, pair.labels, ref_layout)
     return acc.entropy(), acc.purity(), acc.fidelity()
 
 
@@ -387,14 +385,14 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     )
     metrics: list[MetricsRow] = []
     for t in range(cfg.iterations):
-        scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
+        pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
         try:
             # a diverging step fails below with a named error, not numpy warnings
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 report, bank = train_step(
-                    encoders, bank, scene_x, scene_y, cfg.train, update_memory=t % cfg.update_every == 0
+                    encoders, bank, pair, cfg.train, update_memory=t % cfg.update_every == 0
                 )
-                entropy, purity, fidelity = _pair_metrics(bank, encoders, scene_x, scene_y, ref_layout)
+                entropy, purity, fidelity = _pair_metrics(bank, encoders, pair, ref_layout)
             values = (t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity)
             metrics.append(_finite(values, "metrics"))
         except StylememError as exc:
@@ -436,11 +434,11 @@ def evaluate(
     scene_count: int,
     assignments_path: str | Path | None = None,
 ) -> MetricsRow:
-    """Metrics over fresh held-out scenes using test-time global reads.
+    """Metrics over fresh held-out scene pairs using test-time global reads.
 
     Loss fields are per-scene means of the training objective (computed with
     the training-time class pools, without touching bank or encoders). Each
-    scene takes one loss pass and no gradient; the test-time read, the
+    pair takes one loss pass and no gradient; the test-time read, the
     fidelity target and the export reuse its encoded features and cosines.
     When ``assignments_path`` is set, the first cfg.assignment_scenes scenes
     also dump one row per query: scene, domain, position, label, assigned
@@ -465,14 +463,14 @@ def evaluate(
         if write is not None:
             write(",".join(columns))
         for i in range(scene_count):
-            scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
-            report, fwd = compute_losses(encoders, bank, scene_x, scene_y, cfg.train)
+            pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
+            report, fwd = compute_losses(encoders, bank, pair, cfg.train)
             loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
             reads = read_global(bank, tuple(q.content for q in fwd.queries.values()), ("x", "y"), fwd.sims)
             features = {d: (q.content, q.style, r) for (d, q), r in zip(fwd.queries.items(), reads)}
             scene_export = write if i < cfg.assignment_scenes else None
-            _accumulate_pair(acc, bank, features, {"x": scene_x, "y": scene_y}, ref_layout, scene_export, i)
+            _accumulate_pair(acc, bank, features, pair.labels, ref_layout, scene_export, i)
 
         losses = (float(total) / scene_count for total in loss_sums)
         values = (cfg.iterations, *losses, acc.entropy(), acc.purity(), acc.fidelity())

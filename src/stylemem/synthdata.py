@@ -1,12 +1,12 @@
 """Paired two-domain feature scenes on a labeled grid.
 
-A scene pair shares one content sample per position (content is
-domain-agnostic) while each domain draws its own style sample around
+A :class:`ScenePair` holds one content sample per position (content is
+domain-agnostic), the labels and boxes, and each domain's style sample around
 domain-specific per-class prototypes. Class 0 is the background; foreground
 classes paint 1-3 rectangles each, later rectangles overriding earlier ones.
 ``SceneSettings`` holds the ``scene`` config keys and checks their ranges;
-``DomainSpec.create`` draws the prototypes from them. Scene fixtures go
-through :mod:`stylemem.serialize`.
+``DomainSpec.create`` draws the prototypes from them. A scene fixture is one
+domain's :class:`FeatureScene`, stored through :mod:`stylemem.serialize`.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ def _content_prototypes(rng: np.random.Generator, k: int, channels: int, crowdin
     is the regime where class-restricted addressing has to earn its keep.
     """
     rows = l2_normalize_rows(rng.standard_normal((k, channels)))
-    for i in range(1, k):
-        rows[i] = (1.0 - crowding) * rows[i] + crowding * rows[0]
+    rows[1:] = (1.0 - crowding) * rows[1:] + crowding * rows[0]
     return l2_normalize_rows(rows)
 
 
@@ -139,18 +138,25 @@ class FeatureScene:
     height: int
     width: int
 
-    @property
-    def positions(self) -> int:
-        return self.labels.shape[0]
+
+@dataclass
+class ScenePair:
+    """Both domains' scene, P = H * W: shared content, labels and boxes, and
+    ``styles``, the (P, Cin) style samples of domains x and y."""
+
+    content: np.ndarray
+    labels: np.ndarray
+    boxes: list[Box]
+    height: int
+    width: int
+    styles: tuple[np.ndarray, np.ndarray]
 
 
-def generate_scene_pair(
-    spec: DomainSpec, rng: np.random.Generator
-) -> tuple[FeatureScene, FeatureScene]:
-    """One paired scene per domain, identical labels and content samples.
+def generate_scene_pair(spec: DomainSpec, rng: np.random.Generator) -> ScenePair:
+    """One scene pair, whose domains share labels and content samples.
 
-    Draw order: boxes per foreground class, then content noise, then style
-    noise for x, then style noise for y.
+    Draw order: boxes per foreground class, then one normal block of content
+    noise, style noise for x and style noise for y.
     """
     s = spec.settings
     h, w = s.height, s.width
@@ -170,14 +176,10 @@ def generate_scene_pair(
             boxes.append(box)
 
     labels = grid.reshape(-1)
-    shape = (h * w, s.input_channels)
-    content = spec.content_prototypes[labels] + s.noise_sigma * rng.standard_normal(shape)
-    style_x = spec.style_prototypes_x[labels] + s.noise_sigma * rng.standard_normal(shape)
-    style_y = spec.style_prototypes_y[labels] + s.noise_sigma * rng.standard_normal(shape)
-
-    scene_x = FeatureScene(content, style_x, labels.copy(), list(boxes), h, w)
-    scene_y = FeatureScene(content.copy(), style_y, labels.copy(), list(boxes), h, w)
-    return scene_x, scene_y
+    noise = rng.standard_normal((3, h * w, s.input_channels))
+    protos = (spec.content_prototypes, spec.style_prototypes_x, spec.style_prototypes_y)
+    content, *styles = (p[labels] + s.noise_sigma * n for p, n in zip(protos, noise))
+    return ScenePair(content, labels, boxes, h, w, tuple(styles))
 
 
 def save_scene(scene: FeatureScene, path: str | Path) -> None:

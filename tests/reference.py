@@ -80,8 +80,9 @@ def clusters(labels, content, style) -> list[ClassCluster]:
     return out
 
 
-def cluster_by_class(scene) -> list[ClassCluster]:
-    return clusters(scene.labels, scene.content, scene.style)
+def cluster_by_class(pair, domain) -> list[ClassCluster]:
+    """The clusters of one domain of a scene pair: shared content, its style."""
+    return clusters(pair.labels, pair.content, pair.styles[DOMAINS.index(domain)])
 
 
 def span(layout, class_id: int) -> tuple[int, int]:
@@ -114,22 +115,21 @@ class ReferencePass:
     clusters: dict
 
 
-def reference_compute_losses(encoders, bank, scene_x, scene_y, settings) -> ReferencePass:
-    scenes = {"x": scene_x, "y": scene_y}
-    content = {d: forward(encoders.content(d), scenes[d].content) for d in DOMAINS}
-    style = {d: forward(encoders.style(d), scenes[d].style) for d in DOMAINS}
+def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
+    content = {d: forward(encoders.content(d), pair.content) for d in DOMAINS}
+    style = {d: forward(encoders.style(d), s) for d, s in zip(DOMAINS, pair.styles)}
     if bank.layout.class_ids == (POOLED_CLASS_ID,):
-        every = np.arange(scene_x.positions)
+        every = np.arange(pair.labels.shape[0])
         per_domain = {d: [ClassCluster(POOLED_CLASS_ID, content[d], style[d], every)] for d in DOMAINS}
     else:
-        per_domain = {d: clusters(scenes[d].labels, content[d], style[d]) for d in DOMAINS}
+        per_domain = {d: clusters(pair.labels, content[d], style[d]) for d in DOMAINS}
 
     def item_loss(queries, items, pool):
         if settings.loss_variant == "contrastive":
             return contrastive_loss(queries, items, pool, settings.temperature)
         return triplet_loss(queries, items, pool, settings.triplet_margin)
 
-    p_total = scene_x.positions
+    p_total = pair.labels.shape[0]
     grad_content = {d: np.zeros_like(content[d]) for d in DOMAINS}
     grad_style = {d: np.zeros_like(style[d]) for d in DOMAINS}
     positives = {(k, d): np.full(p_total, -1) for k in ("key", "value") for d in DOMAINS}
@@ -200,16 +200,15 @@ def reference_adam(enc, grad_weight, grad_bias, settings) -> None:
         setattr(enc, name, new)
 
 
-def reference_train_step(encoders, bank, scene_x, scene_y, settings, update_memory=True):
+def reference_train_step(encoders, bank, pair, settings, update_memory=True):
     """(reference pass, encoders after the scalar-oracle Adam, new bank);
     ``encoders`` is not modified."""
     encoders = copy.deepcopy(encoders)
-    ref = reference_compute_losses(encoders, bank, scene_x, scene_y, settings)
-    scenes = {"x": scene_x, "y": scene_y}
-    for d in DOMAINS:
-        gw, gb = backward(encoders.content(d), scenes[d].content, ref.grad_content[d])
+    ref = reference_compute_losses(encoders, bank, pair, settings)
+    for d, style in zip(DOMAINS, pair.styles):
+        gw, gb = backward(encoders.content(d), pair.content, ref.grad_content[d])
         reference_adam(encoders.content(d), gw, gb, settings)
-        gw, gb = backward(encoders.style(d), scenes[d].style, ref.grad_style[d])
+        gw, gb = backward(encoders.style(d), style, ref.grad_style[d])
         reference_adam(encoders.style(d), gw, gb, settings)
     if not update_memory:
         return ref, encoders, bank
@@ -241,21 +240,21 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
     lines = [",".join(columns)]
 
     for i in range(scene_count):
-        scene_x, scene_y = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
-        report, fwd = compute_losses(encoders, bank, scene_x, scene_y, settings)
+        pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
+        report, fwd = compute_losses(encoders, bank, pair, settings)
         fwd.grad_content, fwd.grad_style  # the whole training pass, backward included
         loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
-        scenes = {"x": scene_x, "y": scene_y}
+        styles = dict(zip(DOMAINS, pair.styles))
         for d, opposite in (("x", "y"), ("y", "x")):
-            content = forward(encoders.content(d), scenes[d].content)
+            content = forward(encoders.content(d), pair.content)
             result = read_global(bank, content, d)
-            target = forward(encoders.style(opposite), scenes[opposite].style)
+            target = forward(encoders.style(opposite), styles[opposite])
             alpha_sum += result.weights.sum(axis=0)
             queries += content.shape[0]
             fidelity_sum += float(cosine_rows(result.aggregated_style, target).sum())
             top = np.argmax(result.weights, axis=1)
-            labels = scenes[d].labels
+            labels = pair.labels
             purity_hits += int(np.sum(item_classes[top] == labels))
             if i < cfg.assignment_scenes:
                 picked = result.weights[np.arange(top.shape[0]), top]

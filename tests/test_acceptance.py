@@ -239,16 +239,15 @@ def test_criterion_4_gradient_correctness():
             classes=3, input_channels=4, height=4, width=4,
             noise_sigma=0.3, content_overlap=0.3, style_overlap=0.3,
         ))
-        scene_x, scene_y = generate_scene_pair(spec, split_rng(9106, i, 1))
+        pair = generate_scene_pair(spec, split_rng(9106, i, 1))
         bank = init_bank(MemoryLayout.from_counts([(1, 2), (2, 2), (0, 2)]), 3, split_rng(9106, i, 2))
         encoders = EncoderSet.create(split_rng(9106, i, 3), 4, 3)
         settings_cls = __import__("stylemem.encoder", fromlist=["TrainSettings"]).TrainSettings
         settings = settings_cls(loss_variant="contrastive" if i % 2 == 0 else "triplet")
-        scenes = {"x": scene_x, "y": scene_y}
 
         for name in ("content_x", "content_y", "style_x", "style_y"):
             kind, domain = name.split("_")
-            inputs = scenes[domain].content if kind == "content" else scenes[domain].style
+            inputs = pair.content if kind == "content" else pair.styles["xy".index(domain)]
             for which in ("weight", "bias"):
 
                 def fn(param, _name=name, _which=which, _inputs=inputs, _kind=kind, _domain=domain):
@@ -258,7 +257,7 @@ def test_criterion_4_gradient_correctness():
                         enc.weight = param
                     else:
                         enc.bias = param
-                    report, fwd = compute_losses(probe, bank, scene_x, scene_y, settings)
+                    report, fwd = compute_losses(probe, bank, pair, settings)
                     grads = fwd.grad_content if _kind == "content" else fwd.grad_style
                     gw, gb = backward(enc, _inputs, grads[_domain])
                     return report.total, gw if _which == "weight" else gb

@@ -42,20 +42,18 @@ def problem(seed, class_aware):
         classes=4, input_channels=6, height=8, width=8,
         noise_sigma=0.2, content_overlap=0.5, style_overlap=0.5,
     ))
-    scene_x, scene_y = generate_scene_pair(spec, split_rng(seed, 1))
+    pair = generate_scene_pair(spec, split_rng(seed, 1))
     counts = [(1, 3), (2, 2), (3, 2), (0, 3)] if class_aware else [(-1, 10)]
     bank = init_bank(MemoryLayout.from_counts(counts), 5, split_rng(seed, 2))
     encoders = EncoderSet.create(split_rng(seed, 3), 6, 5)
-    return scene_x, scene_y, bank, encoders
+    return pair, bank, encoders
 
 
-def check_step(encoders, bank, scene_x, scene_y, settings, update_memory=True):
+def check_step(encoders, bank, pair, settings, update_memory=True):
     """Compare one dense train_step with the reference from the same state."""
-    ref, ref_encoders, ref_bank = reference_train_step(
-        encoders, bank, scene_x, scene_y, settings, update_memory
-    )
-    dense_report, fwd = compute_losses(copy.deepcopy(encoders), bank, scene_x, scene_y, settings)
-    report, new_bank = train_step(encoders, bank, scene_x, scene_y, settings, update_memory)
+    ref, ref_encoders, ref_bank = reference_train_step(encoders, bank, pair, settings, update_memory)
+    dense_report, fwd = compute_losses(copy.deepcopy(encoders), bank, pair, settings)
+    report, new_bank = train_step(encoders, bank, pair, settings, update_memory)
 
     for name in ("key_loss", "value_loss", "rec_loss", "total"):
         assert_close(getattr(report, name), getattr(ref, name))
@@ -86,17 +84,16 @@ def check_step(encoders, bank, scene_x, scene_y, settings, update_memory=True):
 @pytest.mark.parametrize("class_aware, loss_variant", CASES)
 def test_dense_pass_matches_per_class_reference(class_aware, loss_variant):
     for seed in range(4):
-        scene_x, scene_y, bank, encoders = problem(70 + seed, class_aware)
+        pair, bank, encoders = problem(70 + seed, class_aware)
         settings = TrainSettings(learning_rate=1e-2, loss_variant=loss_variant)
         for step in range(3):
-            bank = check_step(encoders, bank, scene_x, scene_y, settings, step != 1)
+            bank = check_step(encoders, bank, pair, settings, step != 1)
 
 
 def test_absent_class_partition_stays_bit_identical():
-    scene_x, scene_y, bank, encoders = problem(80, True)
-    for scene in (scene_x, scene_y):
-        scene.labels[scene.labels == 3] = 1
-    new_bank = check_step(encoders, bank, scene_x, scene_y, TrainSettings(learning_rate=1e-2))
+    pair, bank, encoders = problem(80, True)
+    pair.labels[pair.labels == 3] = 1
+    new_bank = check_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2))
     offset, count = span(bank.layout, 3)
     block = slice(offset, offset + count)
     for plane in ("keys", "values_x", "values_y"):
@@ -105,10 +102,9 @@ def test_absent_class_partition_stays_bit_identical():
 
 
 def test_label_missing_from_layout_raises():
-    scene_x, scene_y, bank, encoders = problem(81, True)
-    for scene in (scene_x, scene_y):
-        scene.labels[:5] = 7
+    pair, bank, encoders = problem(81, True)
+    pair.labels[:5] = 7
     with pytest.raises(LayoutError, match="class 7"):
-        train_step(encoders, bank, scene_x, scene_y, TrainSettings(learning_rate=1e-2))
+        train_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2))
     with pytest.raises(LayoutError, match="class 7"):
-        reference_train_step(encoders, bank, scene_x, scene_y, TrainSettings(learning_rate=1e-2))
+        reference_train_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2))

@@ -1,4 +1,6 @@
 import copy
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,11 +37,11 @@ def small_problem(seed, class_aware=True):
     spec = DomainSpec.create(
         rng, SceneSettings(classes=3, input_channels=5, height=4, width=4, noise_sigma=0.3)
     )
-    scene_x, scene_y = generate_scene_pair(spec, split_rng(seed, 1))
+    pair = generate_scene_pair(spec, split_rng(seed, 1))
     counts = [(1, 2), (2, 2), (0, 2)] if class_aware else [(-1, 6)]
     bank = init_bank(MemoryLayout.from_counts(counts), 4, split_rng(seed, 2))
     encoders = EncoderSet.create(split_rng(seed, 3), 5, 4)
-    return spec, scene_x, scene_y, bank, encoders
+    return spec, pair, bank, encoders
 
 
 # --- forward / backward ---
@@ -146,12 +148,12 @@ def test_train_settings_validation():
 
 
 def test_zero_weights_leave_parameters_bitwise_unchanged():
-    _, scene_x, scene_y, bank, encoders = small_problem(50)
+    _, pair, bank, encoders = small_problem(50)
     settings = TrainSettings(
         temperature=0.1, key_loss_weight=0.0, value_loss_weight=0.0, rec_loss_weight=0.0
     )
     snapshot = [(e.weight.copy(), e.bias.copy()) for e in encoders.all()]
-    report, new_bank = train_step(encoders, bank, scene_x, scene_y, settings)
+    report, new_bank = train_step(encoders, bank, pair, settings)
     for enc, (w, b) in zip(encoders.all(), snapshot):
         np.testing.assert_array_equal(enc.weight, w)
         np.testing.assert_array_equal(enc.bias, b)
@@ -162,22 +164,49 @@ def test_zero_weights_leave_parameters_bitwise_unchanged():
 
 
 def test_train_step_does_not_mutate_scenes():
-    _, scene_x, scene_y, bank, encoders = small_problem(51)
-    frozen = (scene_x.content.copy(), scene_x.style.copy(), scene_y.content.copy(), scene_y.style.copy())
-    train_step(encoders, bank, scene_x, scene_y, TrainSettings())
-    np.testing.assert_array_equal(scene_x.content, frozen[0])
-    np.testing.assert_array_equal(scene_x.style, frozen[1])
-    np.testing.assert_array_equal(scene_y.content, frozen[2])
-    np.testing.assert_array_equal(scene_y.style, frozen[3])
+    _, pair, bank, encoders = small_problem(51)
+    frozen = (pair.content.copy(), pair.styles[0].copy(), pair.labels.copy(), pair.styles[1].copy())
+    train_step(encoders, bank, pair, TrainSettings())
+    np.testing.assert_array_equal(pair.content, frozen[0])
+    np.testing.assert_array_equal(pair.styles[0], frozen[1])
+    np.testing.assert_array_equal(pair.labels, frozen[2])
+    np.testing.assert_array_equal(pair.styles[1], frozen[3])
+
+
+# a pair whose labels or one style array lack the last position
+SHORT_BLOCKS = {
+    "labels": (lambda p: replace(p, labels=p.labels[:-1]), "labels shape (15,), expected (16,)"),
+    "style-x": (lambda p: replace(p, styles=(p.styles[0][:-1], p.styles[1])),
+                "style shape (15, 4) != content shape (16, 4)"),
+    "style-y": (lambda p: replace(p, styles=(p.styles[0], p.styles[1][:-1])),
+                "style shape (15, 4) != content shape (16, 4)"),
+}
+
+
+@pytest.mark.parametrize("shorten, message", SHORT_BLOCKS.values(), ids=SHORT_BLOCKS.keys())
+def test_a_pair_block_one_row_short_raises_in_address_blocks(shorten, message):
+    _, pair, bank, encoders = small_problem(59)
+    pair = shorten(pair)
+    before = copy.deepcopy((encoders, bank))
+    for step in (compute_losses, train_step):
+        with pytest.raises(ShapeError, match=re.escape(message)) as raised:
+            step(encoders, bank, pair, TrainSettings())
+        assert raised.traceback[-1].name == "address_blocks"
+    for got, want in zip(encoders.all(), before[0].all()):
+        np.testing.assert_array_equal(got.weight, want.weight)
+        np.testing.assert_array_equal(got.bias, want.bias)
+        assert (got.weight_state.step_count, got.bias_state.step_count) == (0, 0)
+    for plane in ("keys", "values_x", "values_y"):
+        np.testing.assert_array_equal(getattr(bank, plane), getattr(before[1], plane))
 
 
 @pytest.mark.parametrize("variant", ["contrastive", "triplet"])
 def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(variant):
-    _, scene_x, scene_y, bank, encoders = small_problem(53)
+    _, pair, bank, encoders = small_problem(53)
     settings = TrainSettings(
         key_loss_weight=0.7, value_loss_weight=0.3, rec_loss_weight=1.3, loss_variant=variant
     )
-    _, fwd = compute_losses(encoders, bank, scene_x, scene_y, settings)
+    _, fwd = compute_losses(encoders, bank, pair, settings)
     shared = [
         a for d, q in fwd.queries.items() for a in (fwd.upstream[d], q.content, q.style, q.weights, q.sims)
     ]
@@ -202,10 +231,10 @@ def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(variant):
 
 def test_train_step_deterministic_loss_stream():
     def run():
-        _, scene_x, scene_y, bank, encoders = small_problem(52)
+        _, pair, bank, encoders = small_problem(52)
         values = []
         for _ in range(5):
-            report, bank = train_step(encoders, bank, scene_x, scene_y, TrainSettings())
+            report, bank = train_step(encoders, bank, pair, TrainSettings())
             values.append((report.key_loss, report.value_loss, report.rec_loss, report.total))
         return values
 
@@ -213,14 +242,14 @@ def test_train_step_deterministic_loss_stream():
 
 
 def test_train_step_update_every_gate():
-    _, scene_x, scene_y, bank, encoders = small_problem(53)
-    _, same_bank = train_step(encoders, bank, scene_x, scene_y, TrainSettings(), update_memory=False)
+    _, pair, bank, encoders = small_problem(53)
+    _, same_bank = train_step(encoders, bank, pair, TrainSettings(), update_memory=False)
     assert same_bank is bank
 
 
 def test_train_step_pooled_mode_runs():
-    _, scene_x, scene_y, bank, encoders = small_problem(55, class_aware=False)
-    report, new_bank = train_step(encoders, bank, scene_x, scene_y, TrainSettings())
+    _, pair, bank, encoders = small_problem(55, class_aware=False)
+    report, new_bank = train_step(encoders, bank, pair, TrainSettings())
     assert report.total > 0.0
     assert not np.array_equal(new_bank.keys, bank.keys)
     assert np.all(report.key_positives["x"] >= 0)
@@ -233,26 +262,25 @@ def test_default_loss_weights():
 
 
 def test_positives_filled_for_every_position():
-    _, scene_x, scene_y, bank, encoders = small_problem(56)
-    report, _ = train_step(encoders, bank, scene_x, scene_y, TrainSettings())
+    _, pair, bank, encoders = small_problem(56)
+    report, _ = train_step(encoders, bank, pair, TrainSettings())
     for d in ("x", "y"):
         assert np.all(report.key_positives[d] >= 0)
         assert np.all(report.value_positives[d] >= 0)
         # class-aware positives stay inside the class partition
-        for cid in np.unique(scene_x.labels):
+        for cid in np.unique(pair.labels):
             offset, count = span(bank.layout, int(cid))
-            chosen = report.key_positives[d][scene_x.labels == cid]
+            chosen = report.key_positives[d][pair.labels == cid]
             assert np.all((chosen >= offset) & (chosen < offset + count))
 
 
 # --- full-pipeline gradient ---
 
 
-def _param_loss_fn(encoders, bank, scene_x, scene_y, settings, name, which):
-    scenes = {"x": scene_x, "y": scene_y}
+def _param_loss_fn(encoders, bank, pair, settings, name, which):
     domain = name.split("_")[1]
     kind = name.split("_")[0]
-    inputs = scenes[domain].content if kind == "content" else scenes[domain].style
+    inputs = pair.content if kind == "content" else pair.styles["xy".index(domain)]
 
     def fn(param):
         probe = copy.deepcopy(encoders)
@@ -261,7 +289,7 @@ def _param_loss_fn(encoders, bank, scene_x, scene_y, settings, name, which):
             enc.weight = param
         else:
             enc.bias = param
-        report, fwd = compute_losses(probe, bank, scene_x, scene_y, settings)
+        report, fwd = compute_losses(probe, bank, pair, settings)
         grad_map = fwd.grad_content if kind == "content" else fwd.grad_style
         gw, gb = backward(enc, inputs, grad_map[domain])
         return report.total, gw if which == "weight" else gb
@@ -271,11 +299,11 @@ def _param_loss_fn(encoders, bank, scene_x, scene_y, settings, name, which):
 
 @pytest.mark.parametrize("variant", ["contrastive", "triplet"])
 def test_full_pipeline_gradient_all_encoders(variant):
-    _, scene_x, scene_y, bank, encoders = small_problem(57)
+    _, pair, bank, encoders = small_problem(57)
     settings = TrainSettings(loss_variant=variant)
     for name in ("content_x", "content_y", "style_x", "style_y"):
         for which in ("weight", "bias"):
-            fn = _param_loss_fn(encoders, bank, scene_x, scene_y, settings, name, which)
+            fn = _param_loss_fn(encoders, bank, pair, settings, name, which)
             enc = getattr(encoders, name)
             point = enc.weight if which == "weight" else enc.bias
             report = fd_check(fn, point, step=1e-5, tolerance=1e-4)

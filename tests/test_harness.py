@@ -122,6 +122,14 @@ REPLACE_CASES = {
                 "triplet loss needs at least two items, layout has 1"),
     "missing-classes": ({"scene": replace(ExperimentConfig().scene, classes=5, height=6, width=6)},
                         "class-aware layout lacks scene classes [4] (scene.classes is 5)"),
+    # int fields and layout entries: nothing converts a replaced value
+    "update_every-float": ({"update_every": 1.5}, "update_every must be an integer, got 1.5"),
+    "iterations-float": ({"iterations": 2.5}, "iterations must be an integer, got 2.5"),
+    "iterations-str": ({"iterations": "5"}, "iterations must be an integer, got '5'"),
+    "channels-bool": ({"channels": True}, "channels must be an integer, got True"),
+    "seed-integral-float": ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+    "layout-count-float": ({"layout": ((1, 3), (2, 2), (3, 2.5), (0, 3))},
+                           "layout count (entry 2) must be an integer, got 2.5"),
 }
 
 
@@ -200,6 +208,14 @@ def test_readme_configuration_table_lists_every_config_key():
     resolved = resolve_config({"preset": "toy"})
     keys = set(resolved) - {"preset", "scene"} | {f"scene.{key}" for key in resolved["scene"]}
     assert documented == keys
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_load_config_file(tmp_path):

@@ -3,7 +3,9 @@ import pytest
 
 from stylemem.errors import GenerationError, ValidationError
 from stylemem.numerics import cosine_rows, make_rng, split_rng
-from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair, load_scene, save_scene
+from stylemem.synthdata import (
+    DomainSpec, FeatureScene, SceneSettings, generate_scene_pair, load_scene, save_scene,
+)
 
 from reference import cluster_by_class
 
@@ -65,25 +67,25 @@ def test_grid_too_small():
 
 def test_pairing_shares_labels_boxes_and_content():
     spec = toy_spec()
-    sx, sy = generate_scene_pair(spec, make_rng(7))
-    np.testing.assert_array_equal(sx.labels, sy.labels)
-    assert sx.boxes == sy.boxes
-    np.testing.assert_array_equal(sx.content, sy.content)
-    assert not np.array_equal(sx.style, sy.style)
+    pair = generate_scene_pair(spec, make_rng(7))
+    # one labels, boxes and content array serve both domains' styles
+    assert pair.labels.shape == (pair.height * pair.width,)
+    assert pair.content.shape == pair.styles[0].shape == pair.styles[1].shape
+    assert not np.array_equal(pair.styles[0], pair.styles[1])
 
 
 def test_noiseless_scene_equals_prototypes():
     spec = toy_spec(noise_sigma=0.0)
-    sx, sy = generate_scene_pair(spec, make_rng(8))
-    np.testing.assert_array_equal(sx.content, spec.content_prototypes[sx.labels])
-    np.testing.assert_array_equal(sx.style, spec.style_prototypes_x[sx.labels])
-    np.testing.assert_array_equal(sy.style, spec.style_prototypes_y[sy.labels])
+    pair = generate_scene_pair(spec, make_rng(8))
+    np.testing.assert_array_equal(pair.content, spec.content_prototypes[pair.labels])
+    np.testing.assert_array_equal(pair.styles[0], spec.style_prototypes_x[pair.labels])
+    np.testing.assert_array_equal(pair.styles[1], spec.style_prototypes_y[pair.labels])
 
 
 def test_noiseless_class_cosines():
     spec = toy_spec(noise_sigma=0.0)
-    sx, _ = generate_scene_pair(spec, make_rng(9))
-    clusters = cluster_by_class(sx)
+    pair = generate_scene_pair(spec, make_rng(9))
+    clusters = cluster_by_class(pair, "x")
     for cluster in clusters:
         assert cosine_rows(cluster.content[:1], cluster.content[-1:])[0] == pytest.approx(1.0)
     for a in clusters:
@@ -100,71 +102,76 @@ def test_seed42_class_means_near_prototypes():
     # per-class mean coordinates are N(mu, sigma^2 / P_k) samples, so their
     # RMS deviation concentrates at sigma / sqrt(P_k)
     spec = toy_spec(seed=42)
-    sx, sy = generate_scene_pair(spec, make_rng(42))
-    for scene, protos in (
-        (sx, spec.style_prototypes_x),
-        (sy, spec.style_prototypes_y),
+    pair = generate_scene_pair(spec, make_rng(42))
+    for domain, protos in (
+        ("x", spec.style_prototypes_x),
+        ("y", spec.style_prototypes_y),
     ):
-        for cluster in cluster_by_class(scene):
+        for cluster in cluster_by_class(pair, domain):
             bound = 3.0 * spec.settings.noise_sigma / np.sqrt(cluster.size)
             assert _rms(cluster.style.mean(axis=0) - protos[cluster.class_id]) <= bound
-    for cluster in cluster_by_class(sx):
+    for cluster in cluster_by_class(pair, "x"):
         bound = 3.0 * spec.settings.noise_sigma / np.sqrt(cluster.size)
         assert _rms(cluster.content.mean(axis=0) - spec.content_prototypes[cluster.class_id]) <= bound
 
 
 def test_clusters_partition_scene():
     spec = toy_spec()
-    sx, _ = generate_scene_pair(spec, make_rng(10))
-    clusters = cluster_by_class(sx)
+    pair = generate_scene_pair(spec, make_rng(10))
+    clusters = cluster_by_class(pair, "x")
     all_positions = np.concatenate([c.positions for c in clusters])
-    assert len(np.unique(all_positions)) == sx.positions == 256
-    rebuilt_content = np.zeros_like(sx.content)
-    rebuilt_style = np.zeros_like(sx.style)
-    rebuilt_labels = np.zeros_like(sx.labels)
+    assert len(np.unique(all_positions)) == pair.labels.shape[0] == 256
+    rebuilt_content = np.zeros_like(pair.content)
+    rebuilt_style = np.zeros_like(pair.styles[0])
+    rebuilt_labels = np.zeros_like(pair.labels)
     for c in clusters:
         rebuilt_content[c.positions] = c.content
         rebuilt_style[c.positions] = c.style
         rebuilt_labels[c.positions] = c.class_id
-    np.testing.assert_array_equal(rebuilt_content, sx.content)
-    np.testing.assert_array_equal(rebuilt_style, sx.style)
-    np.testing.assert_array_equal(rebuilt_labels, sx.labels)
+    np.testing.assert_array_equal(rebuilt_content, pair.content)
+    np.testing.assert_array_equal(rebuilt_style, pair.styles[0])
+    np.testing.assert_array_equal(rebuilt_labels, pair.labels)
 
 
 def test_cluster_sizes_match_scanline_box_overlay():
     spec = toy_spec()
-    sx, _ = generate_scene_pair(spec, make_rng(11))
+    pair = generate_scene_pair(spec, make_rng(11))
     # recompute labels from boxes: later boxes override earlier ones
-    grid = np.zeros((sx.height, sx.width), dtype=np.int64)
-    for box in sx.boxes:
+    grid = np.zeros((pair.height, pair.width), dtype=np.int64)
+    for box in pair.boxes:
         for r in range(box.top, box.bottom):
             for c in range(box.left, box.right):
                 grid[r, c] = box.class_id
     expected = grid.reshape(-1)
-    np.testing.assert_array_equal(sx.labels, expected)
-    for cluster in cluster_by_class(sx):
+    np.testing.assert_array_equal(pair.labels, expected)
+    for cluster in cluster_by_class(pair, "x"):
         assert cluster.size == int((expected == cluster.class_id).sum())
 
 
 def test_single_class_cluster():
     spec = toy_spec(classes=2)
-    sx, _ = generate_scene_pair(spec, make_rng(12))
-    clusters = cluster_by_class(sx)
-    assert sum(c.size for c in clusters) == sx.positions
+    pair = generate_scene_pair(spec, make_rng(12))
+    clusters = cluster_by_class(pair, "x")
+    assert sum(c.size for c in clusters) == pair.labels.shape[0]
 
 
 def test_scene_generation_deterministic():
     spec = toy_spec()
     a = generate_scene_pair(spec, split_rng(5, 1, 0))
     b = generate_scene_pair(spec, split_rng(5, 1, 0))
-    np.testing.assert_array_equal(a[0].content, b[0].content)
-    np.testing.assert_array_equal(a[1].style, b[1].style)
-    assert a[0].boxes == b[0].boxes
+    np.testing.assert_array_equal(a.content, b.content)
+    np.testing.assert_array_equal(a.styles[1], b.styles[1])
+    assert a.boxes == b.boxes
+
+
+def domain_x(pair) -> FeatureScene:
+    """Domain x of a scene pair as a scene fixture."""
+    return FeatureScene(pair.content, pair.styles[0], pair.labels, pair.boxes, pair.height, pair.width)
 
 
 def test_scene_round_trip(tmp_path):
     spec = toy_spec()
-    sx, _ = generate_scene_pair(spec, make_rng(13))
+    sx = domain_x(generate_scene_pair(spec, make_rng(13)))
     path = tmp_path / "scene.json"
     save_scene(sx, path)
     loaded = load_scene(path)
@@ -176,7 +183,7 @@ def test_scene_round_trip(tmp_path):
 
 def test_scene_load_rejects_bad_labels(tmp_path):
     spec = toy_spec(height=4, width=4)
-    sx, _ = generate_scene_pair(spec, make_rng(14))
+    sx = domain_x(generate_scene_pair(spec, make_rng(14)))
     path = tmp_path / "scene.json"
     save_scene(sx, path)
     path.write_text(path.read_text().replace('"height": 4', '"height": 5'))
