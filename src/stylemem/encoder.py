@@ -197,9 +197,11 @@ class ForwardPass:
         grads = {}
         for d, q in self.queries.items():
             grads[d] = grad = self.key_terms[d].gradient()
-            grad *= s.key_loss_weight
+            if s.key_loss_weight != 1.0:  # x * 1.0 is x: a unit weight skips its pass
+                grad *= s.key_loss_weight
             through_read = read_backward(self.bank, q, d, self.upstream[d])
-            through_read *= s.rec_loss_weight
+            if s.rec_loss_weight != 1.0:
+                through_read *= s.rec_loss_weight
             grad += through_read
         return grads
 
@@ -210,7 +212,8 @@ class ForwardPass:
         for d, opposite in (("x", "y"), ("y", "x")):
             grads[d] = grad = self.value_terms[d].gradient()
             grad *= s.value_loss_weight
-            grad -= s.rec_loss_weight * self.upstream[opposite]
+            rec = self.upstream[opposite]
+            grad -= rec if s.rec_loss_weight == 1.0 else s.rec_loss_weight * rec
         return grads
 
 
@@ -249,7 +252,7 @@ def compute_losses(
         # should reproduce the paired scene's encoded style
         upstream[d] = diff = read(bank, queries[d], d).aggregated_style
         diff -= queries[opposite].style
-        rec_loss += float(np.sum(diff * diff)) / p_total
+        rec_loss += float(np.einsum("ij,ij->", diff, diff)) / p_total
         diff *= 2.0 / p_total  # now d(rec_loss)/d(read style)
 
     key_loss = key_terms["x"].value + key_terms["y"].value

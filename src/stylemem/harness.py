@@ -85,13 +85,19 @@ def _check_array_sizes(cfg: ExperimentConfig) -> None:
             )
 
 
+def _check_preset(preset) -> None:
+    if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
+        raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A run's settings; the defaults are the toy preset.
 
-    Construction checks the int fields' types, then the top-level range rules;
-    the prototype draw is left out, so ``replace`` stays cheap. ``memory_mode``
-    picks the bank layout, which alone decides how a step addresses the bank.
+    Construction checks the preset name, the int fields' types, then the
+    top-level range rules; the prototype draw is left out, so ``replace``
+    stays cheap. ``memory_mode`` picks the bank layout, which alone decides
+    how a step addresses the bank.
     """
 
     preset: str | None = None
@@ -107,6 +113,7 @@ class ExperimentConfig:
     scene: SceneSettings = SceneSettings(content_overlap=0.75, style_overlap=0.98)
 
     def __post_init__(self):
+        _check_preset(self.preset)
         ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
         for i, entry in enumerate(self.layout):
             ints += [(f"layout {key} (entry {i})", v) for key, v in zip(("class", "count"), entry)]
@@ -183,8 +190,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     preset = raw.get("preset")
-    if preset is not None and (not isinstance(preset, str) or preset not in PRESETS):
-        raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
+    _check_preset(preset)
     resolved: dict = PRESETS[preset].to_dict() if preset else {}
     resolved["preset"] = preset
 

@@ -5,9 +5,14 @@ row-major. All functions here are pure except :func:`adam_step`, which
 mutates its explicit state argument; nothing touches global state, and all
 randomness flows through generators owned by the caller.
 
-Row norms go through :func:`row_norms` (the bits of ``np.linalg.norm(m,
-axis=1)`` without its conjugate copy), and :func:`adam_step` builds its step
-in place in the textbook expression's operation order, so with its bits.
+Row norms come in two kinds, which may differ in the last bit. The cosines
+(:class:`Cosines`, :func:`cosine_rows`) take :func:`dot_norms`, one
+``einsum`` pass that reads each row once and makes no temporary of the
+matrix's shape. :func:`l2_normalize_rows` and the triplet distances take
+:func:`row_norms`, the bits of ``np.linalg.norm(m, axis=1)`` without its
+conjugate copy, so that bank rows and triplet terms match their references
+bit for bit. :func:`adam_step` builds its step in place in the textbook
+expression's operation order, so with its bits.
 
 Query-item arrays (P queries x N items) are stored item-major: a C-contiguous
 (N, P) array, so that a sum, max or softmax over the few items of each query
@@ -46,6 +51,11 @@ def row_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.sqrt(np.add.reduce(m * m, axis=1), out=out)
 
 
+def dot_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm of each row in one pass over ``m``, (P,), into ``out`` if given."""
+    return np.sqrt(np.einsum("ij,ij->i", m, m), out=out)
+
+
 @dataclass(slots=True)
 class Cosines:
     """All-pairs cosine similarities of query rows against items, with the
@@ -72,7 +82,7 @@ class Cosines:
         writes its products into its own columns: every value has the bits
         of the one-block result, and no array of all blocks' rows is formed.
         Unchecked: 2-D float64 arrays of equal width, items of equal length."""
-        norms_of = {id(i): row_norms(i) for i in items}  # blocks that share items share the norms
+        norms_of = {id(i): dot_norms(i) for i in items}  # blocks that share items share the norms
         norms, item_norms = np.empty(sum(len(r) for r in rows)), np.array([norms_of[id(i)] for i in items])
         dots, denom = np.empty((item_norms.shape[1], len(norms))), np.empty((item_norms.shape[1], len(norms)))
         columns, start = [], 0
@@ -80,7 +90,7 @@ class Cosines:
             cols = slice(start, start + len(block))
             columns.append(cols)
             start = cols.stop
-            row_norms(block, out=norms[cols])
+            dot_norms(block, out=norms[cols])
             np.matmul(items[b], block.T, out=dots[:, cols])
             np.multiply(item_norms[b, :, None], norms[cols], out=denom[:, cols])
         denom += EPS_DIV
@@ -110,7 +120,7 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _as_matrix(b, "b")
     if a.shape != b.shape:
         raise ShapeError(f"row-paired cosine needs equal shapes, got {a.shape} and {b.shape}")
-    denom = row_norms(a) * row_norms(b) + EPS_DIV
+    denom = dot_norms(a) * dot_norms(b) + EPS_DIV
     return np.clip(np.einsum("ij,ij->i", a, b) / denom, -1.0, 1.0)
 
 

@@ -101,9 +101,8 @@ def contrastive_loss(
         def gradient() -> np.ndarray:
             probs = e[:, cols] / total[cols]
             probs[positives[cols], rows[: probs.shape[1]]] -= 1.0
-            grad = probs.T @ items[b]
-            grad /= temperature
-            return grad
+            probs /= temperature  # on the (N, P) factor, not the (P, C) product
+            return probs.T @ items[b]
 
         return LossTerm(float(np.sum(per_query[cols])), positives[cols], gradient)
 

@@ -200,12 +200,16 @@ def test_a_pair_block_one_row_short_raises_in_address_blocks(shorten, message):
         np.testing.assert_array_equal(getattr(bank, plane), getattr(before[1], plane))
 
 
-@pytest.mark.parametrize("variant", ["contrastive", "triplet"])
-def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(variant):
+WEIGHTED = dict(key_loss_weight=0.7, value_loss_weight=0.3, rec_loss_weight=1.3)
+
+
+@pytest.mark.parametrize("settings", [
+    pytest.param(TrainSettings(**WEIGHTED, loss_variant="contrastive"), id="contrastive"),
+    pytest.param(TrainSettings(**WEIGHTED, loss_variant="triplet"), id="triplet"),
+    pytest.param(TrainSettings(), id="unit-weights"),  # key and rec weights 1.0: their passes are skipped
+])
+def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
     _, pair, bank, encoders = small_problem(53)
-    settings = TrainSettings(
-        key_loss_weight=0.7, value_loss_weight=0.3, rec_loss_weight=1.3, loss_variant=variant
-    )
     _, fwd = compute_losses(encoders, bank, pair, settings)
     shared = [
         a for d, q in fwd.queries.items() for a in (fwd.upstream[d], q.content, q.style, q.weights, q.sims)

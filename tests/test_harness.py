@@ -105,6 +105,8 @@ def test_config_range_validation():
 
 # every rule ExperimentConfig checks itself, each with the loader's message
 REPLACE_CASES = {
+    "preset-unknown": ({"preset": "bogus"}, "unknown preset 'bogus' (have ['full', 'toy'])"),
+    "preset-int": ({"preset": 5}, "unknown preset 5 (have ['full', 'toy'])"),
     "memory_mode": ({"memory_mode": "bogus"}, "memory_mode must be 'class-aware' or 'single', got 'bogus'"),
     "iterations": ({"iterations": -4}, "iterations must be >= 0"),
     "update_every": ({"update_every": 0}, "update_every must be >= 1"),

@@ -14,6 +14,7 @@ from stylemem.numerics import (
     adam_step,
     cosine_matrix,
     cosine_rows,
+    dot_norms,
     l2_normalize_rows,
     make_rng,
     row_norms,
@@ -179,6 +180,13 @@ def test_row_norms_are_linalg_norm_bit_for_bit(m):
     with np.errstate(over="ignore", invalid="ignore"):
         got, want = row_norms(m), np.linalg.norm(m, axis=1)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(small_matrices(max_side=40))
+def test_dot_norms_are_row_norms_to_the_last_bits(m):
+    out = np.empty(len(m))
+    assert dot_norms(m, out=out) is out
+    np.testing.assert_allclose(out, row_norms(m), rtol=1e-14, atol=0.0)
 
 
 # --- l2 normalization ---
