@@ -19,6 +19,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from stylemem.harness import config_from_dict, resolve_config, run_training
+
 ARMS = (
     ("class-aware", "contrastive"),
     ("class-aware", "triplet"),
@@ -39,8 +41,6 @@ MIN_FIDELITY = 0.95
 def quartet(seed: int) -> dict[str, float]:
     """The four arms' final purities at ``seed``, plus class-aware
     contrastive fidelity under ``"fidelity"``."""
-    from stylemem.harness import config_from_dict, resolve_config, run_training
-
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (mode, loss) in zip(NAMES, ARMS):
