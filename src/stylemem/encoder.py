@@ -15,12 +15,14 @@ Its only gradient is the reconstruction loss's with respect to each read,
 made in place from the read residual. The item-loss gradients and the read
 backward pass run on first access of ``ForwardPass.grad_content``/
 ``grad_style``, which only :func:`train_step` makes, so evaluation pays for
-the forward pass alone. Each gradient is summed in place in the new array of
-a term's ``gradient()``, and no (2P, C) array of both domains is formed. A
-training iteration checks that its loss is finite, backpropagates into the
-encoders, applies Adam, and, if asked, folds the iteration's features into
-the memory. Checkpoints (see :mod:`stylemem.serialize`) hold no optimizer
-state.
+the forward pass alone. The feature gradients are factored by the
+:class:`~stylemem.numerics.FeatureGrad` rule of :mod:`stylemem.numerics`:
+each is summed from its terms' (N, P) and (P,) factors, and
+:func:`backward` takes it to the parameters, so no (P, C) gradient array
+is formed. A training iteration checks that its loss is finite,
+backpropagates into the encoders, applies Adam, and, if asked, folds the
+iteration's features into the memory. Checkpoints (see
+:mod:`stylemem.serialize`) hold no optimizer state.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
 from .memory import MemoryBank, QuerySet, address_blocks, read, read_backward, update
-from .numerics import AdamState, adam_step
+from .numerics import AdamState, FeatureGrad, adam_step
 from .objectives import LossTerm, contrastive_loss, triplet_loss
 from .serialize import array, integer, read_json, write_json
 from .synthdata import ScenePair
@@ -83,17 +85,39 @@ def forward(enc: LinearEncoder, inputs: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    enc: LinearEncoder, inputs: np.ndarray, upstream: np.ndarray
+    enc: LinearEncoder, inputs: np.ndarray, grad: FeatureGrad, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter gradients (d_weight, d_bias) for a prior forward call; the
-    inputs are scene features, so no input gradient is computed."""
+    """Parameter gradients (d_weight, d_bias) from ``grad``, the factored
+    gradient with respect to the rows ``R = forward(enc, inputs)``; the
+    inputs are scene features, so no input gradient is computed.
+
+    With X the inputs and s the scale, ``d_weight = items.T @ (coef @ X) +
+    R.T @ (s * X)`` and ``d_bias = items.T @ coef.sum(1) + s @ R``. The s
+    terms come from ``rows`` (R, if the caller holds it) when the encoder
+    has no more output than input channels, else through the Gram identity
+    ``R.T @ (s * X) = W @ (X.T @ (s * X)) + outer(b, s @ X)``, whose products
+    are of input width. Either way R must be the forward map of ``inputs``
+    at the weight and bias ``enc`` holds now: take the gradients before the
+    step that changes them.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (inputs.shape[0], enc.out_channels):
-        raise ShapeError(
-            f"upstream shape {upstream.shape}, expected {(inputs.shape[0], enc.out_channels)}"
-        )
-    return upstream.T @ inputs, upstream.sum(axis=0)
+    items, coef, scale = grad.items, grad.coef, grad.scale
+    shape = (len(inputs), enc.out_channels)
+    parts = (inputs.shape[1:], items.shape[1:], coef.shape, scale.shape, shape if rows is None else rows.shape)
+    if parts != (enc.weight.shape[1:], shape[1:], (len(items), shape[0]), shape[:1], shape):
+        raise ShapeError(f"inputs, items, coef, scale and rows {parts} do not fit W {enc.weight.shape}")
+    d_weight = items.T @ (coef @ inputs)
+    d_bias = items.T @ coef.sum(axis=1)
+    if rows is not None and enc.out_channels <= enc.in_channels:
+        d_weight += (rows.T * scale) @ inputs
+        d_bias += scale @ rows
+    else:
+        scale_x = scale @ inputs
+        d_weight += enc.weight @ ((inputs.T * scale) @ inputs)
+        d_weight += np.multiply.outer(enc.bias, scale_x)
+        d_bias += enc.weight @ scale_x
+        d_bias += scale.sum() * enc.bias
+    return d_weight, d_bias
 
 
 def apply_gradients(
@@ -179,8 +203,10 @@ class ForwardPass:
 
     The gradients of the weighted total loss with respect to the encoded
     content and style are computed on first access of ``grad_content`` and
-    ``grad_style``. Each starts from a term's ``gradient()``, a new array,
-    and sums the read path into it in place.
+    ``grad_style``, each a :class:`FeatureGrad` that sums its terms' factors
+    with the loss weights: content the key term and :func:`read_backward`;
+    style ``d`` the value term and the opposite domain's read, whose
+    reconstruction term is ``-(2/P) weights_opp`` on ``values_d`` plus ``2/P``.
     """
 
     bank: MemoryBank
@@ -192,28 +218,25 @@ class ForwardPass:
     sims: np.ndarray
 
     @cached_property
-    def grad_content(self) -> dict[str, np.ndarray]:
-        s = self.settings
+    def grad_content(self) -> dict[str, FeatureGrad]:
+        key, rec = self.settings.key_loss_weight, self.settings.rec_loss_weight
         grads = {}
         for d, q in self.queries.items():
-            grads[d] = grad = self.key_terms[d].gradient()
-            if s.key_loss_weight != 1.0:  # x * 1.0 is x: a unit weight skips its pass
-                grad *= s.key_loss_weight
+            term = self.key_terms[d].gradient()
             through_read = read_backward(self.bank, q, d, self.upstream[d])
-            if s.rec_loss_weight != 1.0:
-                through_read *= s.rec_loss_weight
-            grad += through_read
+            coef = key * term.coef + rec * through_read.coef
+            grads[d] = FeatureGrad(term.items, coef, key * term.scale + rec * through_read.scale)
         return grads
 
     @cached_property
-    def grad_style(self) -> dict[str, np.ndarray]:
-        s = self.settings
+    def grad_style(self) -> dict[str, FeatureGrad]:
+        value = self.settings.value_loss_weight
         grads = {}
         for d, opposite in (("x", "y"), ("y", "x")):
-            grads[d] = grad = self.value_terms[d].gradient()
-            grad *= s.value_loss_weight
-            rec = self.upstream[opposite]
-            grad -= rec if s.rec_loss_weight == 1.0 else s.rec_loss_weight * rec
+            term = self.value_terms[d].gradient()
+            rec = self.settings.rec_loss_weight * 2.0 / self.queries[d].size
+            coef = value * term.coef - rec * self.queries[opposite].weights.T
+            grads[d] = FeatureGrad(term.items, coef, value * term.scale + rec)
         return grads
 
 
@@ -286,9 +309,10 @@ def train_step(
         raise ValidationError(f"loss became non-finite ({terms})")
 
     for d, style in zip(_DOMAINS, pair.styles):
-        gw, gb = backward(encoders.content(d), pair.content, fwd.grad_content[d])
+        queries = fwd.queries[d]
+        gw, gb = backward(encoders.content(d), pair.content, fwd.grad_content[d], queries.content)
         apply_gradients(encoders.content(d), gw, gb, settings)
-        gw, gb = backward(encoders.style(d), style, fwd.grad_style[d])
+        gw, gb = backward(encoders.style(d), style, fwd.grad_style[d], queries.style)
         apply_gradients(encoders.style(d), gw, gb, settings)
 
     for name, enc in vars(encoders).items():

@@ -14,7 +14,7 @@ through :mod:`stylemem.serialize`.
 
 Query-item arrays follow the item-major rule of :mod:`stylemem.numerics`:
 a scene pair's storage is (N, 2P), domain x in columns [0, P) and y in
-[P, 2P).
+[P, 2P). :func:`read_backward`'s gradient is factored by that module's rule.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyClusterError, LayoutError, ShapeError, StylememError, ValidationError
-from .numerics import EPS_DIV, Cosines, cosine_matrix, l2_normalize_rows, softmax_cols, softmax_rows
+from .numerics import (
+    EPS_DIV, Cosines, FeatureGrad, cosine_matrix, l2_normalize_rows, softmax_cols, softmax_rows,
+)
 from .serialize import array, integer, layout_counts, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
@@ -267,8 +269,9 @@ def read_global(bank: MemoryBank, queries, domain, sims: np.ndarray | None = Non
     return tuple(results) if isinstance(queries, tuple) else results[0]
 
 
-def read_backward(bank: MemoryBank, queries: QuerySet, domain: str, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of a class-restricted read with respect to its content rows.
+def read_backward(bank: MemoryBank, queries: QuerySet, domain: str, upstream: np.ndarray) -> FeatureGrad:
+    """Gradient of a class-restricted read with respect to its content rows,
+    a :class:`FeatureGrad` on the keys.
 
     ``upstream`` is d(loss)/d(aggregated_style), shape (P, C). Keys and
     values are constants (they evolve through :func:`update`, not gradient
@@ -276,7 +279,9 @@ def read_backward(bank: MemoryBank, queries: QuerySet, domain: str, upstream: np
     aggregation -> masked softmax -> cosine similarity; the [-1, 1] clamp on
     the similarity is treated as inactive. The read weights, cosines and
     norms come from the query set, addressed against ``bank``; they may be
-    views of a scene pair's storage.
+    views of a scene pair's storage. With g the gradient at the cosines and
+    w their denominators, row q gets ``sum_k (g_k / w_k) (k - sims_k ||k|| q / ||q||)``:
+    ``coef`` is g / w, and ``scale`` the factor of q.
     """
     _check_domain(domain)
     _check_queries(bank, queries)
@@ -297,9 +302,7 @@ def read_backward(bank: MemoryBank, queries: QuerySet, domain: str, upstream: np
     g_scaled = g_sims / cos.denom.T
     coeff = np.sum(g_scaled * cos.sims.T * cos.item_norms.T, axis=0)
     safe_q = np.maximum(cos.row_norms, EPS_DIV)
-    grad = g_scaled.T @ bank.keys
-    grad -= (coeff / safe_q)[:, None] * queries.content
-    return grad
+    return FeatureGrad(bank.keys, g_scaled, -coeff / safe_q)
 
 
 def update_weights(bank: MemoryBank, queries: QuerySet) -> np.ndarray:

@@ -22,6 +22,14 @@ views of that storage; on such a view :func:`softmax_rows` is
 :func:`softmax_cols` of the stored array, bit for bit. Blocks of queries
 (a scene pair's two domains) share one storage, each block in its own
 columns, and each block's (P, N) names are views of its columns.
+
+Feature gradients are factored. The memory touches an encoded row only
+through its N items and the row itself, so the gradient of a loss with
+respect to P feature rows is ``coef.T @ items + scale * rows``. A
+:class:`FeatureGrad` holds it as ``items`` (N, C), ``coef`` (an item-major
+(N, P) array) and ``scale`` (P,); the (P, C) array it stands for is never
+formed. ``stylemem.encoder.backward`` turns it into parameter gradients of
+the encoder that made the rows.
 """
 
 from __future__ import annotations
@@ -102,6 +110,16 @@ class Cosines:
         cols = self.columns[b]
         norms, dots, denom, sims = (part[cols] for part in (self.row_norms, self.dots, self.denom, self.sims))
         return Cosines(norms, self.item_norms[b : b + 1], dots, denom, sims, (slice(0, len(norms)),))
+
+
+@dataclass(slots=True)
+class FeatureGrad:
+    """A gradient with respect to P feature rows, in the factors of the
+    module docstring; the rows themselves are not held."""
+
+    items: np.ndarray
+    coef: np.ndarray
+    scale: np.ndarray
 
 
 def cosine_matrix(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Both losses pick each query's positive as the cosine-nearest item inside a
 caller-supplied pool (its class partition during class-aware training, the
 whole bank otherwise): a masked argmax over the query-item cosine matrix.
-They treat the items as constants: gradients flow into the queries only.
+They treat the items as constants: gradients flow into the queries only,
+factored on the items as :mod:`stylemem.numerics` states.
 
 Pools and cosines come as (P, N) views of item-major storage (see
 :mod:`stylemem.numerics`), and the losses work on the storage. Queries and
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PoolError, ShapeError
-from .numerics import Cosines, row_norms
+from .numerics import Cosines, FeatureGrad, row_norms
 
 # Selection switches are non-differentiable; distances below this are treated
 # as an exact hit and contribute no gradient.
@@ -34,12 +35,12 @@ class LossTerm:
 
     The query gradient is computed only when ``gradient()`` is called, so a
     caller that needs only the value never pays for it. Each call returns a
-    new array, which the caller owns.
+    new :class:`FeatureGrad` on the term's items, whose arrays the caller owns.
     """
 
     value: float
     positives: np.ndarray
-    gradient: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    gradient: Callable[[], FeatureGrad] = field(repr=False, compare=False)
     negatives: np.ndarray | None = None
 
 
@@ -85,6 +86,7 @@ def contrastive_loss(
     query its own pool. ``cosines`` (``Cosines.between`` the query and item
     blocks), when the caller has it, picks the positives, and its dot
     products are the logits. A tuple of query blocks gives a tuple of terms.
+    The gradient's ``coef`` is (softmax - positive's one-hot) / temperature.
     """
     blocks, items, pool, cosines = _inputs(queries, items, positive_pool, cosines)
     rows = np.arange(pool.shape[1])
@@ -98,11 +100,11 @@ def contrastive_loss(
     per_query = log_z - logits[positives, rows]
 
     def term(b: int, cols: slice) -> LossTerm:
-        def gradient() -> np.ndarray:
+        def gradient() -> FeatureGrad:
             probs = e[:, cols] / total[cols]
             probs[positives[cols], rows[: probs.shape[1]]] -= 1.0
-            probs /= temperature  # on the (N, P) factor, not the (P, C) product
-            return probs.T @ items[b]
+            probs /= temperature
+            return FeatureGrad(items[b], probs, np.zeros(probs.shape[1]))
 
         return LossTerm(float(np.sum(per_query[cols])), positives[cols], gradient)
 
@@ -119,8 +121,9 @@ def triplet_loss(
     which is the second-nearest item whenever the positive is the global
     nearest. Gradients use the subgradient that is zero at an inactive hinge;
     at an active one, a side whose distance is at most 1e-12 gives none. The
-    gradient is dense over all rows, the positive side's unit difference
-    minus the negative side's, each dividing by inf where it does not count.
+    gradient ``(q - k+) / d+ - (q - k-) / d-`` has ``coef`` -1/d+ at the
+    positive and 1/d- at the negative, ``scale`` 1/d+ - 1/d-, and 1/inf = 0.0
+    for a side that does not count.
     ``positive_pool``, ``cosines`` and blocks are as in :func:`contrastive_loss`.
     """
     blocks, items, pool, cosines = _inputs(queries, items, positive_pool, cosines)
@@ -140,12 +143,13 @@ def triplet_loss(
         terms = d_pos - d_neg + margin
         active = terms > 0.0
 
-        def gradient() -> np.ndarray:
-            # a side that does not count divides by inf, so its finite differences give +-0.0
-            grad = np.divide(diff_pos, np.where(active & (d_pos > _DIST_FLOOR), d_pos, np.inf)[:, None])
-            grad -= np.divide(diff_neg, np.where(active & (d_neg > _DIST_FLOOR), d_neg, np.inf)[:, None])
-            grad += 0.0  # (a - b) + 0.0 has the bits of (0.0 + a) - b: no -0.0
-            return grad
+        def gradient() -> FeatureGrad:
+            inv_pos = 1.0 / np.where(active & (d_pos > _DIST_FLOOR), d_pos, np.inf)
+            inv_neg = 1.0 / np.where(active & (d_neg > _DIST_FLOOR), d_neg, np.inf)
+            coef, at = np.zeros((items[b].shape[0], len(inv_pos))), rows[: len(inv_pos)]
+            coef[positives[cols], at] = -inv_pos
+            coef[negatives[cols], at] = inv_neg
+            return FeatureGrad(items[b], coef, inv_pos - inv_neg)
 
         return LossTerm(float(np.sum(np.maximum(terms, 0.0))), positives[cols], gradient, negatives[cols])
 

@@ -1,15 +1,18 @@
 """Drift between two runs of the same config: the largest absolute and
-relative difference per ``metrics.csv`` column and per ``final_eval.json``
-key.
+relative difference per ``metrics.csv`` column, per ``final_eval.json`` key,
+per ``bank.json`` plane (keys, values_x, values_y) and per ``encoders.json``
+parameter (``content_x.weight``, ``content_x.bias``, ...). A change to the
+training arithmetic enters through the encoder weights and the bank, which
+the metrics and the final evaluation show only in part.
 
     python tests/drift.py PARENT_RUN CHANGE_RUN
 
 Each argument is a run's output directory. The relative drift of a pair of
 values is ``|a - b| / max(|a|, |b|)``, and 0 where both are 0. The two runs
-must have the same columns, the same number of metrics rows and the same
-final-evaluation keys; otherwise the script names the difference and exits
-with code 1. A change that moves artifact bytes on purpose reports its drift
-with this script.
+must have the same columns, metrics rows, final-evaluation keys, planes and
+parameters, each of the same size; otherwise the script names the
+difference and exits with code 1. A change that moves artifact bytes on
+purpose reports its drift with this script.
 """
 
 from __future__ import annotations
@@ -34,6 +37,19 @@ def _final_eval(run: Path) -> dict[str, np.ndarray]:
     return {key: np.array([value], dtype=np.float64) for key, value in doc.items()}
 
 
+def _bank(run: Path) -> dict[str, np.ndarray]:
+    doc = json.loads((run / "bank.json").read_text())
+    return {plane: np.array(doc[plane], dtype=np.float64) for plane in ("keys", "values_x", "values_y")}
+
+
+def _encoders(run: Path) -> dict[str, np.ndarray]:
+    blocks = json.loads((run / "encoders.json").read_text())["encoders"]
+    return {
+        f"{name}.{part}": np.array(block[part], dtype=np.float64)
+        for name, block in blocks.items() for part in ("weight", "bias")
+    }
+
+
 def _largest(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     if a.size == 0:
         return 0.0, 0.0
@@ -44,9 +60,13 @@ def _largest(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 
 def drift(parent: str | Path, change: str | Path) -> dict[tuple[str, str], tuple[float, float]]:
-    """(file, column or key) -> (largest absolute, largest relative) drift."""
+    """(file, column, key, plane or parameter) -> (largest absolute, largest relative) drift."""
     out = {}
-    for name, load in (("metrics.csv", _metrics), ("final_eval.json", _final_eval)):
+    files = (
+        ("metrics.csv", _metrics), ("final_eval.json", _final_eval), ("bank.json", _bank),
+        ("encoders.json", _encoders),
+    )
+    for name, load in files:
         a, b = load(Path(parent)), load(Path(change))
         if list(a) != list(b):
             raise ValueError(f"{name} fields differ: {list(a)} vs {list(b)}")
@@ -64,12 +84,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         table = drift(*args)
-    except (OSError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"{'file':<16} {'field':<13} {'abs':>10} {'rel':>10}")
+    print(f"{'file':<16} {'field':<16} {'abs':>10} {'rel':>10}")
     for (name, field), (gap, rel) in table.items():
-        print(f"{name:<16} {field:<13} {gap:10.3e} {rel:10.3e}")
+        print(f"{name:<16} {field:<16} {gap:10.3e} {rel:10.3e}")
     return 0
 
 

@@ -177,21 +177,47 @@ def oracle_triplet(queries, items, positive_pool, margin):
     return total, positives, negatives
 
 
-def oracle_triplet_gradient(queries, items, positives, negatives, margin):
+def _pairwise_sum(xs):
+    """numpy's float64 pairwise sum of a contiguous run: plain below 8 values,
+    8 accumulators over blocks of up to 128, halves above, so that a sum of
+    squares has the bits of ``np.add.reduce`` along a row."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        acc = list(xs[:8])
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                acc[j] += xs[i + j]
+            i += 8
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for x in xs[i:]:
+            total += x
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def oracle_triplet_factors(queries, items, positives, negatives, margin):
     """Per-query subgradient of the triplet hinge for the given positives and
-    negatives: zero where the hinge is inactive, and each side dropped where
-    its distance is at most ``DIST_FLOOR``. Returns a P x C list."""
-    grad = []
-    for q, best, neg in zip(queries, positives, negatives):
-        diff_pos = [x - y for x, y in zip(q, items[best])]
-        diff_neg = [x - y for x, y in zip(q, items[neg])]
-        d_pos = math.sqrt(sum(x * x for x in diff_pos))
-        d_neg = math.sqrt(sum(x * x for x in diff_neg))
-        row = [0.0] * len(q)
-        if d_pos - d_neg + margin > 0.0:
-            if d_pos > DIST_FLOOR:
-                row = [r + x / d_pos for r, x in zip(row, diff_pos)]
-            if d_neg > DIST_FLOOR:
-                row = [r - x / d_neg for r, x in zip(row, diff_neg)]
-        grad.append(row)
-    return grad
+    negatives, in factors: with each side's inverse distance, 0.0 where the
+    hinge is inactive or the distance is at most ``DIST_FLOOR``, the gradient
+    of query p is ``scale[p] * q - inv_pos * items[pos] + inv_neg * items[neg]``.
+    Returns (coef, scale): ``coef`` an N x P list holding -inv_pos at the
+    positive and inv_neg at the negative, ``scale[p] = inv_pos - inv_neg``."""
+    coef = [[0.0] * len(queries) for _ in items]
+    scale = []
+    for p, (q, best, neg) in enumerate(zip(queries, positives, negatives)):
+        d_pos = math.sqrt(_pairwise_sum([(x - y) * (x - y) for x, y in zip(q, items[best])]))
+        d_neg = math.sqrt(_pairwise_sum([(x - y) * (x - y) for x, y in zip(q, items[neg])]))
+        active = d_pos - d_neg + margin > 0.0
+        inv_pos = 1.0 / d_pos if active and d_pos > DIST_FLOOR else 0.0
+        inv_neg = 1.0 / d_neg if active and d_neg > DIST_FLOOR else 0.0
+        coef[best][p] = -inv_pos
+        coef[neg][p] = inv_neg
+        scale.append(inv_pos - inv_neg)
+    return coef, scale

@@ -6,8 +6,11 @@ scene: item losses over index pools, then one class-restricted ``read``,
 ``read_backward`` and ``update`` per class cluster, with the results
 scattered back to scene positions. The package computes the same quantities
 in one masked (P, N) pass per memory plane; ``test_dense_training.py``
-compares the two. The reference Adam step runs ``oracles.oracle_adam_scalar``
-element by element, so that comparison also covers the package optimizer.
+compares the two. The reference holds its gradients dense, as (P, C)
+arrays built by :func:`dense_gradient`, and takes the encoder gradients as
+``G.T @ inputs`` and ``G.sum(0)``. The reference Adam step runs
+``oracles.oracle_adam_scalar`` element by element, so that comparison also
+covers the package optimizer.
 
 ``reference_evaluate`` is evaluation in two passes per scene: the full loss
 pass with its gradients, then a fresh encoding of the scene and
@@ -19,10 +22,10 @@ gradient-free loss pass and reuses its features and cosines;
 the package addresses in one pass; ``test_memory.py`` and
 ``test_objectives.py`` compare that pass with one call per domain.
 
-``reference_triplet_gradient`` is a triplet term's query gradient built by
-boolean-mask indexing, row gathers and scatters; the package builds it from
-dense ufuncs over all rows, and ``test_objectives.py`` compares the two bit
-for bit.
+:func:`dense_gradient` is the one place a factored feature gradient
+(``numerics.FeatureGrad``) becomes the (P, C) array it stands for, and
+:func:`factored_loss` a loss that has it as its gradient, for the
+finite-difference checks of ``encoder.backward``.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
-from stylemem.encoder import backward, compute_losses, forward
+from stylemem.encoder import compute_losses, forward
 from stylemem.errors import LayoutError
 from stylemem.harness import STREAM_EVAL, MetricsRow
 from stylemem.memory import (
     POOLED_CLASS_ID, MemoryLayout, address, init_bank, read, read_backward, read_global, update,
 )
-from stylemem.numerics import cosine_rows, row_norms, split_rng
+from stylemem.numerics import cosine_rows, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT
 from stylemem.synthdata import generate_scene_pair
@@ -54,7 +57,6 @@ DOMAINS = ("x", "y")
 PAIR_CASES = [(class_aware, side) for class_aware in (True, False) for side in (16, 6)]
 
 ADAM_EPS = 1e-8  # the package's documented Adam epsilon
-DIST_FLOOR = 1e-12  # the triplet loss's documented no-gradient distance
 
 
 @dataclass
@@ -151,7 +153,7 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
                     key_loss += term.value
                 else:
                     value_loss += term.value
-                grads[d][cluster.positions] += weight * term.gradient()
+                grads[d][cluster.positions] += weight * dense_gradient(term.gradient(), queries)
                 positives[kind, d][cluster.positions] = term.positives
                 if term.negatives is not None:
                     negatives[kind, d][cluster.positions] = term.negatives
@@ -160,9 +162,8 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
             diff = read(bank, queries, d).aggregated_style - style[opposite][cluster.positions]
             rec_loss += float(np.sum(diff * diff)) / p_total
             upstream = (2.0 / p_total) * diff
-            grad_content[d][cluster.positions] += settings.rec_loss_weight * read_backward(
-                bank, queries, d, upstream
-            )
+            through_read = dense_gradient(read_backward(bank, queries, d, upstream), queries.content)
+            grad_content[d][cluster.positions] += settings.rec_loss_weight * through_read
             grad_style[opposite][cluster.positions] -= settings.rec_loss_weight * upstream
 
     total = (
@@ -206,10 +207,10 @@ def reference_train_step(encoders, bank, pair, settings, update_memory=True):
     encoders = copy.deepcopy(encoders)
     ref = reference_compute_losses(encoders, bank, pair, settings)
     for d, style in zip(DOMAINS, pair.styles):
-        gw, gb = backward(encoders.content(d), pair.content, ref.grad_content[d])
-        reference_adam(encoders.content(d), gw, gb, settings)
-        gw, gb = backward(encoders.style(d), style, ref.grad_style[d])
-        reference_adam(encoders.style(d), gw, gb, settings)
+        grad = ref.grad_content[d]
+        reference_adam(encoders.content(d), grad.T @ pair.content, grad.sum(axis=0), settings)
+        grad = ref.grad_style[d]
+        reference_adam(encoders.style(d), grad.T @ style, grad.sum(axis=0), settings)
     if not update_memory:
         return ref, encoders, bank
 
@@ -290,23 +291,17 @@ def pair_rows(seed, class_aware, side, channels=16):
     return bank, contents, styles, labels
 
 
-def reference_triplet_gradient(queries, items, term, margin):
-    """The gradient of triplet ``term`` with respect to its (P, C) ``queries``:
-    the selected rows are gathered, divided by their distance and scattered
-    back, the positive side added to zero and then the negative subtracted.
-    A side counts where the hinge is active and its distance exceeds
-    ``DIST_FLOOR``."""
-    diff_pos = queries - items[term.positives]
-    diff_neg = queries - items[term.negatives]
-    d_pos = row_norms(diff_pos)
-    d_neg = row_norms(diff_neg)
-    active = d_pos - d_neg + margin > 0.0
-    grad = np.zeros_like(queries)
-    pos_ok = active & (d_pos > DIST_FLOOR)
-    neg_ok = active & (d_neg > DIST_FLOOR)
-    grad[pos_ok] += diff_pos[pos_ok] / d_pos[pos_ok, None]
-    grad[neg_ok] -= diff_neg[neg_ok] / d_neg[neg_ok, None]
-    return grad
+def dense_gradient(grad, rows):
+    """The (P, C) gradient that the factored ``grad`` stands for, at the
+    (P, C) ``rows`` it was taken at: ``coef.T @ items + scale * rows``."""
+    return grad.coef.T @ grad.items + grad.scale[:, None] * rows
+
+
+def factored_loss(grad, rows) -> float:
+    """A loss of the (P, C) ``rows`` whose gradient is ``dense_gradient(grad, rows)``:
+    ``sum((coef.T @ items) * rows) + sum(scale * |row|^2) / 2``, with ``grad``'s
+    factors held fixed."""
+    return float(np.sum((grad.coef.T @ grad.items) * rows) + 0.5 * np.sum(grad.scale[:, None] * rows * rows))
 
 
 def assert_same_bits(got, want):

@@ -25,13 +25,13 @@ from stylemem.memory import (
     update,
     update_weights,
 )
-from stylemem.numerics import l2_normalize_rows, make_rng, split_rng
+from stylemem.numerics import FeatureGrad, l2_normalize_rows, make_rng, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from fdcheck import fd_check
 from oracles import oracle_read, oracle_read_global, oracle_update
-from reference import span
+from reference import dense_gradient, factored_loss, span
 
 
 def _report(criterion, passed, detail):
@@ -181,7 +181,9 @@ def test_criterion_4_gradient_correctness():
         temperature = float(rng.uniform(0.2, 2.0))
 
         rep = _fd_term(
-            lambda q: (lambda t: (t.value, t.gradient()))(contrastive_loss(q, items, pool, temperature)),
+            lambda q: (lambda t: (t.value, dense_gradient(t.gradient(), q)))(
+                contrastive_loss(q, items, pool, temperature)
+            ),
             queries,
         )
         worst = max(worst, rep.max_rel_error)
@@ -190,39 +192,48 @@ def test_criterion_4_gradient_correctness():
 
         margin = float(rng.uniform(0.2, 1.5))
         rep = _fd_term(
-            lambda q: (lambda t: (t.value, t.gradient()))(triplet_loss(q, items, pool, margin)), queries
+            lambda q: (lambda t: (t.value, dense_gradient(t.gradient(), q)))(triplet_loss(q, items, pool, margin)),
+            queries,
         )
         worst = max(worst, rep.max_rel_error)
         if not rep.passed:
             failures.append(("triplet", i, rep.max_rel_error))
 
-    # encoder backward w.r.t. weight and bias; the forward map's input
-    # jacobian (upstream @ weight), which training has no use for
+    # encoder backward w.r.t. weight and bias, from a random factored
+    # upstream and the loss that has it as its gradient, through the Gram
+    # identity and from the rows; the forward map's input jacobian
+    # (upstream @ weight), which training has no use for
     for i in range(50):
         rng = split_rng(9005, i)
         c_in, c_out, p = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
         enc = LinearEncoder.create(rng, c_in, c_out)
         inputs = rng.standard_normal((p, c_in))
-        projector = rng.standard_normal((p, c_out))
+        n = int(rng.integers(1, 6))
+        upstream = FeatureGrad(rng.standard_normal((n, c_out)), rng.standard_normal((n, p)), rng.standard_normal(p))
 
-        def weight_loss(w):
+        def weight_loss(w, with_rows=False):
             probe = copy.deepcopy(enc)
             probe.weight = w
-            gw, _ = backward(probe, inputs, projector)
-            return float(np.sum(forward(probe, inputs) * projector)), gw
+            rows = forward(probe, inputs)
+            gw, _ = backward(probe, inputs, upstream, rows if with_rows else None)
+            return factored_loss(upstream, rows), gw
 
-        def bias_loss(b):
+        def bias_loss(b, with_rows=False):
             probe = copy.deepcopy(enc)
             probe.bias = b
-            _, gb = backward(probe, inputs, projector)
-            return float(np.sum(forward(probe, inputs) * projector)), gb
+            rows = forward(probe, inputs)
+            _, gb = backward(probe, inputs, upstream, rows if with_rows else None)
+            return factored_loss(upstream, rows), gb
 
         def input_loss(x):
-            return float(np.sum(forward(enc, x) * projector)), projector @ enc.weight
+            rows = forward(enc, x)
+            return factored_loss(upstream, rows), dense_gradient(upstream, rows) @ enc.weight
 
         for name, fn, point in (
             ("enc-weight", weight_loss, enc.weight),
             ("enc-bias", bias_loss, enc.bias),
+            ("enc-weight-rows", lambda w: weight_loss(w, True), enc.weight),
+            ("enc-bias-rows", lambda b: bias_loss(b, True), enc.bias),
             ("enc-input", input_loss, inputs),
         ):
             rep = _fd_term(fn, point)

@@ -26,8 +26,12 @@ def copy_run(run, tmp_path):
 
 def test_identical_runs_have_zero_drift(run, tmp_path, capsys):
     table = drift(run, copy_run(run, tmp_path))
-    assert set(name for name, _ in table) == {"metrics.csv", "final_eval.json"}
+    assert set(name for name, _ in table) == {"metrics.csv", "final_eval.json", "bank.json", "encoders.json"}
     assert ("metrics.csv", "fidelity") in table and ("final_eval.json", "purity") in table
+    assert [field for name, field in table if name == "bank.json"] == ["keys", "values_x", "values_y"]
+    assert {field for name, field in table if name == "encoders.json"} == {
+        f"{kind}_{d}.{part}" for kind in ("content", "style") for d in "xy" for part in ("weight", "bias")
+    }
     assert all(value == (0.0, 0.0) for value in table.values())
     assert main([str(run), str(tmp_path / "copy")]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -57,6 +61,24 @@ def test_perturbed_values_report_their_largest_drift(run, tmp_path, capsys):
     assert moved == {("metrics.csv", "key_loss"), ("final_eval.json", "purity")}
     assert main([str(run), str(changed)]) == 0
     assert "key_loss" in capsys.readouterr().out
+
+
+def test_a_perturbed_encoder_weight_reports_its_drift(run, tmp_path, capsys):
+    changed = copy_run(run, tmp_path)
+    doc = json.loads((changed / "encoders.json").read_text())
+    weight = doc["encoders"]["style_y"]["weight"]
+    old = weight[2][1]
+    weight[2][1] = old + 1e-9
+    (changed / "encoders.json").write_text(json.dumps(doc))
+
+    table = drift(run, changed)
+    gap, rel = table["encoders.json", "style_y.weight"]
+    assert gap == pytest.approx(1e-9, rel=1e-6)
+    assert rel == pytest.approx(1e-9 / max(abs(old), abs(old + 1e-9)), rel=1e-6)
+    moved = {key for key, value in table.items() if value != (0.0, 0.0)}
+    assert moved == {("encoders.json", "style_y.weight")}
+    assert main([str(run), str(changed)]) == 0
+    assert "style_y.weight" in capsys.readouterr().out
 
 
 def test_runs_of_different_length_are_refused(run, tmp_path, capsys):

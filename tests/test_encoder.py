@@ -1,5 +1,6 @@
 import copy
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,13 +20,14 @@ from stylemem.encoder import (
     train_step,
 )
 from stylemem.errors import ConfigError, ShapeError
+from stylemem.harness import PRESETS
 from stylemem.memory import MemoryLayout, init_bank, read_backward
-from stylemem.numerics import make_rng, split_rng
+from stylemem.numerics import FeatureGrad, make_rng, split_rng
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from fdcheck import fd_check
 from oracles import oracle_linear_forward
-from reference import span
+from reference import dense_gradient, factored_loss, span
 
 
 def identity_encoder(n):
@@ -74,11 +76,18 @@ def test_forward_shape_check():
         forward(enc, np.zeros((2, 4)))
 
 
+def random_gradient(rng, rows, channels, items=3):
+    """A factored gradient with random factors for ``rows`` rows of ``channels``."""
+    draw = rng.standard_normal
+    return FeatureGrad(draw((items, channels)), draw((items, rows)), draw(rows))
+
+
 def test_backward_zero_upstream():
     rng = make_rng(41)
     enc = LinearEncoder.create(rng, 3, 2)
+    enc.bias = rng.standard_normal(2)
     x = rng.standard_normal((4, 3))
-    gw, gb = backward(enc, x, np.zeros((4, 2)))
+    gw, gb = backward(enc, x, FeatureGrad(rng.standard_normal((3, 2)), np.zeros((3, 4)), np.zeros(4)))
     np.testing.assert_array_equal(gw, 0.0)
     np.testing.assert_array_equal(gb, 0.0)
 
@@ -99,31 +108,44 @@ def test_forward_is_the_affine_expression_bit_for_bit(c_in, c_out):
 def test_backward_weight_and_bias_fd():
     rng = make_rng(43)
     enc = LinearEncoder.create(rng, 4, 3)
+    enc.bias = rng.standard_normal(3)
     x = rng.standard_normal((5, 4))
-    projector = rng.standard_normal((5, 3))
+    grad = random_gradient(rng, 5, 3)
 
-    def weight_loss(w):
-        probe = copy.deepcopy(enc)
-        probe.weight = w
-        out = forward(probe, x)
-        gw, _ = backward(probe, x, projector)
-        return float(np.sum(out * projector)), gw
+    for with_rows in (True, False):  # 3 output channels of 4 inputs: from the rows, or the Gram identity
 
-    def bias_loss(b):
-        probe = copy.deepcopy(enc)
-        probe.bias = b
-        out = forward(probe, x)
-        _, gb = backward(probe, x, projector)
-        return float(np.sum(out * projector)), gb
+        def weight_loss(w):
+            probe = copy.deepcopy(enc)
+            probe.weight = w
+            rows = forward(probe, x)
+            gw, _ = backward(probe, x, grad, rows if with_rows else None)
+            return factored_loss(grad, rows), gw
 
-    assert fd_check(weight_loss, enc.weight).passed
-    assert fd_check(bias_loss, enc.bias).passed
+        def bias_loss(b):
+            probe = copy.deepcopy(enc)
+            probe.bias = b
+            rows = forward(probe, x)
+            _, gb = backward(probe, x, grad, rows if with_rows else None)
+            return factored_loss(grad, rows), gb
+
+        assert fd_check(weight_loss, enc.weight).passed
+        assert fd_check(bias_loss, enc.bias).passed
 
 
 def test_backward_shape_check():
     enc = identity_encoder(3)
-    with pytest.raises(ShapeError):
-        backward(enc, np.zeros((2, 3)), np.zeros((3, 3)))
+    rng = make_rng(45)
+    for rows, channels in ((3, 3), (2, 4)):  # one row too many; one channel too many
+        with pytest.raises(ShapeError):
+            backward(enc, np.zeros((2, 3)), random_gradient(rng, rows, channels))
+    grad = random_gradient(rng, 2, 3)
+    for wrong in (replace(grad, scale=np.zeros(3)), replace(grad, coef=np.zeros((4, 2)))):
+        with pytest.raises(ShapeError):
+            backward(enc, np.zeros((2, 3)), wrong)
+    with pytest.raises(ShapeError, match="rows"):
+        backward(enc, np.zeros((2, 3)), grad, np.zeros((2, 4)))
+    with pytest.raises(ShapeError, match="inputs"):  # one input channel too many
+        backward(enc, np.zeros((2, 4)), grad)
 
 
 def test_apply_gradients_advances_state():
@@ -206,7 +228,7 @@ WEIGHTED = dict(key_loss_weight=0.7, value_loss_weight=0.3, rec_loss_weight=1.3)
 @pytest.mark.parametrize("settings", [
     pytest.param(TrainSettings(**WEIGHTED, loss_variant="contrastive"), id="contrastive"),
     pytest.param(TrainSettings(**WEIGHTED, loss_variant="triplet"), id="triplet"),
-    pytest.param(TrainSettings(), id="unit-weights"),  # key and rec weights 1.0: their passes are skipped
+    pytest.param(TrainSettings(), id="unit-weights"),  # key and rec weights 1.0
 ])
 def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
     _, pair, bank, encoders = small_problem(53)
@@ -218,19 +240,31 @@ def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
     grads = [*fwd.grad_content.values(), *fwd.grad_style.values()]
     for kept, now in zip(before, shared):
         np.testing.assert_array_equal(now, kept)
-    assert not any(np.shares_memory(g, a) for g in grads for a in shared)
+    assert not any(np.shares_memory(part, a) for g in grads for part in (g.coef, g.scale) for a in shared)
 
     s = settings
     for d, opposite in (("x", "y"), ("y", "x")):
+        key = fwd.key_terms[d].gradient()
         through_read = read_backward(bank, fwd.queries[d], d, fwd.upstream[d])
+        got = fwd.grad_content[d]
+        assert got.items is bank.keys
         np.testing.assert_array_equal(
-            fwd.grad_content[d],
-            s.key_loss_weight * fwd.key_terms[d].gradient() + s.rec_loss_weight * through_read,
+            got.coef, s.key_loss_weight * key.coef + s.rec_loss_weight * through_read.coef
         )
         np.testing.assert_array_equal(
-            fwd.grad_style[d],
-            s.value_loss_weight * fwd.value_terms[d].gradient() - s.rec_loss_weight * fwd.upstream[opposite],
+            got.scale, s.key_loss_weight * key.scale + s.rec_loss_weight * through_read.scale
         )
+        # the reconstruction term of style d: -(2/P) times the opposite read's weights, on values_d, plus 2/P
+        value, rec = fwd.value_terms[d].gradient(), s.rec_loss_weight * 2.0 / pair.labels.shape[0]
+        got = fwd.grad_style[d]
+        assert got.items is value.items is (bank.values_x if d == "x" else bank.values_y)
+        np.testing.assert_array_equal(
+            got.coef, s.value_loss_weight * value.coef - rec * fwd.queries[opposite].weights.T
+        )
+        np.testing.assert_array_equal(got.scale, s.value_loss_weight * value.scale + rec)
+        rows = fwd.queries[d].style
+        want = s.value_loss_weight * dense_gradient(value, rows) - s.rec_loss_weight * fwd.upstream[opposite]
+        np.testing.assert_allclose(dense_gradient(got, rows), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 def test_train_step_deterministic_loss_stream():
@@ -330,3 +364,28 @@ def test_encoder_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "encoders2.json"
     save_encoders(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# --- allocation ---
+
+# Peak traced bytes of the step below (numpy 2.4.6): 4_940_096 with factored
+# feature gradients, 6_864_544 when each encoder's gradient was a dense
+# (P, C) array. The bound is the first number plus half of one (P, C) float64
+# array, so one dense feature gradient held at the peak would exceed it.
+FACTORED_STEP_PEAK = 4_940_096
+
+
+def test_a_warm_full_preset_step_allocates_no_dense_feature_gradient():
+    cfg = PRESETS["full"]
+    bank = init_bank(cfg.bank_layout(), cfg.channels, split_rng(3, 0))
+    encoders = EncoderSet.create(split_rng(3, 1), cfg.scene.input_channels, cfg.channels)
+    pair = generate_scene_pair(cfg.domain_spec(), split_rng(3, 2))
+    train_step(encoders, bank, pair, cfg.train)  # warm: the Adam moments exist
+    tracemalloc.start()
+    try:
+        train_step(encoders, bank, pair, cfg.train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    feature_bytes = pair.content.shape[0] * cfg.channels * 8
+    assert peak <= FACTORED_STEP_PEAK + feature_bytes // 2, peak

@@ -54,48 +54,48 @@ BUILD = (
 DIGESTS = {
     "toy": {
         "resolved_config.json": "d0f408508fe67839c49c0507c5c8d13b56ec8006ba1f86834ace6c70d08b0d43",
-        "metrics.csv": "93f4b8059950bff71590971d7234b777a0523f06bea4d34919bdac2397022da2",
-        "bank.json": "d7b3a3b20667637f716fce92c5e4565a533623d1f3d61c0fce7a28a9aa59577f",
-        "encoders.json": "09f04e0182dd44e43fb8af1d72e31706031b9c7c2c9a525a542ed5f417d73aa7",
-        "final_eval.json": "42015a503bd2acb9d1fa7e9bc78b4541b860d82d22b5a39cd83bb72d9faa9654",
-        "assignments.csv": "eb707bafe288459810402aba2de195d1b54d86360b9e2c24ef2bc84637e9105f",
-        "stdout": "42015a503bd2acb9d1fa7e9bc78b4541b860d82d22b5a39cd83bb72d9faa9654",
+        "metrics.csv": "86e72dc6e7caf0606060cc063055e6f54b8893750d3074b8988d5b8498b1ec98",
+        "bank.json": "15550d78825aed8d587784fc5fce6ac9667adeb5442e71eed5a580b884ff5f33",
+        "encoders.json": "071dc4f5741f688af6e74c4a523d126716f3289ec7f99dc23819b5348f6dc90e",
+        "final_eval.json": "31e4768766f7158ac0731a15362a609b3423e35fd138591db9092f8fe4884827",
+        "assignments.csv": "bb785316d9c0fb592e4863b0c165839b59a206927178ebad0e158b9246871d7b",
+        "stdout": "31e4768766f7158ac0731a15362a609b3423e35fd138591db9092f8fe4884827",
     },
     "toy-single-triplet": {
         "resolved_config.json": "534f7297c94efb2102316e2edc1060bba1bcebe3e1c8ca7bb25241fccc83d0fd",
-        "metrics.csv": "9a55f32353c15a020ef2bd894cfe86f7686904379bed9771726d556e473e76dd",
-        "bank.json": "dc9c7fce0e5e45d539a8e4ad40d3885f29ee994073a14852751e2b8b10626b88",
-        "encoders.json": "1ad9b128c0ee5d25404c5edeb72b9fb0d9d0cd729420a4759e5aeebf5c68f9e1",
-        "final_eval.json": "53e6195e15bffcd50d1fe3300a0c72adb81f34fdbe5e5255dc04b2a31594deca",
-        "assignments.csv": "3d81793f037b3ba4ecd73c7592612000883aea0febc4d9ae8af35d3f0a30fc53",
-        "stdout": "53e6195e15bffcd50d1fe3300a0c72adb81f34fdbe5e5255dc04b2a31594deca",
+        "metrics.csv": "3a3a9b24fa358bccb96622699646bce64ea7274b59638ea3e246884ffbe150aa",
+        "bank.json": "a61cfbae222859276100c15f8223fb1f9c19b177a49c7f6ecb8bb9702d94fc12",
+        "encoders.json": "8877f981bcf39fc801a8f23753730834a61dc1c45c247155668731b063eb6f16",
+        "final_eval.json": "4a638780aa0b48e42f217f3670c9ba17f2bf6cf21acc056d0bce94eff082272d",
+        "assignments.csv": "146a8ac9a5dfb9d814662de47c81e35c3f862a745eae392002a2828d14684b34",
+        "stdout": "4a638780aa0b48e42f217f3670c9ba17f2bf6cf21acc056d0bce94eff082272d",
     },
     "full": {
         "resolved_config.json": "7bf32d36c88805df6d484bb0d3d6fd8d5392de4852c7013ca1dd998e2a2ce09c",
-        "metrics.csv": "e9a6e7d8a267795d2f966f9e2f0b55813ede0bcf06baf166be57349cf74e792d",
-        "bank.json": "def45cf6b640e910a7b04fe10ce95f8c942460831db37fa0e99ea779cbcae246",
-        "encoders.json": "2b0003786c8b8c1c1dcc77eeb4248e0d1dd1fdfa165aa7fa93c3b4b8ec7b8956",
-        "final_eval.json": "6454dd29e2eaea0a1ecafa236c134656964df3850a68e751d18356767ba6c7c1",
-        "assignments.csv": "ec5d0f5fe5bdf5f558f29d2c7968251a144ed5c089e949ba8b85e70e5aed154e",
-        "stdout": "6454dd29e2eaea0a1ecafa236c134656964df3850a68e751d18356767ba6c7c1",
+        "metrics.csv": "e753fd22457a95b7aa1b0b022c22c67dc9b738008fda7498cdf65ab1a28f480e",
+        "bank.json": "894e6f1a4f2080953682c9815cbfc89f1949f892e38ff378f26332697cf43814",
+        "encoders.json": "015a3945cf860357878bc42fbc3307c0d0a2b2acaa15bcedf4ca290d5f04c39e",
+        "final_eval.json": "015c7f43182ddc1070011bb422b5ba36d38f2263c66428684f78eddcbf8014b0",
+        "assignments.csv": "9d32763c36172ec6f515c0124b92aadd30eb7a56b40e842a859c8c9a2805d252",
+        "stdout": "015c7f43182ddc1070011bb422b5ba36d38f2263c66428684f78eddcbf8014b0",
     },
     "toy-6x6": {
         "resolved_config.json": "1022032214d961eb100c6bfe42abb009210d0490e4259c148c2f3cbfaee61e42",
-        "metrics.csv": "b6d2712b4ae1a58d54495f32b0820d52972a53a4ce1b1c7516e1929b0ae228d6",
-        "bank.json": "5146da9ca7e9cf1393284b752f4931ac52e85dda9f235192b3e8e629ee3369ce",
-        "encoders.json": "e06a4d9344f86b09fa89bbfe72d6d4e35501783cc1d0e6ff864f11f14a728dce",
-        "final_eval.json": "5e8f62f5ac3fe9038e9083d4f6d8f12da70afe253f4a2d9e588f638c73ed1ca3",
-        "assignments.csv": "87021efa6b2c0125f71a66e99dddf0bc423d837dc81a0f70c844fa886277cec5",
-        "stdout": "5e8f62f5ac3fe9038e9083d4f6d8f12da70afe253f4a2d9e588f638c73ed1ca3",
+        "metrics.csv": "0bee30c215ad03125fd7e7a2df7003d50943c8e78335633a0dcfea096c42ff86",
+        "bank.json": "11b2204408f31b6a83e36677afb4c98b4bab5d0603444af0d4ac4e17853da737",
+        "encoders.json": "56196aaac5fcda02722fa122627279e732f6888a4630df25075c8d7055560c32",
+        "final_eval.json": "3d92db3f1f4a1827900a8c5b4d45c010ab1e71ff1afda226e63977a805943547",
+        "assignments.csv": "14f9d359a455f4f66ba4cda559fefd827c77c354509aeabf0df0e547bfa29f3c",
+        "stdout": "3d92db3f1f4a1827900a8c5b4d45c010ab1e71ff1afda226e63977a805943547",
     },
     "toy-6x6-triplet": {
         "resolved_config.json": "3eb6a12080656f964b287065fa010da61d42227ead852a4763688287601a15d7",
-        "metrics.csv": "91956c004b15624f7d130cf6d89e513a03b6354058cb4e7630a7ec1e0d441809",
-        "bank.json": "4c29e7e99e77c005040d309f44db306aff3d52a977d5efb5adfb1e193704266e",
-        "encoders.json": "12ae3d4ce91ac0488ae6a663b269f9d1d97d90726098fbae028443aef7bb0d32",
-        "final_eval.json": "64af88523ffc131a69b92277b8565833f2bd2420df13ef0b93f88c138e6b0400",
-        "assignments.csv": "733074562a712d7a8d074cd40cff5aa35af835ce208d78292a4413363da11a74",
-        "stdout": "64af88523ffc131a69b92277b8565833f2bd2420df13ef0b93f88c138e6b0400",
+        "metrics.csv": "df3cf4da2b9c88578403ed33e739d0f4cea88a9e161ff63e00437ea248dc758d",
+        "bank.json": "bebba2018fb98a638906d3332e9c8a603179a1a7fdcded3f13284ada442cc371",
+        "encoders.json": "88c49ae3bcbfa5251071feca3dd24242aac96a932f81ec140773dc2cedd62b5e",
+        "final_eval.json": "7bf21d9452bcd0454719aa30d889c7538a31794ef022887a68fd69b06c2bf9c1",
+        "assignments.csv": "2dc829fe9d8b5c63117572850b2df16256a0e2fb4990aecf3ec2851dd88faf1e",
+        "stdout": "7bf21d9452bcd0454719aa30d889c7538a31794ef022887a68fd69b06c2bf9c1",
     },
 }
 

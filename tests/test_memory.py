@@ -23,7 +23,7 @@ from stylemem.memory import (
 from stylemem.numerics import l2_normalize_rows, make_rng, softmax_cols, softmax_rows, split_rng
 
 from oracles import oracle_read, oracle_read_global, oracle_update
-from reference import PAIR_CASES, assert_same_bits, pair_rows, span
+from reference import PAIR_CASES, assert_same_bits, dense_gradient, pair_rows, span
 
 TOY_COUNTS = [(1, 3), (2, 2), (3, 2), (0, 3)]
 
@@ -175,7 +175,10 @@ def test_address_blocks_is_two_address_calls_bit_for_bit(class_aware, side):
             assert_same_bits(getattr(queries.cosines, name), getattr(single.cosines, name))
         upstream = make_rng(28).standard_normal(content.shape)
         assert_same_bits(read(bank, queries, d).aggregated_style, read(bank, single, d).aggregated_style)
-        assert_same_bits(read_backward(bank, queries, d, upstream), read_backward(bank, single, d, upstream))
+        through_pair, through_single = (read_backward(bank, q, d, upstream) for q in (queries, single))
+        assert through_pair.items is through_single.items is bank.keys
+        assert_same_bits(through_pair.coef, through_single.coef)
+        assert_same_bits(through_pair.scale, through_single.scale)
         assert_same_bits(update_weights(bank, queries), update_weights(bank, single))
 
 
@@ -415,7 +418,7 @@ def test_read_backward_zero_upstream():
     rng = make_rng(13)
     bank = random_bank(rng, [(0, 4)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
-    grad = read_backward(bank, cluster, "x", np.zeros((3, 5)))
+    grad = dense_gradient(read_backward(bank, cluster, "x", np.zeros((3, 5))), cluster.content)
     np.testing.assert_array_equal(grad, np.zeros((3, 5)))
 
 
@@ -423,7 +426,7 @@ def test_read_backward_single_item_constant_path():
     rng = make_rng(14)
     bank = random_bank(rng, [(0, 1)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
-    grad = read_backward(bank, cluster, "x", rng.standard_normal((3, 5)))
+    grad = dense_gradient(read_backward(bank, cluster, "x", rng.standard_normal((3, 5))), cluster.content)
     np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
 
@@ -432,7 +435,7 @@ def test_read_backward_matches_finite_differences():
     bank = random_bank(rng, [(0, 4), (1, 3)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
     upstream = rng.standard_normal((3, 5))
-    analytic = read_backward(bank, cluster, "x", upstream)
+    analytic = dense_gradient(read_backward(bank, cluster, "x", upstream), cluster.content)
     fd = _fd_query_gradient(bank, cluster, "x", upstream)
     rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     assert float(rel.max()) <= 1e-5

@@ -10,8 +10,8 @@ from stylemem.numerics import make_rng, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 
 from fdcheck import fd_check
-from oracles import oracle_contrastive, oracle_triplet, oracle_triplet_gradient
-from reference import PAIR_CASES, assert_same_bits, pair_rows, reference_triplet_gradient
+from oracles import oracle_contrastive, oracle_triplet, oracle_triplet_factors
+from reference import PAIR_CASES, assert_same_bits, dense_gradient, pair_rows
 
 
 def test_config_validates_temperature():
@@ -25,9 +25,10 @@ def test_config_validates_temperature():
 
 
 def test_contrastive_single_item_zero_loss():
-    term = contrastive_loss(np.array([[0.4, -1.2]]), np.array([[1.0, 0.0]]), [0], 0.5)
+    queries = np.array([[0.4, -1.2]])
+    term = contrastive_loss(queries, np.array([[1.0, 0.0]]), [0], 0.5)
     assert term.value == 0.0
-    np.testing.assert_array_equal(term.gradient(), 0.0)
+    np.testing.assert_array_equal(dense_gradient(term.gradient(), queries), 0.0)
 
 
 def test_contrastive_uniform_limit_large_temperature():
@@ -106,7 +107,9 @@ def test_contrastive_gradient_fd():
     items = rng.standard_normal((5, 6))
     temperature = 0.5
     report = fd_check(
-        lambda q: (lambda t: (t.value, t.gradient()))(contrastive_loss(q, items, [0, 2], temperature)),
+        lambda q: (lambda t: (t.value, dense_gradient(t.gradient(), q)))(
+            contrastive_loss(q, items, [0, 2], temperature)
+        ),
         queries,
     )
     assert report.passed, report
@@ -121,7 +124,7 @@ def test_triplet_satisfied_hinge_zero():
     term = triplet_loss(queries, items, [0], margin=1.0)
     # d+ = 0, d- = 2, margin 1 -> hinge inactive
     assert term.value == 0.0
-    np.testing.assert_array_equal(term.gradient(), 0.0)
+    np.testing.assert_array_equal(dense_gradient(term.gradient(), queries), 0.0)
 
 
 def test_triplet_equidistant_gives_margin():
@@ -141,7 +144,8 @@ def test_triplet_hand_case_matches_oracle_and_fd():
     assert term.positives.tolist() == ref_pos == [0]
     assert ref_neg == [1]
     report = fd_check(
-        lambda q: (lambda t: (t.value, t.gradient()))(triplet_loss(q, items, [0], 1.0)), queries
+        lambda q: (lambda t: (t.value, dense_gradient(t.gradient(), q)))(triplet_loss(q, items, [0], 1.0)),
+        queries,
     )
     assert report.passed, report
 
@@ -160,8 +164,11 @@ def test_triplet_matches_oracle():
         ref_value, ref_pos, ref_neg = oracle_triplet(queries.tolist(), items.tolist(), pool, margin)
         assert term.value == pytest.approx(ref_value, abs=1e-9)
         assert term.positives.tolist() == ref_pos
-        ref_grad = oracle_triplet_gradient(queries.tolist(), items.tolist(), ref_pos, ref_neg, margin)
-        np.testing.assert_allclose(term.gradient(), ref_grad, rtol=1e-12, atol=0.0)
+        ref_coef, ref_scale = oracle_triplet_factors(queries.tolist(), items.tolist(), ref_pos, ref_neg, margin)
+        grad = term.gradient()
+        np.testing.assert_array_equal(grad.items, items)
+        np.testing.assert_allclose(grad.coef, ref_coef, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grad.scale, ref_scale, rtol=1e-12, atol=0.0)
 
 
 def test_triplet_needs_two_items():
@@ -185,7 +192,7 @@ def test_fd_check_flags_corrupted_gradient():
 
     def corrupted(q):
         term = contrastive_loss(q, items, [1], temperature)
-        grad = term.gradient()
+        grad = dense_gradient(term.gradient(), q)
         grad[0, 0] *= 1.10
         return term.value, grad
 
@@ -219,10 +226,12 @@ def test_pair_item_losses_are_the_single_domain_terms_bit_for_bit(class_aware, s
                 assert_same_bits(term.negatives, single.negatives)
             else:
                 assert term.negatives is None and single.negatives is None
-            first, second = term.gradient(), term.gradient()
-            assert_same_bits(first, single.gradient())
-            assert_same_bits(second, first)
-            assert not np.shares_memory(first, second)
+            first, second, alone = term.gradient(), term.gradient(), single.gradient()
+            assert first.items is alone.items
+            for part in ("coef", "scale"):
+                assert_same_bits(getattr(first, part), getattr(alone, part))
+                assert_same_bits(getattr(second, part), getattr(first, part))
+                assert not np.shares_memory(getattr(first, part), getattr(second, part))
 
 
 BRANCH_MARGIN = 0.5
@@ -264,8 +273,13 @@ def test_triplet_gradient_is_the_boolean_mask_gradient_bit_for_bit(class_aware, 
         for b, spot in enumerate(spots):
             single = triplet_loss(queries[b], items[b], mask[b * p:(b + 1) * p], BRANCH_MARGIN)
             for term in (pair[b], single):
-                want = reference_triplet_gradient(queries[b], items[b], term, BRANCH_MARGIN)
-                assert_same_bits(term.gradient(), want)
+                coef, scale = oracle_triplet_factors(
+                    queries[b].tolist(), items[b].tolist(), term.positives, term.negatives, BRANCH_MARGIN
+                )
+                grad = term.gradient()
+                assert grad.items is items[b]
+                assert_same_bits(grad.coef, np.array(coef))
+                assert_same_bits(grad.scale, np.array(scale))
             # the crafted rows reach the branches they were built for
             diff_pos = queries[b][spot] - items[b][single.positives[spot]]
             diff_neg = queries[b][spot] - items[b][single.negatives[spot]]
