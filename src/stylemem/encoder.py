@@ -37,7 +37,7 @@ from .errors import ConfigError, ShapeError, ValidationError
 from .memory import MemoryBank, QuerySet, address_blocks, read, read_backward, update
 from .numerics import AdamState, FeatureGrad, adam_step
 from .objectives import LossTerm, contrastive_loss, triplet_loss
-from .serialize import array, integer, read_json, write_json
+from .serialize import array, check_types, integer, read_json, write_json
 from .synthdata import ScenePair
 
 ENCODER_FORMAT_VERSION = 1
@@ -169,6 +169,7 @@ class TrainSettings:
     adam_beta2: float = 0.999
 
     def __post_init__(self):
+        check_types(self)
         if self.loss_variant not in ("contrastive", "triplet"):
             raise ConfigError(f"loss_variant must be 'contrastive' or 'triplet', got {self.loss_variant!r}")
         if not self.temperature > 0.0:
@@ -184,14 +185,12 @@ class TrainSettings:
 
 @dataclass
 class LossReport:
-    """Unweighted loss values plus per-position positive item assignments."""
+    """Unweighted loss values; the pass's ``ForwardPass`` terms hold the positives."""
 
     key_loss: float
     value_loss: float
     rec_loss: float
     total: float
-    key_positives: dict[str, np.ndarray]
-    value_positives: dict[str, np.ndarray]
 
 
 @dataclass
@@ -282,10 +281,7 @@ def compute_losses(
     value_loss = value_terms["x"].value + value_terms["y"].value
     s = settings
     total = s.key_loss_weight * key_loss + s.value_loss_weight * value_loss + s.rec_loss_weight * rec_loss
-    positives = lambda terms: {d: t.positives for d, t in terms.items()}
-    report = LossReport(
-        key_loss, value_loss, rec_loss, total, positives(key_terms), positives(value_terms)
-    )
+    report = LossReport(key_loss, value_loss, rec_loss, total)
     return report, ForwardPass(bank, settings, queries, key_terms, value_terms, upstream, cosines.sims)
 
 

@@ -14,7 +14,7 @@ class LayoutError(StylememError):
 
 
 class EmptyClusterError(StylememError):
-    """An empty ``QuerySet`` was passed to ``read``, ``read_backward`` or ``update_weights``."""
+    """An empty ``QuerySet`` was passed to ``read`` or ``read_backward``."""
 
 
 class PoolError(StylememError):

@@ -29,7 +29,6 @@ import math
 from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,7 @@ from .encoder import (
 from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
 from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_rows, split_rng
-from .serialize import FLOAT, atomic_lines, csv_block, integer, layout_counts, write_json
+from .serialize import FLOAT, atomic_lines, check_types, csv_block, integer, layout_counts, number, write_json
 from .synthdata import DomainSpec, ScenePair, SceneSettings, generate_scene_pair
 
 log = logging.getLogger(__name__)
@@ -114,12 +113,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_preset(self.preset)
-        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
-        for i, entry in enumerate(self.layout):
-            ints += [(f"layout {key} (entry {i})", v) for key, v in zip(("class", "count"), entry)]
-        for name, value in ints:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_types(self, ints=[
+            (f"layout {k} (entry {i})", v) for i, e in enumerate(self.layout) for k, v in zip(("class", "count"), e)
+        ])
         if self.memory_mode not in ("class-aware", "single"):
             raise ConfigError(f"memory_mode must be 'class-aware' or 'single', got {self.memory_mode!r}")
         minimums = (("iterations", 0), ("update_every", 1), ("channels", 1), ("seed", 0), ("eval_scenes", 1))
@@ -219,23 +215,13 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
-_MAX_FLOAT = float(np.finfo(np.float64).max)
-
-
-def _number(name: str, value) -> float:
-    # the comparison also rejects NaN, and ints too large for a float
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX_FLOAT:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-_FIELD_CHECKS = {"int": partial(integer, error=ConfigError), "float": _number, "str": lambda n, v: v}
+_FIELD_CHECKS = {"int": integer, "float": number, "str": lambda name, value, error: value}
 
 
 def _checked_fields(cls, raw: dict, prefix: str = "") -> dict:
     """The int, float and str fields of dataclass ``cls``, type-checked."""
     return {
-        f.name: _FIELD_CHECKS[f.type](prefix + f.name, raw[f.name])
+        f.name: _FIELD_CHECKS[f.type](prefix + f.name, raw[f.name], ConfigError)
         for f in fields(cls)
         if f.type in _FIELD_CHECKS
     }

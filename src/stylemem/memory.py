@@ -8,7 +8,7 @@ pairs, except in a pooled bank (one ``POOLED_CLASS_ID`` partition), which
 every query addresses whole; test-time reads address all N items.
 :func:`address_blocks` computes the content-key cosines, their parts and the
 class-restricted read weights of a scene pair's two domains in one pass; the
-read, its backward pass, the update weights, the key-side item loss and the
+read, its backward pass, the update, the key-side item loss and the
 test-time read take them from each domain's query set. Bank files go
 through :mod:`stylemem.serialize`.
 
@@ -188,8 +188,8 @@ def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tup
     layout raise :class:`LayoutError`. Returns the (P, N) partition mask of
     all blocks' P rows, their content-key :class:`Cosines` and each block's
     :class:`QuerySet`, whose ``mask``, ``weights`` and ``cosines`` are views
-    of the block's columns of that storage, with the bits of its own
-    :func:`address` call.
+    of the block's columns of that storage, by the block rule of
+    :mod:`stylemem.numerics`: the bits of its own :func:`address` call.
     """
     contents = tuple(np.asarray(c, dtype=np.float64) for c in contents)
     styles = tuple(np.asarray(s, dtype=np.float64) for s in styles)
@@ -305,26 +305,15 @@ def read_backward(bank: MemoryBank, queries: QuerySet, domain: str, upstream: np
     return FeatureGrad(bank.keys, g_scaled, -coeff / safe_q)
 
 
-def update_weights(bank: MemoryBank, queries: QuerySet) -> np.ndarray:
-    """Assignment weights of queries to items, (P, N), a view of item-major storage.
-
-    Each column is softmax-normalized over the queries that address the
-    item, so each addressed item distributes one unit of mass across them;
-    columns of items no query addresses are zero.
-    """
-    _check_queries(bank, queries)
-    # each item's softmax over its queries: a row softmax of the storage
-    return softmax_rows(queries.sims.T, queries.mask.T).T
-
-
 def update(bank: MemoryBank, queries_x: QuerySet | None, queries_y: QuerySet | None) -> MemoryBank:
     """Fold both domains' features into the items they address.
 
     Keys absorb assignment-weighted content from both domains (content is
-    shared), while each value plane absorbs only its own domain's style.
-    Every touched row is re-normalized to unit length; items no query
-    addresses stay bit-identical. An empty or missing domain contributes
-    nothing.
+    shared), while each value plane absorbs only its own domain's style. An
+    item's weights are its softmax over the cosines of the queries that
+    address it: one unit of mass spread across them. Every touched row is
+    re-normalized to unit length; items no query addresses stay
+    bit-identical. An empty or missing domain contributes nothing.
     """
     new = bank.copy()
     key_accum = bank.keys.copy()
@@ -332,7 +321,8 @@ def update(bank: MemoryBank, queries_x: QuerySet | None, queries_y: QuerySet | N
     for queries, plane in ((queries_x, new.values_x), (queries_y, new.values_y)):
         if queries is None or queries.size == 0:
             continue
-        beta = update_weights(bank, queries).T  # (N, P)
+        _check_queries(bank, queries)
+        beta = softmax_rows(queries.sims.T, queries.mask.T)  # (N, P): a row softmax of the storage
         hit = queries.mask.T.any(axis=1)
         key_accum += beta @ queries.content
         plane[hit] = l2_normalize_rows(plane[hit] + (beta @ queries.style)[hit])

@@ -20,8 +20,10 @@ runs along axis 0, one contiguous P-vector at a time. The (P, N) names, such
 as ``Cosines.sims`` and the result of :func:`cosine_matrix`, are transposed
 views of that storage; on such a view :func:`softmax_rows` is
 :func:`softmax_cols` of the stored array, bit for bit. Blocks of queries
-(a scene pair's two domains) share one storage, each block in its own
-columns, and each block's (P, N) names are views of its columns.
+(a scene pair's two domains) share one storage, each in its own columns,
+whose (P, N) views are the block's names. The block rule: each block of a
+pair's storage, and each result taken from it, has the bits of its own
+one-block call.
 
 Feature gradients are factored. The memory touches an encoded row only
 through its N items and the row itself, so the gradient of a loss with
@@ -54,9 +56,9 @@ def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def row_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean norm of each row of a real 2-D array, (P,), into ``out`` if given."""
-    return np.sqrt(np.add.reduce(m * m, axis=1), out=out)
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a real 2-D array, (P,)."""
+    return np.sqrt(np.add.reduce(m * m, axis=1))
 
 
 def dot_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -87,9 +89,9 @@ class Cosines:
     @classmethod
     def between(cls, rows: tuple[np.ndarray, ...], items: tuple[np.ndarray, ...]) -> "Cosines":
         """Block b pairs ``rows[b]`` (P_b, C) with ``items[b]`` (N, C) and
-        writes its products into its own columns: every value has the bits
-        of the one-block result, and no array of all blocks' rows is formed.
-        Unchecked: 2-D float64 arrays of equal width, items of equal length."""
+        writes its products into its own columns, by the block rule; no
+        array of all blocks' rows is formed. Unchecked: 2-D float64 arrays
+        of equal width, items of equal length."""
         norms_of = {id(i): dot_norms(i) for i in items}  # blocks that share items share the norms
         norms, item_norms = np.empty(sum(len(r) for r in rows)), np.array([norms_of[id(i)] for i in items])
         dots, denom = np.empty((item_norms.shape[1], len(norms))), np.empty((item_norms.shape[1], len(norms)))

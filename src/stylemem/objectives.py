@@ -6,11 +6,12 @@ whole bank otherwise): a masked argmax over the query-item cosine matrix.
 They treat the items as constants: gradients flow into the queries only,
 factored on the items as :mod:`stylemem.numerics` states.
 
-Pools and cosines come as (P, N) views of item-major storage (see
-:mod:`stylemem.numerics`), and the losses work on the storage. Queries and
-items may come as tuples of blocks (a scene pair's two domains): every step
-over the storage then runs once for all blocks, and each block gets its own
-term, summed over its own queries, with the one-block bits.
+Queries come as a tuple of blocks (a scene pair's two domains; one block
+is a one-tuple), the items as one array shared by every block or one per
+block, and the pool as a boolean (P, N) mask over all blocks' P queries.
+Pools and cosines are (P, N) views of item-major storage, and every step
+runs once over the storage for all blocks; each block gets its own term,
+summed over its own queries, by the block rule of :mod:`stylemem.numerics`.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ class LossTerm:
     negatives: np.ndarray | None = None
 
 
-def _inputs(queries, items, positive_pool, cosines) -> tuple[tuple, tuple, np.ndarray, Cosines]:
+def _inputs(queries: tuple, items, pool: np.ndarray, cosines) -> tuple[tuple, tuple, np.ndarray, Cosines]:
     """The query and item blocks (one items array may serve them all), the
-    pool as a validated item-major (N, P) mask over all P queries, and the cosines."""
-    queries = tuple(np.asarray(q, np.float64) for q in (queries if isinstance(queries, tuple) else [queries]))
+    pool as a validated item-major (N, P) view, and the cosines."""
+    queries = tuple(np.asarray(q, np.float64) for q in queries)
     items = items if isinstance(items, tuple) else (items,) * len(queries)
     items = tuple(np.asarray(i, np.float64) for i in items)
     for q, i in zip(queries, items, strict=True):
@@ -55,40 +56,32 @@ def _inputs(queries, items, positive_pool, cosines) -> tuple[tuple, tuple, np.nd
             raise ShapeError(f"queries {q.shape} and items {i.shape} must share channels")
     sizes = [q.shape[0] for q in queries]
     shape = (sum(sizes), items[0].shape[0])
-    pool = np.asarray(positive_pool)
-    if pool.dtype != bool:
-        indices = pool.astype(np.intp).ravel()
-        if indices.size and (indices.min() < 0 or indices.max() >= shape[1]):
-            raise PoolError(f"positive pool indices out of range for {shape[1]} items")
-        pool = np.zeros(shape[1], dtype=bool)
-        pool[indices] = True
-    by_item = np.broadcast_to(pool, shape).T if pool.shape in (shape, shape[1:]) else None
-    if by_item is None or not by_item.any(axis=0).all():
-        raise PoolError(f"positive pool {pool.shape} is empty or does not fit {shape}")
+    pool = np.asarray(pool)
+    if pool.dtype != bool or pool.shape != shape or not pool.any(axis=1).all():
+        raise PoolError(f"positive pool ({pool.dtype} {pool.shape}) is not a boolean {shape} mask, or is empty")
     if any(0 in q.shape for q in queries):
         raise ShapeError(f"queries must be non-empty 2-D arrays, got shapes {[q.shape for q in queries]}")
     cosines = Cosines.between(queries, items) if cosines is None else cosines
     spans = [c.stop - c.start for c in cosines.columns]
     if {cosines.sims.shape, cosines.dots.shape} != {shape} or spans != sizes:
         raise ShapeError(f"cosines shape {cosines.sims.shape}, expected {shape} in blocks {sizes}")
-    return queries, items, by_item, cosines
+    return queries, items, pool.T, cosines
 
 
 def contrastive_loss(
-    queries, items, positive_pool, temperature: float = 0.1, cosines: Cosines | None = None
-) -> LossTerm | tuple[LossTerm, ...]:
+    queries: tuple, items, positive_pool: np.ndarray, temperature: float = 0.1, cosines: Cosines | None = None
+) -> tuple[LossTerm, ...]:
     """Softmax loss over temperature-scaled dot products against all items.
 
     Each query's positive is its cosine-nearest pool item; the denominator
     runs over every item, so all non-positives act as negatives. With a
-    single item the loss is exactly zero. ``positive_pool`` holds item
-    indices shared by every query, or is a (P, N) boolean mask giving each
-    query its own pool. ``cosines`` (``Cosines.between`` the query and item
-    blocks), when the caller has it, picks the positives, and its dot
-    products are the logits. A tuple of query blocks gives a tuple of terms.
-    The gradient's ``coef`` is (softmax - positive's one-hot) / temperature.
+    single item the loss is exactly zero. ``positive_pool`` is the (P, N)
+    boolean mask of each query's pool. ``cosines`` (``Cosines.between`` the
+    query and item blocks), when the caller has it, picks the positives, and
+    its dot products are the logits. Returns one term per query block. The
+    gradient's ``coef`` is (softmax - positive's one-hot) / temperature.
     """
-    blocks, items, pool, cosines = _inputs(queries, items, positive_pool, cosines)
+    queries, items, pool, cosines = _inputs(queries, items, positive_pool, cosines)
     rows = np.arange(pool.shape[1])
     positives = np.argmax(np.where(pool, cosines.sims.T, -np.inf), axis=0)
 
@@ -108,13 +101,12 @@ def contrastive_loss(
 
         return LossTerm(float(np.sum(per_query[cols])), positives[cols], gradient)
 
-    terms = tuple(term(b, cols) for b, cols in enumerate(cosines.columns))
-    return terms if isinstance(queries, tuple) else terms[0]
+    return tuple(term(b, cols) for b, cols in enumerate(cosines.columns))
 
 
 def triplet_loss(
-    queries, items, positive_pool, margin: float = 1.0, cosines: Cosines | None = None
-) -> LossTerm | tuple[LossTerm, ...]:
+    queries: tuple, items, positive_pool: np.ndarray, margin: float = 1.0, cosines: Cosines | None = None
+) -> tuple[LossTerm, ...]:
     """Hinge between the euclidean distances to the positive and the runner-up.
 
     The negative is the cosine-nearest item once the positive is excluded,
@@ -126,7 +118,7 @@ def triplet_loss(
     for a side that does not count.
     ``positive_pool``, ``cosines`` and blocks are as in :func:`contrastive_loss`.
     """
-    blocks, items, pool, cosines = _inputs(queries, items, positive_pool, cosines)
+    queries, items, pool, cosines = _inputs(queries, items, positive_pool, cosines)
     if pool.shape[0] < 2:
         raise PoolError("triplet loss needs at least two items")
     rows = np.arange(pool.shape[1])
@@ -136,8 +128,8 @@ def triplet_loss(
     negatives = np.argmax(others, axis=0)
 
     def term(b: int, cols: slice) -> LossTerm:
-        diff_pos = blocks[b] - items[b][positives[cols]]
-        diff_neg = blocks[b] - items[b][negatives[cols]]
+        diff_pos = queries[b] - items[b][positives[cols]]
+        diff_neg = queries[b] - items[b][negatives[cols]]
         d_pos = row_norms(diff_pos)
         d_neg = row_norms(diff_neg)
         terms = d_pos - d_neg + margin
@@ -153,5 +145,4 @@ def triplet_loss(
 
         return LossTerm(float(np.sum(np.maximum(terms, 0.0))), positives[cols], gradient, negatives[cols])
 
-    terms = tuple(term(b, cols) for b, cols in enumerate(cosines.columns))
-    return terms if isinstance(queries, tuple) else terms[0]
+    return tuple(term(b, cols) for b, cols in enumerate(cosines.columns))

@@ -16,11 +16,12 @@ import json
 import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 FLOAT = "%.17g"
 
@@ -300,6 +301,29 @@ def integer(name: str, value, error: type[ValueError] = ValidationError, minimum
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+_MAX_FLOAT = float(np.finfo(np.float64).max)
+
+
+def number(name: str, value, error: type[ValueError] = ValidationError) -> float:
+    """``value`` as a finite float; booleans, non-numbers, NaN and infinities raise ``error``."""
+    # the comparison also rejects NaN, and ints too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX_FLOAT:
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def check_types(settings, prefix: str = "", ints=()) -> None:
+    """The config loader's type rule and messages on a built settings
+    dataclass, without conversion: an int field (and each (name, value) of
+    ``ints``) holds an int, a float field a finite int or float; a bool is neither."""
+    typed = [(prefix + f.name, f.type, getattr(settings, f.name)) for f in fields(settings)]
+    for name, kind, value in typed + [(name, "int", value) for name, value in ints]:
+        if kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if kind == "float":
+            number(name, value, ConfigError)
 
 
 def layout_counts(entries, where: str, error: type[ValueError] = ValidationError) -> tuple:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GenerationError
 from .numerics import l2_normalize_rows
-from .serialize import array, integer, read_json, write_json
+from .serialize import array, check_types, integer, read_json, write_json
 
 SCENE_FORMAT_VERSION = 1
 
@@ -43,6 +43,7 @@ class SceneSettings:
     style_overlap: float = 0.0
 
     def __post_init__(self):
+        check_types(self, "scene.")
         if self.classes < 2:
             raise GenerationError(
                 f"classes must be >= 2 (background plus a foreground class), got {self.classes}"

@@ -2,15 +2,15 @@
 
 ``reference_compute_losses``/``reference_train_step`` are the training
 iteration written as a loop over 2 domains x the classes present in a
-scene: item losses over index pools, then one class-restricted ``read``,
-``read_backward`` and ``update`` per class cluster, with the results
-scattered back to scene positions. The package computes the same quantities
-in one masked (P, N) pass per memory plane; ``test_dense_training.py``
-compares the two. The reference holds its gradients dense, as (P, C)
-arrays built by :func:`dense_gradient`, and takes the encoder gradients as
-``G.T @ inputs`` and ``G.sum(0)``. The reference Adam step runs
-``oracles.oracle_adam_scalar`` element by element, so that comparison also
-covers the package optimizer.
+scene: item losses over each class's partition (:func:`one_block`), then
+one class-restricted ``read``, ``read_backward`` and ``update`` per class
+cluster, with the results scattered back to scene positions. The package
+computes the same quantities in one masked (P, N) pass per memory plane;
+``test_dense_training.py`` compares the two. The reference holds its
+gradients dense, as (P, C) arrays built by :func:`dense_gradient`, and
+takes the encoder gradients as ``G.T @ inputs`` and ``G.sum(0)``. The
+reference Adam step runs ``oracles.oracle_adam_scalar`` element by element,
+so that comparison also covers the package optimizer.
 
 ``reference_evaluate`` is evaluation in two passes per scene: the full loss
 pass with its gradients, then a fresh encoding of the scene and
@@ -42,7 +42,7 @@ from stylemem.harness import STREAM_EVAL, MetricsRow
 from stylemem.memory import (
     POOLED_CLASS_ID, MemoryLayout, address, init_bank, read, read_backward, read_global, update,
 )
-from stylemem.numerics import cosine_rows, split_rng
+from stylemem.numerics import cosine_rows, softmax_rows, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT
 from stylemem.synthdata import generate_scene_pair
@@ -128,8 +128,8 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
 
     def item_loss(queries, items, pool):
         if settings.loss_variant == "contrastive":
-            return contrastive_loss(queries, items, pool, settings.temperature)
-        return triplet_loss(queries, items, pool, settings.triplet_margin)
+            return contrastive_loss(*one_block(queries, items, pool), settings.temperature)[0]
+        return triplet_loss(*one_block(queries, items, pool), settings.triplet_margin)[0]
 
     p_total = pair.labels.shape[0]
     grad_content = {d: np.zeros_like(content[d]) for d in DOMAINS}
@@ -289,6 +289,22 @@ def pair_rows(seed, class_aware, side, channels=16):
     contents, styles = draw(), draw()
     labels = (rng.choice([1, 2, 3, 0], size=p), rng.choice([1, 2, 3, 0], size=p))
     return bank, contents, styles, labels
+
+
+def one_block(queries, items, pool):
+    """The item-loss inputs of one block of ``queries`` whose every row has
+    the items of indices ``pool``: ``((queries,), items, mask)``, with the
+    boolean (P, N) pool mask."""
+    mask = np.zeros((len(queries), len(items)), dtype=bool)
+    mask[:, list(pool)] = True
+    return (queries,), items, mask
+
+
+def assignment_weights(queries):
+    """The (P, N) weights with which ``memory.update`` folds a query set into
+    the items, in its expression: each item's softmax over the cosines of
+    the queries that address it."""
+    return softmax_rows(queries.sims.T, queries.mask.T).T
 
 
 def dense_gradient(grad, rows):

@@ -23,7 +23,6 @@ from stylemem.memory import (
     read_global,
     save_bank,
     update,
-    update_weights,
 )
 from stylemem.numerics import FeatureGrad, l2_normalize_rows, make_rng, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
@@ -31,7 +30,7 @@ from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from fdcheck import fd_check
 from oracles import oracle_read, oracle_read_global, oracle_update
-from reference import dense_gradient, factored_loss, span
+from reference import assignment_weights, dense_gradient, factored_loss, one_block, span
 
 
 def _report(criterion, passed, detail):
@@ -89,7 +88,7 @@ def test_criterion_1_stochasticity_invariants():
         assert np.all(outside == 0.0)
 
         for _ in range(2):
-            beta = update_weights(bank, _cluster(rng, bank, class_id, int(rng.integers(1, 17))))
+            beta = assignment_weights(_cluster(rng, bank, class_id, int(rng.integers(1, 17))))
             inside = beta[:, offset : offset + count]
             worst_beta = max(worst_beta, float(np.abs(inside.sum(axis=0) - 1.0).max()))
             assert np.all(np.delete(beta, np.s_[offset : offset + count], axis=1) == 0.0)
@@ -182,7 +181,7 @@ def test_criterion_4_gradient_correctness():
 
         rep = _fd_term(
             lambda q: (lambda t: (t.value, dense_gradient(t.gradient(), q)))(
-                contrastive_loss(q, items, pool, temperature)
+                contrastive_loss(*one_block(q, items, pool), temperature)[0]
             ),
             queries,
         )
@@ -192,7 +191,9 @@ def test_criterion_4_gradient_correctness():
 
         margin = float(rng.uniform(0.2, 1.5))
         rep = _fd_term(
-            lambda q: (lambda t: (t.value, dense_gradient(t.gradient(), q)))(triplet_loss(q, items, pool, margin)),
+            lambda q: (lambda t: (t.value, dense_gradient(t.gradient(), q)))(
+                triplet_loss(*one_block(q, items, pool), margin)[0]
+            ),
             queries,
         )
         worst = max(worst, rep.max_rel_error)
@@ -288,13 +289,13 @@ def test_criterion_4_gradient_correctness():
 
 
 def test_criterion_5_contrastive_limits():
-    single = contrastive_loss(
-        np.array([[0.3, -0.8]]), np.array([[1.0, 0.0]]), [0], 0.7
+    (single,) = contrastive_loss(
+        *one_block(np.array([[0.3, -0.8]]), np.array([[1.0, 0.0]]), [0]), 0.7
     )
     rng = make_rng(9007)
     queries = rng.standard_normal((4, 5))
     items = rng.standard_normal((6, 5))
-    flat = contrastive_loss(queries, items, range(6), 1e9)
+    (flat,) = contrastive_loss(*one_block(queries, items, range(6)), 1e9)
     deviation = abs(flat.value / 4.0 - math.log(6))
     _report(
         5,

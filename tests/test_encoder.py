@@ -9,7 +9,6 @@ import pytest
 from stylemem.encoder import (
     EncoderSet,
     LinearEncoder,
-    LossReport,
     TrainSettings,
     apply_gradients,
     backward,
@@ -165,7 +164,7 @@ def test_train_settings_validation():
         TrainSettings(loss_variant="hinge")
     with pytest.raises(ConfigError):
         TrainSettings(rec_loss_weight=-0.1)
-    with pytest.raises(ConfigError, match="learning_rate must be > 0"):
+    with pytest.raises(ConfigError, match="learning_rate must be a finite number, got nan"):
         TrainSettings(learning_rate=float("nan"))
 
 
@@ -287,10 +286,11 @@ def test_train_step_update_every_gate():
 
 def test_train_step_pooled_mode_runs():
     _, pair, bank, encoders = small_problem(55, class_aware=False)
+    _, fwd = compute_losses(encoders, bank, pair, TrainSettings())
     report, new_bank = train_step(encoders, bank, pair, TrainSettings())
     assert report.total > 0.0
     assert not np.array_equal(new_bank.keys, bank.keys)
-    assert np.all(report.key_positives["x"] >= 0)
+    assert np.all(fwd.key_terms["x"].positives >= 0)
 
 
 def test_default_loss_weights():
@@ -301,14 +301,14 @@ def test_default_loss_weights():
 
 def test_positives_filled_for_every_position():
     _, pair, bank, encoders = small_problem(56)
-    report, _ = train_step(encoders, bank, pair, TrainSettings())
+    _, fwd = compute_losses(encoders, bank, pair, TrainSettings())
     for d in ("x", "y"):
-        assert np.all(report.key_positives[d] >= 0)
-        assert np.all(report.value_positives[d] >= 0)
+        assert np.all(fwd.key_terms[d].positives >= 0)
+        assert np.all(fwd.value_terms[d].positives >= 0)
         # class-aware positives stay inside the class partition
         for cid in np.unique(pair.labels):
             offset, count = span(bank.layout, int(cid))
-            chosen = report.key_positives[d][pair.labels == cid]
+            chosen = fwd.key_terms[d].positives[pair.labels == cid]
             assert np.all((chosen >= offset) & (chosen < offset + count))
 
 

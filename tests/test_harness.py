@@ -132,6 +132,19 @@ REPLACE_CASES = {
     "seed-integral-float": ({"seed": 1.0}, "seed must be an integer, got 1.0"),
     "layout-count-float": ({"layout": ((1, 3), (2, 2), (3, 2.5), (0, 3))},
                            "layout count (entry 2) must be an integer, got 2.5"),
+    # scene and train fields, replaced in the nested settings (a dict of changes)
+    "scene-height-float": ({"scene": {"height": 4.5}}, "scene.height must be an integer, got 4.5"),
+    "scene-classes-integral-float": ({"scene": {"classes": 4.0}}, "scene.classes must be an integer, got 4.0"),
+    "scene-width-bool": ({"scene": {"width": True}}, "scene.width must be an integer, got True"),
+    "scene-noise-str": ({"scene": {"noise_sigma": "0.1"}}, "scene.noise_sigma must be a finite number, got '0.1'"),
+    "scene-overlap-nan": ({"scene": {"style_overlap": math.nan}},
+                          "scene.style_overlap must be a finite number, got nan"),
+    "train-temperature-str": ({"train": {"temperature": "0.1"}}, "temperature must be a finite number, got '0.1'"),
+    "train-margin-inf": ({"train": {"triplet_margin": math.inf}}, "triplet_margin must be a finite number, got inf"),
+    "train-learning_rate-bool": ({"train": {"learning_rate": True}},
+                                 "learning_rate must be a finite number, got True"),
+    "train-huge-int": ({"train": {"key_loss_weight": 10**400}},
+                       f"key_loss_weight must be a finite number, got {10**400!r}"),
 }
 
 
@@ -139,7 +152,13 @@ REPLACE_CASES = {
 def test_replace_checks_the_config_rules(changes, message):
     cfg = tiny_config()
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        replace(cfg, **changes)
+        nested = {key: replace(getattr(cfg, key), **v) for key, v in changes.items() if isinstance(v, dict)}
+        replace(cfg, **{**changes, **nested})
+
+
+def test_replace_takes_an_int_in_a_float_field():
+    cfg = tiny_config()
+    assert replace(cfg, train=replace(cfg.train, temperature=1)).train.temperature == 1
 
 
 # config keys that TrainSettings owns, each with a value other than its default

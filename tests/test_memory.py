@@ -18,12 +18,11 @@ from stylemem.memory import (
     read_global,
     save_bank,
     update,
-    update_weights,
 )
 from stylemem.numerics import l2_normalize_rows, make_rng, softmax_cols, softmax_rows, split_rng
 
 from oracles import oracle_read, oracle_read_global, oracle_update
-from reference import PAIR_CASES, assert_same_bits, dense_gradient, pair_rows, span
+from reference import PAIR_CASES, assert_same_bits, assignment_weights, dense_gradient, pair_rows, span
 
 TOY_COUNTS = [(1, 3), (2, 2), (3, 2), (0, 3)]
 
@@ -131,7 +130,7 @@ def test_address_stores_query_item_arrays_item_major(counts):
     assert read(bank, queries, "x").weights is queries.weights
     assert_item_major_view(read_global(bank, queries.content, "y", queries.sims).weights, shape)
     assert_item_major_view(read_global(bank, queries.content, "y").weights, shape)
-    assert_item_major_view(update_weights(bank, queries), shape)
+    assert_item_major_view(assignment_weights(queries), shape)
 
 
 # --- scene-pair storage ---
@@ -179,7 +178,7 @@ def test_address_blocks_is_two_address_calls_bit_for_bit(class_aware, side):
         assert through_pair.items is through_single.items is bank.keys
         assert_same_bits(through_pair.coef, through_single.coef)
         assert_same_bits(through_pair.scale, through_single.scale)
-        assert_same_bits(update_weights(bank, queries), update_weights(bank, single))
+        assert_same_bits(assignment_weights(queries), assignment_weights(single))
 
 
 @pytest.mark.parametrize("class_aware, side", PAIR_CASES)
@@ -524,7 +523,7 @@ def test_malformed_cluster_rejected():
     queries = make_cluster(bank, rng, 1, 3)
     queries.cosines.sims = queries.sims[:, :4]
     with pytest.raises(ShapeError, match="sims"):
-        update_weights(bank, queries)
+        update(bank, queries, None)
 
 
 def test_update_untouched_partitions_and_unit_norms():
@@ -545,20 +544,20 @@ def test_update_untouched_partitions_and_unit_norms():
         )
 
 
-def test_update_weights_column_stochastic():
+def test_assignment_weights_column_stochastic():
     for seed in range(20):
         rng = split_rng(300, seed)
         channels = int(rng.integers(1, 8))
         count = int(rng.integers(1, 6))
         bank = random_bank(rng, [(0, count)], channels)
         cluster = make_cluster(bank, rng, 0, int(rng.integers(1, 7)))
-        beta = update_weights(bank, cluster)
+        beta = assignment_weights(cluster)
         assert beta.shape == (cluster.size, count)
         np.testing.assert_allclose(beta.sum(axis=0), 1.0, atol=1e-9)
     # with several partitions, items no query addresses get all-zero columns
     rng = split_rng(300, 99)
     bank = random_bank(rng, TOY_COUNTS, 5)
-    beta = update_weights(bank, make_cluster(bank, rng, 2, 4))
+    beta = assignment_weights(make_cluster(bank, rng, 2, 4))
     offset, count = span(bank.layout, 2)
     np.testing.assert_allclose(beta[:, offset : offset + count].sum(axis=0), 1.0, atol=1e-9)
     np.testing.assert_array_equal(np.delete(beta, np.s_[offset : offset + count], axis=1), 0.0)

@@ -11,7 +11,7 @@ from stylemem.objectives import contrastive_loss, triplet_loss
 
 from fdcheck import fd_check
 from oracles import oracle_contrastive, oracle_triplet, oracle_triplet_factors
-from reference import PAIR_CASES, assert_same_bits, dense_gradient, pair_rows
+from reference import PAIR_CASES, assert_same_bits, dense_gradient, one_block, pair_rows
 
 
 def test_config_validates_temperature():
@@ -26,7 +26,7 @@ def test_config_validates_temperature():
 
 def test_contrastive_single_item_zero_loss():
     queries = np.array([[0.4, -1.2]])
-    term = contrastive_loss(queries, np.array([[1.0, 0.0]]), [0], 0.5)
+    (term,) = contrastive_loss(*one_block(queries, np.array([[1.0, 0.0]]), [0]), 0.5)
     assert term.value == 0.0
     np.testing.assert_array_equal(dense_gradient(term.gradient(), queries), 0.0)
 
@@ -35,16 +35,13 @@ def test_contrastive_uniform_limit_large_temperature():
     rng = make_rng(31)
     queries = rng.standard_normal((3, 4))
     items = rng.standard_normal((5, 4))
-    term = contrastive_loss(queries, items, range(5), 1e9)
+    (term,) = contrastive_loss(*one_block(queries, items, range(5)), 1e9)
     assert term.value / 3.0 == pytest.approx(math.log(5), abs=1e-6)
 
 
 def test_contrastive_hand_case():
-    term = contrastive_loss(
-        np.array([[1.0, 0.0]]),
-        np.array([[1.0, 0.0], [0.0, 1.0]]),
-        [0],
-        1.0,
+    (term,) = contrastive_loss(
+        *one_block(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]), [0]), 1.0
     )
     assert term.value == pytest.approx(0.3132616875182228, abs=1e-12)
     assert term.positives.tolist() == [0]
@@ -58,7 +55,7 @@ def test_contrastive_matches_oracle():
         items = rng.standard_normal((n, c))
         pool = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
         tau = float(rng.uniform(0.2, 2.0))
-        term = contrastive_loss(queries, items, pool, tau)
+        (term,) = contrastive_loss(*one_block(queries, items, pool), tau)
         ref_value, ref_pos = oracle_contrastive(queries.tolist(), items.tolist(), pool, tau)
         assert term.value == pytest.approx(ref_value, abs=1e-9)
         assert term.positives.tolist() == ref_pos
@@ -66,9 +63,25 @@ def test_contrastive_matches_oracle():
 
 def test_contrastive_empty_pool_rejected():
     with pytest.raises(PoolError):
-        contrastive_loss(np.ones((1, 2)), np.ones((2, 2)), [])
-    with pytest.raises(PoolError):
-        contrastive_loss(np.ones((1, 2)), np.ones((2, 2)), [5])
+        contrastive_loss((np.ones((1, 2)),), np.ones((2, 2)), np.zeros((1, 2), dtype=bool))
+
+
+NOT_MASKS = {  # pools for 3 queries and 2 items that are not a boolean (3, 2) mask with an item per query
+    "int-mask": np.ones((3, 2), dtype=np.int64),
+    "float-mask": np.ones((3, 2)),
+    "index-list": [0],
+    "index-array": np.array([0, 1]),
+    "item-row": np.ones(2, dtype=bool),
+    "transposed": np.ones((2, 3), dtype=bool),
+    "one-query-empty": np.array([[True, False], [False, False], [True, True]]),
+}
+
+
+@pytest.mark.parametrize("pool", NOT_MASKS.values(), ids=NOT_MASKS)
+@pytest.mark.parametrize("loss", [contrastive_loss, triplet_loss])
+def test_a_pool_that_is_not_a_boolean_mask_is_rejected(loss, pool):
+    with pytest.raises(PoolError, match="not a boolean"):
+        loss((np.ones((3, 2)),), np.eye(2), pool)
 
 
 def test_contrastive_nonnegative_and_temperature_monotone():
@@ -78,13 +91,13 @@ def test_contrastive_nonnegative_and_temperature_monotone():
     items = np.array([[1.0, 0.0], [-0.4, 0.9], [-0.8, -0.6]])
     last = None
     for tau in (1e3, 10.0, 1.0, 0.5, 0.1, 0.02, 0.005):
-        value = contrastive_loss(queries, items, [0], tau).value
+        value = contrastive_loss(*one_block(queries, items, [0]), tau)[0].value
         assert value >= 0.0
         if last is not None:
             assert value <= last + 1e-12
         last = value
     assert last == pytest.approx(0.0, abs=1e-9)
-    big = contrastive_loss(queries, items, [0], 1e9).value
+    big = contrastive_loss(*one_block(queries, items, [0]), 1e9)[0].value
     assert big == pytest.approx(2.0 * math.log(3), abs=1e-6)
 
 
@@ -95,8 +108,8 @@ def test_contrastive_positive_selection_scale_invariant():
     queries = rng.standard_normal((4, 5))
     items = rng.standard_normal((6, 5))
     temperature = 0.7
-    base = contrastive_loss(queries, items, range(6), temperature)
-    scaled = contrastive_loss(3.7 * queries, items, range(6), temperature)
+    (base,) = contrastive_loss(*one_block(queries, items, range(6)), temperature)
+    (scaled,) = contrastive_loss(*one_block(3.7 * queries, items, range(6)), temperature)
     np.testing.assert_array_equal(base.positives, scaled.positives)
     assert scaled.value != pytest.approx(base.value)
 
@@ -108,7 +121,7 @@ def test_contrastive_gradient_fd():
     temperature = 0.5
     report = fd_check(
         lambda q: (lambda t: (t.value, dense_gradient(t.gradient(), q)))(
-            contrastive_loss(q, items, [0, 2], temperature)
+            contrastive_loss(*one_block(q, items, [0, 2]), temperature)[0]
         ),
         queries,
     )
@@ -121,7 +134,7 @@ def test_contrastive_gradient_fd():
 def test_triplet_satisfied_hinge_zero():
     queries = np.array([[1.0, 0.0]])
     items = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    term = triplet_loss(queries, items, [0], margin=1.0)
+    (term,) = triplet_loss(*one_block(queries, items, [0]), margin=1.0)
     # d+ = 0, d- = 2, margin 1 -> hinge inactive
     assert term.value == 0.0
     np.testing.assert_array_equal(dense_gradient(term.gradient(), queries), 0.0)
@@ -130,21 +143,23 @@ def test_triplet_satisfied_hinge_zero():
 def test_triplet_equidistant_gives_margin():
     queries = np.array([[0.0, 1.0]])
     items = np.array([[1.0, 1.0], [-1.0, 1.0]])
-    term = triplet_loss(queries, items, [0], margin=0.7)
+    (term,) = triplet_loss(*one_block(queries, items, [0]), margin=0.7)
     assert term.value == pytest.approx(0.7, abs=1e-12)
 
 
 def test_triplet_hand_case_matches_oracle_and_fd():
     queries = np.array([[1.0, 0.0]])
     items = np.array([[0.8, 0.6], [0.0, 1.0]])
-    term = triplet_loss(queries, items, [0], margin=1.0)
+    (term,) = triplet_loss(*one_block(queries, items, [0]), margin=1.0)
     ref_value, ref_pos, ref_neg = oracle_triplet(queries.tolist(), items.tolist(), [0], 1.0)
     assert term.value == pytest.approx(ref_value, abs=1e-12)
     assert term.value == pytest.approx(0.2182419696605808, abs=1e-12)
     assert term.positives.tolist() == ref_pos == [0]
     assert ref_neg == [1]
     report = fd_check(
-        lambda q: (lambda t: (t.value, dense_gradient(t.gradient(), q)))(triplet_loss(q, items, [0], 1.0)),
+        lambda q: (lambda t: (t.value, dense_gradient(t.gradient(), q)))(
+            triplet_loss(*one_block(q, items, [0]), 1.0)[0]
+        ),
         queries,
     )
     assert report.passed, report
@@ -160,7 +175,7 @@ def test_triplet_matches_oracle():
         items = rng.standard_normal((n, c))
         pool = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
         margin = float(rng.uniform(0.2, 1.5))
-        term = triplet_loss(queries, items, pool, margin)
+        (term,) = triplet_loss(*one_block(queries, items, pool), margin)
         ref_value, ref_pos, ref_neg = oracle_triplet(queries.tolist(), items.tolist(), pool, margin)
         assert term.value == pytest.approx(ref_value, abs=1e-9)
         assert term.positives.tolist() == ref_pos
@@ -173,7 +188,7 @@ def test_triplet_matches_oracle():
 
 def test_triplet_needs_two_items():
     with pytest.raises(PoolError):
-        triplet_loss(np.ones((1, 2)), np.ones((1, 2)), [0], 1.0)
+        triplet_loss(*one_block(np.ones((1, 2)), np.ones((1, 2)), [0]), 1.0)
 
 
 # --- fd_check itself ---
@@ -191,7 +206,7 @@ def test_fd_check_flags_corrupted_gradient():
     temperature = 0.5
 
     def corrupted(q):
-        term = contrastive_loss(q, items, [1], temperature)
+        (term,) = contrastive_loss(*one_block(q, items, [1]), temperature)
         grad = dense_gradient(term.gradient(), q)
         grad[0, 0] *= 1.10
         return term.value, grad
@@ -213,8 +228,9 @@ def test_pair_item_losses_are_the_single_domain_terms_bit_for_bit(class_aware, s
     values = (bank.values_x, bank.values_y)
     planes = [  # (pair call, one-block call per domain)
         (loss(contents, bank.keys, mask, setting, cosines),
-         [loss(q.content, bank.keys, q.mask, setting, q.cosines) for q in singles]),
-        (loss(styles, values, mask, setting), [loss(q.style, v, q.mask, setting) for q, v in zip(singles, values)]),
+         [loss((q.content,), bank.keys, q.mask, setting, q.cosines)[0] for q in singles]),
+        (loss(styles, values, mask, setting),
+         [loss((q.style,), v, q.mask, setting)[0] for q, v in zip(singles, values)]),
     ]
     for terms, single_terms in planes:
         assert isinstance(terms, tuple) and len(terms) == 2
@@ -271,7 +287,7 @@ def test_triplet_gradient_is_the_boolean_mask_gradient_bit_for_bit(class_aware, 
         pair = triplet_loss(queries, items, mask, BRANCH_MARGIN)
         items = items if isinstance(items, tuple) else (items, items)
         for b, spot in enumerate(spots):
-            single = triplet_loss(queries[b], items[b], mask[b * p:(b + 1) * p], BRANCH_MARGIN)
+            (single,) = triplet_loss((queries[b],), items[b], mask[b * p:(b + 1) * p], BRANCH_MARGIN)
             for term in (pair[b], single):
                 coef, scale = oracle_triplet_factors(
                     queries[b].tolist(), items[b].tolist(), term.positives, term.negatives, BRANCH_MARGIN

@@ -1,0 +1,53 @@
+"""The line counts of ``tests/size.py`` on a made-up package."""
+
+from size import count, main, table
+
+MODULE = '''"""Module docstring
+on two lines."""
+
+import os  # a comment after code counts as code
+
+# a comment alone
+
+
+def f():
+    """One-line docstring."""
+    text = """a string that is not a docstring"""
+    return text
+
+
+class C:
+    """Class
+    docstring."""
+
+    def g(self):
+        return 1
+'''
+
+
+def test_count_splits_code_and_docstring_lines():
+    # 20 lines: docstrings span lines 1-2, 10 and 16-17; code is lines 4, 9, 11, 12, 15, 19
+    # and 20; the blank lines and the lone comment are neither
+    assert count(MODULE) == (20, 7, 5)
+
+
+def test_table_prints_each_file_and_the_sums():
+    lines = table({"a.py": (20, 7, 5), "b.py": (4, 2, 1)})
+    assert [line.split() for line in lines] == [
+        ["file", "total", "code", "doc"], ["a.py", "20", "7", "5"], ["b.py", "4", "2", "1"], ["all", "24", "9", "6"],
+    ]
+
+
+def test_main_reads_every_module_of_a_package(tmp_path, capsys):
+    (tmp_path / "m.py").write_text(MODULE)
+    (tmp_path / "empty.py").write_text("")
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    assert main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[1:] == [["empty.py", "0", "0", "0"], ["m.py", "20", "7", "5"], ["all", "20", "7", "5"]]
+
+
+def test_a_missing_package_prints_the_usage(tmp_path, capsys):
+    assert main([str(tmp_path / "missing")]) == 2
+    assert main([str(tmp_path), "extra"]) == 2
+    assert capsys.readouterr().err.count("usage:") == 2
