@@ -9,7 +9,7 @@ deterministic synthetic-scene harness reproduces the ablation trends between
 single vs class-partitioned memory and triplet vs contrastive training.
 """
 
-from .memory import MemoryLayout, address, init_bank, read, read_global, update
+from .memory import MemoryLayout, address_blocks, init_bank, read, read_global, update
 from .numerics import make_rng
 from .objectives import contrastive_loss
 

@@ -18,10 +18,10 @@ backward pass run on first access of ``ForwardPass.grad_content``/
 the forward pass alone. The feature gradients are factored by the
 :class:`~stylemem.numerics.FeatureGrad` rule of :mod:`stylemem.numerics`:
 each is summed from its terms' (N, P) and (P,) factors, and
-:func:`backward` takes it to the parameters, so no (P, C) gradient array
-is formed. A training iteration checks that its loss is finite,
-backpropagates into the encoders, applies Adam, and, if asked, folds the
-iteration's features into the memory. Checkpoints (see
+:func:`backward` takes it to the parameters with the encoded rows, so no
+(P, C) gradient array is formed. A training iteration checks that its loss
+is finite, backpropagates into the encoders, applies Adam, and, if asked,
+folds the iteration's features into the memory. Checkpoints (see
 :mod:`stylemem.serialize`) hold no optimizer state.
 """
 
@@ -85,30 +85,30 @@ def forward(enc: LinearEncoder, inputs: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    enc: LinearEncoder, inputs: np.ndarray, grad: FeatureGrad, rows: np.ndarray | None = None
+    enc: LinearEncoder, inputs: np.ndarray, grad: FeatureGrad, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parameter gradients (d_weight, d_bias) from ``grad``, the factored
-    gradient with respect to the rows ``R = forward(enc, inputs)``; the
-    inputs are scene features, so no input gradient is computed.
-
-    With X the inputs and s the scale, ``d_weight = items.T @ (coef @ X) +
-    R.T @ (s * X)`` and ``d_bias = items.T @ coef.sum(1) + s @ R``. The s
-    terms come from ``rows`` (R, if the caller holds it) when the encoder
-    has no more output than input channels, else through the Gram identity
-    ``R.T @ (s * X) = W @ (X.T @ (s * X)) + outer(b, s @ X)``, whose products
-    are of input width. Either way R must be the forward map of ``inputs``
+    gradient with respect to ``rows``, which must be ``forward(enc, inputs)``
     at the weight and bias ``enc`` holds now: take the gradients before the
-    step that changes them.
+    step that changes them. The inputs are scene features, so no input
+    gradient is computed.
+
+    With X the inputs, R the rows and s the scale, ``d_weight = items.T @
+    (coef @ X) + R.T @ (s * X)`` and ``d_bias = items.T @ coef.sum(1) + s @
+    R``. An encoder with no more output than input channels takes the s
+    terms from R; a wider one takes them through the Gram identity ``R.T @
+    (s * X) = W @ (X.T @ (s * X)) + outer(b, s @ X)``, whose products are of
+    input width.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     items, coef, scale = grad.items, grad.coef, grad.scale
     shape = (len(inputs), enc.out_channels)
-    parts = (inputs.shape[1:], items.shape[1:], coef.shape, scale.shape, shape if rows is None else rows.shape)
+    parts = (inputs.shape[1:], items.shape[1:], coef.shape, scale.shape, rows.shape)
     if parts != (enc.weight.shape[1:], shape[1:], (len(items), shape[0]), shape[:1], shape):
         raise ShapeError(f"inputs, items, coef, scale and rows {parts} do not fit W {enc.weight.shape}")
     d_weight = items.T @ (coef @ inputs)
     d_bias = items.T @ coef.sum(axis=1)
-    if rows is not None and enc.out_channels <= enc.in_channels:
+    if enc.out_channels <= enc.in_channels:
         d_weight += (rows.T * scale) @ inputs
         d_bias += scale @ rows
     else:

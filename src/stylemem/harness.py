@@ -9,7 +9,8 @@ Evaluation takes one loss pass per held-out scene pair and no gradient: the
 test-time read (the unmasked softmax over the pass's content-key cosines),
 the fidelity target and the assignments export all reuse that pass's
 features. The per-iteration metrics encode afresh, since the step has just
-changed the encoders and the bank.
+changed the encoders and the bank, and read each domain with its own
+``cosine_matrix`` against the keys.
 
 Config files are JSON. A file may name a ``preset`` ("toy" or "full") and
 override any subset of keys; the expansion to a fully explicit config is
@@ -44,7 +45,7 @@ from .encoder import (
 )
 from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
 from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
-from .numerics import cosine_rows, split_rng
+from .numerics import cosine_matrix, cosine_rows, split_rng
 from .serialize import FLOAT, atomic_lines, check_types, csv_block, integer, layout_counts, number, write_json
 from .synthdata import DomainSpec, ScenePair, SceneSettings, generate_scene_pair
 
@@ -93,10 +94,11 @@ def _check_preset(preset) -> None:
 class ExperimentConfig:
     """A run's settings; the defaults are the toy preset.
 
-    Construction checks the preset name, the int fields' types, then the
-    top-level range rules; the prototype draw is left out, so ``replace``
-    stays cheap. ``memory_mode`` picks the bank layout, which alone decides
-    how a step addresses the bank.
+    Construction checks the preset name, that ``scene``, ``train`` and
+    ``layout`` hold a ``SceneSettings``, a ``TrainSettings`` and (class,
+    count) pairs, the int fields' types, then the top-level range rules; the
+    prototype draw is left out, so ``replace`` stays cheap. ``memory_mode``
+    picks the bank layout, which alone decides how a step addresses the bank.
     """
 
     preset: str | None = None
@@ -113,6 +115,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_preset(self.preset)
+        for name, kind in (("scene", SceneSettings), ("train", TrainSettings)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if not (isinstance(self.layout, tuple) and all(isinstance(e, tuple) and len(e) == 2 for e in self.layout)):
+            raise ConfigError(f"layout must be a tuple of (class, count) pairs, got {self.layout!r}")
         check_types(self, ints=[
             (f"layout {k} (entry {i})", v) for i, e in enumerate(self.layout) for k, v in zip(("class", "count"), e)
         ])
@@ -279,11 +286,6 @@ class RunResult:
     final_eval: MetricsRow
 
 
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 def _finite(values: tuple, what: str) -> MetricsRow:
     """The ``MetricsRow`` of ``values``, or a ``ValidationError`` naming each non-finite field."""
     if not all(map(math.isfinite, values)):
@@ -300,7 +302,9 @@ class _EvalAccumulator:
     fidelity_sum: float = 0.0
 
     def entropy(self) -> float:
-        return _entropy(self.alpha_sum / self.alpha_sum.sum())
+        p = self.alpha_sum / self.alpha_sum.sum()
+        nz = p[p > 0.0]
+        return float(-np.sum(nz * np.log(nz)))
 
     def purity(self) -> float:
         return self.purity_hits / self.queries
@@ -310,20 +314,16 @@ class _EvalAccumulator:
 
 
 def _accumulate_pair(
-    acc: _EvalAccumulator, bank: MemoryBank, features: dict[str, tuple], labels: np.ndarray,
+    acc: _EvalAccumulator, features: dict[str, tuple], labels: np.ndarray,
     ref_layout: MemoryLayout, export: Callable[[str], None] | None = None, scene: int = 0,
 ) -> None:
-    """Test-time metrics of one scene pair (global reads, scored against the
-    pair's ``labels``); each domain's assignments lines go to ``export`` as one
-    text once rendered.
-
-    ``features[d]`` is domain d's encoded (content, style, test-time read);
-    the read is None when the caller has none to share, and is taken here.
-    """
+    """Test-time metrics of one scene pair from ``features[d]``, domain d's
+    encoded (content, style, test-time read), scored against the pair's
+    ``labels``; each domain's assignments lines go to ``export`` as one text
+    once rendered."""
     item_classes = ref_layout.item_classes
     for d, opposite in (("x", "y"), ("y", "x")):
         content, _, result = features[d]
-        result = read_global(bank, content, d) if result is None else result
         weights = result.weights.T  # item-major (N, P) columns of the stored array
         target = features[opposite][1]
 
@@ -343,12 +343,13 @@ def _pair_metrics(
     bank: MemoryBank, encoders: EncoderSet, pair: ScenePair, ref_layout: MemoryLayout
 ) -> tuple[float, float, float]:
     # the step has just changed the encoders and the bank: encode afresh
-    features = {
-        d: (forward(encoders.content(d), pair.content), forward(encoders.style(d), style), None)
-        for d, style in zip(("x", "y"), pair.styles)
-    }
+    features = {}
+    for d, style in zip(("x", "y"), pair.styles):
+        content = forward(encoders.content(d), pair.content)
+        (result,) = read_global(bank, (content,), (d,), cosine_matrix(content, bank.keys))
+        features[d] = (content, forward(encoders.style(d), style), result)
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
-    _accumulate_pair(acc, bank, features, pair.labels, ref_layout)
+    _accumulate_pair(acc, features, pair.labels, ref_layout)
     return acc.entropy(), acc.purity(), acc.fidelity()
 
 
@@ -462,7 +463,7 @@ def evaluate(
             reads = read_global(bank, tuple(q.content for q in fwd.queries.values()), ("x", "y"), fwd.sims)
             features = {d: (q.content, q.style, r) for (d, q), r in zip(fwd.queries.items(), reads)}
             scene_export = write if i < cfg.assignment_scenes else None
-            _accumulate_pair(acc, bank, features, pair.labels, ref_layout, scene_export, i)
+            _accumulate_pair(acc, features, pair.labels, ref_layout, scene_export, i)
 
         losses = (float(total) / scene_count for total in loss_sums)
         values = (cfg.iterations, *losses, acc.entropy(), acc.purity(), acc.fidelity())

@@ -26,9 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyClusterError, LayoutError, ShapeError, StylememError, ValidationError
-from .numerics import (
-    EPS_DIV, Cosines, FeatureGrad, cosine_matrix, l2_normalize_rows, softmax_cols, softmax_rows,
-)
+from .numerics import EPS_DIV, Cosines, FeatureGrad, l2_normalize_rows, softmax_cols, softmax_rows
 from .serialize import array, integer, layout_counts, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
@@ -67,12 +65,18 @@ class MemoryLayout:
 
     @classmethod
     def from_counts(cls, counts) -> "MemoryLayout":
-        """Build a layout from ordered (class_id, count) pairs."""
+        """Build a layout from ordered (class_id, count) pairs of integers;
+        any other entry (a bool is not an integer) raises :class:`LayoutError`."""
         entries = []
         offset = 0
-        for class_id, count in counts:
-            entries.append(LayoutEntry(int(class_id), offset, int(count)))
-            offset += int(count)
+        for entry in counts:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and all(
+                isinstance(v, int) and not isinstance(v, bool) for v in entry
+            )):
+                raise LayoutError(f"layout entry {entry!r} is not a (class id, count) pair of integers")
+            class_id, count = entry
+            entries.append(LayoutEntry(class_id, offset, count))
+            offset += count
         return cls(tuple(entries))
 
     @property
@@ -174,22 +178,17 @@ def init_bank(layout: MemoryLayout, channels: int, rng: np.random.Generator) -> 
     return MemoryBank(keys, values_x, values_y, layout)
 
 
-def address(bank: MemoryBank, content: np.ndarray, style: np.ndarray, labels: np.ndarray) -> QuerySet:
-    """Query set whose rows address the partition of their class ``labels[p]``:
-    the one-block case of :func:`address_blocks`."""
-    return address_blocks(bank, (content,), (style,), (labels,))[2][0]
-
-
 def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tuple) -> tuple:
-    """Query sets of blocks of rows (a scene pair's two domains) addressed in
-    one pass: row p of block b addresses the partition of class ``labels[b][p]``.
+    """Query sets of blocks of rows (a scene pair's two domains, or one
+    block ``(content,)``) addressed in one pass: row p of block b addresses
+    the partition of class ``labels[b][p]``.
 
     A pooled bank ignores the labels; otherwise labels missing from the
     layout raise :class:`LayoutError`. Returns the (P, N) partition mask of
     all blocks' P rows, their content-key :class:`Cosines` and each block's
     :class:`QuerySet`, whose ``mask``, ``weights`` and ``cosines`` are views
     of the block's columns of that storage, by the block rule of
-    :mod:`stylemem.numerics`: the bits of its own :func:`address` call.
+    :mod:`stylemem.numerics`: the bits of its own one-block call.
     """
     contents = tuple(np.asarray(c, dtype=np.float64) for c in contents)
     styles = tuple(np.asarray(s, dtype=np.float64) for s in styles)
@@ -234,39 +233,36 @@ def read(bank: MemoryBank, queries: QuerySet, domain: str) -> ReadResult:
     Each row gets the global softmax over its cosine similarities with every
     logit outside its partition masked to -inf, so weights outside the
     partition are exactly zero. The aggregated style row is the weight-mixed
-    cross-domain value. The weights are the ones :func:`address` stored.
+    cross-domain value. The weights are the ones :func:`address_blocks` stored.
     """
     _check_domain(domain)
     _check_queries(bank, queries)
     return ReadResult(queries.weights, queries.weights @ _cross_values(bank, domain))
 
 
-def read_global(bank: MemoryBank, queries, domain, sims: np.ndarray | None = None):
+def read_global(bank: MemoryBank, queries: tuple, domains: tuple, sims: np.ndarray) -> tuple:
     """Test-time read: softmax over all N items, no class information.
 
-    ``sims`` is ``cosine_matrix(queries, bank.keys)`` when the caller has
-    it, such as a query set's ``sims``. Tuples of query blocks and their
-    domains need the ``sims`` of all blocks' rows (a scene pair's storage):
-    one softmax over all blocks gives a tuple of results, one per block.
+    ``queries`` is a tuple of query blocks and ``domains`` their domains;
+    ``sims`` holds the cosines of all blocks' rows with the keys (a scene
+    pair's (2P, N) storage, or ``cosine_matrix(content, bank.keys)`` for one
+    block). One softmax over all blocks gives one result per block.
     """
-    blocks, domains = (queries, domain) if isinstance(queries, tuple) else ((queries,), (domain,))
-    blocks = tuple(np.asarray(q, dtype=np.float64) for q in blocks)
-    for block, block_domain in zip(blocks, domains, strict=True):
-        _check_domain(block_domain)
+    blocks = tuple(np.asarray(q, dtype=np.float64) for q in queries)
+    for block, domain in zip(blocks, domains, strict=True):
+        _check_domain(domain)
         if block.ndim != 2 or block.shape[0] == 0 or block.shape[1] != bank.channels:
             raise ShapeError(f"queries shape {block.shape} incompatible with C={bank.channels}")
     shape = (sum(len(block) for block in blocks), bank.n_items)
-    if sims is None and len(blocks) == 1:
-        sims = cosine_matrix(blocks[0], bank.keys)
-    if getattr(sims, "shape", None) != shape:  # blocks bring their sims
+    if getattr(sims, "shape", None) != shape:
         raise ShapeError(f"sims shape {getattr(sims, 'shape', None)}, expected {shape}")
     alpha = softmax_cols(sims.T)  # item-major (N, P)
     results, start = [], 0
-    for block, block_domain in zip(blocks, domains):
+    for block, domain in zip(blocks, domains):
         weights = alpha[:, start : start + len(block)].T
-        results.append(ReadResult(weights, weights @ _cross_values(bank, block_domain)))
+        results.append(ReadResult(weights, weights @ _cross_values(bank, domain)))
         start += len(block)
-    return tuple(results) if isinstance(queries, tuple) else results[0]
+    return tuple(results)
 
 
 def read_backward(bank: MemoryBank, queries: QuerySet, domain: str, upstream: np.ndarray) -> FeatureGrad:

@@ -13,8 +13,8 @@ reference Adam step runs ``oracles.oracle_adam_scalar`` element by element,
 so that comparison also covers the package optimizer.
 
 ``reference_evaluate`` is evaluation in two passes per scene: the full loss
-pass with its gradients, then a fresh encoding of the scene and
-``read_global`` on the raw content features. The package takes one
+pass with its gradients, then a fresh encoding of the scene and a
+one-block ``read_global`` on the raw content features. The package takes one
 gradient-free loss pass and reuses its features and cosines;
 ``test_evaluate.py`` compares the two.
 
@@ -40,9 +40,9 @@ from stylemem.encoder import compute_losses, forward
 from stylemem.errors import LayoutError
 from stylemem.harness import STREAM_EVAL, MetricsRow
 from stylemem.memory import (
-    POOLED_CLASS_ID, MemoryLayout, address, init_bank, read, read_backward, read_global, update,
+    POOLED_CLASS_ID, MemoryLayout, address_blocks, init_bank, read, read_backward, read_global, update,
 )
-from stylemem.numerics import cosine_rows, softmax_rows, split_rng
+from stylemem.numerics import cosine_matrix, cosine_rows, softmax_rows, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT
 from stylemem.synthdata import generate_scene_pair
@@ -99,7 +99,17 @@ def addressed(bank, cluster: ClassCluster | None):
     """A cluster as a query set addressing its class's partition."""
     if cluster is None:
         return None
-    return address(bank, cluster.content, cluster.style, np.full(cluster.size, cluster.class_id))
+    return address_one(bank, cluster.content, cluster.style, np.full(cluster.size, cluster.class_id))
+
+
+def address_one(bank, content, style, labels):
+    """The query set of one block of rows: ``address_blocks`` on one-tuples."""
+    return address_blocks(bank, (content,), (style,), (labels,))[2][0]
+
+
+def read_global_one(bank, content, domain):
+    """The test-time read of one block of content rows, from their own cosines."""
+    return read_global(bank, (content,), (domain,), cosine_matrix(content, bank.keys))[0]
 
 
 @dataclass
@@ -249,7 +259,7 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
         styles = dict(zip(DOMAINS, pair.styles))
         for d, opposite in (("x", "y"), ("y", "x")):
             content = forward(encoders.content(d), pair.content)
-            result = read_global(bank, content, d)
+            result = read_global_one(bank, content, d)
             target = forward(encoders.style(opposite), styles[opposite])
             alpha_sum += result.weights.sum(axis=0)
             queries += content.shape[0]

@@ -2,11 +2,15 @@
 north star of ``ROADMAP.md`` uses for ``src/stylemem``.
 
     python tests/size.py [PACKAGE_DIR]
+    python tests/size.py OLD_DIR NEW_DIR
 
 The package defaults to ``src/stylemem``. Docstring lines are the lines of
 module, class and function docstrings, found with ``ast``; code lines are
 the other lines that are neither blank nor comments alone. One row per
-file, then the sums, so two trees' tables can be compared with ``diff``.
+file, then the sums. Given two package directories (say, a parent
+commit's ``src/stylemem`` from ``git archive`` and this tree's), each
+count is printed as ``before -> after``, and a file present in one tree
+only counts 0 in the other.
 """
 
 from __future__ import annotations
@@ -46,14 +50,26 @@ def table(counts: dict[str, tuple[int, int, int]]) -> list[str]:
     return lines
 
 
+def compare(old: dict[str, tuple], new: dict[str, tuple]) -> list[str]:
+    """One line per file of either tree, then the sums, each count as
+    ``before -> after``; a tree without the file counts 0."""
+    zero = (0, 0, 0)
+    rows = {name: (old.get(name, zero), new.get(name, zero)) for name in sorted(old.keys() | new.keys())}
+    rows["all"] = tuple(tuple(sum(row[k] for row in tree.values()) for k in range(3)) for tree in (old, new))
+    lines = [f"{'file':<16} " + " ".join(f"{name:>14}" for name in ("total", "code", "doc"))]
+    for name, (before, after) in rows.items():
+        lines.append(f"{name:<16} " + " ".join(f"{f'{b} -> {a}':>14}" for b, a in zip(before, after)))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    package = Path(args[0]) if args else PACKAGE
-    if len(args) > 1 or not package.is_dir():
-        print("usage: python tests/size.py [PACKAGE_DIR]", file=sys.stderr)
+    packages = [Path(arg) for arg in args] or [PACKAGE]
+    if len(packages) > 2 or not all(package.is_dir() for package in packages):
+        print("usage: python tests/size.py [PACKAGE_DIR | OLD_DIR NEW_DIR]", file=sys.stderr)
         return 2
-    counts = {path.name: count(path.read_text()) for path in sorted(package.glob("*.py"))}
-    print("\n".join(table(counts)))
+    counts = [{path.name: count(path.read_text()) for path in sorted(package.glob("*.py"))} for package in packages]
+    print("\n".join(table(*counts) if len(counts) == 1 else compare(*counts)))
     return 0
 
 

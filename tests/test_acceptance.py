@@ -16,11 +16,9 @@ from stylemem.errors import ValidationError
 from stylemem.harness import config_from_dict, resolve_config, run_training
 from stylemem.memory import (
     MemoryLayout,
-    address,
     init_bank,
     load_bank,
     read,
-    read_global,
     save_bank,
     update,
 )
@@ -30,7 +28,9 @@ from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from fdcheck import fd_check
 from oracles import oracle_read, oracle_read_global, oracle_update
-from reference import assignment_weights, dense_gradient, factored_loss, one_block, span
+from reference import (
+    address_one, assignment_weights, dense_gradient, factored_loss, one_block, read_global_one, span,
+)
 
 
 def _report(criterion, passed, detail):
@@ -63,7 +63,7 @@ def _cluster(rng, bank, class_id, size):
     """Random query rows of one class, addressing that class's partition."""
     content = rng.standard_normal((size, bank.channels))
     style = rng.standard_normal((size, bank.channels))
-    return address(bank, content, style, np.full(size, class_id))
+    return address_one(bank, content, style, np.full(size, class_id))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, float(np.abs(got.aggregated_style - s_ref).max()))
 
         queries = rng.standard_normal((int(rng.integers(1, 9)), channels))
-        got_g = read_global(bank, queries, domain)
+        got_g = read_global_one(bank, queries, domain)
         w_ref, s_ref = oracle_read_global(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
             queries.tolist(), domain,
@@ -201,46 +201,42 @@ def test_criterion_4_gradient_correctness():
             failures.append(("triplet", i, rep.max_rel_error))
 
     # encoder backward w.r.t. weight and bias, from a random factored
-    # upstream and the loss that has it as its gradient, through the Gram
-    # identity and from the rows; the forward map's input jacobian
-    # (upstream @ weight), which training has no use for
+    # upstream and the loss that has it as its gradient, at one shape on
+    # each side of C <= Cin: from the rows, and through the Gram identity;
+    # the forward map's input jacobian (upstream @ weight), which training
+    # has no use for
     for i in range(50):
         rng = split_rng(9005, i)
-        c_in, c_out, p = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        enc = LinearEncoder.create(rng, c_in, c_out)
-        inputs = rng.standard_normal((p, c_in))
-        n = int(rng.integers(1, 6))
-        upstream = FeatureGrad(rng.standard_normal((n, c_out)), rng.standard_normal((n, p)), rng.standard_normal(p))
+        c_in, p, n = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        routes = (("rows", int(rng.integers(1, c_in + 1))), ("gram", int(rng.integers(c_in + 1, 7))))
+        for route, c_out in routes:
+            enc = LinearEncoder.create(rng, c_in, c_out)
+            enc.bias = rng.standard_normal(c_out)  # a zero bias hides the Gram route's bias terms
+            inputs = rng.standard_normal((p, c_in))
+            upstream = FeatureGrad(
+                rng.standard_normal((n, c_out)), rng.standard_normal((n, p)), rng.standard_normal(p)
+            )
 
-        def weight_loss(w, with_rows=False):
-            probe = copy.deepcopy(enc)
-            probe.weight = w
-            rows = forward(probe, inputs)
-            gw, _ = backward(probe, inputs, upstream, rows if with_rows else None)
-            return factored_loss(upstream, rows), gw
+            def param_loss(value, which):
+                probe = copy.deepcopy(enc)
+                setattr(probe, which, value)
+                rows = forward(probe, inputs)
+                grads = dict(zip(("weight", "bias"), backward(probe, inputs, upstream, rows)))
+                return factored_loss(upstream, rows), grads[which]
 
-        def bias_loss(b, with_rows=False):
-            probe = copy.deepcopy(enc)
-            probe.bias = b
-            rows = forward(probe, inputs)
-            _, gb = backward(probe, inputs, upstream, rows if with_rows else None)
-            return factored_loss(upstream, rows), gb
+            def input_loss(x):
+                rows = forward(enc, x)
+                return factored_loss(upstream, rows), dense_gradient(upstream, rows) @ enc.weight
 
-        def input_loss(x):
-            rows = forward(enc, x)
-            return factored_loss(upstream, rows), dense_gradient(upstream, rows) @ enc.weight
-
-        for name, fn, point in (
-            ("enc-weight", weight_loss, enc.weight),
-            ("enc-bias", bias_loss, enc.bias),
-            ("enc-weight-rows", lambda w: weight_loss(w, True), enc.weight),
-            ("enc-bias-rows", lambda b: bias_loss(b, True), enc.bias),
-            ("enc-input", input_loss, inputs),
-        ):
-            rep = _fd_term(fn, point)
-            worst = max(worst, rep.max_rel_error)
-            if not rep.passed:
-                failures.append((name, i, rep.max_rel_error))
+            for name, fn, point in (
+                (f"enc-weight-{route}", lambda w: param_loss(w, "weight"), enc.weight),
+                (f"enc-bias-{route}", lambda b: param_loss(b, "bias"), enc.bias),
+                (f"enc-input-{route}", input_loss, inputs),
+            ):
+                rep = _fd_term(fn, point)
+                worst = max(worst, rep.max_rel_error)
+                if not rep.passed:
+                    failures.append((name, i, rep.max_rel_error))
 
     # full train-step loss against a frozen bank, every encoder parameter;
     # fixed vectors chosen away from the subgradient kinks of the hinge and
@@ -271,7 +267,8 @@ def test_criterion_4_gradient_correctness():
                         enc.bias = param
                     report, fwd = compute_losses(probe, bank, pair, settings)
                     grads = fwd.grad_content if _kind == "content" else fwd.grad_style
-                    gw, gb = backward(enc, _inputs, grads[_domain])
+                    rows = getattr(fwd.queries[_domain], _kind)
+                    gw, gb = backward(enc, _inputs, grads[_domain], rows)
                     return report.total, gw if _which == "weight" else gb
 
                 enc = getattr(encoders, name)

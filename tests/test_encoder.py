@@ -81,12 +81,14 @@ def random_gradient(rng, rows, channels, items=3):
     return FeatureGrad(draw((items, channels)), draw((items, rows)), draw(rows))
 
 
-def test_backward_zero_upstream():
+@pytest.mark.parametrize("c_in, c_out", [pytest.param(3, 2, id="rows"), pytest.param(2, 3, id="gram")])
+def test_backward_zero_upstream(c_in, c_out):
     rng = make_rng(41)
-    enc = LinearEncoder.create(rng, 3, 2)
-    enc.bias = rng.standard_normal(2)
-    x = rng.standard_normal((4, 3))
-    gw, gb = backward(enc, x, FeatureGrad(rng.standard_normal((3, 2)), np.zeros((3, 4)), np.zeros(4)))
+    enc = LinearEncoder.create(rng, c_in, c_out)
+    enc.bias = rng.standard_normal(c_out)
+    x = rng.standard_normal((4, c_in))
+    grad = FeatureGrad(rng.standard_normal((3, c_out)), np.zeros((3, 4)), np.zeros(4))
+    gw, gb = backward(enc, x, grad, forward(enc, x))
     np.testing.assert_array_equal(gw, 0.0)
     np.testing.assert_array_equal(gb, 0.0)
 
@@ -104,47 +106,49 @@ def test_forward_is_the_affine_expression_bit_for_bit(c_in, c_out):
         np.testing.assert_array_equal(before, after)
 
 
-def test_backward_weight_and_bias_fd():
+# 3 output channels of 4 inputs take the scale terms from the rows; 4 of 3,
+# through the Gram identity
+@pytest.mark.parametrize("c_in, c_out", [pytest.param(4, 3, id="rows"), pytest.param(3, 4, id="gram")])
+def test_backward_weight_and_bias_fd(c_in, c_out):
     rng = make_rng(43)
-    enc = LinearEncoder.create(rng, 4, 3)
-    enc.bias = rng.standard_normal(3)
-    x = rng.standard_normal((5, 4))
-    grad = random_gradient(rng, 5, 3)
+    enc = LinearEncoder.create(rng, c_in, c_out)
+    enc.bias = rng.standard_normal(c_out)
+    x = rng.standard_normal((5, c_in))
+    grad = random_gradient(rng, 5, c_out)
 
-    for with_rows in (True, False):  # 3 output channels of 4 inputs: from the rows, or the Gram identity
+    def weight_loss(w):
+        probe = copy.deepcopy(enc)
+        probe.weight = w
+        rows = forward(probe, x)
+        gw, _ = backward(probe, x, grad, rows)
+        return factored_loss(grad, rows), gw
 
-        def weight_loss(w):
-            probe = copy.deepcopy(enc)
-            probe.weight = w
-            rows = forward(probe, x)
-            gw, _ = backward(probe, x, grad, rows if with_rows else None)
-            return factored_loss(grad, rows), gw
+    def bias_loss(b):
+        probe = copy.deepcopy(enc)
+        probe.bias = b
+        rows = forward(probe, x)
+        _, gb = backward(probe, x, grad, rows)
+        return factored_loss(grad, rows), gb
 
-        def bias_loss(b):
-            probe = copy.deepcopy(enc)
-            probe.bias = b
-            rows = forward(probe, x)
-            _, gb = backward(probe, x, grad, rows if with_rows else None)
-            return factored_loss(grad, rows), gb
-
-        assert fd_check(weight_loss, enc.weight).passed
-        assert fd_check(bias_loss, enc.bias).passed
+    assert fd_check(weight_loss, enc.weight).passed
+    assert fd_check(bias_loss, enc.bias).passed
 
 
 def test_backward_shape_check():
     enc = identity_encoder(3)
     rng = make_rng(45)
-    for rows, channels in ((3, 3), (2, 4)):  # one row too many; one channel too many
+    rows = np.zeros((2, 3))
+    for count, channels in ((3, 3), (2, 4)):  # one row too many; one channel too many
         with pytest.raises(ShapeError):
-            backward(enc, np.zeros((2, 3)), random_gradient(rng, rows, channels))
+            backward(enc, np.zeros((2, 3)), random_gradient(rng, count, channels), rows)
     grad = random_gradient(rng, 2, 3)
     for wrong in (replace(grad, scale=np.zeros(3)), replace(grad, coef=np.zeros((4, 2)))):
         with pytest.raises(ShapeError):
-            backward(enc, np.zeros((2, 3)), wrong)
+            backward(enc, np.zeros((2, 3)), wrong, rows)
     with pytest.raises(ShapeError, match="rows"):
         backward(enc, np.zeros((2, 3)), grad, np.zeros((2, 4)))
     with pytest.raises(ShapeError, match="inputs"):  # one input channel too many
-        backward(enc, np.zeros((2, 4)), grad)
+        backward(enc, np.zeros((2, 4)), grad, rows)
 
 
 def test_apply_gradients_advances_state():
@@ -329,7 +333,7 @@ def _param_loss_fn(encoders, bank, pair, settings, name, which):
             enc.bias = param
         report, fwd = compute_losses(probe, bank, pair, settings)
         grad_map = fwd.grad_content if kind == "content" else fwd.grad_style
-        gw, gb = backward(enc, inputs, grad_map[domain])
+        gw, gb = backward(enc, inputs, grad_map[domain], getattr(fwd.queries[domain], kind))
         return report.total, gw if which == "weight" else gb
 
     return fn

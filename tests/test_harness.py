@@ -2,7 +2,7 @@ import copy
 import json
 import math
 import re
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +104,13 @@ def test_config_range_validation():
 
 
 # every rule ExperimentConfig checks itself, each with the loader's message
+@dataclass(frozen=True)
+class AsIs:
+    """A replaced value that the test passes on unchanged, even a dict."""
+
+    value: object
+
+
 REPLACE_CASES = {
     "preset-unknown": ({"preset": "bogus"}, "unknown preset 'bogus' (have ['full', 'toy'])"),
     "preset-int": ({"preset": 5}, "unknown preset 5 (have ['full', 'toy'])"),
@@ -145,6 +152,11 @@ REPLACE_CASES = {
                                  "learning_rate must be a finite number, got True"),
     "train-huge-int": ({"train": {"key_loss_weight": 10**400}},
                        f"key_loss_weight must be a finite number, got {10**400!r}"),
+    # nested settings and layout entries of the wrong kind, checked before any rule reads them
+    "scene-none": ({"scene": None}, "scene must be a SceneSettings, got None"),
+    "train-dict": ({"train": AsIs({"temperature": 0.1})}, "train must be a TrainSettings, got {'temperature': 0.1}"),
+    "layout-short-entry": ({"layout": ((1,), (0, 3))},
+                           "layout must be a tuple of (class, count) pairs, got ((1,), (0, 3))"),
 }
 
 
@@ -153,7 +165,8 @@ def test_replace_checks_the_config_rules(changes, message):
     cfg = tiny_config()
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         nested = {key: replace(getattr(cfg, key), **v) for key, v in changes.items() if isinstance(v, dict)}
-        replace(cfg, **{**changes, **nested})
+        given = {key: v.value for key, v in changes.items() if isinstance(v, AsIs)}
+        replace(cfg, **{**changes, **nested, **given})
 
 
 def test_replace_takes_an_int_in_a_float_field():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from stylemem.errors import EmptyClusterError, LayoutError, ShapeError, StylememError, ValidationError
 from stylemem.memory import (
     POOLED_CLASS_ID,
+    LayoutEntry,
     MemoryBank,
     MemoryLayout,
-    address,
     address_blocks,
     init_bank,
     load_bank,
@@ -22,7 +24,9 @@ from stylemem.memory import (
 from stylemem.numerics import l2_normalize_rows, make_rng, softmax_cols, softmax_rows, split_rng
 
 from oracles import oracle_read, oracle_read_global, oracle_update
-from reference import PAIR_CASES, assert_same_bits, assignment_weights, dense_gradient, pair_rows, span
+from reference import (
+    PAIR_CASES, address_one, assert_same_bits, assignment_weights, dense_gradient, pair_rows, read_global_one, span,
+)
 
 TOY_COUNTS = [(1, 3), (2, 2), (3, 2), (0, 3)]
 
@@ -35,7 +39,7 @@ def make_cluster(bank, rng, class_id, size):
 
 
 def class_queries(bank, class_id, content, style):
-    return address(bank, content, style, np.full(len(content), class_id))
+    return address_one(bank, content, style, np.full(len(content), class_id))
 
 
 def random_bank(rng, counts, channels):
@@ -60,6 +64,19 @@ def test_layout_rejects_zero_count():
 def test_layout_rejects_duplicate_class():
     with pytest.raises(LayoutError):
         MemoryLayout.from_counts([(0, 3), (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "entry", [(1.9, 3.7), (1, "2"), (0, True), (True, 2), ("a", 2), (1,), (1, 2, 3), 5, None], ids=repr
+)
+def test_layout_from_counts_takes_only_pairs_of_integers(entry):
+    with pytest.raises(LayoutError, match=f"^layout entry {re.escape(repr(entry))} is not"):
+        MemoryLayout.from_counts([(0, 3), entry])
+
+
+def test_layout_from_counts_takes_tuple_and_list_pairs():
+    layout = MemoryLayout.from_counts([(1, 2), [0, 3]])
+    assert layout.entries == (LayoutEntry(1, 0, 2), LayoutEntry(0, 2, 3))
 
 
 def test_layout_unknown_class():
@@ -118,7 +135,7 @@ def test_address_stores_query_item_arrays_item_major(counts):
     rng = make_rng(26)
     bank = random_bank(rng, counts, 6)
     labels = rng.choice([1, 2, 3, 0], size=40)
-    queries = address(bank, rng.standard_normal((40, 6)), rng.standard_normal((40, 6)), labels)
+    queries = address_one(bank, rng.standard_normal((40, 6)), rng.standard_normal((40, 6)), labels)
     shape = (40, bank.n_items)
     cos = queries.cosines
     for view in (queries.mask, queries.weights, queries.sims, cos.dots, cos.denom, cos.sims):
@@ -128,8 +145,8 @@ def test_address_stores_query_item_arrays_item_major(counts):
     else:
         assert queries.mask.all()
     assert read(bank, queries, "x").weights is queries.weights
-    assert_item_major_view(read_global(bank, queries.content, "y", queries.sims).weights, shape)
-    assert_item_major_view(read_global(bank, queries.content, "y").weights, shape)
+    assert_item_major_view(read_global(bank, (queries.content,), ("y",), queries.sims)[0].weights, shape)
+    assert_item_major_view(read_global_one(bank, queries.content, "y").weights, shape)
     assert_item_major_view(assignment_weights(queries), shape)
 
 
@@ -148,7 +165,7 @@ def assert_pair_views(x_view, y_view, shape):
 
 
 @pytest.mark.parametrize("class_aware, side", PAIR_CASES)
-def test_address_blocks_is_two_address_calls_bit_for_bit(class_aware, side):
+def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
     bank, contents, styles, labels = pair_rows(27, class_aware, side)
     mask, cosines, pair = address_blocks(bank, contents, styles, labels)
     shape = (side * side, bank.n_items)
@@ -163,11 +180,11 @@ def test_address_blocks_is_two_address_calls_bit_for_bit(class_aware, side):
     reads = read_global(bank, contents, ("x", "y"), cosines.sims)  # one test-time softmax
     assert_pair_views(reads[0].weights, reads[1].weights, shape)
     with pytest.raises(ShapeError, match="sims"):
-        read_global(bank, contents, ("x", "y"))
+        read_global(bank, contents, ("x", "y"), qx.sims)
     for d, queries, content, style, block_labels, pair_read in zip("xy", pair, contents, styles, labels, reads):
-        single = address(bank, content, style, block_labels)
-        assert_same_bits(pair_read.weights, read_global(bank, content, d, queries.sims).weights)
-        assert_same_bits(pair_read.aggregated_style, read_global(bank, content, d).aggregated_style)
+        single = address_one(bank, content, style, block_labels)
+        assert_same_bits(pair_read.weights, read_global(bank, (content,), (d,), queries.sims)[0].weights)
+        assert_same_bits(pair_read.aggregated_style, read_global_one(bank, content, d).aggregated_style)
         for name in ("content", "style", "mask", "weights"):
             assert_same_bits(getattr(queries, name), getattr(single, name))
         for name in ("dots", "denom", "sims", "row_norms", "item_norms"):
@@ -185,7 +202,7 @@ def test_address_blocks_is_two_address_calls_bit_for_bit(class_aware, side):
 def test_update_on_the_pair_storage_is_update_on_separate_query_sets(class_aware, side):
     bank, contents, styles, labels = pair_rows(29, class_aware, side)
     _, _, (qx, qy) = address_blocks(bank, contents, styles, labels)
-    separate = [address(bank, *rows) for rows in zip(contents, styles, labels)]
+    separate = [address_one(bank, *rows) for rows in zip(contents, styles, labels)]
     got, want = update(bank, qx, qy), update(bank, *separate)
     for plane in ("keys", "values_x", "values_y"):
         assert_same_bits(getattr(got, plane), getattr(want, plane))
@@ -282,7 +299,7 @@ def test_reads_reject_an_unknown_domain_with_a_package_error():
     cluster = make_cluster(bank, rng, 1, 2)
     calls = [
         lambda: read(bank, cluster, "z"),
-        lambda: read_global(bank, cluster.content, "z"),
+        lambda: read_global_one(bank, cluster.content, "z"),
         lambda: read_global(bank, (cluster.content, cluster.content), ("x", "z"), np.zeros((4, bank.n_items))),
         lambda: read_backward(bank, cluster, "z", np.zeros((2, 4))),
     ]
@@ -305,7 +322,7 @@ def test_read_direction_picks_cross_domain_values():
 def test_read_global_single_item():
     rng = make_rng(9)
     bank = random_bank(rng, [(0, 1)], 4)
-    result = read_global(bank, rng.standard_normal((3, 4)), "x")
+    result = read_global_one(bank, rng.standard_normal((3, 4)), "x")
     np.testing.assert_allclose(result.weights, 1.0, atol=1e-15)
     for p in range(3):
         np.testing.assert_allclose(result.aggregated_style[p], bank.values_y[0], atol=1e-15)
@@ -315,7 +332,7 @@ def test_read_global_argmax_on_matching_basis_vector():
     layout = MemoryLayout.from_counts([(0, 1), (1, 1), (2, 1)])
     keys = np.eye(3)
     bank = MemoryBank(keys.copy(), keys.copy(), keys.copy(), layout)
-    result = read_global(bank, np.array([[1.0, 0.0, 0.0]]), "x")
+    result = read_global_one(bank, np.array([[1.0, 0.0, 0.0]]), "x")
     assert int(np.argmax(result.weights[0])) == 0
 
 
@@ -324,7 +341,7 @@ def test_read_matches_read_global_for_single_partition():
     bank = random_bank(rng, [(0, 6)], 5)
     cluster = make_cluster(bank, rng, 0, 4)
     a = read(bank, cluster, "x")
-    b = read_global(bank, cluster.content, "x")
+    b = read_global_one(bank, cluster.content, "x")
     np.testing.assert_array_equal(a.weights, b.weights)
     np.testing.assert_array_equal(a.aggregated_style, b.aggregated_style)
 
@@ -374,7 +391,7 @@ def test_read_and_update_match_scalar_oracle():
         np.testing.assert_allclose(got.aggregated_style, s_ref, atol=1e-9)
 
         queries = rng.standard_normal((p, channels))
-        got_g = read_global(bank, queries, domain)
+        got_g = read_global_one(bank, queries, domain)
         w_ref, s_ref = oracle_read_global(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
             queries.tolist(), domain,
@@ -407,7 +424,7 @@ def _fd_query_gradient(bank, cluster, domain, upstream, step=1e-6):
             for sign in (1.0, -1.0):
                 content = cluster.content.copy()
                 content[p, c] += sign * step
-                bumped = address(bank, content, cluster.style, labels)
+                bumped = address_one(bank, content, cluster.style, labels)
                 value = float(np.sum(read(bank, bumped, domain).aggregated_style * upstream))
                 grad[p, c] += sign * value / (2.0 * step)
     return grad
@@ -507,19 +524,19 @@ def test_pooled_bank_is_addressed_whatever_the_labels():
     bank = random_bank(rng, [(POOLED_CLASS_ID, 5)], 4)
     content, style = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
     for labels in (np.full(6, POOLED_CLASS_ID), np.array([0, 1, 2, 3, 7, -5])):
-        queries = address(bank, content, style, labels)
+        queries = address_one(bank, content, style, labels)
         np.testing.assert_array_equal(queries.mask, np.ones((6, 5), dtype=bool))
     with pytest.raises(ShapeError, match="labels"):
-        address(bank, content, style, np.zeros(5))
+        address_one(bank, content, style, np.zeros(5))
 
 
 def test_malformed_cluster_rejected():
     rng = make_rng(24)
     bank = random_bank(rng, TOY_COUNTS, 4)
     with pytest.raises(ShapeError, match="style"):
-        address(bank, rng.standard_normal((3, 4)), rng.standard_normal((2, 4)), np.ones(3))
+        address_one(bank, rng.standard_normal((3, 4)), rng.standard_normal((2, 4)), np.ones(3))
     with pytest.raises(ShapeError, match="labels"):
-        address(bank, rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), np.ones(2))
+        address_one(bank, rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), np.ones(2))
     queries = make_cluster(bank, rng, 1, 3)
     queries.cosines.sims = queries.sims[:, :4]
     with pytest.raises(ShapeError, match="sims"):

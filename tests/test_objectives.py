@@ -5,13 +5,13 @@ import pytest
 
 from stylemem.encoder import TrainSettings
 from stylemem.errors import ConfigError, PoolError
-from stylemem.memory import address, address_blocks
+from stylemem.memory import address_blocks
 from stylemem.numerics import make_rng, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 
 from fdcheck import fd_check
 from oracles import oracle_contrastive, oracle_triplet, oracle_triplet_factors
-from reference import PAIR_CASES, assert_same_bits, dense_gradient, one_block, pair_rows
+from reference import PAIR_CASES, address_one, assert_same_bits, dense_gradient, one_block, pair_rows
 
 
 def test_config_validates_temperature():
@@ -224,7 +224,7 @@ def test_fd_check_flags_corrupted_gradient():
 def test_pair_item_losses_are_the_single_domain_terms_bit_for_bit(class_aware, side, loss, setting):
     bank, contents, styles, labels = pair_rows(31, class_aware, side)
     mask, cosines, pair = address_blocks(bank, contents, styles, labels)
-    singles = [address(bank, *rows) for rows in zip(contents, styles, labels)]
+    singles = [address_one(bank, *rows) for rows in zip(contents, styles, labels)]
     values = (bank.values_x, bank.values_y)
     planes = [  # (pair call, one-block call per domain)
         (loss(contents, bank.keys, mask, setting, cosines),

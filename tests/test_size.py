@@ -1,6 +1,6 @@
-"""The line counts of ``tests/size.py`` on a made-up package."""
+"""The line counts of ``tests/size.py`` on made-up packages."""
 
-from size import count, main, table
+from size import compare, count, main, table
 
 MODULE = '''"""Module docstring
 on two lines."""
@@ -50,4 +50,29 @@ def test_main_reads_every_module_of_a_package(tmp_path, capsys):
 def test_a_missing_package_prints_the_usage(tmp_path, capsys):
     assert main([str(tmp_path / "missing")]) == 2
     assert main([str(tmp_path), "extra"]) == 2
+    assert capsys.readouterr().err.count("usage:") == 2
+
+
+def test_two_packages_print_each_count_as_before_and_after(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir(), new.mkdir()
+    (old / "m.py").write_text(MODULE)
+    (old / "gone.py").write_text("x = 1\n")
+    (new / "m.py").write_text(MODULE.replace("    return text\n", ""))  # one code line fewer
+    (new / "added.py").write_text('"""Doc."""\n\ny = 2\n')
+    assert main([str(old), str(new)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["file", "total", "code", "doc"],
+        ["added.py", "0", "->", "3", "0", "->", "1", "0", "->", "1"],
+        ["gone.py", "1", "->", "0", "1", "->", "0", "0", "->", "0"],
+        ["m.py", "20", "->", "19", "7", "->", "6", "5", "->", "5"],
+        ["all", "21", "->", "22", "8", "->", "7", "5", "->", "6"],
+    ]
+    assert compare({}, {})[1:] == [f"{'all':<16} " + " ".join([f"{'0 -> 0':>14}"] * 3)]
+
+
+def test_three_packages_or_a_missing_one_print_the_usage(tmp_path, capsys):
+    assert main([str(tmp_path)] * 3) == 2
+    assert main([str(tmp_path), str(tmp_path / "missing")]) == 2
     assert capsys.readouterr().err.count("usage:") == 2
