@@ -11,8 +11,11 @@ and addresses the bank once with its labels: one partition mask, one
 content-key cosine matrix and its read weights, each in the pair storage of
 :mod:`stylemem.memory`. Each memory plane's item loss runs once
 for both domains, and each domain's loss is summed over its own P queries.
-Its only gradient is the reconstruction loss's with respect to each read,
-made in place from the read residual. The item-loss gradients and the read
+The reconstruction loss follows the factored-read rule of
+:mod:`stylemem.numerics`: it takes each value plane's Gram matrix once and
+the value-plane cosines that the value item loss also uses, so no read
+mixture or residual is formed. Its only gradient is the one with respect to
+each read's weights, an (N, P) array. The item-loss gradients and the read
 backward pass run on first access of ``ForwardPass.grad_content``/
 ``grad_style``, which only :func:`train_step` makes, so evaluation pays for
 the forward pass alone. The feature gradients are factored by the
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
 from .memory import MemoryBank, QuerySet, address_blocks, read, read_backward, update
-from .numerics import AdamState, FeatureGrad, adam_step
+from .numerics import AdamState, Cosines, FeatureGrad, adam_step
 from .objectives import LossTerm, contrastive_loss, triplet_loss
 from .serialize import array, check_types, integer, read_json, write_json
 from .synthdata import ScenePair
@@ -196,9 +199,13 @@ class LossReport:
 @dataclass
 class ForwardPass:
     """One loss pass over a scene pair: per-domain query sets (encoded
-    features against the bank), item-loss terms and ``upstream``, the
-    gradient of the reconstruction loss with respect to each read style;
-    ``sims`` is the (2P, N) view of both domains' content-key cosines.
+    features against the bank), item-loss terms and ``g_weights``, the
+    gradient of the reconstruction loss with respect to each read's
+    weights, item-major (N, P); ``sims`` is the (2P, N) view of both
+    domains' content-key cosines. ``values`` holds the cosines of each
+    domain's encoded style rows with its own value plane (block b for
+    domain b, whose ``dots`` give ``V s`` and ``row_norms`` each ``|s|``),
+    and ``grams[d]`` the Gram matrix of ``values_d``.
 
     The gradients of the weighted total loss with respect to the encoded
     content and style are computed on first access of ``grad_content`` and
@@ -213,8 +220,10 @@ class ForwardPass:
     queries: dict[str, QuerySet]
     key_terms: dict[str, LossTerm]
     value_terms: dict[str, LossTerm]
-    upstream: dict[str, np.ndarray]
+    g_weights: dict[str, np.ndarray]
     sims: np.ndarray
+    values: Cosines
+    grams: dict[str, np.ndarray]
 
     @cached_property
     def grad_content(self) -> dict[str, FeatureGrad]:
@@ -222,7 +231,7 @@ class ForwardPass:
         grads = {}
         for d, q in self.queries.items():
             term = self.key_terms[d].gradient()
-            through_read = read_backward(self.bank, q, d, self.upstream[d])
+            through_read = read_backward(self.bank, q, self.g_weights[d])
             coef = key * term.coef + rec * through_read.coef
             grads[d] = FeatureGrad(term.items, coef, key * term.scale + rec * through_read.scale)
         return grads
@@ -263,26 +272,36 @@ def compute_losses(
     style = tuple(forward(encoders.style(d), s) for d, s in zip(_DOMAINS, pair.styles))
     mask, cosines, sets = address_blocks(bank, content, style, (pair.labels, pair.labels))
     queries = dict(zip(_DOMAINS, sets))
+    planes = (bank.values_x, bank.values_y)
+    values = Cosines.between(style, planes)
     key_terms = _item_loss(content, bank.keys, mask, settings, cosines)
-    value_terms = _item_loss(style, (bank.values_x, bank.values_y), mask, settings)
+    value_terms = _item_loss(style, planes, mask, settings, values)
 
+    # style reconstruction through the read, by the factored-read rule:
+    # domain d's mixture a V of the opposite plane should reproduce the
+    # opposite encoded style s, and |a V - s|^2 = a.(G a - 2 V s) + |s|^2,
+    # with V s and |s| from the opposite block of the value cosines
     p_total = pair.labels.shape[0]
-    upstream = {}
-    rec_loss = 0.0
-    for d, opposite in (("x", "y"), ("y", "x")):
-        # style reconstruction through the read: the cross-domain mixture
-        # should reproduce the paired scene's encoded style
-        upstream[d] = diff = read(bank, queries[d], d).aggregated_style
-        diff -= queries[opposite].style
-        rec_loss += float(np.einsum("ij,ij->", diff, diff)) / p_total
-        diff *= 2.0 / p_total  # now d(rec_loss)/d(read style)
+    grams = {d: plane @ plane.T for d, plane in zip(_DOMAINS, planes)}
+    g_weights = {}
+    rec_loss = float(values.row_norms @ values.row_norms)
+    for d, opposite, cols in (("x", "y", values.columns[1]), ("y", "x", values.columns[0])):
+        alpha = read(bank, queries[d], d).weights.T
+        v_s = values.dots.T[:, cols]
+        g_weights[d] = g = grams[opposite] @ alpha
+        g -= v_s
+        rec_loss += float(np.einsum("ij,ij->", alpha, g - v_s))
+        g *= 2.0 / p_total  # now d(rec_loss)/d(read weights)
+    rec_loss /= p_total
 
     key_loss = key_terms["x"].value + key_terms["y"].value
     value_loss = value_terms["x"].value + value_terms["y"].value
     s = settings
     total = s.key_loss_weight * key_loss + s.value_loss_weight * value_loss + s.rec_loss_weight * rec_loss
     report = LossReport(key_loss, value_loss, rec_loss, total)
-    return report, ForwardPass(bank, settings, queries, key_terms, value_terms, upstream, cosines.sims)
+    return report, ForwardPass(
+        bank, settings, queries, key_terms, value_terms, g_weights, cosines.sims, values, grams
+    )
 
 
 def train_step(

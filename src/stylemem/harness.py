@@ -7,10 +7,14 @@ contains timestamps, so reruns are byte-identical.
 
 Evaluation takes one loss pass per held-out scene pair and no gradient: the
 test-time read (the unmasked softmax over the pass's content-key cosines),
-the fidelity target and the assignments export all reuse that pass's
-features. The per-iteration metrics encode afresh, since the step has just
-changed the encoders and the bank, and read each domain with its own
-``cosine_matrix`` against the keys.
+the fidelity and the assignments export all reuse that pass's features.
+The fidelity is the cosine of each read's mixture with the opposite
+domain's encoded style, taken by the factored-read rule of
+:mod:`stylemem.numerics` from the pass's value-plane Grams, dot products
+and norms, so no mixture is formed. The per-iteration metrics encode
+afresh, since the step has just changed the encoders and the bank, read
+each domain with its own ``cosine_matrix`` against the keys, and take the
+Grams, dot products and norms of their fresh style rows.
 
 Config files are JSON. A file may name a ``preset`` ("toy" or "full") and
 override any subset of keys; the expansion to a fully explicit config is
@@ -45,7 +49,7 @@ from .encoder import (
 )
 from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
 from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
-from .numerics import cosine_matrix, cosine_rows, split_rng
+from .numerics import cosine_matrix, dot_norms, read_cosines, split_rng
 from .serialize import FLOAT, atomic_lines, check_types, csv_block, integer, layout_counts, number, write_json
 from .synthdata import DomainSpec, ScenePair, SceneSettings, generate_scene_pair
 
@@ -317,19 +321,20 @@ def _accumulate_pair(
     acc: _EvalAccumulator, features: dict[str, tuple], labels: np.ndarray,
     ref_layout: MemoryLayout, export: Callable[[str], None] | None = None, scene: int = 0,
 ) -> None:
-    """Test-time metrics of one scene pair from ``features[d]``, domain d's
-    encoded (content, style, test-time read), scored against the pair's
-    ``labels``; each domain's assignments lines go to ``export`` as one text
-    once rendered."""
+    """Test-time metrics of one scene pair from ``features[d]``: domain d's
+    encoded content, its test-time read, and the fidelity target of the
+    opposite domain's read, as the Gram of ``values_d``, its item-major dot
+    products with d's encoded style rows and their norms. Scored against the
+    pair's ``labels``; each domain's assignments lines go to ``export`` as
+    one text once rendered."""
     item_classes = ref_layout.item_classes
     for d, opposite in (("x", "y"), ("y", "x")):
-        content, _, result = features[d]
+        content, result, *_ = features[d]
         weights = result.weights.T  # item-major (N, P) columns of the stored array
-        target = features[opposite][1]
 
         acc.alpha_sum += weights.sum(axis=1)
         acc.queries += content.shape[0]
-        acc.fidelity_sum += float(cosine_rows(result.aggregated_style, target).sum())
+        acc.fidelity_sum += float(read_cosines(weights, *features[opposite][2:]).sum())
         top = np.argmax(weights, axis=0)
         acc.purity_hits += int(np.sum(item_classes[top] == labels))
         if export is not None:
@@ -344,10 +349,11 @@ def _pair_metrics(
 ) -> tuple[float, float, float]:
     # the step has just changed the encoders and the bank: encode afresh
     features = {}
-    for d, style in zip(("x", "y"), pair.styles):
+    for d, style, plane in zip(("x", "y"), pair.styles, (bank.values_x, bank.values_y)):
         content = forward(encoders.content(d), pair.content)
         (result,) = read_global(bank, (content,), (d,), cosine_matrix(content, bank.keys))
-        features[d] = (content, forward(encoders.style(d), style), result)
+        style = forward(encoders.style(d), style)
+        features[d] = (content, result, plane @ plane.T, plane @ style.T, dot_norms(style))
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
     _accumulate_pair(acc, features, pair.labels, ref_layout)
     return acc.entropy(), acc.purity(), acc.fidelity()
@@ -461,7 +467,11 @@ def evaluate(
             loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
             reads = read_global(bank, tuple(q.content for q in fwd.queries.values()), ("x", "y"), fwd.sims)
-            features = {d: (q.content, q.style, r) for (d, q), r in zip(fwd.queries.items(), reads)}
+            values = fwd.values
+            features = {
+                d: (q.content, r, fwd.grams[d], values.dots.T[:, cols], values.row_norms[cols])
+                for (d, q), r, cols in zip(fwd.queries.items(), reads, values.columns)
+            }
             scene_export = write if i < cfg.assignment_scenes else None
             _accumulate_pair(acc, features, pair.labels, ref_layout, scene_export, i)
 

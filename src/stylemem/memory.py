@@ -14,7 +14,9 @@ through :mod:`stylemem.serialize`.
 
 Query-item arrays follow the item-major rule of :mod:`stylemem.numerics`:
 a scene pair's storage is (N, 2P), domain x in columns [0, P) and y in
-[P, 2P). :func:`read_backward`'s gradient is factored by that module's rule.
+[P, 2P). :func:`read_backward`'s gradient is factored by that module's rule,
+and so are the reads: a :class:`ReadResult` holds its weights and the value
+plane it mixes, and no package path forms the mixture.
 """
 
 from __future__ import annotations
@@ -147,10 +149,15 @@ class QuerySet:
 @dataclass
 class ReadResult:
     """Row-stochastic read weights (full item width; a (P, N) view of
-    item-major storage) and the style mixture."""
+    item-major storage) and the (N, C) value plane they mix."""
 
     weights: np.ndarray
-    aggregated_style: np.ndarray
+    values: np.ndarray
+
+    @property
+    def aggregated_style(self) -> np.ndarray:
+        """The (P, C) style mixture ``weights @ values``, formed on each access."""
+        return self.weights @ self.values
 
 
 def _check_domain(domain: str) -> None:
@@ -232,12 +239,12 @@ def read(bank: MemoryBank, queries: QuerySet, domain: str) -> ReadResult:
 
     Each row gets the global softmax over its cosine similarities with every
     logit outside its partition masked to -inf, so weights outside the
-    partition are exactly zero. The aggregated style row is the weight-mixed
-    cross-domain value. The weights are the ones :func:`address_blocks` stored.
+    partition are exactly zero. The weights are the ones :func:`address_blocks`
+    stored, and they mix the cross-domain values.
     """
     _check_domain(domain)
     _check_queries(bank, queries)
-    return ReadResult(queries.weights, queries.weights @ _cross_values(bank, domain))
+    return ReadResult(queries.weights, _cross_values(bank, domain))
 
 
 def read_global(bank: MemoryBank, queries: tuple, domains: tuple, sims: np.ndarray) -> tuple:
@@ -259,40 +266,39 @@ def read_global(bank: MemoryBank, queries: tuple, domains: tuple, sims: np.ndarr
     alpha = softmax_cols(sims.T)  # item-major (N, P)
     results, start = [], 0
     for block, domain in zip(blocks, domains):
-        weights = alpha[:, start : start + len(block)].T
-        results.append(ReadResult(weights, weights @ _cross_values(bank, domain)))
+        results.append(ReadResult(alpha[:, start : start + len(block)].T, _cross_values(bank, domain)))
         start += len(block)
     return tuple(results)
 
 
-def read_backward(bank: MemoryBank, queries: QuerySet, domain: str, upstream: np.ndarray) -> FeatureGrad:
-    """Gradient of a class-restricted read with respect to its content rows,
-    a :class:`FeatureGrad` on the keys.
+def read_backward(bank: MemoryBank, queries: QuerySet, g_weights: np.ndarray) -> FeatureGrad:
+    """Gradient of a loss of a class-restricted read with respect to its
+    content rows, a :class:`FeatureGrad` on the keys.
 
-    ``upstream`` is d(loss)/d(aggregated_style), shape (P, C). Keys and
-    values are constants (they evolve through :func:`update`, not gradient
-    descent), so only the query gradient is produced. The path is value
-    aggregation -> masked softmax -> cosine similarity; the [-1, 1] clamp on
-    the similarity is treated as inactive. The read weights, cosines and
-    norms come from the query set, addressed against ``bank``; they may be
-    views of a scene pair's storage. With g the gradient at the cosines and
-    w their denominators, row q gets ``sum_k (g_k / w_k) (k - sims_k ||k|| q / ||q||)``:
-    ``coef`` is g / w, and ``scale`` the factor of q.
+    ``g_weights`` is d(loss)/d(weights), item-major (N, P). A loss of the
+    mixture with gradient U (P, C) there has ``V @ U.T`` here; the
+    reconstruction loss takes it from the factors of the
+    :mod:`stylemem.numerics` read rule instead. Keys and values are
+    constants (they evolve through :func:`update`, not gradient descent), so
+    only the query gradient is produced. The path is masked softmax ->
+    cosine similarity; the [-1, 1] clamp on the similarity is treated as
+    inactive. The read weights, cosines and norms come from the query set,
+    addressed against ``bank``; they may be views of a scene pair's storage.
+    With g the gradient at the cosines and w their denominators, row q gets
+    ``sum_k (g_k / w_k) (k - sims_k ||k|| q / ||q||)``: ``coef`` is g / w,
+    and ``scale`` the factor of q.
     """
-    _check_domain(domain)
     _check_queries(bank, queries)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (queries.size, bank.channels):
-        raise ShapeError(f"upstream shape {upstream.shape}, expected {(queries.size, bank.channels)}")
+    g_weights = np.asarray(g_weights, dtype=np.float64)
+    if g_weights.shape != (bank.n_items, queries.size):
+        raise ShapeError(f"g_weights shape {g_weights.shape}, expected {(bank.n_items, queries.size)}")
 
     # item-major (N, P) throughout: the sums over items run along axis 0
     alpha = queries.weights.T
     cos = queries.cosines
 
-    # d loss / d alpha, then through the softmax jacobian; masked entries
-    # have alpha = 0 and so get no gradient
-    g_alpha = _cross_values(bank, domain) @ upstream.T
-    g_sims = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=0))
+    # through the softmax jacobian; masked entries have alpha = 0 and so get no gradient
+    g_sims = alpha * (g_weights - np.sum(alpha * g_weights, axis=0))
 
     # d sims / d query: k / w  -  sims * ||k|| * q / (w * ||q||)
     g_scaled = g_sims / cos.denom.T

@@ -6,7 +6,7 @@ mutates its explicit state argument; nothing touches global state, and all
 randomness flows through generators owned by the caller.
 
 Row norms come in two kinds, which may differ in the last bit. The cosines
-(:class:`Cosines`, :func:`cosine_rows`) take :func:`dot_norms`, one
+(:class:`Cosines`, :func:`read_cosines`) take :func:`dot_norms`, one
 ``einsum`` pass that reads each row once and makes no temporary of the
 matrix's shape. :func:`l2_normalize_rows` and the triplet distances take
 :func:`row_norms`, the bits of ``np.linalg.norm(m, axis=1)`` without its
@@ -32,6 +32,14 @@ respect to P feature rows is ``coef.T @ items + scale * rows``. A
 (N, P) array) and ``scale`` (P,); the (P, C) array it stands for is never
 formed. ``stylemem.encoder.backward`` turns it into parameter gradients of
 the encoder that made the rows.
+
+Reads are factored by the same rule. A read mixes N value rows V (N, C)
+with its (P, N) weights, one row ``a V`` per query; that (P, C) mixture is
+never formed. What the package takes of it, against a target row s, needs
+only the Gram matrix ``G = V V.T`` (N, N), the dot products ``V s`` (an
+item-major (N, P) array) and ``|s|``: the squared distance
+``|a V - s|^2 = a.(G a) - 2 a.(V s) + |s|^2``, its gradient at the item-major
+weights A, ``2 (G A - V s)``, and the cosine of :func:`read_cosines`.
 """
 
 from __future__ import annotations
@@ -134,14 +142,22 @@ def cosine_matrix(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return Cosines.between((queries,), (keys,)).sims
 
 
-def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-paired cosine similarities of two equally shaped matrices, (P,)."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"row-paired cosine needs equal shapes, got {a.shape} and {b.shape}")
-    denom = dot_norms(a) * dot_norms(b) + EPS_DIV
-    return np.clip(np.einsum("ij,ij->i", a, b) / denom, -1.0, 1.0)
+def read_cosines(weights: np.ndarray, gram: np.ndarray, dots: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Cosine of each read mixture ``a V`` with its target row s, (P,), by the
+    factored-read rule: ``a.(V s) / (sqrt(a.(G a)) |s| + EPS_DIV)`` in [-1, 1].
+
+    ``weights`` and ``dots`` (``V s``) are item-major (N, P), ``gram`` is
+    ``V V.T`` and ``norms`` holds each ``|s|``. Unchecked. A mixture whose
+    ``a.(G a)`` rounds below zero counts as a zero mixture, which scores 0
+    as a zero-feature query does.
+    """
+    mixture_norms = np.einsum("ij,ij->j", weights, gram @ weights)
+    np.sqrt(np.maximum(mixture_norms, 0.0, out=mixture_norms), out=mixture_norms)
+    mixture_norms *= norms
+    mixture_norms += EPS_DIV
+    cos = np.einsum("ij,ij->j", weights, dots)
+    cos /= mixture_norms
+    return np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)  # np.clip's bits
 
 
 def _softmax(m: np.ndarray, mask: np.ndarray | None, axis: int) -> np.ndarray:

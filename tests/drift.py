@@ -1,16 +1,18 @@
 """Drift between two runs of the same config: the largest absolute and
 relative difference per ``metrics.csv`` column, per ``final_eval.json`` key,
-per ``bank.json`` plane (keys, values_x, values_y) and per ``encoders.json``
-parameter (``content_x.weight``, ``content_x.bias``, ...). A change to the
-training arithmetic enters through the encoder weights and the bank, which
-the metrics and the final evaluation show only in part.
+per ``bank.json`` plane (keys, values_x, values_y), per ``encoders.json``
+parameter (``content_x.weight``, ``content_x.bias``, ...) and in the
+``assignments.csv`` export's ``weight`` column and its content columns
+(``c0``, ``c1``, ... together, as ``content``). A change to the training
+arithmetic enters through the encoder weights and the bank, which the
+metrics and the final evaluation show only in part.
 
     python tests/drift.py PARENT_RUN CHANGE_RUN
 
 Each argument is a run's output directory. The relative drift of a pair of
 values is ``|a - b| / max(|a|, |b|)``, and 0 where both are 0. The two runs
-must have the same columns, metrics rows, final-evaluation keys, planes and
-parameters, each of the same size; otherwise the script names the
+must have the same columns, metrics rows, final-evaluation keys, planes,
+parameters and exported rows, each of the same size; otherwise the script names the
 difference and exits with code 1. A change that moves artifact bytes on
 purpose reports its drift with this script.
 """
@@ -50,6 +52,14 @@ def _encoders(run: Path) -> dict[str, np.ndarray]:
     }
 
 
+def _assignments(run: Path) -> dict[str, np.ndarray]:
+    with open(run / "assignments.csv", newline="") as f:
+        header, *rows = list(csv.reader(f))
+    weight = header.index("weight")
+    values = np.array([row[weight:] for row in rows], dtype=np.float64).reshape(len(rows), len(header) - weight)
+    return {"weight": values[:, 0], "content": values[:, 1:]}
+
+
 def _largest(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     if a.size == 0:
         return 0.0, 0.0
@@ -64,7 +74,7 @@ def drift(parent: str | Path, change: str | Path) -> dict[tuple[str, str], tuple
     out = {}
     files = (
         ("metrics.csv", _metrics), ("final_eval.json", _final_eval), ("bank.json", _bank),
-        ("encoders.json", _encoders),
+        ("encoders.json", _encoders), ("assignments.csv", _assignments),
     )
     for name, load in files:
         a, b = load(Path(parent)), load(Path(change))

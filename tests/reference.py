@@ -8,14 +8,17 @@ cluster, with the results scattered back to scene positions. The package
 computes the same quantities in one masked (P, N) pass per memory plane;
 ``test_dense_training.py`` compares the two. The reference holds its
 gradients dense, as (P, C) arrays built by :func:`dense_gradient`, and
-takes the encoder gradients as ``G.T @ inputs`` and ``G.sum(0)``. The
+takes the encoder gradients as ``G.T @ inputs`` and ``G.sum(0)``. It forms
+each read's (P, C) mixture and residual, which the package never does, and
+takes the gradient at the read weights as ``V @ upstream.T``. The
 reference Adam step runs ``oracles.oracle_adam_scalar`` element by element,
 so that comparison also covers the package optimizer.
 
 ``reference_evaluate`` is evaluation in two passes per scene: the full loss
 pass with its gradients, then a fresh encoding of the scene and a
-one-block ``read_global`` on the raw content features. The package takes one
-gradient-free loss pass and reuses its features and cosines;
+one-block ``read_global`` on the raw content features, whose fidelity is
+:func:`cosine_rows` of the formed mixture and the target rows. The package
+takes one gradient-free loss pass and reuses its features and cosines;
 ``test_evaluate.py`` compares the two.
 
 ``pair_rows`` draws a bank and the rows of one scene pair, whose two domains
@@ -42,7 +45,8 @@ from stylemem.harness import STREAM_EVAL, MetricsRow
 from stylemem.memory import (
     POOLED_CLASS_ID, MemoryLayout, address_blocks, init_bank, read, read_backward, read_global, update,
 )
-from stylemem.numerics import cosine_matrix, cosine_rows, softmax_rows, split_rng
+from stylemem.errors import ShapeError
+from stylemem.numerics import EPS_DIV, cosine_matrix, dot_norms, softmax_rows, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT
 from stylemem.synthdata import generate_scene_pair
@@ -124,6 +128,7 @@ class ReferencePass:
     value_negatives: dict
     grad_content: dict
     grad_style: dict
+    g_weights: dict
     clusters: dict
 
 
@@ -144,6 +149,7 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
     p_total = pair.labels.shape[0]
     grad_content = {d: np.zeros_like(content[d]) for d in DOMAINS}
     grad_style = {d: np.zeros_like(style[d]) for d in DOMAINS}
+    g_weights = {d: np.zeros((bank.n_items, p_total)) for d in DOMAINS}
     positives = {(k, d): np.full(p_total, -1) for k in ("key", "value") for d in DOMAINS}
     negatives = {(k, d): np.full(p_total, -1) for k in ("key", "value") for d in DOMAINS}
     key_loss = value_loss = rec_loss = 0.0
@@ -169,10 +175,14 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
                     negatives[kind, d][cluster.positions] = term.negatives
 
             queries = addressed(bank, cluster)
-            diff = read(bank, queries, d).aggregated_style - style[opposite][cluster.positions]
+            result = read(bank, queries, d)
+            diff = result.aggregated_style - style[opposite][cluster.positions]
             rec_loss += float(np.sum(diff * diff)) / p_total
             upstream = (2.0 / p_total) * diff
-            through_read = dense_gradient(read_backward(bank, queries, d, upstream), queries.content)
+            g_weights[d][:, cluster.positions] = result.values @ upstream.T
+            through_read = dense_gradient(
+                read_backward(bank, queries, g_weights[d][:, cluster.positions]), queries.content
+            )
             grad_content[d][cluster.positions] += settings.rec_loss_weight * through_read
             grad_style[opposite][cluster.positions] -= settings.rec_loss_weight * upstream
 
@@ -191,6 +201,7 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
         {d: negatives["value", d] for d in DOMAINS},
         grad_content,
         grad_style,
+        g_weights,
         per_domain,
     )
 
@@ -285,6 +296,16 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
         purity=purity_hits / queries,
         fidelity=fidelity_sum / queries,
     )
+
+
+def cosine_rows(a, b):
+    """Row-paired cosine similarities of two equally shaped matrices, (P,):
+    the dense fidelity of a formed read mixture ``a`` and its targets ``b``."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape or 0 in a.shape:
+        raise ShapeError(f"row-paired cosine needs equal non-empty 2-D shapes, got {a.shape} and {b.shape}")
+    denom = dot_norms(a) * dot_norms(b) + EPS_DIV
+    return np.clip(np.einsum("ij,ij->i", a, b) / denom, -1.0, 1.0)
 
 
 def pair_rows(seed, class_aware, side, channels=16):

@@ -9,13 +9,20 @@ The package never forms a (P, C) feature gradient: ``encoder.backward``
 takes the factored one, its scale terms from the encoded rows (C <= Cin) or
 through the Gram identity (C > Cin), while the reference multiplies its
 dense gradient G out as ``G.T @ inputs`` and ``G.sum(0)``. The tests reach
-both routes by shape, with 6 input channels and C = 5 or 8. The two agree
-to the same 1e-12, except on rows where the factored terms are large and
-cancel. A triplet query 1e-9 from its positive has a scale of about 1e9,
-and its gradients agree to ``RTOL_CANCEL`` on both routes. A content row of
-norm 1e-8 has a read-backward scale of ``coeff / 1e-8``; it agrees to 1e-12
-from the rows and to ``RTOL_CANCEL`` through the Gram identity, whose two
-terms are then large and cancel to the small row.
+both routes by shape, with 6 input channels and C = 5 or 8, and every
+encoder has a random nonzero bias, so the Gram identity's bias terms count.
+The two agree to the same 1e-12, except on rows where the factored terms
+are large and cancel. A triplet query 1e-9 from its positive has a scale of
+about 1e9, and its gradients agree to ``RTOL_CANCEL`` on both routes. A
+content row of norm 1e-8 has a read-backward scale of ``coeff / 1e-8``; it
+agrees to 1e-12 from the rows and to ``RTOL_CANCEL`` through the Gram
+identity, whose two terms are then large and cancel to the small row.
+
+The package takes the reconstruction loss from the expansion
+``a.(G a) - 2 a.(V s) + |s|^2``, which cancels where a read reproduces its
+target row; the reference forms the residual. Where the read of one row
+meets its target exactly or within 1e-8, both still agree to 1e-12: the
+cancelling row's error is relative to the whole pass, not to that row.
 """
 
 import copy
@@ -25,11 +32,11 @@ import pytest
 
 from stylemem.encoder import EncoderSet, TrainSettings, backward, compute_losses, train_step
 from stylemem.errors import LayoutError
-from stylemem.memory import MemoryLayout, init_bank
-from stylemem.numerics import make_rng, split_rng
+from stylemem.memory import MemoryLayout, init_bank, read
+from stylemem.numerics import EPS_DIV, make_rng, read_cosines, split_rng
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
-from reference import dense_gradient, reference_compute_losses, reference_train_step, span
+from reference import cosine_rows, dense_gradient, reference_compute_losses, reference_train_step, span
 
 RTOL = 1e-12
 # worst at seeds 70-77: the triplet row 5.5e-8 (rows, C = 5) and 6.2e-8 (Gram,
@@ -65,6 +72,9 @@ def problem(seed, class_aware, channels):
     counts = [(1, 3), (2, 2), (3, 2), (0, 3)] if class_aware else [(-1, 10)]
     bank = init_bank(MemoryLayout.from_counts(counts), channels, split_rng(seed, 2))
     encoders = EncoderSet.create(split_rng(seed, 3), 6, channels)
+    rng = split_rng(seed, 5)
+    for enc in encoders.all():  # a zero bias would hide the Gram route's bias terms
+        enc.bias = rng.standard_normal(channels)
     return pair, bank, encoders
 
 
@@ -169,6 +179,37 @@ def test_encoder_gradients_where_the_factored_terms_cancel(row, channels):
         rtol = RTOL if channels <= 6 and row == "content-norm-1e-8" else RTOL_CANCEL
         assert_close(gw, want_w, rtol)
         assert_close(gb, want_b, rtol)
+
+
+@pytest.mark.parametrize("channels", ROUTES)
+@pytest.mark.parametrize("gap", [pytest.param(0.0, id="exact"), pytest.param(1e-8, id="1e-8-away")])
+def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
+    for seed in range(70, 78):
+        pair, bank, encoders = problem(seed, True, channels)
+        settings = TrainSettings()
+        _, fwd = compute_losses(encoders, bank, pair, settings)
+        mixture = read(bank, fwd.queries["x"], "x").aggregated_style[0]  # a_0 V_y
+        toward = split_rng(seed, 4).standard_normal(bank.channels)
+        toward /= np.linalg.norm(toward)
+        enc = encoders.style_y
+        enc.bias = mixture + gap * toward - enc.weight @ pair.styles[1][0]  # style row 0 of y is now a_0 V_y
+        ref = reference_compute_losses(encoders, bank, pair, settings)
+        report, fwd = compute_losses(encoders, bank, pair, settings)
+        miss = np.linalg.norm(fwd.queries["y"].style[0] - mixture)
+        assert miss <= 1e-15 * np.linalg.norm(mixture) if gap == 0.0 else miss == pytest.approx(gap, rel=1e-6)
+
+        assert_close(report.rec_loss, ref.rec_loss)
+        for d in ("x", "y"):
+            assert_close(fwd.g_weights[d], ref.g_weights[d])
+        for got, want in encoder_gradients(encoders, pair, fwd, ref).values():
+            assert_close(got[0], want[0])
+            assert_close(got[1], want[1])
+        cols = fwd.values.columns[1]
+        weights = fwd.queries["x"].weights.T
+        fidelity = read_cosines(weights, fwd.grams["y"], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
+        assert_close(fidelity, cosine_rows(read(bank, fwd.queries["x"], "x").aggregated_style, fwd.queries["y"].style))
+        norm_sq = float(fwd.values.row_norms[cols][0]) ** 2  # 1, less the share of EPS_DIV in the denominator
+        assert fidelity[0] == pytest.approx(norm_sq / (norm_sq + EPS_DIV), rel=1e-14)
 
 
 def test_absent_class_partition_stays_bit_identical():

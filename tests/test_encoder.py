@@ -19,8 +19,8 @@ from stylemem.encoder import (
     train_step,
 )
 from stylemem.errors import ConfigError, ShapeError
-from stylemem.harness import PRESETS
-from stylemem.memory import MemoryLayout, init_bank, read_backward
+from stylemem.harness import PRESETS, evaluate
+from stylemem.memory import MemoryLayout, init_bank, read, read_backward
 from stylemem.numerics import FeatureGrad, make_rng, split_rng
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
@@ -237,7 +237,7 @@ def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
     _, pair, bank, encoders = small_problem(53)
     _, fwd = compute_losses(encoders, bank, pair, settings)
     shared = [
-        a for d, q in fwd.queries.items() for a in (fwd.upstream[d], q.content, q.style, q.weights, q.sims)
+        a for d, q in fwd.queries.items() for a in (fwd.g_weights[d], q.content, q.style, q.weights, q.sims)
     ]
     before = [a.copy() for a in shared]
     grads = [*fwd.grad_content.values(), *fwd.grad_style.values()]
@@ -248,7 +248,7 @@ def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
     s = settings
     for d, opposite in (("x", "y"), ("y", "x")):
         key = fwd.key_terms[d].gradient()
-        through_read = read_backward(bank, fwd.queries[d], d, fwd.upstream[d])
+        through_read = read_backward(bank, fwd.queries[d], fwd.g_weights[d])
         got = fwd.grad_content[d]
         assert got.items is bank.keys
         np.testing.assert_array_equal(
@@ -266,7 +266,8 @@ def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
         )
         np.testing.assert_array_equal(got.scale, s.value_loss_weight * value.scale + rec)
         rows = fwd.queries[d].style
-        want = s.value_loss_weight * dense_gradient(value, rows) - s.rec_loss_weight * fwd.upstream[opposite]
+        residual = read(bank, fwd.queries[opposite], opposite).aggregated_style - rows
+        want = s.value_loss_weight * dense_gradient(value, rows) - rec * residual
         np.testing.assert_allclose(dense_gradient(got, rows), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
@@ -372,24 +373,50 @@ def test_encoder_checkpoint_round_trip(tmp_path):
 
 # --- allocation ---
 
-# Peak traced bytes of the step below (numpy 2.4.6): 4_940_096 with factored
-# feature gradients, 6_864_544 when each encoder's gradient was a dense
-# (P, C) array. The bound is the first number plus half of one (P, C) float64
-# array, so one dense feature gradient held at the peak would exceed it.
-FACTORED_STEP_PEAK = 4_940_096
+# Peak traced bytes (numpy 2.4.6) of a warm full-preset train_step, of its
+# loss pass and of a one-scene evaluate. Each bound is the peak plus half of
+# one (P, C) float64 array, so one dense feature gradient or read mixture
+# held at the peak would exceed it. The step read 6_864_544 when each
+# encoder's gradient was a dense (P, C) array and 4_939_968 when the read's
+# mixture was formed; the loss pass read 3_687_552 and the evaluation
+# 5_285_907 with the mixtures, and 3_060_656 and 3_724_418 without them.
+FACTORED_STEP_PEAK = 4_231_232
+FACTORED_LOSS_PASS_PEAK = 3_060_656
+FACTORED_EVALUATION_PEAK = 3_724_418
 
 
-def test_a_warm_full_preset_step_allocates_no_dense_feature_gradient():
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def warm_full_step():
+    """A full-preset config, bank, encoders and pair after one step, so the Adam moments exist."""
     cfg = PRESETS["full"]
     bank = init_bank(cfg.bank_layout(), cfg.channels, split_rng(3, 0))
     encoders = EncoderSet.create(split_rng(3, 1), cfg.scene.input_channels, cfg.channels)
     pair = generate_scene_pair(cfg.domain_spec(), split_rng(3, 2))
-    train_step(encoders, bank, pair, cfg.train)  # warm: the Adam moments exist
-    tracemalloc.start()
-    try:
-        train_step(encoders, bank, pair, cfg.train)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    feature_bytes = pair.content.shape[0] * cfg.channels * 8
-    assert peak <= FACTORED_STEP_PEAK + feature_bytes // 2, peak
+    train_step(encoders, bank, pair, cfg.train)
+    half_feature = pair.content.shape[0] * cfg.channels * 8 // 2
+    return cfg, bank, encoders, pair, half_feature
+
+
+def test_a_warm_full_preset_step_allocates_no_dense_feature_gradient(warm_full_step):
+    cfg, bank, encoders, pair, half_feature = warm_full_step
+    peak = traced_peak(lambda: train_step(encoders, bank, pair, cfg.train))
+    assert peak <= FACTORED_STEP_PEAK + half_feature, peak
+
+
+def test_no_read_mixture_in_a_full_preset_loss_pass_or_evaluation(warm_full_step):
+    cfg, bank, encoders, pair, half_feature = warm_full_step
+    compute_losses(encoders, bank, pair, cfg.train)
+    peak = traced_peak(lambda: compute_losses(encoders, bank, pair, cfg.train))
+    assert peak <= FACTORED_LOSS_PASS_PEAK + half_feature, peak
+    evaluate(bank, encoders, cfg, 1)
+    peak = traced_peak(lambda: evaluate(bank, encoders, cfg, 1))
+    assert peak <= FACTORED_EVALUATION_PEAK + half_feature, peak

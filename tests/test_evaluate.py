@@ -1,6 +1,13 @@
 """Evaluation in one gradient-free loss pass per scene, against the two-pass
 reference, its streamed assignments export, and the read weights a query set
-keeps."""
+keeps.
+
+The package takes the reconstruction loss and the fidelity by the
+factored-read rule of ``stylemem.numerics``, while the reference forms each
+read's mixture, so those two fields are compared at a relative tolerance of
+1e-12 (float64 carries ~16 digits); every other field and the export bytes
+are exact.
+"""
 
 from dataclasses import replace
 
@@ -38,7 +45,10 @@ def test_evaluate_matches_the_two_pass_reference(tmp_path, memory_mode, loss_var
     cfg, bank, encoders = trained(tmp_path, memory_mode, loss_variant)
     row = evaluate(bank, encoders, cfg, cfg.eval_scenes, assignments_path=tmp_path / "new.csv")
     want = reference_evaluate(bank, encoders, cfg, cfg.eval_scenes, tmp_path / "reference.csv")
-    assert row == want
+    factored = ("rec_loss", "fidelity")
+    assert replace(row, **{name: 0.0 for name in factored}) == replace(want, **{name: 0.0 for name in factored})
+    for name in factored:
+        assert getattr(row, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 

@@ -54,48 +54,48 @@ BUILD = (
 DIGESTS = {
     "toy": {
         "resolved_config.json": "d0f408508fe67839c49c0507c5c8d13b56ec8006ba1f86834ace6c70d08b0d43",
-        "metrics.csv": "86e72dc6e7caf0606060cc063055e6f54b8893750d3074b8988d5b8498b1ec98",
-        "bank.json": "15550d78825aed8d587784fc5fce6ac9667adeb5442e71eed5a580b884ff5f33",
-        "encoders.json": "071dc4f5741f688af6e74c4a523d126716f3289ec7f99dc23819b5348f6dc90e",
-        "final_eval.json": "31e4768766f7158ac0731a15362a609b3423e35fd138591db9092f8fe4884827",
-        "assignments.csv": "bb785316d9c0fb592e4863b0c165839b59a206927178ebad0e158b9246871d7b",
-        "stdout": "31e4768766f7158ac0731a15362a609b3423e35fd138591db9092f8fe4884827",
+        "metrics.csv": "0f5d2b50fe24663fefd0fd297b7f18f27d345a05d5a930dbf1a5802e090aea5c",
+        "bank.json": "f6b6b64d1f99c26d2c00bd436813cf8acf60834e1b4e3e6f58a5eb4791e3581c",
+        "encoders.json": "8c0c9c743b8164e456bc31512fa5f105fa87e5e0d2fb2d4e88a4987e20098408",
+        "final_eval.json": "ff88654bfc1287dc2187b9af719ac27eceeb61d33d42c7cef65905e8e5ddd92b",
+        "assignments.csv": "d29ca8f914b23f1fb3be5e8728e1159c2e89b38b5f2bd2f6d6cd6f752059509a",
+        "stdout": "ff88654bfc1287dc2187b9af719ac27eceeb61d33d42c7cef65905e8e5ddd92b",
     },
     "toy-single-triplet": {
         "resolved_config.json": "534f7297c94efb2102316e2edc1060bba1bcebe3e1c8ca7bb25241fccc83d0fd",
-        "metrics.csv": "3a3a9b24fa358bccb96622699646bce64ea7274b59638ea3e246884ffbe150aa",
-        "bank.json": "a61cfbae222859276100c15f8223fb1f9c19b177a49c7f6ecb8bb9702d94fc12",
-        "encoders.json": "8877f981bcf39fc801a8f23753730834a61dc1c45c247155668731b063eb6f16",
-        "final_eval.json": "4a638780aa0b48e42f217f3670c9ba17f2bf6cf21acc056d0bce94eff082272d",
-        "assignments.csv": "146a8ac9a5dfb9d814662de47c81e35c3f862a745eae392002a2828d14684b34",
-        "stdout": "4a638780aa0b48e42f217f3670c9ba17f2bf6cf21acc056d0bce94eff082272d",
+        "metrics.csv": "9f2f49e70fe2e3e5f2d733db0831aff1e0f9f26ef95d2f37af6ecc4b0d97340d",
+        "bank.json": "16bc5c5e56cddeb095398aaa72dd0ff6f641f6decb55fdec1a1d0f98c5b0316b",
+        "encoders.json": "55245956166a5a832cc63e682cfc4948f399f5e384e41be2633e56cf76476ef6",
+        "final_eval.json": "135a4f556317e66586f72f79fa77a4656456057ea35a2415a87d155ab1cfbc19",
+        "assignments.csv": "73ce70c6eab5784ac1de8266f0171dc12d2b740d99d0c951e25e0f7c84229df6",
+        "stdout": "135a4f556317e66586f72f79fa77a4656456057ea35a2415a87d155ab1cfbc19",
     },
     "full": {
         "resolved_config.json": "7bf32d36c88805df6d484bb0d3d6fd8d5392de4852c7013ca1dd998e2a2ce09c",
-        "metrics.csv": "e753fd22457a95b7aa1b0b022c22c67dc9b738008fda7498cdf65ab1a28f480e",
+        "metrics.csv": "c8cb1fdeba518675c86a8e9e892a5805a2a4f23efe413c36730ea7a12d40d314",
         "bank.json": "894e6f1a4f2080953682c9815cbfc89f1949f892e38ff378f26332697cf43814",
-        "encoders.json": "015a3945cf860357878bc42fbc3307c0d0a2b2acaa15bcedf4ca290d5f04c39e",
-        "final_eval.json": "015c7f43182ddc1070011bb422b5ba36d38f2263c66428684f78eddcbf8014b0",
-        "assignments.csv": "9d32763c36172ec6f515c0124b92aadd30eb7a56b40e842a859c8c9a2805d252",
-        "stdout": "015c7f43182ddc1070011bb422b5ba36d38f2263c66428684f78eddcbf8014b0",
+        "encoders.json": "ffdf4a800b6b4c016180d806a80bcc27ba99a5bd3bac9536f85158378a69f832",
+        "final_eval.json": "61d57babe9db2dc986448f8e15d4245fde7aede6161aed7bd33eb649f4943954",
+        "assignments.csv": "3517b8d2b27ed5cae345df7984d1f270c9c308971ca7d178ede75b3c630faf50",
+        "stdout": "61d57babe9db2dc986448f8e15d4245fde7aede6161aed7bd33eb649f4943954",
     },
     "toy-6x6": {
         "resolved_config.json": "1022032214d961eb100c6bfe42abb009210d0490e4259c148c2f3cbfaee61e42",
-        "metrics.csv": "0bee30c215ad03125fd7e7a2df7003d50943c8e78335633a0dcfea096c42ff86",
-        "bank.json": "11b2204408f31b6a83e36677afb4c98b4bab5d0603444af0d4ac4e17853da737",
-        "encoders.json": "56196aaac5fcda02722fa122627279e732f6888a4630df25075c8d7055560c32",
-        "final_eval.json": "3d92db3f1f4a1827900a8c5b4d45c010ab1e71ff1afda226e63977a805943547",
-        "assignments.csv": "14f9d359a455f4f66ba4cda559fefd827c77c354509aeabf0df0e547bfa29f3c",
-        "stdout": "3d92db3f1f4a1827900a8c5b4d45c010ab1e71ff1afda226e63977a805943547",
+        "metrics.csv": "fe587a496e27fac1c0700638ac58d3b13f9031487742f6d11638060d80a0ea0e",
+        "bank.json": "b6cb1708987b48b642c068ae0c0d409df93f73ea8f77e6fbd968d40db699ffc7",
+        "encoders.json": "a445acbeee65c34a874b57dfa55e6e458991177eeec97de89ab4d5752f83c16e",
+        "final_eval.json": "047bf3e2db1f210a43bd9353c2822c6a838601b3f904a17d078baef6217e63d4",
+        "assignments.csv": "1d872335503ef2909cbade724fe66b7e4ad1f515fde99848647d346731e20110",
+        "stdout": "047bf3e2db1f210a43bd9353c2822c6a838601b3f904a17d078baef6217e63d4",
     },
     "toy-6x6-triplet": {
         "resolved_config.json": "3eb6a12080656f964b287065fa010da61d42227ead852a4763688287601a15d7",
-        "metrics.csv": "df3cf4da2b9c88578403ed33e739d0f4cea88a9e161ff63e00437ea248dc758d",
-        "bank.json": "bebba2018fb98a638906d3332e9c8a603179a1a7fdcded3f13284ada442cc371",
-        "encoders.json": "88c49ae3bcbfa5251071feca3dd24242aac96a932f81ec140773dc2cedd62b5e",
-        "final_eval.json": "7bf21d9452bcd0454719aa30d889c7538a31794ef022887a68fd69b06c2bf9c1",
-        "assignments.csv": "2dc829fe9d8b5c63117572850b2df16256a0e2fb4990aecf3ec2851dd88faf1e",
-        "stdout": "7bf21d9452bcd0454719aa30d889c7538a31794ef022887a68fd69b06c2bf9c1",
+        "metrics.csv": "d6ee0132fed00618a9063744bf9302ec838ef4fcdbdbc2464d8d047dfd2594a9",
+        "bank.json": "f15003a280d54066ea837bd26583249fbbe5ffa02fd88d851be8ea6fc30b3525",
+        "encoders.json": "ddfe8e8f9626eadc121ff36b2b15307975f0f0535b1e5ee1cebd8bb6dcf233b4",
+        "final_eval.json": "9597085b95aea408d32d16172f0c67c63346558030e784b4a8b4d0d00a929921",
+        "assignments.csv": "b2af742ff983a97e7438eaf6ac717c63214f256137b9c836eded0f404abcff07",
+        "stdout": "9597085b95aea408d32d16172f0c67c63346558030e784b4a8b4d0d00a929921",
     },
 }
 

@@ -189,9 +189,9 @@ def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
             assert_same_bits(getattr(queries, name), getattr(single, name))
         for name in ("dots", "denom", "sims", "row_norms", "item_norms"):
             assert_same_bits(getattr(queries.cosines, name), getattr(single.cosines, name))
-        upstream = make_rng(28).standard_normal(content.shape)
+        g_weights = make_rng(28).standard_normal((bank.n_items, len(content)))
         assert_same_bits(read(bank, queries, d).aggregated_style, read(bank, single, d).aggregated_style)
-        through_pair, through_single = (read_backward(bank, q, d, upstream) for q in (queries, single))
+        through_pair, through_single = (read_backward(bank, q, g_weights) for q in (queries, single))
         assert through_pair.items is through_single.items is bank.keys
         assert_same_bits(through_pair.coef, through_single.coef)
         assert_same_bits(through_pair.scale, through_single.scale)
@@ -301,7 +301,6 @@ def test_reads_reject_an_unknown_domain_with_a_package_error():
         lambda: read(bank, cluster, "z"),
         lambda: read_global_one(bank, cluster.content, "z"),
         lambda: read_global(bank, (cluster.content, cluster.content), ("x", "z"), np.zeros((4, bank.n_items))),
-        lambda: read_backward(bank, cluster, "z", np.zeros((2, 4))),
     ]
     for call in calls:
         with pytest.raises(StylememError, match="domain must be 'x' or 'y', got 'z'"):
@@ -315,6 +314,7 @@ def test_read_direction_picks_cross_domain_values():
     rx = read(bank, cluster, "x")
     ry = read(bank, cluster, "y")
     np.testing.assert_array_equal(rx.weights, ry.weights)
+    assert rx.values is bank.values_y and ry.values is bank.values_x
     np.testing.assert_allclose(rx.aggregated_style, rx.weights[:, :3] @ bank.values_y, atol=1e-15)
     np.testing.assert_allclose(ry.aggregated_style, ry.weights[:, :3] @ bank.values_x, atol=1e-15)
 
@@ -430,11 +430,17 @@ def _fd_query_gradient(bank, cluster, domain, upstream, step=1e-6):
     return grad
 
 
+def through_mixture(bank, cluster, domain, upstream):
+    """``read_backward`` of the loss ``sum(aggregated_style * upstream)``:
+    its gradient at the read weights is ``V @ upstream.T``."""
+    return read_backward(bank, cluster, read(bank, cluster, domain).values @ upstream.T)
+
+
 def test_read_backward_zero_upstream():
     rng = make_rng(13)
     bank = random_bank(rng, [(0, 4)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
-    grad = dense_gradient(read_backward(bank, cluster, "x", np.zeros((3, 5))), cluster.content)
+    grad = dense_gradient(read_backward(bank, cluster, np.zeros((4, 3))), cluster.content)
     np.testing.assert_array_equal(grad, np.zeros((3, 5)))
 
 
@@ -442,7 +448,7 @@ def test_read_backward_single_item_constant_path():
     rng = make_rng(14)
     bank = random_bank(rng, [(0, 1)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
-    grad = dense_gradient(read_backward(bank, cluster, "x", rng.standard_normal((3, 5))), cluster.content)
+    grad = dense_gradient(through_mixture(bank, cluster, "x", rng.standard_normal((3, 5))), cluster.content)
     np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
 
@@ -451,7 +457,7 @@ def test_read_backward_matches_finite_differences():
     bank = random_bank(rng, [(0, 4), (1, 3)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
     upstream = rng.standard_normal((3, 5))
-    analytic = dense_gradient(read_backward(bank, cluster, "x", upstream), cluster.content)
+    analytic = dense_gradient(through_mixture(bank, cluster, "x", upstream), cluster.content)
     fd = _fd_query_gradient(bank, cluster, "x", upstream)
     rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     assert float(rel.max()) <= 1e-5
@@ -461,8 +467,9 @@ def test_read_backward_shape_check():
     rng = make_rng(16)
     bank = random_bank(rng, [(0, 4)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
-    with pytest.raises(ShapeError):
-        read_backward(bank, cluster, "x", np.zeros((2, 5)))
+    for shape in ((3, 4), (4, 2), (3, 5)):  # (P, N), too few queries, the old (P, C) upstream
+        with pytest.raises(ShapeError, match=re.escape(f"g_weights shape {shape}, expected (4, 3)")):
+            read_backward(bank, cluster, np.zeros(shape))
 
 
 # --- update ---

@@ -13,10 +13,10 @@ from stylemem.numerics import (
     AdamState,
     adam_step,
     cosine_matrix,
-    cosine_rows,
     dot_norms,
     l2_normalize_rows,
     make_rng,
+    read_cosines,
     row_norms,
     softmax_cols,
     softmax_rows,
@@ -24,6 +24,7 @@ from stylemem.numerics import (
 )
 
 from oracles import oracle_adam_scalar, oracle_cosine, oracle_softmax
+from reference import cosine_rows
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -102,6 +103,31 @@ def test_cosine_rows_paired():
     got = cosine_rows(a, b)
     for p in range(3):
         assert got[p] == pytest.approx(oracle_cosine(a[p], b[p]), abs=1e-12)
+
+
+@pytest.mark.parametrize("p, n, c", [(7, 4, 3), (256, 20, 256)])
+def test_read_cosines_are_the_cosines_of_the_formed_mixtures(p, n, c):
+    rng = make_rng(13)
+    values = rng.standard_normal((n, c))
+    weights = softmax_cols(rng.standard_normal((n, p)))  # item-major, each column sums to 1
+    targets = rng.standard_normal((p, c))
+    targets[0] = weights[:, 0] @ values  # a target the read meets exactly
+    got = read_cosines(weights, values @ values.T, values @ targets.T, dot_norms(targets))
+    want = cosine_rows(weights.T @ values, targets)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    assert got.shape == (p,) and np.all(np.abs(got) <= 1.0)
+
+
+def test_read_cosines_score_a_zero_mixture_zero():
+    # two opposite value rows in equal parts mix to zero; in the second Gram
+    # a.(G a) rounds below zero, which must not reach the square root
+    values = np.array([[0.6, 0.8], [-0.6, -0.8]])
+    weights = np.full((2, 1), 0.5)
+    target = np.array([[1.0, 2.0]])
+    dots = values @ target.T
+    for gram in (values @ values.T, np.array([[1.0, -1.0 - 1e-15], [-1.0 - 1e-15, 1.0]])):
+        assert float(weights[:, 0] @ gram @ weights[:, 0]) <= 0.0
+        np.testing.assert_array_equal(read_cosines(weights, gram, dots, dot_norms(target)), [0.0])
 
 
 # --- softmax ---

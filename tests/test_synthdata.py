@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from stylemem.errors import GenerationError, ValidationError
-from stylemem.numerics import cosine_rows, make_rng, split_rng
+from stylemem.numerics import make_rng, split_rng
 from stylemem.synthdata import (
     DomainSpec, FeatureScene, SceneSettings, generate_scene_pair, load_scene, save_scene,
 )
 
-from reference import cluster_by_class
+from reference import cluster_by_class, cosine_rows
 
 
 def toy_spec(seed=42, **overrides):
