@@ -318,23 +318,23 @@ class _EvalAccumulator:
 
 
 def _accumulate_pair(
-    acc: _EvalAccumulator, features: dict[str, tuple], labels: np.ndarray,
+    acc: _EvalAccumulator, reads: dict[str, tuple], targets: dict[str, tuple], labels: np.ndarray,
     ref_layout: MemoryLayout, export: Callable[[str], None] | None = None, scene: int = 0,
 ) -> None:
-    """Test-time metrics of one scene pair from ``features[d]``: domain d's
-    encoded content, its test-time read, and the fidelity target of the
-    opposite domain's read, as the Gram of ``values_d``, its item-major dot
-    products with d's encoded style rows and their norms. Scored against the
-    pair's ``labels``; each domain's assignments lines go to ``export`` as
-    one text once rendered."""
+    """Test-time metrics of one scene pair from ``reads[d]``, domain d's
+    encoded content and test-time read, scored against the pair's ``labels``
+    and against ``targets[d]``, the target that domain d's encoded style
+    rows set for the opposite read: the Gram of ``values_d``, its item-major
+    dot products with those rows and their norms. Each domain's assignments
+    lines go to ``export`` as one text once rendered."""
     item_classes = ref_layout.item_classes
     for d, opposite in (("x", "y"), ("y", "x")):
-        content, result, *_ = features[d]
+        content, result = reads[d]
         weights = result.weights.T  # item-major (N, P) columns of the stored array
 
         acc.alpha_sum += weights.sum(axis=1)
         acc.queries += content.shape[0]
-        acc.fidelity_sum += float(read_cosines(weights, *features[opposite][2:]).sum())
+        acc.fidelity_sum += float(read_cosines(weights, *targets[opposite]).sum())
         top = np.argmax(weights, axis=0)
         acc.purity_hits += int(np.sum(item_classes[top] == labels))
         if export is not None:
@@ -348,14 +348,15 @@ def _pair_metrics(
     bank: MemoryBank, encoders: EncoderSet, pair: ScenePair, ref_layout: MemoryLayout
 ) -> tuple[float, float, float]:
     # the step has just changed the encoders and the bank: encode afresh
-    features = {}
+    reads, targets = {}, {}
     for d, style, plane in zip(("x", "y"), pair.styles, (bank.values_x, bank.values_y)):
         content = forward(encoders.content(d), pair.content)
         (result,) = read_global(bank, (content,), (d,), cosine_matrix(content, bank.keys))
+        reads[d] = (content, result)
         style = forward(encoders.style(d), style)
-        features[d] = (content, result, plane @ plane.T, plane @ style.T, dot_norms(style))
+        targets[d] = (plane @ plane.T, plane @ style.T, dot_norms(style))
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
-    _accumulate_pair(acc, features, pair.labels, ref_layout)
+    _accumulate_pair(acc, reads, targets, pair.labels, ref_layout)
     return acc.entropy(), acc.purity(), acc.fidelity()
 
 
@@ -466,14 +467,15 @@ def evaluate(
             report, fwd = compute_losses(encoders, bank, pair, cfg.train)
             loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
-            reads = read_global(bank, tuple(q.content for q in fwd.queries.values()), ("x", "y"), fwd.sims)
+            contents = tuple(q.content for q in fwd.queries.values())
+            reads = dict(zip(fwd.queries, zip(contents, read_global(bank, contents, ("x", "y"), fwd.sims))))
             values = fwd.values
-            features = {
-                d: (q.content, r, fwd.grams[d], values.dots.T[:, cols], values.row_norms[cols])
-                for (d, q), r, cols in zip(fwd.queries.items(), reads, values.columns)
+            targets = {
+                d: (fwd.grams[d], values.dots.T[:, cols], values.row_norms[cols])
+                for d, cols in zip(fwd.queries, values.columns)
             }
             scene_export = write if i < cfg.assignment_scenes else None
-            _accumulate_pair(acc, features, pair.labels, ref_layout, scene_export, i)
+            _accumulate_pair(acc, reads, targets, pair.labels, ref_layout, scene_export, i)
 
         losses = (float(total) / scene_count for total in loss_sums)
         values = (cfg.iterations, *losses, acc.entropy(), acc.purity(), acc.fidelity())

@@ -275,8 +275,8 @@ def read_backward(bank: MemoryBank, queries: QuerySet, g_weights: np.ndarray) ->
     """Gradient of a loss of a class-restricted read with respect to its
     content rows, a :class:`FeatureGrad` on the keys.
 
-    ``g_weights`` is d(loss)/d(weights), item-major (N, P). A loss of the
-    mixture with gradient U (P, C) there has ``V @ U.T`` here; the
+    ``g_weights`` is d(loss)/d(weights), item-major (N, P): ``V @ U.T`` for
+    a loss whose gradient at the mixture ``weights @ V`` is U (P, C). The
     reconstruction loss takes it from the factors of the
     :mod:`stylemem.numerics` read rule instead. Keys and values are
     constants (they evolve through :func:`update`, not gradient descent), so

@@ -6,9 +6,9 @@ mutates its explicit state argument; nothing touches global state, and all
 randomness flows through generators owned by the caller.
 
 Row norms come in two kinds, which may differ in the last bit. The cosines
-(:class:`Cosines`, :func:`read_cosines`) take :func:`dot_norms`, one
-``einsum`` pass that reads each row once and makes no temporary of the
-matrix's shape. :func:`l2_normalize_rows` and the triplet distances take
+(:class:`Cosines`, and the target norms of :func:`read_cosines`) take
+:func:`dot_norms`, one ``einsum`` pass that reads each row once and makes
+no temporary of the matrix's shape. :func:`l2_normalize_rows` and the triplet distances take
 :func:`row_norms`, the bits of ``np.linalg.norm(m, axis=1)`` without its
 conjugate copy, so that bank rows and triplet terms match their references
 bit for bit. :func:`adam_step` builds its step in place in the textbook

@@ -92,6 +92,7 @@ def check_step(encoders, bank, pair, settings, update_memory=True):
         np.testing.assert_array_equal(fwd.value_terms[d].positives, ref.value_positives[d])
         assert_close(dense_gradient(fwd.grad_content[d], fwd.queries[d].content), ref.grad_content[d])
         assert_close(dense_gradient(fwd.grad_style[d], fwd.queries[d].style), ref.grad_style[d])
+        assert_close(fwd.g_weights[d], ref.g_weights[d])
     # the step's per-domain item-loss terms: key x, value x, key y, value y
     terms = [fwd.key_terms["x"], fwd.value_terms["x"], fwd.key_terms["y"], fwd.value_terms["y"]]
     if settings.loss_variant == "triplet":
