@@ -469,10 +469,9 @@ def evaluate(
 
             contents = tuple(q.content for q in fwd.queries.values())
             reads = dict(zip(fwd.queries, zip(contents, read_global(bank, contents, ("x", "y"), fwd.sims))))
-            values = fwd.values
             targets = {
-                d: (fwd.grams[d], values.dots.T[:, cols], values.row_norms[cols])
-                for d, cols in zip(fwd.queries, values.columns)
+                d: (fwd.grams[d], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
+                for d, cols in zip(fwd.queries, fwd.values.columns)
             }
             scene_export = write if i < cfg.assignment_scenes else None
             _accumulate_pair(acc, reads, targets, pair.labels, ref_layout, scene_export, i)
