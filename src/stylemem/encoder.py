@@ -6,6 +6,13 @@ hand-written so the whole gradient path (loss -> read -> encoder) is explicit
 and checkable by finite differences. It ends at the encoder parameters:
 :func:`backward` returns ``(d_weight, d_bias)`` only.
 
+Encodings follow the encoding rule of :mod:`stylemem.numerics`: an
+encoder with no more output than input channels forms its rows by
+:func:`forward`, and a wider one leaves them to an
+:class:`~stylemem.numerics.Affine`. :class:`Factors` holds those and the
+value-plane Grams for one state of the encoders and the bank, and every
+pass at that state takes them from it.
+
 A loss pass (:func:`compute_losses`) encodes both domains of a scene pair
 and addresses the bank once with its labels: one partition mask, one
 content-key cosine matrix and its read weights, each in the pair storage of
@@ -21,7 +28,7 @@ backward pass run on first access of ``ForwardPass.grad_content``/
 the forward pass alone. The feature gradients are factored by the
 :class:`~stylemem.numerics.FeatureGrad` rule of :mod:`stylemem.numerics`:
 each is summed from its terms' (N, P) and (P,) factors, and
-:func:`backward` takes it to the parameters with the encoded rows, so no
+:func:`backward` takes it to the parameters with the encoding, so no
 (P, C) gradient array is formed. A training iteration checks that its loss
 is finite, backpropagates into the encoders, applies Adam, and, if asked,
 folds the iteration's features into the memory. Checkpoints (see
@@ -38,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
 from .memory import MemoryBank, QuerySet, address_blocks, read, read_backward, update
-from .numerics import AdamState, Cosines, FeatureGrad, adam_step
+from .numerics import AdamState, Affine, Cosines, Encoding, FeatureGrad, adam_step
 from .objectives import LossTerm, contrastive_loss, triplet_loss
 from .serialize import array, check_types, integer, read_json, write_json
 from .synthdata import ScenePair
@@ -87,39 +94,35 @@ def forward(enc: LinearEncoder, inputs: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(
-    enc: LinearEncoder, inputs: np.ndarray, grad: FeatureGrad, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter gradients (d_weight, d_bias) from ``grad``, the factored
-    gradient with respect to ``rows``, which must be ``forward(enc, inputs)``
-    at the weight and bias ``enc`` holds now: take the gradients before the
-    step that changes them. The inputs are scene features, so no input
-    gradient is computed.
+def backward(encoding: Encoding, grad: FeatureGrad) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter gradients (d_weight, d_bias), at the weight and bias that
+    made ``encoding``, from ``grad``, the factored gradient with respect to
+    its rows. The inputs are scene features, so no input gradient is
+    computed.
 
     With X the inputs, R the rows and s the scale, ``d_weight = items.T @
     (coef @ X) + R.T @ (s * X)`` and ``d_bias = items.T @ coef.sum(1) + s @
-    R``. An encoder with no more output than input channels takes the s
-    terms from R; a wider one takes them through the Gram identity ``R.T @
-    (s * X) = W @ (X.T @ (s * X)) + outer(b, s @ X)``, whose products are of
-    input width.
+    R``. Formed rows give the s terms from R; an encoding without them
+    takes them through the Gram identity ``R.T @ (s * X) = W @ (X.T @ (s *
+    X)) + outer(b, s @ X)``, whose products are of input width.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    items, coef, scale = grad.items, grad.coef, grad.scale
-    shape = (len(inputs), enc.out_channels)
-    parts = (inputs.shape[1:], items.shape[1:], coef.shape, scale.shape, rows.shape)
-    if parts != (enc.weight.shape[1:], shape[1:], (len(items), shape[0]), shape[:1], shape):
-        raise ShapeError(f"inputs, items, coef, scale and rows {parts} do not fit W {enc.weight.shape}")
+    inputs, items, coef, scale = encoding.inputs, grad.items, grad.coef, grad.scale
+    shape = encoding.shape
+    parts = (items.shape[1:], coef.shape, scale.shape)
+    if parts != (shape[1:], (len(items), shape[0]), shape[:1]):
+        raise ShapeError(f"items, coef and scale {parts} do not fit the encoding's rows {shape}")
     d_weight = items.T @ (coef @ inputs)
     d_bias = items.T @ coef.sum(axis=1)
-    if enc.out_channels <= enc.in_channels:
-        d_weight += (rows.T * scale) @ inputs
-        d_bias += scale @ rows
+    if encoding.rows is not None:
+        d_weight += (encoding.rows.T * scale) @ inputs
+        d_bias += scale @ encoding.rows
     else:
+        weight, bias = encoding.affine.weight, encoding.affine.bias
         scale_x = scale @ inputs
-        d_weight += enc.weight @ ((inputs.T * scale) @ inputs)
-        d_weight += np.multiply.outer(enc.bias, scale_x)
-        d_bias += enc.weight @ scale_x
-        d_bias += scale.sum() * enc.bias
+        d_weight += weight @ ((inputs.T * scale) @ inputs)
+        d_weight += np.multiply.outer(bias, scale_x)
+        d_bias += weight @ scale_x
+        d_bias += scale.sum() * bias
     return d_weight, d_bias
 
 
@@ -153,6 +156,48 @@ class EncoderSet:
 
     def all(self) -> tuple[LinearEncoder, ...]:
         return (self.content_x, self.content_y, self.style_x, self.style_y)
+
+
+def value_grams(bank: MemoryBank) -> dict[str, np.ndarray]:
+    """The Gram matrix ``V V.T`` of each value plane, by domain."""
+    return {d: plane @ plane.T for d, plane in zip(_DOMAINS, (bank.values_x, bank.values_y))}
+
+
+@dataclass
+class Factors:
+    """What every pass at one state of the encoders and the bank takes of
+    that state: ``affine``, each encoder's :class:`~stylemem.numerics.Affine`
+    against the plane its rows meet (content against the keys, style d
+    against ``values_d``), or None where it forms its rows (C <= Cin), and
+    ``grams``, the :func:`value_grams` of the bank. Build them after the
+    step that makes the state and before any pass at it; they hold the
+    weights they were made from."""
+
+    affine: dict[str, Affine | None]
+    grams: dict[str, np.ndarray]
+
+    @classmethod
+    def of(cls, encoders: EncoderSet, bank: MemoryBank, grams: dict[str, np.ndarray]) -> "Factors":
+        planes = dict(content_x=bank.keys, content_y=bank.keys, style_x=bank.values_x, style_y=bank.values_y)
+        affine = {
+            name: Affine.of(enc.weight, enc.bias, planes[name]) if enc.out_channels > enc.in_channels else None
+            for name, enc in vars(encoders).items()
+        }
+        return cls(affine, grams)
+
+
+def encode_pair(encoders: EncoderSet, pair: ScenePair, factors: Factors) -> tuple[tuple, tuple]:
+    """The content and the style encodings of both domains of ``pair``,
+    each an (x, y) tuple, at the state of ``factors``."""
+
+    def encode(name: str, inputs: np.ndarray) -> Encoding:
+        affine = factors.affine[name]
+        if affine is None:
+            return Encoding(inputs, forward(getattr(encoders, name), inputs), None)
+        return Encoding(inputs, None, affine)
+
+    content = tuple(encode(f"content_{d}", pair.content) for d in _DOMAINS)
+    return content, tuple(encode(f"style_{d}", s) for d, s in zip(_DOMAINS, pair.styles))
 
 
 @dataclass(frozen=True)
@@ -198,14 +243,13 @@ class LossReport:
 
 @dataclass
 class ForwardPass:
-    """One loss pass over a scene pair: per-domain query sets (encoded
-    features against the bank), item-loss terms and ``g_weights``, the
+    """One loss pass over a scene pair: per-domain query sets (encodings
+    against the bank), item-loss terms and ``g_weights``, the
     gradient of the reconstruction loss with respect to each read's
     weights, item-major (N, P); ``sims`` is the (2P, N) view of both
     domains' content-key cosines. ``values`` holds the cosines of each
     domain's encoded style rows with its own value plane (block b for
-    domain b, whose ``dots`` give ``V s`` and ``row_norms`` each ``|s|``),
-    and ``grams[d]`` the Gram matrix of ``values_d``.
+    domain b, whose ``dots`` give ``V s`` and ``row_norms`` each ``|s|``).
 
     The gradients of the weighted total loss with respect to the encoded
     content and style are computed on first access of ``grad_content`` and
@@ -223,7 +267,6 @@ class ForwardPass:
     g_weights: dict[str, np.ndarray]
     sims: np.ndarray
     values: Cosines
-    grams: dict[str, np.ndarray]
 
     @cached_property
     def grad_content(self) -> dict[str, FeatureGrad]:
@@ -260,16 +303,17 @@ def compute_losses(
     bank: MemoryBank,
     pair: ScenePair,
     settings: TrainSettings,
+    factors: Factors,
 ) -> tuple[LossReport, ForwardPass]:
-    """Loss pass over a scene pair against a frozen bank.
+    """Loss pass over a scene pair against a frozen bank, with the
+    ``factors`` of this state of the encoders and the bank.
 
     Returns the loss report plus the forward pass: the encoded query sets,
     from which the analytic gradients of the weighted total loss with
     respect to each encoded feature matrix follow on demand. Neither the
     encoders, the bank nor the pair are modified.
     """
-    content = tuple(forward(encoders.content(d), pair.content) for d in _DOMAINS)
-    style = tuple(forward(encoders.style(d), s) for d, s in zip(_DOMAINS, pair.styles))
+    content, style = encode_pair(encoders, pair, factors)
     mask, cosines, sets = address_blocks(bank, content, style, (pair.labels, pair.labels))
     queries = dict(zip(_DOMAINS, sets))
     planes = (bank.values_x, bank.values_y)
@@ -280,15 +324,15 @@ def compute_losses(
     # style reconstruction through the read, by the factored-read rule:
     # domain d's mixture a V of the opposite plane should reproduce the
     # opposite encoded style s, and |a V - s|^2 = a.(G a - 2 V s) + |s|^2,
-    # with V s and |s| from the opposite block of the value cosines
+    # with V s and |s| from the opposite block of the value cosines, and the
+    # Grams of the factors
     p_total = pair.labels.shape[0]
-    grams = {d: plane @ plane.T for d, plane in zip(_DOMAINS, planes)}
     g_weights = {}
     rec_loss = float(values.row_norms @ values.row_norms)
     for d, opposite, cols in (("x", "y", values.columns[1]), ("y", "x", values.columns[0])):
         alpha = read(bank, queries[d], d).weights.T
         v_s = values.dots.T[:, cols]
-        g_weights[d] = g = grams[opposite] @ alpha
+        g_weights[d] = g = factors.grams[opposite] @ alpha
         g -= v_s
         rec_loss += float(np.einsum("ij,ij->", alpha, g - v_s))
         g *= 2.0 / p_total  # now d(rec_loss)/d(read weights)
@@ -300,7 +344,7 @@ def compute_losses(
     total = s.key_loss_weight * key_loss + s.value_loss_weight * value_loss + s.rec_loss_weight * rec_loss
     report = LossReport(key_loss, value_loss, rec_loss, total)
     return report, ForwardPass(
-        bank, settings, queries, key_terms, value_terms, g_weights, cosines.sims, values, grams
+        bank, settings, queries, key_terms, value_terms, g_weights, cosines.sims, values
     )
 
 
@@ -309,25 +353,27 @@ def train_step(
     bank: MemoryBank,
     pair: ScenePair,
     settings: TrainSettings,
+    factors: Factors,
     update_memory: bool = True,
 ) -> tuple[LossReport, MemoryBank]:
-    """One training iteration on a scene pair.
+    """One training iteration on a scene pair, with the ``factors`` of this
+    state of the encoders and the bank.
 
     The encoders are updated in place through their Adam states; with
     ``update_memory`` the returned bank is a new object (reads and losses
     always use the iteration's starting bank), else it is ``bank``. The
     pair is never modified. A non-finite loss names its unweighted terms.
     """
-    report, fwd = compute_losses(encoders, bank, pair, settings)
+    report, fwd = compute_losses(encoders, bank, pair, settings, factors)
     if not np.isfinite(report.total):
         terms = f"key {report.key_loss}, value {report.value_loss}, rec {report.rec_loss}"
         raise ValidationError(f"loss became non-finite ({terms})")
 
-    for d, style in zip(_DOMAINS, pair.styles):
+    for d in _DOMAINS:
         queries = fwd.queries[d]
-        gw, gb = backward(encoders.content(d), pair.content, fwd.grad_content[d], queries.content)
+        gw, gb = backward(queries.content, fwd.grad_content[d])
         apply_gradients(encoders.content(d), gw, gb, settings)
-        gw, gb = backward(encoders.style(d), style, fwd.grad_style[d], queries.style)
+        gw, gb = backward(queries.style, fwd.grad_style[d])
         apply_gradients(encoders.style(d), gw, gb, settings)
 
     for name, enc in vars(encoders).items():

@@ -14,7 +14,13 @@ domain's encoded style, taken by the factored-read rule of
 and norms, so no mixture is formed. The per-iteration metrics encode
 afresh, since the step has just changed the encoders and the bank, read
 each domain with its own ``cosine_matrix`` against the keys, and take the
-Grams, dot products and norms of their fresh style rows.
+Grams, dot products and norms of their fresh style encodings. Encodings
+follow the encoding rule of :mod:`stylemem.numerics`: the
+``stylemem.encoder.Factors`` of one state of the encoders and the bank are
+made once, by ``evaluate`` per call and by the training loop after each
+step, where they serve that step's metrics and the next step's loss pass.
+Widening encoders' rows are formed only for the triplet distances and the
+``assignments.csv`` content columns.
 
 Config files are JSON. A file may name a ``preset`` ("toy" or "full") and
 override any subset of keys; the expansion to a fully explicit config is
@@ -40,16 +46,18 @@ import numpy as np
 
 from .encoder import (
     EncoderSet,
+    Factors,
     LossReport,
     TrainSettings,
     compute_losses,
-    forward,
+    encode_pair,
     save_encoders,
     train_step,
+    value_grams,
 )
 from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
 from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
-from .numerics import cosine_matrix, dot_norms, read_cosines, split_rng
+from .numerics import cosine_matrix, read_cosines, split_rng
 from .serialize import FLOAT, atomic_lines, check_types, csv_block, integer, layout_counts, number, write_json
 from .synthdata import DomainSpec, ScenePair, SceneSettings, generate_scene_pair
 
@@ -322,11 +330,12 @@ def _accumulate_pair(
     ref_layout: MemoryLayout, export: Callable[[str], None] | None = None, scene: int = 0,
 ) -> None:
     """Test-time metrics of one scene pair from ``reads[d]``, domain d's
-    encoded content and test-time read, scored against the pair's ``labels``
+    content encoding and test-time read, scored against the pair's ``labels``
     and against ``targets[d]``, the target that domain d's encoded style
     rows set for the opposite read: the Gram of ``values_d``, its item-major
     dot products with those rows and their norms. Each domain's assignments
-    lines go to ``export`` as one text once rendered."""
+    lines, with its content rows formed, go to ``export`` as one text once
+    rendered."""
     item_classes = ref_layout.item_classes
     for d, opposite in (("x", "y"), ("y", "x")):
         content, result = reads[d]
@@ -341,20 +350,20 @@ def _accumulate_pair(
             picked = weights[top, np.arange(top.shape[0])]
             positions = enumerate(zip(labels.tolist(), top.tolist()))
             leading = ((scene, d, p, label, item) for p, (label, item) in positions)
-            export("\n".join(csv_block("%d,%s,%d,%d,%d", leading, np.column_stack((picked, content)))))
+            block = np.column_stack((picked, content.formed()))
+            export("\n".join(csv_block("%d,%s,%d,%d,%d", leading, block)))
 
 
 def _pair_metrics(
-    bank: MemoryBank, encoders: EncoderSet, pair: ScenePair, ref_layout: MemoryLayout
+    bank: MemoryBank, encoders: EncoderSet, pair: ScenePair, ref_layout: MemoryLayout, factors: Factors
 ) -> tuple[float, float, float]:
     # the step has just changed the encoders and the bank: encode afresh
     reads, targets = {}, {}
-    for d, style, plane in zip(("x", "y"), pair.styles, (bank.values_x, bank.values_y)):
-        content = forward(encoders.content(d), pair.content)
-        (result,) = read_global(bank, (content,), (d,), cosine_matrix(content, bank.keys))
+    contents, styles = encode_pair(encoders, pair, factors)
+    for d, content, style, plane in zip(("x", "y"), contents, styles, (bank.values_x, bank.values_y)):
+        (result,) = read_global(bank, content.shape[:1], (d,), cosine_matrix(content, bank.keys))
         reads[d] = (content, result)
-        style = forward(encoders.style(d), style)
-        targets[d] = (plane @ plane.T, plane @ style.T, dot_norms(style))
+        targets[d] = (factors.grams[d], style.dots(plane), style.norms())
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
     _accumulate_pair(acc, reads, targets, pair.labels, ref_layout)
     return acc.entropy(), acc.purity(), acc.fidelity()
@@ -384,15 +393,18 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
         cfg.memory_mode, cfg.train.loss_variant, cfg.n_items, cfg.channels, cfg.iterations, cfg.seed,
     )
     metrics: list[MetricsRow] = []
+    grams = value_grams(bank)
+    factors = Factors.of(encoders, bank, grams)
     for t in range(cfg.iterations):
         pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
+        updates = t % cfg.update_every == 0
         try:
             # a diverging step fails below with a named error, not numpy warnings
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                report, bank = train_step(
-                    encoders, bank, pair, cfg.train, update_memory=t % cfg.update_every == 0
-                )
-                entropy, purity, fidelity = _pair_metrics(bank, encoders, pair, ref_layout)
+                report, bank = train_step(encoders, bank, pair, cfg.train, factors, update_memory=updates)
+                grams = value_grams(bank) if updates else grams
+                factors = Factors.of(encoders, bank, grams)  # for this metrics pass and the next step
+                entropy, purity, fidelity = _pair_metrics(bank, encoders, pair, ref_layout, factors)
             values = (t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity)
             metrics.append(_finite(values, "metrics"))
         except StylememError as exc:
@@ -439,7 +451,8 @@ def evaluate(
     Loss fields are per-scene means of the training objective (computed with
     the training-time class pools, without touching bank or encoders). Each
     pair takes one loss pass and no gradient; the test-time read, the
-    fidelity target and the export reuse its encoded features and cosines.
+    fidelity target and the export reuse its encodings and cosines, and
+    every pair takes the one ``Factors`` of the bank and the encoders.
     When ``assignments_path`` is set, the first cfg.assignment_scenes scenes
     also dump one row per query: scene, domain, position, label, assigned
     item, its weight, and the encoded content features (for external
@@ -462,15 +475,17 @@ def evaluate(
     with export as write, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if write is not None:
             write(",".join(columns))
+        factors = Factors.of(encoders, bank, value_grams(bank))
         for i in range(scene_count):
             pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
-            report, fwd = compute_losses(encoders, bank, pair, cfg.train)
+            report, fwd = compute_losses(encoders, bank, pair, cfg.train, factors)
             loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
             contents = tuple(q.content for q in fwd.queries.values())
-            reads = dict(zip(fwd.queries, zip(contents, read_global(bank, contents, ("x", "y"), fwd.sims))))
+            results = read_global(bank, tuple(c.shape[0] for c in contents), ("x", "y"), fwd.sims)
+            reads = dict(zip(fwd.queries, zip(contents, results)))
             targets = {
-                d: (fwd.grams[d], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
+                d: (factors.grams[d], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
                 for d, cols in zip(fwd.queries, fwd.values.columns)
             }
             scene_export = write if i < cfg.assignment_scenes else None

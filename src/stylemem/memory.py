@@ -16,7 +16,10 @@ Query-item arrays follow the item-major rule of :mod:`stylemem.numerics`:
 a scene pair's storage is (N, 2P), domain x in columns [0, P) and y in
 [P, 2P). :func:`read_backward`'s gradient is factored by that module's rule,
 and so are the reads: a :class:`ReadResult` holds its weights and the value
-plane it mixes, and no package path forms the mixture.
+plane it mixes, and no package path forms the mixture. Query sets hold
+their rows as encodings, by that module's encoding rule: addressing takes
+their dots and norms, and :func:`update` folds them, at input width where
+the encoders widen.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyClusterError, LayoutError, ShapeError, StylememError, ValidationError
-from .numerics import EPS_DIV, Cosines, FeatureGrad, l2_normalize_rows, softmax_cols, softmax_rows
+from .numerics import EPS_DIV, Cosines, Encoding, FeatureGrad, l2_normalize_rows, softmax_cols, softmax_rows
 from .serialize import array, integer, layout_counts, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
@@ -121,7 +124,7 @@ class MemoryBank:
 
 @dataclass
 class QuerySet:
-    """One domain's content/style rows and the memory items each may address.
+    """One domain's content/style encodings and the memory items each row may address.
 
     ``mask[p]`` is True on the partition of row p's class (on every item of
     a pooled bank). ``cosines`` holds the content rows' cosine similarities
@@ -131,8 +134,8 @@ class QuerySet:
     views of item-major storage that a scene pair's two domains share.
     """
 
-    content: np.ndarray
-    style: np.ndarray
+    content: Encoding
+    style: Encoding
     mask: np.ndarray
     cosines: Cosines
     weights: np.ndarray
@@ -186,9 +189,10 @@ def init_bank(layout: MemoryLayout, channels: int, rng: np.random.Generator) -> 
 
 
 def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tuple) -> tuple:
-    """Query sets of blocks of rows (a scene pair's two domains, or one
-    block ``(content,)``) addressed in one pass: row p of block b addresses
-    the partition of class ``labels[b][p]``.
+    """Query sets of blocks of encodings (a scene pair's two domains, or
+    one block ``(content,)``) addressed in one pass: row p of block b
+    addresses the partition of class ``labels[b][p]``. Content encodings
+    are scored against the keys (see :class:`~stylemem.numerics.Encoding`).
 
     A pooled bank ignores the labels; otherwise labels missing from the
     layout raise :class:`LayoutError`. Returns the (P, N) partition mask of
@@ -197,11 +201,9 @@ def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tup
     of the block's columns of that storage, by the block rule of
     :mod:`stylemem.numerics`: the bits of its own one-block call.
     """
-    contents = tuple(np.asarray(c, dtype=np.float64) for c in contents)
-    styles = tuple(np.asarray(s, dtype=np.float64) for s in styles)
     labels = tuple(np.asarray(block_labels) for block_labels in labels)
     for content, style, block_labels in zip(contents, styles, labels, strict=True):
-        if content.ndim != 2 or content.shape[1] != bank.channels:
+        if content.shape[1] != bank.channels:
             raise ShapeError(f"content shape {content.shape} incompatible with C={bank.channels}")
         if style.shape != content.shape:
             raise ShapeError(f"style shape {style.shape} != content shape {content.shape}")
@@ -247,27 +249,27 @@ def read(bank: MemoryBank, queries: QuerySet, domain: str) -> ReadResult:
     return ReadResult(queries.weights, _cross_values(bank, domain))
 
 
-def read_global(bank: MemoryBank, queries: tuple, domains: tuple, sims: np.ndarray) -> tuple:
+def read_global(bank: MemoryBank, sizes: tuple, domains: tuple, sims: np.ndarray) -> tuple:
     """Test-time read: softmax over all N items, no class information.
 
-    ``queries`` is a tuple of query blocks and ``domains`` their domains;
-    ``sims`` holds the cosines of all blocks' rows with the keys (a scene
-    pair's (2P, N) storage, or ``cosine_matrix(content, bank.keys)`` for one
-    block). One softmax over all blocks gives one result per block.
+    ``sizes`` holds the row count of each query block and ``domains`` their
+    domains; ``sims`` holds the cosines of all blocks' rows with the keys
+    (a scene pair's (2P, N) storage, or ``cosine_matrix(content,
+    bank.keys)`` for one block). One softmax over all blocks gives one
+    result per block.
     """
-    blocks = tuple(np.asarray(q, dtype=np.float64) for q in queries)
-    for block, domain in zip(blocks, domains, strict=True):
+    for size, domain in zip(sizes, domains, strict=True):
         _check_domain(domain)
-        if block.ndim != 2 or block.shape[0] == 0 or block.shape[1] != bank.channels:
-            raise ShapeError(f"queries shape {block.shape} incompatible with C={bank.channels}")
-    shape = (sum(len(block) for block in blocks), bank.n_items)
+        if not (isinstance(size, int) and size >= 1):
+            raise ShapeError(f"query block size must be a positive int, got {size!r}")
+    shape = (sum(sizes), bank.n_items)
     if getattr(sims, "shape", None) != shape:
         raise ShapeError(f"sims shape {getattr(sims, 'shape', None)}, expected {shape}")
     alpha = softmax_cols(sims.T)  # item-major (N, P)
     results, start = [], 0
-    for block, domain in zip(blocks, domains):
-        results.append(ReadResult(alpha[:, start : start + len(block)].T, _cross_values(bank, domain)))
-        start += len(block)
+    for size, domain in zip(sizes, domains):
+        results.append(ReadResult(alpha[:, start : start + size].T, _cross_values(bank, domain)))
+        start += size
     return tuple(results)
 
 
@@ -315,7 +317,8 @@ def update(bank: MemoryBank, queries_x: QuerySet | None, queries_y: QuerySet | N
     item's weights are its softmax over the cosines of the queries that
     address it: one unit of mass spread across them. Every touched row is
     re-normalized to unit length; items no query addresses stay
-    bit-identical. An empty or missing domain contributes nothing.
+    bit-identical. An empty or missing domain contributes nothing. The
+    features are folded by the encoding rule of :mod:`stylemem.numerics`.
     """
     new = bank.copy()
     key_accum = bank.keys.copy()
@@ -326,8 +329,8 @@ def update(bank: MemoryBank, queries_x: QuerySet | None, queries_y: QuerySet | N
         _check_queries(bank, queries)
         beta = softmax_rows(queries.sims.T, queries.mask.T)  # (N, P): a row softmax of the storage
         hit = queries.mask.T.any(axis=1)
-        key_accum += beta @ queries.content
-        plane[hit] = l2_normalize_rows(plane[hit] + (beta @ queries.style)[hit])
+        key_accum += queries.content.fold(beta)
+        plane[hit] = l2_normalize_rows(plane[hit] + queries.style.fold(beta)[hit])
         touched |= hit
     if touched.any():
         new.keys[touched] = l2_normalize_rows(key_accum[touched])

@@ -5,14 +5,16 @@ row-major. All functions here are pure except :func:`adam_step`, which
 mutates its explicit state argument; nothing touches global state, and all
 randomness flows through generators owned by the caller.
 
-Row norms come in two kinds, which may differ in the last bit. The cosines
-(:class:`Cosines`, and the target norms of :func:`read_cosines`) take
-:func:`dot_norms`, one ``einsum`` pass that reads each row once and makes
-no temporary of the matrix's shape. :func:`l2_normalize_rows` and the triplet distances take
-:func:`row_norms`, the bits of ``np.linalg.norm(m, axis=1)`` without its
-conjugate copy, so that bank rows and triplet terms match their references
-bit for bit. :func:`adam_step` builds its step in place in the textbook
-expression's operation order, so with its bits.
+Row norms of formed rows come in two kinds, which may differ in the last
+bit. The cosines (:class:`Cosines`, and the target norms of
+:func:`read_cosines`) take :func:`dot_norms`, one ``einsum`` pass that
+reads each row once and makes no temporary of the matrix's shape.
+:func:`l2_normalize_rows` and the triplet distances take :func:`row_norms`,
+the bits of ``np.linalg.norm(m, axis=1)`` without its conjugate copy, so
+that bank rows and triplet terms match their references bit for bit. The
+rows of a factored encoding take the bias split of the encoding rule below.
+:func:`adam_step` builds its step in place in the textbook expression's
+operation order, so with its bits.
 
 Query-item arrays (P queries x N items) are stored item-major: a C-contiguous
 (N, P) array, so that a sum, max or softmax over the few items of each query
@@ -40,6 +42,20 @@ only the Gram matrix ``G = V V.T`` (N, N), the dot products ``V s`` (an
 item-major (N, P) array) and ``|s|``: the squared distance
 ``|a V - s|^2 = a.(G a) - 2 a.(V s) + |s|^2``, its gradient at the item-major
 weights A, ``2 (G A - V s)``, and the cosine of :func:`read_cosines`.
+
+Encodings are factored too. An :class:`Encoding` is its inputs X (P, Cin)
+together with the weight W (C, Cin) and bias b that made its rows
+``R = X W.T + b``, and the package takes R only through dot products with
+item rows M, norms and folds ``beta R``. Where C <= Cin the rows are formed,
+by ``stylemem.encoder.forward``, and used as they are. Where C > Cin they
+are not: an :class:`Affine` holds W, b and their factors against M, computed
+once per weight and bank state, and every product runs at input width. The
+dots are ``M R.T = (M W) X.T + M b``, and a fold is ``beta R = (beta X)
+W.T + outer(beta.sum(1), b)``. The norms take a bias split that survives
+cancellation: with ``G = W.T W``, ``z0 = solve(G + eps tr(G) I, W.T b)``,
+``b_perp = b - W z0`` and ``U = X + z0``, ``|r|^2 = U.(G U) + 2 U.(W.T
+b_perp) + |b_perp|^2``, floored at 0. Rows are formed on demand only where
+a consumer needs them whole (:meth:`Encoding.formed`).
 """
 
 from __future__ import annotations
@@ -75,6 +91,89 @@ def dot_norms(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 @dataclass(slots=True)
+class Affine:
+    """An encoder's map ``x -> W x + b`` at one weight state, with the
+    factors by which the encoding rule meets the one item plane M (N, C)
+    that its rows are scored against: ``item_weight`` M W and ``item_bias``
+    M b, and the bias split of the norms, ``gram`` G, ``shift`` z0,
+    ``cross`` W.T b_perp and ``offset`` |b_perp|^2."""
+
+    weight: np.ndarray
+    bias: np.ndarray
+    item_weight: np.ndarray
+    item_bias: np.ndarray
+    gram: np.ndarray
+    shift: np.ndarray
+    cross: np.ndarray
+    offset: float
+
+    @classmethod
+    def of(cls, weight: np.ndarray, bias: np.ndarray, items: np.ndarray) -> "Affine":
+        gram = weight.T @ weight
+        ridged = gram.copy()
+        ridged.flat[:: len(gram) + 1] += np.finfo(np.float64).eps * np.trace(gram)
+        try:
+            shift = np.linalg.solve(ridged, weight.T @ bias)
+        except np.linalg.LinAlgError:  # a zero weight has no ridge: z0 = 0 splits nothing off
+            shift = np.zeros(len(gram))
+        perp = bias - weight @ shift
+        offset = float(np.einsum("i,i->", perp, perp))
+        return cls(weight, bias, items @ weight, items @ bias, gram, shift, weight.T @ perp, offset)
+
+
+@dataclass(slots=True)
+class Encoding:
+    """P encoded rows ``inputs @ W.T + b`` by the encoding rule of the
+    module docstring: ``rows`` holds them formed where C <= Cin, and where
+    C > Cin ``rows`` is None and ``affine`` stands for them."""
+
+    inputs: np.ndarray
+    rows: np.ndarray | None
+    affine: Affine | None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.shape if self.rows is not None else (len(self.inputs), len(self.affine.bias))
+
+    def formed(self) -> np.ndarray:
+        """The (P, C) rows, formed on each call where they are not held."""
+        if self.rows is not None:
+            return self.rows
+        rows = self.inputs @ self.affine.weight.T
+        rows += self.affine.bias
+        return rows
+
+    def norms(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Each row's norm, (P,): :func:`dot_norms` of the rows, or the bias split."""
+        if self.rows is not None:
+            return dot_norms(self.rows, out)
+        a = self.affine
+        shifted = self.inputs + a.shift
+        half = shifted @ a.gram
+        half += 2.0 * a.cross
+        squares = np.einsum("ij,ij->i", shifted, half)
+        squares += a.offset
+        return np.sqrt(np.maximum(squares, 0.0, out=squares), out=out)
+
+    def dots(self, items: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Item-major (N, P) dot products ``items @ rows.T``; where the rows
+        are not held, ``items`` must be the plane of ``affine``."""
+        if self.rows is not None:
+            return np.matmul(items, self.rows.T, out=out)
+        out = np.matmul(self.affine.item_weight, self.inputs.T, out=out)
+        out += self.affine.item_bias[:, None]
+        return out
+
+    def fold(self, weights: np.ndarray) -> np.ndarray:
+        """``weights @ rows`` for item-major (N, P) ``weights``, (N, C)."""
+        if self.rows is not None:
+            return weights @ self.rows
+        folded = (weights @ self.inputs) @ self.affine.weight.T
+        folded += np.multiply.outer(weights.sum(axis=1), self.affine.bias)
+        return folded
+
+
+@dataclass(slots=True)
 class Cosines:
     """All-pairs cosine similarities of query rows against items, with the
     parts they are built from, so consumers of the raw dot products or the
@@ -95,21 +194,22 @@ class Cosines:
     columns: tuple[slice, ...]
 
     @classmethod
-    def between(cls, rows: tuple[np.ndarray, ...], items: tuple[np.ndarray, ...]) -> "Cosines":
-        """Block b pairs ``rows[b]`` (P_b, C) with ``items[b]`` (N, C) and
-        writes its products into its own columns, by the block rule; no
-        array of all blocks' rows is formed. Unchecked: 2-D float64 arrays
-        of equal width, items of equal length."""
+    def between(cls, rows: tuple[Encoding, ...], items: tuple[np.ndarray, ...]) -> "Cosines":
+        """Block b pairs the encoding ``rows[b]`` (P_b, C) with ``items[b]``
+        (N, C), the plane of its ``affine`` if it has one, and writes its
+        products into its own columns, by the block rule; no array of all
+        blocks' rows is formed. Unchecked: float64 of equal width, items of
+        equal length."""
         norms_of = {id(i): dot_norms(i) for i in items}  # blocks that share items share the norms
-        norms, item_norms = np.empty(sum(len(r) for r in rows)), np.array([norms_of[id(i)] for i in items])
+        norms, item_norms = np.empty(sum(r.shape[0] for r in rows)), np.array([norms_of[id(i)] for i in items])
         dots, denom = np.empty((item_norms.shape[1], len(norms))), np.empty((item_norms.shape[1], len(norms)))
         columns, start = [], 0
         for b, block in enumerate(rows):
-            cols = slice(start, start + len(block))
+            cols = slice(start, start + block.shape[0])
             columns.append(cols)
             start = cols.stop
-            dot_norms(block, out=norms[cols])
-            np.matmul(items[b], block.T, out=dots[:, cols])
+            block.norms(out=norms[cols])
+            block.dots(items[b], out=dots[:, cols])
             np.multiply(item_norms[b, :, None], norms[cols], out=denom[:, cols])
         denom += EPS_DIV
         sims = np.divide(dots, denom)
@@ -132,11 +232,13 @@ class FeatureGrad:
     scale: np.ndarray
 
 
-def cosine_matrix(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """All-pairs cosine similarities, (P, C) x (N, C) -> (P, N), a view of
-    item-major storage (see :class:`Cosines`)."""
-    queries = _as_matrix(queries, "queries")
+def cosine_matrix(queries: Encoding, keys: np.ndarray) -> np.ndarray:
+    """All-pairs cosine similarities of an encoding's rows with the keys,
+    (P, C) x (N, C) -> (P, N), a view of item-major storage (see
+    :class:`Cosines`)."""
     keys = _as_matrix(keys, "keys")
+    if queries.shape[0] == 0:
+        raise ShapeError(f"queries must be non-empty, got shape {queries.shape}")
     if queries.shape[1] != keys.shape[1]:
         raise ShapeError(f"channel mismatch: {queries.shape[1]} vs {keys.shape[1]}")
     return Cosines.between((queries,), (keys,)).sims

@@ -6,9 +6,11 @@ whole bank otherwise): a masked argmax over the query-item cosine matrix.
 They treat the items as constants: gradients flow into the queries only,
 factored on the items as :mod:`stylemem.numerics` states.
 
-Queries come as a tuple of blocks (a scene pair's two domains; one block
-is a one-tuple), the items as one array shared by every block or one per
-block, and the pool as a boolean (P, N) mask over all blocks' P queries.
+Queries come as a tuple of blocks of encodings (a scene pair's two
+domains; one block is a one-tuple; see the encoding rule of
+:mod:`stylemem.numerics`), the items as one array shared by every block or
+one per block, and the pool as a boolean (P, N) mask over all blocks' P
+queries.
 Pools and cosines are (P, N) views of item-major storage, and every step
 runs once over the storage for all blocks; each block gets its own term,
 summed over its own queries, by the block rule of :mod:`stylemem.numerics`.
@@ -48,11 +50,10 @@ class LossTerm:
 def _inputs(queries: tuple, items, pool: np.ndarray, cosines) -> tuple[tuple, tuple, np.ndarray, Cosines]:
     """The query and item blocks (one items array may serve them all), the
     pool as a validated item-major (N, P) view, and the cosines."""
-    queries = tuple(np.asarray(q, np.float64) for q in queries)
     items = items if isinstance(items, tuple) else (items,) * len(queries)
     items = tuple(np.asarray(i, np.float64) for i in items)
     for q, i in zip(queries, items, strict=True):
-        if q.ndim != 2 or i.ndim != 2 or q.shape[1] != i.shape[1] or i.shape != items[0].shape:
+        if i.ndim != 2 or q.shape[1] != i.shape[1] or i.shape != items[0].shape:
             raise ShapeError(f"queries {q.shape} and items {i.shape} must share channels")
     sizes = [q.shape[0] for q in queries]
     shape = (sum(sizes), items[0].shape[0])
@@ -128,8 +129,9 @@ def triplet_loss(
     negatives = np.argmax(others, axis=0)
 
     def term(b: int, cols: slice) -> LossTerm:
-        diff_pos = queries[b] - items[b][positives[cols]]
-        diff_neg = queries[b] - items[b][negatives[cols]]
+        formed = queries[b].formed()
+        diff_pos = formed - items[b][positives[cols]]
+        diff_neg = formed - items[b][negatives[cols]]
         d_pos = row_norms(diff_pos)
         d_neg = row_norms(diff_neg)
         terms = d_pos - d_neg + margin

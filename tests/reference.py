@@ -15,15 +15,22 @@ reference Adam step runs ``oracles.oracle_adam_scalar`` element by element,
 so that comparison also covers the package optimizer.
 
 ``reference_evaluate`` is evaluation in two passes per scene: the full loss
-pass with its gradients, then a fresh encoding of the scene and a
-one-block ``read_global`` on the raw content features, whose fidelity is
-:func:`cosine_rows` of the formed mixture and the target rows. The package
-takes one gradient-free loss pass and reuses its features and cosines;
-``test_evaluate.py`` compares the two.
+pass with its gradients, by the forward route (below), then a fresh
+encoding of the scene and a one-block ``read_global`` on the raw content
+features, whose fidelity is :func:`cosine_rows` of the formed mixture and
+the target rows. The package takes one gradient-free loss pass and reuses
+its features and cosines; ``test_evaluate.py`` compares the two.
 
 ``pair_rows`` draws a bank and the rows of one scene pair, whose two domains
 the package addresses in one pass; ``test_memory.py`` and
 ``test_objectives.py`` compare that pass with one call per domain.
+
+The package takes rows as encodings (``numerics.Encoding``). :func:`encoded`
+holds given rows as they are, :func:`encoding` encodes inputs as the package
+does, and :func:`factors_of` makes the ``encoder.Factors`` of a state.
+:func:`forward_factors` are factors by which every encoder forms its rows
+with ``forward``, whatever its width: the forward route, against which the
+factored route of widening encoders is checked.
 
 :func:`dense_gradient` is the one place a factored feature gradient
 (``numerics.FeatureGrad``) becomes the (P, C) array it stands for, and
@@ -34,19 +41,19 @@ finite-difference checks of ``encoder.backward``.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from stylemem.encoder import compute_losses, forward
+from stylemem.encoder import EncoderSet, Factors, compute_losses, forward, value_grams
 from stylemem.errors import LayoutError
 from stylemem.harness import STREAM_EVAL, MetricsRow
 from stylemem.memory import (
     POOLED_CLASS_ID, MemoryLayout, address_blocks, init_bank, read, read_backward, read_global, update,
 )
 from stylemem.errors import ShapeError
-from stylemem.numerics import EPS_DIV, cosine_matrix, dot_norms, softmax_rows, split_rng
+from stylemem.numerics import EPS_DIV, Affine, Encoding, cosine_matrix, dot_norms, softmax_rows, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT
 from stylemem.synthdata import generate_scene_pair
@@ -108,12 +115,37 @@ def addressed(bank, cluster: ClassCluster | None):
 
 def address_one(bank, content, style, labels):
     """The query set of one block of rows: ``address_blocks`` on one-tuples."""
-    return address_blocks(bank, (content,), (style,), (labels,))[2][0]
+    return address_blocks(bank, (encoded(content),), (encoded(style),), (labels,))[2][0]
 
 
 def read_global_one(bank, content, domain):
     """The test-time read of one block of content rows, from their own cosines."""
-    return read_global(bank, (content,), (domain,), cosine_matrix(content, bank.keys))[0]
+    return read_global(bank, (len(content),), (domain,), cosine_matrix(encoded(content), bank.keys))[0]
+
+
+def encoded(rows):
+    """Rows held as they are, as an encoding: inputs and rows both ``rows``
+    (the weight I and bias 0 made them)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return Encoding(rows, rows, None)
+
+
+def encoding(enc, inputs, items):
+    """The package's encoding of ``inputs`` by ``enc``, scored against the
+    plane ``items``: rows formed by ``forward`` where C <= Cin, else factored."""
+    if enc.out_channels <= enc.in_channels:
+        return Encoding(inputs, forward(enc, inputs), None)
+    return Encoding(inputs, None, Affine.of(enc.weight, enc.bias, items))
+
+
+def factors_of(encoders, bank):
+    """The ``Factors`` of this state of ``encoders`` and ``bank``."""
+    return Factors.of(encoders, bank, value_grams(bank))
+
+
+def forward_factors(bank):
+    """Factors by which every encoder forms its rows with ``forward``."""
+    return Factors(dict.fromkeys(f.name for f in fields(EncoderSet)), value_grams(bank))
 
 
 @dataclass
@@ -181,7 +213,7 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
             upstream = (2.0 / p_total) * diff
             g_weights[d][:, cluster.positions] = result.values @ upstream.T
             through_read = dense_gradient(
-                read_backward(bank, queries, g_weights[d][:, cluster.positions]), queries.content
+                read_backward(bank, queries, g_weights[d][:, cluster.positions]), queries.content.rows
             )
             grad_content[d][cluster.positions] += settings.rec_loss_weight * through_read
             grad_style[opposite][cluster.positions] -= settings.rec_loss_weight * upstream
@@ -248,8 +280,9 @@ def reference_train_step(encoders, bank, pair, settings, update_memory=True):
 
 
 def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> MetricsRow:
-    """``harness.evaluate`` in two passes per scene; writes ``assignments_path``,
-    each line one ``%`` template call over all its columns."""
+    """``harness.evaluate`` in two passes per scene, by the forward route;
+    writes ``assignments_path``, each line one ``%`` template call over all
+    its columns."""
     spec = cfg.domain_spec()
     item_classes = cfg.reference_layout().item_classes
     settings = cfg.train
@@ -263,7 +296,7 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
 
     for i in range(scene_count):
         pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
-        report, fwd = compute_losses(encoders, bank, pair, settings)
+        report, fwd = compute_losses(encoders, bank, pair, settings, forward_factors(bank))
         fwd.grad_content, fwd.grad_style  # the whole training pass, backward included
         loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
@@ -328,7 +361,7 @@ def one_block(queries, items, pool):
     boolean (P, N) pool mask."""
     mask = np.zeros((len(queries), len(items)), dtype=bool)
     mask[:, list(pool)] = True
-    return (queries,), items, mask
+    return (encoded(queries),), items, mask
 
 
 def assignment_weights(queries):

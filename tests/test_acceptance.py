@@ -29,7 +29,8 @@ from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 from fdcheck import fd_check
 from oracles import oracle_read, oracle_read_global, oracle_update
 from reference import (
-    address_one, assignment_weights, dense_gradient, factored_loss, one_block, read_global_one, span,
+    address_one, assignment_weights, dense_gradient, encoding, factored_loss, factors_of, one_block,
+    read_global_one, span,
 )
 
 
@@ -116,7 +117,7 @@ def test_criterion_2_oracle_equivalence():
         got = read(bank, cluster, domain)
         w_ref, s_ref = oracle_read(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
-            offset, count, cluster.content.tolist(), domain,
+            offset, count, cluster.content.rows.tolist(), domain,
         )
         worst = max(worst, float(np.abs(got.weights - w_ref).max()))
         worst = max(worst, float(np.abs(got.aggregated_style - s_ref).max()))
@@ -136,7 +137,7 @@ def test_criterion_2_oracle_equivalence():
         k_ref, vx_ref, vy_ref = oracle_update(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
             offset, count,
-            cx.content.tolist(), cx.style.tolist(), cy.content.tolist(), cy.style.tolist(),
+            cx.content.rows.tolist(), cx.style.rows.tolist(), cy.content.rows.tolist(), cy.style.rows.tolist(),
         )
         worst = max(worst, float(np.abs(updated.keys - k_ref).max()))
         worst = max(worst, float(np.abs(updated.values_x - vx_ref).max()))
@@ -221,7 +222,7 @@ def test_criterion_4_gradient_correctness():
                 probe = copy.deepcopy(enc)
                 setattr(probe, which, value)
                 rows = forward(probe, inputs)
-                grads = dict(zip(("weight", "bias"), backward(probe, inputs, upstream, rows)))
+                grads = dict(zip(("weight", "bias"), backward(encoding(probe, inputs, upstream.items), upstream)))
                 return factored_loss(upstream, rows), grads[which]
 
             def input_loss(x):
@@ -255,20 +256,18 @@ def test_criterion_4_gradient_correctness():
 
         for name in ("content_x", "content_y", "style_x", "style_y"):
             kind, domain = name.split("_")
-            inputs = pair.content if kind == "content" else pair.styles["xy".index(domain)]
             for which in ("weight", "bias"):
 
-                def fn(param, _name=name, _which=which, _inputs=inputs, _kind=kind, _domain=domain):
+                def fn(param, _name=name, _which=which, _kind=kind, _domain=domain):
                     probe = copy.deepcopy(encoders)
                     enc = getattr(probe, _name)
                     if _which == "weight":
                         enc.weight = param
                     else:
                         enc.bias = param
-                    report, fwd = compute_losses(probe, bank, pair, settings)
+                    report, fwd = compute_losses(probe, bank, pair, settings, factors_of(probe, bank))
                     grads = fwd.grad_content if _kind == "content" else fwd.grad_style
-                    rows = getattr(fwd.queries[_domain], _kind)
-                    gw, gb = backward(enc, _inputs, grads[_domain], rows)
+                    gw, gb = backward(getattr(fwd.queries[_domain], _kind), grads[_domain])
                     return report.total, gw if _which == "weight" else gb
 
                 enc = getattr(encoders, name)

@@ -36,7 +36,9 @@ from stylemem.memory import MemoryLayout, init_bank, read
 from stylemem.numerics import EPS_DIV, make_rng, read_cosines, split_rng
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
-from reference import cosine_rows, dense_gradient, reference_compute_losses, reference_train_step, span
+from reference import (
+    cosine_rows, dense_gradient, factors_of, reference_compute_losses, reference_train_step, span,
+)
 
 RTOL = 1e-12
 # worst at seeds 70-77: the triplet row 5.5e-8 (rows, C = 5) and 6.2e-8 (Gram,
@@ -81,8 +83,9 @@ def problem(seed, class_aware, channels):
 def check_step(encoders, bank, pair, settings, update_memory=True):
     """Compare one dense train_step with the reference from the same state."""
     ref, ref_encoders, ref_bank = reference_train_step(encoders, bank, pair, settings, update_memory)
-    dense_report, fwd = compute_losses(copy.deepcopy(encoders), bank, pair, settings)
-    report, new_bank = train_step(encoders, bank, pair, settings, update_memory)
+    factors = factors_of(encoders, bank)
+    dense_report, fwd = compute_losses(copy.deepcopy(encoders), bank, pair, settings, factors)
+    report, new_bank = train_step(encoders, bank, pair, settings, factors, update_memory)
 
     for name in ("key_loss", "value_loss", "rec_loss", "total"):
         assert_close(getattr(report, name), getattr(ref, name))
@@ -90,8 +93,8 @@ def check_step(encoders, bank, pair, settings, update_memory=True):
     for d in ("x", "y"):
         np.testing.assert_array_equal(fwd.key_terms[d].positives, ref.key_positives[d])
         np.testing.assert_array_equal(fwd.value_terms[d].positives, ref.value_positives[d])
-        assert_close(dense_gradient(fwd.grad_content[d], fwd.queries[d].content), ref.grad_content[d])
-        assert_close(dense_gradient(fwd.grad_style[d], fwd.queries[d].style), ref.grad_style[d])
+        assert_close(dense_gradient(fwd.grad_content[d], fwd.queries[d].content.formed()), ref.grad_content[d])
+        assert_close(dense_gradient(fwd.grad_style[d], fwd.queries[d].style.formed()), ref.grad_style[d])
         assert_close(fwd.g_weights[d], ref.g_weights[d])
     # the step's per-domain item-loss terms: key x, value x, key y, value y
     terms = [fwd.key_terms["x"], fwd.value_terms["x"], fwd.key_terms["y"], fwd.value_terms["y"]]
@@ -127,13 +130,11 @@ def encoder_gradients(encoders, pair, fwd, ref):
     out = {}
     for d, style in zip(("x", "y"), pair.styles):
         q = fwd.queries[d]
-        for kind, inputs, grad, rows, dense in (
+        for kind, inputs, grad, encoded, dense in (
             ("content", pair.content, fwd.grad_content[d], q.content, ref.grad_content[d]),
             ("style", style, fwd.grad_style[d], q.style, ref.grad_style[d]),
         ):
-            enc = getattr(encoders, f"{kind}_{d}")
-            got = backward(enc, inputs, grad, rows)
-            out[f"{kind}_{d}"] = (got, (dense.T @ inputs, dense.sum(axis=0)))
+            out[f"{kind}_{d}"] = (backward(encoded, grad), (dense.T @ inputs, dense.sum(axis=0)))
     return out
 
 
@@ -148,7 +149,7 @@ def test_encoder_gradients_match_the_dense_reference(class_aware, loss_variant, 
         pair, bank, encoders = problem(90 + seed, class_aware, channels)
         settings = TrainSettings(loss_variant=loss_variant, **weights)
         ref = reference_compute_losses(encoders, bank, pair, settings)
-        _, fwd = compute_losses(encoders, bank, pair, settings)
+        _, fwd = compute_losses(encoders, bank, pair, settings, factors_of(encoders, bank))
         for got, want in encoder_gradients(encoders, pair, fwd, ref).values():
             assert_close(got[0], want[0])
             assert_close(got[1], want[1])
@@ -170,9 +171,9 @@ def test_encoder_gradients_where_the_factored_terms_cancel(row, channels):
             settings = TrainSettings(loss_variant="triplet", triplet_margin=3.0)
         enc.bias = target - enc.weight @ pair.content[0]  # content row 0 of domain x is now the target
         ref = reference_compute_losses(encoders, bank, pair, settings)
-        _, fwd = compute_losses(encoders, bank, pair, settings)
+        _, fwd = compute_losses(encoders, bank, pair, settings, factors_of(encoders, bank))
         if row == "content-norm-1e-8":
-            assert np.linalg.norm(fwd.queries["x"].content[0]) == pytest.approx(1e-8, rel=1e-6)
+            assert np.linalg.norm(fwd.queries["x"].content.formed()[0]) == pytest.approx(1e-8, rel=1e-6)
         else:
             assert fwd.key_terms["x"].positives[0] == offset
             assert 0.0 < fwd.key_terms["x"].gradient().scale[0] == pytest.approx(1e9, rel=1e-6)
@@ -188,15 +189,16 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
     for seed in range(70, 78):
         pair, bank, encoders = problem(seed, True, channels)
         settings = TrainSettings()
-        _, fwd = compute_losses(encoders, bank, pair, settings)
+        _, fwd = compute_losses(encoders, bank, pair, settings, factors_of(encoders, bank))
         mixture = read(bank, fwd.queries["x"], "x").aggregated_style[0]  # a_0 V_y
         toward = split_rng(seed, 4).standard_normal(bank.channels)
         toward /= np.linalg.norm(toward)
         enc = encoders.style_y
         enc.bias = mixture + gap * toward - enc.weight @ pair.styles[1][0]  # style row 0 of y is now a_0 V_y
         ref = reference_compute_losses(encoders, bank, pair, settings)
-        report, fwd = compute_losses(encoders, bank, pair, settings)
-        miss = np.linalg.norm(fwd.queries["y"].style[0] - mixture)
+        factors = factors_of(encoders, bank)
+        report, fwd = compute_losses(encoders, bank, pair, settings, factors)
+        miss = np.linalg.norm(fwd.queries["y"].style.formed()[0] - mixture)
         assert miss <= 1e-15 * np.linalg.norm(mixture) if gap == 0.0 else miss == pytest.approx(gap, rel=1e-6)
 
         assert_close(report.rec_loss, ref.rec_loss)
@@ -207,8 +209,9 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
             assert_close(got[1], want[1])
         cols = fwd.values.columns[1]
         weights = fwd.queries["x"].weights.T
-        fidelity = read_cosines(weights, fwd.grams["y"], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
-        assert_close(fidelity, cosine_rows(read(bank, fwd.queries["x"], "x").aggregated_style, fwd.queries["y"].style))
+        fidelity = read_cosines(weights, factors.grams["y"], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
+        mixtures = read(bank, fwd.queries["x"], "x").aggregated_style
+        assert_close(fidelity, cosine_rows(mixtures, fwd.queries["y"].style.formed()))
         norm_sq = float(fwd.values.row_norms[cols][0]) ** 2  # 1, less the share of EPS_DIV in the denominator
         assert fidelity[0] == pytest.approx(norm_sq / (norm_sq + EPS_DIV), rel=1e-14)
 
@@ -228,6 +231,6 @@ def test_label_missing_from_layout_raises():
     pair, bank, encoders = problem(81, True, 5)
     pair.labels[:5] = 7
     with pytest.raises(LayoutError, match="class 7"):
-        train_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2))
+        train_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2), factors_of(encoders, bank))
     with pytest.raises(LayoutError, match="class 7"):
         reference_train_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2))

@@ -19,14 +19,14 @@ from stylemem.encoder import (
     train_step,
 )
 from stylemem.errors import ConfigError, ShapeError
-from stylemem.harness import PRESETS, evaluate
+from stylemem.harness import PRESETS, _pair_metrics, evaluate
 from stylemem.memory import MemoryLayout, init_bank, read, read_backward
 from stylemem.numerics import FeatureGrad, make_rng, split_rng
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from fdcheck import fd_check
 from oracles import oracle_linear_forward
-from reference import dense_gradient, factored_loss, span
+from reference import dense_gradient, encoding, factored_loss, factors_of, span
 
 
 def identity_encoder(n):
@@ -88,7 +88,7 @@ def test_backward_zero_upstream(c_in, c_out):
     enc.bias = rng.standard_normal(c_out)
     x = rng.standard_normal((4, c_in))
     grad = FeatureGrad(rng.standard_normal((3, c_out)), np.zeros((3, 4)), np.zeros(4))
-    gw, gb = backward(enc, x, grad, forward(enc, x))
+    gw, gb = backward(encoding(enc, x, grad.items), grad)
     np.testing.assert_array_equal(gw, 0.0)
     np.testing.assert_array_equal(gb, 0.0)
 
@@ -119,36 +119,30 @@ def test_backward_weight_and_bias_fd(c_in, c_out):
     def weight_loss(w):
         probe = copy.deepcopy(enc)
         probe.weight = w
-        rows = forward(probe, x)
-        gw, _ = backward(probe, x, grad, rows)
-        return factored_loss(grad, rows), gw
+        gw, _ = backward(encoding(probe, x, grad.items), grad)
+        return factored_loss(grad, forward(probe, x)), gw
 
     def bias_loss(b):
         probe = copy.deepcopy(enc)
         probe.bias = b
-        rows = forward(probe, x)
-        _, gb = backward(probe, x, grad, rows)
-        return factored_loss(grad, rows), gb
+        _, gb = backward(encoding(probe, x, grad.items), grad)
+        return factored_loss(grad, forward(probe, x)), gb
 
     assert fd_check(weight_loss, enc.weight).passed
     assert fd_check(bias_loss, enc.bias).passed
 
 
 def test_backward_shape_check():
-    enc = identity_encoder(3)
     rng = make_rng(45)
-    rows = np.zeros((2, 3))
-    for count, channels in ((3, 3), (2, 4)):  # one row too many; one channel too many
-        with pytest.raises(ShapeError):
-            backward(enc, np.zeros((2, 3)), random_gradient(rng, count, channels), rows)
-    grad = random_gradient(rng, 2, 3)
-    for wrong in (replace(grad, scale=np.zeros(3)), replace(grad, coef=np.zeros((4, 2)))):
-        with pytest.raises(ShapeError):
-            backward(enc, np.zeros((2, 3)), wrong, rows)
-    with pytest.raises(ShapeError, match="rows"):
-        backward(enc, np.zeros((2, 3)), grad, np.zeros((2, 4)))
-    with pytest.raises(ShapeError, match="inputs"):  # one input channel too many
-        backward(enc, np.zeros((2, 4)), grad, rows)
+    for c_out in (3, 4):  # formed rows, and factored ones
+        encoded = encoding(LinearEncoder.create(rng, 3, c_out), np.zeros((2, 3)), np.zeros((5, c_out)))
+        for count, channels in ((3, c_out), (2, c_out + 1)):  # one row too many; one channel too many
+            with pytest.raises(ShapeError, match=re.escape(f"do not fit the encoding's rows (2, {c_out})")):
+                backward(encoded, random_gradient(rng, count, channels))
+        grad = random_gradient(rng, 2, c_out)
+        for wrong in (replace(grad, scale=np.zeros(3)), replace(grad, coef=np.zeros((4, 2)))):
+            with pytest.raises(ShapeError):
+                backward(encoded, wrong)
 
 
 def test_apply_gradients_advances_state():
@@ -178,7 +172,7 @@ def test_zero_weights_leave_parameters_bitwise_unchanged():
         temperature=0.1, key_loss_weight=0.0, value_loss_weight=0.0, rec_loss_weight=0.0
     )
     snapshot = [(e.weight.copy(), e.bias.copy()) for e in encoders.all()]
-    report, new_bank = train_step(encoders, bank, pair, settings)
+    report, new_bank = train_step(encoders, bank, pair, settings, factors_of(encoders, bank))
     for enc, (w, b) in zip(encoders.all(), snapshot):
         np.testing.assert_array_equal(enc.weight, w)
         np.testing.assert_array_equal(enc.bias, b)
@@ -191,7 +185,7 @@ def test_zero_weights_leave_parameters_bitwise_unchanged():
 def test_train_step_does_not_mutate_scenes():
     _, pair, bank, encoders = small_problem(51)
     frozen = (pair.content.copy(), pair.styles[0].copy(), pair.labels.copy(), pair.styles[1].copy())
-    train_step(encoders, bank, pair, TrainSettings())
+    train_step(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
     np.testing.assert_array_equal(pair.content, frozen[0])
     np.testing.assert_array_equal(pair.styles[0], frozen[1])
     np.testing.assert_array_equal(pair.labels, frozen[2])
@@ -215,7 +209,7 @@ def test_a_pair_block_one_row_short_raises_in_address_blocks(shorten, message):
     before = copy.deepcopy((encoders, bank))
     for step in (compute_losses, train_step):
         with pytest.raises(ShapeError, match=re.escape(message)) as raised:
-            step(encoders, bank, pair, TrainSettings())
+            step(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
         assert raised.traceback[-1].name == "address_blocks"
     for got, want in zip(encoders.all(), before[0].all()):
         np.testing.assert_array_equal(got.weight, want.weight)
@@ -235,9 +229,9 @@ WEIGHTED = dict(key_loss_weight=0.7, value_loss_weight=0.3, rec_loss_weight=1.3)
 ])
 def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
     _, pair, bank, encoders = small_problem(53)
-    _, fwd = compute_losses(encoders, bank, pair, settings)
+    _, fwd = compute_losses(encoders, bank, pair, settings, factors_of(encoders, bank))
     shared = [
-        a for d, q in fwd.queries.items() for a in (fwd.g_weights[d], q.content, q.style, q.weights, q.sims)
+        a for d, q in fwd.queries.items() for a in (fwd.g_weights[d], q.content.rows, q.style.rows, q.weights, q.sims)
     ]
     before = [a.copy() for a in shared]
     grads = [*fwd.grad_content.values(), *fwd.grad_style.values()]
@@ -265,7 +259,7 @@ def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
             got.coef, s.value_loss_weight * value.coef - rec * fwd.queries[opposite].weights.T
         )
         np.testing.assert_array_equal(got.scale, s.value_loss_weight * value.scale + rec)
-        rows = fwd.queries[d].style
+        rows = fwd.queries[d].style.rows
         residual = read(bank, fwd.queries[opposite], opposite).aggregated_style - rows
         want = s.value_loss_weight * dense_gradient(value, rows) - rec * residual
         np.testing.assert_allclose(dense_gradient(got, rows), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
@@ -276,7 +270,7 @@ def test_train_step_deterministic_loss_stream():
         _, pair, bank, encoders = small_problem(52)
         values = []
         for _ in range(5):
-            report, bank = train_step(encoders, bank, pair, TrainSettings())
+            report, bank = train_step(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
             values.append((report.key_loss, report.value_loss, report.rec_loss, report.total))
         return values
 
@@ -285,14 +279,15 @@ def test_train_step_deterministic_loss_stream():
 
 def test_train_step_update_every_gate():
     _, pair, bank, encoders = small_problem(53)
-    _, same_bank = train_step(encoders, bank, pair, TrainSettings(), update_memory=False)
+    factors = factors_of(encoders, bank)
+    _, same_bank = train_step(encoders, bank, pair, TrainSettings(), factors, update_memory=False)
     assert same_bank is bank
 
 
 def test_train_step_pooled_mode_runs():
     _, pair, bank, encoders = small_problem(55, class_aware=False)
-    _, fwd = compute_losses(encoders, bank, pair, TrainSettings())
-    report, new_bank = train_step(encoders, bank, pair, TrainSettings())
+    _, fwd = compute_losses(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
+    report, new_bank = train_step(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
     assert report.total > 0.0
     assert not np.array_equal(new_bank.keys, bank.keys)
     assert np.all(fwd.key_terms["x"].positives >= 0)
@@ -306,7 +301,7 @@ def test_default_loss_weights():
 
 def test_positives_filled_for_every_position():
     _, pair, bank, encoders = small_problem(56)
-    _, fwd = compute_losses(encoders, bank, pair, TrainSettings())
+    _, fwd = compute_losses(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
     for d in ("x", "y"):
         assert np.all(fwd.key_terms[d].positives >= 0)
         assert np.all(fwd.value_terms[d].positives >= 0)
@@ -323,7 +318,6 @@ def test_positives_filled_for_every_position():
 def _param_loss_fn(encoders, bank, pair, settings, name, which):
     domain = name.split("_")[1]
     kind = name.split("_")[0]
-    inputs = pair.content if kind == "content" else pair.styles["xy".index(domain)]
 
     def fn(param):
         probe = copy.deepcopy(encoders)
@@ -332,9 +326,9 @@ def _param_loss_fn(encoders, bank, pair, settings, name, which):
             enc.weight = param
         else:
             enc.bias = param
-        report, fwd = compute_losses(probe, bank, pair, settings)
+        report, fwd = compute_losses(probe, bank, pair, settings, factors_of(probe, bank))
         grad_map = fwd.grad_content if kind == "content" else fwd.grad_style
-        gw, gb = backward(enc, inputs, grad_map[domain], getattr(fwd.queries[domain], kind))
+        gw, gb = backward(getattr(fwd.queries[domain], kind), grad_map[domain])
         return report.total, gw if which == "weight" else gb
 
     return fn
@@ -374,15 +368,19 @@ def test_encoder_checkpoint_round_trip(tmp_path):
 # --- allocation ---
 
 # Peak traced bytes (numpy 2.4.6) of a warm full-preset train_step, of its
-# loss pass and of a one-scene evaluate. Each bound is the peak plus half of
-# one (P, C) float64 array, so one dense feature gradient or read mixture
-# held at the peak would exceed it. The step read 6_864_544 when each
-# encoder's gradient was a dense (P, C) array and 4_939_968 when the read's
-# mixture was formed; the loss pass read 3_687_552 and the evaluation
-# 5_285_907 with the mixtures, and 3_060_656 and 3_724_418 without them.
-FACTORED_STEP_PEAK = 4_231_232
-FACTORED_LOSS_PASS_PEAK = 3_060_656
-FACTORED_EVALUATION_PEAK = 3_724_418
+# loss pass, of a one-scene evaluate and of a metrics pass, each at the
+# Factors of its state. Each bound is the peak plus half of one (P, C)
+# float64 array, so one dense feature gradient, read mixture or formed row
+# array held at the peak would exceed it. The step read 6_864_544 when each
+# encoder's gradient was a dense (P, C) array, 4_939_968 when the read's
+# mixture was formed and 4_231_232 when the encoded rows were; the loss pass
+# read 3_687_552, 3_060_848 and 956_448 along the same changes, the
+# evaluation 5_285_907, 3_724_786 and 1_807_214, and the metrics pass
+# 1_796_729 with the rows and 500_056 without them.
+FACTORED_STEP_PEAK = 2_127_104
+FACTORED_LOSS_PASS_PEAK = 956_448
+FACTORED_EVALUATION_PEAK = 1_807_214
+FACTORED_METRICS_PEAK = 500_056
 
 
 def traced_peak(call) -> int:
@@ -396,27 +394,36 @@ def traced_peak(call) -> int:
 
 @pytest.fixture
 def warm_full_step():
-    """A full-preset config, bank, encoders and pair after one step, so the Adam moments exist."""
+    """A full-preset config, bank, encoders, pair and the factors of their
+    state after one step, so the Adam moments exist."""
     cfg = PRESETS["full"]
     bank = init_bank(cfg.bank_layout(), cfg.channels, split_rng(3, 0))
     encoders = EncoderSet.create(split_rng(3, 1), cfg.scene.input_channels, cfg.channels)
     pair = generate_scene_pair(cfg.domain_spec(), split_rng(3, 2))
-    train_step(encoders, bank, pair, cfg.train)
+    train_step(encoders, bank, pair, cfg.train, factors_of(encoders, bank))
     half_feature = pair.content.shape[0] * cfg.channels * 8 // 2
-    return cfg, bank, encoders, pair, half_feature
+    return cfg, bank, encoders, pair, factors_of(encoders, bank), half_feature
 
 
 def test_a_warm_full_preset_step_allocates_no_dense_feature_gradient(warm_full_step):
-    cfg, bank, encoders, pair, half_feature = warm_full_step
-    peak = traced_peak(lambda: train_step(encoders, bank, pair, cfg.train))
+    cfg, bank, encoders, pair, factors, half_feature = warm_full_step
+    peak = traced_peak(lambda: train_step(encoders, bank, pair, cfg.train, factors))
     assert peak <= FACTORED_STEP_PEAK + half_feature, peak
 
 
 def test_no_read_mixture_in_a_full_preset_loss_pass_or_evaluation(warm_full_step):
-    cfg, bank, encoders, pair, half_feature = warm_full_step
-    compute_losses(encoders, bank, pair, cfg.train)
-    peak = traced_peak(lambda: compute_losses(encoders, bank, pair, cfg.train))
+    cfg, bank, encoders, pair, factors, half_feature = warm_full_step
+    compute_losses(encoders, bank, pair, cfg.train, factors)
+    peak = traced_peak(lambda: compute_losses(encoders, bank, pair, cfg.train, factors))
     assert peak <= FACTORED_LOSS_PASS_PEAK + half_feature, peak
     evaluate(bank, encoders, cfg, 1)
     peak = traced_peak(lambda: evaluate(bank, encoders, cfg, 1))
     assert peak <= FACTORED_EVALUATION_PEAK + half_feature, peak
+
+
+def test_a_full_preset_metrics_pass_forms_no_row_array(warm_full_step):
+    cfg, bank, encoders, pair, factors, half_feature = warm_full_step
+    ref_layout = cfg.reference_layout()
+    _pair_metrics(bank, encoders, pair, ref_layout, factors)
+    peak = traced_peak(lambda: _pair_metrics(bank, encoders, pair, ref_layout, factors))
+    assert peak <= FACTORED_METRICS_PEAK + half_feature, peak

@@ -6,33 +6,40 @@ The package takes the reconstruction loss and the fidelity by the
 factored-read rule of ``stylemem.numerics``, while the reference forms each
 read's mixture, so those two fields are compared at a relative tolerance of
 1e-12 (float64 carries ~16 digits); every other field and the export bytes
-are exact.
+are exact. Encoders that widen (C > Cin; 24 channels of the toy preset's 16
+inputs) take the factored route of that module's encoding rule, and the
+reference the forward route, so there every field and every exported float
+is compared at 1e-12, and the rest of the export exactly.
 """
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from stylemem import encoder, harness
+from stylemem.cli import main as cli_main
+from stylemem.encoder import load_encoders, save_encoders
 from stylemem.errors import StylememError, ValidationError
 from stylemem.harness import config_from_dict, evaluate, resolve_config, run_training
-from stylemem.memory import MemoryLayout, init_bank
+from stylemem.memory import MemoryLayout, init_bank, save_bank
 from stylemem.numerics import softmax_rows, split_rng
 
 from reference import address_one, reference_evaluate
 
+WIDENING = 24
 CASES = [
-    pytest.param("class-aware", "contrastive", id="class-aware-contrastive"),
-    pytest.param("class-aware", "triplet", id="class-aware-triplet"),
-    pytest.param("single", "contrastive", id="pooled-contrastive"),
-    pytest.param("single", "triplet", id="pooled-triplet"),
+    pytest.param(mode, variant, channels, id=f"{prefix}{name}-{variant}")
+    for prefix, channels in (("", 16), ("widening-", WIDENING))
+    for mode, name in (("class-aware", "class-aware"), ("single", "pooled"))
+    for variant in ("contrastive", "triplet")
 ]
 
 
-def trained(tmp_path, memory_mode="class-aware", loss_variant="contrastive"):
+def trained(tmp_path, memory_mode="class-aware", loss_variant="contrastive", channels=16):
     cfg = config_from_dict(resolve_config({
-        "preset": "toy", "memory_mode": memory_mode, "loss_variant": loss_variant,
+        "preset": "toy", "memory_mode": memory_mode, "loss_variant": loss_variant, "channels": channels,
         "iterations": 30, "eval_scenes": 3, "assignment_scenes": 2,
         "scene": {"height": 6, "width": 6},
     }))
@@ -40,16 +47,52 @@ def trained(tmp_path, memory_mode="class-aware", loss_variant="contrastive"):
     return cfg, result.bank, result.encoders
 
 
-@pytest.mark.parametrize("memory_mode, loss_variant", CASES)
-def test_evaluate_matches_the_two_pass_reference(tmp_path, memory_mode, loss_variant):
-    cfg, bank, encoders = trained(tmp_path, memory_mode, loss_variant)
+def assert_matches_the_forward_route(row, want, got_csv, want_csv):
+    """Every field and exported float at relative 1e-12, the rest of the export exactly."""
+    for name, value in asdict(want).items():
+        assert getattr(row, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+    got_lines, want_lines = got_csv.read_text().splitlines(), want_csv.read_text().splitlines()
+    assert got_lines[0] == want_lines[0] and len(got_lines) == len(want_lines)
+    for got, want in zip(got_lines[1:], want_lines[1:]):
+        got, want = got.split(","), want.split(",")
+        assert got[:5] == want[:5]
+        np.testing.assert_allclose(np.array(got[5:], float), np.array(want[5:], float), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("memory_mode, loss_variant, channels", CASES)
+def test_evaluate_matches_the_two_pass_reference(tmp_path, memory_mode, loss_variant, channels):
+    cfg, bank, encoders = trained(tmp_path, memory_mode, loss_variant, channels)
     row = evaluate(bank, encoders, cfg, cfg.eval_scenes, assignments_path=tmp_path / "new.csv")
     want = reference_evaluate(bank, encoders, cfg, cfg.eval_scenes, tmp_path / "reference.csv")
+    if channels == WIDENING:
+        assert_matches_the_forward_route(row, want, tmp_path / "new.csv", tmp_path / "reference.csv")
+        return
     factored = ("rec_loss", "fidelity")
     assert replace(row, **{name: 0.0 for name in factored}) == replace(want, **{name: 0.0 for name in factored})
     for name in factored:
         assert getattr(row, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["zero-column", "equal-columns"])
+def test_a_widening_encoder_file_with_a_singular_weight_gram_evaluates(tmp_path, capsys, fault):
+    # load_encoders accepts such a weight, whose W.T W is singular
+    cfg, bank, encoders = trained(tmp_path, channels=WIDENING)
+    for enc in encoders.all():
+        enc.weight[:, 3] = 0.0 if fault == "zero-column" else enc.weight[:, 5]
+    paths = {"bank": tmp_path / "bank.json", "encoders": tmp_path / "encoders.json", "config": tmp_path / "cfg.json"}
+    save_bank(bank, paths["bank"])
+    save_encoders(encoders, paths["encoders"])
+    paths["config"].write_text(json.dumps(cfg.to_dict()))
+    loaded = load_encoders(paths["encoders"])
+    assert np.linalg.matrix_rank(loaded.content_x.weight.T @ loaded.content_x.weight) < cfg.scene.input_channels
+    row = evaluate(bank, loaded, cfg, cfg.eval_scenes, assignments_path=tmp_path / "new.csv")
+    want = reference_evaluate(bank, loaded, cfg, cfg.eval_scenes, tmp_path / "reference.csv")
+    assert_matches_the_forward_route(row, want, tmp_path / "new.csv", tmp_path / "reference.csv")
+    args = ["eval", "--scenes", str(cfg.eval_scenes)] + [a for k, v in paths.items() for a in (f"--{k}", str(v))]
+    assert cli_main(args) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "error" not in captured.err
 
 
 def test_evaluate_computes_no_gradients(tmp_path, monkeypatch):

@@ -72,12 +72,12 @@ DIGESTS = {
     },
     "full": {
         "resolved_config.json": "7bf32d36c88805df6d484bb0d3d6fd8d5392de4852c7013ca1dd998e2a2ce09c",
-        "metrics.csv": "c8cb1fdeba518675c86a8e9e892a5805a2a4f23efe413c36730ea7a12d40d314",
-        "bank.json": "894e6f1a4f2080953682c9815cbfc89f1949f892e38ff378f26332697cf43814",
-        "encoders.json": "ffdf4a800b6b4c016180d806a80bcc27ba99a5bd3bac9536f85158378a69f832",
-        "final_eval.json": "61d57babe9db2dc986448f8e15d4245fde7aede6161aed7bd33eb649f4943954",
-        "assignments.csv": "3517b8d2b27ed5cae345df7984d1f270c9c308971ca7d178ede75b3c630faf50",
-        "stdout": "61d57babe9db2dc986448f8e15d4245fde7aede6161aed7bd33eb649f4943954",
+        "metrics.csv": "6f272429b8524211716a882aad7dbdb757f99fd85f2918a93f7d5e1b671c0490",
+        "bank.json": "1d8fe98d0c7a7827d718c876e613217358e32fac820f112b9302ffa730525d70",
+        "encoders.json": "f6a9e3eb1c2f52c2770f95e1c1a8700c9fbfe613eed9a10c368f48378e819a5d",
+        "final_eval.json": "c3659e2af1e7890c35a533723c37cb8cefa88803acf92af037dd4951b36f57e5",
+        "assignments.csv": "4e74961a45beae2b26bd0f4e49d035ab8ec81d67548ff6beefb8b46a2eba1fb0",
+        "stdout": "c3659e2af1e7890c35a533723c37cb8cefa88803acf92af037dd4951b36f57e5",
     },
     "toy-6x6": {
         "resolved_config.json": "1022032214d961eb100c6bfe42abb009210d0490e4259c148c2f3cbfaee61e42",

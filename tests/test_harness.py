@@ -725,6 +725,65 @@ def test_cli_eval_rejects_artifacts_whose_evaluation_is_not_finite(tmp_path, cap
     assert sorted(tmp_path.iterdir()) == before
 
 
+# The divergence cases above at a widening shape (24 channels of 16 inputs),
+# where the encodings are factored. W.T W squares weights near 1e300 past the
+# float range where the rows themselves stay finite, so the learning-rate
+# cases fail in iteration 0's metrics pass, one stage before the rows route;
+# and the bias-split norms of features near 1e200 sum terms of both signs
+# that overflow, so they read nan where the rows route reads inf.
+WIDENING_DIVERGENCE = {
+    "learning-rate-1e300": (
+        {"iterations": 20, "eval_scenes": 1, "assignment_scenes": 1, "learning_rate": 1e300},
+        "error: training iteration 0: metrics became non-finite (fidelity nan)",
+    ),
+    "temperature-1e-300": (
+        {"iterations": 3, "eval_scenes": 1, "assignment_scenes": 0, "temperature": 1e-300},
+        "error: training iteration 0: encoder content_x Adam second moments became non-finite",
+    ),
+    "noise-sigma-1e200": (
+        {"iterations": 3, "eval_scenes": 1, "assignment_scenes": 0, "scene": {"noise_sigma": 1e200}},
+        "error: training iteration 0: loss became non-finite (",
+    ),
+    "diverged-final-evaluation": (
+        {key: value for key, value in DIVERGED.items() if key != "preset"},
+        "error: training iteration 0: metrics became non-finite (fidelity nan)",
+    ),
+}
+
+
+@pytest.mark.parametrize("override, message", WIDENING_DIVERGENCE.values(), ids=WIDENING_DIVERGENCE)
+def test_cli_names_the_divergence_of_widening_encoders(tmp_path, capsys, override, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "toy", "channels": 24, **override}))
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(message)
+    assert "Traceback" not in err and "Warning" not in err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_cli_eval_rejects_widening_artifacts_whose_evaluation_is_not_finite(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**DIVERGED, "channels": 24}))
+    cfg = load_config(cfg_path)
+    save_bank(init_bank(cfg.bank_layout(), cfg.channels, make_rng(3)), tmp_path / "bank.json")
+    encoders = EncoderSet.create(make_rng(4), cfg.scene.input_channels, cfg.channels)
+    for enc in encoders.all():
+        enc.weight *= 1e300
+    save_encoders(encoders, tmp_path / "encoders.json")
+    before = sorted(tmp_path.iterdir())
+    args = ["eval", "--config", str(cfg_path), "--scenes", "1"]
+    args += ["--bank", str(tmp_path / "bank.json"), "--encoders", str(tmp_path / "encoders.json")]
+    assert cli_main(args) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        "error: evaluation became non-finite (rec_loss nan, fidelity nan)"
+    ]
+    assert "Warning" not in captured.err and "Traceback" not in captured.err and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize(
     "config, message",
     [

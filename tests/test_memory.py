@@ -25,7 +25,8 @@ from stylemem.numerics import l2_normalize_rows, make_rng, softmax_cols, softmax
 
 from oracles import oracle_read, oracle_read_global, oracle_update
 from reference import (
-    PAIR_CASES, address_one, assert_same_bits, assignment_weights, dense_gradient, pair_rows, read_global_one, span,
+    PAIR_CASES, address_one, assert_same_bits, assignment_weights, dense_gradient, encoded, pair_rows, read_global_one,
+    span,
 )
 
 TOY_COUNTS = [(1, 3), (2, 2), (3, 2), (0, 3)]
@@ -145,8 +146,8 @@ def test_address_stores_query_item_arrays_item_major(counts):
     else:
         assert queries.mask.all()
     assert read(bank, queries, "x").weights is queries.weights
-    assert_item_major_view(read_global(bank, (queries.content,), ("y",), queries.sims)[0].weights, shape)
-    assert_item_major_view(read_global_one(bank, queries.content, "y").weights, shape)
+    assert_item_major_view(read_global(bank, (40,), ("y",), queries.sims)[0].weights, shape)
+    assert_item_major_view(read_global_one(bank, queries.content.rows, "y").weights, shape)
     assert_item_major_view(assignment_weights(queries), shape)
 
 
@@ -167,7 +168,7 @@ def assert_pair_views(x_view, y_view, shape):
 @pytest.mark.parametrize("class_aware, side", PAIR_CASES)
 def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
     bank, contents, styles, labels = pair_rows(27, class_aware, side)
-    mask, cosines, pair = address_blocks(bank, contents, styles, labels)
+    mask, cosines, pair = address_blocks(bank, tuple(map(encoded, contents)), tuple(map(encoded, styles)), labels)
     shape = (side * side, bank.n_items)
     assert mask.T.flags.c_contiguous and mask.shape == (2 * shape[0], shape[1])
     assert cosines.columns == (slice(0, shape[0]), slice(shape[0], 2 * shape[0]))
@@ -177,15 +178,18 @@ def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
     for name in ("dots", "denom", "sims"):
         assert_pair_views(getattr(qx.cosines, name), getattr(qy.cosines, name), shape)
     assert qx.mask.base is mask.base and qx.sims.base is cosines.sims.base
-    reads = read_global(bank, contents, ("x", "y"), cosines.sims)  # one test-time softmax
+    sizes = (shape[0], shape[0])
+    reads = read_global(bank, sizes, ("x", "y"), cosines.sims)  # one test-time softmax
     assert_pair_views(reads[0].weights, reads[1].weights, shape)
     with pytest.raises(ShapeError, match="sims"):
-        read_global(bank, contents, ("x", "y"), qx.sims)
+        read_global(bank, sizes, ("x", "y"), qx.sims)
     for d, queries, content, style, block_labels, pair_read in zip("xy", pair, contents, styles, labels, reads):
         single = address_one(bank, content, style, block_labels)
-        assert_same_bits(pair_read.weights, read_global(bank, (content,), (d,), queries.sims)[0].weights)
+        assert_same_bits(pair_read.weights, read_global(bank, (len(content),), (d,), queries.sims)[0].weights)
         assert_same_bits(pair_read.aggregated_style, read_global_one(bank, content, d).aggregated_style)
-        for name in ("content", "style", "mask", "weights"):
+        for name in ("content", "style"):
+            assert_same_bits(getattr(queries, name).rows, getattr(single, name).rows)
+        for name in ("mask", "weights"):
             assert_same_bits(getattr(queries, name), getattr(single, name))
         for name in ("dots", "denom", "sims", "row_norms", "item_norms"):
             assert_same_bits(getattr(queries.cosines, name), getattr(single.cosines, name))
@@ -201,7 +205,7 @@ def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
 @pytest.mark.parametrize("class_aware, side", PAIR_CASES)
 def test_update_on_the_pair_storage_is_update_on_separate_query_sets(class_aware, side):
     bank, contents, styles, labels = pair_rows(29, class_aware, side)
-    _, _, (qx, qy) = address_blocks(bank, contents, styles, labels)
+    _, _, (qx, qy) = address_blocks(bank, tuple(map(encoded, contents)), tuple(map(encoded, styles)), labels)
     separate = [address_one(bank, *rows) for rows in zip(contents, styles, labels)]
     got, want = update(bank, qx, qy), update(bank, *separate)
     for plane in ("keys", "values_x", "values_y"):
@@ -299,8 +303,8 @@ def test_reads_reject_an_unknown_domain_with_a_package_error():
     cluster = make_cluster(bank, rng, 1, 2)
     calls = [
         lambda: read(bank, cluster, "z"),
-        lambda: read_global_one(bank, cluster.content, "z"),
-        lambda: read_global(bank, (cluster.content, cluster.content), ("x", "z"), np.zeros((4, bank.n_items))),
+        lambda: read_global_one(bank, cluster.content.rows, "z"),
+        lambda: read_global(bank, (2, 2), ("x", "z"), np.zeros((4, bank.n_items))),
     ]
     for call in calls:
         with pytest.raises(StylememError, match="domain must be 'x' or 'y', got 'z'"):
@@ -341,7 +345,7 @@ def test_read_matches_read_global_for_single_partition():
     bank = random_bank(rng, [(0, 6)], 5)
     cluster = make_cluster(bank, rng, 0, 4)
     a = read(bank, cluster, "x")
-    b = read_global_one(bank, cluster.content, "x")
+    b = read_global_one(bank, cluster.content.rows, "x")
     np.testing.assert_array_equal(a.weights, b.weights)
     np.testing.assert_array_equal(a.aggregated_style, b.aggregated_style)
 
@@ -385,7 +389,7 @@ def test_read_and_update_match_scalar_oracle():
         got = read(bank, cluster, domain)
         w_ref, s_ref = oracle_read(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
-            offset, count, cluster.content.tolist(), domain,
+            offset, count, cluster.content.rows.tolist(), domain,
         )
         np.testing.assert_allclose(got.weights, w_ref, atol=1e-9)
         np.testing.assert_allclose(got.aggregated_style, s_ref, atol=1e-9)
@@ -405,8 +409,8 @@ def test_read_and_update_match_scalar_oracle():
         k_ref, vx_ref, vy_ref = oracle_update(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
             offset, count,
-            cx.content.tolist(), cx.style.tolist(),
-            cy.content.tolist(), cy.style.tolist(),
+            cx.content.rows.tolist(), cx.style.rows.tolist(),
+            cy.content.rows.tolist(), cy.style.rows.tolist(),
         )
         np.testing.assert_allclose(updated.keys, k_ref, atol=1e-9)
         np.testing.assert_allclose(updated.values_x, vx_ref, atol=1e-9)
@@ -418,13 +422,13 @@ def test_read_and_update_match_scalar_oracle():
 
 def _fd_query_gradient(bank, cluster, domain, upstream, step=1e-6):
     labels = bank.layout.item_classes[np.argmax(cluster.mask, axis=1)]
-    grad = np.zeros_like(cluster.content)
+    grad = np.zeros_like(cluster.content.rows)
     for p in range(cluster.content.shape[0]):
         for c in range(cluster.content.shape[1]):
             for sign in (1.0, -1.0):
-                content = cluster.content.copy()
+                content = cluster.content.rows.copy()
                 content[p, c] += sign * step
-                bumped = address_one(bank, content, cluster.style, labels)
+                bumped = address_one(bank, content, cluster.style.rows, labels)
                 value = float(np.sum(read(bank, bumped, domain).aggregated_style * upstream))
                 grad[p, c] += sign * value / (2.0 * step)
     return grad
@@ -440,7 +444,7 @@ def test_read_backward_zero_upstream():
     rng = make_rng(13)
     bank = random_bank(rng, [(0, 4)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
-    grad = dense_gradient(read_backward(bank, cluster, np.zeros((4, 3))), cluster.content)
+    grad = dense_gradient(read_backward(bank, cluster, np.zeros((4, 3))), cluster.content.rows)
     np.testing.assert_array_equal(grad, np.zeros((3, 5)))
 
 
@@ -448,7 +452,8 @@ def test_read_backward_single_item_constant_path():
     rng = make_rng(14)
     bank = random_bank(rng, [(0, 1)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
-    grad = dense_gradient(through_mixture(bank, cluster, "x", rng.standard_normal((3, 5))), cluster.content)
+    upstream = rng.standard_normal((3, 5))
+    grad = dense_gradient(through_mixture(bank, cluster, "x", upstream), cluster.content.rows)
     np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
 
@@ -457,7 +462,7 @@ def test_read_backward_matches_finite_differences():
     bank = random_bank(rng, [(0, 4), (1, 3)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
     upstream = rng.standard_normal((3, 5))
-    analytic = dense_gradient(through_mixture(bank, cluster, "x", upstream), cluster.content)
+    analytic = dense_gradient(through_mixture(bank, cluster, "x", upstream), cluster.content.rows)
     fd = _fd_query_gradient(bank, cluster, "x", upstream)
     rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     assert float(rel.max()) <= 1e-5

@@ -6,11 +6,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stylemem.encoder import TrainSettings
+from stylemem.encoder import LinearEncoder, TrainSettings, forward
 from stylemem.errors import ShapeError
 from stylemem.numerics import (
     ADAM_EPS,
     AdamState,
+    Cosines,
     adam_step,
     cosine_matrix,
     dot_norms,
@@ -24,7 +25,7 @@ from stylemem.numerics import (
 )
 
 from oracles import oracle_adam_scalar, oracle_cosine, oracle_softmax
-from reference import cosine_rows
+from reference import cosine_rows, encoded, encoding
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -90,7 +91,7 @@ def test_cosine_matrix_matches_scalar():
     rng = make_rng(11)
     q = rng.standard_normal((4, 6))
     k = rng.standard_normal((5, 6))
-    got = cosine_matrix(q, k)
+    got = cosine_matrix(encoded(q), k)
     for p in range(4):
         for n in range(5):
             assert got[p, n] == pytest.approx(oracle_cosine(q[p], k[n]), abs=1e-12)
@@ -327,3 +328,58 @@ def test_split_streams_differ_and_are_stable():
     b = split_rng(9, 0, 5).standard_normal(4)
     np.testing.assert_array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+# --- the encoding rule ---
+
+BIASES = ("zero", "unit", "large", "cancelling")
+
+
+@st.composite
+def weights_and_rows(draw):
+    """(encoder, inputs, items, bias kind) at Cin and C in 1-8, on both sides
+    of C <= Cin. The weight's singular values lie in [0.5, 2]: the split's
+    rounding grows with the condition of W.T W. With a zero bias, the last
+    input row is zero, so its encoded row is zero; with a cancelling one,
+    ``b = t - W x0`` for a random ``|t| = 1e-8``, so row 0 is ``t``."""
+    c_in, c_out, p = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("zero", "unit", "large", "cancelling")))
+    rng = split_rng(draw(st.integers(0, 2**20)), 17)
+    k = min(c_in, c_out)
+    left = np.linalg.qr(rng.standard_normal((c_out, k)))[0]
+    right = np.linalg.qr(rng.standard_normal((c_in, k)))[0]
+    weight = (left * rng.uniform(0.5, 2.0, k)) @ right.T
+    inputs = rng.standard_normal((p, c_in))
+    bias = {"zero": 0.0, "unit": 1.0, "large": 1e6, "cancelling": 0.0}[kind] * rng.standard_normal(c_out)
+    if kind == "zero":
+        inputs[-1] = 0.0
+    if kind == "cancelling":
+        toward = rng.standard_normal(c_out)
+        bias = 1e-8 * toward / np.linalg.norm(toward) - weight @ inputs[0]
+    return LinearEncoder(weight, bias), inputs, rng.standard_normal((3, c_out)), kind
+
+
+def assert_within(got, want, tolerance):
+    assert np.all(np.abs(got - want) <= tolerance), float(np.max(np.abs(got - want) - tolerance))
+
+
+@given(weights_and_rows())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_encodings_take_dots_norms_and_folds_of_the_formed_rows(case):
+    enc, inputs, items, kind = case
+    got = encoding(enc, inputs, items)  # the rows formed where C <= Cin, else factored
+    rows = forward(enc, inputs)
+    assert (got.rows is None) == (enc.out_channels > enc.in_channels)
+    np.testing.assert_array_equal(got.formed(), rows)
+    # each row's rounding is relative to the parts it is made of, not to the row
+    scale = np.linalg.norm(enc.weight) * np.linalg.norm(inputs, axis=1) + np.linalg.norm(enc.bias)
+    assert_within(got.dots(items), items @ rows.T, 1e-12 * np.linalg.norm(items, axis=1)[:, None] * scale)
+    assert_within(got.norms(), np.linalg.norm(rows, axis=1), 1e-12 * scale)
+    beta = softmax_cols(np.arange(3.0 * len(inputs)).reshape(3, -1) % 4)
+    assert_within(got.fold(beta), beta @ rows, 1e-12 * (beta @ scale)[:, None])
+    if kind == "zero":  # a zero row scores 0, as a zero-feature query does
+        assert got.norms()[-1] == 0.0
+        assert np.all(Cosines.between((got,), (items,)).sims[-1] == 0.0)
+    if kind == "cancelling":  # the tiny row's norm survives; the plain quadratic form loses it
+        exact = np.asarray(inputs[0], np.longdouble) @ np.asarray(enc.weight, np.longdouble).T + enc.bias
+        assert got.norms()[0] == pytest.approx(float(np.sqrt(np.sum(exact * exact))), rel=1e-6)

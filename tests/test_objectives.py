@@ -11,7 +11,7 @@ from stylemem.objectives import contrastive_loss, triplet_loss
 
 from fdcheck import fd_check
 from oracles import oracle_contrastive, oracle_triplet, oracle_triplet_factors
-from reference import PAIR_CASES, address_one, assert_same_bits, dense_gradient, one_block, pair_rows
+from reference import PAIR_CASES, address_one, assert_same_bits, dense_gradient, encoded, one_block, pair_rows
 
 
 def test_config_validates_temperature():
@@ -223,8 +223,9 @@ def test_fd_check_flags_corrupted_gradient():
 @pytest.mark.parametrize("loss, setting", [(contrastive_loss, 0.1), (triplet_loss, 1.0)])
 def test_pair_item_losses_are_the_single_domain_terms_bit_for_bit(class_aware, side, loss, setting):
     bank, contents, styles, labels = pair_rows(31, class_aware, side)
+    contents, styles = tuple(map(encoded, contents)), tuple(map(encoded, styles))
     mask, cosines, pair = address_blocks(bank, contents, styles, labels)
-    singles = [address_one(bank, *rows) for rows in zip(contents, styles, labels)]
+    singles = [address_one(bank, c.rows, s.rows, lab) for c, s, lab in zip(contents, styles, labels)]
     values = (bank.values_x, bank.values_y)
     planes = [  # (pair call, one-block call per domain)
         (loss(contents, bank.keys, mask, setting, cosines),
@@ -281,13 +282,14 @@ def test_triplet_gradient_is_the_boolean_mask_gradient_bit_for_bit(class_aware, 
         labels[b][spot] = BRANCH_LABELS
         blocks["keys"][b][spot] = triplet_branch_rows(keys)
         blocks["values"][b][spot] = triplet_branch_rows(values[b])
-    mask = address_blocks(bank, tuple(blocks["keys"]), tuple(blocks["keys"]), labels)[0]
+    key_blocks = tuple(map(encoded, blocks["keys"]))
+    mask = address_blocks(bank, key_blocks, key_blocks, labels)[0]
     for plane, items in (("keys", keys), ("values", values)):  # one items array shared, or one per block
         queries = tuple(blocks[plane])
-        pair = triplet_loss(queries, items, mask, BRANCH_MARGIN)
+        pair = triplet_loss(tuple(map(encoded, queries)), items, mask, BRANCH_MARGIN)
         items = items if isinstance(items, tuple) else (items, items)
         for b, spot in enumerate(spots):
-            (single,) = triplet_loss((queries[b],), items[b], mask[b * p:(b + 1) * p], BRANCH_MARGIN)
+            (single,) = triplet_loss((encoded(queries[b]),), items[b], mask[b * p:(b + 1) * p], BRANCH_MARGIN)
             for term in (pair[b], single):
                 coef, scale = oracle_triplet_factors(
                     queries[b].tolist(), items[b].tolist(), term.positives, term.negatives, BRANCH_MARGIN
