@@ -15,11 +15,13 @@ reference Adam step runs ``oracles.oracle_adam_scalar`` element by element,
 so that comparison also covers the package optimizer.
 
 ``reference_evaluate`` is evaluation in two passes per scene: the full loss
-pass with its gradients, by the forward route (below), then a fresh
-encoding of the scene and a one-block ``read_global`` on the raw content
-features, whose fidelity is :func:`cosine_rows` of the formed mixture and
-the target rows. The package takes one gradient-free loss pass and reuses
-its features and cosines; ``test_evaluate.py`` compares the two.
+pass with its gradients, by the forward route (below), then
+:func:`reference_reads`, a fresh encoding of the scene and a one-block
+``read_global`` per domain on the raw content features, whose fidelity is
+:func:`cosine_rows` of the formed mixture and the target rows. The package
+takes one gradient-free loss pass and reuses its features and cosines, and
+its per-iteration metrics pass reads as evaluation does;
+``test_evaluate.py`` compares both with the references.
 
 ``pair_rows`` draws a bank and the rows of one scene pair, whose two domains
 the package addresses in one pass; ``test_memory.py`` and
@@ -284,22 +286,37 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
     writes ``assignments_path``, each line one ``%`` template call over all
     its columns."""
     spec = cfg.domain_spec()
-    item_classes = cfg.reference_layout().item_classes
     settings = cfg.train
-    alpha_sum = np.zeros(bank.n_items)
     loss_sums = np.zeros(3)
-    queries = purity_hits = 0
-    fidelity_sum = 0.0
     columns = ["scene,domain,position,label,item,weight"] + [f"c{i}" for i in range(bank.channels)]
-    template = ",".join(["%d", "%s", "%d", "%d", "%d"] + [FLOAT] * (1 + bank.channels))
     lines = [",".join(columns)]
 
-    for i in range(scene_count):
-        pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
+    pairs = [generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i)) for i in range(scene_count)]
+    for pair in pairs:
         report, fwd = compute_losses(encoders, bank, pair, settings, forward_factors(bank))
         fwd.grad_content, fwd.grad_style  # the whole training pass, backward included
         loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
+    entropy, purity, fidelity = reference_reads(
+        bank, encoders, pairs, cfg.reference_layout(), lines, cfg.assignment_scenes
+    )
+    Path(assignments_path).write_text("".join(line + "\n" for line in lines))
+    losses = (float(total) / scene_count for total in loss_sums)
+    return MetricsRow(cfg.iterations, *losses, entropy, purity, fidelity)
 
+
+def reference_reads(bank, encoders, pairs, ref_layout, lines=None, assignment_scenes=0):
+    """(util_entropy, purity, fidelity) of the test-time reads of the scene
+    ``pairs``, by the forward route: each domain's content rows by
+    ``forward``, their own one-block :func:`read_global_one`, and
+    :func:`cosine_rows` of the formed mixture with the opposite domain's
+    style rows. The first ``assignment_scenes`` scenes append their
+    assignments lines to ``lines``."""
+    item_classes = ref_layout.item_classes
+    template = ",".join(["%d", "%s", "%d", "%d", "%d"] + [FLOAT] * (1 + bank.channels))
+    alpha_sum = np.zeros(bank.n_items)
+    queries = purity_hits = 0
+    fidelity_sum = 0.0
+    for i, pair in enumerate(pairs):
         styles = dict(zip(DOMAINS, pair.styles))
         for d, opposite in (("x", "y"), ("y", "x")):
             content = forward(encoders.content(d), pair.content)
@@ -311,24 +328,14 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
             top = np.argmax(result.weights, axis=1)
             labels = pair.labels
             purity_hits += int(np.sum(item_classes[top] == labels))
-            if i < cfg.assignment_scenes:
+            if i < assignment_scenes:
                 picked = result.weights[np.arange(top.shape[0]), top]
                 rows = zip(labels.tolist(), top.tolist(), picked.tolist(), content)
                 for p, (label, item, weight, row) in enumerate(rows):
                     lines.append(template % (i, d, p, label, item, weight, *row.tolist()))
-    Path(assignments_path).write_text("".join(line + "\n" for line in lines))
-
     usage = alpha_sum / alpha_sum.sum()
     used = usage[usage > 0.0]
-    return MetricsRow(
-        iteration=cfg.iterations,
-        key_loss=float(loss_sums[0]) / scene_count,
-        value_loss=float(loss_sums[1]) / scene_count,
-        rec_loss=float(loss_sums[2]) / scene_count,
-        util_entropy=float(-np.sum(used * np.log(used))),
-        purity=purity_hits / queries,
-        fidelity=fidelity_sum / queries,
-    )
+    return float(-np.sum(used * np.log(used))), purity_hits / queries, fidelity_sum / queries
 
 
 def cosine_rows(a, b):
