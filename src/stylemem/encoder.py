@@ -158,32 +158,27 @@ class EncoderSet:
         return (self.content_x, self.content_y, self.style_x, self.style_y)
 
 
-def value_grams(bank: MemoryBank) -> dict[str, np.ndarray]:
-    """The Gram matrix ``V V.T`` of each value plane, by domain."""
-    return {d: plane @ plane.T for d, plane in zip(_DOMAINS, (bank.values_x, bank.values_y))}
-
-
 @dataclass
 class Factors:
     """What every pass at one state of the encoders and the bank takes of
     that state: ``affine``, each encoder's :class:`~stylemem.numerics.Affine`
     against the plane its rows meet (content against the keys, style d
     against ``values_d``), or None where it forms its rows (C <= Cin), and
-    ``grams``, the :func:`value_grams` of the bank. Build them after the
-    step that makes the state and before any pass at it; they hold the
-    weights they were made from."""
+    ``grams``, the Gram matrix ``V V.T`` of each value plane, by domain.
+    Build them after the step that makes the state and before any pass at
+    it; they hold the weights they were made from."""
 
     affine: dict[str, Affine | None]
     grams: dict[str, np.ndarray]
 
     @classmethod
-    def of(cls, encoders: EncoderSet, bank: MemoryBank, grams: dict[str, np.ndarray]) -> "Factors":
+    def of(cls, encoders: EncoderSet, bank: MemoryBank) -> "Factors":
         planes = dict(content_x=bank.keys, content_y=bank.keys, style_x=bank.values_x, style_y=bank.values_y)
         affine = {
             name: Affine.of(enc.weight, enc.bias, planes[name]) if enc.out_channels > enc.in_channels else None
             for name, enc in vars(encoders).items()
         }
-        return cls(affine, grams)
+        return cls(affine, {d: planes[f"style_{d}"] @ planes[f"style_{d}"].T for d in _DOMAINS})
 
 
 def encode_pair(encoders: EncoderSet, pair: ScenePair, factors: Factors) -> tuple[tuple, tuple]:

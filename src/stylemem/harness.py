@@ -5,20 +5,22 @@ seed): scene streams, bank and encoder initialization, and evaluation scenes
 are all derived from the seed through fixed stream keys, and no artifact
 contains timestamps, so reruns are byte-identical.
 
-Evaluation takes one loss pass per held-out scene pair and no gradient: the
-test-time read (the unmasked softmax over the pass's content-key cosines),
-the fidelity and the assignments export all reuse that pass's features.
-The fidelity is the cosine of each read's mixture with the opposite
-domain's encoded style, taken by the factored-read rule of
-:mod:`stylemem.numerics` from the pass's value-plane Grams, dot products
-and norms, so no mixture is formed. The per-iteration metrics encode
-afresh, since the step has just changed the encoders and the bank, read
-each domain with its own ``cosine_matrix`` against the keys, and take the
-Grams, dot products and norms of their fresh style encodings. Encodings
-follow the encoding rule of :mod:`stylemem.numerics`: the
-``stylemem.encoder.Factors`` of one state of the encoders and the bank are
-made once, by ``evaluate`` per call and by the training loop after each
-step, where they serve that step's metrics and the next step's loss pass.
+Evaluation and the per-iteration metrics score one test-time read per
+scene pair: one unmasked softmax over both domains' (2P, N) content-key
+cosines, in ``_accumulate_pair``. Its fidelity is the cosine of each
+read's mixture with the opposite domain's encoded style, taken by the
+factored-read rule of :mod:`stylemem.numerics` from the value-plane Grams,
+dot products and norms, so no mixture is formed. Evaluation takes one loss
+pass per held-out scene pair and no gradient, and the read, the fidelity
+and the assignments export reuse that pass's encodings and cosines. The
+per-iteration metrics encode afresh, since the step has just changed the
+encoders and the bank, and take one two-block ``cosine_matrix`` against
+the keys and the dot products and norms of the fresh style encodings.
+Encodings follow the encoding rule of :mod:`stylemem.numerics`: the
+``stylemem.encoder.Factors`` of one state of the encoders and the bank
+(each widening encoder's ``Affine`` and the value-plane Grams) are made
+once, by ``evaluate`` per call and by the training loop after each step,
+where they serve that step's metrics and the next step's loss pass.
 Widening encoders' rows are formed only for the triplet distances and the
 ``assignments.csv`` content columns.
 
@@ -53,7 +55,6 @@ from .encoder import (
     encode_pair,
     save_encoders,
     train_step,
-    value_grams,
 )
 from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
 from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
@@ -326,24 +327,25 @@ class _EvalAccumulator:
 
 
 def _accumulate_pair(
-    acc: _EvalAccumulator, reads: dict[str, tuple], targets: dict[str, tuple], labels: np.ndarray,
-    ref_layout: MemoryLayout, export: Callable[[str], None] | None = None, scene: int = 0,
+    acc: _EvalAccumulator, bank: MemoryBank, contents: tuple, sims: np.ndarray, targets: tuple,
+    labels: np.ndarray, ref_layout: MemoryLayout, export: Callable[[str], None] | None = None, scene: int = 0,
 ) -> None:
-    """Test-time metrics of one scene pair from ``reads[d]``, domain d's
-    content encoding and test-time read, scored against the pair's ``labels``
-    and against ``targets[d]``, the target that domain d's encoded style
-    rows set for the opposite read: the Gram of ``values_d``, its item-major
-    dot products with those rows and their norms. Each domain's assignments
+    """Test-time metrics of one scene pair: one ``read_global`` over the
+    content encodings ``contents`` of both domains, from ``sims``, their
+    (2P, N) cosines with the keys, scored against the pair's ``labels`` and
+    against ``targets[d]``, the target that domain d's encoded style rows
+    set for the opposite read: the Gram of ``values_d``, its item-major dot
+    products with those rows and their norms. Each domain's assignments
     lines, with its content rows formed, go to ``export`` as one text once
     rendered."""
     item_classes = ref_layout.item_classes
-    for d, opposite in (("x", "y"), ("y", "x")):
-        content, result = reads[d]
+    results = read_global(bank, tuple(c.shape[0] for c in contents), ("x", "y"), sims)
+    for d, content, result, target in zip(("x", "y"), contents, results, targets[::-1]):
         weights = result.weights.T  # item-major (N, P) columns of the stored array
 
         acc.alpha_sum += weights.sum(axis=1)
         acc.queries += content.shape[0]
-        acc.fidelity_sum += float(read_cosines(weights, *targets[opposite]).sum())
+        acc.fidelity_sum += float(read_cosines(weights, *target).sum())
         top = np.argmax(weights, axis=0)
         acc.purity_hits += int(np.sum(item_classes[top] == labels))
         if export is not None:
@@ -358,14 +360,13 @@ def _pair_metrics(
     bank: MemoryBank, encoders: EncoderSet, pair: ScenePair, ref_layout: MemoryLayout, factors: Factors
 ) -> tuple[float, float, float]:
     # the step has just changed the encoders and the bank: encode afresh
-    reads, targets = {}, {}
     contents, styles = encode_pair(encoders, pair, factors)
-    for d, content, style, plane in zip(("x", "y"), contents, styles, (bank.values_x, bank.values_y)):
-        (result,) = read_global(bank, content.shape[:1], (d,), cosine_matrix(content, bank.keys))
-        reads[d] = (content, result)
-        targets[d] = (factors.grams[d], style.dots(plane), style.norms())
+    planes = (bank.values_x, bank.values_y)
+    targets = tuple(
+        (factors.grams[d], style.dots(plane), style.norms()) for d, style, plane in zip(("x", "y"), styles, planes)
+    )
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
-    _accumulate_pair(acc, reads, targets, pair.labels, ref_layout)
+    _accumulate_pair(acc, bank, contents, cosine_matrix(contents, bank.keys), targets, pair.labels, ref_layout)
     return acc.entropy(), acc.purity(), acc.fidelity()
 
 
@@ -393,8 +394,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
         cfg.memory_mode, cfg.train.loss_variant, cfg.n_items, cfg.channels, cfg.iterations, cfg.seed,
     )
     metrics: list[MetricsRow] = []
-    grams = value_grams(bank)
-    factors = Factors.of(encoders, bank, grams)
+    factors = Factors.of(encoders, bank)
     for t in range(cfg.iterations):
         pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
         updates = t % cfg.update_every == 0
@@ -402,8 +402,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
             # a diverging step fails below with a named error, not numpy warnings
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 report, bank = train_step(encoders, bank, pair, cfg.train, factors, update_memory=updates)
-                grams = value_grams(bank) if updates else grams
-                factors = Factors.of(encoders, bank, grams)  # for this metrics pass and the next step
+                factors = Factors.of(encoders, bank)  # for this metrics pass and the next step
                 entropy, purity, fidelity = _pair_metrics(bank, encoders, pair, ref_layout, factors)
             values = (t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity)
             metrics.append(_finite(values, "metrics"))
@@ -475,21 +474,19 @@ def evaluate(
     with export as write, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if write is not None:
             write(",".join(columns))
-        factors = Factors.of(encoders, bank, value_grams(bank))
+        factors = Factors.of(encoders, bank)
         for i in range(scene_count):
             pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
             report, fwd = compute_losses(encoders, bank, pair, cfg.train, factors)
             loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
             contents = tuple(q.content for q in fwd.queries.values())
-            results = read_global(bank, tuple(c.shape[0] for c in contents), ("x", "y"), fwd.sims)
-            reads = dict(zip(fwd.queries, zip(contents, results)))
-            targets = {
-                d: (factors.grams[d], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
+            targets = tuple(
+                (factors.grams[d], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
                 for d, cols in zip(fwd.queries, fwd.values.columns)
-            }
+            )
             scene_export = write if i < cfg.assignment_scenes else None
-            _accumulate_pair(acc, reads, targets, pair.labels, ref_layout, scene_export, i)
+            _accumulate_pair(acc, bank, contents, fwd.sims, targets, pair.labels, ref_layout, scene_export, i)
 
         losses = (float(total) / scene_count for total in loss_sums)
         values = (cfg.iterations, *losses, acc.entropy(), acc.purity(), acc.fidelity())

@@ -254,8 +254,8 @@ def read_global(bank: MemoryBank, sizes: tuple, domains: tuple, sims: np.ndarray
 
     ``sizes`` holds the row count of each query block and ``domains`` their
     domains; ``sims`` holds the cosines of all blocks' rows with the keys
-    (a scene pair's (2P, N) storage, or ``cosine_matrix(content,
-    bank.keys)`` for one block). One softmax over all blocks gives one
+    (a scene pair's (2P, N) storage, or ``cosine_matrix(contents,
+    bank.keys)`` of their encodings). One softmax over all blocks gives one
     result per block.
     """
     for size, domain in zip(sizes, domains, strict=True):

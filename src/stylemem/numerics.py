@@ -232,16 +232,15 @@ class FeatureGrad:
     scale: np.ndarray
 
 
-def cosine_matrix(queries: Encoding, keys: np.ndarray) -> np.ndarray:
-    """All-pairs cosine similarities of an encoding's rows with the keys,
-    (P, C) x (N, C) -> (P, N), a view of item-major storage (see
-    :class:`Cosines`)."""
+def cosine_matrix(queries: tuple[Encoding, ...], keys: np.ndarray) -> np.ndarray:
+    """All-pairs cosine similarities of the rows of each block of encodings
+    with the keys, (P, C) x (N, C) -> (P, N) over all blocks' P rows: a view
+    of item-major storage (see :class:`Cosines`), each block's columns by
+    the block rule."""
     keys = _as_matrix(keys, "keys")
-    if queries.shape[0] == 0:
-        raise ShapeError(f"queries must be non-empty, got shape {queries.shape}")
-    if queries.shape[1] != keys.shape[1]:
-        raise ShapeError(f"channel mismatch: {queries.shape[1]} vs {keys.shape[1]}")
-    return Cosines.between((queries,), (keys,)).sims
+    if not queries or any(block.shape[0] == 0 or block.shape[1] != keys.shape[1] for block in queries):
+        raise ShapeError(f"query blocks {[block.shape for block in queries]} do not fit keys {keys.shape}")
+    return Cosines.between(queries, (keys,) * len(queries)).sims
 
 
 def read_cosines(weights: np.ndarray, gram: np.ndarray, dots: np.ndarray, norms: np.ndarray) -> np.ndarray:

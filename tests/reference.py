@@ -29,10 +29,10 @@ the package addresses in one pass; ``test_memory.py`` and
 
 The package takes rows as encodings (``numerics.Encoding``). :func:`encoded`
 holds given rows as they are, :func:`encoding` encodes inputs as the package
-does, and :func:`factors_of` makes the ``encoder.Factors`` of a state.
-:func:`forward_factors` are factors by which every encoder forms its rows
-with ``forward``, whatever its width: the forward route, against which the
-factored route of widening encoders is checked.
+does. :func:`forward_factors` are the ``encoder.Factors`` of a state by
+which every encoder forms its rows with ``forward``, whatever its width:
+the forward route, against which the factored route of widening encoders
+is checked.
 
 :func:`dense_gradient` is the one place a factored feature gradient
 (``numerics.FeatureGrad``) becomes the (P, C) array it stands for, and
@@ -43,12 +43,12 @@ finite-difference checks of ``encoder.backward``.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from stylemem.encoder import EncoderSet, Factors, compute_losses, forward, value_grams
+from stylemem.encoder import Factors, compute_losses, forward
 from stylemem.errors import LayoutError
 from stylemem.harness import STREAM_EVAL, MetricsRow
 from stylemem.memory import (
@@ -122,7 +122,7 @@ def address_one(bank, content, style, labels):
 
 def read_global_one(bank, content, domain):
     """The test-time read of one block of content rows, from their own cosines."""
-    return read_global(bank, (len(content),), (domain,), cosine_matrix(encoded(content), bank.keys))[0]
+    return read_global(bank, (len(content),), (domain,), cosine_matrix((encoded(content),), bank.keys))[0]
 
 
 def encoded(rows):
@@ -140,14 +140,12 @@ def encoding(enc, inputs, items):
     return Encoding(inputs, None, Affine.of(enc.weight, enc.bias, items))
 
 
-def factors_of(encoders, bank):
-    """The ``Factors`` of this state of ``encoders`` and ``bank``."""
-    return Factors.of(encoders, bank, value_grams(bank))
-
-
-def forward_factors(bank):
-    """Factors by which every encoder forms its rows with ``forward``."""
-    return Factors(dict.fromkeys(f.name for f in fields(EncoderSet)), value_grams(bank))
+def forward_factors(encoders, bank):
+    """The ``Factors`` of this state, by which every encoder forms its rows
+    with ``forward``."""
+    factors = Factors.of(encoders, bank)
+    factors.affine = dict.fromkeys(factors.affine)
+    return factors
 
 
 @dataclass
@@ -293,7 +291,7 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
 
     pairs = [generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i)) for i in range(scene_count)]
     for pair in pairs:
-        report, fwd = compute_losses(encoders, bank, pair, settings, forward_factors(bank))
+        report, fwd = compute_losses(encoders, bank, pair, settings, forward_factors(encoders, bank))
         fwd.grad_content, fwd.grad_style  # the whole training pass, backward included
         loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
     entropy, purity, fidelity = reference_reads(

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from stylemem.encoder import EncoderSet, LinearEncoder, backward, compute_losses, forward
+from stylemem.encoder import EncoderSet, Factors, LinearEncoder, backward, compute_losses, forward
 from stylemem.errors import ValidationError
 from stylemem.harness import config_from_dict, resolve_config, run_training
 from stylemem.memory import (
@@ -29,7 +29,7 @@ from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 from fdcheck import fd_check
 from oracles import oracle_read, oracle_read_global, oracle_update
 from reference import (
-    address_one, assignment_weights, dense_gradient, encoding, factored_loss, factors_of, one_block,
+    address_one, assignment_weights, dense_gradient, encoding, factored_loss, one_block,
     read_global_one, span,
 )
 
@@ -265,7 +265,7 @@ def test_criterion_4_gradient_correctness():
                         enc.weight = param
                     else:
                         enc.bias = param
-                    report, fwd = compute_losses(probe, bank, pair, settings, factors_of(probe, bank))
+                    report, fwd = compute_losses(probe, bank, pair, settings, Factors.of(probe, bank))
                     grads = fwd.grad_content if _kind == "content" else fwd.grad_style
                     gw, gb = backward(getattr(fwd.queries[_domain], _kind), grads[_domain])
                     return report.total, gw if _which == "weight" else gb

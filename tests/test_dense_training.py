@@ -30,15 +30,13 @@ import copy
 import numpy as np
 import pytest
 
-from stylemem.encoder import EncoderSet, TrainSettings, backward, compute_losses, train_step
+from stylemem.encoder import EncoderSet, Factors, TrainSettings, backward, compute_losses, train_step
 from stylemem.errors import LayoutError
 from stylemem.memory import MemoryLayout, init_bank, read
 from stylemem.numerics import EPS_DIV, make_rng, read_cosines, split_rng
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
-from reference import (
-    cosine_rows, dense_gradient, factors_of, reference_compute_losses, reference_train_step, span,
-)
+from reference import cosine_rows, dense_gradient, reference_compute_losses, reference_train_step, span
 
 RTOL = 1e-12
 # worst at seeds 70-77: the triplet row 5.5e-8 (rows, C = 5) and 6.2e-8 (Gram,
@@ -83,7 +81,7 @@ def problem(seed, class_aware, channels):
 def check_step(encoders, bank, pair, settings, update_memory=True):
     """Compare one dense train_step with the reference from the same state."""
     ref, ref_encoders, ref_bank = reference_train_step(encoders, bank, pair, settings, update_memory)
-    factors = factors_of(encoders, bank)
+    factors = Factors.of(encoders, bank)
     dense_report, fwd = compute_losses(copy.deepcopy(encoders), bank, pair, settings, factors)
     report, new_bank = train_step(encoders, bank, pair, settings, factors, update_memory)
 
@@ -149,7 +147,7 @@ def test_encoder_gradients_match_the_dense_reference(class_aware, loss_variant, 
         pair, bank, encoders = problem(90 + seed, class_aware, channels)
         settings = TrainSettings(loss_variant=loss_variant, **weights)
         ref = reference_compute_losses(encoders, bank, pair, settings)
-        _, fwd = compute_losses(encoders, bank, pair, settings, factors_of(encoders, bank))
+        _, fwd = compute_losses(encoders, bank, pair, settings, Factors.of(encoders, bank))
         for got, want in encoder_gradients(encoders, pair, fwd, ref).values():
             assert_close(got[0], want[0])
             assert_close(got[1], want[1])
@@ -171,7 +169,7 @@ def test_encoder_gradients_where_the_factored_terms_cancel(row, channels):
             settings = TrainSettings(loss_variant="triplet", triplet_margin=3.0)
         enc.bias = target - enc.weight @ pair.content[0]  # content row 0 of domain x is now the target
         ref = reference_compute_losses(encoders, bank, pair, settings)
-        _, fwd = compute_losses(encoders, bank, pair, settings, factors_of(encoders, bank))
+        _, fwd = compute_losses(encoders, bank, pair, settings, Factors.of(encoders, bank))
         if row == "content-norm-1e-8":
             assert np.linalg.norm(fwd.queries["x"].content.formed()[0]) == pytest.approx(1e-8, rel=1e-6)
         else:
@@ -189,14 +187,14 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
     for seed in range(70, 78):
         pair, bank, encoders = problem(seed, True, channels)
         settings = TrainSettings()
-        _, fwd = compute_losses(encoders, bank, pair, settings, factors_of(encoders, bank))
+        _, fwd = compute_losses(encoders, bank, pair, settings, Factors.of(encoders, bank))
         mixture = read(bank, fwd.queries["x"], "x").aggregated_style[0]  # a_0 V_y
         toward = split_rng(seed, 4).standard_normal(bank.channels)
         toward /= np.linalg.norm(toward)
         enc = encoders.style_y
         enc.bias = mixture + gap * toward - enc.weight @ pair.styles[1][0]  # style row 0 of y is now a_0 V_y
         ref = reference_compute_losses(encoders, bank, pair, settings)
-        factors = factors_of(encoders, bank)
+        factors = Factors.of(encoders, bank)
         report, fwd = compute_losses(encoders, bank, pair, settings, factors)
         miss = np.linalg.norm(fwd.queries["y"].style.formed()[0] - mixture)
         assert miss <= 1e-15 * np.linalg.norm(mixture) if gap == 0.0 else miss == pytest.approx(gap, rel=1e-6)
@@ -231,6 +229,6 @@ def test_label_missing_from_layout_raises():
     pair, bank, encoders = problem(81, True, 5)
     pair.labels[:5] = 7
     with pytest.raises(LayoutError, match="class 7"):
-        train_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2), factors_of(encoders, bank))
+        train_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2), Factors.of(encoders, bank))
     with pytest.raises(LayoutError, match="class 7"):
         reference_train_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2))

@@ -8,6 +8,7 @@ import pytest
 
 from stylemem.encoder import (
     EncoderSet,
+    Factors,
     LinearEncoder,
     TrainSettings,
     apply_gradients,
@@ -26,7 +27,7 @@ from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from fdcheck import fd_check
 from oracles import oracle_linear_forward
-from reference import dense_gradient, encoding, factored_loss, factors_of, span
+from reference import dense_gradient, encoding, factored_loss, span
 
 
 def identity_encoder(n):
@@ -172,7 +173,7 @@ def test_zero_weights_leave_parameters_bitwise_unchanged():
         temperature=0.1, key_loss_weight=0.0, value_loss_weight=0.0, rec_loss_weight=0.0
     )
     snapshot = [(e.weight.copy(), e.bias.copy()) for e in encoders.all()]
-    report, new_bank = train_step(encoders, bank, pair, settings, factors_of(encoders, bank))
+    report, new_bank = train_step(encoders, bank, pair, settings, Factors.of(encoders, bank))
     for enc, (w, b) in zip(encoders.all(), snapshot):
         np.testing.assert_array_equal(enc.weight, w)
         np.testing.assert_array_equal(enc.bias, b)
@@ -185,7 +186,7 @@ def test_zero_weights_leave_parameters_bitwise_unchanged():
 def test_train_step_does_not_mutate_scenes():
     _, pair, bank, encoders = small_problem(51)
     frozen = (pair.content.copy(), pair.styles[0].copy(), pair.labels.copy(), pair.styles[1].copy())
-    train_step(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
+    train_step(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
     np.testing.assert_array_equal(pair.content, frozen[0])
     np.testing.assert_array_equal(pair.styles[0], frozen[1])
     np.testing.assert_array_equal(pair.labels, frozen[2])
@@ -209,7 +210,7 @@ def test_a_pair_block_one_row_short_raises_in_address_blocks(shorten, message):
     before = copy.deepcopy((encoders, bank))
     for step in (compute_losses, train_step):
         with pytest.raises(ShapeError, match=re.escape(message)) as raised:
-            step(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
+            step(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
         assert raised.traceback[-1].name == "address_blocks"
     for got, want in zip(encoders.all(), before[0].all()):
         np.testing.assert_array_equal(got.weight, want.weight)
@@ -229,7 +230,7 @@ WEIGHTED = dict(key_loss_weight=0.7, value_loss_weight=0.3, rec_loss_weight=1.3)
 ])
 def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
     _, pair, bank, encoders = small_problem(53)
-    _, fwd = compute_losses(encoders, bank, pair, settings, factors_of(encoders, bank))
+    _, fwd = compute_losses(encoders, bank, pair, settings, Factors.of(encoders, bank))
     shared = [
         a for d, q in fwd.queries.items() for a in (fwd.g_weights[d], q.content.rows, q.style.rows, q.weights, q.sims)
     ]
@@ -270,7 +271,7 @@ def test_train_step_deterministic_loss_stream():
         _, pair, bank, encoders = small_problem(52)
         values = []
         for _ in range(5):
-            report, bank = train_step(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
+            report, bank = train_step(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
             values.append((report.key_loss, report.value_loss, report.rec_loss, report.total))
         return values
 
@@ -279,15 +280,15 @@ def test_train_step_deterministic_loss_stream():
 
 def test_train_step_update_every_gate():
     _, pair, bank, encoders = small_problem(53)
-    factors = factors_of(encoders, bank)
+    factors = Factors.of(encoders, bank)
     _, same_bank = train_step(encoders, bank, pair, TrainSettings(), factors, update_memory=False)
     assert same_bank is bank
 
 
 def test_train_step_pooled_mode_runs():
     _, pair, bank, encoders = small_problem(55, class_aware=False)
-    _, fwd = compute_losses(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
-    report, new_bank = train_step(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
+    _, fwd = compute_losses(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
+    report, new_bank = train_step(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
     assert report.total > 0.0
     assert not np.array_equal(new_bank.keys, bank.keys)
     assert np.all(fwd.key_terms["x"].positives >= 0)
@@ -301,7 +302,7 @@ def test_default_loss_weights():
 
 def test_positives_filled_for_every_position():
     _, pair, bank, encoders = small_problem(56)
-    _, fwd = compute_losses(encoders, bank, pair, TrainSettings(), factors_of(encoders, bank))
+    _, fwd = compute_losses(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
     for d in ("x", "y"):
         assert np.all(fwd.key_terms[d].positives >= 0)
         assert np.all(fwd.value_terms[d].positives >= 0)
@@ -326,7 +327,7 @@ def _param_loss_fn(encoders, bank, pair, settings, name, which):
             enc.weight = param
         else:
             enc.bias = param
-        report, fwd = compute_losses(probe, bank, pair, settings, factors_of(probe, bank))
+        report, fwd = compute_losses(probe, bank, pair, settings, Factors.of(probe, bank))
         grad_map = fwd.grad_content if kind == "content" else fwd.grad_style
         gw, gb = backward(getattr(fwd.queries[domain], kind), grad_map[domain])
         return report.total, gw if which == "weight" else gb
@@ -400,9 +401,9 @@ def warm_full_step():
     bank = init_bank(cfg.bank_layout(), cfg.channels, split_rng(3, 0))
     encoders = EncoderSet.create(split_rng(3, 1), cfg.scene.input_channels, cfg.channels)
     pair = generate_scene_pair(cfg.domain_spec(), split_rng(3, 2))
-    train_step(encoders, bank, pair, cfg.train, factors_of(encoders, bank))
+    train_step(encoders, bank, pair, cfg.train, Factors.of(encoders, bank))
     half_feature = pair.content.shape[0] * cfg.channels * 8 // 2
-    return cfg, bank, encoders, pair, factors_of(encoders, bank), half_feature
+    return cfg, bank, encoders, pair, Factors.of(encoders, bank), half_feature
 
 
 def test_a_warm_full_preset_step_allocates_no_dense_feature_gradient(warm_full_step):

@@ -20,14 +20,14 @@ import pytest
 
 from stylemem import encoder, harness
 from stylemem.cli import main as cli_main
-from stylemem.encoder import load_encoders, save_encoders
+from stylemem.encoder import Factors, load_encoders, save_encoders
 from stylemem.errors import StylememError, ValidationError
 from stylemem.harness import STREAM_TRAIN, _pair_metrics, config_from_dict, evaluate, resolve_config, run_training
 from stylemem.memory import MemoryLayout, init_bank, save_bank
 from stylemem.numerics import softmax_rows, split_rng
 from stylemem.synthdata import generate_scene_pair
 
-from reference import address_one, factors_of, reference_evaluate, reference_reads
+from reference import address_one, reference_evaluate, reference_reads
 
 WIDENING = 24
 CASES = [
@@ -80,7 +80,7 @@ def test_evaluate_matches_the_two_pass_reference(tmp_path, memory_mode, loss_var
 def test_the_metrics_pass_matches_the_reference_reads(tmp_path, memory_mode, channels):
     cfg, bank, encoders = trained(tmp_path, memory_mode, channels=channels)
     pair = generate_scene_pair(cfg.domain_spec(), split_rng(cfg.seed, STREAM_TRAIN, cfg.iterations))
-    entropy, purity, fidelity = _pair_metrics(bank, encoders, pair, cfg.reference_layout(), factors_of(encoders, bank))
+    entropy, purity, fidelity = _pair_metrics(bank, encoders, pair, cfg.reference_layout(), Factors.of(encoders, bank))
     want = reference_reads(bank, encoders, [pair], cfg.reference_layout())
     assert purity == want[1]
     assert (entropy, fidelity) == pytest.approx((want[0], want[2]), rel=1e-12, abs=0.0)
