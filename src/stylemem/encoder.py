@@ -11,7 +11,8 @@ encoder with no more output than input channels forms its rows by
 :func:`forward`, and a wider one leaves them to an
 :class:`~stylemem.numerics.Affine`. :class:`Factors` holds those and the
 value-plane Grams for one state of the encoders and the bank, and every
-pass at that state takes them from it.
+pass at that state takes them from it; a pass at another state raises a
+``ValidationError``.
 
 A loss pass (:func:`compute_losses`) encodes both domains of a scene pair
 and addresses the bank once with its labels: one partition mask, one
@@ -166,19 +167,39 @@ class Factors:
     against ``values_d``), or None where it forms its rows (C <= Cin), and
     ``grams``, the Gram matrix ``V V.T`` of each value plane, by domain.
     Build them after the step that makes the state and before any pass at
-    it; they hold the weights they were made from."""
+    it; they hold the bank and the weights they were made from, and
+    :meth:`check` rejects a pass at another state."""
 
     affine: dict[str, Affine | None]
     grams: dict[str, np.ndarray]
+    bank: MemoryBank
 
     @classmethod
     def of(cls, encoders: EncoderSet, bank: MemoryBank) -> "Factors":
+        """The factors of this state; a factor that is not finite raises a
+        ``ValidationError`` naming its encoder."""
         planes = dict(content_x=bank.keys, content_y=bank.keys, style_x=bank.values_x, style_y=bank.values_y)
         affine = {
             name: Affine.of(enc.weight, enc.bias, planes[name]) if enc.out_channels > enc.in_channels else None
             for name, enc in vars(encoders).items()
         }
-        return cls(affine, {d: planes[f"style_{d}"] @ planes[f"style_{d}"].T for d in _DOMAINS})
+        factored = [f.name for f in fields(Affine)[2:]]  # past W and b, which the step and the encoder file check
+        for name, a in affine.items():
+            bad = [f for f in factored if a is not None and not np.isfinite(getattr(a, f)).all()]
+            if bad:
+                raise ValidationError(f"encoder {name} factors became non-finite ({', '.join(bad)})")
+        return cls(affine, {d: planes[f"style_{d}"] @ planes[f"style_{d}"].T for d in _DOMAINS}, bank)
+
+    def check(self, encoders: EncoderSet, bank: MemoryBank) -> None:
+        """Raise a ``ValidationError`` unless these are the factors of
+        ``bank`` and of the weight and bias arrays each widening encoder
+        holds now."""
+        if bank is not self.bank:
+            raise ValidationError("factors were made for another bank")
+        for name, a in self.affine.items():
+            enc = getattr(encoders, name)
+            if a is not None and (a.weight is not enc.weight or a.bias is not enc.bias):
+                raise ValidationError(f"factors were made from other encoder {name} parameters")
 
 
 def encode_pair(encoders: EncoderSet, pair: ScenePair, factors: Factors) -> tuple[tuple, tuple]:
@@ -308,6 +329,7 @@ def compute_losses(
     respect to each encoded feature matrix follow on demand. Neither the
     encoders, the bank nor the pair are modified.
     """
+    factors.check(encoders, bank)
     content, style = encode_pair(encoders, pair, factors)
     mask, cosines, sets = address_blocks(bank, content, style, (pair.labels, pair.labels))
     queries = dict(zip(_DOMAINS, sets))

@@ -84,17 +84,17 @@ def _check_array_sizes(cfg: ExperimentConfig) -> None:
     positions = s.height * s.width
     shapes = {
         "bank (items x channels)": (cfg.n_items, cfg.channels),
-        "scene inputs (positions x scene.input_channels)": (positions, s.input_channels),
+        "scene noise (3 x positions x scene.input_channels)": (3, positions, s.input_channels),
         "encoded features (positions x channels)": (positions, cfg.channels),
         "encoders (channels x scene.input_channels)": (cfg.channels, s.input_channels),
-        "cosines (positions x items)": (positions, cfg.n_items),
+        "pair storage (items x 2 x positions)": (cfg.n_items, 2, positions),
         "class prototypes (scene.classes x scene.input_channels)": (s.classes, s.input_channels),
         "prototype similarities (scene.classes x scene.classes)": (s.classes, s.classes),
     }
-    for name, (rows, cols) in shapes.items():
-        if rows * cols > MAX_ARRAY_ELEMENTS:
+    for name, shape in shapes.items():
+        if math.prod(shape) > MAX_ARRAY_ELEMENTS:
             raise ConfigError(
-                f"{name} would hold {rows} x {cols} elements, more than {MAX_ARRAY_ELEMENTS}"
+                f"{name} would hold {' x '.join(map(str, shape))} elements, more than {MAX_ARRAY_ELEMENTS}"
             )
 
 
@@ -360,6 +360,7 @@ def _pair_metrics(
     bank: MemoryBank, encoders: EncoderSet, pair: ScenePair, ref_layout: MemoryLayout, factors: Factors
 ) -> tuple[float, float, float]:
     # the step has just changed the encoders and the bank: encode afresh
+    factors.check(encoders, bank)
     contents, styles = encode_pair(encoders, pair, factors)
     planes = (bank.values_x, bank.values_y)
     targets = tuple(

@@ -81,9 +81,9 @@ def problem(seed, class_aware, channels):
 def check_step(encoders, bank, pair, settings, update_memory=True):
     """Compare one dense train_step with the reference from the same state."""
     ref, ref_encoders, ref_bank = reference_train_step(encoders, bank, pair, settings, update_memory)
-    factors = Factors.of(encoders, bank)
-    dense_report, fwd = compute_losses(copy.deepcopy(encoders), bank, pair, settings, factors)
-    report, new_bank = train_step(encoders, bank, pair, settings, factors, update_memory)
+    probe = copy.deepcopy(encoders)
+    dense_report, fwd = compute_losses(probe, bank, pair, settings, Factors.of(probe, bank))
+    report, new_bank = train_step(encoders, bank, pair, settings, Factors.of(encoders, bank), update_memory)
 
     for name in ("key_loss", "value_loss", "rec_loss", "total"):
         assert_close(getattr(report, name), getattr(ref, name))

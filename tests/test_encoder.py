@@ -19,7 +19,7 @@ from stylemem.encoder import (
     save_encoders,
     train_step,
 )
-from stylemem.errors import ConfigError, ShapeError
+from stylemem.errors import ConfigError, ShapeError, ValidationError
 from stylemem.harness import PRESETS, _pair_metrics, evaluate
 from stylemem.memory import MemoryLayout, init_bank, read, read_backward
 from stylemem.numerics import FeatureGrad, make_rng, split_rng
@@ -283,6 +283,51 @@ def test_train_step_update_every_gate():
     factors = Factors.of(encoders, bank)
     _, same_bank = train_step(encoders, bank, pair, TrainSettings(), factors, update_memory=False)
     assert same_bank is bank
+
+
+@pytest.mark.parametrize("channels", [16, 24], ids=["toy", "widening"])
+def test_passes_reject_the_factors_of_another_state(channels):
+    cfg = replace(PRESETS["toy"], channels=channels)
+    bank = init_bank(cfg.bank_layout(), channels, split_rng(6, 0))
+    encoders = EncoderSet.create(split_rng(6, 1), cfg.scene.input_channels, channels)
+    pair = generate_scene_pair(cfg.domain_spec(), split_rng(6, 2))
+    factors = Factors.of(encoders, bank)
+    _, new_bank = train_step(encoders, bank, pair, cfg.train, factors)  # new weight arrays and a new bank
+    passes = (
+        lambda b, f: compute_losses(encoders, b, pair, cfg.train, f)[0],
+        lambda b, f: _pair_metrics(b, encoders, pair, cfg.reference_layout(), f),
+        lambda b, f: train_step(encoders, b, pair, cfg.train, f),
+    )
+    for run in passes:
+        with pytest.raises(ValidationError, match="^factors were made for another bank$"):
+            run(new_bank, factors)
+    for run in passes[:2]:
+        if channels > cfg.scene.input_channels:  # the affines hold the weights before the step
+            with pytest.raises(ValidationError, match="^factors were made from other encoder content_x parameters$"):
+                run(bank, factors)
+        else:  # each pass forms the rows at the weights the encoders hold now
+            assert run(bank, factors) == run(bank, Factors.of(encoders, bank))
+    if channels > cfg.scene.input_channels:  # one bias array replaced by an equal one
+        factors = Factors.of(encoders, new_bank)
+        encoders.style_y.bias = encoders.style_y.bias.copy()
+        with pytest.raises(ValidationError, match="^factors were made from other encoder style_y parameters$"):
+            compute_losses(encoders, new_bank, pair, cfg.train, factors)
+
+
+# finite weights near 1e300 square past the float range in W.T W, and the
+# bias split follows as nan; a bias near 1e200 overflows only |b_perp|^2
+@pytest.mark.parametrize("name, param, value, stages", [
+    ("content_x", "weight", 1e300, "gram, shift, cross, offset"),
+    ("style_y", "bias", 1e200, "offset"),
+])
+def test_factors_name_the_encoder_whose_factors_overflow(name, param, value, stages):
+    bank = init_bank(MemoryLayout.from_counts([(1, 3), (0, 3)]), 24, split_rng(7, 0))
+    encoders = EncoderSet.create(split_rng(7, 1), 16, 24)
+    enc = getattr(encoders, name)
+    setattr(enc, param, np.full_like(getattr(enc, param), value))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError) as raised:
+        Factors.of(encoders, bank)
+    assert str(raised.value) == f"encoder {name} factors became non-finite ({stages})"
 
 
 def test_train_step_pooled_mode_runs():

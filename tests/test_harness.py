@@ -125,6 +125,13 @@ REPLACE_CASES = {
     "reserved-class": ({"layout": ((-1, 10),)}, "class id -1 is reserved for pooled mode"),
     "array-size": ({"channels": 2**20},
                    "encoded features (positions x channels) would hold 36 x 1048576 elements, more than 16777216"),
+    # one step past the limit of the (3, P, Cin) scene noise and the (N, 2P) pair storage; see ARRAY_LIMITS
+    "array-size-scene-noise": ({"scene": {"height": 64, "width": 64, "input_channels": 1366}},
+                               "scene noise (3 x positions x scene.input_channels) would hold 3 x 4096 x 1366 "
+                               "elements, more than 16777216"),
+    "array-size-pair-storage": ({"layout": ((1, 3), (2, 2), (3, 2), (0, 26)), "scene": {"height": 512, "width": 512}},
+                                "pair storage (items x 2 x positions) would hold 33 x 2 x 262144 elements, "
+                                "more than 16777216"),
     "layout-count": ({"layout": ((1, 0), (0, 3))}, "layout: class 1 has count 0, need >= 1"),
     "layout-duplicate": ({"layout": ((0, 2), (0, 3))}, "layout: duplicate class id 0"),
     "triplet": ({"memory_mode": "single", "train": TrainSettings(loss_variant="triplet"), "layout": ((0, 1),)},
@@ -167,6 +174,20 @@ def test_replace_checks_the_config_rules(changes, message):
         nested = {key: replace(getattr(cfg, key), **v) for key, v in changes.items() if isinstance(v, dict)}
         given = {key: v.value for key, v in changes.items() if isinstance(v, AsIs)}
         replace(cfg, **{**changes, **nested, **given})
+
+
+# the largest configs whose scene noise and pair storage hold 2**24 elements
+# or fewer: 3 x 4096 x 1365 and 32 x 2 x 262144
+ARRAY_LIMITS = {
+    "scene-noise": {"scene": {"height": 64, "width": 64, "input_channels": 1365}},
+    "pair-storage": {"layout": ((1, 3), (2, 2), (3, 2), (0, 25)), "scene": {"height": 512, "width": 512}},
+}
+
+
+@pytest.mark.parametrize("changes", ARRAY_LIMITS.values(), ids=ARRAY_LIMITS.keys())
+def test_replace_builds_at_each_array_limit(changes):
+    cfg = tiny_config()
+    replace(cfg, **{**changes, "scene": replace(cfg.scene, **changes["scene"])})
 
 
 def test_replace_takes_an_int_in_a_float_field():
@@ -592,11 +613,11 @@ def test_cli_rejects_a_config_whose_bank_exceeds_the_array_limit(tmp_path, capsy
     "override, message",
     [
         ({"channels": 2**20}, "encoded features (positions x channels)"),
-        ({"scene": {"height": 2**12, "width": 2**12}}, "scene inputs (positions x scene.input_channels)"),
+        ({"scene": {"height": 2**12, "width": 2**12}}, "scene noise (3 x positions x scene.input_channels)"),
         ({"channels": 2**12, "scene": {"height": 2, "width": 2, "input_channels": 2**13}},
          "encoders (channels x scene.input_channels)"),
         ({"layout": [{"class": 1, "count": 2**17}, {"class": 0, "count": 1}], "channels": 1},
-         "cosines (positions x items)"),
+         "pair storage (items x 2 x positions)"),
         ({"scene": {"classes": 4096, "input_channels": 2**13}},
          "class prototypes (scene.classes x scene.input_channels)"),
         ({"scene": {"classes": 5000}}, "prototype similarities (scene.classes x scene.classes)"),
@@ -728,13 +749,15 @@ def test_cli_eval_rejects_artifacts_whose_evaluation_is_not_finite(tmp_path, cap
 # The divergence cases above at a widening shape (24 channels of 16 inputs),
 # where the encodings are factored. W.T W squares weights near 1e300 past the
 # float range where the rows themselves stay finite, so the learning-rate
-# cases fail in iteration 0's metrics pass, one stage before the rows route;
-# and the bias-split norms of features near 1e200 sum terms of both signs
-# that overflow, so they read nan where the rows route reads inf.
+# cases fail in iteration 0 when the factors of the new weights are made, one
+# stage before the rows route, naming the first encoder and its non-finite
+# factors (the Gram, then the bias split taken from it); and the bias-split
+# norms of features near 1e200 sum terms of both signs that overflow, so they
+# read nan where the rows route reads inf.
 WIDENING_DIVERGENCE = {
     "learning-rate-1e300": (
         {"iterations": 20, "eval_scenes": 1, "assignment_scenes": 1, "learning_rate": 1e300},
-        "error: training iteration 0: metrics became non-finite (fidelity nan)",
+        "error: training iteration 0: encoder content_x factors became non-finite (gram, shift, cross, offset)",
     ),
     "temperature-1e-300": (
         {"iterations": 3, "eval_scenes": 1, "assignment_scenes": 0, "temperature": 1e-300},
@@ -746,7 +769,7 @@ WIDENING_DIVERGENCE = {
     ),
     "diverged-final-evaluation": (
         {key: value for key, value in DIVERGED.items() if key != "preset"},
-        "error: training iteration 0: metrics became non-finite (fidelity nan)",
+        "error: training iteration 0: encoder content_x factors became non-finite (gram, shift, cross, offset)",
     ),
 }
 
@@ -778,7 +801,7 @@ def test_cli_eval_rejects_widening_artifacts_whose_evaluation_is_not_finite(tmp_
     assert cli_main(args) == 1
     captured = capsys.readouterr()
     assert [line for line in captured.err.splitlines() if "error" in line] == [
-        "error: evaluation became non-finite (rec_loss nan, fidelity nan)"
+        "error: encoder content_x factors became non-finite (gram, shift, cross, offset)"
     ]
     assert "Warning" not in captured.err and "Traceback" not in captured.err and captured.out == ""
     assert sorted(tmp_path.iterdir()) == before

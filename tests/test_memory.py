@@ -21,7 +21,7 @@ from stylemem.memory import (
     save_bank,
     update,
 )
-from stylemem.numerics import l2_normalize_rows, make_rng, softmax_cols, softmax_rows, split_rng
+from stylemem.numerics import cosine_matrix, l2_normalize_rows, make_rng, softmax_cols, softmax_rows, split_rng
 
 from oracles import oracle_read, oracle_read_global, oracle_update
 from reference import (
@@ -183,8 +183,20 @@ def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
     assert_pair_views(reads[0].weights, reads[1].weights, shape)
     with pytest.raises(ShapeError, match="sims"):
         read_global(bank, sizes, ("x", "y"), qx.sims)
-    for d, queries, content, style, block_labels, pair_read in zip("xy", pair, contents, styles, labels, reads):
+    # the cosines alone, two blocks in one call
+    rows = tuple(map(encoded, contents))
+    both = cosine_matrix(rows, bank.keys)
+    assert_pair_views(both[: shape[0]], both[shape[0] :], shape)
+    empty, narrow = encoded(np.zeros((0, bank.channels))), encoded(contents[0][:, 1:])
+    for blocks in ((empty, rows[1]), (rows[0], empty), (narrow, rows[1]), (rows[0], narrow)):
+        with pytest.raises(ShapeError, match="do not fit keys"):
+            cosine_matrix(blocks, bank.keys)
+    for d, queries, content, style, block_labels, pair_read, cols in zip(
+        "xy", pair, contents, styles, labels, reads, cosines.columns
+    ):
         single = address_one(bank, content, style, block_labels)
+        assert_same_bits(both[cols], cosine_matrix((encoded(content),), bank.keys))
+        assert_same_bits(both[cols], single.sims)
         assert_same_bits(pair_read.weights, read_global(bank, (len(content),), (d,), queries.sims)[0].weights)
         assert_same_bits(pair_read.aggregated_style, read_global_one(bank, content, d).aggregated_style)
         for name in ("content", "style"):
