@@ -331,13 +331,13 @@ def _accumulate_pair(
     labels: np.ndarray, ref_layout: MemoryLayout, export: Callable[[str], None] | None = None, scene: int = 0,
 ) -> None:
     """Test-time metrics of one scene pair: one ``read_global`` over the
-    content encodings ``contents`` of both domains, from ``sims``, their
-    (2P, N) cosines with the keys, scored against the pair's ``labels`` and
-    against ``targets[d]``, the target that domain d's encoded style rows
-    set for the opposite read: the Gram of ``values_d``, its item-major dot
-    products with those rows and their norms. Each domain's assignments
-    lines, with its content rows formed, go to ``export`` as one text once
-    rendered."""
+    (x, y) content encodings ``contents``, from ``sims``, their (2P, N)
+    cosines with the keys, scored against the pair's ``labels`` and against
+    ``targets``, which holds per domain d (x, y) the target that d's encoded
+    style rows set for the opposite read: the Gram of ``values_d``, its
+    item-major dot products with those rows and their norms. Each domain's
+    assignments lines, with its content rows formed, go to ``export`` as one
+    text once rendered."""
     item_classes = ref_layout.item_classes
     results = read_global(bank, tuple(c.shape[0] for c in contents), ("x", "y"), sims)
     for d, content, result, target in zip(("x", "y"), contents, results, targets[::-1]):
