@@ -56,9 +56,16 @@ ENCODER_FORMAT_VERSION = 1
 _DOMAINS = ("x", "y")
 
 
+def _read_only(param: np.ndarray) -> np.ndarray:
+    param.flags.writeable = False
+    return param
+
+
 @dataclass
 class LinearEncoder:
-    """Row-wise affine map; each parameter's Adam moments start at zero."""
+    """Row-wise affine map; each parameter's Adam moments start at zero.
+    The weight and bias arrays the package makes are read-only: a step
+    replaces them, so the factors made from them cannot go stale in place."""
 
     weight: np.ndarray
     bias: np.ndarray
@@ -74,7 +81,7 @@ class LinearEncoder:
         if in_channels < 1 or out_channels < 1:
             raise ShapeError("encoder needs at least one input and output channel")
         weight = rng.standard_normal((out_channels, in_channels)) / np.sqrt(in_channels)
-        return cls(weight, np.zeros(out_channels))
+        return cls(_read_only(weight), _read_only(np.zeros(out_channels)))
 
     @property
     def in_channels(self) -> int:
@@ -131,8 +138,8 @@ def apply_gradients(
     enc: LinearEncoder, grad_weight: np.ndarray, grad_bias: np.ndarray, settings: TrainSettings
 ) -> None:
     adam = (settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
-    enc.weight = adam_step(enc.weight, grad_weight, enc.weight_state, *adam)
-    enc.bias = adam_step(enc.bias, grad_bias, enc.bias_state, *adam)
+    enc.weight = _read_only(adam_step(enc.weight, grad_weight, enc.weight_state, *adam))
+    enc.bias = _read_only(adam_step(enc.bias, grad_bias, enc.bias_state, *adam))
 
 
 @dataclass
@@ -233,7 +240,7 @@ class TrainSettings:
     adam_beta2: float = 0.999
 
     def __post_init__(self):
-        check_types(self)
+        check_types(TrainSettings, vars(self))
         if self.loss_variant not in ("contrastive", "triplet"):
             raise ConfigError(f"loss_variant must be 'contrastive' or 'triplet', got {self.loss_variant!r}")
         if not self.temperature > 0.0:
@@ -434,5 +441,5 @@ def load_encoders(path: str | Path) -> EncoderSet:
             raise ValidationError(f"encoder file missing {name!r}")
         weight = array(block, "weight", widths, f"encoder {name!r}")
         bias = array(block, "bias", widths[:1], f"encoder {name!r}")
-        loaded[name] = LinearEncoder(weight, bias)
+        loaded[name] = LinearEncoder(_read_only(weight), _read_only(bias))
     return EncoderSet(**loaded)

@@ -22,7 +22,8 @@ Encodings follow the encoding rule of :mod:`stylemem.numerics`: the
 once, by ``evaluate`` per call and by the training loop after each step,
 where they serve that step's metrics and the next step's loss pass.
 Widening encoders' rows are formed only for the triplet distances and the
-``assignments.csv`` content columns.
+``assignments.csv`` content columns. The export is rendered to bytes in
+numpy, a chunk of finished lines at a time, and written as it is rendered.
 
 Config files are JSON. A file may name a ``preset`` ("toy" or "full") and
 override any subset of keys; the expansion to a fully explicit config is
@@ -30,7 +31,9 @@ logged and written to the output directory as resolved_config.json. The keys
 are described in the README's Configuration section. The toy preset is the
 ``ExperimentConfig`` defaults. ``ExperimentConfig``, its ``train`` (a
 ``TrainSettings``) and its ``scene`` (a ``SceneSettings``) each check their
-keys when built, so a ``dataclasses.replace`` is checked too. A config whose
+keys when built, so a ``dataclasses.replace`` is checked too; the loader
+and the built objects share one type rule (``serialize.typed``), and only
+the loader turns an integral float into an int. A config whose
 run would allocate an array over ``MAX_ARRAY_ELEMENTS`` elements is rejected.
 """
 
@@ -59,7 +62,7 @@ from .encoder import (
 from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
 from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_matrix, read_cosines, split_rng
-from .serialize import FLOAT, atomic_lines, check_types, csv_block, integer, layout_counts, number, write_json
+from .serialize import FLOAT, atomic_write, check_types, csv_lines, layout_counts, typed, write_json
 from .synthdata import DomainSpec, ScenePair, SceneSettings, generate_scene_pair
 
 log = logging.getLogger(__name__)
@@ -133,9 +136,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if not (isinstance(self.layout, tuple) and all(isinstance(e, tuple) and len(e) == 2 for e in self.layout)):
             raise ConfigError(f"layout must be a tuple of (class, count) pairs, got {self.layout!r}")
-        check_types(self, ints=[
-            (f"layout {k} (entry {i})", v) for i, e in enumerate(self.layout) for k, v in zip(("class", "count"), e)
-        ])
+        check_types(ExperimentConfig, vars(self))
+        for i, entry in enumerate(self.layout):
+            for key, value in zip(("class", "count"), entry):
+                typed(f"layout {key} (entry {i})", "int", value)
         if self.memory_mode not in ("class-aware", "single"):
             raise ConfigError(f"memory_mode must be 'class-aware' or 'single', got {self.memory_mode!r}")
         minimums = (("iterations", 0), ("update_every", 1), ("channels", 1), ("seed", 0), ("eval_scenes", 1))
@@ -235,18 +239,6 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
-_FIELD_CHECKS = {"int": integer, "float": number, "str": lambda name, value, error: value}
-
-
-def _checked_fields(cls, raw: dict, prefix: str = "") -> dict:
-    """The int, float and str fields of dataclass ``cls``, type-checked."""
-    return {
-        f.name: _FIELD_CHECKS[f.type](prefix + f.name, raw[f.name], ConfigError)
-        for f in fields(cls)
-        if f.type in _FIELD_CHECKS
-    }
-
-
 def config_from_dict(resolved: dict) -> ExperimentConfig:
     """Type-check a resolved config dict and build the typed config.
 
@@ -255,12 +247,12 @@ def config_from_dict(resolved: dict) -> ExperimentConfig:
     and reports a scene error as a ``ConfigError`` that names the key.
     """
     try:
-        scene = SceneSettings(**_checked_fields(SceneSettings, resolved["scene"], "scene."))
-        top = _checked_fields(ExperimentConfig, resolved)  # before layout and train: keeps the first error
+        scene = SceneSettings(**check_types(SceneSettings, resolved["scene"], "scene.", loading=True))
+        top = check_types(ExperimentConfig, resolved, loading=True)  # before layout and train: keeps the first error
         cfg = ExperimentConfig(
             preset=resolved.get("preset"),
             layout=layout_counts(resolved["layout"], "layout", ConfigError),
-            train=TrainSettings(**_checked_fields(TrainSettings, resolved)),
+            train=TrainSettings(**check_types(TrainSettings, resolved, loading=True)),
             scene=scene,
             **top,
         )
@@ -328,7 +320,7 @@ class _EvalAccumulator:
 
 def _accumulate_pair(
     acc: _EvalAccumulator, bank: MemoryBank, contents: tuple, sims: np.ndarray, targets: tuple,
-    labels: np.ndarray, ref_layout: MemoryLayout, export: Callable[[str], None] | None = None, scene: int = 0,
+    labels: np.ndarray, ref_layout: MemoryLayout, export: Callable[[bytes], object] | None = None, scene: int = 0,
 ) -> None:
     """Test-time metrics of one scene pair: one ``read_global`` over the
     (x, y) content encodings ``contents``, from ``sims``, their (2P, N)
@@ -336,8 +328,10 @@ def _accumulate_pair(
     ``targets``, which holds per domain d (x, y) the target that d's encoded
     style rows set for the opposite read: the Gram of ``values_d``, its
     item-major dot products with those rows and their norms. Each domain's
-    assignments lines, with its content rows formed, go to ``export`` as one
-    text once rendered."""
+    assignments lines go to ``export`` as finished bytes, a chunk of lines
+    at a time, from ``serialize.csv_lines``: the prefix ``scene,domain,``,
+    the position, label and item columns (each below 2**24, by the array
+    guard), the read weight and the formed content row."""
     item_classes = ref_layout.item_classes
     results = read_global(bank, tuple(c.shape[0] for c in contents), ("x", "y"), sims)
     for d, content, result, target in zip(("x", "y"), contents, results, targets[::-1]):
@@ -349,11 +343,10 @@ def _accumulate_pair(
         top = np.argmax(weights, axis=0)
         acc.purity_hits += int(np.sum(item_classes[top] == labels))
         if export is not None:
-            picked = weights[top, np.arange(top.shape[0])]
-            positions = enumerate(zip(labels.tolist(), top.tolist()))
-            leading = ((scene, d, p, label, item) for p, (label, item) in positions)
-            block = np.column_stack((picked, content.formed()))
-            export("\n".join(csv_block("%d,%s,%d,%d,%d", leading, block)))
+            positions = np.arange(top.shape[0])
+            block = np.column_stack((weights[top, positions], content.formed()))
+            for lines in csv_lines(f"{scene},{d},", (positions, labels, top), block):
+                export(lines)
 
 
 def _pair_metrics(
@@ -414,10 +407,9 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
         bank, encoders, cfg, cfg.eval_scenes, assignments_path=out / "assignments.csv"
     )
     write_json(out / "resolved_config.json", cfg.to_dict())
-    with atomic_lines(out / "metrics.csv") as write:
-        write(METRICS_HEADER)
-        for row in metrics:
-            write(METRICS_TEMPLATE % astuple(row))
+    lines = [METRICS_HEADER] + [METRICS_TEMPLATE % astuple(row) for row in metrics]
+    with atomic_write(out / "metrics.csv") as write:
+        write("".join(line + "\n" for line in lines).encode())
     save_bank(bank, out / "bank.json")
     save_encoders(encoders, out / "encoders.json")
     write_json(out / "final_eval.json", asdict(final_eval))
@@ -469,12 +461,12 @@ def evaluate(
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
     loss_sums = np.zeros(3)
     columns = ["scene,domain,position,label,item,weight"] + [f"c{i}" for i in range(bank.channels)]
-    export = nullcontext() if assignments_path is None else atomic_lines(assignments_path)
+    export = nullcontext() if assignments_path is None else atomic_write(assignments_path)
 
     # a diverged bank or encoder set fails below with a named error, not numpy warnings
     with export as write, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if write is not None:
-            write(",".join(columns))
+            write((",".join(columns) + "\n").encode())
         factors = Factors.of(encoders, bank)
         for i in range(scene_count):
             pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))

@@ -3,10 +3,12 @@
 JSON: sorted keys, 17-significant-digit floats (an exact round trip), objects
 one key per line, 2-D arrays one row per line, arrays' contents inline. A CSV
 row is one ``template % values`` call (``"%.17g" % x`` equals :func:`fmt_float`).
-Float arrays and the float columns of a :func:`csv_block` go through
-:func:`float_rows`, which renders whole rows in numpy with the same bytes as
-the ``%`` template. Every file is written a line at a time through
-:func:`atomic_lines`; reads raise :class:`ValidationError` naming the field.
+Float blocks are rendered in numpy with the same bytes as the ``%`` template,
+as finished lines of bytes: :func:`csv_lines` puts each row's leading text
+(a constant prefix and integer columns) before its floats, and
+:func:`float_rows` splits the lines of a block into texts for JSON. Every
+file is written as bytes through :func:`atomic_write`; reads raise
+:class:`ValidationError` naming the field.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ def fmt_float(x: float) -> str:
 # half to even, computed from Dekker's error-free product p + err. Digits come
 # four at a time from a table of ASCII groups read as uint32, with a group's
 # trailing zeros as NUL padding once no later group is nonzero. Elements are
-# sorted by e; each e has one column layout in a fixed-width field, and the
-# NUL padding is deleted when the fields are joined. A row holding any other
-# value is rendered by the ``%`` template.
+# sorted by e; each e has one column layout in a fixed-width field. A row is
+# its NUL-padded leading text, its fields and a newline in place of the last
+# separator; one ``bytes.translate`` per chunk deletes the NUL padding and
+# yields the finished lines. A row holding any other value is rendered by
+# the ``%`` template.
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitting factor for doubles
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -104,12 +108,11 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     are placeholders (1e16, 0) where ``fast`` is False."""
     a = np.abs(x)
     fast = (a >= 1e-7) & (a < 1e17)  # also False for NaN
-    np.copyto(a, 1.0, where=~fast)
+    a = a if fast.all() else np.where(fast, a, 1.0)
     t = np.log10(a)
     np.floor(t, out=t)
     np.subtract(16.0, t, out=t)
-    np.maximum(t, 0.0, out=t)
-    np.minimum(t, 22.0, out=t)
+    np.clip(t, 0.0, 22.0, out=t)
     s = t.astype(np.intp)
     p, err = _scaled(a, s)
     below, above = _out_of_range(p, err)
@@ -128,9 +131,9 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     digits += np.rint(err).astype(np.int64)
     # a round up to 10**17 is left to the template (no double in range does it)
     fast &= digits < 10**17
-    digits[~fast] = 10**16
     exponent = (16 - s).astype(np.int8)
-    exponent[~fast] = 0
+    if not fast.all():  # placeholders where slow
+        digits[~fast], exponent[~fast] = 10**16, 0
     return digits, exponent, fast
 
 
@@ -186,7 +189,9 @@ def _fields(digits: np.ndarray, exponent: np.ndarray, negative: np.ndarray, widt
     return out
 
 
-def _block_rows(block: np.ndarray, sep: bytes) -> list[str]:
+def _block_lines(block: np.ndarray, sep: bytes, heads: np.ndarray) -> bytes:
+    """The finished lines of ``block``: each row's NUL-padded ``heads`` row,
+    then its ``"%.17g"`` texts joined by ``sep``, then a newline."""
     rows, cols = block.shape
     n, width = block.size, _FIELD + len(sep)
     x = block.ravel()
@@ -194,19 +199,24 @@ def _block_rows(block: np.ndarray, sep: bytes) -> list[str]:
     order = np.argsort(exponent, kind="stable")
     fields = _fields(digits[order], exponent[order], np.signbit(x)[order], width)
     fields[:, _FIELD:] = np.frombuffer(sep, np.uint8)
-    text = np.empty_like(fields)
+    skip = -(-heads.shape[1] // width)  # the fields that the NUL-padded head takes
+    text = np.zeros((rows, (skip + cols) * width), np.uint8)
+    text[:, :heads.shape[1]] = heads
     field = np.dtype((np.void, width))
-    text.view(field).reshape(n)[order] = fields.view(field).reshape(n)
-    ends = text.reshape(rows, cols, width)[:, -1, _FIELD:]
-    ends[:] = 0
-    ends[:, 0] = ord("\n")
-    lines = text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
-    slow = np.flatnonzero(~fast.reshape(rows, cols).all(axis=1)).tolist()
-    if slow:
-        template = sep.decode().join([FLOAT] * cols)
-        for i in slow:
-            lines[i] = template % tuple(block[i].tolist())
-    return lines
+    text.view(field).reshape(-1)[order + skip * (order // cols + 1)] = fields.view(field).reshape(n)
+    text[:, -len(sep):] = np.frombuffer(b"\n".ljust(len(sep), b"\0"), np.uint8)
+    template = sep.decode().join([FLOAT] * cols) + "\n"
+    parts, start = [], 0
+    for i in np.flatnonzero(~fast.reshape(rows, cols).all(axis=1)).tolist():  # out of range: the template
+        parts += [text[start:i].tobytes(), heads[i].tobytes(), (template % tuple(block[i].tolist())).encode()]
+        start = i + 1
+    parts.append(text[start:].tobytes())
+    return b"".join(parts).translate(None, b"\0")
+
+
+def _line_chunks(matrix: np.ndarray, sep: bytes, heads: np.ndarray) -> Iterator[bytes]:
+    step = max(1, _CHUNK // matrix.shape[1])
+    return (_block_lines(matrix[i:i + step], sep, heads[i:i + step]) for i in range(0, len(matrix), step))
 
 
 def float_rows(matrix, sep: str = ",") -> Iterator[str]:
@@ -216,9 +226,22 @@ def float_rows(matrix, sep: str = ",") -> Iterator[str]:
     rows, cols = matrix.shape
     if cols == 0:
         return iter([""] * rows)
-    step = max(1, _CHUNK // cols)
-    chunks = (_block_rows(matrix[start:start + step], sep.encode()) for start in range(0, rows, step))
-    return itertools.chain.from_iterable(chunks)
+    chunks = _line_chunks(matrix, sep.encode(), np.empty((rows, 0), np.uint8))
+    return itertools.chain.from_iterable(chunk.decode("ascii").split("\n")[:-1] for chunk in chunks)
+
+
+def csv_lines(prefix: str, ints: tuple, floats: np.ndarray) -> Iterator[bytes]:
+    """The CSV lines of a block, a chunk of lines at a time: ``prefix``,
+    then the row's value of each of the one or more arrays of ``ints`` (in
+    [0, 10**8)), then the row of ``floats``, comma-joined."""
+    values = np.stack(ints, axis=1)
+    digits = _DIGITS4[10000:][np.stack((values // 10000, values % 10000), axis=2)].view(np.uint8)  # 8 per value
+    digits[..., :-1] *= np.logical_or.accumulate(digits[..., :-1] != ord("0"), axis=2)  # leading zeros as NUL
+    cells = np.full((*values.shape, 9), ord(","), np.uint8)
+    cells[..., :8] = digits
+    lead = np.broadcast_to(np.frombuffer(prefix.encode(), np.uint8), (len(values), len(prefix)))
+    heads = np.hstack((lead, cells.reshape(len(values), -1)))
+    return _line_chunks(np.asarray(floats, dtype=np.float64), b",", heads)
 
 
 def _inline(value) -> str:
@@ -251,15 +274,14 @@ def render_json(value, indent: str = "") -> str:
 
 
 @contextmanager
-def atomic_lines(path: str | Path) -> Iterator[Callable[[str], None]]:
-    """Replace ``path`` atomically with the texts passed to the yielded
-    ``write(text)``, each ended by a newline (a text may hold several lines):
-    they go to a temporary file beside it, renamed over ``path`` when the
-    block exits normally and removed on any exception."""
+def atomic_write(path: str | Path) -> Iterator[Callable[[bytes], object]]:
+    """Replace ``path`` atomically with the bytes passed to the yielded
+    ``write(data)``: they go to a temporary file beside it, renamed over
+    ``path`` when the block exits normally and removed on any exception."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w") as handle:
-            yield lambda line: handle.writelines((line, "\n"))
+        with tmp.open("wb") as handle:
+            yield handle.write
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -267,15 +289,9 @@ def atomic_lines(path: str | Path) -> Iterator[Callable[[str], None]]:
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    with atomic_lines(path) as write:
-        write(render_json(doc))
-
-
-def csv_block(template: str, leading, floats: np.ndarray) -> Iterator[str]:
-    """One CSV line per row of ``floats``: that row's tuple of ``leading``
-    values through ``template`` (the %-specs of the leading columns), then the
-    row's ``FLOAT`` columns from :func:`float_rows`."""
-    return (f"{template % values},{row}" for values, row in zip(leading, float_rows(floats)))
+    with atomic_write(path) as write:
+        write(render_json(doc).encode())
+        write(b"\n")
 
 
 def read_json(path: str | Path, kind: str, version: int) -> dict:
@@ -314,16 +330,21 @@ def number(name: str, value, error: type[ValueError] = ValidationError) -> float
     return float(value)
 
 
-def check_types(settings, prefix: str = "", ints=()) -> None:
-    """The config loader's type rule and messages on a built settings
-    dataclass, without conversion: an int field (and each (name, value) of
-    ``ints``) holds an int, a float field a finite int or float; a bool is neither."""
-    typed = [(prefix + f.name, f.type, getattr(settings, f.name)) for f in fields(settings)]
-    for name, kind, value in typed + [(name, "int", value) for name, value in ints]:
-        if kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if kind == "float":
-            number(name, value, ConfigError)
+def typed(name: str, kind: str, value, loading: bool = False):
+    """The config type rule: an int field holds an int, a float field a finite
+    int or float (returned as a float), and a bool is neither; ``loading``
+    first turns an integral float in an int field into that int."""
+    if loading and kind == "int" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return number(name, value, ConfigError) if kind == "float" else value
+
+
+def check_types(cls, values: dict, prefix: str = "", loading: bool = False) -> dict:
+    """:func:`typed` over the int, float and str fields of dataclass ``cls`` in ``values``, by name."""
+    checked = (f for f in fields(cls) if f.type in ("int", "float", "str"))
+    return {f.name: typed(prefix + f.name, f.type, values[f.name], loading) for f in checked}
 
 
 def layout_counts(entries, where: str, error: type[ValueError] = ValidationError) -> tuple:

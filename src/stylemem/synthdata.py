@@ -43,7 +43,7 @@ class SceneSettings:
     style_overlap: float = 0.0
 
     def __post_init__(self):
-        check_types(self, "scene.")
+        check_types(SceneSettings, vars(self), "scene.")
         if self.classes < 2:
             raise GenerationError(
                 f"classes must be >= 2 (background plus a foreground class), got {self.classes}"

@@ -21,7 +21,7 @@ from stylemem.errors import ConfigError, ValidationError
 from stylemem.harness import config_from_dict, resolve_config
 from stylemem.memory import MemoryLayout, init_bank, load_bank, save_bank
 from stylemem.numerics import make_rng
-from stylemem.serialize import FLOAT, atomic_lines, float_rows, fmt_float, render_json
+from stylemem.serialize import FLOAT, atomic_write, csv_lines, float_rows, fmt_float, render_json
 from stylemem.synthdata import (
     DomainSpec, FeatureScene, SceneSettings, generate_scene_pair, load_scene, save_scene,
 )
@@ -188,15 +188,15 @@ def test_a_raising_block_keeps_the_existing_file(tmp_path):
     path = saved(tmp_path, save_bank, small_bank(7), "bank.json")
     before = path.read_bytes()
     with pytest.raises(ValidationError, match="block failed"):
-        with atomic_lines(path) as write:
-            write("a line")
+        with atomic_write(path) as write:
+            write(b"a line\n")
             assert len(os.listdir(tmp_path)) == 2
             raise ValidationError("block failed")
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["bank.json"]
-    with atomic_lines(path) as write:
-        write("a")
-        write("b")
+    with atomic_write(path) as write:
+        write(b"a\n")
+        write(b"b\n")
     assert path.read_bytes() == b"a\nb\n"
     assert os.listdir(tmp_path) == ["bank.json"]
 
@@ -241,6 +241,34 @@ def test_float_rows_match_the_template_on_edge_values():
     for matrix in (np.array(mixed), np.array(edges), np.array(edges).T):
         for sep in (",", ", "):
             assert list(float_rows(matrix, sep)) == template_rows(matrix, sep)
+
+
+def test_blocks_across_chunk_boundaries_match_the_template():
+    # about three chunks of serialize._CHUNK values, the last one ragged
+    cols = 7
+    step = serialize._CHUNK // cols
+    rows = 3 * step - step // 3
+    rng = np.random.default_rng(5)
+    exponents = rng.integers(-7, 17, (rows, cols))  # every fast exponent
+    exponents[0] = np.arange(-7, 0)
+    exponents[step // 2, :] = np.arange(10, 17)
+    exponents[-1, :] = np.arange(0, 7)
+    kept = rng.integers(1, 18, (rows, cols))  # significant digits: shorter ones end in zeros
+    mantissa = np.round(rng.uniform(1.0, 9.99, (rows, cols)) * 10.0 ** (kept - 1)) / 10.0 ** (kept - 1)
+    block = mantissa * 10.0 ** exponents * rng.choice([-1.0, 1.0], (rows, cols))
+    specials = [0.0, -0.0, np.inf, np.nan, 5e-324, 1e17, -np.inf]
+    for row in (3, step + step // 2, rows - 2):  # in the first, a middle and the last chunk
+        block[row, :] = specials
+        block[row + 1, row % cols] = specials[row % len(specials)]
+    assert rows % step and len(range(0, rows, step)) == 3
+    assert set(np.floor(np.log10(np.abs(block[np.isfinite(block) & (block != 0)]))).tolist()) >= set(range(-7, 17))
+    for sep in (",", ", "):
+        assert list(float_rows(block, sep)) == template_rows(block, sep)
+    positions, labels, items = np.arange(rows), rng.integers(0, 5, rows), rng.integers(0, 2**24, rows)
+    items[:6] = items[-6:] = [0, 9, 10, 9999, 10000, 2**24 - 1]  # the template renders them as str() does
+    template = ",".join(["%d", "%s", "%d", "%d", "%d"] + [FLOAT] * cols) + "\n"
+    want = "".join(template % (12, "y", *head, *row) for *head, row in zip(positions, labels, items, block.tolist()))
+    assert b"".join(csv_lines("12,y,", (positions, labels, items), block)) == want.encode()
 
 
 # --- fuzzing ---

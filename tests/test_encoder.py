@@ -314,6 +314,23 @@ def test_passes_reject_the_factors_of_another_state(channels):
             compute_losses(encoders, new_bank, pair, cfg.train, factors)
 
 
+def test_the_parameters_the_package_makes_are_read_only(tmp_path):
+    # an in-place edit after Factors.of would leave the factors stale
+    cfg = replace(PRESETS["toy"], channels=24)
+    bank = init_bank(cfg.bank_layout(), 24, split_rng(6, 0))
+    encoders = EncoderSet.create(split_rng(6, 1), cfg.scene.input_channels, 24)
+    pair = generate_scene_pair(cfg.domain_spec(), split_rng(6, 2))
+    factors = Factors.of(encoders, bank)
+    want = compute_losses(encoders, bank, pair, cfg.train, factors)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        encoders.content_x.weight *= 2.0
+    assert compute_losses(encoders, bank, pair, cfg.train, factors)[0] == want
+    train_step(encoders, bank, pair, cfg.train, factors)
+    save_encoders(encoders, tmp_path / "encoders.json")
+    for made in (EncoderSet.create(split_rng(6, 1), 16, 24), encoders, load_encoders(tmp_path / "encoders.json")):
+        assert not any(p.flags.writeable for enc in made.all() for p in (enc.weight, enc.bias))
+
+
 # finite weights near 1e300 square past the float range in W.T W, and the
 # bias split follows as nan; a bias near 1e200 overflows only |b_perp|^2
 @pytest.mark.parametrize("name, param, value, stages", [

@@ -20,7 +20,7 @@ import pytest
 
 from stylemem import encoder, harness
 from stylemem.cli import main as cli_main
-from stylemem.encoder import Factors, load_encoders, save_encoders
+from stylemem.encoder import EncoderSet, Factors, load_encoders, save_encoders
 from stylemem.errors import StylememError, ValidationError
 from stylemem.harness import STREAM_TRAIN, _pair_metrics, config_from_dict, evaluate, resolve_config, run_training
 from stylemem.memory import MemoryLayout, init_bank, save_bank
@@ -75,6 +75,20 @@ def test_evaluate_matches_the_two_pass_reference(tmp_path, memory_mode, loss_var
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+def test_an_export_past_four_digit_positions_matches_the_reference(tmp_path):
+    cfg = config_from_dict(resolve_config({
+        "preset": "toy", "iterations": 1, "eval_scenes": 1, "assignment_scenes": 1,
+        "scene": {"height": 101, "width": 100},
+    }))
+    bank = init_bank(cfg.bank_layout(), cfg.channels, split_rng(cfg.seed, 1))
+    encoders = EncoderSet.create(split_rng(cfg.seed, 2), cfg.scene.input_channels, cfg.channels)
+    evaluate(bank, encoders, cfg, 1, assignments_path=tmp_path / "new.csv")
+    reference_evaluate(bank, encoders, cfg, 1, tmp_path / "reference.csv")
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    assert b"\n0,y,10099," in got
+
+
 @pytest.mark.parametrize("channels", [16, WIDENING], ids=["toy", "widening"])
 @pytest.mark.parametrize("memory_mode", ["class-aware", "single"])
 def test_the_metrics_pass_matches_the_reference_reads(tmp_path, memory_mode, channels):
@@ -91,6 +105,7 @@ def test_a_widening_encoder_file_with_a_singular_weight_gram_evaluates(tmp_path,
     # load_encoders accepts such a weight, whose W.T W is singular
     cfg, bank, encoders = trained(tmp_path, channels=WIDENING)
     for enc in encoders.all():
+        enc.weight = enc.weight.copy()
         enc.weight[:, 3] = 0.0 if fault == "zero-column" else enc.weight[:, 5]
     paths = {"bank": tmp_path / "bank.json", "encoders": tmp_path / "encoders.json", "config": tmp_path / "cfg.json"}
     save_bank(bank, paths["bank"])

@@ -278,6 +278,12 @@ def test_load_config_file(tmp_path):
     path.write_text(json.dumps({"preset": "toy", "iterations": 3}))
     cfg = load_config(path)
     assert cfg.iterations == 3
+    # the loader's one conversion: an integral float in an int field (replace rejects it)
+    path.write_text(json.dumps({"preset": "toy", "iterations": 3.0, "scene": {"classes": 4.0}, "temperature": 1}))
+    cfg = load_config(path)
+    assert [(v, type(v)) for v in (cfg.iterations, cfg.scene.classes, cfg.train.temperature)] == [
+        (3, int), (4, int), (1.0, float)
+    ]
     path.write_text("{broken")
     with pytest.raises(ConfigError):
         load_config(path)
@@ -732,7 +738,7 @@ def test_cli_eval_rejects_artifacts_whose_evaluation_is_not_finite(tmp_path, cap
     save_bank(init_bank(cfg.bank_layout(), cfg.channels, make_rng(3)), tmp_path / "bank.json")
     encoders = EncoderSet.create(make_rng(4), cfg.scene.input_channels, cfg.channels)
     for enc in encoders.all():
-        enc.weight *= 1e300
+        enc.weight = enc.weight * 1e300
     save_encoders(encoders, tmp_path / "encoders.json")
     before = sorted(tmp_path.iterdir())
     args = ["eval", "--config", str(cfg_path), "--scenes", "1"]
@@ -793,7 +799,7 @@ def test_cli_eval_rejects_widening_artifacts_whose_evaluation_is_not_finite(tmp_
     save_bank(init_bank(cfg.bank_layout(), cfg.channels, make_rng(3)), tmp_path / "bank.json")
     encoders = EncoderSet.create(make_rng(4), cfg.scene.input_channels, cfg.channels)
     for enc in encoders.all():
-        enc.weight *= 1e300
+        enc.weight = enc.weight * 1e300
     save_encoders(encoders, tmp_path / "encoders.json")
     before = sorted(tmp_path.iterdir())
     args = ["eval", "--config", str(cfg_path), "--scenes", "1"]
