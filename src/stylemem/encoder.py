@@ -6,13 +6,15 @@ hand-written so the whole gradient path (loss -> read -> encoder) is explicit
 and checkable by finite differences. It ends at the encoder parameters:
 :func:`backward` returns ``(d_weight, d_bias)`` only.
 
-Encodings follow the encoding rule of :mod:`stylemem.numerics`: an
-encoder with no more output than input channels forms its rows by
-:func:`forward`, and a wider one leaves them to an
-:class:`~stylemem.numerics.Affine`. :class:`Factors` holds those and the
-value-plane Grams for one state of the encoders and the bank, and every
-pass at that state takes them from it; a pass at another state raises a
-``ValidationError``.
+Every pass takes one :class:`State`: the encoders and the bank it runs at,
+and the Adam moments of the run. Encodings follow the encoding rule of
+:mod:`stylemem.numerics`: an encoder with no more output than input
+channels forms its rows by :func:`forward`, and a wider one leaves them to
+an :class:`~stylemem.numerics.Affine`. A state makes those and the
+value-plane Grams on first use, and every pass at it takes them from it.
+Encoders, encoder sets and banks are frozen, and the arrays the package
+makes for them are read-only, so a state cannot change and its factors
+cannot go stale; a step returns a new state.
 
 A loss pass (:func:`compute_losses`) encodes both domains of a scene pair
 and addresses the bank once with its labels: one partition mask, one
@@ -32,13 +34,13 @@ each is summed from its terms' (N, P) and (P,) factors, and
 :func:`backward` takes it to the parameters with the encoding, so no
 (P, C) gradient array is formed. A training iteration checks that its loss
 is finite, backpropagates into the encoders, applies Adam, and, if asked,
-folds the iteration's features into the memory. Checkpoints (see
-:mod:`stylemem.serialize`) hold no optimizer state.
+folds the iteration's features into the memory; each makes new objects.
+Checkpoints (see :mod:`stylemem.serialize`) hold no optimizer state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
 from .memory import MemoryBank, QuerySet, address_blocks, read, read_backward, update
-from .numerics import AdamState, Affine, Cosines, Encoding, FeatureGrad, adam_step
+from .numerics import AdamState, Affine, Cosines, Encoding, FeatureGrad, adam_step, read_only
 from .objectives import LossTerm, contrastive_loss, triplet_loss
 from .serialize import array, check_types, integer, read_json, write_json
 from .synthdata import ScenePair
@@ -55,33 +57,32 @@ ENCODER_FORMAT_VERSION = 1
 
 _DOMAINS = ("x", "y")
 
-
-def _read_only(param: np.ndarray) -> np.ndarray:
-    param.flags.writeable = False
-    return param
+# the factors of an Affine past W and b, which the step and the encoder file check
+_FACTORED = tuple(f.name for f in fields(Affine)[2:])
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearEncoder:
-    """Row-wise affine map; each parameter's Adam moments start at zero.
-    The weight and bias arrays the package makes are read-only: a step
-    replaces them, so the factors made from them cannot go stale in place."""
+    """Row-wise affine map of a (C, Cin) weight and a (C,) bias; other
+    shapes raise a ``ShapeError``. The weight and bias arrays the package
+    makes are read-only, and a step makes new encoders."""
 
     weight: np.ndarray
     bias: np.ndarray
-    weight_state: AdamState = field(init=False)
-    bias_state: AdamState = field(init=False)
 
     def __post_init__(self):
-        self.weight_state = AdamState.for_param(self.weight.shape)
-        self.bias_state = AdamState.for_param(self.bias.shape)
+        weight, bias = getattr(self.weight, "shape", None), getattr(self.bias, "shape", None)
+        if weight is None or len(weight) != 2 or 0 in weight or bias != weight[:1]:
+            raise ShapeError(
+                f"encoder weight shape {weight} and bias shape {bias}, need (C, Cin) and (C,) with C, Cin >= 1"
+            )
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_channels: int, out_channels: int) -> "LinearEncoder":
         if in_channels < 1 or out_channels < 1:
             raise ShapeError("encoder needs at least one input and output channel")
         weight = rng.standard_normal((out_channels, in_channels)) / np.sqrt(in_channels)
-        return cls(_read_only(weight), _read_only(np.zeros(out_channels)))
+        return cls(read_only(weight), read_only(np.zeros(out_channels)))
 
     @property
     def in_channels(self) -> int:
@@ -134,15 +135,7 @@ def backward(encoding: Encoding, grad: FeatureGrad) -> tuple[np.ndarray, np.ndar
     return d_weight, d_bias
 
 
-def apply_gradients(
-    enc: LinearEncoder, grad_weight: np.ndarray, grad_bias: np.ndarray, settings: TrainSettings
-) -> None:
-    adam = (settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
-    enc.weight = _read_only(adam_step(enc.weight, grad_weight, enc.weight_state, *adam))
-    enc.bias = _read_only(adam_step(enc.bias, grad_bias, enc.bias_state, *adam))
-
-
-@dataclass
+@dataclass(frozen=True)
 class EncoderSet:
     """Content and style encoders for both domains."""
 
@@ -156,67 +149,56 @@ class EncoderSet:
         make = lambda: LinearEncoder.create(rng, in_channels, out_channels)
         return cls(content_x=make(), content_y=make(), style_x=make(), style_y=make())
 
-    def content(self, domain: str) -> LinearEncoder:
-        return self.content_x if domain == "x" else self.content_y
-
-    def style(self, domain: str) -> LinearEncoder:
-        return self.style_x if domain == "x" else self.style_y
-
     def all(self) -> tuple[LinearEncoder, ...]:
         return (self.content_x, self.content_y, self.style_x, self.style_y)
 
 
-@dataclass
-class Factors:
-    """What every pass at one state of the encoders and the bank takes of
-    that state: ``affine``, each encoder's :class:`~stylemem.numerics.Affine`
-    against the plane its rows meet (content against the keys, style d
-    against ``values_d``), or None where it forms its rows (C <= Cin), and
-    ``grams``, the Gram matrix ``V V.T`` of each value plane, by domain.
-    Build them after the step that makes the state and before any pass at
-    it; they hold the bank and the weights they were made from, and
-    :meth:`check` rejects a pass at another state."""
+@dataclass(frozen=True)
+class State:
+    """One state of the encoders and the bank, which every pass at it
+    reads, and ``moments``, the Adam moments of the run: a (weight, bias)
+    pair of ``AdamState`` per encoder, in field order, or () before the
+    first step, which makes them. The factors of the state are made on
+    first use and kept; nothing they are made from can change. No pass
+    reads the moments: a step advances them in place and hands them to the
+    state it returns."""
 
-    affine: dict[str, Affine | None]
-    grams: dict[str, np.ndarray]
+    encoders: EncoderSet
     bank: MemoryBank
+    moments: tuple[tuple[AdamState, AdamState], ...] = ()
 
-    @classmethod
-    def of(cls, encoders: EncoderSet, bank: MemoryBank) -> "Factors":
-        """The factors of this state; a factor that is not finite raises a
-        ``ValidationError`` naming its encoder."""
+    @cached_property
+    def affine(self) -> dict[str, Affine | None]:
+        """Each encoder's :class:`~stylemem.numerics.Affine` against the
+        plane its rows meet (content against the keys, style d against
+        ``values_d``), or None where it forms its rows (C <= Cin); a factor
+        that is not finite raises a ``ValidationError`` naming its encoder."""
+        bank = self.bank
         planes = dict(content_x=bank.keys, content_y=bank.keys, style_x=bank.values_x, style_y=bank.values_y)
-        affine = {
-            name: Affine.of(enc.weight, enc.bias, planes[name]) if enc.out_channels > enc.in_channels else None
-            for name, enc in vars(encoders).items()
-        }
-        factored = [f.name for f in fields(Affine)[2:]]  # past W and b, which the step and the encoder file check
-        for name, a in affine.items():
-            bad = [f for f in factored if a is not None and not np.isfinite(getattr(a, f)).all()]
-            if bad:
-                raise ValidationError(f"encoder {name} factors became non-finite ({', '.join(bad)})")
-        return cls(affine, {d: planes[f"style_{d}"] @ planes[f"style_{d}"].T for d in _DOMAINS}, bank)
+        affine = dict.fromkeys(planes)
+        for name, enc in vars(self.encoders).items():
+            out_channels, in_channels = enc.weight.shape
+            if out_channels > in_channels:
+                a = affine[name] = Affine.of(enc.weight, enc.bias, planes[name])
+                bad = [f for f in _FACTORED if not np.isfinite(getattr(a, f)).all()]
+                if bad:
+                    raise ValidationError(f"encoder {name} factors became non-finite ({', '.join(bad)})")
+        return affine
 
-    def check(self, encoders: EncoderSet, bank: MemoryBank) -> None:
-        """Raise a ``ValidationError`` unless these are the factors of
-        ``bank`` and of the weight and bias arrays each widening encoder
-        holds now."""
-        if bank is not self.bank:
-            raise ValidationError("factors were made for another bank")
-        for name, a in self.affine.items():
-            enc = getattr(encoders, name)
-            if a is not None and (a.weight is not enc.weight or a.bias is not enc.bias):
-                raise ValidationError(f"factors were made from other encoder {name} parameters")
+    @cached_property
+    def grams(self) -> dict[str, np.ndarray]:
+        """The Gram matrix ``V V.T`` of each value plane, by domain."""
+        return {d: v @ v.T for d, v in zip(_DOMAINS, (self.bank.values_x, self.bank.values_y))}
 
 
-def encode_pair(encoders: EncoderSet, pair: ScenePair, factors: Factors) -> tuple[tuple, tuple]:
+def encode_pair(state: State, pair: ScenePair) -> tuple[tuple, tuple]:
     """The content and the style encodings of both domains of ``pair``,
-    each an (x, y) tuple, at the state of ``factors``."""
+    each an (x, y) tuple, at ``state``."""
 
     def encode(name: str, inputs: np.ndarray) -> Encoding:
-        affine = factors.affine[name]
+        affine = state.affine[name]
         if affine is None:
-            return Encoding(inputs, forward(getattr(encoders, name), inputs), None)
+            return Encoding(inputs, forward(getattr(state.encoders, name), inputs), None)
         return Encoding(inputs, None, affine)
 
     content = tuple(encode(f"content_{d}", pair.content) for d in _DOMAINS)
@@ -321,23 +303,16 @@ def _item_loss(queries: tuple, items, pool: np.ndarray, settings: TrainSettings,
     return dict(zip(_DOMAINS, triplet_loss(queries, items, pool, settings.triplet_margin, cosines)))
 
 
-def compute_losses(
-    encoders: EncoderSet,
-    bank: MemoryBank,
-    pair: ScenePair,
-    settings: TrainSettings,
-    factors: Factors,
-) -> tuple[LossReport, ForwardPass]:
-    """Loss pass over a scene pair against a frozen bank, with the
-    ``factors`` of this state of the encoders and the bank.
+def compute_losses(state: State, pair: ScenePair, settings: TrainSettings) -> tuple[LossReport, ForwardPass]:
+    """Loss pass over a scene pair at ``state``, whose bank it leaves as it is.
 
     Returns the loss report plus the forward pass: the encoded query sets,
     from which the analytic gradients of the weighted total loss with
-    respect to each encoded feature matrix follow on demand. Neither the
-    encoders, the bank nor the pair are modified.
+    respect to each encoded feature matrix follow on demand. The pair is
+    not modified.
     """
-    factors.check(encoders, bank)
-    content, style = encode_pair(encoders, pair, factors)
+    bank = state.bank
+    content, style = encode_pair(state, pair)
     mask, cosines, sets = address_blocks(bank, content, style, (pair.labels, pair.labels))
     queries = dict(zip(_DOMAINS, sets))
     planes = (bank.values_x, bank.values_y)
@@ -349,14 +324,14 @@ def compute_losses(
     # domain d's mixture a V of the opposite plane should reproduce the
     # opposite encoded style s, and |a V - s|^2 = a.(G a - 2 V s) + |s|^2,
     # with V s and |s| from the opposite block of the value cosines, and the
-    # Grams of the factors
+    # Grams of the state
     p_total = pair.labels.shape[0]
     g_weights = {}
     rec_loss = float(values.row_norms @ values.row_norms)
     for d, opposite, cols in (("x", "y", values.columns[1]), ("y", "x", values.columns[0])):
         alpha = read(bank, queries[d], d).weights.T
         v_s = values.dots.T[:, cols]
-        g_weights[d] = g = factors.grams[opposite] @ alpha
+        g_weights[d] = g = state.grams[opposite] @ alpha
         g -= v_s
         rec_loss += float(np.einsum("ij,ij->", alpha, g - v_s))
         g *= 2.0 / p_total  # now d(rec_loss)/d(read weights)
@@ -373,43 +348,42 @@ def compute_losses(
 
 
 def train_step(
-    encoders: EncoderSet,
-    bank: MemoryBank,
-    pair: ScenePair,
-    settings: TrainSettings,
-    factors: Factors,
-    update_memory: bool = True,
-) -> tuple[LossReport, MemoryBank]:
-    """One training iteration on a scene pair, with the ``factors`` of this
-    state of the encoders and the bank.
+    state: State, pair: ScenePair, settings: TrainSettings, update_memory: bool = True
+) -> tuple[LossReport, State]:
+    """One training iteration on a scene pair from ``state``.
 
-    The encoders are updated in place through their Adam states; with
-    ``update_memory`` the returned bank is a new object (reads and losses
-    always use the iteration's starting bank), else it is ``bank``. The
+    Returns the loss report and the next state: new encoders, the moments
+    advanced, and with ``update_memory`` a new bank (reads and losses
+    always use the iteration's starting bank), else ``state.bank``. The
     pair is never modified. A non-finite loss names its unweighted terms.
     """
-    report, fwd = compute_losses(encoders, bank, pair, settings, factors)
+    report, fwd = compute_losses(state, pair, settings)
     if not np.isfinite(report.total):
         terms = f"key {report.key_loss}, value {report.value_loss}, rec {report.rec_loss}"
         raise ValidationError(f"loss became non-finite ({terms})")
 
-    for d in _DOMAINS:
-        queries = fwd.queries[d]
-        gw, gb = backward(queries.content, fwd.grad_content[d])
-        apply_gradients(encoders.content(d), gw, gb, settings)
-        gw, gb = backward(queries.style, fwd.grad_style[d])
-        apply_gradients(encoders.style(d), gw, gb, settings)
-
-    for name, enc in vars(encoders).items():
-        if not (np.all(np.isfinite(enc.weight)) and np.all(np.isfinite(enc.bias))):
+    adam = (settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
+    moments = state.moments or tuple(
+        (AdamState.for_param(enc.weight.shape), AdamState.for_param(enc.bias.shape)) for enc in state.encoders.all()
+    )
+    grads = {}  # each encoder's encoding and the gradient at its rows
+    for d, queries in fwd.queries.items():
+        grads[f"content_{d}"] = (queries.content, fwd.grad_content[d])
+        grads[f"style_{d}"] = (queries.style, fwd.grad_style[d])
+    stepped = {}
+    for (name, enc), (weight_moments, bias_moments) in zip(vars(state.encoders).items(), moments):
+        gw, gb = backward(*grads[name])
+        weight = read_only(adam_step(enc.weight, gw, weight_moments, *adam))
+        bias = read_only(adam_step(enc.bias, gb, bias_moments, *adam))
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
             raise ValidationError(f"encoder {name} parameters became non-finite")
         # where a second moment is inf, Adam's step is 0 and the weight stops learning
-        if not all(np.all(np.isfinite(s.second_moment)) for s in (enc.weight_state, enc.bias_state)):
+        if not all(np.all(np.isfinite(m.second_moment)) for m in (weight_moments, bias_moments)):
             raise ValidationError(f"encoder {name} Adam second moments became non-finite")
+        stepped[name] = LinearEncoder(weight, bias)
 
-    if not update_memory:
-        return report, bank
-    return report, update(bank, fwd.queries["x"], fwd.queries["y"])
+    bank = update(state.bank, fwd.queries["x"], fwd.queries["y"]) if update_memory else state.bank
+    return report, State(EncoderSet(**stepped), bank, moments)
 
 
 # --- persistence ---
@@ -425,8 +399,8 @@ def save_encoders(encoders: EncoderSet, path: str | Path) -> None:
 
 
 def load_encoders(path: str | Path) -> EncoderSet:
-    """Load a checkpoint; the Adam moments start at zero, and the
-    optimizer settings come from the ``TrainSettings`` of each step."""
+    """Load a checkpoint; it holds no Adam moments, and the optimizer
+    settings come from the ``TrainSettings`` of each step."""
     doc = read_json(path, "encoder", ENCODER_FORMAT_VERSION)
     widths = tuple(
         integer(f"encoder field {k!r}", doc.get(k), minimum=1) for k in ("out_channels", "in_channels")
@@ -441,5 +415,5 @@ def load_encoders(path: str | Path) -> EncoderSet:
             raise ValidationError(f"encoder file missing {name!r}")
         weight = array(block, "weight", widths, f"encoder {name!r}")
         bias = array(block, "bias", widths[:1], f"encoder {name!r}")
-        loaded[name] = LinearEncoder(_read_only(weight), _read_only(bias))
+        loaded[name] = LinearEncoder(read_only(weight), read_only(bias))
     return EncoderSet(**loaded)

@@ -13,14 +13,15 @@ factored-read rule of :mod:`stylemem.numerics` from the value-plane Grams,
 dot products and norms, so no mixture is formed. Evaluation takes one loss
 pass per held-out scene pair and no gradient, and the read, the fidelity
 and the assignments export reuse that pass's encodings and cosines. The
-per-iteration metrics encode afresh, since the step has just changed the
-encoders and the bank, and take one two-block ``cosine_matrix`` against
+per-iteration metrics encode afresh, since the step has just made new
+encoders and perhaps a new bank, and take one two-block ``cosine_matrix`` against
 the keys and the dot products and norms of the fresh style encodings.
-Encodings follow the encoding rule of :mod:`stylemem.numerics`: the
-``stylemem.encoder.Factors`` of one state of the encoders and the bank
-(each widening encoder's ``Affine`` and the value-plane Grams) are made
-once, by ``evaluate`` per call and by the training loop after each step,
-where they serve that step's metrics and the next step's loss pass.
+Every pass takes one ``stylemem.encoder.State`` of the encoders and the
+bank, which makes the factors of the encoding rule of
+:mod:`stylemem.numerics` (each widening encoder's ``Affine``) and the
+value-plane Grams on first use. So they are made once per state: by
+``evaluate`` once per call, and in training once per step, whose returned
+state serves that iteration's metrics and the next step's loss pass.
 Widening encoders' rows are formed only for the triplet distances and the
 ``assignments.csv`` content columns. The export is rendered to bytes in
 numpy, a chunk of finished lines at a time, and written as it is rendered.
@@ -49,16 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import (
-    EncoderSet,
-    Factors,
-    LossReport,
-    TrainSettings,
-    compute_losses,
-    encode_pair,
-    save_encoders,
-    train_step,
-)
+from .encoder import EncoderSet, State, TrainSettings, compute_losses, encode_pair, save_encoders, train_step
 from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
 from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
 from .numerics import cosine_matrix, read_cosines, split_rng
@@ -349,15 +341,13 @@ def _accumulate_pair(
                 export(lines)
 
 
-def _pair_metrics(
-    bank: MemoryBank, encoders: EncoderSet, pair: ScenePair, ref_layout: MemoryLayout, factors: Factors
-) -> tuple[float, float, float]:
-    # the step has just changed the encoders and the bank: encode afresh
-    factors.check(encoders, bank)
-    contents, styles = encode_pair(encoders, pair, factors)
+def _pair_metrics(state: State, pair: ScenePair, ref_layout: MemoryLayout) -> tuple[float, float, float]:
+    # the step has just made a new state: encode afresh
+    bank = state.bank
+    contents, styles = encode_pair(state, pair)
     planes = (bank.values_x, bank.values_y)
     targets = tuple(
-        (factors.grams[d], style.dots(plane), style.norms()) for d, style, plane in zip(("x", "y"), styles, planes)
+        (state.grams[d], style.dots(plane), style.norms()) for d, style, plane in zip(("x", "y"), styles, planes)
     )
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
     _accumulate_pair(acc, bank, contents, cosine_matrix(contents, bank.keys), targets, pair.labels, ref_layout)
@@ -379,8 +369,10 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
 
     spec = cfg.domain_spec()
-    bank = init_bank(cfg.bank_layout(), cfg.channels, split_rng(cfg.seed, STREAM_BANK))
-    encoders = EncoderSet.create(split_rng(cfg.seed, STREAM_ENCODERS), cfg.scene.input_channels, cfg.channels)
+    state = State(
+        EncoderSet.create(split_rng(cfg.seed, STREAM_ENCODERS), cfg.scene.input_channels, cfg.channels),
+        init_bank(cfg.bank_layout(), cfg.channels, split_rng(cfg.seed, STREAM_BANK)),
+    )
     ref_layout = cfg.reference_layout()
 
     log.info(
@@ -388,24 +380,21 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
         cfg.memory_mode, cfg.train.loss_variant, cfg.n_items, cfg.channels, cfg.iterations, cfg.seed,
     )
     metrics: list[MetricsRow] = []
-    factors = Factors.of(encoders, bank)
     for t in range(cfg.iterations):
         pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
         updates = t % cfg.update_every == 0
         try:
             # a diverging step fails below with a named error, not numpy warnings
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                report, bank = train_step(encoders, bank, pair, cfg.train, factors, update_memory=updates)
-                factors = Factors.of(encoders, bank)  # for this metrics pass and the next step
-                entropy, purity, fidelity = _pair_metrics(bank, encoders, pair, ref_layout, factors)
+                report, state = train_step(state, pair, cfg.train, update_memory=updates)
+                entropy, purity, fidelity = _pair_metrics(state, pair, ref_layout)
             values = (t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity)
             metrics.append(_finite(values, "metrics"))
         except StylememError as exc:
             raise type(exc)(f"training iteration {t}: {exc}") from exc
 
-    final_eval = evaluate(
-        bank, encoders, cfg, cfg.eval_scenes, assignments_path=out / "assignments.csv"
-    )
+    bank, encoders = state.bank, state.encoders
+    final_eval = evaluate(bank, encoders, cfg, cfg.eval_scenes, assignments_path=out / "assignments.csv")
     write_json(out / "resolved_config.json", cfg.to_dict())
     lines = [METRICS_HEADER] + [METRICS_TEMPLATE % astuple(row) for row in metrics]
     with atomic_write(out / "metrics.csv") as write:
@@ -444,7 +433,7 @@ def evaluate(
     the training-time class pools, without touching bank or encoders). Each
     pair takes one loss pass and no gradient; the test-time read, the
     fidelity target and the export reuse its encodings and cosines, and
-    every pair takes the one ``Factors`` of the bank and the encoders.
+    every pair takes the factors of one ``State`` of the bank and the encoders.
     When ``assignments_path`` is set, the first cfg.assignment_scenes scenes
     also dump one row per query: scene, domain, position, label, assigned
     item, its weight, and the encoded content features (for external
@@ -467,15 +456,15 @@ def evaluate(
     with export as write, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if write is not None:
             write((",".join(columns) + "\n").encode())
-        factors = Factors.of(encoders, bank)
+        state = State(encoders, bank)
         for i in range(scene_count):
             pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
-            report, fwd = compute_losses(encoders, bank, pair, cfg.train, factors)
+            report, fwd = compute_losses(state, pair, cfg.train)
             loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
 
             contents = tuple(q.content for q in fwd.queries.values())
             targets = tuple(
-                (factors.grams[d], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
+                (state.grams[d], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
                 for d, cols in zip(fwd.queries, fwd.values.columns)
             )
             scene_export = write if i < cfg.assignment_scenes else None

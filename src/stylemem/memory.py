@@ -31,7 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyClusterError, LayoutError, ShapeError, StylememError, ValidationError
-from .numerics import EPS_DIV, Cosines, Encoding, FeatureGrad, l2_normalize_rows, softmax_cols, softmax_rows
+from .numerics import (
+    EPS_DIV, Cosines, Encoding, FeatureGrad, l2_normalize_rows, read_only, softmax_cols, softmax_rows,
+)
 from .serialize import array, integer, layout_counts, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
@@ -96,14 +98,14 @@ class MemoryLayout:
     @cached_property
     def item_classes(self) -> np.ndarray:
         """Class id owning each item, (N,), computed once and read-only."""
-        classes = np.repeat(self.class_ids, [e.count for e in self.entries])
-        classes.flags.writeable = False
-        return classes
+        return read_only(np.repeat(self.class_ids, [e.count for e in self.entries]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryBank:
-    """Keys plus per-domain value planes, one row per item, all N x C."""
+    """Keys plus per-domain value planes, one row per item, all N x C.
+    The planes that :func:`init_bank`, :func:`update` and :func:`load_bank`
+    make are read-only: a bank never changes, and an update makes a new one."""
 
     keys: np.ndarray
     values_x: np.ndarray
@@ -117,9 +119,6 @@ class MemoryBank:
     @property
     def channels(self) -> int:
         return self.keys.shape[1]
-
-    def copy(self) -> "MemoryBank":
-        return MemoryBank(self.keys.copy(), self.values_x.copy(), self.values_y.copy(), self.layout)
 
 
 @dataclass
@@ -181,11 +180,8 @@ def init_bank(layout: MemoryLayout, channels: int, rng: np.random.Generator) -> 
     """
     if channels < 1:
         raise ShapeError(f"channels must be >= 1, got {channels}")
-    n = layout.n_items
-    keys = l2_normalize_rows(rng.standard_normal((n, channels)))
-    values_x = l2_normalize_rows(rng.standard_normal((n, channels)))
-    values_y = l2_normalize_rows(rng.standard_normal((n, channels)))
-    return MemoryBank(keys, values_x, values_y, layout)
+    planes = [read_only(l2_normalize_rows(rng.standard_normal((layout.n_items, channels)))) for _ in range(3)]
+    return MemoryBank(*planes, layout)
 
 
 def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tuple) -> tuple:
@@ -320,10 +316,10 @@ def update(bank: MemoryBank, queries_x: QuerySet | None, queries_y: QuerySet | N
     bit-identical. An empty or missing domain contributes nothing. The
     features are folded by the encoding rule of :mod:`stylemem.numerics`.
     """
-    new = bank.copy()
+    keys, planes = bank.keys.copy(), (bank.values_x.copy(), bank.values_y.copy())
     key_accum = bank.keys.copy()
     touched = np.zeros(bank.n_items, dtype=bool)
-    for queries, plane in ((queries_x, new.values_x), (queries_y, new.values_y)):
+    for queries, plane in zip((queries_x, queries_y), planes):
         if queries is None or queries.size == 0:
             continue
         _check_queries(bank, queries)
@@ -333,8 +329,8 @@ def update(bank: MemoryBank, queries_x: QuerySet | None, queries_y: QuerySet | N
         plane[hit] = l2_normalize_rows(plane[hit] + queries.style.fold(beta)[hit])
         touched |= hit
     if touched.any():
-        new.keys[touched] = l2_normalize_rows(key_accum[touched])
-    return new
+        keys[touched] = l2_normalize_rows(key_accum[touched])
+    return MemoryBank(read_only(keys), *map(read_only, planes), bank.layout)
 
 
 # --- persistence ---
@@ -364,5 +360,5 @@ def load_bank(path: str | Path) -> MemoryBank:
             worst = float(np.abs(np.linalg.norm(plane, axis=1) - 1.0).max())
         if worst > 1e-9:
             raise ValidationError(f"bank field {field!r} rows deviate from unit norm by {worst:.3e}")
-        planes.append(plane)
+        planes.append(read_only(plane))
     return MemoryBank(*planes, layout)

@@ -2,8 +2,9 @@
 
 Matrices throughout the package are plain 2-D ``numpy`` arrays of float64,
 row-major. All functions here are pure except :func:`adam_step`, which
-mutates its explicit state argument; nothing touches global state, and all
-randomness flows through generators owned by the caller.
+mutates its explicit state argument, and :func:`read_only`, which marks
+its argument read-only; nothing touches global state, and all randomness
+flows through generators owned by the caller.
 
 Row norms of formed rows come in two kinds, which may differ in the last
 bit. The cosines (:class:`Cosines`, and the target norms of
@@ -77,6 +78,12 @@ def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise ShapeError(f"{name} must be a non-empty 2-D array, got shape {m.shape}")
+    return m
+
+
+def read_only(m: np.ndarray) -> np.ndarray:
+    """``m``, marked read-only, so that an in-place edit raises."""
+    m.flags.writeable = False
     return m
 
 

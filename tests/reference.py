@@ -29,10 +29,9 @@ the package addresses in one pass; ``test_memory.py`` and
 
 The package takes rows as encodings (``numerics.Encoding``). :func:`encoded`
 holds given rows as they are, :func:`encoding` encodes inputs as the package
-does. :func:`forward_factors` are the ``encoder.Factors`` of a state by
-which every encoder forms its rows with ``forward``, whatever its width:
-the forward route, against which the factored route of widening encoders
-is checked.
+does. A :class:`ForwardState` is an ``encoder.State`` by which every
+encoder forms its rows with ``forward``, whatever its width: the forward
+route, against which the factored route of widening encoders is checked.
 
 :func:`dense_gradient` is the one place a factored feature gradient
 (``numerics.FeatureGrad``) becomes the (P, C) array it stands for, and
@@ -44,18 +43,21 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from stylemem.encoder import Factors, compute_losses, forward
+from stylemem.encoder import EncoderSet, LinearEncoder, State, compute_losses, forward
 from stylemem.errors import LayoutError
 from stylemem.harness import STREAM_EVAL, MetricsRow
 from stylemem.memory import (
     POOLED_CLASS_ID, MemoryLayout, address_blocks, init_bank, read, read_backward, read_global, update,
 )
 from stylemem.errors import ShapeError
-from stylemem.numerics import EPS_DIV, Affine, Encoding, cosine_matrix, dot_norms, softmax_rows, split_rng
+from stylemem.numerics import (
+    EPS_DIV, AdamState, Affine, Encoding, cosine_matrix, dot_norms, softmax_rows, split_rng,
+)
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT
 from stylemem.synthdata import generate_scene_pair
@@ -140,12 +142,12 @@ def encoding(enc, inputs, items):
     return Encoding(inputs, None, Affine.of(enc.weight, enc.bias, items))
 
 
-def forward_factors(encoders, bank):
-    """The ``Factors`` of this state, by which every encoder forms its rows
-    with ``forward``."""
-    factors = Factors.of(encoders, bank)
-    factors.affine = dict.fromkeys(factors.affine)
-    return factors
+class ForwardState(State):
+    """A ``State`` by which every encoder forms its rows with ``forward``."""
+
+    @cached_property
+    def affine(self) -> dict:
+        return dict.fromkeys(vars(self.encoders))
 
 
 @dataclass
@@ -165,8 +167,8 @@ class ReferencePass:
 
 
 def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
-    content = {d: forward(encoders.content(d), pair.content) for d in DOMAINS}
-    style = {d: forward(encoders.style(d), s) for d, s in zip(DOMAINS, pair.styles)}
+    content = {d: forward(getattr(encoders, f"content_{d}"), pair.content) for d in DOMAINS}
+    style = {d: forward(getattr(encoders, f"style_{d}"), s) for d, s in zip(DOMAINS, pair.styles)}
     if bank.layout.class_ids == (POOLED_CLASS_ID,):
         every = np.arange(pair.labels.shape[0])
         per_domain = {d: [ClassCluster(POOLED_CLASS_ID, content[d], style[d], every)] for d in DOMAINS}
@@ -238,32 +240,39 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
     )
 
 
-def reference_adam(enc, grad_weight, grad_bias, settings) -> None:
-    """One Adam step on ``enc``: ``oracle_adam_scalar`` on every element of
-    each parameter, reading and advancing that parameter's moments and step count."""
-    for name, grad in (("weight", grad_weight), ("bias", grad_bias)):
-        param, state = getattr(enc, name), getattr(enc, f"{name}_state")
-        new = np.empty_like(param)
+def reference_adam(enc, moments, grad_weight, grad_bias, settings) -> LinearEncoder:
+    """``enc`` after one Adam step: ``oracle_adam_scalar`` on every element
+    of each parameter, reading and advancing that parameter's moments and
+    step count, from ``moments``, the (weight, bias) pair of ``AdamState``."""
+    new = {}
+    for (name, grad), state in zip((("weight", grad_weight), ("bias", grad_bias)), moments):
+        param = getattr(enc, name)
+        new[name] = np.empty_like(param)
         m, v = state.first_moment, state.second_moment
         for i in np.ndindex(param.shape):
-            new[i], m[i], v[i], _ = oracle_adam_scalar(
+            new[name][i], m[i], v[i], _ = oracle_adam_scalar(
                 float(param[i]), float(grad[i]), float(m[i]), float(v[i]), state.step_count,
                 settings.adam_beta1, settings.adam_beta2, ADAM_EPS, settings.learning_rate,
             )
         state.step_count += 1
-        setattr(enc, name, new)
+    return LinearEncoder(**new)
 
 
-def reference_train_step(encoders, bank, pair, settings, update_memory=True):
-    """(reference pass, encoders after the scalar-oracle Adam, new bank);
-    ``encoders`` is not modified."""
-    encoders = copy.deepcopy(encoders)
+def reference_train_step(state, pair, settings, update_memory=True):
+    """(reference pass, encoders after the scalar-oracle Adam, new bank)
+    from ``state``, whose moments are not modified."""
+    encoders, bank = state.encoders, state.bank
     ref = reference_compute_losses(encoders, bank, pair, settings)
-    for d, style in zip(DOMAINS, pair.styles):
-        grad = ref.grad_content[d]
-        reference_adam(encoders.content(d), grad.T @ pair.content, grad.sum(axis=0), settings)
-        grad = ref.grad_style[d]
-        reference_adam(encoders.style(d), grad.T @ style, grad.sum(axis=0), settings)
+    moments = copy.deepcopy(state.moments) or [
+        (AdamState.for_param(enc.weight.shape), AdamState.for_param(enc.bias.shape)) for enc in encoders.all()
+    ]
+    stepped = {}
+    for (name, enc), enc_moments in zip(vars(encoders).items(), moments):
+        kind, d = name.split("_")
+        grad = (ref.grad_content if kind == "content" else ref.grad_style)[d]
+        inputs = pair.content if kind == "content" else pair.styles[DOMAINS.index(d)]
+        stepped[name] = reference_adam(enc, enc_moments, grad.T @ inputs, grad.sum(axis=0), settings)
+    encoders = EncoderSet(**stepped)
     if not update_memory:
         return ref, encoders, bank
 
@@ -291,7 +300,7 @@ def reference_evaluate(bank, encoders, cfg, scene_count, assignments_path) -> Me
 
     pairs = [generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i)) for i in range(scene_count)]
     for pair in pairs:
-        report, fwd = compute_losses(encoders, bank, pair, settings, forward_factors(encoders, bank))
+        report, fwd = compute_losses(ForwardState(encoders, bank), pair, settings)
         fwd.grad_content, fwd.grad_style  # the whole training pass, backward included
         loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
     entropy, purity, fidelity = reference_reads(
@@ -317,9 +326,9 @@ def reference_reads(bank, encoders, pairs, ref_layout, lines=None, assignment_sc
     for i, pair in enumerate(pairs):
         styles = dict(zip(DOMAINS, pair.styles))
         for d, opposite in (("x", "y"), ("y", "x")):
-            content = forward(encoders.content(d), pair.content)
+            content = forward(getattr(encoders, f"content_{d}"), pair.content)
             result = read_global_one(bank, content, d)
-            target = forward(encoders.style(opposite), styles[opposite])
+            target = forward(getattr(encoders, f"style_{opposite}"), styles[opposite])
             alpha_sum += result.weights.sum(axis=0)
             queries += content.shape[0]
             fidelity_sum += float(cosine_rows(result.aggregated_style, target).sum())

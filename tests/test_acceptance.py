@@ -4,14 +4,14 @@ One test per criterion; each prints a single pass/fail line (visible with
 ``pytest -s``). Training-based criteria share module-scoped runs.
 """
 
-import copy
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stylemem.encoder import EncoderSet, Factors, LinearEncoder, backward, compute_losses, forward
+from stylemem.encoder import EncoderSet, LinearEncoder, State, backward, compute_losses, forward
 from stylemem.errors import ValidationError
 from stylemem.harness import config_from_dict, resolve_config, run_training
 from stylemem.memory import (
@@ -212,15 +212,14 @@ def test_criterion_4_gradient_correctness():
         routes = (("rows", int(rng.integers(1, c_in + 1))), ("gram", int(rng.integers(c_in + 1, 7))))
         for route, c_out in routes:
             enc = LinearEncoder.create(rng, c_in, c_out)
-            enc.bias = rng.standard_normal(c_out)  # a zero bias hides the Gram route's bias terms
+            enc = replace(enc, bias=rng.standard_normal(c_out))  # a zero bias hides the Gram route's bias terms
             inputs = rng.standard_normal((p, c_in))
             upstream = FeatureGrad(
                 rng.standard_normal((n, c_out)), rng.standard_normal((n, p)), rng.standard_normal(p)
             )
 
             def param_loss(value, which):
-                probe = copy.deepcopy(enc)
-                setattr(probe, which, value)
+                probe = replace(enc, **{which: value})
                 rows = forward(probe, inputs)
                 grads = dict(zip(("weight", "bias"), backward(encoding(probe, inputs, upstream.items), upstream)))
                 return factored_loss(upstream, rows), grads[which]
@@ -259,13 +258,8 @@ def test_criterion_4_gradient_correctness():
             for which in ("weight", "bias"):
 
                 def fn(param, _name=name, _which=which, _kind=kind, _domain=domain):
-                    probe = copy.deepcopy(encoders)
-                    enc = getattr(probe, _name)
-                    if _which == "weight":
-                        enc.weight = param
-                    else:
-                        enc.bias = param
-                    report, fwd = compute_losses(probe, bank, pair, settings, Factors.of(probe, bank))
+                    probe = replace(encoders, **{_name: replace(getattr(encoders, _name), **{_which: param})})
+                    report, fwd = compute_losses(State(probe, bank), pair, settings)
                     grads = fwd.grad_content if _kind == "content" else fwd.grad_style
                     gw, gb = backward(getattr(fwd.queries[_domain], _kind), grads[_domain])
                     return report.total, gw if _which == "weight" else gb

@@ -25,12 +25,12 @@ meets its target exactly or within 1e-8, both still agree to 1e-12: the
 cancelling row's error is relative to the whole pass, not to that row.
 """
 
-import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stylemem.encoder import EncoderSet, Factors, TrainSettings, backward, compute_losses, train_step
+from stylemem.encoder import EncoderSet, State, TrainSettings, backward, compute_losses, train_step
 from stylemem.errors import LayoutError
 from stylemem.memory import MemoryLayout, init_bank, read
 from stylemem.numerics import EPS_DIV, make_rng, read_cosines, split_rng
@@ -71,19 +71,20 @@ def problem(seed, class_aware, channels):
     pair = generate_scene_pair(spec, split_rng(seed, 1))
     counts = [(1, 3), (2, 2), (3, 2), (0, 3)] if class_aware else [(-1, 10)]
     bank = init_bank(MemoryLayout.from_counts(counts), channels, split_rng(seed, 2))
-    encoders = EncoderSet.create(split_rng(seed, 3), 6, channels)
     rng = split_rng(seed, 5)
-    for enc in encoders.all():  # a zero bias would hide the Gram route's bias terms
-        enc.bias = rng.standard_normal(channels)
+    encoders = EncoderSet(**{  # a zero bias would hide the Gram route's bias terms
+        name: replace(enc, bias=rng.standard_normal(channels))
+        for name, enc in vars(EncoderSet.create(split_rng(seed, 3), 6, channels)).items()
+    })
     return pair, bank, encoders
 
 
-def check_step(encoders, bank, pair, settings, update_memory=True):
-    """Compare one dense train_step with the reference from the same state."""
-    ref, ref_encoders, ref_bank = reference_train_step(encoders, bank, pair, settings, update_memory)
-    probe = copy.deepcopy(encoders)
-    dense_report, fwd = compute_losses(probe, bank, pair, settings, Factors.of(probe, bank))
-    report, new_bank = train_step(encoders, bank, pair, settings, Factors.of(encoders, bank), update_memory)
+def check_step(state, pair, settings, update_memory=True):
+    """Compare one dense train_step with the reference from the same state;
+    returns the step's next state."""
+    ref, ref_encoders, ref_bank = reference_train_step(state, pair, settings, update_memory)
+    dense_report, fwd = compute_losses(state, pair, settings)
+    report, new_state = train_step(state, pair, settings, update_memory)
 
     for name in ("key_loss", "value_loss", "rec_loss", "total"):
         assert_close(getattr(report, name), getattr(ref, name))
@@ -104,12 +105,12 @@ def check_step(encoders, bank, pair, settings, update_memory=True):
     else:
         assert all(term.negatives is None for term in terms)
 
-    for got, want in zip(encoders.all(), ref_encoders.all()):
+    for got, want in zip(new_state.encoders.all(), ref_encoders.all()):
         assert_close(got.weight, want.weight)
         assert_close(got.bias, want.bias)
     for plane in ("keys", "values_x", "values_y"):
-        assert_close(getattr(new_bank, plane), getattr(ref_bank, plane))
-    return new_bank
+        assert_close(getattr(new_state.bank, plane), getattr(ref_bank, plane))
+    return new_state
 
 
 @pytest.mark.parametrize("channels", ROUTES)
@@ -118,8 +119,9 @@ def test_dense_pass_matches_per_class_reference(class_aware, loss_variant, chann
     for seed in range(4):
         pair, bank, encoders = problem(70 + seed, class_aware, channels)
         settings = TrainSettings(learning_rate=1e-2, loss_variant=loss_variant)
+        state = State(encoders, bank)
         for step in range(3):
-            bank = check_step(encoders, bank, pair, settings, step != 1)
+            state = check_step(state, pair, settings, step != 1)
 
 
 def encoder_gradients(encoders, pair, fwd, ref):
@@ -147,7 +149,7 @@ def test_encoder_gradients_match_the_dense_reference(class_aware, loss_variant, 
         pair, bank, encoders = problem(90 + seed, class_aware, channels)
         settings = TrainSettings(loss_variant=loss_variant, **weights)
         ref = reference_compute_losses(encoders, bank, pair, settings)
-        _, fwd = compute_losses(encoders, bank, pair, settings, Factors.of(encoders, bank))
+        _, fwd = compute_losses(State(encoders, bank), pair, settings)
         for got, want in encoder_gradients(encoders, pair, fwd, ref).values():
             assert_close(got[0], want[0])
             assert_close(got[1], want[1])
@@ -167,9 +169,10 @@ def test_encoder_gradients_where_the_factored_terms_cancel(row, channels):
             offset, _ = span(bank.layout, int(pair.labels[0]))
             target = bank.keys[offset] + 1e-9 * toward
             settings = TrainSettings(loss_variant="triplet", triplet_margin=3.0)
-        enc.bias = target - enc.weight @ pair.content[0]  # content row 0 of domain x is now the target
+        # content row 0 of domain x is now the target
+        encoders = replace(encoders, content_x=replace(enc, bias=target - enc.weight @ pair.content[0]))
         ref = reference_compute_losses(encoders, bank, pair, settings)
-        _, fwd = compute_losses(encoders, bank, pair, settings, Factors.of(encoders, bank))
+        _, fwd = compute_losses(State(encoders, bank), pair, settings)
         if row == "content-norm-1e-8":
             assert np.linalg.norm(fwd.queries["x"].content.formed()[0]) == pytest.approx(1e-8, rel=1e-6)
         else:
@@ -187,15 +190,16 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
     for seed in range(70, 78):
         pair, bank, encoders = problem(seed, True, channels)
         settings = TrainSettings()
-        _, fwd = compute_losses(encoders, bank, pair, settings, Factors.of(encoders, bank))
+        _, fwd = compute_losses(State(encoders, bank), pair, settings)
         mixture = read(bank, fwd.queries["x"], "x").aggregated_style[0]  # a_0 V_y
         toward = split_rng(seed, 4).standard_normal(bank.channels)
         toward /= np.linalg.norm(toward)
         enc = encoders.style_y
-        enc.bias = mixture + gap * toward - enc.weight @ pair.styles[1][0]  # style row 0 of y is now a_0 V_y
+        # style row 0 of y is now a_0 V_y
+        encoders = replace(encoders, style_y=replace(enc, bias=mixture + gap * toward - enc.weight @ pair.styles[1][0]))
         ref = reference_compute_losses(encoders, bank, pair, settings)
-        factors = Factors.of(encoders, bank)
-        report, fwd = compute_losses(encoders, bank, pair, settings, factors)
+        state = State(encoders, bank)
+        report, fwd = compute_losses(state, pair, settings)
         miss = np.linalg.norm(fwd.queries["y"].style.formed()[0] - mixture)
         assert miss <= 1e-15 * np.linalg.norm(mixture) if gap == 0.0 else miss == pytest.approx(gap, rel=1e-6)
 
@@ -207,7 +211,7 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
             assert_close(got[1], want[1])
         cols = fwd.values.columns[1]
         weights = fwd.queries["x"].weights.T
-        fidelity = read_cosines(weights, factors.grams["y"], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
+        fidelity = read_cosines(weights, state.grams["y"], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
         mixtures = read(bank, fwd.queries["x"], "x").aggregated_style
         assert_close(fidelity, cosine_rows(mixtures, fwd.queries["y"].style.formed()))
         norm_sq = float(fwd.values.row_norms[cols][0]) ** 2  # 1, less the share of EPS_DIV in the denominator
@@ -217,7 +221,7 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
 def test_absent_class_partition_stays_bit_identical():
     pair, bank, encoders = problem(80, True, 5)
     pair.labels[pair.labels == 3] = 1
-    new_bank = check_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2))
+    new_bank = check_step(State(encoders, bank), pair, TrainSettings(learning_rate=1e-2)).bank
     offset, count = span(bank.layout, 3)
     block = slice(offset, offset + count)
     for plane in ("keys", "values_x", "values_y"):
@@ -229,6 +233,6 @@ def test_label_missing_from_layout_raises():
     pair, bank, encoders = problem(81, True, 5)
     pair.labels[:5] = 7
     with pytest.raises(LayoutError, match="class 7"):
-        train_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2), Factors.of(encoders, bank))
+        train_step(State(encoders, bank), pair, TrainSettings(learning_rate=1e-2))
     with pytest.raises(LayoutError, match="class 7"):
-        reference_train_step(encoders, bank, pair, TrainSettings(learning_rate=1e-2))
+        reference_train_step(State(encoders, bank), pair, TrainSettings(learning_rate=1e-2))

@@ -1,17 +1,16 @@
 import copy
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from stylemem.encoder import (
     EncoderSet,
-    Factors,
     LinearEncoder,
+    State,
     TrainSettings,
-    apply_gradients,
     backward,
     compute_losses,
     forward,
@@ -27,7 +26,7 @@ from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from fdcheck import fd_check
 from oracles import oracle_linear_forward
-from reference import dense_gradient, encoding, factored_loss, span
+from reference import assert_same_bits, dense_gradient, encoding, factored_loss, span
 
 
 def identity_encoder(n):
@@ -56,8 +55,7 @@ def test_forward_identity():
 
 
 def test_forward_zero_input_gives_bias():
-    enc = identity_encoder(2)
-    enc.bias = np.array([0.5, -1.0])
+    enc = replace(identity_encoder(2), bias=np.array([0.5, -1.0]))
     out = forward(enc, np.zeros((3, 2)))
     np.testing.assert_array_equal(out, np.tile(enc.bias, (3, 1)))
 
@@ -86,7 +84,7 @@ def random_gradient(rng, rows, channels, items=3):
 def test_backward_zero_upstream(c_in, c_out):
     rng = make_rng(41)
     enc = LinearEncoder.create(rng, c_in, c_out)
-    enc.bias = rng.standard_normal(c_out)
+    enc = replace(enc, bias=rng.standard_normal(c_out))
     x = rng.standard_normal((4, c_in))
     grad = FeatureGrad(rng.standard_normal((3, c_out)), np.zeros((3, 4)), np.zeros(4))
     gw, gb = backward(encoding(enc, x, grad.items), grad)
@@ -99,7 +97,7 @@ def test_forward_is_the_affine_expression_bit_for_bit(c_in, c_out):
     # the product takes the bias in place; the caller's arrays stay as they were
     rng = make_rng(42)
     enc = LinearEncoder.create(rng, c_in, c_out)
-    enc.bias = rng.standard_normal(c_out)
+    enc = replace(enc, bias=rng.standard_normal(c_out))
     inputs = rng.standard_normal((256, c_in))
     kept = (enc.weight.copy(), enc.bias.copy(), inputs.copy())
     np.testing.assert_array_equal(forward(enc, inputs), inputs @ enc.weight.T + enc.bias)
@@ -113,19 +111,17 @@ def test_forward_is_the_affine_expression_bit_for_bit(c_in, c_out):
 def test_backward_weight_and_bias_fd(c_in, c_out):
     rng = make_rng(43)
     enc = LinearEncoder.create(rng, c_in, c_out)
-    enc.bias = rng.standard_normal(c_out)
+    enc = replace(enc, bias=rng.standard_normal(c_out))
     x = rng.standard_normal((5, c_in))
     grad = random_gradient(rng, 5, c_out)
 
     def weight_loss(w):
-        probe = copy.deepcopy(enc)
-        probe.weight = w
+        probe = replace(enc, weight=w)
         gw, _ = backward(encoding(probe, x, grad.items), grad)
         return factored_loss(grad, forward(probe, x)), gw
 
     def bias_loss(b):
-        probe = copy.deepcopy(enc)
-        probe.bias = b
+        probe = replace(enc, bias=b)
         _, gb = backward(encoding(probe, x, grad.items), grad)
         return factored_loss(grad, forward(probe, x)), gb
 
@@ -146,13 +142,37 @@ def test_backward_shape_check():
                 backward(encoded, wrong)
 
 
-def test_apply_gradients_advances_state():
-    rng = make_rng(44)
-    enc = LinearEncoder.create(rng, 2, 2)
-    before = enc.weight.copy()
-    apply_gradients(enc, np.ones_like(enc.weight), np.ones_like(enc.bias), TrainSettings())
-    assert enc.weight_state.step_count == 1
-    assert not np.array_equal(enc.weight, before)
+@pytest.mark.parametrize("channels", [16, 24], ids=["toy", "widening"])
+def test_an_encoder_checks_the_shapes_of_its_weight_and_bias(channels):
+    # unchecked, a (1,) bias would broadcast at the toy shape and fail in a matmul at the widening one
+    cfg = replace(PRESETS["toy"], channels=channels)
+    bank = init_bank(cfg.bank_layout(), channels, split_rng(8, 0))
+    encoders = EncoderSet.create(split_rng(8, 1), cfg.scene.input_channels, channels)
+    enc = encoders.content_x
+    wrong = (
+        dict(bias=np.zeros(1)), dict(bias=np.zeros((channels, 1))), dict(bias=enc.bias.tolist()),
+        dict(weight=enc.weight[0]), dict(weight=enc.weight[:0], bias=np.zeros(0)), dict(weight=enc.weight[:, :0]),
+    )
+    for fields in wrong:
+        with pytest.raises(ShapeError, match=r"^encoder weight shape .* need \(C, Cin\) and \(C,\) with C, Cin >= 1$"):
+            evaluate(bank, replace(encoders, content_x=replace(enc, **fields)), cfg, 1)
+    evaluate(bank, replace(encoders, content_x=replace(enc, bias=np.ones(channels))), cfg, 1)
+
+
+def test_a_step_makes_and_advances_the_adam_moments_of_its_state():
+    _, pair, bank, encoders = small_problem(44)
+    state = State(encoders, bank)
+    _, stepped = train_step(state, pair, TrainSettings())
+    moments = [m for enc_moments in stepped.moments for m in enc_moments]
+    assert state.moments == () and len(moments) == 8
+    assert [m.step_count for m in moments] == [1] * 8
+    for enc, enc_moments in zip(stepped.encoders.all(), stepped.moments):
+        assert tuple(m.first_moment.shape for m in enc_moments) == (enc.weight.shape, enc.bias.shape)
+    for new, old in zip(stepped.encoders.all(), encoders.all()):
+        assert not np.array_equal(new.weight, old.weight)
+    _, again = train_step(stepped, pair, TrainSettings())
+    assert again.moments is stepped.moments
+    assert [m.step_count for m in moments] == [2] * 8
 
 
 # --- train_step ---
@@ -173,20 +193,20 @@ def test_zero_weights_leave_parameters_bitwise_unchanged():
         temperature=0.1, key_loss_weight=0.0, value_loss_weight=0.0, rec_loss_weight=0.0
     )
     snapshot = [(e.weight.copy(), e.bias.copy()) for e in encoders.all()]
-    report, new_bank = train_step(encoders, bank, pair, settings, Factors.of(encoders, bank))
-    for enc, (w, b) in zip(encoders.all(), snapshot):
+    report, stepped = train_step(State(encoders, bank), pair, settings)
+    for enc, (w, b) in zip(stepped.encoders.all(), snapshot):
         np.testing.assert_array_equal(enc.weight, w)
         np.testing.assert_array_equal(enc.bias, b)
     # losses are still reported and the memory still moves
     assert report.total == 0.0
     assert report.key_loss > 0.0
-    assert not np.array_equal(new_bank.keys, bank.keys)
+    assert not np.array_equal(stepped.bank.keys, bank.keys)
 
 
 def test_train_step_does_not_mutate_scenes():
     _, pair, bank, encoders = small_problem(51)
     frozen = (pair.content.copy(), pair.styles[0].copy(), pair.labels.copy(), pair.styles[1].copy())
-    train_step(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
+    train_step(State(encoders, bank), pair, TrainSettings())
     np.testing.assert_array_equal(pair.content, frozen[0])
     np.testing.assert_array_equal(pair.styles[0], frozen[1])
     np.testing.assert_array_equal(pair.labels, frozen[2])
@@ -206,18 +226,19 @@ SHORT_BLOCKS = {
 @pytest.mark.parametrize("shorten, message", SHORT_BLOCKS.values(), ids=SHORT_BLOCKS.keys())
 def test_a_pair_block_one_row_short_raises_in_address_blocks(shorten, message):
     _, pair, bank, encoders = small_problem(59)
+    _, state = train_step(State(encoders, bank), pair, TrainSettings())  # a state whose moments exist
     pair = shorten(pair)
-    before = copy.deepcopy((encoders, bank))
+    before = copy.deepcopy((state.encoders, state.bank))
     for step in (compute_losses, train_step):
         with pytest.raises(ShapeError, match=re.escape(message)) as raised:
-            step(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
+            step(state, pair, TrainSettings())
         assert raised.traceback[-1].name == "address_blocks"
-    for got, want in zip(encoders.all(), before[0].all()):
+    for got, want in zip(state.encoders.all(), before[0].all()):
         np.testing.assert_array_equal(got.weight, want.weight)
         np.testing.assert_array_equal(got.bias, want.bias)
-        assert (got.weight_state.step_count, got.bias_state.step_count) == (0, 0)
+    assert [m.step_count for enc_moments in state.moments for m in enc_moments] == [1] * 8
     for plane in ("keys", "values_x", "values_y"):
-        np.testing.assert_array_equal(getattr(bank, plane), getattr(before[1], plane))
+        np.testing.assert_array_equal(getattr(state.bank, plane), getattr(before[1], plane))
 
 
 WEIGHTED = dict(key_loss_weight=0.7, value_loss_weight=0.3, rec_loss_weight=1.3)
@@ -230,7 +251,7 @@ WEIGHTED = dict(key_loss_weight=0.7, value_loss_weight=0.3, rec_loss_weight=1.3)
 ])
 def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
     _, pair, bank, encoders = small_problem(53)
-    _, fwd = compute_losses(encoders, bank, pair, settings, Factors.of(encoders, bank))
+    _, fwd = compute_losses(State(encoders, bank), pair, settings)
     shared = [
         a for d, q in fwd.queries.items() for a in (fwd.g_weights[d], q.content.rows, q.style.rows, q.weights, q.sims)
     ]
@@ -269,9 +290,10 @@ def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
 def test_train_step_deterministic_loss_stream():
     def run():
         _, pair, bank, encoders = small_problem(52)
+        state = State(encoders, bank)
         values = []
         for _ in range(5):
-            report, bank = train_step(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
+            report, state = train_step(state, pair, TrainSettings())
             values.append((report.key_loss, report.value_loss, report.rec_loss, report.total))
         return values
 
@@ -280,54 +302,58 @@ def test_train_step_deterministic_loss_stream():
 
 def test_train_step_update_every_gate():
     _, pair, bank, encoders = small_problem(53)
-    factors = Factors.of(encoders, bank)
-    _, same_bank = train_step(encoders, bank, pair, TrainSettings(), factors, update_memory=False)
-    assert same_bank is bank
+    _, stepped = train_step(State(encoders, bank), pair, TrainSettings(), update_memory=False)
+    assert stepped.bank is bank
+
+
+def parameters_and_planes(state) -> list:
+    return [p for enc in state.encoders.all() for p in (enc.weight, enc.bias)] + [
+        state.bank.keys, state.bank.values_x, state.bank.values_y
+    ]
 
 
 @pytest.mark.parametrize("channels", [16, 24], ids=["toy", "widening"])
-def test_passes_reject_the_factors_of_another_state(channels):
+def test_a_step_leaves_the_previous_state_intact(channels):
     cfg = replace(PRESETS["toy"], channels=channels)
     bank = init_bank(cfg.bank_layout(), channels, split_rng(6, 0))
     encoders = EncoderSet.create(split_rng(6, 1), cfg.scene.input_channels, channels)
     pair = generate_scene_pair(cfg.domain_spec(), split_rng(6, 2))
-    factors = Factors.of(encoders, bank)
-    _, new_bank = train_step(encoders, bank, pair, cfg.train, factors)  # new weight arrays and a new bank
+    state = State(encoders, bank)
+    kept = [a.copy() for a in parameters_and_planes(state)]
     passes = (
-        lambda b, f: compute_losses(encoders, b, pair, cfg.train, f)[0],
-        lambda b, f: _pair_metrics(b, encoders, pair, cfg.reference_layout(), f),
-        lambda b, f: train_step(encoders, b, pair, cfg.train, f),
+        lambda s: compute_losses(s, pair, cfg.train)[0],
+        lambda s: _pair_metrics(s, pair, cfg.reference_layout()),
     )
-    for run in passes:
-        with pytest.raises(ValidationError, match="^factors were made for another bank$"):
-            run(new_bank, factors)
-    for run in passes[:2]:
-        if channels > cfg.scene.input_channels:  # the affines hold the weights before the step
-            with pytest.raises(ValidationError, match="^factors were made from other encoder content_x parameters$"):
-                run(bank, factors)
-        else:  # each pass forms the rows at the weights the encoders hold now
-            assert run(bank, factors) == run(bank, Factors.of(encoders, bank))
-    if channels > cfg.scene.input_channels:  # one bias array replaced by an equal one
-        factors = Factors.of(encoders, new_bank)
-        encoders.style_y.bias = encoders.style_y.bias.copy()
-        with pytest.raises(ValidationError, match="^factors were made from other encoder style_y parameters$"):
-            compute_losses(encoders, new_bank, pair, cfg.train, factors)
+    want = [run(state) for run in passes]
+    for update_memory in (True, False):
+        _, stepped = train_step(state, pair, cfg.train, update_memory=update_memory)
+        assert state.encoders is encoders and state.bank is bank
+        assert not any(new is old for new, old in zip(stepped.encoders.all(), encoders.all()))
+        assert (stepped.bank is not bank) == update_memory
+        for now, before in zip(parameters_and_planes(state), kept):
+            assert_same_bits(now, before)
+        assert [run(state) for run in passes] == [run(State(encoders, bank)) for run in passes] == want
 
 
 def test_the_parameters_the_package_makes_are_read_only(tmp_path):
-    # an in-place edit after Factors.of would leave the factors stale
+    # an in-place edit would leave the factors of a state at those parameters stale
     cfg = replace(PRESETS["toy"], channels=24)
     bank = init_bank(cfg.bank_layout(), 24, split_rng(6, 0))
     encoders = EncoderSet.create(split_rng(6, 1), cfg.scene.input_channels, 24)
     pair = generate_scene_pair(cfg.domain_spec(), split_rng(6, 2))
-    factors = Factors.of(encoders, bank)
-    want = compute_losses(encoders, bank, pair, cfg.train, factors)[0]
+    state = State(encoders, bank)
+    want = compute_losses(state, pair, cfg.train)[0]
     with pytest.raises(ValueError, match="read-only"):
         encoders.content_x.weight *= 2.0
-    assert compute_losses(encoders, bank, pair, cfg.train, factors)[0] == want
-    train_step(encoders, bank, pair, cfg.train, factors)
-    save_encoders(encoders, tmp_path / "encoders.json")
-    for made in (EncoderSet.create(split_rng(6, 1), 16, 24), encoders, load_encoders(tmp_path / "encoders.json")):
+    with pytest.raises(FrozenInstanceError):
+        encoders.content_x.weight = encoders.content_x.weight * 2.0
+    with pytest.raises(FrozenInstanceError):
+        encoders.content_x = encoders.style_x
+    assert compute_losses(state, pair, cfg.train)[0] == want
+    _, stepped = train_step(state, pair, cfg.train)
+    save_encoders(stepped.encoders, tmp_path / "encoders.json")
+    loaded = load_encoders(tmp_path / "encoders.json")
+    for made in (EncoderSet.create(split_rng(6, 1), 16, 24), stepped.encoders, loaded):
         assert not any(p.flags.writeable for enc in made.all() for p in (enc.weight, enc.bias))
 
 
@@ -341,18 +367,20 @@ def test_factors_name_the_encoder_whose_factors_overflow(name, param, value, sta
     bank = init_bank(MemoryLayout.from_counts([(1, 3), (0, 3)]), 24, split_rng(7, 0))
     encoders = EncoderSet.create(split_rng(7, 1), 16, 24)
     enc = getattr(encoders, name)
-    setattr(enc, param, np.full_like(getattr(enc, param), value))
+    overflowing = LinearEncoder(**{**vars(enc), param: np.full_like(getattr(enc, param), value)})
+    encoders = replace(encoders, **{name: overflowing})
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError) as raised:
-        Factors.of(encoders, bank)
+        State(encoders, bank).affine
     assert str(raised.value) == f"encoder {name} factors became non-finite ({stages})"
 
 
 def test_train_step_pooled_mode_runs():
     _, pair, bank, encoders = small_problem(55, class_aware=False)
-    _, fwd = compute_losses(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
-    report, new_bank = train_step(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
+    state = State(encoders, bank)
+    _, fwd = compute_losses(state, pair, TrainSettings())
+    report, stepped = train_step(state, pair, TrainSettings())
     assert report.total > 0.0
-    assert not np.array_equal(new_bank.keys, bank.keys)
+    assert not np.array_equal(stepped.bank.keys, bank.keys)
     assert np.all(fwd.key_terms["x"].positives >= 0)
 
 
@@ -364,7 +392,7 @@ def test_default_loss_weights():
 
 def test_positives_filled_for_every_position():
     _, pair, bank, encoders = small_problem(56)
-    _, fwd = compute_losses(encoders, bank, pair, TrainSettings(), Factors.of(encoders, bank))
+    _, fwd = compute_losses(State(encoders, bank), pair, TrainSettings())
     for d in ("x", "y"):
         assert np.all(fwd.key_terms[d].positives >= 0)
         assert np.all(fwd.value_terms[d].positives >= 0)
@@ -383,13 +411,8 @@ def _param_loss_fn(encoders, bank, pair, settings, name, which):
     kind = name.split("_")[0]
 
     def fn(param):
-        probe = copy.deepcopy(encoders)
-        enc = getattr(probe, name)
-        if which == "weight":
-            enc.weight = param
-        else:
-            enc.bias = param
-        report, fwd = compute_losses(probe, bank, pair, settings, Factors.of(probe, bank))
+        probe = replace(encoders, **{name: replace(getattr(encoders, name), **{which: param})})
+        report, fwd = compute_losses(State(probe, bank), pair, settings)
         grad_map = fwd.grad_content if kind == "content" else fwd.grad_style
         gw, gb = backward(getattr(fwd.queries[domain], kind), grad_map[domain])
         return report.total, gw if which == "weight" else gb
@@ -431,9 +454,10 @@ def test_encoder_checkpoint_round_trip(tmp_path):
 # --- allocation ---
 
 # Peak traced bytes (numpy 2.4.6) of a warm full-preset train_step, of its
-# loss pass, of a one-scene evaluate and of a metrics pass, each at the
-# Factors of its state. Each bound is the peak plus half of one (P, C)
-# float64 array, so one dense feature gradient, read mixture or formed row
+# loss pass, of a one-scene evaluate and of a metrics pass, each at a
+# state whose factors are made (evaluate makes its own). Each bound is the
+# peak plus half of one (P, C) float64 array, so one dense feature
+# gradient, read mixture or formed row
 # array held at the peak would exceed it. The step read 6_864_544 when each
 # encoder's gradient was a dense (P, C) array, 4_939_968 when the read's
 # mixture was formed and 4_231_232 when the encoded rows were; the loss pass
@@ -457,36 +481,37 @@ def traced_peak(call) -> int:
 
 @pytest.fixture
 def warm_full_step():
-    """A full-preset config, bank, encoders, pair and the factors of their
-    state after one step, so the Adam moments exist."""
+    """A full-preset config, the state after one step at the initial bank,
+    so the Adam moments exist, with its factors made, and a pair."""
     cfg = PRESETS["full"]
     bank = init_bank(cfg.bank_layout(), cfg.channels, split_rng(3, 0))
     encoders = EncoderSet.create(split_rng(3, 1), cfg.scene.input_channels, cfg.channels)
     pair = generate_scene_pair(cfg.domain_spec(), split_rng(3, 2))
-    train_step(encoders, bank, pair, cfg.train, Factors.of(encoders, bank))
+    _, state = train_step(State(encoders, bank), pair, cfg.train, update_memory=False)
+    state.affine, state.grams
     half_feature = pair.content.shape[0] * cfg.channels * 8 // 2
-    return cfg, bank, encoders, pair, Factors.of(encoders, bank), half_feature
+    return cfg, state, pair, half_feature
 
 
 def test_a_warm_full_preset_step_allocates_no_dense_feature_gradient(warm_full_step):
-    cfg, bank, encoders, pair, factors, half_feature = warm_full_step
-    peak = traced_peak(lambda: train_step(encoders, bank, pair, cfg.train, factors))
+    cfg, state, pair, half_feature = warm_full_step
+    peak = traced_peak(lambda: train_step(state, pair, cfg.train))
     assert peak <= FACTORED_STEP_PEAK + half_feature, peak
 
 
 def test_no_read_mixture_in_a_full_preset_loss_pass_or_evaluation(warm_full_step):
-    cfg, bank, encoders, pair, factors, half_feature = warm_full_step
-    compute_losses(encoders, bank, pair, cfg.train, factors)
-    peak = traced_peak(lambda: compute_losses(encoders, bank, pair, cfg.train, factors))
+    cfg, state, pair, half_feature = warm_full_step
+    compute_losses(state, pair, cfg.train)
+    peak = traced_peak(lambda: compute_losses(state, pair, cfg.train))
     assert peak <= FACTORED_LOSS_PASS_PEAK + half_feature, peak
-    evaluate(bank, encoders, cfg, 1)
-    peak = traced_peak(lambda: evaluate(bank, encoders, cfg, 1))
+    evaluate(state.bank, state.encoders, cfg, 1)
+    peak = traced_peak(lambda: evaluate(state.bank, state.encoders, cfg, 1))
     assert peak <= FACTORED_EVALUATION_PEAK + half_feature, peak
 
 
 def test_a_full_preset_metrics_pass_forms_no_row_array(warm_full_step):
-    cfg, bank, encoders, pair, factors, half_feature = warm_full_step
+    cfg, state, pair, half_feature = warm_full_step
     ref_layout = cfg.reference_layout()
-    _pair_metrics(bank, encoders, pair, ref_layout, factors)
-    peak = traced_peak(lambda: _pair_metrics(bank, encoders, pair, ref_layout, factors))
+    _pair_metrics(state, pair, ref_layout)
+    peak = traced_peak(lambda: _pair_metrics(state, pair, ref_layout))
     assert peak <= FACTORED_METRICS_PEAK + half_feature, peak

@@ -20,7 +20,7 @@ import pytest
 
 from stylemem import encoder, harness
 from stylemem.cli import main as cli_main
-from stylemem.encoder import EncoderSet, Factors, load_encoders, save_encoders
+from stylemem.encoder import EncoderSet, State, load_encoders, save_encoders
 from stylemem.errors import StylememError, ValidationError
 from stylemem.harness import STREAM_TRAIN, _pair_metrics, config_from_dict, evaluate, resolve_config, run_training
 from stylemem.memory import MemoryLayout, init_bank, save_bank
@@ -94,7 +94,7 @@ def test_an_export_past_four_digit_positions_matches_the_reference(tmp_path):
 def test_the_metrics_pass_matches_the_reference_reads(tmp_path, memory_mode, channels):
     cfg, bank, encoders = trained(tmp_path, memory_mode, channels=channels)
     pair = generate_scene_pair(cfg.domain_spec(), split_rng(cfg.seed, STREAM_TRAIN, cfg.iterations))
-    entropy, purity, fidelity = _pair_metrics(bank, encoders, pair, cfg.reference_layout(), Factors.of(encoders, bank))
+    entropy, purity, fidelity = _pair_metrics(State(encoders, bank), pair, cfg.reference_layout())
     want = reference_reads(bank, encoders, [pair], cfg.reference_layout())
     assert purity == want[1]
     assert (entropy, fidelity) == pytest.approx((want[0], want[2]), rel=1e-12, abs=0.0)
@@ -104,9 +104,13 @@ def test_the_metrics_pass_matches_the_reference_reads(tmp_path, memory_mode, cha
 def test_a_widening_encoder_file_with_a_singular_weight_gram_evaluates(tmp_path, capsys, fault):
     # load_encoders accepts such a weight, whose W.T W is singular
     cfg, bank, encoders = trained(tmp_path, channels=WIDENING)
-    for enc in encoders.all():
-        enc.weight = enc.weight.copy()
-        enc.weight[:, 3] = 0.0 if fault == "zero-column" else enc.weight[:, 5]
+
+    def singular(enc):
+        weight = enc.weight.copy()
+        weight[:, 3] = 0.0 if fault == "zero-column" else weight[:, 5]
+        return replace(enc, weight=weight)
+
+    encoders = EncoderSet(**{name: singular(enc) for name, enc in vars(encoders).items()})
     paths = {"bank": tmp_path / "bank.json", "encoders": tmp_path / "encoders.json", "config": tmp_path / "cfg.json"}
     save_bank(bank, paths["bank"])
     save_encoders(encoders, paths["encoders"])

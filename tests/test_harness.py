@@ -405,7 +405,7 @@ def test_evaluate_uniform_identical_keys_entropy():
     cfg = tiny_config()
     rng = make_rng(0)
     bank = init_bank(cfg.bank_layout(), cfg.channels, rng)
-    bank.keys[:] = bank.keys[0]
+    bank = replace(bank, keys=np.tile(bank.keys[0], (bank.n_items, 1)))
     encoders = EncoderSet.create(rng, cfg.scene.input_channels, cfg.channels)
     row = evaluate(bank, encoders, cfg, 2)
     assert row.util_entropy == pytest.approx(math.log(cfg.n_items), abs=1e-9)
@@ -416,7 +416,7 @@ def test_evaluate_jittered_identical_keys_purity_near_chance():
     rng = make_rng(1)
     bank = init_bank(cfg.bank_layout(), cfg.channels, rng)
     jitter = 1e-6 * rng.standard_normal(bank.keys.shape)
-    bank.keys = l2_normalize_rows(np.tile(bank.keys[0], (bank.n_items, 1)) + jitter)
+    bank = replace(bank, keys=l2_normalize_rows(np.tile(bank.keys[0], (bank.n_items, 1)) + jitter))
     encoders = EncoderSet.create(rng, cfg.scene.input_channels, cfg.channels)
     row = evaluate(bank, encoders, cfg, 4)
     # with effectively random addressing, purity sits near the layout's
@@ -737,8 +737,7 @@ def test_cli_eval_rejects_artifacts_whose_evaluation_is_not_finite(tmp_path, cap
     cfg = load_config(cfg_path)
     save_bank(init_bank(cfg.bank_layout(), cfg.channels, make_rng(3)), tmp_path / "bank.json")
     encoders = EncoderSet.create(make_rng(4), cfg.scene.input_channels, cfg.channels)
-    for enc in encoders.all():
-        enc.weight = enc.weight * 1e300
+    encoders = EncoderSet(**{name: replace(enc, weight=enc.weight * 1e300) for name, enc in vars(encoders).items()})
     save_encoders(encoders, tmp_path / "encoders.json")
     before = sorted(tmp_path.iterdir())
     args = ["eval", "--config", str(cfg_path), "--scenes", "1"]
@@ -798,8 +797,7 @@ def test_cli_eval_rejects_widening_artifacts_whose_evaluation_is_not_finite(tmp_
     cfg = load_config(cfg_path)
     save_bank(init_bank(cfg.bank_layout(), cfg.channels, make_rng(3)), tmp_path / "bank.json")
     encoders = EncoderSet.create(make_rng(4), cfg.scene.input_channels, cfg.channels)
-    for enc in encoders.all():
-        enc.weight = enc.weight * 1e300
+    encoders = EncoderSet(**{name: replace(enc, weight=enc.weight * 1e300) for name, enc in vars(encoders).items()})
     save_encoders(encoders, tmp_path / "encoders.json")
     before = sorted(tmp_path.iterdir())
     args = ["eval", "--config", str(cfg_path), "--scenes", "1"]

@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ def test_read_single_item_partition():
 def test_read_identical_keys_uniform():
     rng = make_rng(6)
     bank = random_bank(rng, [(7, 4)], 5)
-    bank.keys[:] = bank.keys[0]
+    bank = replace(bank, keys=np.tile(bank.keys[0], (bank.n_items, 1)))
     cluster = make_cluster(bank, rng, 7, 2)
     result = read(bank, cluster, "y")
     np.testing.assert_allclose(result.weights, 0.25, atol=1e-12)
@@ -605,6 +606,23 @@ def test_assignment_weights_column_stochastic():
 
 
 # --- persistence ---
+
+
+# the toy preset's 16 channels, and 24, where encoders of 16 inputs widen
+@pytest.mark.parametrize("channels", [16, 24], ids=["toy", "widening"])
+def test_the_bank_planes_the_package_makes_are_read_only(tmp_path, channels):
+    # an in-place edit would leave the Grams and affines of a state at that bank stale
+    rng = make_rng(22)
+    bank = random_bank(rng, TOY_COUNTS, channels)
+    updated = update(bank, make_cluster(bank, rng, 1, 4), make_cluster(bank, rng, 0, 4))
+    save_bank(updated, tmp_path / "bank.json")
+    for made in (bank, updated, load_bank(tmp_path / "bank.json")):
+        other = l2_normalize_rows(rng.standard_normal(made.keys.shape))
+        for plane in ("keys", "values_x", "values_y"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(made, plane)[:] = other
+            with pytest.raises(FrozenInstanceError):
+                setattr(made, plane, other)
 
 
 def test_save_load_round_trip_bitwise(tmp_path):
