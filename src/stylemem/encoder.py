@@ -329,7 +329,7 @@ def compute_losses(state: State, pair: ScenePair, settings: TrainSettings) -> tu
     g_weights = {}
     rec_loss = float(values.row_norms @ values.row_norms)
     for d, opposite, cols in (("x", "y", values.columns[1]), ("y", "x", values.columns[0])):
-        alpha = read(bank, queries[d], d).weights.T
+        alpha = read(bank, queries[d]).T
         v_s = values.dots.T[:, cols]
         g_weights[d] = g = state.grams[opposite] @ alpha
         g -= v_s

@@ -325,9 +325,9 @@ def _accumulate_pair(
     the position, label and item columns (each below 2**24, by the array
     guard), the read weight and the formed content row."""
     item_classes = ref_layout.item_classes
-    results = read_global(bank, tuple(c.shape[0] for c in contents), ("x", "y"), sims)
-    for d, content, result, target in zip(("x", "y"), contents, results, targets[::-1]):
-        weights = result.weights.T  # item-major (N, P) columns of the stored array
+    reads = read_global(bank, tuple(c.shape[0] for c in contents), sims)
+    for d, content, alpha, target in zip(("x", "y"), contents, reads, targets[::-1]):
+        weights = alpha.T  # item-major (N, P) columns of the stored array
 
         acc.alpha_sum += weights.sum(axis=1)
         acc.queries += content.shape[0]
@@ -461,6 +461,9 @@ def evaluate(
             pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
             report, fwd = compute_losses(state, pair, cfg.train)
             loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
+            for d, queries in fwd.queries.items():  # an overflowed norm would score as zero cosines
+                if not np.isfinite(queries.cosines.row_norms).all():
+                    raise ValidationError(f"encoder content_{d} rows have non-finite norms")
 
             contents = tuple(q.content for q in fwd.queries.values())
             targets = tuple(

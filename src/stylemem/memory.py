@@ -15,8 +15,9 @@ through :mod:`stylemem.serialize`.
 Query-item arrays follow the item-major rule of :mod:`stylemem.numerics`:
 a scene pair's storage is (N, 2P), domain x in columns [0, P) and y in
 [P, 2P). :func:`read_backward`'s gradient is factored by that module's rule,
-and so are the reads: a :class:`ReadResult` holds its weights and the value
-plane it mixes, and no package path forms the mixture. Query sets hold
+and so are the reads: :func:`read` and :func:`read_global` return their
+weights, which mix the opposite domain's value plane, and no package path
+forms the mixture ``weights @ plane``. Query sets hold
 their rows as encodings, by that module's encoding rule: addressing takes
 their dots and norms, and :func:`update` folds them, at input width where
 the encoders widen.
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyClusterError, LayoutError, ShapeError, StylememError, ValidationError
+from .errors import EmptyClusterError, LayoutError, ShapeError, ValidationError
 from .numerics import (
     EPS_DIV, Cosines, Encoding, FeatureGrad, l2_normalize_rows, read_only, softmax_cols, softmax_rows,
 )
@@ -148,30 +149,6 @@ class QuerySet:
         return self.cosines.sims
 
 
-@dataclass
-class ReadResult:
-    """Row-stochastic read weights (full item width; a (P, N) view of
-    item-major storage) and the (N, C) value plane they mix."""
-
-    weights: np.ndarray
-    values: np.ndarray
-
-    @property
-    def aggregated_style(self) -> np.ndarray:
-        """The (P, C) style mixture ``weights @ values``, formed on each access."""
-        return self.weights @ self.values
-
-
-def _check_domain(domain: str) -> None:
-    if domain not in ("x", "y"):
-        raise StylememError(f"domain must be 'x' or 'y', got {domain!r}")
-
-
-def _cross_values(bank: MemoryBank, domain: str) -> np.ndarray:
-    # queries from one domain aggregate the opposite domain's values
-    return bank.values_y if domain == "x" else bank.values_x
-
-
 def init_bank(layout: MemoryLayout, channels: int, rng: np.random.Generator) -> MemoryBank:
     """Fresh bank with i.i.d. standard-normal rows, unit-normalized.
 
@@ -232,41 +209,36 @@ def _check_queries(bank: MemoryBank, queries: QuerySet) -> None:
         raise ShapeError(f"query set sims/mask shapes differ from {expected}")
 
 
-def read(bank: MemoryBank, queries: QuerySet, domain: str) -> ReadResult:
-    """Class-restricted read.
-
-    Each row gets the global softmax over its cosine similarities with every
-    logit outside its partition masked to -inf, so weights outside the
-    partition are exactly zero. The weights are the ones :func:`address_blocks`
-    stored, and they mix the cross-domain values.
+def read(bank: MemoryBank, queries: QuerySet) -> np.ndarray:
+    """Class-restricted read weights (P, N), the view that
+    :func:`address_blocks` stored: each row a softmax over the cosines of
+    its partition, exactly zero outside it. Domain d's weights mix the
+    opposite domain's value plane. This accessor stays only because
+    ``perfbench`` traces ``memory.read`` (``tracer.SPAN_FUNCTIONS``, its
+    tracer test and the ``memory.read.*`` metrics of ``BENCHMARK.json``).
     """
-    _check_domain(domain)
     _check_queries(bank, queries)
-    return ReadResult(queries.weights, _cross_values(bank, domain))
+    return queries.weights
 
 
-def read_global(bank: MemoryBank, sizes: tuple, domains: tuple, sims: np.ndarray) -> tuple:
-    """Test-time read: softmax over all N items, no class information.
-
-    ``sizes`` holds the row count of each query block and ``domains`` their
-    domains; ``sims`` holds the cosines of all blocks' rows with the keys
+def read_global(bank: MemoryBank, sizes: tuple, sims: np.ndarray) -> tuple:
+    """Test-time read weights: one softmax over all N items, no class
+    information, of ``sims``, the cosines of all blocks' rows with the keys
     (a scene pair's (2P, N) storage, or ``cosine_matrix(contents,
-    bank.keys)`` of their encodings). One softmax over all blocks gives one
-    result per block.
+    bank.keys)``). Returns one (P_b, N) view per block of ``sizes`` rows.
     """
-    for size, domain in zip(sizes, domains, strict=True):
-        _check_domain(domain)
+    for size in sizes:
         if not (isinstance(size, int) and size >= 1):
             raise ShapeError(f"query block size must be a positive int, got {size!r}")
     shape = (sum(sizes), bank.n_items)
     if getattr(sims, "shape", None) != shape:
         raise ShapeError(f"sims shape {getattr(sims, 'shape', None)}, expected {shape}")
     alpha = softmax_cols(sims.T)  # item-major (N, P)
-    results, start = [], 0
-    for size, domain in zip(sizes, domains):
-        results.append(ReadResult(alpha[:, start : start + size].T, _cross_values(bank, domain)))
+    views, start = [], 0
+    for size in sizes:
+        views.append(alpha[:, start : start + size].T)
         start += size
-    return tuple(results)
+    return tuple(views)
 
 
 def read_backward(bank: MemoryBank, queries: QuerySet, g_weights: np.ndarray) -> FeatureGrad:

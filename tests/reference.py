@@ -9,8 +9,10 @@ computes the same quantities in one masked (P, N) pass per memory plane;
 ``test_dense_training.py`` compares the two. The reference holds its
 gradients dense, as (P, C) arrays built by :func:`dense_gradient`, and
 takes the encoder gradients as ``G.T @ inputs`` and ``G.sum(0)``. It forms
-each read's (P, C) mixture and residual, which the package never does, and
-takes the gradient at the read weights as ``V @ upstream.T``. The
+each read's (P, C) mixture ``weights @ V``, with V the opposite domain's
+value plane (:func:`opposite_plane`), and its residual, which the package
+never does, and takes the gradient at the read weights as ``V @
+upstream.T``. The
 reference Adam step runs ``oracles.oracle_adam_scalar`` element by element,
 so that comparison also covers the package optimizer.
 
@@ -122,9 +124,14 @@ def address_one(bank, content, style, labels):
     return address_blocks(bank, (encoded(content),), (encoded(style),), (labels,))[2][0]
 
 
-def read_global_one(bank, content, domain):
-    """The test-time read of one block of content rows, from their own cosines."""
-    return read_global(bank, (len(content),), (domain,), cosine_matrix((encoded(content),), bank.keys))[0]
+def read_global_one(bank, content):
+    """The test-time read weights of one block of content rows, from their own cosines."""
+    return read_global(bank, (len(content),), cosine_matrix((encoded(content),), bank.keys))[0]
+
+
+def opposite_plane(bank, domain):
+    """The value plane that the reads of ``domain`` mix: the other domain's."""
+    return bank.values_y if domain == "x" else bank.values_x
 
 
 def encoded(rows):
@@ -209,11 +216,11 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
                     negatives[kind, d][cluster.positions] = term.negatives
 
             queries = addressed(bank, cluster)
-            result = read(bank, queries, d)
-            diff = result.aggregated_style - style[opposite][cluster.positions]
+            plane = opposite_plane(bank, d)
+            diff = read(bank, queries) @ plane - style[opposite][cluster.positions]
             rec_loss += float(np.sum(diff * diff)) / p_total
             upstream = (2.0 / p_total) * diff
-            g_weights[d][:, cluster.positions] = result.values @ upstream.T
+            g_weights[d][:, cluster.positions] = plane @ upstream.T
             through_read = dense_gradient(
                 read_backward(bank, queries, g_weights[d][:, cluster.positions]), queries.content.rows
             )
@@ -327,16 +334,16 @@ def reference_reads(bank, encoders, pairs, ref_layout, lines=None, assignment_sc
         styles = dict(zip(DOMAINS, pair.styles))
         for d, opposite in (("x", "y"), ("y", "x")):
             content = forward(getattr(encoders, f"content_{d}"), pair.content)
-            result = read_global_one(bank, content, d)
+            weights = read_global_one(bank, content)
             target = forward(getattr(encoders, f"style_{opposite}"), styles[opposite])
-            alpha_sum += result.weights.sum(axis=0)
+            alpha_sum += weights.sum(axis=0)
             queries += content.shape[0]
-            fidelity_sum += float(cosine_rows(result.aggregated_style, target).sum())
-            top = np.argmax(result.weights, axis=1)
+            fidelity_sum += float(cosine_rows(weights @ opposite_plane(bank, d), target).sum())
+            top = np.argmax(weights, axis=1)
             labels = pair.labels
             purity_hits += int(np.sum(item_classes[top] == labels))
             if i < assignment_scenes:
-                picked = result.weights[np.arange(top.shape[0]), top]
+                picked = weights[np.arange(top.shape[0]), top]
                 rows = zip(labels.tolist(), top.tolist(), picked.tolist(), content)
                 for p, (label, item, weight, row) in enumerate(rows):
                     lines.append(template % (i, d, p, label, item, weight, *row.tolist()))

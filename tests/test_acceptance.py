@@ -30,7 +30,7 @@ from fdcheck import fd_check
 from oracles import oracle_read, oracle_read_global, oracle_update
 from reference import (
     address_one, assignment_weights, dense_gradient, encoding, factored_loss, one_block,
-    read_global_one, span,
+    opposite_plane, read_global_one, span,
 )
 
 
@@ -83,9 +83,9 @@ def test_criterion_1_stochasticity_invariants():
         offset, count = span(layout, class_id)
 
         cluster = _cluster(rng, bank, class_id, int(rng.integers(1, 17)))
-        result = read(bank, cluster, "x")
-        worst_alpha = max(worst_alpha, float(np.abs(result.weights.sum(axis=1) - 1.0).max()))
-        outside = np.delete(result.weights, np.s_[offset : offset + count], axis=1)
+        weights = read(bank, cluster)
+        worst_alpha = max(worst_alpha, float(np.abs(weights.sum(axis=1) - 1.0).max()))
+        outside = np.delete(weights, np.s_[offset : offset + count], axis=1)
         assert np.all(outside == 0.0)
 
         for _ in range(2):
@@ -114,22 +114,23 @@ def test_criterion_2_oracle_equivalence():
 
         cluster = _cluster(rng, bank, class_id, int(rng.integers(1, 9)))
         domain = "x" if rng.random() < 0.5 else "y"
-        got = read(bank, cluster, domain)
+        plane = opposite_plane(bank, domain)
+        got = read(bank, cluster)
         w_ref, s_ref = oracle_read(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
             offset, count, cluster.content.rows.tolist(), domain,
         )
-        worst = max(worst, float(np.abs(got.weights - w_ref).max()))
-        worst = max(worst, float(np.abs(got.aggregated_style - s_ref).max()))
+        worst = max(worst, float(np.abs(got - w_ref).max()))
+        worst = max(worst, float(np.abs(got @ plane - s_ref).max()))
 
         queries = rng.standard_normal((int(rng.integers(1, 9)), channels))
-        got_g = read_global_one(bank, queries, domain)
+        got_g = read_global_one(bank, queries)
         w_ref, s_ref = oracle_read_global(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
             queries.tolist(), domain,
         )
-        worst = max(worst, float(np.abs(got_g.weights - w_ref).max()))
-        worst = max(worst, float(np.abs(got_g.aggregated_style - s_ref).max()))
+        worst = max(worst, float(np.abs(got_g - w_ref).max()))
+        worst = max(worst, float(np.abs(got_g @ plane - s_ref).max()))
 
         cx = _cluster(rng, bank, class_id, int(rng.integers(0, 9)))
         cy = _cluster(rng, bank, class_id, int(rng.integers(0, 9)))

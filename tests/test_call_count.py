@@ -28,7 +28,7 @@ from test_golden import BUILD, current_build
 
 ITERATIONS = 10
 # Python calls and builtin calls over the 10 iterations
-PYTHON_CALLS = 6805
+PYTHON_CALLS = 6685
 BUILTIN_CALLS = 3135
 
 

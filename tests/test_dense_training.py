@@ -191,7 +191,7 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
         pair, bank, encoders = problem(seed, True, channels)
         settings = TrainSettings()
         _, fwd = compute_losses(State(encoders, bank), pair, settings)
-        mixture = read(bank, fwd.queries["x"], "x").aggregated_style[0]  # a_0 V_y
+        mixture = (read(bank, fwd.queries["x"]) @ bank.values_y)[0]  # a_0 V_y
         toward = split_rng(seed, 4).standard_normal(bank.channels)
         toward /= np.linalg.norm(toward)
         enc = encoders.style_y
@@ -212,7 +212,7 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
         cols = fwd.values.columns[1]
         weights = fwd.queries["x"].weights.T
         fidelity = read_cosines(weights, state.grams["y"], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
-        mixtures = read(bank, fwd.queries["x"], "x").aggregated_style
+        mixtures = read(bank, fwd.queries["x"]) @ bank.values_y
         assert_close(fidelity, cosine_rows(mixtures, fwd.queries["y"].style.formed()))
         norm_sq = float(fwd.values.row_norms[cols][0]) ** 2  # 1, less the share of EPS_DIV in the denominator
         assert fidelity[0] == pytest.approx(norm_sq / (norm_sq + EPS_DIV), rel=1e-14)

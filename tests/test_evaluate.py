@@ -126,6 +126,29 @@ def test_a_widening_encoder_file_with_a_singular_weight_gram_evaluates(tmp_path,
     assert "Traceback" not in captured.err and "error" not in captured.err
 
 
+def test_cli_eval_names_a_content_encoder_whose_row_norms_overflow(tmp_path, capsys):
+    # the rows are formed (C = Cin); scaled by 1e160 they stay finite, but their squared norms overflow
+    cfg, bank, encoders = trained(tmp_path)
+
+    def scaled(scale):
+        enc = encoders.content_x
+        return replace(encoders, content_x=replace(enc, weight=enc.weight * scale, bias=enc.bias * scale))
+
+    want, row = (evaluate(bank, e, cfg, cfg.eval_scenes) for e in (encoders, scaled(1e150)))
+    assert row.purity == want.purity and row.fidelity == pytest.approx(want.fidelity, rel=1e-12)
+    paths = {"bank": tmp_path / "bank.json", "encoders": tmp_path / "encoders.json", "config": tmp_path / "cfg.json"}
+    save_bank(bank, paths["bank"])
+    save_encoders(scaled(1e160), paths["encoders"])
+    paths["config"].write_text(json.dumps(cfg.to_dict()))
+    args = ["eval", "--scenes", str(cfg.eval_scenes)] + [a for k, v in paths.items() for a in (f"--{k}", str(v))]
+    assert cli_main(args) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        "error: encoder content_x rows have non-finite norms"
+    ]
+    assert "Traceback" not in captured.err and "Warning" not in captured.err and captured.out == ""
+
+
 def test_evaluate_computes_no_gradients(tmp_path, monkeypatch):
     cfg, bank, encoders = trained(tmp_path)
     want = evaluate(bank, encoders, cfg, cfg.eval_scenes)

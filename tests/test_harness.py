@@ -719,13 +719,14 @@ DIVERGED = {
 
 def test_cli_train_fails_before_writing_when_the_final_evaluation_is_not_finite(tmp_path, capsys):
     # one Adam step at learning rate 1e300 leaves finite weights near 1e300;
-    # the held-out scene's squared read residual then overflows
+    # the held-out scene's content row norms then overflow, before its squared
+    # read residual does
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(DIVERGED))
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error" in line] == [
-        "error: evaluation became non-finite (rec_loss inf)"
+        "error: encoder content_x rows have non-finite norms"
     ]
     assert "Warning" not in err
     assert list((tmp_path / "o").iterdir()) == []
@@ -745,7 +746,7 @@ def test_cli_eval_rejects_artifacts_whose_evaluation_is_not_finite(tmp_path, cap
     assert cli_main(args) == 1
     captured = capsys.readouterr()
     assert [line for line in captured.err.splitlines() if "error" in line] == [
-        "error: evaluation became non-finite (rec_loss inf)"
+        "error: encoder content_x rows have non-finite norms"
     ]
     assert "Warning" not in captured.err and captured.out == ""
     assert sorted(tmp_path.iterdir()) == before

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stylemem.errors import EmptyClusterError, LayoutError, ShapeError, StylememError, ValidationError
+from stylemem.errors import EmptyClusterError, LayoutError, ShapeError, ValidationError
 from stylemem.memory import (
     POOLED_CLASS_ID,
     LayoutEntry,
@@ -26,8 +26,8 @@ from stylemem.numerics import cosine_matrix, l2_normalize_rows, make_rng, softma
 
 from oracles import oracle_read, oracle_read_global, oracle_update
 from reference import (
-    PAIR_CASES, address_one, assert_same_bits, assignment_weights, dense_gradient, encoded, pair_rows, read_global_one,
-    span,
+    PAIR_CASES, address_one, assert_same_bits, assignment_weights, dense_gradient, encoded, opposite_plane, pair_rows,
+    read_global_one, span,
 )
 
 TOY_COUNTS = [(1, 3), (2, 2), (3, 2), (0, 3)]
@@ -146,9 +146,9 @@ def test_address_stores_query_item_arrays_item_major(counts):
         np.testing.assert_array_equal(queries.mask, labels[:, None] == bank.layout.item_classes)
     else:
         assert queries.mask.all()
-    assert read(bank, queries, "x").weights is queries.weights
-    assert_item_major_view(read_global(bank, (40,), ("y",), queries.sims)[0].weights, shape)
-    assert_item_major_view(read_global_one(bank, queries.content.rows, "y").weights, shape)
+    assert read(bank, queries) is queries.weights
+    assert_item_major_view(read_global(bank, (40,), queries.sims)[0], shape)
+    assert_item_major_view(read_global_one(bank, queries.content.rows), shape)
     assert_item_major_view(assignment_weights(queries), shape)
 
 
@@ -180,10 +180,10 @@ def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
         assert_pair_views(getattr(qx.cosines, name), getattr(qy.cosines, name), shape)
     assert qx.mask.base is mask.base and qx.sims.base is cosines.sims.base
     sizes = (shape[0], shape[0])
-    reads = read_global(bank, sizes, ("x", "y"), cosines.sims)  # one test-time softmax
-    assert_pair_views(reads[0].weights, reads[1].weights, shape)
+    reads = read_global(bank, sizes, cosines.sims)  # one test-time softmax
+    assert_pair_views(reads[0], reads[1], shape)
     with pytest.raises(ShapeError, match="sims"):
-        read_global(bank, sizes, ("x", "y"), qx.sims)
+        read_global(bank, sizes, qx.sims)
     # the cosines alone, two blocks in one call
     rows = tuple(map(encoded, contents))
     both = cosine_matrix(rows, bank.keys)
@@ -196,10 +196,11 @@ def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
         "xy", pair, contents, styles, labels, reads, cosines.columns
     ):
         single = address_one(bank, content, style, block_labels)
+        plane = opposite_plane(bank, d)
         assert_same_bits(both[cols], cosine_matrix((encoded(content),), bank.keys))
         assert_same_bits(both[cols], single.sims)
-        assert_same_bits(pair_read.weights, read_global(bank, (len(content),), (d,), queries.sims)[0].weights)
-        assert_same_bits(pair_read.aggregated_style, read_global_one(bank, content, d).aggregated_style)
+        assert_same_bits(pair_read, read_global(bank, (len(content),), queries.sims)[0])
+        assert_same_bits(pair_read @ plane, read_global_one(bank, content) @ plane)
         for name in ("content", "style"):
             assert_same_bits(getattr(queries, name).rows, getattr(single, name).rows)
         for name in ("mask", "weights"):
@@ -207,7 +208,7 @@ def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
         for name in ("dots", "denom", "sims", "row_norms", "item_norms"):
             assert_same_bits(getattr(queries.cosines, name), getattr(single.cosines, name))
         g_weights = make_rng(28).standard_normal((bank.n_items, len(content)))
-        assert_same_bits(read(bank, queries, d).aggregated_style, read(bank, single, d).aggregated_style)
+        assert_same_bits(read(bank, queries) @ plane, read(bank, single) @ plane)
         through_pair, through_single = (read_backward(bank, q, g_weights) for q in (queries, single))
         assert through_pair.items is through_single.items is bank.keys
         assert_same_bits(through_pair.coef, through_single.coef)
@@ -267,11 +268,11 @@ def test_read_single_item_partition():
     rng = make_rng(5)
     bank = random_bank(rng, [(0, 1), (1, 4)], 6)
     cluster = make_cluster(bank, rng, 0, 3)
-    result = read(bank, cluster, "x")
-    np.testing.assert_allclose(result.weights[:, 0], 1.0, atol=1e-15)
-    np.testing.assert_array_equal(result.weights[:, 1:], 0.0)
+    weights = read(bank, cluster)
+    np.testing.assert_allclose(weights[:, 0], 1.0, atol=1e-15)
+    np.testing.assert_array_equal(weights[:, 1:], 0.0)
     for p in range(3):
-        np.testing.assert_allclose(result.aggregated_style[p], bank.values_y[0], atol=1e-15)
+        np.testing.assert_allclose((weights @ bank.values_y)[p], bank.values_y[0], atol=1e-15)
 
 
 def test_read_identical_keys_uniform():
@@ -279,11 +280,11 @@ def test_read_identical_keys_uniform():
     bank = random_bank(rng, [(7, 4)], 5)
     bank = replace(bank, keys=np.tile(bank.keys[0], (bank.n_items, 1)))
     cluster = make_cluster(bank, rng, 7, 2)
-    result = read(bank, cluster, "y")
-    np.testing.assert_allclose(result.weights, 0.25, atol=1e-12)
+    weights = read(bank, cluster)
+    np.testing.assert_allclose(weights, 0.25, atol=1e-12)
     expected = bank.values_x.mean(axis=0)
     for p in range(2):
-        np.testing.assert_allclose(result.aggregated_style[p], expected, atol=1e-12)
+        np.testing.assert_allclose((weights @ bank.values_x)[p], expected, atol=1e-12)
 
 
 def test_read_two_key_hand_case():
@@ -293,74 +294,48 @@ def test_read_two_key_hand_case():
     values = l2_normalize_rows(np.array([[0.3, 0.7], [0.9, -0.1]]))
     bank = MemoryBank(keys, values.copy(), values[::-1].copy(), layout)
     cluster = class_queries(bank, 0, np.array([[1.0, 0.0]]), np.zeros((1, 2)))
-    result = read(bank, cluster, "x")
-    np.testing.assert_allclose(result.weights[0], [0.731059, 0.268941], atol=1e-6)
+    weights = read(bank, cluster)
+    np.testing.assert_allclose(weights[0], [0.731059, 0.268941], atol=1e-6)
     expected = 0.7310585786300049 * bank.values_y[0] + 0.2689414213699951 * bank.values_y[1]
-    np.testing.assert_allclose(result.aggregated_style[0], expected, atol=1e-9)
+    np.testing.assert_allclose((weights @ bank.values_y)[0], expected, atol=1e-9)
 
 
 def test_read_rejects_unknown_class_and_empty_cluster():
     rng = make_rng(7)
     bank = random_bank(rng, TOY_COUNTS, 4)
     with pytest.raises(LayoutError):
-        read(bank, make_cluster(bank, rng, 9, 2), "x")
+        read(bank, make_cluster(bank, rng, 9, 2))
     empty = class_queries(bank, 1, np.zeros((0, 4)), np.zeros((0, 4)))
     with pytest.raises(EmptyClusterError):
-        read(bank, empty, "x")
+        read(bank, empty)
 
-
-
-def test_reads_reject_an_unknown_domain_with_a_package_error():
-    rng = make_rng(7)
-    bank = random_bank(rng, TOY_COUNTS, 4)
-    cluster = make_cluster(bank, rng, 1, 2)
-    calls = [
-        lambda: read(bank, cluster, "z"),
-        lambda: read_global_one(bank, cluster.content.rows, "z"),
-        lambda: read_global(bank, (2, 2), ("x", "z"), np.zeros((4, bank.n_items))),
-    ]
-    for call in calls:
-        with pytest.raises(StylememError, match="domain must be 'x' or 'y', got 'z'"):
-            call()
-
-
-def test_read_direction_picks_cross_domain_values():
-    rng = make_rng(8)
-    bank = random_bank(rng, [(0, 3)], 4)
-    cluster = make_cluster(bank, rng, 0, 2)
-    rx = read(bank, cluster, "x")
-    ry = read(bank, cluster, "y")
-    np.testing.assert_array_equal(rx.weights, ry.weights)
-    assert rx.values is bank.values_y and ry.values is bank.values_x
-    np.testing.assert_allclose(rx.aggregated_style, rx.weights[:, :3] @ bank.values_y, atol=1e-15)
-    np.testing.assert_allclose(ry.aggregated_style, ry.weights[:, :3] @ bank.values_x, atol=1e-15)
 
 
 def test_read_global_single_item():
     rng = make_rng(9)
     bank = random_bank(rng, [(0, 1)], 4)
-    result = read_global_one(bank, rng.standard_normal((3, 4)), "x")
-    np.testing.assert_allclose(result.weights, 1.0, atol=1e-15)
+    weights = read_global_one(bank, rng.standard_normal((3, 4)))
+    np.testing.assert_allclose(weights, 1.0, atol=1e-15)
     for p in range(3):
-        np.testing.assert_allclose(result.aggregated_style[p], bank.values_y[0], atol=1e-15)
+        np.testing.assert_allclose((weights @ bank.values_y)[p], bank.values_y[0], atol=1e-15)
 
 
 def test_read_global_argmax_on_matching_basis_vector():
     layout = MemoryLayout.from_counts([(0, 1), (1, 1), (2, 1)])
     keys = np.eye(3)
     bank = MemoryBank(keys.copy(), keys.copy(), keys.copy(), layout)
-    result = read_global_one(bank, np.array([[1.0, 0.0, 0.0]]), "x")
-    assert int(np.argmax(result.weights[0])) == 0
+    weights = read_global_one(bank, np.array([[1.0, 0.0, 0.0]]))
+    assert int(np.argmax(weights[0])) == 0
 
 
 def test_read_matches_read_global_for_single_partition():
     rng = make_rng(10)
     bank = random_bank(rng, [(0, 6)], 5)
     cluster = make_cluster(bank, rng, 0, 4)
-    a = read(bank, cluster, "x")
-    b = read_global_one(bank, cluster.content.rows, "x")
-    np.testing.assert_array_equal(a.weights, b.weights)
-    np.testing.assert_array_equal(a.aggregated_style, b.aggregated_style)
+    a = read(bank, cluster)
+    b = read_global_one(bank, cluster.content.rows)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(a @ bank.values_y, b @ bank.values_y)
 
 
 def test_read_row_stochastic_and_partition_support():
@@ -371,17 +346,18 @@ def test_read_row_stochastic_and_partition_support():
         bank = random_bank(rng, counts, channels)
         cid = int(rng.integers(0, 2))
         cluster = make_cluster(bank, rng, cid, int(rng.integers(1, 6)))
-        result = read(bank, cluster, "x")
-        np.testing.assert_allclose(result.weights.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(result.weights >= 0.0)
+        weights = read(bank, cluster)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(weights >= 0.0)
         offset, count = span(bank.layout, cid)
-        outside = np.delete(result.weights, np.s_[offset : offset + count], axis=1)
+        outside = np.delete(weights, np.s_[offset : offset + count], axis=1)
         np.testing.assert_array_equal(outside, 0.0)
-        # convex mixing keeps every aggregated coordinate inside the
-        # addressed value rows' range
+        # convex mixing keeps every mixed coordinate inside the addressed
+        # value rows' range
+        mixture = weights @ bank.values_y
         addressed = bank.values_y[offset : offset + count]
-        assert np.all(result.aggregated_style <= addressed.max(axis=0) + 1e-12)
-        assert np.all(result.aggregated_style >= addressed.min(axis=0) - 1e-12)
+        assert np.all(mixture <= addressed.max(axis=0) + 1e-12)
+        assert np.all(mixture >= addressed.min(axis=0) - 1e-12)
 
 
 # --- oracle equivalence ---
@@ -399,22 +375,23 @@ def test_read_and_update_match_scalar_oracle():
         cluster = make_cluster(bank, rng, cid, p)
         domain = "x" if rng.random() < 0.5 else "y"
 
-        got = read(bank, cluster, domain)
+        plane = opposite_plane(bank, domain)
+        got = read(bank, cluster)
         w_ref, s_ref = oracle_read(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
             offset, count, cluster.content.rows.tolist(), domain,
         )
-        np.testing.assert_allclose(got.weights, w_ref, atol=1e-9)
-        np.testing.assert_allclose(got.aggregated_style, s_ref, atol=1e-9)
+        np.testing.assert_allclose(got, w_ref, atol=1e-9)
+        np.testing.assert_allclose(got @ plane, s_ref, atol=1e-9)
 
         queries = rng.standard_normal((p, channels))
-        got_g = read_global_one(bank, queries, domain)
+        got_g = read_global_one(bank, queries)
         w_ref, s_ref = oracle_read_global(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
             queries.tolist(), domain,
         )
-        np.testing.assert_allclose(got_g.weights, w_ref, atol=1e-9)
-        np.testing.assert_allclose(got_g.aggregated_style, s_ref, atol=1e-9)
+        np.testing.assert_allclose(got_g, w_ref, atol=1e-9)
+        np.testing.assert_allclose(got_g @ plane, s_ref, atol=1e-9)
 
         cx = make_cluster(bank, rng, cid, int(rng.integers(0, 4)))
         cy = make_cluster(bank, rng, cid, int(rng.integers(0, 4)))
@@ -442,15 +419,16 @@ def _fd_query_gradient(bank, cluster, domain, upstream, step=1e-6):
                 content = cluster.content.rows.copy()
                 content[p, c] += sign * step
                 bumped = address_one(bank, content, cluster.style.rows, labels)
-                value = float(np.sum(read(bank, bumped, domain).aggregated_style * upstream))
+                value = float(np.sum(read(bank, bumped) @ opposite_plane(bank, domain) * upstream))
                 grad[p, c] += sign * value / (2.0 * step)
     return grad
 
 
 def through_mixture(bank, cluster, domain, upstream):
-    """``read_backward`` of the loss ``sum(aggregated_style * upstream)``:
-    its gradient at the read weights is ``V @ upstream.T``."""
-    return read_backward(bank, cluster, read(bank, cluster, domain).values @ upstream.T)
+    """``read_backward`` of the loss ``sum((weights @ V) * upstream)``, with V
+    the opposite domain's value plane: its gradient at the read weights is
+    ``V @ upstream.T``."""
+    return read_backward(bank, cluster, opposite_plane(bank, domain) @ upstream.T)
 
 
 def test_read_backward_zero_upstream():
