@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stylemem.encoder import EncoderSet, State, TrainSettings, compute_losses
 from stylemem.errors import EmptyClusterError, LayoutError, ShapeError, ValidationError
 from stylemem.memory import (
     POOLED_CLASS_ID,
@@ -23,6 +24,7 @@ from stylemem.memory import (
     update,
 )
 from stylemem.numerics import cosine_matrix, l2_normalize_rows, make_rng, softmax_cols, softmax_rows, split_rng
+from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from oracles import oracle_read, oracle_read_global, oracle_update
 from reference import (
@@ -309,6 +311,29 @@ def test_read_rejects_unknown_class_and_empty_cluster():
     with pytest.raises(EmptyClusterError):
         read(bank, empty)
 
+
+def test_read_direction_picks_cross_domain_values():
+    # the loss pass mixes domain x's read weights with values_y and y's with
+    # values_x, each to reproduce the opposite domain's encoded style
+    spec = DomainSpec.create(
+        make_rng(8), SceneSettings(classes=3, input_channels=5, height=4, width=4, noise_sigma=0.3)
+    )
+    pair = generate_scene_pair(spec, split_rng(8, 1))
+    bank = random_bank(split_rng(8, 2), [(1, 2), (2, 2), (0, 2)], 4)
+    encoders = EncoderSet.create(split_rng(8, 3), 5, 4)
+    report, fwd = compute_losses(State(encoders, bank), pair, TrainSettings())
+
+    def rec_loss(planes):
+        total = 0.0
+        for d, opposite in (("x", "y"), ("y", "x")):
+            diff = read(bank, fwd.queries[d]) @ planes[d] - fwd.queries[opposite].style.formed()
+            total += float(np.sum(diff * diff))
+        return total / pair.labels.shape[0]
+
+    cross = rec_loss({"x": bank.values_y, "y": bank.values_x})
+    same = rec_loss({"x": bank.values_x, "y": bank.values_y})
+    assert report.rec_loss == pytest.approx(cross, rel=1e-12)
+    assert abs(same - cross) > 1e-3 * cross
 
 
 def test_read_global_single_item():
