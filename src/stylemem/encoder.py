@@ -10,9 +10,9 @@ Every pass takes one :class:`State`: the encoders and the bank it runs at,
 and the Adam moments of the run. Encodings follow the encoding rule of
 :mod:`stylemem.numerics`: an encoder with no more output than input
 channels forms its rows by :func:`forward`, and a wider one leaves them to
-an :class:`~stylemem.numerics.Affine`. A state makes those and the
-value-plane Grams on first use, and every pass at it takes them from it.
-Encoders, encoder sets and banks are frozen, and the arrays the package
+an :class:`~stylemem.numerics.Affine`. A state makes those on first use,
+and every pass at it takes them from it, and the value-plane Grams from
+its bank (``MemoryBank.grams``). Encoders, encoder sets and banks are frozen, and the arrays the package
 makes for them are read-only, so a state cannot change and its factors
 cannot go stale; a step returns a new state.
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
 from .memory import MemoryBank, QuerySet, address_blocks, read, read_backward, update
-from .numerics import AdamState, Affine, Cosines, Encoding, FeatureGrad, adam_step, read_only
+from .numerics import AdamState, Affine, Cosines, Encoding, FeatureGrad, adam_step, forward, read_only
 from .objectives import LossTerm, contrastive_loss, triplet_loss
 from .serialize import array, check_types, integer, read_json, write_json
 from .synthdata import ScenePair
@@ -91,16 +91,6 @@ class LinearEncoder:
     @property
     def out_channels(self) -> int:
         return self.weight.shape[0]
-
-
-def forward(enc: LinearEncoder, inputs: np.ndarray) -> np.ndarray:
-    """Affine map over rows: inputs @ W.T + b."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != enc.in_channels:
-        raise ShapeError(f"inputs shape {inputs.shape} incompatible with W {enc.weight.shape}")
-    out = inputs @ enc.weight.T
-    out += enc.bias
-    return out
 
 
 def backward(encoding: Encoding, grad: FeatureGrad) -> tuple[np.ndarray, np.ndarray]:
@@ -185,10 +175,6 @@ class State:
                     raise ValidationError(f"encoder {name} factors became non-finite ({', '.join(bad)})")
         return affine
 
-    @cached_property
-    def grams(self) -> dict[str, np.ndarray]:
-        """The Gram matrix ``V V.T`` of each value plane, by domain."""
-        return {d: v @ v.T for d, v in zip(_DOMAINS, (self.bank.values_x, self.bank.values_y))}
 
 
 def encode_pair(state: State, pair: ScenePair) -> tuple[tuple, tuple]:
@@ -251,10 +237,11 @@ class ForwardPass:
     """One loss pass over a scene pair: per-domain query sets (encodings
     against the bank), item-loss terms and ``g_weights``, the
     gradient of the reconstruction loss with respect to each read's
-    weights, item-major (N, P); ``sims`` is the (2P, N) view of both
-    domains' content-key cosines. ``values`` holds the cosines of each
-    domain's encoded style rows with its own value plane (block b for
-    domain b, whose ``dots`` give ``V s`` and ``row_norms`` each ``|s|``).
+    weights, item-major (N, P); ``cosines`` is both domains' content-key
+    :class:`Cosines` in the pair storage of :func:`address_blocks`.
+    ``values`` holds the cosines of each domain's encoded style rows with
+    its own value plane (block b for domain b, whose ``dots`` give ``V s``
+    and ``row_norms`` each ``|s|``).
 
     The gradients of the weighted total loss with respect to the encoded
     content and style are computed on first access of ``grad_content`` and
@@ -270,7 +257,7 @@ class ForwardPass:
     key_terms: dict[str, LossTerm]
     value_terms: dict[str, LossTerm]
     g_weights: dict[str, np.ndarray]
-    sims: np.ndarray
+    cosines: Cosines
     values: Cosines
 
     @cached_property
@@ -324,14 +311,14 @@ def compute_losses(state: State, pair: ScenePair, settings: TrainSettings) -> tu
     # domain d's mixture a V of the opposite plane should reproduce the
     # opposite encoded style s, and |a V - s|^2 = a.(G a - 2 V s) + |s|^2,
     # with V s and |s| from the opposite block of the value cosines, and the
-    # Grams of the state
+    # Grams of the bank
     p_total = pair.labels.shape[0]
     g_weights = {}
     rec_loss = float(values.row_norms @ values.row_norms)
     for d, opposite, cols in (("x", "y", values.columns[1]), ("y", "x", values.columns[0])):
         alpha = read(bank, queries[d]).T
         v_s = values.dots.T[:, cols]
-        g_weights[d] = g = state.grams[opposite] @ alpha
+        g_weights[d] = g = bank.grams[opposite] @ alpha
         g -= v_s
         rec_loss += float(np.einsum("ij,ij->", alpha, g - v_s))
         g *= 2.0 / p_total  # now d(rec_loss)/d(read weights)
@@ -343,7 +330,7 @@ def compute_losses(state: State, pair: ScenePair, settings: TrainSettings) -> tu
     total = s.key_loss_weight * key_loss + s.value_loss_weight * value_loss + s.rec_loss_weight * rec_loss
     report = LossReport(key_loss, value_loss, rec_loss, total)
     return report, ForwardPass(
-        bank, settings, queries, key_terms, value_terms, g_weights, cosines.sims, values
+        bank, settings, queries, key_terms, value_terms, g_weights, cosines, values
     )
 
 

@@ -6,20 +6,21 @@ are all derived from the seed through fixed stream keys, and no artifact
 contains timestamps, so reruns are byte-identical.
 
 Evaluation and the per-iteration metrics score one test-time read per
-scene pair: one unmasked softmax over both domains' (2P, N) content-key
-cosines, in ``_accumulate_pair``. Its fidelity is the cosine of each
-read's mixture with the opposite domain's encoded style, taken by the
-factored-read rule of :mod:`stylemem.numerics` from the value-plane Grams,
-dot products and norms, so no mixture is formed. Evaluation takes one loss
-pass per held-out scene pair and no gradient, and the read, the fidelity
-and the assignments export reuse that pass's encodings and cosines. The
-per-iteration metrics encode afresh, since the step has just made new
-encoders and perhaps a new bank, and take one two-block ``cosine_matrix`` against
-the keys and the dot products and norms of the fresh style encodings.
-Every pass takes one ``stylemem.encoder.State`` of the encoders and the
-bank, which makes the factors of the encoding rule of
-:mod:`stylemem.numerics` (each widening encoder's ``Affine``) and the
-value-plane Grams on first use. So they are made once per state: by
+scene pair in ``_accumulate_pair``, one unmasked softmax over the pair's
+content-key ``Cosines`` (both domains' (2P, N) rows), which also holds the
+package's one check of the content row norms. Its fidelity is the cosine
+of each read's mixture with the opposite domain's encoded style, taken by
+the factored-read rule of :mod:`stylemem.numerics` from the value-plane
+Grams, dot products and norms, so no mixture is formed. Evaluation takes
+one loss pass per held-out scene pair and no gradient, and the read, the
+fidelity and the assignments export reuse that pass's encodings and
+cosines. The per-iteration metrics encode afresh, since the step has just
+made new encoders and perhaps a new bank, and take one two-block
+``cosine_matrix`` against the keys and the dot products and norms of the
+fresh style encodings. Every pass takes one ``stylemem.encoder.State`` of
+the encoders and the bank, which makes the factors of the encoding rule
+of :mod:`stylemem.numerics` (each widening encoder's ``Affine``) on first
+use, as the bank makes its Grams. So they are made once per state: by
 ``evaluate`` once per call, and in training once per step, whose returned
 state serves that iteration's metrics and the next step's loss pass.
 Widening encoders' rows are formed only for the triplet distances and the
@@ -53,7 +54,7 @@ import numpy as np
 from .encoder import EncoderSet, State, TrainSettings, compute_losses, encode_pair, save_encoders, train_step
 from .errors import ConfigError, GenerationError, LayoutError, StylememError, ValidationError
 from .memory import POOLED_CLASS_ID, MemoryBank, MemoryLayout, init_bank, load_bank, read_global, save_bank
-from .numerics import cosine_matrix, read_cosines, split_rng
+from .numerics import Cosines, cosine_matrix, read_cosines, split_rng
 from .serialize import FLOAT, atomic_write, check_types, csv_lines, layout_counts, typed, write_json
 from .synthdata import DomainSpec, ScenePair, SceneSettings, generate_scene_pair
 
@@ -311,23 +312,27 @@ class _EvalAccumulator:
 
 
 def _accumulate_pair(
-    acc: _EvalAccumulator, bank: MemoryBank, contents: tuple, sims: np.ndarray, targets: tuple,
+    acc: _EvalAccumulator, bank: MemoryBank, contents: tuple, cosines: Cosines, targets: tuple,
     labels: np.ndarray, ref_layout: MemoryLayout, export: Callable[[bytes], object] | None = None, scene: int = 0,
 ) -> None:
     """Test-time metrics of one scene pair: one ``read_global`` over the
-    (x, y) content encodings ``contents``, from ``sims``, their (2P, N)
-    cosines with the keys, scored against the pair's ``labels`` and against
-    ``targets``, which holds per domain d (x, y) the target that d's encoded
-    style rows set for the opposite read: the Gram of ``values_d``, its
-    item-major dot products with those rows and their norms. Each domain's
-    assignments lines go to ``export`` as finished bytes, a chunk of lines
-    at a time, from ``serialize.csv_lines``: the prefix ``scene,domain,``,
-    the position, label and item columns (each below 2**24, by the array
-    guard), the read weight and the formed content row."""
+    (x, y) content encodings ``contents``, from their content-key
+    ``cosines`` (block d for domain d), whose norms must be finite, scored
+    against the pair's ``labels`` and against ``targets``, which holds per
+    domain d (x, y) the target that d's encoded style rows set for the
+    opposite read: the Gram of ``values_d``, its item-major dot products
+    with those rows and their norms. Each domain's assignments lines go to
+    ``export`` as finished bytes, a chunk of lines at a time, from
+    ``serialize.csv_lines``: the prefix ``scene,domain,``, the position,
+    label and item columns (each below 2**24, by the array guard), the read
+    weight and the formed content row."""
+    for d, cols in zip(("x", "y"), cosines.columns):
+        if not np.isfinite(cosines.row_norms[cols]).all():
+            raise ValidationError(f"encoder content_{d} rows have non-finite norms")
     item_classes = ref_layout.item_classes
-    reads = read_global(bank, tuple(c.shape[0] for c in contents), sims)
-    for d, content, alpha, target in zip(("x", "y"), contents, reads, targets[::-1]):
-        weights = alpha.T  # item-major (N, P) columns of the stored array
+    alpha = read_global(bank, cosines.sims).T  # item-major (N, 2P)
+    for d, content, cols, target in zip(("x", "y"), contents, cosines.columns, targets[::-1]):
+        weights = alpha[:, cols]
 
         acc.alpha_sum += weights.sum(axis=1)
         acc.queries += content.shape[0]
@@ -347,7 +352,7 @@ def _pair_metrics(state: State, pair: ScenePair, ref_layout: MemoryLayout) -> tu
     contents, styles = encode_pair(state, pair)
     planes = (bank.values_x, bank.values_y)
     targets = tuple(
-        (state.grams[d], style.dots(plane), style.norms()) for d, style, plane in zip(("x", "y"), styles, planes)
+        (bank.grams[d], style.dots(plane), style.norms()) for d, style, plane in zip(("x", "y"), styles, planes)
     )
     acc = _EvalAccumulator(alpha_sum=np.zeros(bank.n_items))
     _accumulate_pair(acc, bank, contents, cosine_matrix(contents, bank.keys), targets, pair.labels, ref_layout)
@@ -461,17 +466,13 @@ def evaluate(
             pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
             report, fwd = compute_losses(state, pair, cfg.train)
             loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
-            for d, queries in fwd.queries.items():  # an overflowed norm would score as zero cosines
-                if not np.isfinite(queries.cosines.row_norms).all():
-                    raise ValidationError(f"encoder content_{d} rows have non-finite norms")
-
             contents = tuple(q.content for q in fwd.queries.values())
             targets = tuple(
-                (state.grams[d], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
+                (bank.grams[d], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
                 for d, cols in zip(fwd.queries, fwd.values.columns)
             )
             scene_export = write if i < cfg.assignment_scenes else None
-            _accumulate_pair(acc, bank, contents, fwd.sims, targets, pair.labels, ref_layout, scene_export, i)
+            _accumulate_pair(acc, bank, contents, fwd.cosines, targets, pair.labels, ref_layout, scene_export, i)
 
         losses = (float(total) / scene_count for total in loss_sums)
         values = (cfg.iterations, *losses, acc.entropy(), acc.purity(), acc.fidelity())

@@ -8,9 +8,9 @@ pairs, except in a pooled bank (one ``POOLED_CLASS_ID`` partition), which
 every query addresses whole; test-time reads address all N items.
 :func:`address_blocks` computes the content-key cosines, their parts and the
 class-restricted read weights of a scene pair's two domains in one pass; the
-read, its backward pass, the update, the key-side item loss and the
-test-time read take them from each domain's query set. Bank files go
-through :mod:`stylemem.serialize`.
+read, its backward pass, the update and the key-side item loss take them
+from each domain's query set, and the test-time read the pair's cosines
+whole. Bank files go through :mod:`stylemem.serialize`.
 
 Query-item arrays follow the item-major rule of :mod:`stylemem.numerics`:
 a scene pair's storage is (N, 2P), domain x in columns [0, P) and y in
@@ -106,7 +106,7 @@ class MemoryLayout:
 class MemoryBank:
     """Keys plus per-domain value planes, one row per item, all N x C.
     The planes that :func:`init_bank`, :func:`update` and :func:`load_bank`
-    make are read-only: a bank never changes, and an update makes a new one."""
+    make are read-only: a bank and its Grams never change; an update makes a new one."""
 
     keys: np.ndarray
     values_x: np.ndarray
@@ -120,6 +120,11 @@ class MemoryBank:
     @property
     def channels(self) -> int:
         return self.keys.shape[1]
+
+    @cached_property
+    def grams(self) -> dict[str, np.ndarray]:
+        """The Gram matrix ``V V.T`` of each value plane, by domain, made on first use."""
+        return {"x": self.values_x @ self.values_x.T, "y": self.values_y @ self.values_y.T}
 
 
 @dataclass
@@ -221,24 +226,14 @@ def read(bank: MemoryBank, queries: QuerySet) -> np.ndarray:
     return queries.weights
 
 
-def read_global(bank: MemoryBank, sizes: tuple, sims: np.ndarray) -> tuple:
-    """Test-time read weights: one softmax over all N items, no class
-    information, of ``sims``, the cosines of all blocks' rows with the keys
-    (a scene pair's (2P, N) storage, or ``cosine_matrix(contents,
-    bank.keys)``). Returns one (P_b, N) view per block of ``sizes`` rows.
-    """
-    for size in sizes:
-        if not (isinstance(size, int) and size >= 1):
-            raise ShapeError(f"query block size must be a positive int, got {size!r}")
-    shape = (sum(sizes), bank.n_items)
-    if getattr(sims, "shape", None) != shape:
-        raise ShapeError(f"sims shape {getattr(sims, 'shape', None)}, expected {shape}")
-    alpha = softmax_cols(sims.T)  # item-major (N, P)
-    views, start = [], 0
-    for size in sizes:
-        views.append(alpha[:, start : start + size].T)
-        start += size
-    return tuple(views)
+def read_global(bank: MemoryBank, sims: np.ndarray) -> np.ndarray:
+    """Test-time read weights (P, N), a view of item-major storage: one
+    softmax over all N items, no class information, of ``sims``, the (P, N)
+    cosines of query rows with the keys (a scene pair's ``Cosines.sims``)."""
+    shape = getattr(sims, "shape", None)
+    if shape is None or len(shape) != 2 or shape[0] < 1 or shape[1] != bank.n_items:
+        raise ShapeError(f"sims shape {shape}, expected (P, {bank.n_items}) with P >= 1")
+    return softmax_cols(sims.T).T
 
 
 def read_backward(bank: MemoryBank, queries: QuerySet, g_weights: np.ndarray) -> FeatureGrad:

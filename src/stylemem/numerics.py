@@ -20,13 +20,12 @@ operation order, so with its bits.
 Query-item arrays (P queries x N items) are stored item-major: a C-contiguous
 (N, P) array, so that a sum, max or softmax over the few items of each query
 runs along axis 0, one contiguous P-vector at a time. The (P, N) names, such
-as ``Cosines.sims`` and the result of :func:`cosine_matrix`, are transposed
-views of that storage; on such a view :func:`softmax_rows` is
-:func:`softmax_cols` of the stored array, bit for bit. Blocks of queries
-(a scene pair's two domains) share one storage, each in its own columns,
-whose (P, N) views are the block's names. The block rule: each block of a
-pair's storage, and each result taken from it, has the bits of its own
-one-block call.
+as ``Cosines.sims``, are transposed views of that storage; on such a view
+:func:`softmax_rows` is :func:`softmax_cols` of the stored array, bit for
+bit. Blocks of queries (a scene pair's two domains) share one storage, each
+in its own columns, whose (P, N) views are the block's names. The block
+rule: each block of a pair's storage, and each result taken from it, has
+the bits of its own one-block call.
 
 Feature gradients are factored. The memory touches an encoded row only
 through its N items and the row itself, so the gradient of a loss with
@@ -48,7 +47,7 @@ Encodings are factored too. An :class:`Encoding` is its inputs X (P, Cin)
 together with the weight W (C, Cin) and bias b that made its rows
 ``R = X W.T + b``, and the package takes R only through dot products with
 item rows M, norms and folds ``beta R``. Where C <= Cin the rows are formed,
-by ``stylemem.encoder.forward``, and used as they are. Where C > Cin they
+by :func:`forward`, and used as they are. Where C > Cin they
 are not: an :class:`Affine` holds W, b and their factors against M, computed
 once per weight and bank state, and every product runs at input width. The
 dots are ``M R.T = (M W) X.T + M b``, and a fold is ``beta R = (beta X)
@@ -56,7 +55,7 @@ W.T + outer(beta.sum(1), b)``. The norms take a bias split that survives
 cancellation: with ``G = W.T W``, ``z0 = solve(G + eps tr(G) I, W.T b)``,
 ``b_perp = b - W z0`` and ``U = X + z0``, ``|r|^2 = U.(G U) + 2 U.(W.T
 b_perp) + |b_perp|^2``, floored at 0. Rows are formed on demand only where
-a consumer needs them whole (:meth:`Encoding.formed`).
+a consumer needs them whole (:meth:`Encoding.formed`, by :func:`forward`).
 """
 
 from __future__ import annotations
@@ -144,11 +143,7 @@ class Encoding:
 
     def formed(self) -> np.ndarray:
         """The (P, C) rows, formed on each call where they are not held."""
-        if self.rows is not None:
-            return self.rows
-        rows = self.inputs @ self.affine.weight.T
-        rows += self.affine.bias
-        return rows
+        return self.rows if self.rows is not None else forward(self.affine, self.inputs)
 
     def norms(self, out: np.ndarray | None = None) -> np.ndarray:
         """Each row's norm, (P,): :func:`dot_norms` of the rows, or the bias split."""
@@ -239,15 +234,25 @@ class FeatureGrad:
     scale: np.ndarray
 
 
-def cosine_matrix(queries: tuple[Encoding, ...], keys: np.ndarray) -> np.ndarray:
-    """All-pairs cosine similarities of the rows of each block of encodings
-    with the keys, (P, C) x (N, C) -> (P, N) over all blocks' P rows: a view
-    of item-major storage (see :class:`Cosines`), each block's columns by
-    the block rule."""
+def forward(affine, inputs: np.ndarray) -> np.ndarray:
+    """Affine map over rows, ``inputs @ W.T + b``, of the ``weight`` and
+    ``bias`` of ``affine`` (a ``LinearEncoder`` or an :class:`Affine`)."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[1] != affine.weight.shape[1]:
+        raise ShapeError(f"inputs shape {inputs.shape} incompatible with W {affine.weight.shape}")
+    out = inputs @ affine.weight.T
+    out += affine.bias
+    return out
+
+
+def cosine_matrix(queries: tuple[Encoding, ...], keys: np.ndarray) -> Cosines:
+    """The :class:`Cosines` of the rows of each block of encodings with the
+    keys, (P, C) x (N, C) -> (P, N) over all blocks' P rows, each block's
+    columns by the block rule."""
     keys = _as_matrix(keys, "keys")
     if not queries or any(block.shape[0] == 0 or block.shape[1] != keys.shape[1] for block in queries):
         raise ShapeError(f"query blocks {[block.shape for block in queries]} do not fit keys {keys.shape}")
-    return Cosines.between(queries, (keys,) * len(queries)).sims
+    return Cosines.between(queries, (keys,) * len(queries))
 
 
 def read_cosines(weights: np.ndarray, gram: np.ndarray, dots: np.ndarray, norms: np.ndarray) -> np.ndarray:

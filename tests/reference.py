@@ -126,7 +126,7 @@ def address_one(bank, content, style, labels):
 
 def read_global_one(bank, content):
     """The test-time read weights of one block of content rows, from their own cosines."""
-    return read_global(bank, (len(content),), cosine_matrix((encoded(content),), bank.keys))[0]
+    return read_global(bank, cosine_matrix((encoded(content),), bank.keys).sims)
 
 
 def opposite_plane(bank, domain):

@@ -28,8 +28,8 @@ from test_golden import BUILD, current_build
 
 ITERATIONS = 10
 # Python calls and builtin calls over the 10 iterations
-PYTHON_CALLS = 6685
-BUILTIN_CALLS = 3135
+PYTHON_CALLS = 6555
+BUILTIN_CALLS = 3120
 
 
 def iterations(cfg, spec, ref_layout, state: State, start: int, count: int) -> State:

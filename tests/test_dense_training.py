@@ -211,7 +211,7 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
             assert_close(got[1], want[1])
         cols = fwd.values.columns[1]
         weights = fwd.queries["x"].weights.T
-        fidelity = read_cosines(weights, state.grams["y"], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
+        fidelity = read_cosines(weights, bank.grams["y"], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
         mixtures = read(bank, fwd.queries["x"]) @ bank.values_y
         assert_close(fidelity, cosine_rows(mixtures, fwd.queries["y"].style.formed()))
         norm_sq = float(fwd.values.row_norms[cols][0]) ** 2  # 1, less the share of EPS_DIV in the denominator

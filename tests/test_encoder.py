@@ -306,6 +306,19 @@ def test_train_step_update_every_gate():
     assert stepped.bank is bank
 
 
+def test_a_step_that_keeps_the_bank_keeps_its_grams():
+    # the Grams belong to the bank, so a step without a memory update makes none
+    _, pair, bank, encoders = small_problem(53)
+    state = State(encoders, bank)
+    _, stepped = train_step(state, pair, TrainSettings(), update_memory=False)
+    assert stepped.bank.grams is state.bank.grams
+    _, updated = train_step(stepped, pair, TrainSettings())
+    assert updated.bank.grams is not stepped.bank.grams
+    for new in (stepped.bank, updated.bank):
+        for d, plane in (("x", new.values_x), ("y", new.values_y)):
+            assert_same_bits(new.grams[d], plane @ plane.T)
+
+
 def parameters_and_planes(state) -> list:
     return [p for enc in state.encoders.all() for p in (enc.weight, enc.bias)] + [
         state.bank.keys, state.bank.values_x, state.bank.values_y
@@ -488,7 +501,7 @@ def warm_full_step():
     encoders = EncoderSet.create(split_rng(3, 1), cfg.scene.input_channels, cfg.channels)
     pair = generate_scene_pair(cfg.domain_spec(), split_rng(3, 2))
     _, state = train_step(State(encoders, bank), pair, cfg.train, update_memory=False)
-    state.affine, state.grams
+    state.affine, state.bank.grams
     half_feature = pair.content.shape[0] * cfg.channels * 8 // 2
     return cfg, state, pair, half_feature
 

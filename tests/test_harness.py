@@ -10,12 +10,15 @@ import pytest
 
 from stylemem import encoder, harness
 from stylemem.cli import main as cli_main
-from stylemem.encoder import EncoderSet, LinearEncoder, TrainSettings, save_encoders
+from stylemem.encoder import EncoderSet, LinearEncoder, State, TrainSettings, save_encoders, train_step
 from stylemem.errors import ConfigError, PoolError, ValidationError
 from stylemem.harness import (
     METRICS_HEADER,
     METRICS_TEMPLATE,
     PRESETS,
+    STREAM_BANK,
+    STREAM_ENCODERS,
+    STREAM_TRAIN,
     ExperimentConfig,
     MetricsRow,
     config_from_dict,
@@ -26,7 +29,8 @@ from stylemem.harness import (
     run_training,
 )
 from stylemem.memory import MemoryBank, init_bank, load_bank, save_bank
-from stylemem.numerics import l2_normalize_rows, make_rng
+from stylemem.numerics import l2_normalize_rows, make_rng, split_rng
+from stylemem.synthdata import generate_scene_pair
 
 
 def toy_config(**overrides):
@@ -642,7 +646,8 @@ def test_cli_names_the_iteration_and_encoder_that_diverged(tmp_path, capsys):
     }))
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "error: training iteration 1: loss became non-finite (" in err and "rec inf)" in err
+    # the first step leaves weights near 1e300, whose content row norms overflow in that iteration's metrics pass
+    assert "error: training iteration 0: encoder content_x rows have non-finite norms" in err
     assert "Warning" not in err
     assert not (tmp_path / "o" / "bank.json").exists()
 
@@ -719,17 +724,35 @@ DIVERGED = {
 
 def test_cli_train_fails_before_writing_when_the_final_evaluation_is_not_finite(tmp_path, capsys):
     # one Adam step at learning rate 1e300 leaves finite weights near 1e300;
-    # the held-out scene's content row norms then overflow, before its squared
-    # read residual does
+    # the content row norms then overflow in that iteration's metrics pass,
+    # one stage before the final evaluation, whose norms would overflow too
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(DIVERGED))
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error" in line] == [
-        "error: encoder content_x rows have non-finite norms"
+        "error: training iteration 0: encoder content_x rows have non-finite norms"
     ]
     assert "Warning" not in err
     assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_the_metrics_pass_names_the_encoder_whose_content_norms_overflowed():
+    # one step of DIVERGED leaves finite weights near 1e300; the content row
+    # norms of the metrics pass overflow, and unchecked they would score as
+    # zero cosines, a uniform read and a finite but meaningless row
+    cfg = config_from_dict(resolve_config(DIVERGED))
+    state = State(
+        EncoderSet.create(split_rng(cfg.seed, STREAM_ENCODERS), cfg.scene.input_channels, cfg.channels),
+        init_bank(cfg.bank_layout(), cfg.channels, split_rng(cfg.seed, STREAM_BANK)),
+    )
+    pair = generate_scene_pair(cfg.domain_spec(), split_rng(cfg.seed, STREAM_TRAIN, 0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, state = train_step(state, pair, cfg.train)
+        assert all(np.isfinite(enc.weight).all() for enc in state.encoders.all())
+        with pytest.raises(ValidationError) as raised:
+            harness._pair_metrics(state, pair, cfg.reference_layout())
+    assert str(raised.value) == "encoder content_x rows have non-finite norms"
 
 
 def test_cli_eval_rejects_artifacts_whose_evaluation_is_not_finite(tmp_path, capsys):

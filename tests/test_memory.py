@@ -149,7 +149,7 @@ def test_address_stores_query_item_arrays_item_major(counts):
     else:
         assert queries.mask.all()
     assert read(bank, queries) is queries.weights
-    assert_item_major_view(read_global(bank, (40,), queries.sims)[0], shape)
+    assert_item_major_view(read_global(bank, queries.sims), shape)
     assert_item_major_view(read_global_one(bank, queries.content.rows), shape)
     assert_item_major_view(assignment_weights(queries), shape)
 
@@ -181,27 +181,27 @@ def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
     for name in ("dots", "denom", "sims"):
         assert_pair_views(getattr(qx.cosines, name), getattr(qy.cosines, name), shape)
     assert qx.mask.base is mask.base and qx.sims.base is cosines.sims.base
-    sizes = (shape[0], shape[0])
-    reads = read_global(bank, sizes, cosines.sims)  # one test-time softmax
-    assert_pair_views(reads[0], reads[1], shape)
-    with pytest.raises(ShapeError, match="sims"):
-        read_global(bank, sizes, qx.sims)
+    reads = read_global(bank, cosines.sims)  # one test-time softmax
+    assert_pair_views(*(reads[cols] for cols in cosines.columns), shape)
+    for sims in (qx.sims[:, 1:], cosines.sims[:0], qx.sims.ravel()):
+        with pytest.raises(ShapeError, match="sims"):
+            read_global(bank, sims)
     # the cosines alone, two blocks in one call
     rows = tuple(map(encoded, contents))
     both = cosine_matrix(rows, bank.keys)
-    assert_pair_views(both[: shape[0]], both[shape[0] :], shape)
+    assert both.columns == cosines.columns
+    assert_pair_views(*(both.sims[cols] for cols in both.columns), shape)
     empty, narrow = encoded(np.zeros((0, bank.channels))), encoded(contents[0][:, 1:])
     for blocks in ((empty, rows[1]), (rows[0], empty), (narrow, rows[1]), (rows[0], narrow)):
         with pytest.raises(ShapeError, match="do not fit keys"):
             cosine_matrix(blocks, bank.keys)
-    for d, queries, content, style, block_labels, pair_read, cols in zip(
-        "xy", pair, contents, styles, labels, reads, cosines.columns
-    ):
+    for d, queries, content, style, block_labels, cols in zip("xy", pair, contents, styles, labels, cosines.columns):
         single = address_one(bank, content, style, block_labels)
         plane = opposite_plane(bank, d)
-        assert_same_bits(both[cols], cosine_matrix((encoded(content),), bank.keys))
-        assert_same_bits(both[cols], single.sims)
-        assert_same_bits(pair_read, read_global(bank, (len(content),), queries.sims)[0])
+        pair_read = reads[cols]
+        assert_same_bits(both.sims[cols], cosine_matrix((encoded(content),), bank.keys).sims)
+        assert_same_bits(both.sims[cols], single.sims)
+        assert_same_bits(pair_read, read_global(bank, queries.sims))
         assert_same_bits(pair_read @ plane, read_global_one(bank, content) @ plane)
         for name in ("content", "style"):
             assert_same_bits(getattr(queries, name).rows, getattr(single, name).rows)

@@ -91,7 +91,7 @@ def test_cosine_matrix_matches_scalar():
     rng = make_rng(11)
     q = rng.standard_normal((4, 6))
     k = rng.standard_normal((5, 6))
-    got = cosine_matrix((encoded(q),), k)
+    got = cosine_matrix((encoded(q),), k).sims
     for p in range(4):
         for n in range(5):
             assert got[p, n] == pytest.approx(oracle_cosine(q[p], k[n]), abs=1e-12)
