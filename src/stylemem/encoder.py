@@ -362,10 +362,10 @@ def train_step(
         gw, gb = backward(*grads[name])
         weight = read_only(adam_step(enc.weight, gw, weight_moments, *adam))
         bias = read_only(adam_step(enc.bias, gb, bias_moments, *adam))
-        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
             raise ValidationError(f"encoder {name} parameters became non-finite")
         # where a second moment is inf, Adam's step is 0 and the weight stops learning
-        if not all(np.all(np.isfinite(m.second_moment)) for m in (weight_moments, bias_moments)):
+        if not (np.isfinite(weight_moments.second_moment).all() and np.isfinite(bias_moments.second_moment).all()):
             raise ValidationError(f"encoder {name} Adam second moments became non-finite")
         stepped[name] = LinearEncoder(weight, bias)
 

@@ -8,8 +8,11 @@ contains timestamps, so reruns are byte-identical.
 Evaluation and the per-iteration metrics score one test-time read per
 scene pair in ``_accumulate_pair``, one unmasked softmax over the pair's
 content-key ``Cosines`` (both domains' (2P, N) rows), which also holds the
-package's one check of the content row norms. Its fidelity is the cosine
-of each read's mixture with the opposite domain's encoded style, taken by
+package's one check of the content row norms. The norm check, the top
+items and the purity take the whole pair at once (the pair's domains share
+their labels); the read mass and the fidelity are summed per domain. The
+fidelity is the cosine of each read's mixture with the opposite domain's
+encoded style, taken by
 the factored-read rule of :mod:`stylemem.numerics` from the value-plane
 Grams, dot products and norms, so no mixture is formed. Evaluation takes
 one loss pass per held-out scene pair and no gradient, and the read, the
@@ -26,6 +29,9 @@ state serves that iteration's metrics and the next step's loss pass.
 Widening encoders' rows are formed only for the triplet distances and the
 ``assignments.csv`` content columns. The export is rendered to bytes in
 numpy, a chunk of finished lines at a time, and written as it is rendered.
+Training and ``evaluate`` each enter one ``np.errstate`` that silences
+numpy's floating-point warnings around their whole loop, and check what
+the loop makes instead.
 
 Config files are JSON. A file may name a ``preset`` ("toy" or "full") and
 override any subset of keys; the expansion to a fully explicit config is
@@ -302,7 +308,7 @@ class _EvalAccumulator:
     def entropy(self) -> float:
         p = self.alpha_sum / self.alpha_sum.sum()
         nz = p[p > 0.0]
-        return float(-np.sum(nz * np.log(nz)))
+        return float(-(nz * np.log(nz)).sum())
 
     def purity(self) -> float:
         return self.purity_hits / self.queries
@@ -318,31 +324,32 @@ def _accumulate_pair(
     """Test-time metrics of one scene pair: one ``read_global`` over the
     (x, y) content encodings ``contents``, from their content-key
     ``cosines`` (block d for domain d), whose norms must be finite, scored
-    against the pair's ``labels`` and against ``targets``, which holds per
-    domain d (x, y) the target that d's encoded style rows set for the
-    opposite read: the Gram of ``values_d``, its item-major dot products
-    with those rows and their norms. Each domain's assignments lines go to
-    ``export`` as finished bytes, a chunk of lines at a time, from
-    ``serialize.csv_lines``: the prefix ``scene,domain,``, the position,
-    label and item columns (each below 2**24, by the array guard), the read
-    weight and the formed content row."""
-    for d, cols in zip(("x", "y"), cosines.columns):
-        if not np.isfinite(cosines.row_norms[cols]).all():
-            raise ValidationError(f"encoder content_{d} rows have non-finite norms")
-    item_classes = ref_layout.item_classes
-    alpha = read_global(bank, cosines.sims).T  # item-major (N, 2P)
+    against the pair's ``labels``, which both domains share, and against
+    ``targets``, which holds per domain d (x, y) the target that d's
+    encoded style rows set for the opposite read: the Gram of ``values_d``,
+    its item-major dot products with those rows and their norms. The norm
+    check, the top items and the purity take the whole pair at once; the
+    read mass and the fidelity are summed per domain. Each domain's
+    assignments lines go to ``export`` as finished bytes, a chunk of lines
+    at a time, from ``serialize.csv_lines``: the prefix ``scene,domain,``,
+    the position, label and item columns (each below 2**24, by the array
+    guard), the read weight and the formed content row."""
+    if not np.isfinite(cosines.row_norms).all():
+        for d, cols in zip(("x", "y"), cosines.columns):
+            if not np.isfinite(cosines.row_norms[cols]).all():
+                raise ValidationError(f"encoder content_{d} rows have non-finite norms")
+    alpha = read_global(bank, cosines.sims).T  # item-major (N, 2P), contiguous
+    top = alpha.argmax(axis=0)
+    acc.queries += top.shape[0]
+    acc.purity_hits += int((ref_layout.item_classes[top].reshape(-1, labels.shape[0]) == labels).sum())
     for d, content, cols, target in zip(("x", "y"), contents, cosines.columns, targets[::-1]):
         weights = alpha[:, cols]
-
         acc.alpha_sum += weights.sum(axis=1)
-        acc.queries += content.shape[0]
         acc.fidelity_sum += float(read_cosines(weights, *target).sum())
-        top = np.argmax(weights, axis=0)
-        acc.purity_hits += int(np.sum(item_classes[top] == labels))
         if export is not None:
-            positions = np.arange(top.shape[0])
-            block = np.column_stack((weights[top, positions], content.formed()))
-            for lines in csv_lines(f"{scene},{d},", (positions, labels, top), block):
+            positions = np.arange(labels.shape[0])
+            block = np.column_stack((weights[top[cols], positions], content.formed()))
+            for lines in csv_lines(f"{scene},{d},", (positions, labels, top[cols]), block):
                 export(lines)
 
 
@@ -368,7 +375,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
     run that fails in training or in that evaluation writes nothing into
     ``out_dir``. An iteration whose step or metrics row is not finite raises
     an error naming it, and numpy's floating-point warnings are silenced
-    inside the loop.
+    around the loop.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -385,18 +392,17 @@ def run_training(cfg: ExperimentConfig, out_dir: str | Path) -> RunResult:
         cfg.memory_mode, cfg.train.loss_variant, cfg.n_items, cfg.channels, cfg.iterations, cfg.seed,
     )
     metrics: list[MetricsRow] = []
-    for t in range(cfg.iterations):
-        pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
-        updates = t % cfg.update_every == 0
-        try:
-            # a diverging step fails below with a named error, not numpy warnings
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                report, state = train_step(state, pair, cfg.train, update_memory=updates)
+    # a diverging step fails below with a named error, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(cfg.iterations):
+            pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_TRAIN, t))
+            try:
+                report, state = train_step(state, pair, cfg.train, update_memory=t % cfg.update_every == 0)
                 entropy, purity, fidelity = _pair_metrics(state, pair, ref_layout)
-            values = (t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity)
-            metrics.append(_finite(values, "metrics"))
-        except StylememError as exc:
-            raise type(exc)(f"training iteration {t}: {exc}") from exc
+                values = (t, report.key_loss, report.value_loss, report.rec_loss, entropy, purity, fidelity)
+                metrics.append(_finite(values, "metrics"))
+            except StylememError as exc:
+                raise type(exc)(f"training iteration {t}: {exc}") from exc
 
     bank, encoders = state.bank, state.encoders
     final_eval = evaluate(bank, encoders, cfg, cfg.eval_scenes, assignments_path=out / "assignments.csv")

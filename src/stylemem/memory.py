@@ -263,11 +263,11 @@ def read_backward(bank: MemoryBank, queries: QuerySet, g_weights: np.ndarray) ->
     cos = queries.cosines
 
     # through the softmax jacobian; masked entries have alpha = 0 and so get no gradient
-    g_sims = alpha * (g_weights - np.sum(alpha * g_weights, axis=0))
+    g_sims = alpha * (g_weights - (alpha * g_weights).sum(axis=0))
 
     # d sims / d query: k / w  -  sims * ||k|| * q / (w * ||q||)
     g_scaled = g_sims / cos.denom.T
-    coeff = np.sum(g_scaled * cos.sims.T * cos.item_norms.T, axis=0)
+    coeff = (g_scaled * cos.sims.T * cos.item_norms.T).sum(axis=0)
     safe_q = np.maximum(cos.row_norms, EPS_DIV)
     return FeatureGrad(bank.keys, g_scaled, -coeff / safe_q)
 

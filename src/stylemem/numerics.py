@@ -56,11 +56,14 @@ cancellation: with ``G = W.T W``, ``z0 = solve(G + eps tr(G) I, W.T b)``,
 ``b_perp = b - W z0`` and ``U = X + z0``, ``|r|^2 = U.(G U) + 2 U.(W.T
 b_perp) + |b_perp|^2``, floored at 0. Rows are formed on demand only where
 a consumer needs them whole (:meth:`Encoding.formed`, by :func:`forward`).
+An encoding's ``shape`` is the (P, C) of its rows on either route, stored
+when it is built (a ``dataclasses.replace`` builds anew), so that the many
+shape checks per step read a field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,15 +134,16 @@ class Affine:
 class Encoding:
     """P encoded rows ``inputs @ W.T + b`` by the encoding rule of the
     module docstring: ``rows`` holds them formed where C <= Cin, and where
-    C > Cin ``rows`` is None and ``affine`` stands for them."""
+    C > Cin ``rows`` is None and ``affine`` stands for them. ``shape``,
+    the (P, C) of the rows, is set when the encoding is built."""
 
     inputs: np.ndarray
     rows: np.ndarray | None
     affine: Affine | None
+    shape: tuple[int, int] = field(init=False)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.shape if self.rows is not None else (len(self.inputs), len(self.affine.bias))
+    def __post_init__(self):
+        self.shape = self.rows.shape if self.rows is not None else (len(self.inputs), len(self.affine.bias))
 
     def formed(self) -> np.ndarray:
         """The (P, C) rows, formed on each call where they are not held."""
@@ -220,8 +224,8 @@ class Cosines:
 
     def block(self, b: int) -> "Cosines":
         cols = self.columns[b]
-        norms, dots, denom, sims = (part[cols] for part in (self.row_norms, self.dots, self.denom, self.sims))
-        return Cosines(norms, self.item_norms[b : b + 1], dots, denom, sims, (slice(0, len(norms)),))
+        norms, span = self.row_norms[cols], (slice(0, cols.stop - cols.start),)
+        return Cosines(norms, self.item_norms[b : b + 1], self.dots[cols], self.denom[cols], self.sims[cols], span)
 
 
 @dataclass(slots=True)

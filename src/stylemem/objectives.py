@@ -84,7 +84,7 @@ def contrastive_loss(
     """
     queries, items, pool, cosines = _inputs(queries, items, positive_pool, cosines)
     rows = np.arange(pool.shape[1])
-    positives = np.argmax(np.where(pool, cosines.sims.T, -np.inf), axis=0)
+    positives = np.where(pool, cosines.sims.T, -np.inf).argmax(axis=0)
 
     logits = cosines.dots.T / temperature  # (N, P)
     peak = logits.max(axis=0)
@@ -100,7 +100,7 @@ def contrastive_loss(
             probs /= temperature
             return FeatureGrad(items[b], probs, np.zeros(probs.shape[1]))
 
-        return LossTerm(float(np.sum(per_query[cols])), positives[cols], gradient)
+        return LossTerm(float(per_query[cols].sum()), positives[cols], gradient)
 
     return tuple(term(b, cols) for b, cols in enumerate(cosines.columns))
 
@@ -123,10 +123,10 @@ def triplet_loss(
     if pool.shape[0] < 2:
         raise PoolError("triplet loss needs at least two items")
     rows = np.arange(pool.shape[1])
-    positives = np.argmax(np.where(pool, cosines.sims.T, -np.inf), axis=0)
+    positives = np.where(pool, cosines.sims.T, -np.inf).argmax(axis=0)
     others = cosines.sims.T.copy()  # (N, P)
     others[positives, rows] = -np.inf
-    negatives = np.argmax(others, axis=0)
+    negatives = others.argmax(axis=0)
 
     def term(b: int, cols: slice) -> LossTerm:
         formed = queries[b].formed()
@@ -145,6 +145,6 @@ def triplet_loss(
             coef[negatives[cols], at] = inv_neg
             return FeatureGrad(items[b], coef, inv_pos - inv_neg)
 
-        return LossTerm(float(np.sum(np.maximum(terms, 0.0))), positives[cols], gradient, negatives[cols])
+        return LossTerm(float(np.maximum(terms, 0.0).sum()), positives[cols], gradient, negatives[cols])
 
     return tuple(term(b, cols) for b, cols in enumerate(cosines.columns))

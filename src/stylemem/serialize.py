@@ -6,9 +6,11 @@ row is one ``template % values`` call (``"%.17g" % x`` equals :func:`fmt_float`)
 Float blocks are rendered in numpy with the same bytes as the ``%`` template,
 as finished lines of bytes: :func:`csv_lines` puts each row's leading text
 (a constant prefix and integer columns) before its floats, and
-:func:`float_rows` splits the lines of a block into texts for JSON. Every
-file is written as bytes through :func:`atomic_write`; reads raise
-:class:`ValidationError` naming the field.
+:func:`float_rows` splits the lines of a block into row texts.
+:func:`write_json` writes the pieces that :func:`render_json` joins as each
+is rendered, a 2-D float block a chunk of rows at a time, so a file's whole
+text is never held. Every file is written as bytes through
+:func:`atomic_write`; reads raise :class:`ValidationError` naming the field.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _FIELD = 23  # the longest fast text: "-0.000" plus 17 digits, or "-d." plus 16 digits plus "e-06"
 _BYTES = tuple(np.dtype((np.void, k)) for k in range(_FIELD + 1))  # k-byte blocks
-_CHUNK = 8192  # elements rendered at once; bounds the temporaries at about 2 MB
+_CHUNK = 8192  # elements rendered at once; bounds the temporaries at about 1 MB
+_JSON_CHUNK = 2048  # the same in a JSON file, so its writer holds about 0.25 MB
 
 
 def _digit_groups() -> np.ndarray:
@@ -214,8 +217,8 @@ def _block_lines(block: np.ndarray, sep: bytes, heads: np.ndarray) -> bytes:
     return b"".join(parts).translate(None, b"\0")
 
 
-def _line_chunks(matrix: np.ndarray, sep: bytes, heads: np.ndarray) -> Iterator[bytes]:
-    step = max(1, _CHUNK // matrix.shape[1])
+def _line_chunks(matrix: np.ndarray, sep: bytes, heads: np.ndarray, size: int = _CHUNK) -> Iterator[bytes]:
+    step = max(1, size // matrix.shape[1])
     return (_block_lines(matrix[i:i + step], sep, heads[i:i + step]) for i in range(0, len(matrix), step))
 
 
@@ -258,19 +261,30 @@ def _inline(value) -> str:
     return json.dumps(value)
 
 
-def render_json(value, indent: str = "") -> str:
-    """Deterministic JSON text of dicts, lists, numbers, strings, None and arrays."""
+def _json_pieces(value, indent: str = "") -> Iterator[str]:
+    """The JSON text of ``value`` in pieces, each 2-D float block a chunk of rows at a time."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        fields = (f"{inner}{json.dumps(k)}: {render_json(value[k], inner)}" for k in sorted(value))
-        return "{\n" + ",\n".join(fields) + "\n" + indent + "}"
-    if isinstance(value, np.ndarray) and value.ndim == 2:
-        if value.dtype.kind == "f":
-            rows = (f"[{row}]" for row in float_rows(value, ", "))
-        else:
-            rows = map(_inline, value)
-        return "[\n" + ",\n".join(inner + row for row in rows) + "\n" + indent + "]"
-    return _inline(value)
+        for i, k in enumerate(sorted(value)):
+            yield f"{',' if i else '{'}\n{inner}{json.dumps(k)}: "
+            yield from _json_pieces(value[k], inner)
+        yield "\n" + indent + "}"
+    elif isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "f" and value.size:
+        between = "],\n" + inner + "["  # a row's end, and the next row's start
+        chunks = _line_chunks(np.asarray(value, np.float64), b", ", np.empty((len(value), 0), np.uint8), _JSON_CHUNK)
+        for i, chunk in enumerate(chunks):
+            yield ("[\n" + inner + "[" if i == 0 else between) + chunk[:-1].decode("ascii").replace("\n", between)
+        yield "]\n" + indent + "]"
+    elif isinstance(value, np.ndarray) and value.ndim == 2:  # an integer block, or one with no elements
+        rows = (f"[{row}]" for row in float_rows(value, ", ")) if value.dtype.kind == "f" else map(_inline, value)
+        yield "[\n" + ",\n".join(inner + row for row in rows) + "\n" + indent + "]"
+    else:
+        yield _inline(value)
+
+
+def render_json(value) -> str:
+    """Deterministic JSON text of dicts, lists, numbers, strings, None and arrays."""
+    return "".join(_json_pieces(value))
 
 
 @contextmanager
@@ -289,8 +303,11 @@ def atomic_write(path: str | Path) -> Iterator[Callable[[bytes], object]]:
 
 
 def write_json(path: str | Path, doc: dict) -> None:
+    """Write :func:`render_json` of ``doc`` and a newline, each piece as it
+    is rendered, so the whole text is never held."""
     with atomic_write(path) as write:
-        write(render_json(doc).encode())
+        for piece in _json_pieces(doc):
+            write(piece.encode())
         write(b"\n")
 
 

@@ -157,7 +157,9 @@ def generate_scene_pair(spec: DomainSpec, rng: np.random.Generator) -> ScenePair
     """One scene pair, whose domains share labels and content samples.
 
     Draw order: boxes per foreground class, then one normal block of content
-    noise, style noise for x and style noise for y.
+    noise, style noise for x and style noise for y. The block is scaled and
+    offset by each position's prototypes in place, so the three arrays are
+    views of it.
     """
     s = spec.settings
     h, w = s.height, s.width
@@ -178,9 +180,10 @@ def generate_scene_pair(spec: DomainSpec, rng: np.random.Generator) -> ScenePair
 
     labels = grid.reshape(-1)
     noise = rng.standard_normal((3, h * w, s.input_channels))
-    protos = (spec.content_prototypes, spec.style_prototypes_x, spec.style_prototypes_y)
-    content, *styles = (p[labels] + s.noise_sigma * n for p, n in zip(protos, noise))
-    return ScenePair(content, labels, boxes, h, w, tuple(styles))
+    noise *= s.noise_sigma
+    for block, protos in zip(noise, (spec.content_prototypes, spec.style_prototypes_x, spec.style_prototypes_y)):
+        block += protos[labels]
+    return ScenePair(noise[0], labels, boxes, h, w, (noise[1], noise[2]))
 
 
 def save_scene(scene: FeatureScene, path: str | Path) -> None:

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,10 +19,10 @@ from stylemem import serialize
 from stylemem.cli import main as cli_main
 from stylemem.encoder import EncoderSet, load_encoders, save_encoders
 from stylemem.errors import ConfigError, ValidationError
-from stylemem.harness import config_from_dict, resolve_config
+from stylemem.harness import PRESETS, config_from_dict, resolve_config
 from stylemem.memory import MemoryLayout, init_bank, load_bank, save_bank
 from stylemem.numerics import make_rng
-from stylemem.serialize import FLOAT, atomic_write, csv_lines, float_rows, fmt_float, render_json
+from stylemem.serialize import FLOAT, atomic_write, csv_lines, float_rows, fmt_float, render_json, write_json
 from stylemem.synthdata import (
     DomainSpec, FeatureScene, SceneSettings, generate_scene_pair, load_scene, save_scene,
 )
@@ -211,6 +212,34 @@ def test_row_template_matches_fmt_float(values):
 def template_rows(matrix, sep):
     template = sep.join([FLOAT] * matrix.shape[1])
     return [template % tuple(row.tolist()) for row in matrix]
+
+
+def test_json_files_stream_float_blocks_with_the_bytes_of_their_rows(tmp_path):
+    # a ragged three chunks of serialize._JSON_CHUNK values, with rows that the template renders
+    cols = 3
+    block = np.random.default_rng(7).standard_normal((3 * (serialize._JSON_CHUNK // cols) - 5, cols))
+    block[[0, serialize._JSON_CHUNK // cols, len(block) - 1], 1] = (1e300, 5e-324, -0.0)
+    rows = ",\n".join(f"    [{row}]" for row in template_rows(block, ", "))
+    want = f'{{\n  "block": [\n{rows}\n  ],\n  "empty": [\n\n  ],\n  "name": "b"\n}}'
+    doc = {"name": "b", "block": block, "empty": np.zeros((0, 2))}
+    write_json(tmp_path / "doc.json", doc)
+    assert render_json(doc) == want
+    assert (tmp_path / "doc.json").read_bytes() == want.encode() + b"\n"
+
+
+def test_saving_full_preset_encoders_holds_under_half_the_file_in_memory(tmp_path):
+    # the writer renders a chunk of rows at a time; holding the whole text took twice the file
+    cfg = PRESETS["full"]
+    encoders = EncoderSet.create(make_rng(2), cfg.scene.input_channels, cfg.channels)
+    path = tmp_path / "encoders.json"
+    save_encoders(encoders, path)  # warm
+    tracemalloc.start()
+    try:
+        save_encoders(encoders, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2, (peak, path.stat().st_size)
 
 
 # any float64 (NaN, infinities and subnormals included), or one in the kernel's fast range

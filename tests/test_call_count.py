@@ -15,6 +15,7 @@ tightens the bounds; one that raises it says why in ``CHANGES.md``.
 
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -28,8 +29,9 @@ from test_golden import BUILD, current_build
 
 ITERATIONS = 10
 # Python calls and builtin calls over the 10 iterations
-PYTHON_CALLS = 6555
-BUILTIN_CALLS = 3120
+PYTHON_CALLS = 4855
+BUILTIN_CALLS = 2870
+TOP = 15
 
 
 def iterations(cfg, spec, ref_layout, state: State, start: int, count: int) -> State:
@@ -51,11 +53,23 @@ def test_a_warm_toy_iteration_makes_no_more_calls_than_its_bound():
         init_bank(cfg.bank_layout(), cfg.channels, split_rng(cfg.seed, STREAM_BANK)),
     )
     state = iterations(cfg, spec, ref_layout, state, 0, 2)  # a step that updates the bank, and one that does not
-    events = Counter()
-    sys.setprofile(lambda frame, event, arg: events.update((event,)))
+    calls = Counter()  # by (event, function name)
+
+    def count(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls[event, f"{Path(code.co_filename).name}:{code.co_firstlineno} {code.co_qualname}"] += 1
+        elif event == "c_call":
+            calls[event, getattr(arg, "__qualname__", repr(arg))] += 1
+
+    sys.setprofile(count)
     try:
         iterations(cfg, spec, ref_layout, state, 2, ITERATIONS)
     finally:
         sys.setprofile(None)
-    counts = (events["call"], events["c_call"])
-    assert counts[0] <= PYTHON_CALLS and counts[1] <= BUILTIN_CALLS, counts
+    counts = tuple(sum(n for (e, _), n in calls.items() if e == event) for event in ("call", "c_call"))
+    top = "\n".join(f"{n:6d}  {e:6s}  {name}" for (e, name), n in calls.most_common(TOP))
+    assert counts[0] <= PYTHON_CALLS and counts[1] <= BUILTIN_CALLS, (
+        f"{counts[0]} Python and {counts[1]} builtin calls over {ITERATIONS} iterations, bounds "
+        f"{PYTHON_CALLS} and {BUILTIN_CALLS}; the {TOP} most called:\n{top}"
+    )

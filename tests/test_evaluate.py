@@ -136,17 +136,36 @@ def test_cli_eval_names_a_content_encoder_whose_row_norms_overflow(tmp_path, cap
 
     want, row = (evaluate(bank, e, cfg, cfg.eval_scenes) for e in (encoders, scaled(1e150)))
     assert row.purity == want.purity and row.fidelity == pytest.approx(want.fidelity, rel=1e-12)
+    assert cli_eval_errors(tmp_path, capsys, cfg, bank, scaled(1e160)) == [
+        "error: encoder content_x rows have non-finite norms"
+    ]
+
+
+def test_the_pair_norm_check_names_content_y_when_only_its_rows_overflow(tmp_path, capsys):
+    # content_x stays finite, so a check that named the pair's first block would name the wrong encoder
+    cfg, bank, encoders = trained(tmp_path)
+    enc = encoders.content_y
+    encoders = replace(encoders, content_y=replace(enc, weight=enc.weight * 1e160, bias=enc.bias * 1e160))
+    pair = generate_scene_pair(cfg.domain_spec(), split_rng(cfg.seed, STREAM_TRAIN, 0))
+    with pytest.raises(ValidationError) as raised:
+        _pair_metrics(State(encoders, bank), pair, cfg.reference_layout())
+    assert str(raised.value) == "encoder content_y rows have non-finite norms"
+    assert cli_eval_errors(tmp_path, capsys, cfg, bank, encoders) == [
+        "error: encoder content_y rows have non-finite norms"
+    ]
+
+
+def cli_eval_errors(tmp_path, capsys, cfg, bank, encoders) -> list[str]:
+    """The error lines of a ``stylemem eval`` of ``bank`` and ``encoders``, which must exit 1 with no traceback."""
     paths = {"bank": tmp_path / "bank.json", "encoders": tmp_path / "encoders.json", "config": tmp_path / "cfg.json"}
     save_bank(bank, paths["bank"])
-    save_encoders(scaled(1e160), paths["encoders"])
+    save_encoders(encoders, paths["encoders"])
     paths["config"].write_text(json.dumps(cfg.to_dict()))
     args = ["eval", "--scenes", str(cfg.eval_scenes)] + [a for k, v in paths.items() for a in (f"--{k}", str(v))]
     assert cli_main(args) == 1
     captured = capsys.readouterr()
-    assert [line for line in captured.err.splitlines() if "error" in line] == [
-        "error: encoder content_x rows have non-finite norms"
-    ]
     assert "Traceback" not in captured.err and "Warning" not in captured.err and captured.out == ""
+    return [line for line in captured.err.splitlines() if "error" in line]
 
 
 def test_evaluate_computes_no_gradients(tmp_path, monkeypatch):

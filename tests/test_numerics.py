@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,6 +362,21 @@ def weights_and_rows(draw):
 
 def assert_within(got, want, tolerance):
     assert np.all(np.abs(got - want) <= tolerance), float(np.max(np.abs(got - want) - tolerance))
+
+
+@pytest.mark.parametrize("out_channels", [5, 8, 16, 24], ids=lambda c: f"C={c}")
+def test_an_encoding_stores_the_shape_of_its_rows(out_channels):
+    # 5 and 8 form the rows (C <= Cin = 8); 16 and 24 widen and leave them to the affine
+    rng = split_rng(5, out_channels)
+    enc = LinearEncoder(rng.standard_normal((out_channels, 8)), rng.standard_normal(out_channels))
+    got = encoding(enc, rng.standard_normal((12, 8)), rng.standard_normal((3, out_channels)))
+    assert (got.rows is None) == (out_channels > 8)
+    assert got.shape == got.formed().shape == (12, out_channels)
+    fewer = replace(got, inputs=got.inputs[:7])
+    assert fewer.shape == fewer.formed().shape
+    if got.rows is not None:  # formed rows are what they are; replace them with the inputs
+        fewer = replace(got, inputs=got.inputs[:7], rows=got.rows[:7])
+    assert fewer.shape == fewer.formed().shape == (7, out_channels)
 
 
 @given(weights_and_rows())
