@@ -17,18 +17,18 @@ makes for them are read-only, so a state cannot change and its factors
 cannot go stale; a step returns a new state.
 
 A loss pass (:func:`compute_losses`) encodes both domains of a scene pair
-and addresses the bank once with its labels: one partition mask, one
-content-key cosine matrix and its read weights, each in the pair storage of
-:mod:`stylemem.memory`. Each memory plane's item loss runs once
+and addresses the bank once with its labels: one query set, whose partition
+mask, content-key cosine matrix and read weights are each in the pair
+storage of :mod:`stylemem.memory`. Each memory plane's item loss runs once
 for both domains, and each domain's loss is summed over its own P queries.
 The reconstruction loss follows the factored-read rule of
 :mod:`stylemem.numerics`: it takes each value plane's Gram matrix once and
 the value-plane cosines that the value item loss also uses, so no read
 mixture or residual is formed. Its only gradient is the one with respect to
-each read's weights, an (N, P) array. The item-loss gradients and the read
-backward pass run on first access of ``ForwardPass.grad_content``/
-``grad_style``, which only :func:`train_step` makes, so evaluation pays for
-the forward pass alone. The feature gradients are factored by the
+the pair's read weights, one (N, 2P) array. The item-loss gradients and the
+read backward pass, one call for the pair, run on first access of
+``ForwardPass.grad_content``/``grad_style``, which only :func:`train_step`
+makes, so evaluation pays for the forward pass alone. The feature gradients are factored by the
 :class:`~stylemem.numerics.FeatureGrad` rule of :mod:`stylemem.numerics`:
 each is summed from its terms' (N, P) and (P,) factors, and
 :func:`backward` takes it to the parameters with the encoding, so no
@@ -151,11 +151,14 @@ class State:
     first step, which makes them. The factors of the state are made on
     first use and kept; nothing they are made from can change. No pass
     reads the moments: a step advances them in place and hands them to the
-    state it returns."""
+    state it returns, with ``steps``, the step count they are at then. Only
+    :func:`train_step` sets ``steps``, and it steps a state only while its
+    moments are still at that count."""
 
     encoders: EncoderSet
     bank: MemoryBank
     moments: tuple[tuple[AdamState, AdamState], ...] = ()
+    steps: int = 0
 
     @cached_property
     def affine(self) -> dict[str, Affine | None]:
@@ -234,51 +237,51 @@ class LossReport:
 
 @dataclass
 class ForwardPass:
-    """One loss pass over a scene pair: per-domain query sets (encodings
-    against the bank), item-loss terms and ``g_weights``, the
-    gradient of the reconstruction loss with respect to each read's
-    weights, item-major (N, P); ``cosines`` is both domains' content-key
-    :class:`Cosines` in the pair storage of :func:`address_blocks`.
-    ``values`` holds the cosines of each domain's encoded style rows with
-    its own value plane (block b for domain b, whose ``dots`` give ``V s``
-    and ``row_norms`` each ``|s|``).
+    """One loss pass over a scene pair: the pair's query set (its encodings
+    against the bank, domain x in block 0 and y in block 1), each domain's
+    item-loss terms and ``g_weights``, the gradient of the reconstruction
+    loss with respect to the pair's read weights, item-major (N, 2P), in
+    the columns of the set's storage. ``values`` holds the cosines of each
+    domain's encoded style rows with its own value plane (block b for
+    domain b, whose ``dots`` give ``V s`` and ``row_norms`` each ``|s|``).
 
     The gradients of the weighted total loss with respect to the encoded
     content and style are computed on first access of ``grad_content`` and
-    ``grad_style``, each a :class:`FeatureGrad` that sums its terms' factors
-    with the loss weights: content the key term and :func:`read_backward`;
-    style ``d`` the value term and the opposite domain's read, whose
-    reconstruction term is ``-(2/P) weights_opp`` on ``values_d`` plus ``2/P``.
+    ``grad_style``, each a :class:`FeatureGrad` per domain that sums its
+    terms' factors with the loss weights: content the key term and its
+    columns of the pair's one :func:`read_backward`; style ``d`` the value
+    term and the opposite domain's read, whose reconstruction term is
+    ``-(2/P) weights_opp`` on ``values_d`` plus ``2/P``.
     """
 
     bank: MemoryBank
     settings: TrainSettings
-    queries: dict[str, QuerySet]
+    queries: QuerySet
     key_terms: dict[str, LossTerm]
     value_terms: dict[str, LossTerm]
-    g_weights: dict[str, np.ndarray]
-    cosines: Cosines
+    g_weights: np.ndarray
     values: Cosines
 
     @cached_property
     def grad_content(self) -> dict[str, FeatureGrad]:
         key, rec = self.settings.key_loss_weight, self.settings.rec_loss_weight
+        through_read = read_backward(self.bank, self.queries, self.g_weights)
         grads = {}
-        for d, q in self.queries.items():
+        for d, cols in zip(_DOMAINS, self.queries.cosines.columns):
             term = self.key_terms[d].gradient()
-            through_read = read_backward(self.bank, q, self.g_weights[d])
-            coef = key * term.coef + rec * through_read.coef
-            grads[d] = FeatureGrad(term.items, coef, key * term.scale + rec * through_read.scale)
+            coef = key * term.coef + rec * through_read.coef[:, cols]
+            grads[d] = FeatureGrad(term.items, coef, key * term.scale + rec * through_read.scale[cols])
         return grads
 
     @cached_property
     def grad_style(self) -> dict[str, FeatureGrad]:
         value = self.settings.value_loss_weight
+        weights = self.queries.weights.T  # (N, 2P)
         grads = {}
-        for d, opposite in (("x", "y"), ("y", "x")):
+        for d, content, opposite in zip(_DOMAINS, self.queries.contents, self.queries.cosines.columns[::-1]):
             term = self.value_terms[d].gradient()
-            rec = self.settings.rec_loss_weight * 2.0 / self.queries[d].size
-            coef = value * term.coef - rec * self.queries[opposite].weights.T
+            rec = self.settings.rec_loss_weight * 2.0 / content.shape[0]
+            coef = value * term.coef - rec * weights[:, opposite]
             grads[d] = FeatureGrad(term.items, coef, value * term.scale + rec)
         return grads
 
@@ -293,19 +296,18 @@ def _item_loss(queries: tuple, items, pool: np.ndarray, settings: TrainSettings,
 def compute_losses(state: State, pair: ScenePair, settings: TrainSettings) -> tuple[LossReport, ForwardPass]:
     """Loss pass over a scene pair at ``state``, whose bank it leaves as it is.
 
-    Returns the loss report plus the forward pass: the encoded query sets,
+    Returns the loss report plus the forward pass: the pair's query set,
     from which the analytic gradients of the weighted total loss with
     respect to each encoded feature matrix follow on demand. The pair is
     not modified.
     """
     bank = state.bank
     content, style = encode_pair(state, pair)
-    mask, cosines, sets = address_blocks(bank, content, style, (pair.labels, pair.labels))
-    queries = dict(zip(_DOMAINS, sets))
+    queries = address_blocks(bank, content, style, (pair.labels, pair.labels))
     planes = (bank.values_x, bank.values_y)
     values = Cosines.between(style, planes)
-    key_terms = _item_loss(content, bank.keys, mask, settings, cosines)
-    value_terms = _item_loss(style, planes, mask, settings, values)
+    key_terms = _item_loss(content, bank.keys, queries.mask, settings, queries.cosines)
+    value_terms = _item_loss(style, planes, queries.mask, settings, values)
 
     # style reconstruction through the read, by the factored-read rule:
     # domain d's mixture a V of the opposite plane should reproduce the
@@ -313,14 +315,15 @@ def compute_losses(state: State, pair: ScenePair, settings: TrainSettings) -> tu
     # with V s and |s| from the opposite block of the value cosines, and the
     # Grams of the bank
     p_total = pair.labels.shape[0]
-    g_weights = {}
+    alpha = read(bank, queries).T  # (N, 2P)
+    g_weights = np.empty(alpha.shape)
     rec_loss = float(values.row_norms @ values.row_norms)
-    for d, opposite, cols in (("x", "y", values.columns[1]), ("y", "x", values.columns[0])):
-        alpha = read(bank, queries[d]).T
-        v_s = values.dots.T[:, cols]
-        g_weights[d] = g = bank.grams[opposite] @ alpha
+    x, y = values.columns
+    for own, opposite, cols in ((x, "y", y), (y, "x", x)):
+        a, v_s = alpha[:, own], values.dots.T[:, cols]
+        g = np.matmul(bank.grams[opposite], a, out=g_weights[:, own])
         g -= v_s
-        rec_loss += float(np.einsum("ij,ij->", alpha, g - v_s))
+        rec_loss += float(np.einsum("ij,ij->", a, g - v_s))
         g *= 2.0 / p_total  # now d(rec_loss)/d(read weights)
     rec_loss /= p_total
 
@@ -329,9 +332,7 @@ def compute_losses(state: State, pair: ScenePair, settings: TrainSettings) -> tu
     s = settings
     total = s.key_loss_weight * key_loss + s.value_loss_weight * value_loss + s.rec_loss_weight * rec_loss
     report = LossReport(key_loss, value_loss, rec_loss, total)
-    return report, ForwardPass(
-        bank, settings, queries, key_terms, value_terms, g_weights, cosines, values
-    )
+    return report, ForwardPass(bank, settings, queries, key_terms, value_terms, g_weights, values)
 
 
 def train_step(
@@ -343,7 +344,15 @@ def train_step(
     advanced, and with ``update_memory`` a new bank (reads and losses
     always use the iteration's starting bank), else ``state.bank``. The
     pair is never modified. A non-finite loss names its unweighted terms.
+    A state whose moments a step has already advanced raises a
+    ``ValidationError`` naming both step counts: stepping it again would
+    start from moved moments.
     """
+    if state.moments and state.moments[0][0].step_count != state.steps:
+        raise ValidationError(
+            f"the state's Adam moments are at step {state.moments[0][0].step_count}, the state at step "
+            f"{state.steps}: a state with moments can be stepped only once"
+        )
     report, fwd = compute_losses(state, pair, settings)
     if not np.isfinite(report.total):
         terms = f"key {report.key_loss}, value {report.value_loss}, rec {report.rec_loss}"
@@ -354,9 +363,9 @@ def train_step(
         (AdamState.for_param(enc.weight.shape), AdamState.for_param(enc.bias.shape)) for enc in state.encoders.all()
     )
     grads = {}  # each encoder's encoding and the gradient at its rows
-    for d, queries in fwd.queries.items():
-        grads[f"content_{d}"] = (queries.content, fwd.grad_content[d])
-        grads[f"style_{d}"] = (queries.style, fwd.grad_style[d])
+    for d, content, style in zip(_DOMAINS, fwd.queries.contents, fwd.queries.styles):
+        grads[f"content_{d}"] = (content, fwd.grad_content[d])
+        grads[f"style_{d}"] = (style, fwd.grad_style[d])
     stepped = {}
     for (name, enc), (weight_moments, bias_moments) in zip(vars(state.encoders).items(), moments):
         gw, gb = backward(*grads[name])
@@ -369,8 +378,8 @@ def train_step(
             raise ValidationError(f"encoder {name} Adam second moments became non-finite")
         stepped[name] = LinearEncoder(weight, bias)
 
-    bank = update(state.bank, fwd.queries["x"], fwd.queries["y"]) if update_memory else state.bank
-    return report, State(EncoderSet(**stepped), bank, moments)
+    bank = update(state.bank, fwd.queries) if update_memory else state.bank
+    return report, State(EncoderSet(**stepped), bank, moments, moments[0][0].step_count)
 
 
 # --- persistence ---

@@ -472,13 +472,13 @@ def evaluate(
             pair = generate_scene_pair(spec, split_rng(cfg.seed, STREAM_EVAL, i))
             report, fwd = compute_losses(state, pair, cfg.train)
             loss_sums += (report.key_loss, report.value_loss, report.rec_loss)
-            contents = tuple(q.content for q in fwd.queries.values())
             targets = tuple(
                 (bank.grams[d], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
-                for d, cols in zip(fwd.queries, fwd.values.columns)
+                for d, cols in zip(("x", "y"), fwd.values.columns)
             )
             scene_export = write if i < cfg.assignment_scenes else None
-            _accumulate_pair(acc, bank, contents, fwd.cosines, targets, pair.labels, ref_layout, scene_export, i)
+            contents, cosines = fwd.queries.contents, fwd.queries.cosines
+            _accumulate_pair(acc, bank, contents, cosines, targets, pair.labels, ref_layout, scene_export, i)
 
         losses = (float(total) / scene_count for total in loss_sums)
         values = (cfg.iterations, *losses, acc.entropy(), acc.purity(), acc.fidelity())

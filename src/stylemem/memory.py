@@ -7,10 +7,10 @@ query's class, as one masked operation over a scene's P x N query-item
 pairs, except in a pooled bank (one ``POOLED_CLASS_ID`` partition), which
 every query addresses whole; test-time reads address all N items.
 :func:`address_blocks` computes the content-key cosines, their parts and the
-class-restricted read weights of a scene pair's two domains in one pass; the
-read, its backward pass, the update and the key-side item loss take them
-from each domain's query set, and the test-time read the pair's cosines
-whole. Bank files go through :mod:`stylemem.serialize`.
+class-restricted read weights of a scene pair's two domains in one pass, as
+one query set; the read, its backward pass, the update and the key-side item
+loss take that set whole, and the test-time read its cosines. Bank files go
+through :mod:`stylemem.serialize`.
 
 Query-item arrays follow the item-major rule of :mod:`stylemem.numerics`:
 a scene pair's storage is (N, 2P), domain x in columns [0, P) and y in
@@ -129,29 +129,24 @@ class MemoryBank:
 
 @dataclass
 class QuerySet:
-    """One domain's content/style encodings and the memory items each row may address.
+    """Blocks of content/style encodings (a scene pair's two domains, x then
+    y, or one block) and the memory items each row may address.
 
-    ``mask[p]`` is True on the partition of row p's class (on every item of
-    a pooled bank). ``cosines`` holds the content rows' cosine similarities
-    to the keys of the bank the set was built for, with their dot products
-    and norms, and ``weights`` the class-restricted read weights
-    ``softmax_rows(sims, mask)``. ``mask``, ``weights`` and ``sims`` are (P, N)
-    views of item-major storage that a scene pair's two domains share.
+    ``contents`` and ``styles`` hold each block's encodings. ``mask[p]`` is
+    True on the partition of row p's class (on every item of a pooled bank).
+    ``cosines`` holds all blocks' content rows' cosine similarities to the
+    keys of the bank the set was built for, with their dot products and
+    norms, block b in its columns ``cosines.columns[b]``; ``weights`` holds
+    the class-restricted read weights ``softmax_rows(cosines.sims, mask)``.
+    ``mask`` and ``weights`` are (P, N) views of item-major storage, over all
+    blocks' P rows.
     """
 
-    content: Encoding
-    style: Encoding
+    contents: tuple[Encoding, ...]
+    styles: tuple[Encoding, ...]
     mask: np.ndarray
     cosines: Cosines
     weights: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.content.shape[0]
-
-    @property
-    def sims(self) -> np.ndarray:
-        return self.cosines.sims
 
 
 def init_bank(layout: MemoryLayout, channels: int, rng: np.random.Generator) -> MemoryBank:
@@ -166,18 +161,16 @@ def init_bank(layout: MemoryLayout, channels: int, rng: np.random.Generator) -> 
     return MemoryBank(*planes, layout)
 
 
-def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tuple) -> tuple:
-    """Query sets of blocks of encodings (a scene pair's two domains, or
+def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tuple) -> QuerySet:
+    """The query set of blocks of encodings (a scene pair's two domains, or
     one block ``(content,)``) addressed in one pass: row p of block b
     addresses the partition of class ``labels[b][p]``. Content encodings
     are scored against the keys (see :class:`~stylemem.numerics.Encoding`).
 
     A pooled bank ignores the labels; otherwise labels missing from the
-    layout raise :class:`LayoutError`. Returns the (P, N) partition mask of
-    all blocks' P rows, their content-key :class:`Cosines` and each block's
-    :class:`QuerySet`, whose ``mask``, ``weights`` and ``cosines`` are views
-    of the block's columns of that storage, by the block rule of
-    :mod:`stylemem.numerics`: the bits of its own one-block call.
+    layout raise :class:`LayoutError`. Block b's columns of the set's
+    storage have the bits of its own one-block call, by the block rule of
+    :mod:`stylemem.numerics`.
     """
     labels = tuple(np.asarray(block_labels) for block_labels in labels)
     for content, style, block_labels in zip(contents, styles, labels, strict=True):
@@ -199,30 +192,28 @@ def address_blocks(bank: MemoryBank, contents: tuple, styles: tuple, labels: tup
     cosines = Cosines.between(contents, (bank.keys,) * len(contents))
     # each query's softmax over its items, a column softmax; an all-True mask masks nothing
     weights = softmax_cols(cosines.sims.T, None if pooled else mask) if len(every) else np.zeros(mask.shape)
-    sets = tuple(
-        QuerySet(contents[b], styles[b], mask[:, cols].T, cosines.block(b), weights[:, cols].T)
-        for b, cols in enumerate(cosines.columns)
-    )
-    return mask.T, cosines, sets
+    return QuerySet(contents, styles, mask.T, cosines, weights.T)
 
 
-def _check_queries(bank: MemoryBank, queries: QuerySet) -> None:
-    if queries.size == 0:
-        raise EmptyClusterError("query set is empty")
-    expected = (queries.size, bank.n_items)
-    if queries.sims.shape != expected or queries.mask.shape != expected:
+def _check_queries(bank: MemoryBank, queries: QuerySet) -> int:
+    """The set's row count P, once its (P, N) arrays are checked."""
+    expected = (queries.cosines.row_norms.shape[0], bank.n_items)
+    if queries.cosines.sims.shape != expected or queries.mask.shape != expected:
         raise ShapeError(f"query set sims/mask shapes differ from {expected}")
+    return expected[0]
 
 
 def read(bank: MemoryBank, queries: QuerySet) -> np.ndarray:
-    """Class-restricted read weights (P, N), the view that
-    :func:`address_blocks` stored: each row a softmax over the cosines of
-    its partition, exactly zero outside it. Domain d's weights mix the
-    opposite domain's value plane. This accessor stays only because
+    """Class-restricted read weights (P, N) of all the set's blocks, the
+    view that :func:`address_blocks` stored: each row a softmax over the
+    cosines of its partition, exactly zero outside it. Domain d's weights
+    mix the opposite domain's value plane. A set with no rows raises
+    :class:`EmptyClusterError`. This accessor stays only because
     ``perfbench`` traces ``memory.read`` (``tracer.SPAN_FUNCTIONS``, its
     tracer test and the ``memory.read.*`` metrics of ``BENCHMARK.json``).
     """
-    _check_queries(bank, queries)
+    if _check_queries(bank, queries) == 0:
+        raise EmptyClusterError("query set is empty")
     return queries.weights
 
 
@@ -237,26 +228,30 @@ def read_global(bank: MemoryBank, sims: np.ndarray) -> np.ndarray:
 
 
 def read_backward(bank: MemoryBank, queries: QuerySet, g_weights: np.ndarray) -> FeatureGrad:
-    """Gradient of a loss of a class-restricted read with respect to its
-    content rows, a :class:`FeatureGrad` on the keys.
+    """Gradient of a loss of the class-restricted reads of all the set's
+    blocks with respect to their content rows, a :class:`FeatureGrad` on
+    the keys whose columns are the blocks' columns.
 
-    ``g_weights`` is d(loss)/d(weights), item-major (N, P): ``V @ U.T`` for
-    a loss whose gradient at the mixture ``weights @ V`` is U (P, C). The
-    reconstruction loss takes it from the factors of the
+    ``g_weights`` is d(loss)/d(weights), item-major (N, P) over all blocks:
+    ``V @ U.T`` for a loss whose gradient at the mixture ``weights @ V`` is
+    U (P, C). The reconstruction loss takes it from the factors of the
     :mod:`stylemem.numerics` read rule instead. Keys and values are
     constants (they evolve through :func:`update`, not gradient descent), so
     only the query gradient is produced. The path is masked softmax ->
     cosine similarity; the [-1, 1] clamp on the similarity is treated as
     inactive. The read weights, cosines and norms come from the query set,
-    addressed against ``bank``; they may be views of a scene pair's storage.
-    With g the gradient at the cosines and w their denominators, row q gets
-    ``sum_k (g_k / w_k) (k - sims_k ||k|| q / ||q||)``: ``coef`` is g / w,
-    and ``scale`` the factor of q.
+    addressed against ``bank``. With g the gradient at the cosines and w
+    their denominators, row q gets ``sum_k (g_k / w_k) (k - sims_k ||k|| q
+    / ||q||)``: ``coef`` is g / w, and ``scale`` the factor of q. Every
+    sum runs over items, one column at a time, so each block's columns
+    have the bits of its own one-block call.
     """
-    _check_queries(bank, queries)
+    size = _check_queries(bank, queries)
+    if size == 0:
+        raise EmptyClusterError("query set is empty")
     g_weights = np.asarray(g_weights, dtype=np.float64)
-    if g_weights.shape != (bank.n_items, queries.size):
-        raise ShapeError(f"g_weights shape {g_weights.shape}, expected {(bank.n_items, queries.size)}")
+    if g_weights.shape != (bank.n_items, size):
+        raise ShapeError(f"g_weights shape {g_weights.shape}, expected {(bank.n_items, size)}")
 
     # item-major (N, P) throughout: the sums over items run along axis 0
     alpha = queries.weights.T
@@ -265,35 +260,40 @@ def read_backward(bank: MemoryBank, queries: QuerySet, g_weights: np.ndarray) ->
     # through the softmax jacobian; masked entries have alpha = 0 and so get no gradient
     g_sims = alpha * (g_weights - (alpha * g_weights).sum(axis=0))
 
-    # d sims / d query: k / w  -  sims * ||k|| * q / (w * ||q||)
+    # d sims / d query: k / w  -  sims * ||k|| * q / (w * ||q||); every block scores the keys
     g_scaled = g_sims / cos.denom.T
-    coeff = (g_scaled * cos.sims.T * cos.item_norms.T).sum(axis=0)
+    coeff = (g_scaled * cos.sims.T * cos.item_norms[:1].T).sum(axis=0)
     safe_q = np.maximum(cos.row_norms, EPS_DIV)
     return FeatureGrad(bank.keys, g_scaled, -coeff / safe_q)
 
 
-def update(bank: MemoryBank, queries_x: QuerySet | None, queries_y: QuerySet | None) -> MemoryBank:
-    """Fold both domains' features into the items they address.
+def update(bank: MemoryBank, queries: QuerySet) -> MemoryBank:
+    """Fold the set's blocks into the items they address: block b (x, then
+    y) into value plane b.
 
-    Keys absorb assignment-weighted content from both domains (content is
-    shared), while each value plane absorbs only its own domain's style. An
-    item's weights are its softmax over the cosines of the queries that
-    address it: one unit of mass spread across them. Every touched row is
-    re-normalized to unit length; items no query addresses stay
-    bit-identical. An empty or missing domain contributes nothing. The
-    features are folded by the encoding rule of :mod:`stylemem.numerics`.
+    Keys absorb assignment-weighted content from every block (content is
+    shared), while each value plane absorbs only its own block's style. An
+    item's weights are its softmax over the cosines of the block's queries
+    that address it: one unit of mass spread across them. Every touched row
+    is re-normalized to unit length; items no query addresses stay
+    bit-identical. An empty block contributes nothing; a set of more than
+    two blocks raises :class:`ShapeError`. The features are folded by the
+    encoding rule of :mod:`stylemem.numerics`.
     """
+    if len(queries.contents) > 2:
+        raise ShapeError(f"an update folds one block per value plane, got {len(queries.contents)} blocks")
+    _check_queries(bank, queries)
     keys, planes = bank.keys.copy(), (bank.values_x.copy(), bank.values_y.copy())
     key_accum = bank.keys.copy()
     touched = np.zeros(bank.n_items, dtype=bool)
-    for queries, plane in zip((queries_x, queries_y), planes):
-        if queries is None or queries.size == 0:
+    sims, mask = queries.cosines.sims.T, queries.mask.T  # (N, P) storage
+    for content, style, cols, plane in zip(queries.contents, queries.styles, queries.cosines.columns, planes):
+        if cols.start == cols.stop:
             continue
-        _check_queries(bank, queries)
-        beta = softmax_rows(queries.sims.T, queries.mask.T)  # (N, P): a row softmax of the storage
-        hit = queries.mask.T.any(axis=1)
-        key_accum += queries.content.fold(beta)
-        plane[hit] = l2_normalize_rows(plane[hit] + queries.style.fold(beta)[hit])
+        beta = softmax_rows(sims[:, cols], mask[:, cols])  # (N, P_b): a row softmax of the storage
+        hit = mask[:, cols].any(axis=1)
+        key_accum += content.fold(beta)
+        plane[hit] = l2_normalize_rows(plane[hit] + style.fold(beta)[hit])
         touched |= hit
     if touched.any():
         keys[touched] = l2_normalize_rows(key_accum[touched])

@@ -23,9 +23,9 @@ runs along axis 0, one contiguous P-vector at a time. The (P, N) names, such
 as ``Cosines.sims``, are transposed views of that storage; on such a view
 :func:`softmax_rows` is :func:`softmax_cols` of the stored array, bit for
 bit. Blocks of queries (a scene pair's two domains) share one storage, each
-in its own columns, whose (P, N) views are the block's names. The block
-rule: each block of a pair's storage, and each result taken from it, has
-the bits of its own one-block call.
+in its own columns (``Cosines.columns``), and consumers slice those. The
+block rule: each block's columns of a pair's storage, and each result taken
+from them, have the bits of its own one-block call.
 
 Feature gradients are factored. The memory touches an encoded row only
 through its N items and the row itself, so the gradient of a loss with
@@ -188,8 +188,7 @@ class Cosines:
     ``dots``, ``denom`` and ``sims`` are (P, N) views of item-major (N, P)
     arrays; their ``.T`` is the C-contiguous storage. The rows come in
     blocks (:meth:`between`): block b owns columns ``columns[b]`` of the
-    storage and row b of ``item_norms`` (B, N), and :meth:`block` is its
-    one-block view. ``row_norms`` is (P,).
+    storage and row b of ``item_norms`` (B, N). ``row_norms`` is (P,).
     """
 
     row_norms: np.ndarray
@@ -221,11 +220,6 @@ class Cosines:
         sims = np.divide(dots, denom)
         np.minimum(np.maximum(sims, -1.0, out=sims), 1.0, out=sims)  # np.clip's bits, in [-1, 1]
         return cls(norms, item_norms, dots.T, denom.T, sims.T, tuple(columns))
-
-    def block(self, b: int) -> "Cosines":
-        cols = self.columns[b]
-        norms, span = self.row_norms[cols], (slice(0, cols.stop - cols.start),)
-        return Cosines(norms, self.item_norms[b : b + 1], self.dots[cols], self.denom[cols], self.sims[cols], span)
 
 
 @dataclass(slots=True)

@@ -3,8 +3,9 @@
 ``reference_compute_losses``/``reference_train_step`` are the training
 iteration written as a loop over 2 domains x the classes present in a
 scene: item losses over each class's partition (:func:`one_block`), then
-one class-restricted ``read``, ``read_backward`` and ``update`` per class
-cluster, with the results scattered back to scene positions. The package
+one class-restricted ``read`` and ``read_backward`` per class cluster, with
+the results scattered back to scene positions, and one ``update`` per class
+of the set that addresses its x and y clusters as two blocks. The package
 computes the same quantities in one masked (P, N) pass per memory plane;
 ``test_dense_training.py`` compares the two. The reference holds its
 gradients dense, as (P, C) arrays built by :func:`dense_gradient`, and
@@ -112,16 +113,20 @@ def span(layout, class_id: int) -> tuple[int, int]:
     raise LayoutError(f"class {class_id} not in layout (have {list(layout.class_ids)})")
 
 
-def addressed(bank, cluster: ClassCluster | None):
-    """A cluster as a query set addressing its class's partition."""
-    if cluster is None:
-        return None
-    return address_one(bank, cluster.content, cluster.style, np.full(cluster.size, cluster.class_id))
+def addressed(bank, *clusters: ClassCluster):
+    """Clusters as one query set, block b addressing cluster b's class partition."""
+    return address_rows(bank, *((c.content, c.style, np.full(c.size, c.class_id)) for c in clusters))
 
 
 def address_one(bank, content, style, labels):
     """The query set of one block of rows: ``address_blocks`` on one-tuples."""
-    return address_blocks(bank, (encoded(content),), (encoded(style),), (labels,))[2][0]
+    return address_rows(bank, (content, style, labels))
+
+
+def address_rows(bank, *blocks):
+    """The query set of blocks of rows, each a (content, style, labels) triple."""
+    contents, styles, labels = zip(*blocks)
+    return address_blocks(bank, tuple(map(encoded, contents)), tuple(map(encoded, styles)), labels)
 
 
 def read_global_one(bank, content):
@@ -222,7 +227,7 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
             upstream = (2.0 / p_total) * diff
             g_weights[d][:, cluster.positions] = plane @ upstream.T
             through_read = dense_gradient(
-                read_backward(bank, queries, g_weights[d][:, cluster.positions]), queries.content.rows
+                read_backward(bank, queries, g_weights[d][:, cluster.positions]), queries.contents[0].rows
             )
             grad_content[d][cluster.positions] += settings.rec_loss_weight * through_read
             grad_style[opposite][cluster.positions] -= settings.rec_loss_weight * upstream
@@ -283,15 +288,9 @@ def reference_train_step(state, pair, settings, update_memory=True):
     if not update_memory:
         return ref, encoders, bank
 
-    by_class_x = {c.class_id: c for c in ref.clusters["x"]}
-    by_class_y = {c.class_id: c for c in ref.clusters["y"]}
     new_bank = bank
-    for class_id in sorted(set(by_class_x) | set(by_class_y)):
-        new_bank = update(
-            new_bank,
-            addressed(new_bank, by_class_x.get(class_id)),
-            addressed(new_bank, by_class_y.get(class_id)),
-        )
+    for cx, cy in zip(ref.clusters["x"], ref.clusters["y"], strict=True):  # the domains share the labels
+        new_bank = update(new_bank, addressed(new_bank, cx, cy))
     return ref, encoders, new_bank
 
 
@@ -385,11 +384,12 @@ def one_block(queries, items, pool):
     return (encoded(queries),), items, mask
 
 
-def assignment_weights(queries):
-    """The (P, N) weights with which ``memory.update`` folds a query set into
-    the items, in its expression: each item's softmax over the cosines of
-    the queries that address it."""
-    return softmax_rows(queries.sims.T, queries.mask.T).T
+def assignment_weights(queries, cols=slice(None)):
+    """The (P, N) weights with which ``memory.update`` folds the block of a
+    query set in columns ``cols`` (by default a one-block set's only block)
+    into the items, in its expression: each item's softmax over the cosines
+    of the block's queries that address it."""
+    return softmax_rows(queries.cosines.sims.T[:, cols], queries.mask.T[:, cols]).T
 
 
 def dense_gradient(grad, rows):

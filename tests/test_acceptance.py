@@ -29,7 +29,7 @@ from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 from fdcheck import fd_check
 from oracles import oracle_read, oracle_read_global, oracle_update
 from reference import (
-    address_one, assignment_weights, dense_gradient, encoding, factored_loss, one_block,
+    address_rows, assignment_weights, dense_gradient, encoding, factored_loss, one_block,
     opposite_plane, read_global_one, span,
 )
 
@@ -60,11 +60,16 @@ def _random_bank(rng, layout, channels):
     )
 
 
-def _cluster(rng, bank, class_id, size):
-    """Random query rows of one class, addressing that class's partition."""
+def _cluster_rows(rng, bank, class_id, size):
+    """Random content and style rows of one class, with their labels."""
     content = rng.standard_normal((size, bank.channels))
     style = rng.standard_normal((size, bank.channels))
-    return address_one(bank, content, style, np.full(size, class_id))
+    return content, style, np.full(size, class_id)
+
+
+def _cluster(rng, bank, class_id, size):
+    """Random query rows of one class, addressing that class's partition."""
+    return address_rows(bank, _cluster_rows(rng, bank, class_id, size))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +123,7 @@ def test_criterion_2_oracle_equivalence():
         got = read(bank, cluster)
         w_ref, s_ref = oracle_read(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
-            offset, count, cluster.content.rows.tolist(), domain,
+            offset, count, cluster.contents[0].rows.tolist(), domain,
         )
         worst = max(worst, float(np.abs(got - w_ref).max()))
         worst = max(worst, float(np.abs(got @ plane - s_ref).max()))
@@ -132,13 +137,13 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, float(np.abs(got_g - w_ref).max()))
         worst = max(worst, float(np.abs(got_g @ plane - s_ref).max()))
 
-        cx = _cluster(rng, bank, class_id, int(rng.integers(0, 9)))
-        cy = _cluster(rng, bank, class_id, int(rng.integers(0, 9)))
-        updated = update(bank, cx, cy)
+        cx = _cluster_rows(rng, bank, class_id, int(rng.integers(0, 9)))
+        cy = _cluster_rows(rng, bank, class_id, int(rng.integers(0, 9)))
+        updated = update(bank, address_rows(bank, cx, cy))
         k_ref, vx_ref, vy_ref = oracle_update(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
             offset, count,
-            cx.content.rows.tolist(), cx.style.rows.tolist(), cy.content.rows.tolist(), cy.style.rows.tolist(),
+            cx[0].tolist(), cx[1].tolist(), cy[0].tolist(), cy[1].tolist(),
         )
         worst = max(worst, float(np.abs(updated.keys - k_ref).max()))
         worst = max(worst, float(np.abs(updated.values_x - vx_ref).max()))
@@ -155,9 +160,9 @@ def test_criterion_3_update_normalization():
         bank = _random_bank(rng, layout, channels)
         class_id = int(rng.integers(0, len(layout.entries)))
         offset, count = span(layout, class_id)
-        cx = _cluster(rng, bank, class_id, int(rng.integers(1, 9)))
-        cy = _cluster(rng, bank, class_id, int(rng.integers(0, 9)))
-        updated = update(bank, cx, cy)
+        cx = _cluster_rows(rng, bank, class_id, int(rng.integers(1, 9)))
+        cy = _cluster_rows(rng, bank, class_id, int(rng.integers(0, 9)))
+        updated = update(bank, address_rows(bank, cx, cy))
         block = slice(offset, offset + count)
         for plane in (updated.keys, updated.values_x, updated.values_y):
             worst = max(worst, float(np.abs(np.linalg.norm(plane[block], axis=1) - 1.0).max()))
@@ -262,7 +267,8 @@ def test_criterion_4_gradient_correctness():
                     probe = replace(encoders, **{_name: replace(getattr(encoders, _name), **{_which: param})})
                     report, fwd = compute_losses(State(probe, bank), pair, settings)
                     grads = fwd.grad_content if _kind == "content" else fwd.grad_style
-                    gw, gb = backward(getattr(fwd.queries[_domain], _kind), grads[_domain])
+                    rows = getattr(fwd.queries, f"{_kind}s")["xy".index(_domain)]
+                    gw, gb = backward(rows, grads[_domain])
                     return report.total, gw if _which == "weight" else gb
 
                 enc = getattr(encoders, name)

@@ -89,12 +89,13 @@ def check_step(state, pair, settings, update_memory=True):
     for name in ("key_loss", "value_loss", "rec_loss", "total"):
         assert_close(getattr(report, name), getattr(ref, name))
         assert getattr(report, name) == getattr(dense_report, name)
-    for d in ("x", "y"):
+    q = fwd.queries
+    for d, content, style, cols in zip(("x", "y"), q.contents, q.styles, q.cosines.columns):
         np.testing.assert_array_equal(fwd.key_terms[d].positives, ref.key_positives[d])
         np.testing.assert_array_equal(fwd.value_terms[d].positives, ref.value_positives[d])
-        assert_close(dense_gradient(fwd.grad_content[d], fwd.queries[d].content.formed()), ref.grad_content[d])
-        assert_close(dense_gradient(fwd.grad_style[d], fwd.queries[d].style.formed()), ref.grad_style[d])
-        assert_close(fwd.g_weights[d], ref.g_weights[d])
+        assert_close(dense_gradient(fwd.grad_content[d], content.formed()), ref.grad_content[d])
+        assert_close(dense_gradient(fwd.grad_style[d], style.formed()), ref.grad_style[d])
+        assert_close(fwd.g_weights[:, cols], ref.g_weights[d])
     # the step's per-domain item-loss terms: key x, value x, key y, value y
     terms = [fwd.key_terms["x"], fwd.value_terms["x"], fwd.key_terms["y"], fwd.value_terms["y"]]
     if settings.loss_variant == "triplet":
@@ -128,11 +129,11 @@ def encoder_gradients(encoders, pair, fwd, ref):
     """(package (d_weight, d_bias), reference (G.T @ inputs, G.sum(0))) per
     encoder name."""
     out = {}
-    for d, style in zip(("x", "y"), pair.styles):
-        q = fwd.queries[d]
+    q = fwd.queries
+    for d, style, content_rows, style_rows in zip(("x", "y"), pair.styles, q.contents, q.styles):
         for kind, inputs, grad, encoded, dense in (
-            ("content", pair.content, fwd.grad_content[d], q.content, ref.grad_content[d]),
-            ("style", style, fwd.grad_style[d], q.style, ref.grad_style[d]),
+            ("content", pair.content, fwd.grad_content[d], content_rows, ref.grad_content[d]),
+            ("style", style, fwd.grad_style[d], style_rows, ref.grad_style[d]),
         ):
             out[f"{kind}_{d}"] = (backward(encoded, grad), (dense.T @ inputs, dense.sum(axis=0)))
     return out
@@ -174,7 +175,7 @@ def test_encoder_gradients_where_the_factored_terms_cancel(row, channels):
         ref = reference_compute_losses(encoders, bank, pair, settings)
         _, fwd = compute_losses(State(encoders, bank), pair, settings)
         if row == "content-norm-1e-8":
-            assert np.linalg.norm(fwd.queries["x"].content.formed()[0]) == pytest.approx(1e-8, rel=1e-6)
+            assert np.linalg.norm(fwd.queries.contents[0].formed()[0]) == pytest.approx(1e-8, rel=1e-6)
         else:
             assert fwd.key_terms["x"].positives[0] == offset
             assert 0.0 < fwd.key_terms["x"].gradient().scale[0] == pytest.approx(1e9, rel=1e-6)
@@ -191,7 +192,8 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
         pair, bank, encoders = problem(seed, True, channels)
         settings = TrainSettings()
         _, fwd = compute_losses(State(encoders, bank), pair, settings)
-        mixture = (read(bank, fwd.queries["x"]) @ bank.values_y)[0]  # a_0 V_y
+        x, y = fwd.queries.cosines.columns
+        mixture = (read(bank, fwd.queries)[x] @ bank.values_y)[0]  # a_0 V_y
         toward = split_rng(seed, 4).standard_normal(bank.channels)
         toward /= np.linalg.norm(toward)
         enc = encoders.style_y
@@ -200,20 +202,20 @@ def test_reconstruction_where_the_expanded_residual_cancels(gap, channels):
         ref = reference_compute_losses(encoders, bank, pair, settings)
         state = State(encoders, bank)
         report, fwd = compute_losses(state, pair, settings)
-        miss = np.linalg.norm(fwd.queries["y"].style.formed()[0] - mixture)
+        miss = np.linalg.norm(fwd.queries.styles[1].formed()[0] - mixture)
         assert miss <= 1e-15 * np.linalg.norm(mixture) if gap == 0.0 else miss == pytest.approx(gap, rel=1e-6)
 
         assert_close(report.rec_loss, ref.rec_loss)
-        for d in ("x", "y"):
-            assert_close(fwd.g_weights[d], ref.g_weights[d])
+        for d, cols in zip(("x", "y"), (x, y)):
+            assert_close(fwd.g_weights[:, cols], ref.g_weights[d])
         for got, want in encoder_gradients(encoders, pair, fwd, ref).values():
             assert_close(got[0], want[0])
             assert_close(got[1], want[1])
         cols = fwd.values.columns[1]
-        weights = fwd.queries["x"].weights.T
+        weights = fwd.queries.weights.T[:, x]
         fidelity = read_cosines(weights, bank.grams["y"], fwd.values.dots.T[:, cols], fwd.values.row_norms[cols])
-        mixtures = read(bank, fwd.queries["x"]) @ bank.values_y
-        assert_close(fidelity, cosine_rows(mixtures, fwd.queries["y"].style.formed()))
+        mixtures = read(bank, fwd.queries)[x] @ bank.values_y
+        assert_close(fidelity, cosine_rows(mixtures, fwd.queries.styles[1].formed()))
         norm_sq = float(fwd.values.row_norms[cols][0]) ** 2  # 1, less the share of EPS_DIV in the denominator
         assert fidelity[0] == pytest.approx(norm_sq / (norm_sq + EPS_DIV), rel=1e-14)
 

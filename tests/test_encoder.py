@@ -175,6 +175,26 @@ def test_a_step_makes_and_advances_the_adam_moments_of_its_state():
     assert [m.step_count for m in moments] == [2] * 8
 
 
+def test_a_state_whose_moments_moved_on_is_not_stepped_again():
+    # its step would start from the moments of a later step, with no error
+    _, pair, bank, encoders = small_problem(45)
+    _, stepped = train_step(State(encoders, bank), pair, TrainSettings())
+    _, again = train_step(stepped, pair, TrainSettings())
+    assert (stepped.steps, again.steps) == (1, 2)
+    message = "the state's Adam moments are at step 2, the state at step 1"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        train_step(stepped, pair, TrainSettings())
+    # the refused step moved nothing: the newest state steps on as a run that never made it
+    _, third = train_step(again, pair, TrainSettings())
+    fresh = State(encoders, bank)
+    for _ in range(3):
+        _, fresh = train_step(fresh, pair, TrainSettings())
+    assert third.steps == fresh.steps == 3
+    for got, want in zip(third.encoders.all(), fresh.encoders.all()):
+        assert_same_bits(got.weight, want.weight)
+        assert_same_bits(got.bias, want.bias)
+
+
 # --- train_step ---
 
 
@@ -252,9 +272,8 @@ WEIGHTED = dict(key_loss_weight=0.7, value_loss_weight=0.3, rec_loss_weight=1.3)
 def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
     _, pair, bank, encoders = small_problem(53)
     _, fwd = compute_losses(State(encoders, bank), pair, settings)
-    shared = [
-        a for d, q in fwd.queries.items() for a in (fwd.g_weights[d], q.content.rows, q.style.rows, q.weights, q.sims)
-    ]
+    q = fwd.queries
+    shared = [fwd.g_weights, *(e.rows for e in (*q.contents, *q.styles)), q.weights, q.cosines.sims]
     before = [a.copy() for a in shared]
     grads = [*fwd.grad_content.values(), *fwd.grad_style.values()]
     for kept, now in zip(before, shared):
@@ -262,27 +281,27 @@ def test_gradients_are_the_weighted_sums_in_arrays_of_their_own(settings):
     assert not any(np.shares_memory(part, a) for g in grads for part in (g.coef, g.scale) for a in shared)
 
     s = settings
-    for d, opposite in (("x", "y"), ("y", "x")):
+    through_read = read_backward(bank, q, fwd.g_weights)  # one call for both domains' columns
+    columns, rows_of = q.cosines.columns, (e.rows for e in q.styles)
+    for d, own, opposite, rows in zip(("x", "y"), columns, columns[::-1], rows_of):
         key = fwd.key_terms[d].gradient()
-        through_read = read_backward(bank, fwd.queries[d], fwd.g_weights[d])
         got = fwd.grad_content[d]
         assert got.items is bank.keys
         np.testing.assert_array_equal(
-            got.coef, s.key_loss_weight * key.coef + s.rec_loss_weight * through_read.coef
+            got.coef, s.key_loss_weight * key.coef + s.rec_loss_weight * through_read.coef[:, own]
         )
         np.testing.assert_array_equal(
-            got.scale, s.key_loss_weight * key.scale + s.rec_loss_weight * through_read.scale
+            got.scale, s.key_loss_weight * key.scale + s.rec_loss_weight * through_read.scale[own]
         )
         # the reconstruction term of style d: -(2/P) times the opposite read's weights, on values_d, plus 2/P
         value, rec = fwd.value_terms[d].gradient(), s.rec_loss_weight * 2.0 / pair.labels.shape[0]
         got = fwd.grad_style[d]
         assert got.items is value.items is (bank.values_x if d == "x" else bank.values_y)
         np.testing.assert_array_equal(
-            got.coef, s.value_loss_weight * value.coef - rec * fwd.queries[opposite].weights.T
+            got.coef, s.value_loss_weight * value.coef - rec * q.weights.T[:, opposite]
         )
         np.testing.assert_array_equal(got.scale, s.value_loss_weight * value.scale + rec)
-        rows = fwd.queries[d].style.rows
-        residual = read(bank, fwd.queries[opposite]) @ got.items - rows  # the opposite read mixes values_d
+        residual = read(bank, q)[opposite] @ got.items - rows  # the opposite read mixes values_d
         want = s.value_loss_weight * dense_gradient(value, rows) - rec * residual
         np.testing.assert_allclose(dense_gradient(got, rows), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
@@ -427,7 +446,7 @@ def _param_loss_fn(encoders, bank, pair, settings, name, which):
         probe = replace(encoders, **{name: replace(getattr(encoders, name), **{which: param})})
         report, fwd = compute_losses(State(probe, bank), pair, settings)
         grad_map = fwd.grad_content if kind == "content" else fwd.grad_style
-        gw, gb = backward(getattr(fwd.queries[domain], kind), grad_map[domain])
+        gw, gb = backward(getattr(fwd.queries, f"{kind}s")["xy".index(domain)], grad_map[domain])
         return report.total, gw if which == "weight" else gb
 
     return fn

@@ -233,4 +233,4 @@ def test_address_keeps_the_masked_read_weights(counts):
         content = rng.standard_normal((40, 6))
         labels = rng.choice(layout.class_ids, size=40)
         queries = address_one(bank, content, rng.standard_normal((40, 6)), labels)
-        np.testing.assert_array_equal(queries.weights, softmax_rows(queries.sims, queries.mask))
+        np.testing.assert_array_equal(queries.weights, softmax_rows(queries.cosines.sims, queries.mask))

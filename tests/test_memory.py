@@ -28,18 +28,28 @@ from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from oracles import oracle_read, oracle_read_global, oracle_update
 from reference import (
-    PAIR_CASES, address_one, assert_same_bits, assignment_weights, dense_gradient, encoded, opposite_plane, pair_rows,
-    read_global_one, span,
+    PAIR_CASES, address_one, address_rows, assert_same_bits, assignment_weights, dense_gradient, encoded,
+    opposite_plane, pair_rows, read_global_one, span,
 )
 
 TOY_COUNTS = [(1, 3), (2, 2), (3, 2), (0, 3)]
 
 
-def make_cluster(bank, rng, class_id, size):
-    """Random query rows of one class, addressing that class's partition."""
+def class_rows(bank, rng, class_id, size):
+    """Random content and style rows of one class, with their labels."""
     content = rng.standard_normal((size, bank.channels))
     style = rng.standard_normal((size, bank.channels))
-    return class_queries(bank, class_id, content, style)
+    return content, style, np.full(size, class_id)
+
+
+def make_cluster(bank, rng, class_id, size):
+    """Random query rows of one class, addressing that class's partition."""
+    return address_rows(bank, class_rows(bank, rng, class_id, size))
+
+
+def make_pair(bank, rng, class_x, size_x, class_y, size_y):
+    """Random query rows of a class per domain, as one two-block set (x drawn first)."""
+    return address_rows(bank, class_rows(bank, rng, class_x, size_x), class_rows(bank, rng, class_y, size_y))
 
 
 def class_queries(bank, class_id, content, style):
@@ -142,15 +152,15 @@ def test_address_stores_query_item_arrays_item_major(counts):
     queries = address_one(bank, rng.standard_normal((40, 6)), rng.standard_normal((40, 6)), labels)
     shape = (40, bank.n_items)
     cos = queries.cosines
-    for view in (queries.mask, queries.weights, queries.sims, cos.dots, cos.denom, cos.sims):
+    for view in (queries.mask, queries.weights, cos.dots, cos.denom, cos.sims):
         assert_item_major_view(view, shape)
     if counts == TOY_COUNTS:
         np.testing.assert_array_equal(queries.mask, labels[:, None] == bank.layout.item_classes)
     else:
         assert queries.mask.all()
     assert read(bank, queries) is queries.weights
-    assert_item_major_view(read_global(bank, queries.sims), shape)
-    assert_item_major_view(read_global_one(bank, queries.content.rows), shape)
+    assert_item_major_view(read_global(bank, cos.sims), shape)
+    assert_item_major_view(read_global_one(bank, queries.contents[0].rows), shape)
     assert_item_major_view(assignment_weights(queries), shape)
 
 
@@ -171,19 +181,18 @@ def assert_pair_views(x_view, y_view, shape):
 @pytest.mark.parametrize("class_aware, side", PAIR_CASES)
 def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
     bank, contents, styles, labels = pair_rows(27, class_aware, side)
-    mask, cosines, pair = address_blocks(bank, tuple(map(encoded, contents)), tuple(map(encoded, styles)), labels)
+    pair = address_blocks(bank, tuple(map(encoded, contents)), tuple(map(encoded, styles)), labels)
+    mask, cosines = pair.mask, pair.cosines
     shape = (side * side, bank.n_items)
     assert mask.T.flags.c_contiguous and mask.shape == (2 * shape[0], shape[1])
     assert cosines.columns == (slice(0, shape[0]), slice(shape[0], 2 * shape[0]))
-    qx, qy = pair
-    for name in ("mask", "weights", "sims"):
-        assert_pair_views(getattr(qx, name), getattr(qy, name), shape)
-    for name in ("dots", "denom", "sims"):
-        assert_pair_views(getattr(qx.cosines, name), getattr(qy.cosines, name), shape)
-    assert qx.mask.base is mask.base and qx.sims.base is cosines.sims.base
+    x, y = cosines.columns
+    for view in (mask, pair.weights, cosines.dots, cosines.denom, cosines.sims):
+        assert_pair_views(view[x], view[y], shape)
+    assert mask[x].base is mask.base and cosines.sims[x].base is cosines.sims.base
     reads = read_global(bank, cosines.sims)  # one test-time softmax
     assert_pair_views(*(reads[cols] for cols in cosines.columns), shape)
-    for sims in (qx.sims[:, 1:], cosines.sims[:0], qx.sims.ravel()):
+    for sims in (cosines.sims[x][:, 1:], cosines.sims[:0], cosines.sims[x].ravel()):
         with pytest.raises(ShapeError, match="sims"):
             read_global(bank, sims)
     # the cosines alone, two blocks in one call
@@ -195,37 +204,49 @@ def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
     for blocks in ((empty, rows[1]), (rows[0], empty), (narrow, rows[1]), (rows[0], narrow)):
         with pytest.raises(ShapeError, match="do not fit keys"):
             cosine_matrix(blocks, bank.keys)
-    for d, queries, content, style, block_labels, cols in zip("xy", pair, contents, styles, labels, cosines.columns):
+    g_weights = make_rng(28).standard_normal((bank.n_items, shape[0]))
+    through_pair = read_backward(bank, pair, np.concatenate((g_weights, g_weights), axis=1))  # both blocks at once
+    for b, (d, content, style, block_labels, cols) in enumerate(zip("xy", contents, styles, labels, cosines.columns)):
         single = address_one(bank, content, style, block_labels)
         plane = opposite_plane(bank, d)
         pair_read = reads[cols]
         assert_same_bits(both.sims[cols], cosine_matrix((encoded(content),), bank.keys).sims)
-        assert_same_bits(both.sims[cols], single.sims)
-        assert_same_bits(pair_read, read_global(bank, queries.sims))
+        assert_same_bits(both.sims[cols], single.cosines.sims)
+        assert_same_bits(pair_read, read_global(bank, cosines.sims[cols]))
         assert_same_bits(pair_read @ plane, read_global_one(bank, content) @ plane)
-        for name in ("content", "style"):
-            assert_same_bits(getattr(queries, name).rows, getattr(single, name).rows)
+        for name in ("contents", "styles"):
+            assert_same_bits(getattr(pair, name)[b].rows, getattr(single, name)[0].rows)
         for name in ("mask", "weights"):
-            assert_same_bits(getattr(queries, name), getattr(single, name))
-        for name in ("dots", "denom", "sims", "row_norms", "item_norms"):
-            assert_same_bits(getattr(queries.cosines, name), getattr(single.cosines, name))
-        g_weights = make_rng(28).standard_normal((bank.n_items, len(content)))
-        assert_same_bits(read(bank, queries) @ plane, read(bank, single) @ plane)
-        through_pair, through_single = (read_backward(bank, q, g_weights) for q in (queries, single))
+            assert_same_bits(getattr(pair, name)[cols], getattr(single, name))
+        for name in ("dots", "denom", "sims", "row_norms"):
+            assert_same_bits(getattr(cosines, name)[cols], getattr(single.cosines, name))
+        assert_same_bits(cosines.item_norms[b : b + 1], single.cosines.item_norms)
+        assert_same_bits(read(bank, pair)[cols] @ plane, read(bank, single) @ plane)
+        through_single = read_backward(bank, single, g_weights)
         assert through_pair.items is through_single.items is bank.keys
-        assert_same_bits(through_pair.coef, through_single.coef)
-        assert_same_bits(through_pair.scale, through_single.scale)
-        assert_same_bits(assignment_weights(queries), assignment_weights(single))
+        assert_same_bits(through_pair.coef[:, cols], through_single.coef)
+        assert_same_bits(through_pair.scale[cols], through_single.scale)
+        assert_same_bits(assignment_weights(pair, cols), assignment_weights(single))
 
 
 @pytest.mark.parametrize("class_aware, side", PAIR_CASES)
 def test_update_on_the_pair_storage_is_update_on_separate_query_sets(class_aware, side):
     bank, contents, styles, labels = pair_rows(29, class_aware, side)
-    _, _, (qx, qy) = address_blocks(bank, tuple(map(encoded, contents)), tuple(map(encoded, styles)), labels)
+    got = update(bank, address_blocks(bank, tuple(map(encoded, contents)), tuple(map(encoded, styles)), labels))
     separate = [address_one(bank, *rows) for rows in zip(contents, styles, labels)]
-    got, want = update(bank, qx, qy), update(bank, *separate)
-    for plane in ("keys", "values_x", "values_y"):
-        assert_same_bits(getattr(got, plane), getattr(want, plane))
+    # each value plane: an update whose set holds only that domain's rows
+    no_rows = (np.zeros((0, bank.channels)), np.zeros((0, bank.channels)), np.zeros(0, dtype=int))
+    only_y = address_rows(bank, no_rows, (contents[1], styles[1], labels[1]))
+    assert_same_bits(got.values_x, update(bank, separate[0]).values_x)
+    assert_same_bits(got.values_y, update(bank, only_y).values_y)
+    # the keys: both domains' one-block weights folded in update's order, x then y
+    accum, touched = bank.keys.copy(), np.zeros(bank.n_items, dtype=bool)
+    for single, content in zip(separate, contents):
+        accum += assignment_weights(single).T @ content
+        touched |= single.mask.any(axis=0)
+    keys = bank.keys.copy()
+    keys[touched] = l2_normalize_rows(accum[touched])
+    assert_same_bits(got.keys, keys)
 
 
 def test_item_classes_are_computed_once_and_read_only():
@@ -325,8 +346,8 @@ def test_read_direction_picks_cross_domain_values():
 
     def rec_loss(planes):
         total = 0.0
-        for d, opposite in (("x", "y"), ("y", "x")):
-            diff = read(bank, fwd.queries[d]) @ planes[d] - fwd.queries[opposite].style.formed()
+        for d, cols, opposite_style in zip("xy", fwd.queries.cosines.columns, fwd.queries.styles[::-1]):
+            diff = read(bank, fwd.queries)[cols] @ planes[d] - opposite_style.formed()
             total += float(np.sum(diff * diff))
         return total / pair.labels.shape[0]
 
@@ -358,7 +379,7 @@ def test_read_matches_read_global_for_single_partition():
     bank = random_bank(rng, [(0, 6)], 5)
     cluster = make_cluster(bank, rng, 0, 4)
     a = read(bank, cluster)
-    b = read_global_one(bank, cluster.content.rows)
+    b = read_global_one(bank, cluster.contents[0].rows)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a @ bank.values_y, b @ bank.values_y)
 
@@ -404,7 +425,7 @@ def test_read_and_update_match_scalar_oracle():
         got = read(bank, cluster)
         w_ref, s_ref = oracle_read(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
-            offset, count, cluster.content.rows.tolist(), domain,
+            offset, count, cluster.contents[0].rows.tolist(), domain,
         )
         np.testing.assert_allclose(got, w_ref, atol=1e-9)
         np.testing.assert_allclose(got @ plane, s_ref, atol=1e-9)
@@ -418,14 +439,14 @@ def test_read_and_update_match_scalar_oracle():
         np.testing.assert_allclose(got_g, w_ref, atol=1e-9)
         np.testing.assert_allclose(got_g @ plane, s_ref, atol=1e-9)
 
-        cx = make_cluster(bank, rng, cid, int(rng.integers(0, 4)))
-        cy = make_cluster(bank, rng, cid, int(rng.integers(0, 4)))
-        updated = update(bank, cx, cy)
+        cx = class_rows(bank, rng, cid, int(rng.integers(0, 4)))
+        cy = class_rows(bank, rng, cid, int(rng.integers(0, 4)))
+        updated = update(bank, address_rows(bank, cx, cy))
         k_ref, vx_ref, vy_ref = oracle_update(
             bank.keys.tolist(), bank.values_x.tolist(), bank.values_y.tolist(),
             offset, count,
-            cx.content.rows.tolist(), cx.style.rows.tolist(),
-            cy.content.rows.tolist(), cy.style.rows.tolist(),
+            cx[0].tolist(), cx[1].tolist(),
+            cy[0].tolist(), cy[1].tolist(),
         )
         np.testing.assert_allclose(updated.keys, k_ref, atol=1e-9)
         np.testing.assert_allclose(updated.values_x, vx_ref, atol=1e-9)
@@ -437,13 +458,14 @@ def test_read_and_update_match_scalar_oracle():
 
 def _fd_query_gradient(bank, cluster, domain, upstream, step=1e-6):
     labels = bank.layout.item_classes[np.argmax(cluster.mask, axis=1)]
-    grad = np.zeros_like(cluster.content.rows)
-    for p in range(cluster.content.shape[0]):
-        for c in range(cluster.content.shape[1]):
+    (content_rows,), (style,) = cluster.contents, cluster.styles
+    grad = np.zeros_like(content_rows.rows)
+    for p in range(content_rows.shape[0]):
+        for c in range(content_rows.shape[1]):
             for sign in (1.0, -1.0):
-                content = cluster.content.rows.copy()
+                content = content_rows.rows.copy()
                 content[p, c] += sign * step
-                bumped = address_one(bank, content, cluster.style.rows, labels)
+                bumped = address_one(bank, content, style.rows, labels)
                 value = float(np.sum(read(bank, bumped) @ opposite_plane(bank, domain) * upstream))
                 grad[p, c] += sign * value / (2.0 * step)
     return grad
@@ -460,7 +482,7 @@ def test_read_backward_zero_upstream():
     rng = make_rng(13)
     bank = random_bank(rng, [(0, 4)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
-    grad = dense_gradient(read_backward(bank, cluster, np.zeros((4, 3))), cluster.content.rows)
+    grad = dense_gradient(read_backward(bank, cluster, np.zeros((4, 3))), cluster.contents[0].rows)
     np.testing.assert_array_equal(grad, np.zeros((3, 5)))
 
 
@@ -469,7 +491,7 @@ def test_read_backward_single_item_constant_path():
     bank = random_bank(rng, [(0, 1)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
     upstream = rng.standard_normal((3, 5))
-    grad = dense_gradient(through_mixture(bank, cluster, "x", upstream), cluster.content.rows)
+    grad = dense_gradient(through_mixture(bank, cluster, "x", upstream), cluster.contents[0].rows)
     np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
 
@@ -478,7 +500,7 @@ def test_read_backward_matches_finite_differences():
     bank = random_bank(rng, [(0, 4), (1, 3)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
     upstream = rng.standard_normal((3, 5))
-    analytic = dense_gradient(through_mixture(bank, cluster, "x", upstream), cluster.content.rows)
+    analytic = dense_gradient(through_mixture(bank, cluster, "x", upstream), cluster.contents[0].rows)
     fd = _fd_query_gradient(bank, cluster, "x", upstream)
     rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     assert float(rel.max()) <= 1e-5
@@ -493,6 +515,25 @@ def test_read_backward_shape_check():
             read_backward(bank, cluster, np.zeros(shape))
 
 
+def test_read_backward_of_a_pair_takes_the_gradient_of_both_blocks():
+    rng = make_rng(33)
+    bank = random_bank(rng, TOY_COUNTS, 5)
+    pair = make_pair(bank, rng, 1, 3, 2, 3)
+    for shape in ((10, 3), (3, 10), (10, 7)):  # one domain's width, (P, N) of one domain, one query too many
+        with pytest.raises(ShapeError, match=re.escape(f"g_weights shape {shape}, expected (10, 6)")):
+            read_backward(bank, pair, np.zeros(shape))
+
+
+def test_read_and_read_backward_reject_an_all_empty_set():
+    rng = make_rng(32)
+    bank = random_bank(rng, TOY_COUNTS, 4)
+    empty = make_pair(bank, rng, 1, 0, 2, 0)
+    with pytest.raises(EmptyClusterError):
+        read(bank, empty)
+    with pytest.raises(EmptyClusterError):
+        read_backward(bank, empty, np.zeros((bank.n_items, 0)))
+
+
 # --- update ---
 
 
@@ -504,9 +545,9 @@ def test_update_single_query_single_item():
         np.array([[1.0, 0.0]]),
         layout,
     )
-    cx = class_queries(bank, 0, np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]))
-    cy = class_queries(bank, 0, np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]))
-    updated = update(bank, cx, cy)
+    cx = (np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]), np.zeros(1, dtype=int))
+    cy = (np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), np.zeros(1, dtype=int))
+    updated = update(bank, address_rows(bank, cx, cy))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(updated.keys[0], [inv_sqrt2, inv_sqrt2], atol=1e-12)
 
@@ -514,8 +555,8 @@ def test_update_single_query_single_item():
 def test_update_both_empty_is_noop():
     rng = make_rng(17)
     bank = random_bank(rng, TOY_COUNTS, 4)
-    empty = class_queries(bank, 1, np.zeros((0, 4)), np.zeros((0, 4)))
-    updated = update(bank, empty, None)
+    empty = make_pair(bank, rng, 1, 0, 1, 0)
+    updated = update(bank, empty)
     np.testing.assert_array_equal(updated.keys, bank.keys)
     np.testing.assert_array_equal(updated.values_x, bank.values_x)
     np.testing.assert_array_equal(updated.values_y, bank.values_y)
@@ -525,16 +566,33 @@ def test_update_one_empty_domain_leaves_its_plane():
     rng = make_rng(18)
     bank = random_bank(rng, [(0, 3)], 4)
     cx = make_cluster(bank, rng, 0, 2)
-    updated = update(bank, cx, None)
+    updated = update(bank, cx)  # a one-block set folds into values_x
     np.testing.assert_array_equal(updated.values_y, bank.values_y)
     assert not np.array_equal(updated.keys, bank.keys)
     assert not np.array_equal(updated.values_x, bank.values_x)
 
 
+def test_update_with_an_empty_x_block_folds_only_values_y_and_the_keys():
+    rng = make_rng(35)
+    bank = random_bank(rng, [(0, 3)], 4)
+    updated = update(bank, make_pair(bank, rng, 0, 0, 0, 2))
+    np.testing.assert_array_equal(updated.values_x, bank.values_x)
+    assert not np.any(np.all(updated.keys == bank.keys, axis=1))
+    assert not np.any(np.all(updated.values_y == bank.values_y, axis=1))
+
+
+def test_update_takes_at_most_one_block_per_value_plane():
+    rng = make_rng(34)
+    bank = random_bank(rng, TOY_COUNTS, 4)
+    three = address_rows(bank, *(class_rows(bank, rng, 1, 2) for _ in range(3)))
+    with pytest.raises(ShapeError, match="one block per value plane, got 3 blocks"):
+        update(bank, three)
+
+
 def test_update_domains_may_address_different_partitions():
     rng = make_rng(19)
     bank = random_bank(rng, TOY_COUNTS, 4)
-    updated = update(bank, make_cluster(bank, rng, 1, 2), make_cluster(bank, rng, 2, 2))
+    updated = update(bank, make_pair(bank, rng, 1, 2, 2, 2))
     (off_1, n_1), (off_2, n_2) = span(bank.layout, 1), span(bank.layout, 2)
     touched = np.zeros(bank.n_items, dtype=bool)
     touched[off_1 : off_1 + n_1] = touched[off_2 : off_2 + n_2] = True
@@ -566,17 +624,15 @@ def test_malformed_cluster_rejected():
     with pytest.raises(ShapeError, match="labels"):
         address_one(bank, rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), np.ones(2))
     queries = make_cluster(bank, rng, 1, 3)
-    queries.cosines.sims = queries.sims[:, :4]
+    queries.cosines.sims = queries.cosines.sims[:, :4]
     with pytest.raises(ShapeError, match="sims"):
-        update(bank, queries, None)
+        update(bank, queries)
 
 
 def test_update_untouched_partitions_and_unit_norms():
     rng = make_rng(20)
     bank = random_bank(rng, TOY_COUNTS, 6)
-    cx = make_cluster(bank, rng, 2, 4)
-    cy = make_cluster(bank, rng, 2, 3)
-    updated = update(bank, cx, cy)
+    updated = update(bank, make_pair(bank, rng, 2, 4, 2, 3))
     offset, count = span(bank.layout, 2)
     mask = np.ones(bank.n_items, dtype=bool)
     mask[offset : offset + count] = False
@@ -597,7 +653,7 @@ def test_assignment_weights_column_stochastic():
         bank = random_bank(rng, [(0, count)], channels)
         cluster = make_cluster(bank, rng, 0, int(rng.integers(1, 7)))
         beta = assignment_weights(cluster)
-        assert beta.shape == (cluster.size, count)
+        assert beta.shape == (cluster.contents[0].shape[0], count)
         np.testing.assert_allclose(beta.sum(axis=0), 1.0, atol=1e-9)
     # with several partitions, items no query addresses get all-zero columns
     rng = split_rng(300, 99)
@@ -617,7 +673,7 @@ def test_the_bank_planes_the_package_makes_are_read_only(tmp_path, channels):
     # an in-place edit would leave the Grams and affines of a state at that bank stale
     rng = make_rng(22)
     bank = random_bank(rng, TOY_COUNTS, channels)
-    updated = update(bank, make_cluster(bank, rng, 1, 4), make_cluster(bank, rng, 0, 4))
+    updated = update(bank, make_pair(bank, rng, 1, 4, 0, 4))
     save_bank(updated, tmp_path / "bank.json")
     for made in (bank, updated, load_bank(tmp_path / "bank.json")):
         other = l2_normalize_rows(rng.standard_normal(made.keys.shape))

@@ -224,14 +224,15 @@ def test_fd_check_flags_corrupted_gradient():
 def test_pair_item_losses_are_the_single_domain_terms_bit_for_bit(class_aware, side, loss, setting):
     bank, contents, styles, labels = pair_rows(31, class_aware, side)
     contents, styles = tuple(map(encoded, contents)), tuple(map(encoded, styles))
-    mask, cosines, pair = address_blocks(bank, contents, styles, labels)
+    queries = address_blocks(bank, contents, styles, labels)
+    mask, cosines = queries.mask, queries.cosines
     singles = [address_one(bank, c.rows, s.rows, lab) for c, s, lab in zip(contents, styles, labels)]
     values = (bank.values_x, bank.values_y)
     planes = [  # (pair call, one-block call per domain)
         (loss(contents, bank.keys, mask, setting, cosines),
-         [loss((q.content,), bank.keys, q.mask, setting, q.cosines)[0] for q in singles]),
+         [loss(q.contents, bank.keys, q.mask, setting, q.cosines)[0] for q in singles]),
         (loss(styles, values, mask, setting),
-         [loss((q.style,), v, q.mask, setting)[0] for q, v in zip(singles, values)]),
+         [loss(q.styles, v, q.mask, setting)[0] for q, v in zip(singles, values)]),
     ]
     for terms, single_terms in planes:
         assert isinstance(terms, tuple) and len(terms) == 2
@@ -283,7 +284,7 @@ def test_triplet_gradient_is_the_boolean_mask_gradient_bit_for_bit(class_aware, 
         blocks["keys"][b][spot] = triplet_branch_rows(keys)
         blocks["values"][b][spot] = triplet_branch_rows(values[b])
     key_blocks = tuple(map(encoded, blocks["keys"]))
-    mask = address_blocks(bank, key_blocks, key_blocks, labels)[0]
+    mask = address_blocks(bank, key_blocks, key_blocks, labels).mask
     for plane, items in (("keys", keys), ("values", values)):  # one items array shared, or one per block
         queries = tuple(blocks[plane])
         pair = triplet_loss(tuple(map(encoded, queries)), items, mask, BRANCH_MARGIN)
