@@ -10,7 +10,6 @@ single vs class-partitioned memory and triplet vs contrastive training.
 """
 
 from .memory import MemoryLayout, address_blocks, init_bank, read, read_global, update
-from .numerics import make_rng
 from .objectives import contrastive_loss
 
 __version__ = "0.1.0"

@@ -33,14 +33,15 @@ makes, so evaluation pays for the forward pass alone. The feature gradients are 
 each is summed from its terms' (N, P) and (P,) factors, and
 :func:`backward` takes it to the parameters with the encoding, so no
 (P, C) gradient array is formed. A training iteration checks that its loss
-is finite, backpropagates into the encoders, applies Adam, and, if asked,
-folds the iteration's features into the memory; each makes new objects.
+is finite, makes the feature gradients, folds the iteration's features
+into the memory if asked, then backpropagates into the encoders and
+applies Adam; each makes new objects, and none modifies its state.
 Checkpoints (see :mod:`stylemem.serialize`) hold no optimizer state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
 from .memory import MemoryBank, QuerySet, address_blocks, read, read_backward, update
-from .numerics import AdamState, Affine, Cosines, Encoding, FeatureGrad, adam_step, forward, read_only
+from .numerics import Affine, Cosines, Encoding, FeatureGrad, adam_step, forward, read_only
 from .objectives import LossTerm, contrastive_loss, triplet_loss
 from .serialize import array, check_types, integer, read_json, write_json
 from .synthdata import ScenePair
@@ -146,18 +147,17 @@ class EncoderSet:
 @dataclass(frozen=True)
 class State:
     """One state of the encoders and the bank, which every pass at it
-    reads, and ``moments``, the Adam moments of the run: a (weight, bias)
-    pair of ``AdamState`` per encoder, in field order, or () before the
-    first step, which makes them. The factors of the state are made on
-    first use and kept; nothing they are made from can change. No pass
-    reads the moments: a step advances them in place and hands them to the
-    state it returns, with ``steps``, the step count they are at then. Only
-    :func:`train_step` sets ``steps``, and it steps a state only while its
-    moments are still at that count."""
+    reads, and the Adam state of the run: ``moments`` maps each encoder name
+    to its (weight, bias) pair of read-only (first, second) moment arrays,
+    or is empty before the first step, and ``steps`` is the number of Adam
+    steps they are at. The factors of the state are made on first use and
+    kept; nothing they are made from can change. No pass reads the moments,
+    and a step makes new ones for the state it returns, so any state can be
+    stepped any number of times, each time to the same bits."""
 
     encoders: EncoderSet
     bank: MemoryBank
-    moments: tuple[tuple[AdamState, AdamState], ...] = ()
+    moments: dict[str, tuple[tuple[np.ndarray, np.ndarray], ...]] = field(default_factory=dict)
     steps: int = 0
 
     @cached_property
@@ -338,48 +338,47 @@ def compute_losses(state: State, pair: ScenePair, settings: TrainSettings) -> tu
 def train_step(
     state: State, pair: ScenePair, settings: TrainSettings, update_memory: bool = True
 ) -> tuple[LossReport, State]:
-    """One training iteration on a scene pair from ``state``.
+    """One training iteration on a scene pair from ``state``, which it
+    leaves as it is.
 
-    Returns the loss report and the next state: new encoders, the moments
-    advanced, and with ``update_memory`` a new bank (reads and losses
+    Returns the loss report and the next state: new encoders, new moments
+    one step on, and with ``update_memory`` a new bank (reads and losses
     always use the iteration's starting bank), else ``state.bank``. The
     pair is never modified. A non-finite loss names its unweighted terms.
-    A state whose moments a step has already advanced raises a
-    ``ValidationError`` naming both step counts: stepping it again would
-    start from moved moments.
     """
-    if state.moments and state.moments[0][0].step_count != state.steps:
-        raise ValidationError(
-            f"the state's Adam moments are at step {state.moments[0][0].step_count}, the state at step "
-            f"{state.steps}: a state with moments can be stepped only once"
-        )
     report, fwd = compute_losses(state, pair, settings)
     if not np.isfinite(report.total):
         terms = f"key {report.key_loss}, value {report.value_loss}, rec {report.rec_loss}"
         raise ValidationError(f"loss became non-finite ({terms})")
 
-    adam = (settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
-    moments = state.moments or tuple(
-        (AdamState.for_param(enc.weight.shape), AdamState.for_param(enc.bias.shape)) for enc in state.encoders.all()
-    )
     grads = {}  # each encoder's encoding and the gradient at its rows
     for d, content, style in zip(_DOMAINS, fwd.queries.contents, fwd.queries.styles):
         grads[f"content_{d}"] = (content, fwd.grad_content[d])
         grads[f"style_{d}"] = (style, fwd.grad_style[d])
-    stepped = {}
-    for (name, enc), (weight_moments, bias_moments) in zip(vars(state.encoders).items(), moments):
+    bank = update(state.bank, fwd.queries) if update_memory else state.bank
+    # Adam's new moments live beside the state's old ones, so the query set
+    # goes before they are made, which keeps the step's peak memory down
+    del fwd
+
+    step = state.steps + 1
+    adam = (step, settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
+    moments = state.moments or {
+        name: tuple((np.zeros(p.shape),) * 2 for p in (enc.weight, enc.bias))
+        for name, enc in vars(state.encoders).items()
+    }
+    stepped, stepped_moments = {}, {}
+    for name, enc in vars(state.encoders).items():
         gw, gb = backward(*grads[name])
-        weight = read_only(adam_step(enc.weight, gw, weight_moments, *adam))
-        bias = read_only(adam_step(enc.bias, gb, bias_moments, *adam))
+        weight, weight_moments = adam_step(enc.weight, gw, moments[name][0], *adam)
+        bias, bias_moments = adam_step(enc.bias, gb, moments[name][1], *adam)
         if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
             raise ValidationError(f"encoder {name} parameters became non-finite")
         # where a second moment is inf, Adam's step is 0 and the weight stops learning
-        if not (np.isfinite(weight_moments.second_moment).all() and np.isfinite(bias_moments.second_moment).all()):
+        if not (np.isfinite(weight_moments[1]).all() and np.isfinite(bias_moments[1]).all()):
             raise ValidationError(f"encoder {name} Adam second moments became non-finite")
-        stepped[name] = LinearEncoder(weight, bias)
-
-    bank = update(state.bank, fwd.queries) if update_memory else state.bank
-    return report, State(EncoderSet(**stepped), bank, moments, moments[0][0].step_count)
+        stepped[name] = LinearEncoder(read_only(weight), read_only(bias))
+        stepped_moments[name] = (weight_moments, bias_moments)
+    return report, State(EncoderSet(**stepped), bank, stepped_moments, step)
 
 
 # --- persistence ---

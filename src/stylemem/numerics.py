@@ -1,10 +1,9 @@
 """Dense float64 kernels shared by every module.
 
 Matrices throughout the package are plain 2-D ``numpy`` arrays of float64,
-row-major. All functions here are pure except :func:`adam_step`, which
-mutates its explicit state argument, and :func:`read_only`, which marks
-its argument read-only; nothing touches global state, and all randomness
-flows through generators owned by the caller.
+row-major. All functions here are pure except :func:`read_only`, which
+marks its argument read-only; nothing touches global state, and all
+randomness flows through generators owned by the caller.
 
 Row norms of formed rows come in two kinds, which may differ in the last
 bit. The cosines (:class:`Cosines`, and the target norms of
@@ -14,8 +13,8 @@ reads each row once and makes no temporary of the matrix's shape.
 the bits of ``np.linalg.norm(m, axis=1)`` without its conjugate copy, so
 that bank rows and triplet terms match their references bit for bit. The
 rows of a factored encoding take the bias split of the encoding rule below.
-:func:`adam_step` builds its step in place in the textbook expression's
-operation order, so with its bits.
+:func:`adam_step` takes the textbook expression's operation order, so it
+has its bits.
 
 Query-item arrays (P queries x N items) are stored item-major: a C-contiguous
 (N, P) array, so that a sum, max or softmax over the few items of each query
@@ -309,59 +308,41 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / safe
 
 
-@dataclass
-class AdamState:
-    """Adam moment buffers for one parameter array.
-
-    ``step_count`` increases by exactly one per :func:`adam_step`.
-    """
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-
-    @classmethod
-    def for_param(cls, shape: tuple[int, ...]) -> "AdamState":
-        return cls(np.zeros(shape, dtype=np.float64), np.zeros(shape, dtype=np.float64))
-
-
 def adam_step(
-    param: np.ndarray, grad: np.ndarray, state: AdamState, learning_rate: float, beta1: float, beta2: float
-) -> np.ndarray:
-    """One bias-corrected Adam update with ``ADAM_EPS``; returns the new
-    parameter array.
-
-    The moment buffers and step count in ``state`` are updated in place;
-    ``param`` itself is left untouched.
+    param: np.ndarray, grad: np.ndarray, moments: tuple, step: int, learning_rate: float, beta1: float, beta2: float
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One bias-corrected Adam update with ``ADAM_EPS`` at the 1-based
+    ``step``, from ``moments``, the (first, second) moment arrays of
+    ``param``; returns ``(new_param, (first, second))``, the new moments
+    read-only. No argument is modified.
     """
     param = np.asarray(param, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
-    if param.shape != grad.shape or param.shape != state.first_moment.shape:
+    first, second = moments
+    if not param.shape == grad.shape == first.shape == second.shape:
         raise ShapeError(
             f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
-            f"moments {state.first_moment.shape}"
+            f"moments {first.shape} and {second.shape}"
         )
-    state.step_count += 1
-    t = state.step_count
-    state.first_moment *= beta1
-    state.first_moment += (1.0 - beta1) * grad
-    state.second_moment *= beta2
-    grad_sq = (1.0 - beta2) * grad
+    # four new arrays: the two moments, the new parameter and one scratch
+    # array that every temporary reuses; at full-preset shapes each fresh
+    # array costs about as much as the arithmetic on it
+    scratch = (1.0 - beta1) * grad
+    first = first * beta1
+    first += scratch
+    grad_sq = np.multiply(grad, 1.0 - beta2, out=scratch)
     grad_sq *= grad
-    state.second_moment += grad_sq
+    second = second * beta2
+    second += grad_sq
+    first.flags.writeable = second.flags.writeable = False
     # param - learning_rate * m_hat / (sqrt(v_hat) + ADAM_EPS), in that order
-    step = state.first_moment / (1.0 - beta1**t)
-    step *= learning_rate
-    denom = np.divide(state.second_moment, 1.0 - beta2**t, out=grad_sq)
+    update = first / (1.0 - beta1**step)
+    update *= learning_rate
+    denom = np.divide(second, 1.0 - beta2**step, out=scratch)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
-    step /= denom
-    return param - step
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Seeded PCG64 generator; the same seed yields the same stream."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
+    update /= denom
+    return np.subtract(param, update, out=update), (first, second)
 
 
 def split_rng(seed: int, *key: int) -> np.random.Generator:

@@ -44,7 +44,6 @@ finite-difference checks of ``encoder.backward``.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -59,7 +58,7 @@ from stylemem.memory import (
 )
 from stylemem.errors import ShapeError
 from stylemem.numerics import (
-    EPS_DIV, AdamState, Affine, Encoding, cosine_matrix, dot_norms, softmax_rows, split_rng,
+    EPS_DIV, Affine, Encoding, cosine_matrix, dot_norms, softmax_rows, split_rng,
 )
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.serialize import FLOAT
@@ -252,22 +251,22 @@ def reference_compute_losses(encoders, bank, pair, settings) -> ReferencePass:
     )
 
 
-def reference_adam(enc, moments, grad_weight, grad_bias, settings) -> LinearEncoder:
-    """``enc`` after one Adam step: ``oracle_adam_scalar`` on every element
-    of each parameter, reading and advancing that parameter's moments and
-    step count, from ``moments``, the (weight, bias) pair of ``AdamState``."""
-    new = {}
-    for (name, grad), state in zip((("weight", grad_weight), ("bias", grad_bias)), moments):
+def reference_adam(enc, moments, step, grad_weight, grad_bias, settings) -> tuple[LinearEncoder, tuple]:
+    """``enc`` after Adam step ``step`` (1-based), and its new moments:
+    ``oracle_adam_scalar`` on every element of each parameter, from
+    ``moments``, the (weight, bias) pair of (first, second) moment arrays,
+    which are not modified."""
+    new, new_moments = {}, []
+    for (name, grad), (first, second) in zip((("weight", grad_weight), ("bias", grad_bias)), moments):
         param = getattr(enc, name)
-        new[name] = np.empty_like(param)
-        m, v = state.first_moment, state.second_moment
+        new[name], m, v = np.empty_like(param), first.copy(), second.copy()
         for i in np.ndindex(param.shape):
             new[name][i], m[i], v[i], _ = oracle_adam_scalar(
-                float(param[i]), float(grad[i]), float(m[i]), float(v[i]), state.step_count,
+                float(param[i]), float(grad[i]), float(m[i]), float(v[i]), step - 1,
                 settings.adam_beta1, settings.adam_beta2, ADAM_EPS, settings.learning_rate,
             )
-        state.step_count += 1
-    return LinearEncoder(**new)
+        new_moments.append((m, v))
+    return LinearEncoder(**new), tuple(new_moments)
 
 
 def reference_train_step(state, pair, settings, update_memory=True):
@@ -275,15 +274,16 @@ def reference_train_step(state, pair, settings, update_memory=True):
     from ``state``, whose moments are not modified."""
     encoders, bank = state.encoders, state.bank
     ref = reference_compute_losses(encoders, bank, pair, settings)
-    moments = copy.deepcopy(state.moments) or [
-        (AdamState.for_param(enc.weight.shape), AdamState.for_param(enc.bias.shape)) for enc in encoders.all()
-    ]
+    zeros = lambda p: (np.zeros(p.shape), np.zeros(p.shape))
     stepped = {}
-    for (name, enc), enc_moments in zip(vars(encoders).items(), moments):
+    for name, enc in vars(encoders).items():
         kind, d = name.split("_")
         grad = (ref.grad_content if kind == "content" else ref.grad_style)[d]
         inputs = pair.content if kind == "content" else pair.styles[DOMAINS.index(d)]
-        stepped[name] = reference_adam(enc, enc_moments, grad.T @ inputs, grad.sum(axis=0), settings)
+        moments = state.moments.get(name) or (zeros(enc.weight), zeros(enc.bias))
+        stepped[name], _ = reference_adam(
+            enc, moments, state.steps + 1, grad.T @ inputs, grad.sum(axis=0), settings
+        )
     encoders = EncoderSet(**stepped)
     if not update_memory:
         return ref, encoders, bank

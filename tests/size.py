@@ -3,20 +3,27 @@ north star of ``ROADMAP.md`` uses for ``src/stylemem``.
 
     python tests/size.py [PACKAGE_DIR]
     python tests/size.py OLD_DIR NEW_DIR
+    python tests/size.py REV
 
 The package defaults to ``src/stylemem``. Docstring lines are the lines of
 module, class and function docstrings, found with ``ast``; code lines are
 the other lines that are neither blank nor comments alone. One row per
-file, then the sums. Given two package directories (say, a parent
-commit's ``src/stylemem`` from ``git archive`` and this tree's), each
-count is printed as ``before -> after``, and a file present in one tree
-only counts 0 in the other.
+file, then the sums. Given two package directories, each count is printed
+as ``before -> after``, and a file present in one tree only counts 0 in the
+other. Given a git revision (``HEAD~1``, a commit hash) that is not a
+directory, the package as that revision holds it, taken from the local
+repository with ``git archive``, is the before and the working tree's
+package the after.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stylemem"
@@ -62,13 +69,43 @@ def compare(old: dict[str, tuple], new: dict[str, tuple]) -> list[str]:
     return lines
 
 
+def package_at(rev: str, package: Path, into: Path) -> Path | None:
+    """The directory ``package`` as git revision ``rev`` of its repository
+    holds it, extracted into ``into``; None where ``rev`` names no tree
+    that holds it."""
+    git = lambda *args, cwd: subprocess.run(["git", *args], cwd=cwd, capture_output=True, check=False)
+    where = git("rev-parse", "--show-toplevel", "--show-prefix", cwd=package)
+    if where.returncode != 0:
+        return None
+    root, prefix = where.stdout.decode().splitlines()
+    archive = git("archive", "--format=tar", f"{rev}:{prefix}", cwd=root)
+    if archive.returncode != 0:
+        return None
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def counts_of(package: Path) -> dict[str, tuple[int, int, int]]:
+    return {path.name: count(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    usage = "usage: python tests/size.py [PACKAGE_DIR | OLD_DIR NEW_DIR | REV]"
+    if len(args) == 1 and not Path(args[0]).is_dir():
+        with tempfile.TemporaryDirectory() as tmp:
+            old = package_at(args[0], PACKAGE, Path(tmp))
+            if old is None:
+                print(usage, file=sys.stderr)
+                return 2
+            print("\n".join(compare(counts_of(old), counts_of(PACKAGE))))
+        return 0
     packages = [Path(arg) for arg in args] or [PACKAGE]
     if len(packages) > 2 or not all(package.is_dir() for package in packages):
-        print("usage: python tests/size.py [PACKAGE_DIR | OLD_DIR NEW_DIR]", file=sys.stderr)
+        print(usage, file=sys.stderr)
         return 2
-    counts = [{path.name: count(path.read_text()) for path in sorted(package.glob("*.py"))} for package in packages]
+    counts = [counts_of(package) for package in packages]
     print("\n".join(table(*counts) if len(counts) == 1 else compare(*counts)))
     return 0
 

@@ -22,7 +22,7 @@ from stylemem.memory import (
     save_bank,
     update,
 )
-from stylemem.numerics import FeatureGrad, l2_normalize_rows, make_rng, split_rng
+from stylemem.numerics import FeatureGrad, l2_normalize_rows, split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
@@ -289,7 +289,7 @@ def test_criterion_5_contrastive_limits():
     (single,) = contrastive_loss(
         *one_block(np.array([[0.3, -0.8]]), np.array([[1.0, 0.0]]), [0]), 0.7
     )
-    rng = make_rng(9007)
+    rng = split_rng(9007)
     queries = rng.standard_normal((4, 5))
     items = rng.standard_normal((6, 5))
     (flat,) = contrastive_loss(*one_block(queries, items, range(6)), 1e9)
@@ -375,7 +375,7 @@ def test_criterion_8_determinism(tmp_path):
 
 
 def test_criterion_9_persistence(tmp_path):
-    rng = make_rng(9009)
+    rng = split_rng(9009)
     bank = _random_bank(rng, MemoryLayout.from_counts([(1, 5), (2, 3), (3, 2), (0, 10)]), 256)
     path = tmp_path / "bank.json"
     save_bank(bank, path)

@@ -21,7 +21,7 @@ from stylemem.encoder import EncoderSet, load_encoders, save_encoders
 from stylemem.errors import ConfigError, ValidationError
 from stylemem.harness import PRESETS, config_from_dict, resolve_config
 from stylemem.memory import MemoryLayout, init_bank, load_bank, save_bank
-from stylemem.numerics import make_rng
+from stylemem.numerics import split_rng
 from stylemem.serialize import FLOAT, atomic_write, csv_lines, float_rows, fmt_float, render_json, write_json
 from stylemem.synthdata import (
     DomainSpec, FeatureScene, SceneSettings, generate_scene_pair, load_scene, save_scene,
@@ -29,12 +29,12 @@ from stylemem.synthdata import (
 
 
 def small_bank(seed=1):
-    return init_bank(MemoryLayout.from_counts([(1, 1), (0, 2)]), 3, make_rng(seed))
+    return init_bank(MemoryLayout.from_counts([(1, 1), (0, 2)]), 3, split_rng(seed))
 
 
 def small_scene():
-    spec = DomainSpec.create(make_rng(3), SceneSettings(classes=3, input_channels=2, height=2, width=3))
-    pair = generate_scene_pair(spec, make_rng(4))
+    spec = DomainSpec.create(split_rng(3), SceneSettings(classes=3, input_channels=2, height=2, width=3))
+    pair = generate_scene_pair(spec, split_rng(4))
     return FeatureScene(pair.content, pair.styles[0], pair.labels, pair.boxes, pair.height, pair.width)
 
 
@@ -157,7 +157,7 @@ def test_earlier_bank_files_load_bit_exactly(tmp_path):
 
 
 def test_earlier_encoder_files_load_bit_exactly(tmp_path):
-    encoders = EncoderSet.create(make_rng(6), 3, 2)
+    encoders = EncoderSet.create(split_rng(6), 3, 2)
     path = tmp_path / "encoders.json"
     path.write_text(earlier_encoder_text(encoders))
     loaded = load_encoders(path)
@@ -230,7 +230,7 @@ def test_json_files_stream_float_blocks_with_the_bytes_of_their_rows(tmp_path):
 def test_saving_full_preset_encoders_holds_under_half_the_file_in_memory(tmp_path):
     # the writer renders a chunk of rows at a time; holding the whole text took twice the file
     cfg = PRESETS["full"]
-    encoders = EncoderSet.create(make_rng(2), cfg.scene.input_channels, cfg.channels)
+    encoders = EncoderSet.create(split_rng(2), cfg.scene.input_channels, cfg.channels)
     path = tmp_path / "encoders.json"
     save_encoders(encoders, path)  # warm
     tracemalloc.start()
@@ -320,7 +320,7 @@ documents = json_values | st.dictionaries(st.sampled_from(FIELDS), json_values).
 
 LOADERS = {
     "bank": (load_bank, save_bank, small_bank),
-    "encoders": (load_encoders, save_encoders, lambda: EncoderSet.create(make_rng(9), 2, 2)),
+    "encoders": (load_encoders, save_encoders, lambda: EncoderSet.create(split_rng(9), 2, 2)),
     "scene": (load_scene, save_scene, small_scene),
 }
 FUZZ = settings(

@@ -33,7 +33,7 @@ import pytest
 from stylemem.encoder import EncoderSet, State, TrainSettings, backward, compute_losses, train_step
 from stylemem.errors import LayoutError
 from stylemem.memory import MemoryLayout, init_bank, read
-from stylemem.numerics import EPS_DIV, make_rng, read_cosines, split_rng
+from stylemem.numerics import EPS_DIV, read_cosines, split_rng
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from reference import cosine_rows, dense_gradient, reference_compute_losses, reference_train_step, span
@@ -64,7 +64,7 @@ ROUTES = [pytest.param(5, id="rows"), pytest.param(8, id="gram")]
 
 
 def problem(seed, class_aware, channels):
-    spec = DomainSpec.create(make_rng(seed), SceneSettings(
+    spec = DomainSpec.create(split_rng(seed), SceneSettings(
         classes=4, input_channels=6, height=8, width=8,
         noise_sigma=0.2, content_overlap=0.5, style_overlap=0.5,
     ))

@@ -1,7 +1,7 @@
 import copy
 import re
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from stylemem.encoder import (
 from stylemem.errors import ConfigError, ShapeError, ValidationError
 from stylemem.harness import PRESETS, _pair_metrics, evaluate
 from stylemem.memory import MemoryLayout, init_bank, read, read_backward
-from stylemem.numerics import FeatureGrad, make_rng, split_rng
+from stylemem.numerics import FeatureGrad, split_rng
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from fdcheck import fd_check
@@ -34,7 +34,7 @@ def identity_encoder(n):
 
 
 def small_problem(seed, class_aware=True):
-    rng = make_rng(seed)
+    rng = split_rng(seed)
     spec = DomainSpec.create(
         rng, SceneSettings(classes=3, input_channels=5, height=4, width=4, noise_sigma=0.3)
     )
@@ -50,7 +50,7 @@ def small_problem(seed, class_aware=True):
 
 def test_forward_identity():
     enc = identity_encoder(3)
-    x = make_rng(0).standard_normal((4, 3))
+    x = split_rng(0).standard_normal((4, 3))
     np.testing.assert_array_equal(forward(enc, x), x)
 
 
@@ -61,7 +61,7 @@ def test_forward_zero_input_gives_bias():
 
 
 def test_forward_matches_scalar_oracle():
-    rng = make_rng(40)
+    rng = split_rng(40)
     enc = LinearEncoder.create(rng, 4, 2)
     x = rng.standard_normal((3, 4))
     expected = oracle_linear_forward(enc.weight.tolist(), enc.bias.tolist(), x.tolist())
@@ -82,7 +82,7 @@ def random_gradient(rng, rows, channels, items=3):
 
 @pytest.mark.parametrize("c_in, c_out", [pytest.param(3, 2, id="rows"), pytest.param(2, 3, id="gram")])
 def test_backward_zero_upstream(c_in, c_out):
-    rng = make_rng(41)
+    rng = split_rng(41)
     enc = LinearEncoder.create(rng, c_in, c_out)
     enc = replace(enc, bias=rng.standard_normal(c_out))
     x = rng.standard_normal((4, c_in))
@@ -95,7 +95,7 @@ def test_backward_zero_upstream(c_in, c_out):
 @pytest.mark.parametrize("c_in, c_out", [(5, 4), (64, 256)])
 def test_forward_is_the_affine_expression_bit_for_bit(c_in, c_out):
     # the product takes the bias in place; the caller's arrays stay as they were
-    rng = make_rng(42)
+    rng = split_rng(42)
     enc = LinearEncoder.create(rng, c_in, c_out)
     enc = replace(enc, bias=rng.standard_normal(c_out))
     inputs = rng.standard_normal((256, c_in))
@@ -109,7 +109,7 @@ def test_forward_is_the_affine_expression_bit_for_bit(c_in, c_out):
 # through the Gram identity
 @pytest.mark.parametrize("c_in, c_out", [pytest.param(4, 3, id="rows"), pytest.param(3, 4, id="gram")])
 def test_backward_weight_and_bias_fd(c_in, c_out):
-    rng = make_rng(43)
+    rng = split_rng(43)
     enc = LinearEncoder.create(rng, c_in, c_out)
     enc = replace(enc, bias=rng.standard_normal(c_out))
     x = rng.standard_normal((5, c_in))
@@ -130,7 +130,7 @@ def test_backward_weight_and_bias_fd(c_in, c_out):
 
 
 def test_backward_shape_check():
-    rng = make_rng(45)
+    rng = split_rng(45)
     for c_out in (3, 4):  # formed rows, and factored ones
         encoded = encoding(LinearEncoder.create(rng, 3, c_out), np.zeros((2, 3)), np.zeros((5, c_out)))
         for count, channels in ((3, c_out), (2, c_out + 1)):  # one row too many; one channel too many
@@ -163,36 +163,80 @@ def test_a_step_makes_and_advances_the_adam_moments_of_its_state():
     _, pair, bank, encoders = small_problem(44)
     state = State(encoders, bank)
     _, stepped = train_step(state, pair, TrainSettings())
-    moments = [m for enc_moments in stepped.moments for m in enc_moments]
-    assert state.moments == () and len(moments) == 8
-    assert [m.step_count for m in moments] == [1] * 8
-    for enc, enc_moments in zip(stepped.encoders.all(), stepped.moments):
-        assert tuple(m.first_moment.shape for m in enc_moments) == (enc.weight.shape, enc.bias.shape)
+    assert state.moments == {} and list(stepped.moments) == [f.name for f in fields(EncoderSet)]
+    assert (state.steps, stepped.steps) == (0, 1)
+    for enc, enc_moments in zip(stepped.encoders.all(), stepped.moments.values()):
+        shapes = tuple(m.shape for m in enc_moments[0] + enc_moments[1])
+        assert shapes == (enc.weight.shape,) * 2 + (enc.bias.shape,) * 2
     for new, old in zip(stepped.encoders.all(), encoders.all()):
         assert not np.array_equal(new.weight, old.weight)
     _, again = train_step(stepped, pair, TrainSettings())
-    assert again.moments is stepped.moments
-    assert [m.step_count for m in moments] == [2] * 8
+    assert again.steps == 2
+    for name, enc_moments in again.moments.items():
+        assert not np.array_equal(enc_moments[0][0], stepped.moments[name][0][0])
 
 
-def test_a_state_whose_moments_moved_on_is_not_stepped_again():
-    # its step would start from the moments of a later step, with no error
+def state_arrays(state: State) -> list[np.ndarray]:
+    """Every array reachable from ``state``: through dataclass fields and
+    cached properties, dicts, tuples and lists."""
+    found, todo, seen = [], [state], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif is_dataclass(obj):
+            todo.extend(getattr(obj, f.name) for f in fields(obj))
+            todo.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+def assert_same_state(got: State, want: State):
+    """The encoders, the bank and the Adam state of ``got`` and ``want``, bit for bit."""
+    assert got.steps == want.steps and list(got.moments) == list(want.moments)
+    for name, enc_moments in want.moments.items():
+        for got_moment, want_moment in zip(sum(got.moments[name], ()), sum(enc_moments, ()), strict=True):
+            assert_same_bits(got_moment, want_moment)
+    for got_enc, want_enc in zip(got.encoders.all(), want.encoders.all()):
+        assert_same_bits(got_enc.weight, want_enc.weight)
+        assert_same_bits(got_enc.bias, want_enc.bias)
+    for plane in ("keys", "values_x", "values_y"):
+        assert_same_bits(getattr(got.bank, plane), getattr(want.bank, plane))
+
+
+def test_a_state_with_moments_steps_again_to_the_same_bits():
     _, pair, bank, encoders = small_problem(45)
     _, stepped = train_step(State(encoders, bank), pair, TrainSettings())
     _, again = train_step(stepped, pair, TrainSettings())
-    assert (stepped.steps, again.steps) == (1, 2)
-    message = "the state's Adam moments are at step 2, the state at step 1"
-    with pytest.raises(ValidationError, match=re.escape(message)):
-        train_step(stepped, pair, TrainSettings())
-    # the refused step moved nothing: the newest state steps on as a run that never made it
+    _, once_more = train_step(stepped, pair, TrainSettings())
+    assert_same_state(once_more, again)
+    # a state many steps on is a value too: its next step is the step of a fresh three-step chain
     _, third = train_step(again, pair, TrainSettings())
     fresh = State(encoders, bank)
     for _ in range(3):
         _, fresh = train_step(fresh, pair, TrainSettings())
     assert third.steps == fresh.steps == 3
-    for got, want in zip(third.encoders.all(), fresh.encoders.all()):
-        assert_same_bits(got.weight, want.weight)
-        assert_same_bits(got.bias, want.bias)
+    assert_same_state(third, fresh)
+
+
+@pytest.mark.parametrize("channels", [4, 8], ids=["rows", "factored"])
+def test_a_step_leaves_every_array_of_its_state_as_it_was(channels):
+    _, pair, bank, _ = small_problem(46)
+    bank = init_bank(bank.layout, channels, split_rng(46, 4))
+    _, state = train_step(State(EncoderSet.create(split_rng(46, 5), 5, channels), bank), pair, TrainSettings())
+    state.affine, state.bank.grams, state.bank.layout.item_classes  # the factors a step reads
+    arrays = state_arrays(state)
+    assert len(arrays) >= 4 * 2 + 3 + 8 * 2  # the encoders, the planes and the moments at least
+    before = [(a, a.tobytes()) for a in arrays]
+    train_step(state, pair, TrainSettings())
+    for array, was in before:
+        assert array.tobytes() == was
 
 
 # --- train_step ---
@@ -248,7 +292,7 @@ def test_a_pair_block_one_row_short_raises_in_address_blocks(shorten, message):
     _, pair, bank, encoders = small_problem(59)
     _, state = train_step(State(encoders, bank), pair, TrainSettings())  # a state whose moments exist
     pair = shorten(pair)
-    before = copy.deepcopy((state.encoders, state.bank))
+    before = copy.deepcopy((state.encoders, state.bank, state.moments))
     for step in (compute_losses, train_step):
         with pytest.raises(ShapeError, match=re.escape(message)) as raised:
             step(state, pair, TrainSettings())
@@ -256,7 +300,10 @@ def test_a_pair_block_one_row_short_raises_in_address_blocks(shorten, message):
     for got, want in zip(state.encoders.all(), before[0].all()):
         np.testing.assert_array_equal(got.weight, want.weight)
         np.testing.assert_array_equal(got.bias, want.bias)
-    assert [m.step_count for enc_moments in state.moments for m in enc_moments] == [1] * 8
+    assert state.steps == 1
+    for name, enc_moments in before[2].items():
+        for got, want in zip(sum(state.moments[name], ()), sum(enc_moments, ()), strict=True):
+            np.testing.assert_array_equal(got, want)
     for plane in ("keys", "values_x", "values_y"):
         np.testing.assert_array_equal(getattr(state.bank, plane), getattr(before[1], plane))
 
@@ -469,7 +516,7 @@ def test_full_pipeline_gradient_all_encoders(variant):
 
 
 def test_encoder_checkpoint_round_trip(tmp_path):
-    rng = make_rng(58)
+    rng = split_rng(58)
     encoders = EncoderSet.create(rng, 5, 4)
     path = tmp_path / "encoders.json"
     save_encoders(encoders, path)

@@ -29,7 +29,7 @@ from stylemem.harness import (
     run_training,
 )
 from stylemem.memory import MemoryBank, init_bank, load_bank, save_bank
-from stylemem.numerics import l2_normalize_rows, make_rng, split_rng
+from stylemem.numerics import l2_normalize_rows, split_rng
 from stylemem.synthdata import generate_scene_pair
 
 
@@ -407,7 +407,7 @@ def test_memory_mode_replaced_after_validation_trains_as_built(tmp_path):
 
 def test_evaluate_uniform_identical_keys_entropy():
     cfg = tiny_config()
-    rng = make_rng(0)
+    rng = split_rng(0)
     bank = init_bank(cfg.bank_layout(), cfg.channels, rng)
     bank = replace(bank, keys=np.tile(bank.keys[0], (bank.n_items, 1)))
     encoders = EncoderSet.create(rng, cfg.scene.input_channels, cfg.channels)
@@ -417,7 +417,7 @@ def test_evaluate_uniform_identical_keys_entropy():
 
 def test_evaluate_jittered_identical_keys_purity_near_chance():
     cfg = tiny_config()
-    rng = make_rng(1)
+    rng = split_rng(1)
     bank = init_bank(cfg.bank_layout(), cfg.channels, rng)
     jitter = 1e-6 * rng.standard_normal(bank.keys.shape)
     bank = replace(bank, keys=l2_normalize_rows(np.tile(bank.keys[0], (bank.n_items, 1)) + jitter))
@@ -484,7 +484,7 @@ def test_metrics_row_csv_format(tmp_path):
 
 
 def test_inspect_fresh_bank(tmp_path):
-    bank = init_bank(toy_config().bank_layout(), 16, make_rng(2))
+    bank = init_bank(toy_config().bank_layout(), 16, split_rng(2))
     path = tmp_path / "bank.json"
     save_bank(bank, path)
     text = inspect_bank(path)
@@ -497,7 +497,7 @@ def test_inspect_fresh_bank(tmp_path):
 def test_inspect_single_item_bank(tmp_path):
     from stylemem.memory import MemoryLayout
 
-    bank = init_bank(MemoryLayout.from_counts([(0, 1)]), 4, make_rng(3))
+    bank = init_bank(MemoryLayout.from_counts([(0, 1)]), 4, split_rng(3))
     path = tmp_path / "bank.json"
     save_bank(bank, path)
     text = inspect_bank(path)
@@ -759,8 +759,8 @@ def test_cli_eval_rejects_artifacts_whose_evaluation_is_not_finite(tmp_path, cap
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(DIVERGED))
     cfg = load_config(cfg_path)
-    save_bank(init_bank(cfg.bank_layout(), cfg.channels, make_rng(3)), tmp_path / "bank.json")
-    encoders = EncoderSet.create(make_rng(4), cfg.scene.input_channels, cfg.channels)
+    save_bank(init_bank(cfg.bank_layout(), cfg.channels, split_rng(3)), tmp_path / "bank.json")
+    encoders = EncoderSet.create(split_rng(4), cfg.scene.input_channels, cfg.channels)
     encoders = EncoderSet(**{name: replace(enc, weight=enc.weight * 1e300) for name, enc in vars(encoders).items()})
     save_encoders(encoders, tmp_path / "encoders.json")
     before = sorted(tmp_path.iterdir())
@@ -819,8 +819,8 @@ def test_cli_eval_rejects_widening_artifacts_whose_evaluation_is_not_finite(tmp_
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**DIVERGED, "channels": 24}))
     cfg = load_config(cfg_path)
-    save_bank(init_bank(cfg.bank_layout(), cfg.channels, make_rng(3)), tmp_path / "bank.json")
-    encoders = EncoderSet.create(make_rng(4), cfg.scene.input_channels, cfg.channels)
+    save_bank(init_bank(cfg.bank_layout(), cfg.channels, split_rng(3)), tmp_path / "bank.json")
+    encoders = EncoderSet.create(split_rng(4), cfg.scene.input_channels, cfg.channels)
     encoders = EncoderSet(**{name: replace(enc, weight=enc.weight * 1e300) for name, enc in vars(encoders).items()})
     save_encoders(encoders, tmp_path / "encoders.json")
     before = sorted(tmp_path.iterdir())

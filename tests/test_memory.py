@@ -23,7 +23,7 @@ from stylemem.memory import (
     save_bank,
     update,
 )
-from stylemem.numerics import cosine_matrix, l2_normalize_rows, make_rng, softmax_cols, softmax_rows, split_rng
+from stylemem.numerics import cosine_matrix, l2_normalize_rows, softmax_cols, softmax_rows, split_rng
 from stylemem.synthdata import DomainSpec, SceneSettings, generate_scene_pair
 
 from oracles import oracle_read, oracle_read_global, oracle_update
@@ -105,7 +105,7 @@ def test_layout_unknown_class():
 def test_init_bank_full_scale_layout():
     # car/person/sign 5/3/2 plus background 10 gives N=20
     layout = MemoryLayout.from_counts([(1, 5), (2, 3), (3, 2), (0, 10)])
-    bank = init_bank(layout, 256, make_rng(0))
+    bank = init_bank(layout, 256, split_rng(0))
     assert bank.n_items == 20
     assert bank.channels == 256
     for plane in (bank.keys, bank.values_x, bank.values_y):
@@ -113,15 +113,15 @@ def test_init_bank_full_scale_layout():
 
 
 def test_init_bank_smallest():
-    bank = init_bank(MemoryLayout.from_counts([(0, 1)]), 2, make_rng(1))
+    bank = init_bank(MemoryLayout.from_counts([(0, 1)]), 2, split_rng(1))
     assert bank.keys.shape == (1, 2)
     assert np.linalg.norm(bank.keys[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_init_bank_deterministic():
     layout = MemoryLayout.from_counts(TOY_COUNTS)
-    a = init_bank(layout, 8, make_rng(42))
-    b = init_bank(layout, 8, make_rng(42))
+    a = init_bank(layout, 8, split_rng(42))
+    b = init_bank(layout, 8, split_rng(42))
     np.testing.assert_array_equal(a.keys, b.keys)
     np.testing.assert_array_equal(a.values_x, b.values_x)
     np.testing.assert_array_equal(a.values_y, b.values_y)
@@ -129,7 +129,7 @@ def test_init_bank_deterministic():
 
 def test_init_bank_bad_channels():
     with pytest.raises(ShapeError):
-        init_bank(MemoryLayout.from_counts([(0, 1)]), 0, make_rng(0))
+        init_bank(MemoryLayout.from_counts([(0, 1)]), 0, split_rng(0))
 
 
 # --- item-major storage ---
@@ -146,7 +146,7 @@ def assert_item_major_view(view, shape):
 
 @pytest.mark.parametrize("counts", [TOY_COUNTS, [(POOLED_CLASS_ID, 10)]])
 def test_address_stores_query_item_arrays_item_major(counts):
-    rng = make_rng(26)
+    rng = split_rng(26)
     bank = random_bank(rng, counts, 6)
     labels = rng.choice([1, 2, 3, 0], size=40)
     queries = address_one(bank, rng.standard_normal((40, 6)), rng.standard_normal((40, 6)), labels)
@@ -204,7 +204,7 @@ def test_address_blocks_is_two_one_block_calls_bit_for_bit(class_aware, side):
     for blocks in ((empty, rows[1]), (rows[0], empty), (narrow, rows[1]), (rows[0], narrow)):
         with pytest.raises(ShapeError, match="do not fit keys"):
             cosine_matrix(blocks, bank.keys)
-    g_weights = make_rng(28).standard_normal((bank.n_items, shape[0]))
+    g_weights = split_rng(28).standard_normal((bank.n_items, shape[0]))
     through_pair = read_backward(bank, pair, np.concatenate((g_weights, g_weights), axis=1))  # both blocks at once
     for b, (d, content, style, block_labels, cols) in enumerate(zip("xy", contents, styles, labels, cosines.columns)):
         single = address_one(bank, content, style, block_labels)
@@ -288,7 +288,7 @@ def test_softmax_rows_agrees_on_item_major_views(m, data):
 
 
 def test_read_single_item_partition():
-    rng = make_rng(5)
+    rng = split_rng(5)
     bank = random_bank(rng, [(0, 1), (1, 4)], 6)
     cluster = make_cluster(bank, rng, 0, 3)
     weights = read(bank, cluster)
@@ -299,7 +299,7 @@ def test_read_single_item_partition():
 
 
 def test_read_identical_keys_uniform():
-    rng = make_rng(6)
+    rng = split_rng(6)
     bank = random_bank(rng, [(7, 4)], 5)
     bank = replace(bank, keys=np.tile(bank.keys[0], (bank.n_items, 1)))
     cluster = make_cluster(bank, rng, 7, 2)
@@ -324,7 +324,7 @@ def test_read_two_key_hand_case():
 
 
 def test_read_rejects_unknown_class_and_empty_cluster():
-    rng = make_rng(7)
+    rng = split_rng(7)
     bank = random_bank(rng, TOY_COUNTS, 4)
     with pytest.raises(LayoutError):
         read(bank, make_cluster(bank, rng, 9, 2))
@@ -337,7 +337,7 @@ def test_read_direction_picks_cross_domain_values():
     # the loss pass mixes domain x's read weights with values_y and y's with
     # values_x, each to reproduce the opposite domain's encoded style
     spec = DomainSpec.create(
-        make_rng(8), SceneSettings(classes=3, input_channels=5, height=4, width=4, noise_sigma=0.3)
+        split_rng(8), SceneSettings(classes=3, input_channels=5, height=4, width=4, noise_sigma=0.3)
     )
     pair = generate_scene_pair(spec, split_rng(8, 1))
     bank = random_bank(split_rng(8, 2), [(1, 2), (2, 2), (0, 2)], 4)
@@ -358,7 +358,7 @@ def test_read_direction_picks_cross_domain_values():
 
 
 def test_read_global_single_item():
-    rng = make_rng(9)
+    rng = split_rng(9)
     bank = random_bank(rng, [(0, 1)], 4)
     weights = read_global_one(bank, rng.standard_normal((3, 4)))
     np.testing.assert_allclose(weights, 1.0, atol=1e-15)
@@ -375,7 +375,7 @@ def test_read_global_argmax_on_matching_basis_vector():
 
 
 def test_read_matches_read_global_for_single_partition():
-    rng = make_rng(10)
+    rng = split_rng(10)
     bank = random_bank(rng, [(0, 6)], 5)
     cluster = make_cluster(bank, rng, 0, 4)
     a = read(bank, cluster)
@@ -479,7 +479,7 @@ def through_mixture(bank, cluster, domain, upstream):
 
 
 def test_read_backward_zero_upstream():
-    rng = make_rng(13)
+    rng = split_rng(13)
     bank = random_bank(rng, [(0, 4)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
     grad = dense_gradient(read_backward(bank, cluster, np.zeros((4, 3))), cluster.contents[0].rows)
@@ -487,7 +487,7 @@ def test_read_backward_zero_upstream():
 
 
 def test_read_backward_single_item_constant_path():
-    rng = make_rng(14)
+    rng = split_rng(14)
     bank = random_bank(rng, [(0, 1)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
     upstream = rng.standard_normal((3, 5))
@@ -496,7 +496,7 @@ def test_read_backward_single_item_constant_path():
 
 
 def test_read_backward_matches_finite_differences():
-    rng = make_rng(15)
+    rng = split_rng(15)
     bank = random_bank(rng, [(0, 4), (1, 3)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
     upstream = rng.standard_normal((3, 5))
@@ -507,7 +507,7 @@ def test_read_backward_matches_finite_differences():
 
 
 def test_read_backward_shape_check():
-    rng = make_rng(16)
+    rng = split_rng(16)
     bank = random_bank(rng, [(0, 4)], 5)
     cluster = make_cluster(bank, rng, 0, 3)
     for shape in ((3, 4), (4, 2), (3, 5)):  # (P, N), too few queries, the old (P, C) upstream
@@ -516,7 +516,7 @@ def test_read_backward_shape_check():
 
 
 def test_read_backward_of_a_pair_takes_the_gradient_of_both_blocks():
-    rng = make_rng(33)
+    rng = split_rng(33)
     bank = random_bank(rng, TOY_COUNTS, 5)
     pair = make_pair(bank, rng, 1, 3, 2, 3)
     for shape in ((10, 3), (3, 10), (10, 7)):  # one domain's width, (P, N) of one domain, one query too many
@@ -525,7 +525,7 @@ def test_read_backward_of_a_pair_takes_the_gradient_of_both_blocks():
 
 
 def test_read_and_read_backward_reject_an_all_empty_set():
-    rng = make_rng(32)
+    rng = split_rng(32)
     bank = random_bank(rng, TOY_COUNTS, 4)
     empty = make_pair(bank, rng, 1, 0, 2, 0)
     with pytest.raises(EmptyClusterError):
@@ -553,7 +553,7 @@ def test_update_single_query_single_item():
 
 
 def test_update_both_empty_is_noop():
-    rng = make_rng(17)
+    rng = split_rng(17)
     bank = random_bank(rng, TOY_COUNTS, 4)
     empty = make_pair(bank, rng, 1, 0, 1, 0)
     updated = update(bank, empty)
@@ -563,7 +563,7 @@ def test_update_both_empty_is_noop():
 
 
 def test_update_one_empty_domain_leaves_its_plane():
-    rng = make_rng(18)
+    rng = split_rng(18)
     bank = random_bank(rng, [(0, 3)], 4)
     cx = make_cluster(bank, rng, 0, 2)
     updated = update(bank, cx)  # a one-block set folds into values_x
@@ -573,7 +573,7 @@ def test_update_one_empty_domain_leaves_its_plane():
 
 
 def test_update_with_an_empty_x_block_folds_only_values_y_and_the_keys():
-    rng = make_rng(35)
+    rng = split_rng(35)
     bank = random_bank(rng, [(0, 3)], 4)
     updated = update(bank, make_pair(bank, rng, 0, 0, 0, 2))
     np.testing.assert_array_equal(updated.values_x, bank.values_x)
@@ -582,7 +582,7 @@ def test_update_with_an_empty_x_block_folds_only_values_y_and_the_keys():
 
 
 def test_update_takes_at_most_one_block_per_value_plane():
-    rng = make_rng(34)
+    rng = split_rng(34)
     bank = random_bank(rng, TOY_COUNTS, 4)
     three = address_rows(bank, *(class_rows(bank, rng, 1, 2) for _ in range(3)))
     with pytest.raises(ShapeError, match="one block per value plane, got 3 blocks"):
@@ -590,7 +590,7 @@ def test_update_takes_at_most_one_block_per_value_plane():
 
 
 def test_update_domains_may_address_different_partitions():
-    rng = make_rng(19)
+    rng = split_rng(19)
     bank = random_bank(rng, TOY_COUNTS, 4)
     updated = update(bank, make_pair(bank, rng, 1, 2, 2, 2))
     (off_1, n_1), (off_2, n_2) = span(bank.layout, 1), span(bank.layout, 2)
@@ -606,7 +606,7 @@ def test_update_domains_may_address_different_partitions():
 
 
 def test_pooled_bank_is_addressed_whatever_the_labels():
-    rng = make_rng(25)
+    rng = split_rng(25)
     bank = random_bank(rng, [(POOLED_CLASS_ID, 5)], 4)
     content, style = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
     for labels in (np.full(6, POOLED_CLASS_ID), np.array([0, 1, 2, 3, 7, -5])):
@@ -617,7 +617,7 @@ def test_pooled_bank_is_addressed_whatever_the_labels():
 
 
 def test_malformed_cluster_rejected():
-    rng = make_rng(24)
+    rng = split_rng(24)
     bank = random_bank(rng, TOY_COUNTS, 4)
     with pytest.raises(ShapeError, match="style"):
         address_one(bank, rng.standard_normal((3, 4)), rng.standard_normal((2, 4)), np.ones(3))
@@ -630,7 +630,7 @@ def test_malformed_cluster_rejected():
 
 
 def test_update_untouched_partitions_and_unit_norms():
-    rng = make_rng(20)
+    rng = split_rng(20)
     bank = random_bank(rng, TOY_COUNTS, 6)
     updated = update(bank, make_pair(bank, rng, 2, 4, 2, 3))
     offset, count = span(bank.layout, 2)
@@ -671,7 +671,7 @@ def test_assignment_weights_column_stochastic():
 @pytest.mark.parametrize("channels", [16, 24], ids=["toy", "widening"])
 def test_the_bank_planes_the_package_makes_are_read_only(tmp_path, channels):
     # an in-place edit would leave the Grams and affines of a state at that bank stale
-    rng = make_rng(22)
+    rng = split_rng(22)
     bank = random_bank(rng, TOY_COUNTS, channels)
     updated = update(bank, make_pair(bank, rng, 1, 4, 0, 4))
     save_bank(updated, tmp_path / "bank.json")
@@ -685,7 +685,7 @@ def test_the_bank_planes_the_package_makes_are_read_only(tmp_path, channels):
 
 
 def test_save_load_round_trip_bitwise(tmp_path):
-    rng = make_rng(21)
+    rng = split_rng(21)
     bank = random_bank(rng, [(1, 5), (2, 3), (3, 2), (0, 10)], 256)
     path = tmp_path / "bank.json"
     save_bank(bank, path)
@@ -701,7 +701,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
 
 
 def test_load_rejects_layout_count_mismatch(tmp_path):
-    rng = make_rng(22)
+    rng = split_rng(22)
     bank = random_bank(rng, [(0, 2), (1, 2)], 3)
     path = tmp_path / "bank.json"
     save_bank(bank, path)
@@ -719,7 +719,7 @@ def test_load_rejects_malformed_json(tmp_path):
 
 
 def test_load_rejects_wrong_version(tmp_path):
-    rng = make_rng(23)
+    rng = split_rng(23)
     bank = random_bank(rng, [(0, 1)], 2)
     path = tmp_path / "bank.json"
     save_bank(bank, path)

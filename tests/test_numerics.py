@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,13 +12,11 @@ from stylemem.encoder import LinearEncoder, TrainSettings, forward
 from stylemem.errors import ShapeError
 from stylemem.numerics import (
     ADAM_EPS,
-    AdamState,
     Cosines,
     adam_step,
     cosine_matrix,
     dot_norms,
     l2_normalize_rows,
-    make_rng,
     read_cosines,
     row_norms,
     softmax_cols,
@@ -26,7 +25,7 @@ from stylemem.numerics import (
 )
 
 from oracles import oracle_adam_scalar, oracle_cosine, oracle_softmax
-from reference import cosine_rows, encoded, encoding
+from reference import assert_same_bits, cosine_rows, encoded, encoding
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -89,7 +88,7 @@ def test_cosine_scale_invariant(a, b, lam):
 
 
 def test_cosine_matrix_matches_scalar():
-    rng = make_rng(11)
+    rng = split_rng(11)
     q = rng.standard_normal((4, 6))
     k = rng.standard_normal((5, 6))
     got = cosine_matrix((encoded(q),), k).sims
@@ -99,7 +98,7 @@ def test_cosine_matrix_matches_scalar():
 
 
 def test_cosine_rows_paired():
-    rng = make_rng(12)
+    rng = split_rng(12)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((3, 4))
     got = cosine_rows(a, b)
@@ -109,7 +108,7 @@ def test_cosine_rows_paired():
 
 @pytest.mark.parametrize("p, n, c", [(7, 4, 3), (256, 20, 256)])
 def test_read_cosines_are_the_cosines_of_the_formed_mixtures(p, n, c):
-    rng = make_rng(13)
+    rng = split_rng(13)
     values = rng.standard_normal((n, c))
     weights = softmax_cols(rng.standard_normal((n, p)))  # item-major, each column sums to 1
     targets = rng.standard_normal((p, c))
@@ -248,63 +247,83 @@ def test_l2_normalize_rows_mixed():
 # --- adam ---
 
 
+def zero_moments(shape):
+    return np.zeros(shape), np.zeros(shape)
+
+
 def test_adam_zero_gradient_bitwise_noop():
-    rng = make_rng(3)
+    rng = split_rng(3)
     param = rng.standard_normal((3, 2))
-    state = AdamState.for_param(param.shape)
-    out = adam_step(param, np.zeros_like(param), state, 0.05, 0.9, 0.999)
+    out, moments = adam_step(param, np.zeros_like(param), zero_moments(param.shape), 1, 0.05, 0.9, 0.999)
     np.testing.assert_array_equal(out, param)
-    assert state.step_count == 1
+    for moment in moments:
+        np.testing.assert_array_equal(moment, np.zeros_like(param))
     # stays a no-op on later zero-gradient steps as well
-    out2 = adam_step(out, np.zeros_like(param), state, 0.05, 0.9, 0.999)
+    out2, _ = adam_step(out, np.zeros_like(param), moments, 2, 0.05, 0.9, 0.999)
     np.testing.assert_array_equal(out2, param)
 
 
 def test_adam_first_step_scalar_oracle():
-    state = AdamState.for_param((1, 1))
-    out = adam_step(np.array([[1.0]]), np.array([[1.0]]), state, 0.1, 0.9, 0.999)
+    out, _ = adam_step(np.array([[1.0]]), np.array([[1.0]]), zero_moments((1, 1)), 1, 0.1, 0.9, 0.999)
     expected, *_ = oracle_adam_scalar(1.0, 1.0, 0.0, 0.0, 0, 0.9, 0.999, 1e-8, 0.1)
     assert out[0, 0] == pytest.approx(expected, abs=1e-15)
     assert out[0, 0] == pytest.approx(0.9, abs=1e-7)
 
 
 def test_adam_matches_scalar_oracle_over_steps():
-    rng = make_rng(4)
-    param = np.array([[0.5]])
-    state = AdamState.for_param((1, 1))
+    rng = split_rng(4)
+    param, moments = np.array([[0.5]]), zero_moments((1, 1))
     p_ref, m_ref, v_ref, t_ref = 0.5, 0.0, 0.0, 0
-    for _ in range(20):
+    for step in range(1, 21):
         g = rng.standard_normal()
-        param = adam_step(param, np.array([[g]]), state, 0.01, 0.9, 0.999)
+        param, moments = adam_step(param, np.array([[g]]), moments, step, 0.01, 0.9, 0.999)
         p_ref, m_ref, v_ref, t_ref = oracle_adam_scalar(p_ref, g, m_ref, v_ref, t_ref, 0.9, 0.999, 1e-8, 0.01)
         assert param[0, 0] == pytest.approx(p_ref, abs=1e-14)
-    assert state.step_count == 20
+    assert t_ref == 20
+    assert (moments[0][0, 0], moments[1][0, 0]) == pytest.approx((m_ref, v_ref), abs=1e-15)
 
 
 def test_adam_is_the_one_expression_form_bit_for_bit():
-    # adam_step builds its step in place; the textbook expression is the reference
-    rng = make_rng(5)
+    # the textbook expression is the reference
+    rng = split_rng(5)
     param = rng.standard_normal((16, 8))
-    state = AdamState.for_param(param.shape)
+    moments = zero_moments(param.shape)
     ref, m, v = param.copy(), np.zeros_like(param), np.zeros_like(param)
     lr, b1, b2 = 0.01, 0.9, 0.999
     for t in range(1, 51):
         grad = rng.standard_normal(param.shape) * 10.0 ** rng.integers(-6, 3)
         given = grad.copy()
-        param = adam_step(param, grad, state, lr, b1, b2)
+        param, moments = adam_step(param, grad, moments, t, lr, b1, b2)
         m = b1 * m + (1.0 - b1) * grad
         v = b2 * v + (1.0 - b2) * grad * grad
         ref = ref - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + ADAM_EPS)
         np.testing.assert_array_equal(param, ref)
         np.testing.assert_array_equal(grad, given)
-    np.testing.assert_array_equal(state.first_moment, m)
-    np.testing.assert_array_equal(state.second_moment, v)
+    np.testing.assert_array_equal(moments[0], m)
+    np.testing.assert_array_equal(moments[1], v)
+
+
+def test_adam_modifies_no_argument_and_returns_read_only_moments():
+    rng = split_rng(6)
+    param, grad, first, second = rng.standard_normal((4, 5, 3))
+    second = second * second
+    given = [a.copy() for a in (param, grad, first, second)]
+    out, (new_first, new_second) = adam_step(param, grad, (first, second), 7, 0.01, 0.9, 0.999)
+    for array, was in zip((param, grad, first, second), given):
+        assert_same_bits(array, was)
+    assert not (new_first.flags.writeable or new_second.flags.writeable)
+    assert not any(np.shares_memory(new, old) for new in (out, new_first, new_second) for old in given)
+    # a second call from the same arguments gives the same bits
+    again = adam_step(param, grad, (first, second), 7, 0.01, 0.9, 0.999)
+    for got, want in zip((again[0], *again[1]), (out, new_first, new_second)):
+        assert_same_bits(got, want)
 
 
 def test_adam_shape_mismatch():
-    state = AdamState.for_param((2, 2))
     with pytest.raises(ShapeError):
-        adam_step(np.zeros((2, 2)), np.zeros((3, 2)), state, 1e-3, 0.9, 0.999)
+        adam_step(np.zeros((2, 2)), np.zeros((3, 2)), zero_moments((2, 2)), 1, 1e-3, 0.9, 0.999)
+    with pytest.raises(ShapeError, match=re.escape("moments (2, 2) and (2, 1)")):
+        adam_step(np.zeros((2, 2)), np.zeros((2, 2)), (np.zeros((2, 2)), np.zeros((2, 1))), 1, 1e-3, 0.9, 0.999)
 
 
 def test_adam_defaults():
@@ -318,8 +337,8 @@ def test_adam_defaults():
 
 
 def test_same_seed_same_stream():
-    a = make_rng(123).standard_normal(8)
-    b = make_rng(123).standard_normal(8)
+    a = split_rng(123).standard_normal(8)
+    b = split_rng(123).standard_normal(8)
     np.testing.assert_array_equal(a, b)
 
 

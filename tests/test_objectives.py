@@ -6,7 +6,7 @@ import pytest
 from stylemem.encoder import TrainSettings
 from stylemem.errors import ConfigError, PoolError
 from stylemem.memory import address_blocks
-from stylemem.numerics import make_rng, split_rng
+from stylemem.numerics import split_rng
 from stylemem.objectives import contrastive_loss, triplet_loss
 
 from fdcheck import fd_check
@@ -32,7 +32,7 @@ def test_contrastive_single_item_zero_loss():
 
 
 def test_contrastive_uniform_limit_large_temperature():
-    rng = make_rng(31)
+    rng = split_rng(31)
     queries = rng.standard_normal((3, 4))
     items = rng.standard_normal((5, 4))
     (term,) = contrastive_loss(*one_block(queries, items, range(5)), 1e9)
@@ -104,7 +104,7 @@ def test_contrastive_nonnegative_and_temperature_monotone():
 def test_contrastive_positive_selection_scale_invariant():
     # cosine selection ignores query rescaling even though the loss itself
     # uses raw dot products
-    rng = make_rng(32)
+    rng = split_rng(32)
     queries = rng.standard_normal((4, 5))
     items = rng.standard_normal((6, 5))
     temperature = 0.7
@@ -115,7 +115,7 @@ def test_contrastive_positive_selection_scale_invariant():
 
 
 def test_contrastive_gradient_fd():
-    rng = make_rng(33)
+    rng = split_rng(33)
     queries = rng.standard_normal((4, 6))
     items = rng.standard_normal((5, 6))
     temperature = 0.5
@@ -201,7 +201,7 @@ def test_fd_check_zero_function():
 
 
 def test_fd_check_flags_corrupted_gradient():
-    rng = make_rng(34)
+    rng = split_rng(34)
     items = rng.standard_normal((5, 6))
     temperature = 0.5
 

@@ -1,5 +1,11 @@
 """The line counts of ``tests/size.py`` on made-up packages."""
 
+import shutil
+import subprocess
+
+import pytest
+
+import size
 from size import compare, count, main, table
 
 MODULE = '''"""Module docstring
@@ -76,3 +82,30 @@ def test_three_packages_or_a_missing_one_print_the_usage(tmp_path, capsys):
     assert main([str(tmp_path)] * 3) == 2
     assert main([str(tmp_path), str(tmp_path / "missing")]) == 2
     assert capsys.readouterr().err.count("usage:") == 2
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_revision_is_compared_with_the_working_tree(tmp_path, capsys, monkeypatch):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(MODULE)
+    (tmp_path / "other.py").write_text("z = 3\n")  # outside the package: not counted
+    git = lambda *args: subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path, check=True, capture_output=True
+    )
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    (package / "m.py").write_text(MODULE.replace("    return text\n", ""))  # uncommitted: one code line fewer
+    (package / "added.py").write_text("y = 2\n")
+    monkeypatch.setattr(size, "PACKAGE", package)
+    assert main(["HEAD"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["file", "total", "code", "doc"],
+        ["added.py", "0", "->", "1", "0", "->", "1", "0", "->", "0"],
+        ["m.py", "20", "->", "19", "7", "->", "6", "5", "->", "5"],
+        ["all", "20", "->", "20", "7", "->", "7", "5", "->", "5"],
+    ]
+    assert main(["no-such-revision"]) == 2
+    assert "usage:" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stylemem.errors import GenerationError, ValidationError
-from stylemem.numerics import make_rng, split_rng
+from stylemem.numerics import split_rng
 from stylemem.synthdata import (
     DomainSpec, FeatureScene, SceneSettings, generate_scene_pair, load_scene, save_scene,
 )
@@ -13,7 +13,7 @@ from reference import cluster_by_class, cosine_rows
 def toy_spec(seed=42, **overrides):
     defaults = dict(classes=4, input_channels=16, height=16, width=16, noise_sigma=0.05)
     defaults.update(overrides)
-    return DomainSpec.create(make_rng(seed), SceneSettings(**defaults))
+    return DomainSpec.create(split_rng(seed), SceneSettings(**defaults))
 
 
 def test_spec_prototypes_unit_and_distinct():
@@ -67,7 +67,7 @@ def test_grid_too_small():
 
 def test_pairing_shares_labels_boxes_and_content():
     spec = toy_spec()
-    pair = generate_scene_pair(spec, make_rng(7))
+    pair = generate_scene_pair(spec, split_rng(7))
     # one labels, boxes and content array serve both domains' styles
     assert pair.labels.shape == (pair.height * pair.width,)
     assert pair.content.shape == pair.styles[0].shape == pair.styles[1].shape
@@ -76,7 +76,7 @@ def test_pairing_shares_labels_boxes_and_content():
 
 def test_noiseless_scene_equals_prototypes():
     spec = toy_spec(noise_sigma=0.0)
-    pair = generate_scene_pair(spec, make_rng(8))
+    pair = generate_scene_pair(spec, split_rng(8))
     np.testing.assert_array_equal(pair.content, spec.content_prototypes[pair.labels])
     np.testing.assert_array_equal(pair.styles[0], spec.style_prototypes_x[pair.labels])
     np.testing.assert_array_equal(pair.styles[1], spec.style_prototypes_y[pair.labels])
@@ -84,7 +84,7 @@ def test_noiseless_scene_equals_prototypes():
 
 def test_noiseless_class_cosines():
     spec = toy_spec(noise_sigma=0.0)
-    pair = generate_scene_pair(spec, make_rng(9))
+    pair = generate_scene_pair(spec, split_rng(9))
     clusters = cluster_by_class(pair, "x")
     for cluster in clusters:
         assert cosine_rows(cluster.content[:1], cluster.content[-1:])[0] == pytest.approx(1.0)
@@ -102,7 +102,7 @@ def test_seed42_class_means_near_prototypes():
     # per-class mean coordinates are N(mu, sigma^2 / P_k) samples, so their
     # RMS deviation concentrates at sigma / sqrt(P_k)
     spec = toy_spec(seed=42)
-    pair = generate_scene_pair(spec, make_rng(42))
+    pair = generate_scene_pair(spec, split_rng(42))
     for domain, protos in (
         ("x", spec.style_prototypes_x),
         ("y", spec.style_prototypes_y),
@@ -117,7 +117,7 @@ def test_seed42_class_means_near_prototypes():
 
 def test_clusters_partition_scene():
     spec = toy_spec()
-    pair = generate_scene_pair(spec, make_rng(10))
+    pair = generate_scene_pair(spec, split_rng(10))
     clusters = cluster_by_class(pair, "x")
     all_positions = np.concatenate([c.positions for c in clusters])
     assert len(np.unique(all_positions)) == pair.labels.shape[0] == 256
@@ -135,7 +135,7 @@ def test_clusters_partition_scene():
 
 def test_cluster_sizes_match_scanline_box_overlay():
     spec = toy_spec()
-    pair = generate_scene_pair(spec, make_rng(11))
+    pair = generate_scene_pair(spec, split_rng(11))
     # recompute labels from boxes: later boxes override earlier ones
     grid = np.zeros((pair.height, pair.width), dtype=np.int64)
     for box in pair.boxes:
@@ -150,7 +150,7 @@ def test_cluster_sizes_match_scanline_box_overlay():
 
 def test_single_class_cluster():
     spec = toy_spec(classes=2)
-    pair = generate_scene_pair(spec, make_rng(12))
+    pair = generate_scene_pair(spec, split_rng(12))
     clusters = cluster_by_class(pair, "x")
     assert sum(c.size for c in clusters) == pair.labels.shape[0]
 
@@ -171,7 +171,7 @@ def domain_x(pair) -> FeatureScene:
 
 def test_scene_round_trip(tmp_path):
     spec = toy_spec()
-    sx = domain_x(generate_scene_pair(spec, make_rng(13)))
+    sx = domain_x(generate_scene_pair(spec, split_rng(13)))
     path = tmp_path / "scene.json"
     save_scene(sx, path)
     loaded = load_scene(path)
@@ -183,7 +183,7 @@ def test_scene_round_trip(tmp_path):
 
 def test_scene_load_rejects_bad_labels(tmp_path):
     spec = toy_spec(height=4, width=4)
-    sx = domain_x(generate_scene_pair(spec, make_rng(14)))
+    sx = domain_x(generate_scene_pair(spec, split_rng(14)))
     path = tmp_path / "scene.json"
     save_scene(sx, path)
     path.write_text(path.read_text().replace('"height": 4', '"height": 5'))
